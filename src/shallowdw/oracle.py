@@ -1,17 +1,27 @@
 """Independent finite-difference eigensolver for the partner Hamiltonian.
 
 Discretizes Xi = -d2/dx2 + V(x) with the standard 3-point Laplacian and
-Dirichlet walls one node beyond the grid, then finds the low-lying spectrum
-by bisection on the Sturm-sequence sign-change count and eigenvectors by
-inverse iteration with a pivoted tridiagonal solve.  Everything here is
-deliberately independent of the closed-form machinery in ``transform`` so
-that agreement between the two is a real check, not a tautology.
+Dirichlet walls one node beyond the grid.  V is even, so the matrix splits
+into two half-line sectors: an even one on x >= 0 with its centre row halved,
+and an odd one on x > 0 with a Dirichlet condition at x = 0.  Levels of a
+persymmetric Jacobi matrix alternate in parity, so level j of H is level
+j // 2 of the sector with parity j % 2.
+
+Each sector level is bracketed by bisection on a Sturm count of scaled
+pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}) with a_i = h^2 (V_i - lam), a
+form that never builds the 2/h^2 diagonal and so loses nothing to
+cancellation against it.  Inverse iteration, shifted at the Sturm-certified
+lower end of the bracket, solves with the same pivots as an unpivoted scaled
+LDL^T (Thomas) factorization; the eigenvalue is the Rayleigh quotient in
+Dirichlet form.  Everything here is deliberately independent of the
+closed-form machinery in ``transform`` so that agreement between the two is
+a real check, not a tautology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,14 +39,20 @@ from .transform import (
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
-DEFAULT_BISECTION_TOL = 1e-12
-# near eps = -1 the two levels almost merge; resolve the tiny gap
-DEGENERATE_BAND = 1e-4
-DEGENERATE_BISECTION_TOL = 1e-13
+# Bisection stops once the bracket is this small relative to the level's
+# height above min V, and Sturm counts show no other level of the sector
+# within SEPARATION bracket widths of it.  Each inverse-iteration step then
+# gains at least a factor SEPARATION - 1, and usually about 1/BISECTION_RTOL.
+BISECTION_RTOL = 1e-4
+SEPARATION = 100.0
+INVERSE_ITERATION_MAX_STEPS = 8
+# normwise backward error: ||H v - E v|| <= RESIDUAL_TOL ||H|| ||v||
+RESIDUAL_TOL = 1e-13
+PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
 
 
 class ConvergenceFailure(RuntimeError):
-    """Bisection interval failed to shrink; grid or implementation bug."""
+    """Bisection or inverse iteration missed its target; grid or solver bug."""
 
 
 class BoundStateCountMismatch(RuntimeError):
@@ -45,22 +61,35 @@ class BoundStateCountMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
-    """Symmetric tridiagonal discretization of -d2/dx2 + V."""
+    """3-point discretization of -d2/dx2 + V, V even, with Dirichlet walls.
+
+    Holds V itself; the stencil entries 2/h^2 + V and -1/h^2 are derived, so
+    the solver never has to subtract 2/h^2 back out of the diagonal.
+    """
 
     grid: Grid
-    diagonal: np.ndarray = field(repr=False)
-    off_diagonal: float
+    potential: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        diagonal = np.asarray(self.diagonal, dtype=float)
-        object.__setattr__(self, "diagonal", diagonal)
-        if diagonal.shape != (self.grid.n_points,):
-            raise ValueError("diagonal length does not match grid")
+        values = np.asarray(self.potential, dtype=float)
+        object.__setattr__(self, "potential", values)
+        if values.shape != (self.grid.n_points,):
+            raise ValueError("potential length does not match grid")
+        # the solver only looks at x >= 0
+        if not (np.all(np.isfinite(values)) and np.array_equal(values, values[::-1])):
+            raise ValueError("potential must be finite and even: V(-x) == V(x)")
 
     @classmethod
     def from_potential_values(cls, grid: Grid, values) -> "TridiagonalHamiltonian":
-        h2 = grid.h * grid.h
-        return cls(grid, 2.0 / h2 + np.asarray(values, dtype=float), -1.0 / h2)
+        return cls(grid, values)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return 2.0 / self.grid.h**2 + self.potential
+
+    @property
+    def off_diagonal(self) -> float:
+        return -1.0 / self.grid.h**2
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Matrix-vector product with implicit Dirichlet walls."""
@@ -72,108 +101,151 @@ class TridiagonalHamiltonian:
 
 def build_hamiltonian(pot: PotentialCurve) -> TridiagonalHamiltonian:
     """3-point stencil Hamiltonian: diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2."""
-    return TridiagonalHamiltonian.from_potential_values(pot.grid, pot.values)
+    return TridiagonalHamiltonian(pot.grid, pot.values)
 
 
-def sturm_count(H: TridiagonalHamiltonian, lam: float) -> int:
-    """Number of eigenvalues strictly below lam (Sturm sequence signs)."""
-    shifted = (H.diagonal - lam).tolist()
-    e2 = float(H.off_diagonal) * float(H.off_diagonal)
-    # pivot floor keeps the recurrence away from division by zero without
-    # overflowing e2 / q
-    pivmin = 1e-290 * max(1.0, e2)
-    q = shifted[0]
-    if abs(q) < pivmin:
-        q = -pivmin  # an exact-zero pivot counts as negative
-    count = 1 if q < 0.0 else 0
-    for di in shifted[1:]:
-        q = di - e2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
+def _scaled_sector(H: TridiagonalHamiltonian, lam: float,
+                   parity: int) -> Tuple[float, List[float]]:
+    """First scaled pivot r and the a_i = h^2 (V_i - lam) of the rows after it.
 
-
-def _bisect_eigenvalue(H: TridiagonalHamiltonian, index: int, tol: float) -> float:
-    bound = 2.0 * abs(H.off_diagonal)
-    lo = float(np.min(H.diagonal)) - bound
-    hi = float(np.max(H.diagonal)) + bound
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if sturm_count(H, mid) >= index + 1:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol:
-            return 0.5 * (lo + hi)
-    raise ConvergenceFailure(
-        f"bisection for eigenvalue {index} stalled at width {hi - lo:.3e}"
-    )
-
-
-def _solve_shifted(d: np.ndarray, e: float, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (T - lam I) x = rhs, T symmetric tridiagonal, with partial pivoting.
-
-    Pivoting introduces one extra superdiagonal; needed because inverse
-    iteration solves a nearly singular system on purpose.
+    Even sector: nodes x = 0 .. x_max, centre row halved, so r = a_0 / 2.
+    Odd sector: nodes x = h .. x_max behind a Dirichlet wall at x = 0, so
+    r = 1 + a_1.
     """
-    n = len(d)
-    a = d - lam              # main diagonal (mutated in place)
-    b = np.full(n, e)        # first superdiagonal; b[n-1] unused
-    c = np.zeros(n)          # second superdiagonal fill-in
-    sub = np.full(n, e)      # subdiagonal entering row i from row i-1
-    x = rhs.astype(float).copy()
-    for i in range(n - 1):
-        if abs(sub[i + 1]) > abs(a[i]):
-            # swap rows i and i+1
-            a[i], sub[i + 1] = sub[i + 1], a[i]
-            b[i], a[i + 1] = a[i + 1], b[i]
-            c[i], b[i + 1] = b[i + 1], c[i]
-            x[i], x[i + 1] = x[i + 1], x[i]
-        m = sub[i + 1] / a[i]
-        a[i + 1] -= m * b[i]
-        b[i + 1] -= m * c[i]
-        x[i + 1] -= m * x[i]
-    out = np.empty(n)
-    out[n - 1] = x[n - 1] / a[n - 1]
-    out[n - 2] = (x[n - 2] - b[n - 2] * out[n - 1]) / a[n - 2]
-    for i in range(n - 3, -1, -1):
-        out[i] = (x[i] - b[i] * out[i + 1] - c[i] * out[i + 2]) / a[i]
+    a = (H.grid.h**2 * (H.potential[H.grid.center_index:] - lam)).tolist()
+    if parity == 0:
+        return 0.5 * a[0], a[1:]
+    return 1.0 + a[1], a[2:]
+
+
+def _negative_pivots(r: float, rest: Sequence[float]) -> int:
+    """Sturm count: negative pivots 1 + r_i of the scaled recurrence.
+
+    Kept apart from ``_pivots``: storing the pivots nearly doubles the cost
+    of a count, and bisection makes about 17 counts per level.
+    """
+    count = 0
+    for a in rest:
+        q = 1.0 + r
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -PIVMIN
+        r = a + r / q
+    return count + (r <= -1.0)
+
+
+def _pivots(r: float, rest: Sequence[float]) -> List[float]:
+    """The LDL^T pivots q_i = 1 + r_i of the scaled sector matrix."""
+    out = []
+    for a in rest:
+        q = 1.0 + r or -PIVMIN
+        out.append(q)
+        r = a + r / q
+    out.append(1.0 + r or -PIVMIN)
     return out
 
 
-def _inverse_iteration(H: TridiagonalHamiltonian, lam: float) -> np.ndarray:
+def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int | None = None) -> int:
+    """Number of eigenvalues strictly below lam.
+
+    Counts one parity sector (0 even, 1 odd) or, when parity is None, both.
+    """
+    parities = (0, 1) if parity is None else (parity,)
+    return sum(_negative_pivots(*_scaled_sector(H, lam, p)) for p in parities)
+
+
+def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
+             resolution: float) -> Tuple[float, float]:
+    """Sturm-certified [lo, hi] around level `index` of one sector.
+
+    A bracket narrower than ``resolution`` is returned even when another
+    level shares it: the residual target cannot tell such levels apart.
+    """
+    v_min = float(np.min(H.potential))
+    lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
+    if v_min >= 0.0 or sturm_count(H, 0.0, parity) <= index:
+        hi = float(np.max(H.potential)) + 4.0 / H.grid.h**2
+    for _ in range(BISECTION_MAX_ITER):
+        if hi - lo <= resolution:
+            return lo, hi
+        margin = SEPARATION * (hi - lo)
+        if (hi - lo <= BISECTION_RTOL * (hi - v_min)
+                and sturm_count(H, hi + margin, parity) == index + 1
+                and (index == 0 or sturm_count(H, lo - margin, parity) == index)):
+            return lo, hi
+        mid = 0.5 * (lo + hi)
+        if sturm_count(H, mid, parity) > index:
+            hi = mid
+        else:
+            lo = mid
+    raise ConvergenceFailure(
+        f"bisection for sector {parity} level {index} stalled at "
+        f"[{lo!r}, {hi!r}]")
+
+
+def _ldl_solve(pivots: Sequence[float], rhs: Sequence[float]) -> List[float]:
+    """Solve M x = rhs, M = L diag(pivots) L^T with off-diagonal -1 (Thomas)."""
+    forward, w = [], 0.0
+    for q, b in zip(pivots, rhs):
+        w = (b + w) / q
+        forward.append(w)
+    out, x = [], 0.0
+    for q, w in zip(reversed(pivots), reversed(forward)):
+        x = w + x / q
+        out.append(x)
+    out.reverse()
+    return out
+
+
+def _unfold(half: np.ndarray, parity: int) -> np.ndarray:
+    """Full-grid samples from one sector's x >= 0 (even) or x > 0 (odd) part."""
+    if parity == 0:
+        return np.concatenate((half[:0:-1], half))
+    return np.concatenate((-half[::-1], [0.0], half))
+
+
+def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
+                      index: int) -> Tuple[float, np.ndarray]:
+    h2 = H.grid.h**2
+    target = RESIDUAL_TOL * (4.0 / h2 + float(np.max(np.abs(H.potential))))
+    lo, _ = _bracket(H, parity, index, target)
+    pivots = _pivots(*_scaled_sector(H, lo, parity))
+    weights = np.ones(len(pivots))  # mass matrix of the sector's pencil
+    if parity == 0:
+        weights[0] = 0.5
     rng = np.random.default_rng(1905)  # fixed seed: deterministic eigenvectors
-    v = rng.standard_normal(H.grid.n_points)
-    v /= np.linalg.norm(v)
-    for _ in range(5):
-        v = _solve_shifted(H.diagonal, H.off_diagonal, lam, v)
-        v /= np.linalg.norm(v)
-        residual = np.linalg.norm(H.apply(v) - lam * v)
-        if residual < 1e-8 * max(1.0, abs(lam)):
-            break
-    if v[np.argmax(np.abs(v))] < 0.0:
-        v = -v
-    return v
+    half = rng.standard_normal(len(pivots))
+    residual = np.inf
+    for _ in range(INVERSE_ITERATION_MAX_STEPS):
+        half = np.array(_ldl_solve(pivots, (weights * half).tolist()))
+        half /= half[np.argmax(np.abs(half))]
+        v = _unfold(half, parity)
+        norm2 = float(v @ v)
+        diffs = np.diff(v, prepend=0.0, append=0.0)
+        energy = (float(diffs @ diffs) / h2 + float(H.potential * v @ v)) / norm2
+        residual = float(np.linalg.norm(H.apply(v) - energy * v)) / np.sqrt(norm2)
+        if residual <= target:
+            return energy, v
+    raise ConvergenceFailure(
+        f"inverse iteration for sector {parity} level {index} reached residual "
+        f"{residual:.3e} after {INVERSE_ITERATION_MAX_STEPS} steps, "
+        f"target {target:.3e}")
 
 
-def lowest_eigenpairs(
-    H: TridiagonalHamiltonian, k: int, tol: float = DEFAULT_BISECTION_TOL
-) -> List[Tuple[float, RealWave]]:
+def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:
     """k smallest eigenpairs, ascending; eigenvectors trapezoid-normalized.
 
     Deterministic: bisection on Sturm counts plus fixed-seed inverse
-    iteration.  Only low-lying states are meaningful under the Dirichlet
-    truncation, hence k <= 6.
+    iteration, one parity sector per level.  Only low-lying states are
+    meaningful under the Dirichlet truncation, hence k <= 6.
     """
-    if not 1 <= k <= 6:
-        raise ValueError("k must be between 1 and 6")
+    if not 1 <= k <= min(6, H.grid.n_points):
+        raise ValueError("k must be between 1 and min(6, n_points)")
     pairs = []
-    for index in range(k):
-        lam = _bisect_eigenvalue(H, index, tol)
-        v = _inverse_iteration(H, lam)
-        pairs.append((lam, RealWave(H.grid, v).normalize()))
+    for level in range(k):
+        energy, v = _sector_eigenpair(H, level % 2, level // 2)
+        pairs.append((energy, RealWave(H.grid, v).normalize()))
     return pairs
 
 
@@ -249,10 +321,7 @@ def verify_spectrum(eps: EpsilonLike, grid: Grid | None = None) -> SpectrumRepor
                 f"expected 2 bound states for eps={eps_val}, found {negatives}"
             )
 
-    tol = DEFAULT_BISECTION_TOL
-    if eps_val > -1.0 - DEGENERATE_BAND:
-        tol = DEGENERATE_BISECTION_TOL
-    (e0_num, psi0_num), (e1_num, psi1_num) = lowest_eigenpairs(H, 2, tol)
+    (e0_num, psi0_num), (e1_num, psi1_num) = lowest_eigenpairs(H, 2)
 
     psi0 = ground_state(eps_val, grid)
     psi1 = excited_state(eps_val, grid)

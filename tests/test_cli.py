@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from shallowdw import oracle
 from shallowdw.cli import main
 
 
@@ -124,6 +125,11 @@ class TestVerifyCommand:
                     "--points", 6001, "--out", out]) == 0
         payload = json.loads(out.read_text())
         assert payload["gap_numeric"] == pytest.approx(1e-4, abs=1e-5)
+
+    def test_solver_failure_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--epsilon", -1.5, "--out", out]) == 4
 
 
 class TestClassifyCommand:

@@ -5,6 +5,7 @@ import pytest
 
 from shallowdw import (
     BoundStateCountMismatch,
+    ConvergenceFailure,
     Grid,
     RealWave,
     TridiagonalHamiltonian,
@@ -20,6 +21,7 @@ from shallowdw import (
     verify_spectrum,
 )
 
+from shallowdw import oracle
 from conftest import cached_report
 
 
@@ -64,10 +66,35 @@ class TestEigensolverSelfTests:
         assert e0 == pytest.approx(-1.0, abs=1e-5)
         assert abs(psi.overlap(base_ground_state(default_grid))) > 0.999999
 
+    def test_deep_well(self):
+        # bisection tolerance is relative: an absolute 1e-12 is below
+        # ulp(1e4) and stalls
+        grid = Grid.symmetric(15.0, 4001)
+        H = hamiltonian_for(grid.x**2 - 1e4, grid)
+        (e0, _), (e1, _) = lowest_eigenpairs(H, 2)
+        assert e0 == pytest.approx(-1e4 + 1, abs=1e-4)
+        assert e1 == pytest.approx(-1e4 + 3, abs=1e-4)
+
     def test_k_out_of_range(self, default_grid):
         H = hamiltonian_for(np.zeros(default_grid.n_points), default_grid)
         with pytest.raises(ValueError):
             lowest_eigenpairs(H, 7)
+
+    def test_k_beyond_tiny_grid(self):
+        grid = Grid(-1.0, 1.0, 3)  # three levels in all
+        with pytest.raises(ValueError):
+            lowest_eigenpairs(hamiltonian_for(np.zeros(3), grid), 4)
+
+    def test_uneven_potential_rejected(self, default_grid):
+        # the solver only reads x >= 0
+        with pytest.raises(ValueError, match="even"):
+            hamiltonian_for(default_grid.x, default_grid)
+
+    def test_missed_residual_target_raises(self, default_grid, monkeypatch):
+        monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
+        H = build_hamiltonian(potential_curve(-1.5, default_grid))
+        with pytest.raises(ConvergenceFailure, match="inverse iteration"):
+            lowest_eigenpairs(H, 1)
 
     def test_deterministic(self, default_grid):
         H = build_hamiltonian(potential_curve(-2.25, default_grid))
@@ -89,6 +116,27 @@ class TestSturmCount:
         assert sturm_count(H, -1.6) == 0
         assert sturm_count(H, -1.2) == 1
         assert sturm_count(H, -0.5) == 2
+
+    def test_sectors_split_the_count(self, default_grid):
+        # ground state even, excited state odd
+        H = build_hamiltonian(potential_curve(-1.5, default_grid))
+        assert sturm_count(H, -1.2, parity=0) == 1
+        assert sturm_count(H, -1.2, parity=1) == 0
+        assert sturm_count(H, -0.5, parity=1) == 1
+
+    @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95])
+    def test_calls_per_verify(self, eps, default_grid, monkeypatch):
+        # every Sturm evaluation goes through the module-level name
+        calls = []
+        counted = oracle.sturm_count
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "sturm_count", counting)
+        verify_spectrum(eps, default_grid)
+        assert 0 < len(calls) <= 40
 
 
 class TestEigenResidual:
