@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ EXIT_SOLVER = 4
 
 DEFAULT_X_MAX = 20.0
 DEFAULT_POINTS = 4001
+CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk; bounds the text held at once
 
 SWEEP_QUANTITIES = (
     "separatrix",
@@ -68,37 +69,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _csv(header: Sequence[str], rows, comments: Sequence[str] = (),
-         footer: Sequence[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    lines.extend(f"# {c}" for c in footer)
-    return "\n".join(lines) + "\n"
+def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
+         comments: Sequence[str] = (), footer: Sequence[str] = ()) -> Iterator[str]:
+    """CSV text in chunks of CSV_BLOCK_ROWS rows.
+
+    .tolist() yields Python scalars, whose str() is the shortest round-trip
+    repr for floats and plain digits for ints.
+    """
+    yield "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [map(str, col[start:start + CSV_BLOCK_ROWS].tolist()) for col in columns]
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
+    yield "".join(f"# {c}\n" for c in footer)
 
 
-def _columns_json(header: Sequence[str], rows) -> str:
-    cols: Dict[str, list] = {name: [] for name in header}
-    for row in rows:
-        for name, value in zip(header, row):
-            cols[name].append(float(value) if isinstance(value, np.floating) else value)
-    return json.dumps(cols) + "\n"
+def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    return json.dumps({name: col.tolist() for name, col in zip(header, columns)}) + "\n"
 
 
-def _emit_table(args, header, rows, comments=(), footer=()) -> None:
+def _emit_table(args, header, columns, comments=(), footer=()) -> None:
     if args.format == "json":
-        _write_text(args.out, _columns_json(header, rows))
+        _write_text(args.out, [_columns_json(header, columns)])
     else:
-        _write_text(args.out, _csv(header, rows, comments, footer))
+        _write_text(args.out, _csv(header, columns, comments, footer))
 
 
 def _write_svg(path: str, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -167,8 +168,7 @@ def cmd_potential(args, config) -> int:
     eps = _epsilon_from(args, config)
     grid = _grid_from(args, config)
     curve = potential_curve(eps, grid)
-    rows = zip(grid.x, curve.values)
-    _emit_table(args, ("x", "V"), rows)
+    _emit_table(args, ("x", "V"), (grid.x, curve.values))
     if args.svg:
         _write_svg(args.svg, grid.x, curve.values)
     return EXIT_OK
@@ -180,8 +180,8 @@ def cmd_states(args, config) -> int:
     curve = potential_curve(eps, grid)
     psi0 = ground_state(eps, grid).samples
     psi1 = excited_state(eps, grid).samples
-    rows = zip(grid.x, curve.values, psi0, psi1, psi0**2)
-    _emit_table(args, ("x", "V", "psi0", "psi1", "rho0"), rows)
+    _emit_table(args, ("x", "V", "psi0", "psi1", "rho0"),
+                (grid.x, curve.values, psi0, psi1, psi0**2))
     return EXIT_OK
 
 
@@ -238,7 +238,7 @@ def cmd_verify(args, config) -> int:
         "bimodality_rel_err": rel_err,
         "passed": passed,
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, [json.dumps(payload, indent=2) + "\n"])
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
@@ -254,7 +254,7 @@ def cmd_classify(args, config) -> int:
             "curvature_origin": result.curvature_origin,
             "density_maxima_count": result.density_maxima_count,
         }
-        _write_text(args.out, json.dumps(payload) + "\n")
+        _write_text(args.out, [json.dumps(payload) + "\n"])
         return EXIT_OK
     kind = result.kind
     if kind is wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX:
@@ -270,7 +270,7 @@ def cmd_classify(args, config) -> int:
         f"curvature={result.curvature_origin:.6g}; "
         f"maxima={result.density_maxima_count}\n"
     )
-    _write_text(args.out, line)
+    _write_text(args.out, [line])
     return EXIT_OK
 
 
@@ -288,9 +288,9 @@ def cmd_evolve(args, config) -> int:
             "warning: ground level at or above the central barrier; "
             "no low-lying two-level regime"
         )
-    rows = zip(series.times, series.left_probability)
     footer = [f"analytic_period={_fmt(series.analytic_period)}"]
-    _emit_table(args, ("t", "P_left"), rows, comments=comments, footer=footer)
+    _emit_table(args, ("t", "P_left"), (series.times, series.left_probability),
+                comments=comments, footer=footer)
     if args.svg:
         _write_svg(args.svg, series.times, series.left_probability)
     return EXIT_OK
@@ -351,7 +351,8 @@ def cmd_sweep(args, config) -> int:
             print(f"warning: eps={eps}: {exc}", file=sys.stderr)
             rows.append((float(eps),) + (float("nan"),) * len(quantities))
             failures += 1
-    _emit_table(args, ("epsilon", *quantities), rows)
+    # object dtype keeps maxima_count's ints as ints next to NaN rows
+    _emit_table(args, ("epsilon", *quantities), np.array(rows, dtype=object).T)
     if failures == len(eps_values):
         return EXIT_SOLVER
     return EXIT_OK

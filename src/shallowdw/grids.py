@@ -33,12 +33,12 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_max) and self.x_max > 0):
+            raise ValueError("x_max must be finite and positive")
         if self.x_min != -self.x_max:
             raise ValueError("grid must be symmetric: x_min == -x_max")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
-        if not self.x_max > 0:
-            raise ValueError("x_max must be positive")
 
     @classmethod
     def default(cls) -> "Grid":

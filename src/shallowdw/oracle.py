@@ -255,6 +255,11 @@ def eigen_residual(H: TridiagonalHamiltonian, wave: RealWave, energy: float) -> 
     Three nodes at each edge are excluded: one-sided stencils and the
     Dirichlet mismatch dominate there, not the PDE error.
     """
+    if wave.grid.n_points <= 2 * EDGE_EXCLUDE:
+        raise ValueError(
+            f"eigen_residual needs a grid of at least {2 * EDGE_EXCLUDE + 1} "
+            f"points, got {wave.grid.n_points}"
+        )
     r = H.apply(wave.samples) - energy * wave.samples
     sl = slice(EDGE_EXCLUDE, -EDGE_EXCLUDE)
     return float(np.linalg.norm(r[sl]) / np.linalg.norm(wave.samples[sl]))

@@ -1,6 +1,7 @@
 """CLI contract: schemas, determinism, lossless parse-back, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,24 @@ class TestExitCodeTable:
     def test_even_points_is_bad_args(self, tmp_path):
         assert run(["potential", "--epsilon", -1.5, "--points", 4000,
                     "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("x_max", ["inf", "nan"])
+    def test_non_finite_x_max_is_bad_args(self, x_max, capsys):
+        assert run(["potential", "--epsilon", -1.5, "--x-max", x_max,
+                    "--points", 5]) == 2
+        captured = capsys.readouterr()
+        assert "x_max must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max_is_bad_args(self, t_max, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--epsilon", -1.5, "--t-max", t_max,
+                        "--frames", 3]) == 2
+        captured = capsys.readouterr()
+        assert "t_max must be finite" in captured.err
+        assert captured.out == ""
 
     def test_missing_epsilon_is_bad_args(self):
         assert run(["potential"]) == 2

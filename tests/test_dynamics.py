@@ -121,3 +121,19 @@ class TestEvolveSeries:
     def test_frame_validation(self, default_grid):
         with pytest.raises(ValueError):
             evolve_series(-1.5, default_grid, 1.0, 1)
+
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_t_max_rejected(self, default_grid, t_max):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            evolve_series(-1.5, default_grid, t_max, 3)
+
+    @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.5])
+    def test_closed_form_matches_frame_by_frame_state(self, default_grid, eps):
+        # the reference rounds the phase eps*t, an error that grows with t;
+        # over the CLI's default two periods it stays below 1e-14
+        series = evolve_series(eps, default_grid, 2 * analytic_period(eps), 401)
+        reference = np.array([
+            left_well_probability(lc_state(eps, default_grid, float(t)))
+            for t in series.times
+        ])
+        assert np.max(np.abs(series.left_probability - reference)) <= 1e-14

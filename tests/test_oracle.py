@@ -151,6 +151,19 @@ class TestEigenResidual:
         psi = ground_state(-1.5, default_grid)
         assert eigen_residual(H, psi, -1.5 + 0.1) == pytest.approx(0.1, rel=1e-3)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_grid_without_interior_nodes_rejected(self, n):
+        # edge exclusion leaves no node to measure: raise, do not return NaN
+        grid = Grid.symmetric(3.0, n)
+        H = hamiltonian_for(np.zeros(n), grid)
+        with pytest.raises(ValueError, match="at least 7 points"):
+            eigen_residual(H, RealWave(grid, np.ones(n)), 0.0)
+
+    def test_smallest_measurable_grid(self):
+        grid = Grid.symmetric(3.0, 7)
+        H = hamiltonian_for(np.zeros(7), grid)
+        assert eigen_residual(H, RealWave(grid, np.ones(7)), 0.0) == 0.0
+
 
 class TestIntertwining:
     def test_gaussian(self, default_grid):

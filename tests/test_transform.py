@@ -53,6 +53,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(*args)
 
+    @pytest.mark.parametrize("x_max", [float("inf"), float("nan"), 0.0, -2.0])
+    def test_rejects_non_finite_or_non_positive_x_max(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be finite and positive"):
+            Grid.symmetric(x_max, 5)
+
 
 class TestSeedFunction:
     def test_value_at_origin(self):
