@@ -10,10 +10,16 @@ import json
 import numpy as np
 import pytest
 
-from shallowdw import cli, dynamics, oracle
+from shallowdw import cli, dynamics, oracle, wells
 from shallowdw.cli import main
 from shallowdw.grids import Grid
-from shallowdw.transform import excited_state, ground_state, potential_curve
+from shallowdw.transform import (
+    curvature_at_origin,
+    excited_state,
+    ground_state,
+    potential_curve,
+    separatrix_energy,
+)
 
 X_MAX, POINTS = 20.0, 401
 
@@ -96,14 +102,18 @@ class TestTableBytes:
             return real(eps, grid)
 
         monkeypatch.setattr(oracle, "verify_spectrum", flaky)
-        quantities = list(cli.SWEEP_QUANTITIES)
+        quantities = ["separatrix", "curvature", "gap", "maxima_count",
+                      "e0_error", "e1_error"]
         grid = Grid.symmetric(X_MAX, POINTS)
         rows = []
-        for eps in eps_values:
+        for eps in map(float, eps_values):
             try:
-                rows.append((float(eps),) + cli._sweep_row(float(eps), grid, quantities))
+                report = oracle.verify_spectrum(eps, grid)
+                rows.append((eps, separatrix_energy(eps), curvature_at_origin(eps),
+                             abs(1.0 + eps), wells.classify(eps, grid).density_maxima_count,
+                             report.e0_error, report.e1_error))
             except oracle.ConvergenceFailure:
-                rows.append((float(eps),) + (float("nan"),) * len(quantities))
+                rows.append((eps,) + (float("nan"),) * len(quantities))
         assert isinstance(rows[0][4], int)  # maxima_count stays an int
 
         got = emitted(tmp_path, ["sweep", "--eps-start", -2.6, "--eps-end", -1.2,

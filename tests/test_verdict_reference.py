@@ -1,0 +1,125 @@
+"""`verify` and `classify` output against the CLI code that once built it.
+
+The reference functions below are the verdict, payload and text that
+`cmd_verify` and `cmd_classify` assembled inline, by hand, from the library
+results.  The CLI must still print the same stdout bytes and return the same
+exit codes.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from shallowdw import oracle, wells
+from shallowdw.cli import main
+from shallowdw.grids import Grid, RealWave
+from shallowdw.transform import separatrix_energy
+
+REF_TOLERANCES = {
+    "e0_error": 1e-4,
+    "e1_error": 1e-4,
+    "overlap_min": 0.99999,
+    "residual_max": 5e-5,
+    "intertwining_max": 1e-4,
+    "bimodality_rel_err": 1e-5,
+}
+
+
+def ref_intertwining_family_residual(eps, grid):
+    rng = np.random.default_rng(42)
+    worst = 0.0
+    for _ in range(5):
+        center = rng.uniform(-3.0, 3.0)
+        width = rng.uniform(0.5, 2.0)
+        bump = RealWave(grid, np.exp(-((grid.x - center) / width) ** 2))
+        worst = max(worst, oracle.check_intertwining(eps, bump))
+    return worst
+
+
+def ref_verify(eps, grid):
+    """(stdout, exit code) of `verify` as the CLI computed them inline."""
+    report = oracle.verify_spectrum(eps, grid)
+    intertwining = ref_intertwining_family_residual(eps, grid)
+    lhs, rhs, rel_err = wells.check_bimodality_relation(eps, grid)
+
+    tol = REF_TOLERANCES
+    checks = [
+        report.e0_error < tol["e0_error"],
+        report.e1_error < tol["e1_error"],
+        report.psi0_overlap > tol["overlap_min"],
+        report.psi1_overlap > tol["overlap_min"],
+        report.psi0_residual < tol["residual_max"],
+        report.psi1_residual < tol["residual_max"],
+        intertwining < tol["intertwining_max"],
+    ]
+    if abs(separatrix_energy(eps) - eps) > 1e-3:
+        checks.append(rel_err < tol["bimodality_rel_err"])
+    passed = all(checks)
+
+    payload = {
+        "epsilon": report.epsilon,
+        "e0_analytic": report.e0_analytic,
+        "e1_analytic": report.e1_analytic,
+        "e0_numeric": report.e0_numeric,
+        "e1_numeric": report.e1_numeric,
+        "e0_error": report.e0_error,
+        "e1_error": report.e1_error,
+        "psi0_residual": report.psi0_residual,
+        "psi1_residual": report.psi1_residual,
+        "psi0_overlap": report.psi0_overlap,
+        "psi1_overlap": report.psi1_overlap,
+        "gap_numeric": report.e1_numeric - report.e0_numeric,
+        "intertwining_residual": intertwining,
+        "bimodality_lhs": lhs,
+        "bimodality_rhs": rhs,
+        "bimodality_rel_err": rel_err,
+        "passed": passed,
+    }
+    return json.dumps(payload, indent=2) + "\n", 0 if passed else 1
+
+
+def ref_classify(eps, grid, fmt):
+    result = wells.classify(eps, grid)
+    if fmt == "json":
+        payload = {
+            "epsilon": result.epsilon,
+            "kind": result.kind.value,
+            "separatrix": result.separatrix,
+            "curvature_origin": result.curvature_origin,
+            "density_maxima_count": result.density_maxima_count,
+        }
+        return json.dumps(payload) + "\n"
+    kind = result.kind
+    if kind is wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX:
+        verdict = "double well; ground BELOW separatrix"
+    elif kind is wells.WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX:
+        verdict = "double well; ground ABOVE separatrix"
+    elif kind is wells.WellKind.BOUNDARY:
+        verdict = "boundary case"
+    else:
+        verdict = "not a double well"
+    return (
+        f"{verdict}; s={result.separatrix:.6g}; "
+        f"curvature={result.curvature_origin:.6g}; "
+        f"maxima={result.density_maxima_count}\n"
+    )
+
+
+# -2.0: bimodality check skipped (ground level at the barrier top);
+# -2.6: psi1_residual fails; -3.5: psi0_residual and psi1_residual fail
+@pytest.mark.parametrize("eps, rc", [(-1.05, 0), (-1.5, 0), (-2.0, 0),
+                                     (-2.6, 1), (-3.5, 1)])
+def test_verify_stdout_and_exit_code(eps, rc, capsys):
+    expected_out, expected_rc = ref_verify(eps, Grid.default())
+    assert expected_rc == rc
+    assert main(["verify", "--epsilon", str(eps)]) == rc
+    assert capsys.readouterr().out.encode() == expected_out.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("eps", [-1.5, -2.0, -2.25, -3.0, -3.5])
+def test_classify_stdout(eps, fmt, capsys):
+    expected = ref_classify(eps, Grid.default(), fmt)
+    assert main(["classify", "--epsilon", str(eps), "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode() == expected.encode()
