@@ -8,6 +8,9 @@ Subcommands
     evolve      left-well probability vs time           -> t,P_left
     sweep       closed-form/oracle quantities over eps  -> one row per eps
 
+Commands parse arguments and emit; verdicts come from ``oracle.verify`` and
+``wells.classify``, and a failing verify names each failed check on stderr.
+
 All numbers are written with the shortest round-trip decimal representation,
 so repeated runs are byte-identical and every emitted file parses back
 losslessly.  Exit codes: 0 ok, 1 verification failed, 2 bad arguments,
@@ -17,16 +20,19 @@ losslessly.  Exit codes: 0 ok, 1 verification failed, 2 bad arguments,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import asdict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from . import dynamics, oracle, wells
-from .grids import Grid, GridTooNarrow, RealWave
+from .grids import Grid, GridTooNarrow
 from .transform import (
     InvalidEpsilon,
+    curvature_at_origin,
     excited_state,
     ground_state,
     potential_curve,
@@ -43,30 +49,22 @@ DEFAULT_X_MAX = 20.0
 DEFAULT_POINTS = 4001
 CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk; bounds the text held at once
 
-SWEEP_QUANTITIES = (
-    "separatrix",
-    "curvature",
-    "gap",
-    "maxima_count",
-    "e0_error",
-    "e1_error",
-)
-
-VERIFY_TOLERANCES = {
-    "e0_error": 1e-4,
-    "e1_error": 1e-4,
-    "overlap_min": 0.99999,
-    "residual_max": 5e-5,
-    "intertwining_max": 1e-4,
-    "bimodality_rel_err": 1e-5,
+# sweep column -> value(eps, grid, report); report() is the cached oracle run
+SWEEP_QUANTITIES = {
+    "separatrix": lambda eps, grid, report: separatrix_energy(eps),
+    "curvature": lambda eps, grid, report: curvature_at_origin(eps),
+    "gap": lambda eps, grid, report: abs(1.0 + eps),
+    "maxima_count": lambda eps, grid, report: wells.classify(eps, grid).density_maxima_count,
+    "e0_error": lambda eps, grid, report: report().e0_error,
+    "e1_error": lambda eps, grid, report: report().e1_error,
 }
 
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+CLASSIFY_VERDICTS = {
+    wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX: "double well; ground BELOW separatrix",
+    wells.WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX: "double well; ground ABOVE separatrix",
+    wells.WellKind.BOUNDARY: "boundary case",
+    wells.WellKind.SINGLE_WELL: "not a double well",
+}
 
 
 def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
@@ -185,88 +183,25 @@ def cmd_states(args, config) -> int:
     return EXIT_OK
 
 
-def _intertwining_family_residual(eps: float, grid: Grid) -> float:
-    """Max intertwining residual over a fixed family of Gaussian bumps."""
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(5):
-        center = rng.uniform(-3.0, 3.0)
-        width = rng.uniform(0.5, 2.0)
-        bump = RealWave(grid, np.exp(-((grid.x - center) / width) ** 2))
-        worst = max(worst, oracle.check_intertwining(eps, bump))
-    return worst
-
-
 def cmd_verify(args, config) -> int:
-    eps = _epsilon_from(args, config)
-    grid = _grid_from(args, config)
-    report = oracle.verify_spectrum(eps, grid)
-    intertwining = _intertwining_family_residual(eps, grid)
-    lhs, rhs, rel_err = wells.check_bimodality_relation(eps, grid)
-
-    tol = VERIFY_TOLERANCES
-    checks = [
-        report.e0_error < tol["e0_error"],
-        report.e1_error < tol["e1_error"],
-        report.psi0_overlap > tol["overlap_min"],
-        report.psi1_overlap > tol["overlap_min"],
-        report.psi0_residual < tol["residual_max"],
-        report.psi1_residual < tol["residual_max"],
-        intertwining < tol["intertwining_max"],
-    ]
-    # bimodality check is singular where ground level meets the barrier top
-    if abs(separatrix_energy(eps) - eps) > 1e-3:
-        checks.append(rel_err < tol["bimodality_rel_err"])
-    passed = all(checks)
-
-    payload = {
-        "epsilon": report.epsilon,
-        "e0_analytic": report.e0_analytic,
-        "e1_analytic": report.e1_analytic,
-        "e0_numeric": report.e0_numeric,
-        "e1_numeric": report.e1_numeric,
-        "e0_error": report.e0_error,
-        "e1_error": report.e1_error,
-        "psi0_residual": report.psi0_residual,
-        "psi1_residual": report.psi1_residual,
-        "psi0_overlap": report.psi0_overlap,
-        "psi1_overlap": report.psi1_overlap,
-        "gap_numeric": report.e1_numeric - report.e0_numeric,
-        "intertwining_residual": intertwining,
-        "bimodality_lhs": lhs,
-        "bimodality_rhs": rhs,
-        "bimodality_rel_err": rel_err,
-        "passed": passed,
-    }
+    report = oracle.verify(_epsilon_from(args, config), _grid_from(args, config))
+    payload = {**asdict(report), "passed": report.passed}
     _write_text(args.out, [json.dumps(payload, indent=2) + "\n"])
-    return EXIT_OK if passed else EXIT_VERIFY_FAIL
+    for check in report.checks:
+        if not check.passed:
+            print(f"check failed: {check.name}={check.value!r}, "
+                  f"tolerance {check.tolerance!r}", file=sys.stderr)
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_classify(args, config) -> int:
-    eps = _epsilon_from(args, config)
-    grid = _grid_from(args, config)
-    result = wells.classify(eps, grid)
+    result = wells.classify(_epsilon_from(args, config), _grid_from(args, config))
     if args.format == "json":
-        payload = {
-            "epsilon": result.epsilon,
-            "kind": result.kind.value,
-            "separatrix": result.separatrix,
-            "curvature_origin": result.curvature_origin,
-            "density_maxima_count": result.density_maxima_count,
-        }
+        payload = {**asdict(result), "kind": result.kind.value}
         _write_text(args.out, [json.dumps(payload) + "\n"])
         return EXIT_OK
-    kind = result.kind
-    if kind is wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX:
-        verdict = "double well; ground BELOW separatrix"
-    elif kind is wells.WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX:
-        verdict = "double well; ground ABOVE separatrix"
-    elif kind is wells.WellKind.BOUNDARY:
-        verdict = "boundary case"
-    else:
-        verdict = "not a double well"
     line = (
-        f"{verdict}; s={result.separatrix:.6g}; "
+        f"{CLASSIFY_VERDICTS[result.kind]}; s={result.separatrix:.6g}; "
         f"curvature={result.curvature_origin:.6g}; "
         f"maxima={result.density_maxima_count}\n"
     )
@@ -288,7 +223,7 @@ def cmd_evolve(args, config) -> int:
             "warning: ground level at or above the central barrier; "
             "no low-lying two-level regime"
         )
-    footer = [f"analytic_period={_fmt(series.analytic_period)}"]
+    footer = [f"analytic_period={float(series.analytic_period)!r}"]
     _emit_table(args, ("t", "P_left"), (series.times, series.left_probability),
                 comments=comments, footer=footer)
     if args.svg:
@@ -297,25 +232,10 @@ def cmd_evolve(args, config) -> int:
 
 
 def _sweep_row(eps: float, grid: Grid, quantities: List[str]) -> tuple:
-    from .transform import curvature_at_origin
-
-    values = {}
-    needs_oracle = any(q in ("e0_error", "e1_error") for q in quantities)
-    for q in quantities:
-        if q == "separatrix":
-            values[q] = separatrix_energy(eps)
-        elif q == "curvature":
-            values[q] = curvature_at_origin(eps)
-        elif q == "gap":
-            values[q] = abs(1.0 + eps)
-        elif q == "maxima_count":
-            values[q] = wells.classify(eps, grid).density_maxima_count
-    if needs_oracle:
-        report = oracle.verify_spectrum(eps, grid)
-        if "e0_error" in quantities:
-            values["e0_error"] = report.e0_error
-        if "e1_error" in quantities:
-            values["e1_error"] = report.e1_error
+    report = functools.cache(lambda: oracle.verify_spectrum(eps, grid))
+    # table order: the closed forms and classify run before the oracle
+    values = {q: value(eps, grid, report)
+              for q, value in SWEEP_QUANTITIES.items() if q in quantities}
     return tuple(values[q] for q in quantities)
 
 
@@ -324,20 +244,15 @@ def cmd_sweep(args, config) -> int:
     eps_end = _resolve(args, config, "eps_end", float, None)
     steps = _resolve(args, config, "steps", int, None)
     if eps_start is None or eps_end is None or steps is None or steps < 1:
-        print("sweep requires --eps-start, --eps-end and --steps >= 1",
-              file=sys.stderr)
-        return EXIT_BAD_ARGS
+        raise ValueError("sweep requires --eps-start, --eps-end and --steps >= 1")
     if not eps_start < eps_end or eps_end > -1.0 - 1e-9:
-        print("sweep range must satisfy eps_start < eps_end <= -1 - 1e-9",
-              file=sys.stderr)
-        return EXIT_BAD_ARGS
+        raise ValueError("sweep range must satisfy eps_start < eps_end <= -1 - 1e-9")
     raw = _resolve(args, config, "quantities", str, "separatrix,curvature,gap")
     quantities = [q.strip() for q in raw.split(",") if q.strip()]
     bad = [q for q in quantities if q not in SWEEP_QUANTITIES]
     if bad or not quantities:
-        print(f"unknown sweep quantities: {', '.join(bad) or '(none given)'}; "
-              f"choose from {', '.join(SWEEP_QUANTITIES)}", file=sys.stderr)
-        return EXIT_BAD_ARGS
+        raise ValueError(f"unknown sweep quantities: {', '.join(bad) or '(none given)'}; "
+                         f"choose from {', '.join(SWEEP_QUANTITIES)}")
 
     grid = _grid_from(args, config)
     eps_values = np.linspace(eps_start, eps_end, steps)

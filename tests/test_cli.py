@@ -2,11 +2,12 @@
 
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from shallowdw import oracle
+from shallowdw import oracle, wells
 from shallowdw.cli import main
 
 
@@ -127,6 +128,37 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["gap_numeric"] == pytest.approx(1e-4, abs=1e-5)
 
+    def test_failed_check_named_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--epsilon", -2.6, "--out", out]) == 1
+        payload = json.loads(out.read_text())
+        assert capsys.readouterr().err == (
+            f"check failed: psi1_residual={payload['psi1_residual']!r}, "
+            "tolerance 5e-05\n")
+
+    def test_pass_writes_nothing_to_stderr(self, capsys):
+        assert run(["verify", "--epsilon", -1.5]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_traced_layers_called_as_module_attributes(self, monkeypatch):
+        # the benchmark's span tracer patches these names; each must be
+        # looked up there on every verify run
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module, name in [(oracle, "verify_spectrum"),
+                             (oracle, "check_intertwining"),
+                             (wells, "check_bimodality_relation")]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert run(["verify", "--epsilon", -1.5]) == 0
+        assert calls == {"verify_spectrum": 1, "check_intertwining": 5,
+                         "check_bimodality_relation": 1}
+
     def test_solver_failure_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
         out = tmp_path / "verify.json"
@@ -229,13 +261,23 @@ class TestSweepCommand:
         assert header == ["epsilon", "e0_error", "e1_error"]
         assert np.all(rows[:, 1:] < 1e-4)
 
-    def test_bad_quantities_exit_2(self, tmp_path):
+    def test_bad_quantities_exit_2(self, tmp_path, capsys):
         assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5,
                     "--steps", 3, "--quantities", "bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown sweep quantities: bogus; choose from separatrix, "
+            "curvature, gap, maxima_count, e0_error, e1_error\n")
 
-    def test_bad_range_exit_2(self):
+    def test_bad_range_exit_2(self, capsys):
         assert run(["sweep", "--eps-start", -1.5, "--eps-end", -0.9,
                     "--steps", 3]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep range must satisfy eps_start < eps_end <= -1 - 1e-9\n")
+
+    def test_missing_steps_exit_2(self, capsys):
+        assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep requires --eps-start, --eps-end and --steps >= 1\n")
 
 
 class TestConfigFile:

@@ -187,6 +187,16 @@ class TestIntertwining:
         zero = RealWave(default_grid, np.zeros(default_grid.n_points))
         assert check_intertwining(-1.5, zero) == 0.0
 
+    def test_grid_without_interior_nodes_rejected(self):
+        # chained stencils drop four nodes at each edge: none left of 7
+        grid = Grid.symmetric(3.0, 7)
+        with pytest.raises(ValueError, match="at least 9 points"):
+            check_intertwining(-1.5, RealWave(grid, np.exp(-grid.x**2)))
+
+    def test_smallest_measurable_grid(self):
+        grid = Grid.symmetric(3.0, 9)
+        assert np.isfinite(check_intertwining(-1.5, RealWave(grid, np.exp(-grid.x**2))))
+
 
 class TestVerifySpectrum:
     @pytest.mark.parametrize("eps", [-1.10, -2.25])
@@ -225,3 +235,25 @@ class TestVerifySpectrum:
         # so the double-well count check must fire
         with pytest.raises(BoundStateCountMismatch):
             verify_spectrum(-1.05, Grid.symmetric(3.0, 601))
+
+
+class TestVerify:
+    @pytest.mark.parametrize("eps, failed", [
+        (-1.5, []),
+        (-2.0, []),
+        (-2.6, ["psi1_residual"]),
+        (-3.5, ["psi0_residual", "psi1_residual"]),
+    ])
+    def test_check_records(self, eps, failed, default_grid):
+        report = oracle.verify(eps, default_grid)
+        names = list(oracle.VERIFY_TOLERANCES)
+        if eps == -2.0:
+            # ground level on the barrier top: rho''(0) = 0, check skipped
+            assert report.bimodality_rel_err > 1.0
+            names.remove("bimodality_rel_err")
+        assert [c.name for c in report.checks] == names
+        assert [c.name for c in report.checks if not c.passed] == failed
+        assert report.passed is (not failed)
+        for check in report.checks:
+            assert check.value == getattr(report, check.name)
+            assert check.tolerance == oracle.VERIFY_TOLERANCES[check.name][0]
