@@ -14,7 +14,9 @@ Commands parse arguments and emit; verdicts come from ``oracle.verify`` and
 All numbers are written with the shortest round-trip decimal representation,
 so repeated runs are byte-identical and every emitted file parses back
 losslessly.  Exit codes: 0 ok, 1 verification failed, 2 bad arguments,
-3 grid too narrow, 4 eigensolver failure.
+3 grid too narrow or too coarse to hold the bound states, 4 eigensolver
+failure.  A sweep whose every row fails exits 4 if any row's solver failed,
+else 3.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def cmd_sweep(args, config) -> int:
     grid = _grid_from(args, config)
     eps_values = np.linspace(eps_start, eps_end, steps)
     rows = []
-    failures = 0
+    failures = []
     for eps in eps_values:
         try:
             rows.append((float(eps),) + _sweep_row(float(eps), grid, quantities))
@@ -265,12 +267,14 @@ def cmd_sweep(args, config) -> int:
                 oracle.BoundStateCountMismatch) as exc:
             print(f"warning: eps={eps}: {exc}", file=sys.stderr)
             rows.append((float(eps),) + (float("nan"),) * len(quantities))
-            failures += 1
+            failures.append(exc)
     # object dtype keeps maxima_count's ints as ints next to NaN rows
     _emit_table(args, ("epsilon", *quantities), np.array(rows, dtype=object).T)
-    if failures == len(eps_values):
+    if len(failures) < len(eps_values):
+        return EXIT_OK
+    if any(isinstance(exc, oracle.ConvergenceFailure) for exc in failures):
         return EXIT_SOLVER
-    return EXIT_OK
+    return EXIT_GRID
 
 
 def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
@@ -338,8 +342,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except GridTooNarrow as exc:
-        # subclasses ValueError; must be caught before the bad-args handler
+    except (GridTooNarrow, oracle.BoundStateCountMismatch) as exc:
+        # GridTooNarrow subclasses ValueError: caught before the bad-args
+        # handler.  -3 < eps < -1 always has two bound states, so a count
+        # mismatch means the grid cannot hold them.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRID
     except (InvalidEpsilon, ValueError) as exc:
@@ -348,9 +354,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except oracle.ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except oracle.BoundStateCountMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -10,12 +10,23 @@ j // 2 of the sector with parity j % 2.
 Each sector level is bracketed by bisection on a Sturm count of scaled
 pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}) with a_i = h^2 (V_i - lam), a
 form that never builds the 2/h^2 diagonal and so loses nothing to
-cancellation against it.  Inverse iteration, shifted at the Sturm-certified
-lower end of the bracket, solves with the same pivots as an unpivoted scaled
-LDL^T (Thomas) factorization; the eigenvalue is the Rayleigh quotient in
-Dirichlet form.  Everything here is deliberately independent of the
-closed-form machinery in ``transform`` so that agreement between the two is
-a real check, not a tautology.
+cancellation against it.  A count stops at the outer turning point: beyond
+it V >= lam, so a_i >= 0, and once r >= 0 no later pivot can be negative.
+Only the counts at lam = 0 read every row; each sector's is made once per
+Hamiltonian.
+
+Eigenvectors come from twisted factorizations (Fernando; Parlett and
+Dhillon) in the same r-form: forward pivots from x = 0 to the turning
+point, backward pivots from the grid edge, a twist where |gamma_k| is least,
+and the vector as running products of reciprocal pivots out from the twist.
+Each vector solves (M - sigma) z = gamma_k e_k, one step of shifted inverse
+iteration.  The first shift is the Sturm-certified lower end of the
+bracket, each later one the Rayleigh quotient, in Dirichlet form, of the
+last vector, which is also the eigenvalue.
+
+Everything here is deliberately independent of the closed-form machinery in
+``transform`` so that agreement between the two is a real check, not a
+tautology.
 
 ``verify`` judges the paper's claim: spectrum, intertwining identity and
 central-curvature law, each against its entry of ``VERIFY_TOLERANCES``.
@@ -25,7 +36,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass, field
-from typing import List, NamedTuple, Sequence, Tuple
+from functools import cached_property
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -55,6 +68,7 @@ INVERSE_ITERATION_MAX_STEPS = 8
 # normwise backward error: ||H v - E v|| <= RESIDUAL_TOL ||H|| ||v||
 RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
+ROW_BLOCK = 256  # rows a Sturm pass converts to Python floats at a time
 
 # verify criteria, in check order: report field -> (tolerance, strict test)
 VERIFY_TOLERANCES = {
@@ -89,6 +103,9 @@ class TridiagonalHamiltonian:
 
     grid: Grid
     potential: np.ndarray = field(repr=False)
+    # sector -> its levels below 0, counted at most once (see _bound_count)
+    _bound_counts: Dict[int, int] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.potential, dtype=float)
@@ -102,6 +119,12 @@ class TridiagonalHamiltonian:
     @classmethod
     def from_potential_values(cls, grid: Grid, values) -> "TridiagonalHamiltonian":
         return cls(grid, values)
+
+    @cached_property
+    def edge_min(self) -> np.ndarray:
+        """min V over x_i .. x_max for each node x_i >= 0; non-decreasing."""
+        half = self.potential[self.grid.center_index:]
+        return np.minimum.accumulate(half[::-1])[::-1]
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -124,28 +147,47 @@ def build_hamiltonian(pot: PotentialCurve) -> TridiagonalHamiltonian:
     return TridiagonalHamiltonian(pot.grid, pot.values)
 
 
-def _scaled_sector(H: TridiagonalHamiltonian, lam: float,
-                   parity: int) -> Tuple[float, List[float]]:
-    """First scaled pivot r and the a_i = h^2 (V_i - lam) of the rows after it.
+def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarray:
+    """a_i = h^2 (V_i - lam) over one sector's rows.
 
-    Even sector: nodes x = 0 .. x_max, centre row halved, so r = a_0 / 2.
-    Odd sector: nodes x = h .. x_max behind a Dirichlet wall at x = 0, so
-    r = 1 + a_1.
+    Even sector: nodes x = 0 .. x_max; odd sector: x = h .. x_max behind a
+    Dirichlet wall at x = 0.
     """
-    a = (H.grid.h**2 * (H.potential[H.grid.center_index:] - lam)).tolist()
-    if parity == 0:
-        return 0.5 * a[0], a[1:]
-    return 1.0 + a[1], a[2:]
+    return H.grid.h**2 * (H.potential[H.grid.center_index + parity:] - lam)
 
 
-def _negative_pivots(r: float, rest: Sequence[float]) -> int:
+def _turning_row(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
+    """First sector row from which on every row has V_i >= lam, so a_i >= 0.
+
+    Clipped to the sector's last row when V < lam at the grid edge.
+    """
+    turn = int(np.searchsorted(H.edge_min, lam)) - parity
+    return min(max(turn, 0), H.grid.center_index - parity)
+
+
+def _first_pivot(a0: float, parity: int) -> float:
+    """r_0: the even sector's centre row is halved, the odd one sits by a wall."""
+    return 0.5 * a0 if parity == 0 else 1.0 + a0
+
+
+def _negative_pivots(r: float, rows: Iterator[float], turn: int) -> int:
     """Sturm count: negative pivots 1 + r_i of the scaled recurrence.
 
-    Kept apart from ``_pivots``: storing the pivots nearly doubles the cost
-    of a count, and bisection makes about 17 counts per level.
+    ``rows`` holds the a_i after r.  Past row ``turn`` every a_i >= 0, so
+    once r >= 0 there the recurrence keeps r >= 0 and no later pivot is
+    negative: the pass stops, with exactly the count of a full pass.
     """
     count = 0
-    for a in rest:
+    for a in islice(rows, turn):
+        q = 1.0 + r
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -PIVMIN
+        r = a + r / q
+    for a in rows:
+        if r >= 0.0:
+            return count
         q = 1.0 + r
         if q <= 0.0:
             count += 1
@@ -155,15 +197,13 @@ def _negative_pivots(r: float, rest: Sequence[float]) -> int:
     return count + (r <= -1.0)
 
 
-def _pivots(r: float, rest: Sequence[float]) -> List[float]:
-    """The LDL^T pivots q_i = 1 + r_i of the scaled sector matrix."""
-    out = []
-    for a in rest:
-        q = 1.0 + r or -PIVMIN
-        out.append(q)
-        r = a + r / q
-    out.append(1.0 + r or -PIVMIN)
-    return out
+def _sector_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
+    a = _sector_rows(H, lam, parity)
+    # converted ROW_BLOCK rows at a time: a pass usually stops well short
+    rows = chain.from_iterable(a[i:i + ROW_BLOCK].tolist()
+                               for i in range(1, len(a), ROW_BLOCK))
+    return _negative_pivots(_first_pivot(float(a[0]), parity), rows,
+                            _turning_row(H, lam, parity))
 
 
 def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int | None = None) -> int:
@@ -172,7 +212,18 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int | None = None
     Counts one parity sector (0 even, 1 odd) or, when parity is None, both.
     """
     parities = (0, 1) if parity is None else (parity,)
-    return sum(_negative_pivots(*_scaled_sector(H, lam, p)) for p in parities)
+    return sum(_sector_count(H, lam, p) for p in parities)
+
+
+def _bound_count(H: TridiagonalHamiltonian, parity: int) -> int:
+    """Levels of one sector below 0, counted once per Hamiltonian.
+
+    V < 0 on the whole grid for the partner well, so these counts cannot
+    stop at a turning point; they are the only full-length passes.
+    """
+    if parity not in H._bound_counts:
+        H._bound_counts[parity] = sturm_count(H, 0.0, parity)
+    return H._bound_counts[parity]
 
 
 def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
@@ -184,7 +235,7 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
     """
     v_min = float(np.min(H.potential))
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
-    if v_min >= 0.0 or sturm_count(H, 0.0, parity) <= index:
+    if v_min >= 0.0 or _bound_count(H, parity) <= index:
         hi = float(np.max(H.potential)) + 4.0 / H.grid.h**2
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= resolution:
@@ -204,18 +255,39 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
         f"[{lo!r}, {hi!r}]")
 
 
-def _ldl_solve(pivots: Sequence[float], rhs: Sequence[float]) -> List[float]:
-    """Solve M x = rhs, M = L diag(pivots) L^T with off-diagonal -1 (Thomas)."""
-    forward, w = [], 0.0
-    for q, b in zip(pivots, rhs):
-        w = (b + w) / q
-        forward.append(w)
-    out, x = [], 0.0
-    for q, w in zip(reversed(pivots), reversed(forward)):
-        x = w + x / q
-        out.append(x)
-    out.reverse()
+def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
+    """r followed by the scaled pivots r_i it leads to over ``rows``."""
+    out = [r]
+    for a in rows:
+        r = a + r / (1.0 + r or -PIVMIN)
+        out.append(r)
     return out
+
+
+def _twisted_vector(a: np.ndarray, r0: float, turn: int) -> np.ndarray:
+    """z with z_k = 1 and (M - sigma) z = gamma_k e_k, twisted at argmin |gamma_k|.
+
+    ``a`` holds the sector's a_i = h^2 (V_i - sigma) and r0 its first
+    forward pivot.  Forward pivots r_i run from x = 0 to row ``turn``, past
+    which the eigenvector only decays; backward pivots s_i run in from the
+    grid edge.  gamma_k = r_k + s_k - a_k, or r_0 + s_1 / (1 + s_1) on the
+    first row.  Off the twist, z_i = z_{i+1} / (1 + r_i) inward and
+    z_i = z_{i-1} / (1 + s_i) outward.
+    """
+    if len(a) == 1:
+        return np.ones(1)
+    rows = a.tolist()
+    r = np.array(_pivot_run(r0, rows[1:turn + 1]))  # rows 0 .. turn
+    s = np.array(_pivot_run(1.0 + rows[-1], rows[-2:0:-1])[::-1])  # rows 1 ..
+    d, e = 1.0 + r, 1.0 + s
+    d[d == 0.0] = -PIVMIN
+    e[e == 0.0] = -PIVMIN
+    gamma = np.concatenate(([r[0] + s[0] / e[0]], r[1:] + s[:turn] - a[1:turn + 1]))
+    k = int(np.argmin(np.abs(gamma)))
+    z = np.ones(len(a))
+    z[:k] = np.cumprod(1.0 / d[:k][::-1])[::-1]
+    z[k + 1:] = np.cumprod(1.0 / e[k:])
+    return z
 
 
 def _unfold(half: np.ndarray, parity: int) -> np.ndarray:
@@ -229,24 +301,21 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
                       index: int) -> Tuple[float, np.ndarray]:
     h2 = H.grid.h**2
     target = RESIDUAL_TOL * (4.0 / h2 + float(np.max(np.abs(H.potential))))
-    lo, _ = _bracket(H, parity, index, target)
-    pivots = _pivots(*_scaled_sector(H, lo, parity))
-    weights = np.ones(len(pivots))  # mass matrix of the sector's pencil
-    if parity == 0:
-        weights[0] = 0.5
-    rng = np.random.default_rng(1905)  # fixed seed: deterministic eigenvectors
-    half = rng.standard_normal(len(pivots))
+    sigma, hi = _bracket(H, parity, index, target)
+    # the eigenvector peaks where V <= level < hi: the twist lies inside this
+    turn = _turning_row(H, hi, parity)
     residual = np.inf
     for _ in range(INVERSE_ITERATION_MAX_STEPS):
-        half = np.array(_ldl_solve(pivots, (weights * half).tolist()))
-        half /= half[np.argmax(np.abs(half))]
-        v = _unfold(half, parity)
+        # one step of shifted inverse iteration: (M - sigma) z = gamma_k e_k
+        a = _sector_rows(H, sigma, parity)
+        v = _unfold(_twisted_vector(a, _first_pivot(float(a[0]), parity), turn), parity)
         norm2 = float(v @ v)
         diffs = np.diff(v, prepend=0.0, append=0.0)
         energy = (float(diffs @ diffs) / h2 + float(H.potential * v @ v)) / norm2
         residual = float(np.linalg.norm(H.apply(v) - energy * v)) / np.sqrt(norm2)
         if residual <= target:
             return energy, v
+        sigma = energy
     raise ConvergenceFailure(
         f"inverse iteration for sector {parity} level {index} reached residual "
         f"{residual:.3e} after {INVERSE_ITERATION_MAX_STEPS} steps, "
@@ -256,8 +325,8 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
 def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:
     """k smallest eigenpairs, ascending; eigenvectors trapezoid-normalized.
 
-    Deterministic: bisection on Sturm counts plus fixed-seed inverse
-    iteration, one parity sector per level.  Only low-lying states are
+    Deterministic: bisection on Sturm counts plus Rayleigh-shifted twisted
+    factorizations, one parity sector per level.  Only low-lying states are
     meaningful under the Dirichlet truncation, hence k <= 6.
     """
     if not 1 <= k <= min(6, H.grid.n_points):
@@ -343,7 +412,7 @@ def verify_spectrum(eps: EpsilonLike, grid: Grid | None = None) -> SpectrumRepor
     H = build_hamiltonian(potential_curve(eps_val, grid))
 
     if -3.0 < eps_val < -1.0:
-        negatives = sturm_count(H, 0.0)
+        negatives = _bound_count(H, 0) + _bound_count(H, 1)
         if negatives != 2:
             raise BoundStateCountMismatch(
                 f"expected 2 bound states for eps={eps_val}, found {negatives}"

@@ -164,6 +164,14 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert run(["verify", "--epsilon", -1.5, "--out", out]) == 4
 
+    def test_grid_too_small_for_two_bound_states_exits_3(self, tmp_path, capsys):
+        # -3 < eps < -1 always has two bound states: a short count is the grid's
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--epsilon", -1.5, "--points", 3, "--out", out]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: expected 2 bound states for eps=-1.5, found 1\n")
+
 
 class TestClassifyCommand:
     def test_below_separatrix_line(self, capsys):
@@ -273,6 +281,23 @@ class TestSweepCommand:
                     "--steps", 3]) == 2
         assert capsys.readouterr().err == (
             "error: sweep range must satisfy eps_start < eps_end <= -1 - 1e-9\n")
+
+    @pytest.mark.parametrize("quantities", ["e0_error", "maxima_count"])
+    def test_every_row_failing_on_the_grid_exits_3(self, quantities, capsys):
+        # GridTooNarrow on three rows, BoundStateCountMismatch or
+        # GridTooNarrow on the last
+        assert run(["sweep", "--eps-start", -2.9, "--eps-end", -1.01,
+                    "--steps", 4, "--x-max", 3, "--points", 601,
+                    "--quantities", quantities]) == 3
+        assert capsys.readouterr().err.count("warning: eps=") == 4
+
+    def test_every_row_failing_with_a_solver_failure_exits_4(self, monkeypatch):
+        # the first rows' solver fails; the last row's bound-state count
+        # shows a grid problem: any solver failure makes it exit 4
+        monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
+        assert run(["sweep", "--eps-start", -2.9, "--eps-end", -1.01,
+                    "--steps", 4, "--x-max", 3, "--points", 601,
+                    "--quantities", "e0_error"]) == 4
 
     def test_missing_steps_exit_2(self, capsys):
         assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5]) == 2
