@@ -30,6 +30,7 @@ from .oracle import (
 from .transform import (
     FactorizationEnergy,
     InvalidEpsilon,
+    Partner,
     PotentialCurve,
     apply_a,
     apply_a_dagger,
@@ -63,6 +64,7 @@ __all__ = [
     "GridTooNarrow",
     "InvalidEpsilon",
     "OscillationSeries",
+    "Partner",
     "PotentialCurve",
     "RealWave",
     "SpectrumReport",

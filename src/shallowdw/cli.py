@@ -34,9 +34,8 @@ from . import dynamics, oracle, wells
 from .grids import Grid, GridTooNarrow
 from .transform import (
     InvalidEpsilon,
+    Partner,
     curvature_at_origin,
-    excited_state,
-    ground_state,
     potential_curve,
     separatrix_energy,
 )
@@ -51,14 +50,14 @@ DEFAULT_X_MAX = 20.0
 DEFAULT_POINTS = 4001
 CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk; bounds the text held at once
 
-# sweep column -> value(eps, grid, report); report() is the cached oracle run
+# sweep column -> value(partner, report); report() is the cached oracle run
 SWEEP_QUANTITIES = {
-    "separatrix": lambda eps, grid, report: separatrix_energy(eps),
-    "curvature": lambda eps, grid, report: curvature_at_origin(eps),
-    "gap": lambda eps, grid, report: abs(1.0 + eps),
-    "maxima_count": lambda eps, grid, report: wells.classify(eps, grid).density_maxima_count,
-    "e0_error": lambda eps, grid, report: report().e0_error,
-    "e1_error": lambda eps, grid, report: report().e1_error,
+    "separatrix": lambda partner, report: separatrix_energy(partner.epsilon),
+    "curvature": lambda partner, report: curvature_at_origin(partner.epsilon),
+    "gap": lambda partner, report: abs(1.0 + partner.epsilon),
+    "maxima_count": lambda partner, report: wells.classify(partner).density_maxima_count,
+    "e0_error": lambda partner, report: report().e0_error,
+    "e1_error": lambda partner, report: report().e1_error,
 }
 
 CLASSIFY_VERDICTS = {
@@ -175,13 +174,11 @@ def cmd_potential(args, config) -> int:
 
 
 def cmd_states(args, config) -> int:
-    eps = _epsilon_from(args, config)
-    grid = _grid_from(args, config)
-    curve = potential_curve(eps, grid)
-    psi0 = ground_state(eps, grid).samples
-    psi1 = excited_state(eps, grid).samples
-    _emit_table(args, ("x", "V", "psi0", "psi1", "rho0"),
-                (grid.x, curve.values, psi0, psi1, psi0**2))
+    partner = Partner(_epsilon_from(args, config), _grid_from(args, config))
+    x, v, psi0, psi1 = (partner.grid.x, partner.curve.values,
+                        partner.psi0.samples, partner.psi1.samples)
+    del partner  # its seed arrays need not live through the emission
+    _emit_table(args, ("x", "V", "psi0", "psi1", "rho0"), (x, v, psi0, psi1, psi0**2))
     return EXIT_OK
 
 
@@ -197,7 +194,8 @@ def cmd_verify(args, config) -> int:
 
 
 def cmd_classify(args, config) -> int:
-    result = wells.classify(_epsilon_from(args, config), _grid_from(args, config))
+    partner = Partner(_epsilon_from(args, config), _grid_from(args, config))
+    result = wells.classify(partner)
     if args.format == "json":
         payload = {**asdict(result), "kind": result.kind.value}
         _write_text(args.out, [json.dumps(payload) + "\n"])
@@ -234,9 +232,10 @@ def cmd_evolve(args, config) -> int:
 
 
 def _sweep_row(eps: float, grid: Grid, quantities: List[str]) -> tuple:
-    report = functools.cache(lambda: oracle.verify_spectrum(eps, grid))
+    partner = Partner(eps, grid)
+    report = functools.cache(lambda: oracle.verify_spectrum(partner))
     # table order: the closed forms and classify run before the oracle
-    values = {q: value(eps, grid, report)
+    values = {q: value(partner, report)
               for q, value in SWEEP_QUANTITIES.items() if q in quantities}
     return tuple(values[q] for q in quantities)
 

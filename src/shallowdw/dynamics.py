@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import ComplexWave, Grid
-from .transform import EpsilonLike, _epsilon, excited_state, ground_state
+from .transform import EpsilonLike, Partner, _epsilon
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -43,9 +43,10 @@ def lc_state(eps: EpsilonLike, grid: Grid, t: float) -> ComplexWave:
 
     Normalized for every t (orthonormal components, unitary phases).
     """
-    eps_val = _epsilon(eps)
-    psi0 = ground_state(eps_val, grid).samples
-    psi1 = excited_state(eps_val, grid).samples
+    partner = Partner(eps, grid)
+    eps_val = partner.epsilon
+    psi0 = partner.psi0.samples
+    psi1 = partner.psi1.samples
     samples = SQRT_HALF * (
         np.exp(-1j * eps_val * t) * psi0 + np.exp(1j * t) * psi1
     )
@@ -72,15 +73,16 @@ def evolve_series(
     P_left(t) = (L00 + L11)/2 + L01 cos((1 + eps) t) with L_ab the trapezoid
     integral of psi_a psi_b over x <= 0.
     """
-    eps_val = _epsilon(eps)
+    partner = Partner(eps, grid)
+    eps_val = partner.epsilon
     if n_frames < 2:
         raise ValueError("n_frames must be at least 2")
     if not np.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
     times = np.linspace(0.0, float(t_max), int(n_frames))
     mid = grid.center_index
-    psi0 = ground_state(eps_val, grid).samples[: mid + 1]
-    psi1 = excited_state(eps_val, grid).samples[: mid + 1]
+    psi0 = partner.psi0.samples[: mid + 1]
+    psi1 = partner.psi1.samples[: mid + 1]
     l00, l11, l01 = (
         np.trapezoid(a * b, dx=grid.h)
         for a, b in ((psi0, psi0), (psi1, psi1), (psi0, psi1))

@@ -24,9 +24,11 @@ iteration.  The first shift is the Sturm-certified lower end of the
 bracket, each later one the Rayleigh quotient, in Dirichlet form, of the
 last vector, which is also the eigenvalue.
 
-Everything here is deliberately independent of the closed-form machinery in
-``transform`` so that agreement between the two is a real check, not a
-tautology.
+The solver reads nothing but the sampled V in ``H.potential``, so it stays
+independent of the closed-form machinery in ``transform``, and agreement
+between the two is a real check, not a tautology.  ``verify_spectrum`` and
+``check_intertwining`` take a ``transform.Partner``, whose closed forms of
+one eps on one grid are computed once and compared against the solver.
 
 ``verify`` judges the paper's claim: spectrum, intertwining identity and
 central-curvature law, each against its entry of ``VERIFY_TOLERANCES``.
@@ -44,17 +46,7 @@ import numpy as np
 
 from . import wells
 from .grids import Grid, RealWave, first_derivative, second_derivative
-from .transform import (
-    EpsilonLike,
-    PotentialCurve,
-    _epsilon,
-    excited_state,
-    ground_state,
-    log_derivative_of_seed,
-    potential,
-    potential_curve,
-    separatrix_energy,
-)
+from .transform import EpsilonLike, Partner, PotentialCurve, separatrix_energy
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
@@ -357,20 +349,22 @@ def eigen_residual(H: TridiagonalHamiltonian, wave: RealWave, energy: float) -> 
     return float(np.linalg.norm(r[sl]) / np.linalg.norm(wave.samples[sl]))
 
 
-def check_intertwining(eps: EpsilonLike, f: RealWave) -> float:
+def check_intertwining(partner: Partner, f: RealWave) -> float:
     """Relative max-norm residual of (Xi A - A eta) f over interior nodes.
 
     Both sides are built from sampled differential operators, so the result
     is discretization-limited (~1e-8 for smooth decaying test functions on
-    the default grid) rather than exactly zero.
+    the default grid) rather than exactly zero.  ``f`` must be sampled on
+    the partner's grid.
     """
-    eps_val = _epsilon(eps)
-    grid, h = f.grid, f.grid.h
+    if f.grid != partner.grid:
+        raise ValueError("check_intertwining: f is not on the partner's grid")
+    h = f.grid.h
     # chained stencils contaminate one extra node at each edge
-    sl = _interior(grid, EDGE_EXCLUDE + 1, "check_intertwining")
-    lder = log_derivative_of_seed(eps_val, grid.x)
-    v_partner = potential(eps_val, grid.x)
-    v_base = -2.0 / np.cosh(grid.x) ** 2
+    sl = _interior(f.grid, EDGE_EXCLUDE + 1, "check_intertwining")
+    lder = partner.w
+    v_partner = partner.curve.values
+    v_base = partner.base_well
 
     af = -first_derivative(f.samples, h) + lder * f.samples
     lhs = -second_derivative(af, h) + v_partner * af
@@ -400,16 +394,15 @@ class SpectrumReport:
     psi1_overlap: float
 
 
-def verify_spectrum(eps: EpsilonLike, grid: Grid | None = None) -> SpectrumReport:
+def verify_spectrum(partner: Partner) -> SpectrumReport:
     """Compare the closed-form bound states against the eigensolver.
 
     For double-well eps (-3 < eps < -1) exactly two eigenvalues must sit
     below the continuum threshold 0; otherwise BoundStateCountMismatch.
+    The solver runs before the closed-form states check their tails.
     """
-    eps_val = _epsilon(eps)
-    if grid is None:
-        grid = Grid.default()
-    H = build_hamiltonian(potential_curve(eps_val, grid))
+    eps_val = partner.epsilon
+    H = build_hamiltonian(partner.curve)
 
     if -3.0 < eps_val < -1.0:
         negatives = _bound_count(H, 0) + _bound_count(H, 1)
@@ -420,8 +413,7 @@ def verify_spectrum(eps: EpsilonLike, grid: Grid | None = None) -> SpectrumRepor
 
     (e0_num, psi0_num), (e1_num, psi1_num) = lowest_eigenpairs(H, 2)
 
-    psi0 = ground_state(eps_val, grid)
-    psi1 = excited_state(eps_val, grid)
+    psi0, psi1 = partner.psi0, partner.psi1
     return SpectrumReport(
         epsilon=eps_val,
         e0_analytic=eps_val,
@@ -477,20 +469,22 @@ class VerifyReport(SpectrumReport):
 def verify(eps: EpsilonLike, grid: Grid | None = None) -> VerifyReport:
     """The spectrum, intertwining and curvature-law checks of one eps.
 
-    The intertwining residual is the worst over five Gaussian bumps drawn
-    from a fixed-seed generator, so the verdict is reproducible.
+    One Partner carries the closed forms through all of them.  The
+    intertwining residual is the worst over five Gaussian bumps drawn from
+    a fixed-seed generator, so the verdict is reproducible.
     """
     if grid is None:
         grid = Grid.default()
-    spectrum = verify_spectrum(eps, grid)
+    partner = Partner(eps, grid)
+    spectrum = verify_spectrum(partner)
     rng = np.random.default_rng(42)
     intertwining = 0.0
     for _ in range(5):
         center = rng.uniform(-3.0, 3.0)
         width = rng.uniform(0.5, 2.0)
         bump = RealWave(grid, np.exp(-((grid.x - center) / width) ** 2))
-        intertwining = max(intertwining, check_intertwining(eps, bump))
-    lhs, rhs, rel_err = wells.check_bimodality_relation(eps, grid)
+        intertwining = max(intertwining, check_intertwining(partner, bump))
+    lhs, rhs, rel_err = wells.check_bimodality_relation(partner)
     return VerifyReport(**asdict(spectrum),
                         gap_numeric=spectrum.e1_numeric - spectrum.e0_numeric,
                         intertwining_residual=intertwining, bimodality_lhs=lhs,

@@ -18,11 +18,17 @@ All hyperbolics are evaluated in exponentially scaled form (common factor
 e^{k|x|} pulled out) so that ratios like u'/u and the potential stay finite
 and accurate for arbitrarily large |x|; naive sinh/cosh overflow near
 k|x| ~ 710 and lose precision in the subtractive seed well before that.
+
+``Partner(eps, grid)`` holds the closed forms of one partner on one grid:
+the potential curve, u'/u, the base well and both bound states, each made
+on first use from a single evaluation of the seed.  ``potential_curve``,
+``ground_state`` and ``excited_state`` read one field of a fresh Partner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -122,8 +128,16 @@ def log_derivative_of_seed(eps: EpsilonLike, x):
     because the seed is node-free.
     """
     eps_val = _epsilon(eps)
-    p = _seed_parts(eps_val, x)
-    return _as_returned(p.du / p.u, x)
+    return _as_returned(_log_derivative(_seed_parts(eps_val, x)), x)
+
+
+def _log_derivative(p: _SeedParts) -> np.ndarray:
+    return p.du / p.u
+
+
+def _potential_values(eps_val: float, p: _SeedParts, x) -> np.ndarray:
+    v = 2.0 * (1.0 + eps_val) * (-eps_val * p.q + p.sech2 * p.s**2) / p.u**2
+    return np.where(np.asarray(x, dtype=float) == 0.0, 2.0 * eps_val + 2.0, v)
 
 
 def potential(eps: EpsilonLike, x):
@@ -137,10 +151,7 @@ def potential(eps: EpsilonLike, x):
     which is returned verbatim to keep the barrier-top value free of rounding.
     """
     eps_val = _epsilon(eps)
-    p = _seed_parts(eps_val, x)
-    v = 2.0 * (1.0 + eps_val) * (-eps_val * p.q + p.sech2 * p.s**2) / p.u**2
-    v = np.where(np.asarray(x, dtype=float) == 0.0, 2.0 * eps_val + 2.0, v)
-    return _as_returned(v, x)
+    return _as_returned(_potential_values(eps_val, _seed_parts(eps_val, x), x), x)
 
 
 def potential_log_form(eps: EpsilonLike, x):
@@ -185,12 +196,6 @@ class PotentialCurve:
             raise ValueError("potential at x=0 must equal 2 eps + 2")
 
 
-def potential_curve(eps: EpsilonLike, grid: Grid) -> PotentialCurve:
-    """Sample the partner potential on a grid."""
-    eps_obj = eps if isinstance(eps, FactorizationEnergy) else FactorizationEnergy(float(eps))
-    return PotentialCurve(grid, potential(eps_obj, grid.x), eps_obj)
-
-
 def _check_tail(samples: np.ndarray, what: str) -> None:
     peak = np.max(np.abs(samples))
     tail = max(abs(samples[0]), abs(samples[-1]))
@@ -202,18 +207,80 @@ def _check_tail(samples: np.ndarray, what: str) -> None:
         )
 
 
-def ground_state(eps: EpsilonLike, grid: Grid) -> RealWave:
-    """Normalized partner ground state, proportional to 1/u.
+@dataclass(frozen=True)
+class Partner:
+    """The closed forms of the partner Hamiltonian at one eps on one grid.
 
-    Even, strictly positive, energy eps.  Raises GridTooNarrow when the grid
-    does not contain the decay tails.
+    Every field is computed on first use, and all of them from one
+    evaluation of the seed.  Only ``psi0`` and ``psi1`` check the decay
+    tails, so reading ``curve`` never raises GridTooNarrow.
     """
-    eps_val = _epsilon(eps)
-    p = _seed_parts(eps_val, grid.x)
-    # u < 0 everywhere, so -1/u is the positive branch
-    samples = -np.exp(-p.growth) / p.u
-    _check_tail(samples, "ground state")
-    return RealWave(grid, samples).normalize()
+
+    epsilon: float
+    grid: Grid
+
+    def __post_init__(self):
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
+
+    @cached_property
+    def _seed(self) -> _SeedParts:
+        return _seed_parts(self.epsilon, self.grid.x)
+
+    @cached_property
+    def curve(self) -> PotentialCurve:
+        """The partner potential, exactly 2 eps + 2 at x = 0."""
+        values = _potential_values(self.epsilon, self._seed, self.grid.x)
+        return PotentialCurve(self.grid, values, FactorizationEnergy(self.epsilon))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """The superpotential u'/u."""
+        return _log_derivative(self._seed)
+
+    @cached_property
+    def base_well(self) -> np.ndarray:
+        """The base potential -2 sech^2(x)."""
+        return -2.0 / np.cosh(self.grid.x) ** 2
+
+    @cached_property
+    def psi0(self) -> RealWave:
+        """Normalized ground state, proportional to 1/u.
+
+        Even, strictly positive, energy eps.  Raises GridTooNarrow when the
+        grid does not contain the decay tails.
+        """
+        p = self._seed
+        # u < 0 everywhere, so -1/u is the positive branch
+        samples = -np.exp(-p.growth) / p.u
+        _check_tail(samples, "ground state")
+        return RealWave(self.grid, samples).normalize()
+
+    @cached_property
+    def psi1(self) -> RealWave:
+        """Normalized excited state, proportional to A applied to the base
+        ground state; energy -1.
+
+        Evaluated in closed form: A [sech(x)] = sech(x) (tanh(x) + u'/u), so
+        the state carries no finite-difference error.  Odd, single node at
+        x = 0, sign fixed so psi1 > 0 for x > 0.
+        """
+        grid = self.grid
+        samples = (np.tanh(grid.x) + self.w) / np.cosh(grid.x)
+        _check_tail(samples, "excited state")
+        wave = RealWave(grid, samples).normalize()
+        if wave.samples[grid.center_index + 1] < 0.0:
+            wave = RealWave(grid, -wave.samples, normalized=True)
+        return wave
+
+
+def potential_curve(eps: EpsilonLike, grid: Grid) -> PotentialCurve:
+    """Sample the partner potential on a grid."""
+    return Partner(eps, grid).curve
+
+
+def ground_state(eps: EpsilonLike, grid: Grid) -> RealWave:
+    """Normalized partner ground state; see :attr:`Partner.psi0`."""
+    return Partner(eps, grid).psi0
 
 
 def base_ground_state(grid: Grid) -> RealWave:
@@ -250,18 +317,5 @@ def apply_a_dagger(eps: EpsilonLike, f: RealWave) -> RealWave:
 
 
 def excited_state(eps: EpsilonLike, grid: Grid) -> RealWave:
-    """Normalized partner excited state, proportional to A applied to
-    the base ground state; energy -1.
-
-    Evaluated in closed form: A [sech(x)] = sech(x) (tanh(x) + u'/u), so the
-    state carries no finite-difference error.  Odd, single node at x = 0,
-    sign fixed so psi1 > 0 for x > 0.
-    """
-    eps_val = _epsilon(eps)
-    p = _seed_parts(eps_val, grid.x)
-    samples = (np.tanh(grid.x) + p.du / p.u) / np.cosh(grid.x)
-    _check_tail(samples, "excited state")
-    wave = RealWave(grid, samples).normalize()
-    if wave.samples[grid.center_index + 1] < 0.0:
-        wave = RealWave(grid, -wave.samples, normalized=True)
-    return wave
+    """Normalized partner excited state; see :attr:`Partner.psi1`."""
+    return Partner(eps, grid).psi1

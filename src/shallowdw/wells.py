@@ -20,14 +20,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .grids import Grid, RealWave
-from .transform import (
-    EpsilonLike,
-    _epsilon,
-    curvature_at_origin,
-    ground_state,
-    separatrix_energy,
-)
+from .grids import RealWave
+from .transform import Partner, curvature_at_origin, separatrix_energy
 
 PLATEAU_TOL = 1e-13  # first differences below this count as flat
 
@@ -62,15 +56,13 @@ def count_density_maxima(rho: RealWave) -> int:
     return int(np.sum((signs[:-1] > 0) & (signs[1:] < 0)))
 
 
-def classify(eps: EpsilonLike, grid: Grid | None = None) -> WellClassification:
+def classify(partner: Partner) -> WellClassification:
     """Place eps in the interval taxonomy and count density maxima.
 
     The boundary values eps in {-3, -2} are reported as their own kind
     (exact float comparison) rather than forced into either class.
     """
-    eps_val = _epsilon(eps)
-    if grid is None:
-        grid = Grid.default()
+    eps_val = partner.epsilon
     if eps_val in (-3.0, -2.0):
         kind = WellKind.BOUNDARY
     elif -2.0 < eps_val:
@@ -79,8 +71,7 @@ def classify(eps: EpsilonLike, grid: Grid | None = None) -> WellClassification:
         kind = WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX
     else:
         kind = WellKind.SINGLE_WELL
-    psi0 = ground_state(eps_val, grid)
-    rho = RealWave(grid, psi0.samples**2)
+    rho = RealWave(partner.grid, partner.psi0.samples**2)
     return WellClassification(
         epsilon=eps_val,
         kind=kind,
@@ -90,19 +81,15 @@ def classify(eps: EpsilonLike, grid: Grid | None = None) -> WellClassification:
     )
 
 
-def check_bimodality_relation(
-    eps: EpsilonLike, grid: Grid | None = None
-) -> Tuple[float, float, float]:
+def check_bimodality_relation(partner: Partner) -> Tuple[float, float, float]:
     """Test rho''(0) = 2 (s - eps) rho(0) on the sampled ground density.
 
     Returns (lhs, rhs, rel_err): lhs is a 5-point second difference of rho
     at x = 0, rhs the closed form.  A positive lhs means a central density
     minimum (bimodal), negative a central maximum.
     """
-    eps_val = _epsilon(eps)
-    if grid is None:
-        grid = Grid.default()
-    rho = ground_state(eps_val, grid).samples ** 2
+    eps_val, grid = partner.epsilon, partner.grid
+    rho = partner.psi0.samples ** 2
     mid = grid.center_index
     h2 = grid.h * grid.h
     lhs = (

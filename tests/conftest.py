@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from shallowdw import Grid, verify_spectrum
+from shallowdw import Grid, Partner, verify_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -13,4 +13,4 @@ def default_grid():
 @functools.lru_cache(maxsize=None)
 def cached_report(eps: float, x_max: float = 20.0, n_points: int = 4001):
     """Share eigensolver runs between test modules."""
-    return verify_spectrum(eps, Grid.symmetric(x_max, n_points))
+    return verify_spectrum(Partner(eps, Grid.symmetric(x_max, n_points)))

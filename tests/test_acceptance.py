@@ -10,6 +10,7 @@ import numpy as np
 
 from shallowdw import (
     Grid,
+    Partner,
     RealWave,
     TridiagonalHamiltonian,
     analytic_period,
@@ -96,18 +97,20 @@ def test_criterion_05_annihilation_and_intertwining(default_grid):
         ok = ok and (np.max(np.abs(out[2:-2]))
                      < 1e-8 * np.max(np.abs(f.samples)))
     rng = np.random.default_rng(11)
+    partner = Partner(-1.5, default_grid)
     for _ in range(10):
         center, width = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0)
         bump = RealWave(default_grid,
                         np.exp(-((default_grid.x - center) / width) ** 2))
-        ok = ok and check_intertwining(-1.5, bump) < 1e-4
+        ok = ok and check_intertwining(partner, bump) < 1e-4
     record(5, "A+(1/u) residual < 1e-8 and intertwining residual < 1e-4 "
               "on 10 Gaussian bumps", ok)
 
 
 def test_criterion_06_classification_diagram(default_grid):
     eps_sweep = np.arange(-3.2, -1.0015, 1e-3)
-    results = [classify(float(e), default_grid) for e in eps_sweep]
+    partners = [Partner(float(e), default_grid) for e in eps_sweep]
+    results = [classify(p) for p in partners]
 
     ok = True
     for a, b, ra, rb in zip(eps_sweep, eps_sweep[1:], results, results[1:]):
@@ -116,18 +119,18 @@ def test_criterion_06_classification_diagram(default_grid):
         if ra.density_maxima_count != rb.density_maxima_count:
             ok = ok and a < -2.0 <= b
 
-    for eps, res in zip(eps_sweep, results):
+    for eps, partner, res in zip(eps_sweep, partners, results):
         if -3.0 < eps < -1.0 and abs(eps + 2.0) > 1e-3:
             ok = ok and res.density_maxima_count == (2 if eps > -2.0 else 1)
-            lhs, _, _ = check_bimodality_relation(float(eps), default_grid)
+            lhs, _, _ = check_bimodality_relation(partner)
             ok = ok and np.sign(lhs) == np.sign(eps + 2.0)
     record(6, "kind transitions only at -3/-2/-1, maxima flip at -2, "
               "sign(rho''(0)) = sign(s-eps) on a 1e-3 sweep", ok)
 
 
 def test_criterion_07_figure_regimes(default_grid):
-    below = classify(-1.10, default_grid)
-    above = classify(-2.25, default_grid)
+    below = classify(Partner(-1.10, default_grid))
+    above = classify(Partner(-2.25, default_grid))
     ok = (below.separatrix > -1.10 and below.density_maxima_count == 2
           and below.curvature_origin < 0.0
           and above.separatrix < -2.25 and above.density_maxima_count == 1

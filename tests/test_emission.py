@@ -14,6 +14,7 @@ from shallowdw import cli, dynamics, oracle, wells
 from shallowdw.cli import main
 from shallowdw.grids import Grid
 from shallowdw.transform import (
+    Partner,
     curvature_at_origin,
     excited_state,
     ground_state,
@@ -96,10 +97,10 @@ class TestTableBytes:
         failing = float(eps_values[1])
         real = oracle.verify_spectrum
 
-        def flaky(eps, grid):
-            if eps == failing:
+        def flaky(partner):
+            if partner.epsilon == failing:
                 raise oracle.ConvergenceFailure("forced")
-            return real(eps, grid)
+            return real(partner)
 
         monkeypatch.setattr(oracle, "verify_spectrum", flaky)
         quantities = ["separatrix", "curvature", "gap", "maxima_count",
@@ -108,9 +109,9 @@ class TestTableBytes:
         rows = []
         for eps in map(float, eps_values):
             try:
-                report = oracle.verify_spectrum(eps, grid)
+                report = oracle.verify_spectrum(Partner(eps, grid))
                 rows.append((eps, separatrix_energy(eps), curvature_at_origin(eps),
-                             abs(1.0 + eps), wells.classify(eps, grid).density_maxima_count,
+                             abs(1.0 + eps), wells.classify(Partner(eps, grid)).density_maxima_count,
                              report.e0_error, report.e1_error))
             except oracle.ConvergenceFailure:
                 rows.append((eps,) + (float("nan"),) * len(quantities))

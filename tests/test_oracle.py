@@ -7,6 +7,7 @@ from shallowdw import (
     BoundStateCountMismatch,
     ConvergenceFailure,
     Grid,
+    Partner,
     RealWave,
     TridiagonalHamiltonian,
     base_ground_state,
@@ -135,7 +136,7 @@ class TestSturmCount:
             return counted(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "sturm_count", counting)
-        verify_spectrum(eps, default_grid)
+        verify_spectrum(Partner(eps, default_grid))
         assert 0 < len(calls) <= 40
 
 
@@ -168,7 +169,7 @@ class TestEigenResidual:
 class TestIntertwining:
     def test_gaussian(self, default_grid):
         bump = RealWave(default_grid, np.exp(-default_grid.x**2))
-        assert check_intertwining(-1.5, bump) < 1e-4
+        assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
 
     def test_random_bump_family(self, default_grid):
         rng = np.random.default_rng(7)
@@ -177,25 +178,25 @@ class TestIntertwining:
             width = rng.uniform(0.5, 2.0)
             bump = RealWave(default_grid,
                             np.exp(-((default_grid.x - center) / width) ** 2))
-            assert check_intertwining(-1.5, bump) < 1e-4
+            assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
 
     def test_base_ground_state_input(self, default_grid):
         # eta phi0 = -phi0, so both sides equal -(unnormalized psi1)
-        assert check_intertwining(-1.5, base_ground_state(default_grid)) < 1e-4
+        assert check_intertwining(Partner(-1.5, default_grid), base_ground_state(default_grid)) < 1e-4
 
     def test_zero_input(self, default_grid):
         zero = RealWave(default_grid, np.zeros(default_grid.n_points))
-        assert check_intertwining(-1.5, zero) == 0.0
+        assert check_intertwining(Partner(-1.5, default_grid), zero) == 0.0
 
     def test_grid_without_interior_nodes_rejected(self):
         # chained stencils drop four nodes at each edge: none left of 7
         grid = Grid.symmetric(3.0, 7)
         with pytest.raises(ValueError, match="at least 9 points"):
-            check_intertwining(-1.5, RealWave(grid, np.exp(-grid.x**2)))
+            check_intertwining(Partner(-1.5, grid), RealWave(grid, np.exp(-grid.x**2)))
 
     def test_smallest_measurable_grid(self):
         grid = Grid.symmetric(3.0, 9)
-        assert np.isfinite(check_intertwining(-1.5, RealWave(grid, np.exp(-grid.x**2))))
+        assert np.isfinite(check_intertwining(Partner(-1.5, grid), RealWave(grid, np.exp(-grid.x**2))))
 
 
 class TestVerifySpectrum:
@@ -234,7 +235,7 @@ class TestVerifySpectrum:
         # a 3-wide Dirichlet box pushes the upper level into the continuum,
         # so the double-well count check must fire
         with pytest.raises(BoundStateCountMismatch):
-            verify_spectrum(-1.05, Grid.symmetric(3.0, 601))
+            verify_spectrum(Partner(-1.05, Grid.symmetric(3.0, 601)))
 
 
 class TestVerify:

@@ -10,7 +10,7 @@ rounding included.
 import numpy as np
 import pytest
 
-from shallowdw import Grid, TridiagonalHamiltonian, oracle, verify_spectrum
+from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, verify_spectrum
 from shallowdw.oracle import PIVMIN, build_hamiltonian, lowest_eigenpairs, sturm_count
 from shallowdw.transform import potential_curve
 
@@ -97,7 +97,7 @@ class TestTurningPointCount:
             return count
 
         monkeypatch.setattr(oracle, "_negative_pivots", measuring)
-        verify_spectrum(-1.5, Grid.symmetric(20.0, 4001))
+        verify_spectrum(Partner(-1.5, Grid.symmetric(20.0, 4001)))
         full = [f for f in read if f == 1.0]
         assert len(full) == 2  # both sectors at lam = 0, counted once each
         assert np.mean(read) < 0.5
@@ -113,7 +113,7 @@ class TestBoundCounts:
             return counted(H, lam, parity)
 
         monkeypatch.setattr(oracle, "sturm_count", counting)
-        verify_spectrum(-1.5, Grid.symmetric(20.0, 4001))
+        verify_spectrum(Partner(-1.5, Grid.symmetric(20.0, 4001)))
         assert sorted(c for c in calls if c[0] == 0.0) == [(0.0, 0), (0.0, 1)]
 
 

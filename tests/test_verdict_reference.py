@@ -14,7 +14,7 @@ import pytest
 from shallowdw import oracle, wells
 from shallowdw.cli import main
 from shallowdw.grids import Grid, RealWave
-from shallowdw.transform import separatrix_energy
+from shallowdw.transform import Partner, separatrix_energy
 
 REF_TOLERANCES = {
     "e0_error": 1e-4,
@@ -33,15 +33,15 @@ def ref_intertwining_family_residual(eps, grid):
         center = rng.uniform(-3.0, 3.0)
         width = rng.uniform(0.5, 2.0)
         bump = RealWave(grid, np.exp(-((grid.x - center) / width) ** 2))
-        worst = max(worst, oracle.check_intertwining(eps, bump))
+        worst = max(worst, oracle.check_intertwining(Partner(eps, grid), bump))
     return worst
 
 
 def ref_verify(eps, grid):
     """(stdout, exit code) of `verify` as the CLI computed them inline."""
-    report = oracle.verify_spectrum(eps, grid)
+    report = oracle.verify_spectrum(Partner(eps, grid))
     intertwining = ref_intertwining_family_residual(eps, grid)
-    lhs, rhs, rel_err = wells.check_bimodality_relation(eps, grid)
+    lhs, rhs, rel_err = wells.check_bimodality_relation(Partner(eps, grid))
 
     tol = REF_TOLERANCES
     checks = [
@@ -80,7 +80,7 @@ def ref_verify(eps, grid):
 
 
 def ref_classify(eps, grid, fmt):
-    result = wells.classify(eps, grid)
+    result = wells.classify(Partner(eps, grid))
     if fmt == "json":
         payload = {
             "epsilon": result.epsilon,

@@ -6,6 +6,7 @@ import pytest
 from shallowdw import (
     Grid,
     InvalidEpsilon,
+    Partner,
     RealWave,
     WellKind,
     base_ground_state,
@@ -15,41 +16,45 @@ from shallowdw import (
 )
 
 
+def partner(eps):
+    return Partner(eps, Grid.default())
+
+
 class TestClassify:
     def test_ground_below_separatrix(self):
-        result = classify(-1.10)
+        result = classify(partner(-1.10))
         assert result.kind is WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX
         assert result.separatrix == pytest.approx(-0.2)
         assert result.density_maxima_count == 2
 
     def test_ground_above_separatrix(self):
-        result = classify(-2.25)
+        result = classify(partner(-2.25))
         assert result.kind is WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX
         assert result.separatrix == -2.5
         assert result.density_maxima_count == 1
 
     @pytest.mark.parametrize("eps", [-3.0, -2.0])
     def test_boundaries_surface_explicitly(self, eps):
-        assert classify(eps).kind is WellKind.BOUNDARY
+        assert classify(partner(eps)).kind is WellKind.BOUNDARY
 
     def test_boundary_curvatures(self):
-        assert classify(-3.0).curvature_origin == 0.0
-        assert classify(-2.0).curvature_origin == -4.0
+        assert classify(partner(-3.0)).curvature_origin == 0.0
+        assert classify(partner(-2.0)).curvature_origin == -4.0
 
     def test_single_well(self):
-        result = classify(-3.5)
+        result = classify(partner(-3.5))
         assert result.kind is WellKind.SINGLE_WELL
         assert result.curvature_origin > 0.0
         assert result.density_maxima_count == 1
 
     def test_rejects_invalid_epsilon(self):
         with pytest.raises(InvalidEpsilon):
-            classify(-0.5)
+            classify(partner(-0.5))
 
     def test_threshold_sweep(self):
         # transitions only where an interval endpoint is crossed
         eps_values = np.arange(-3.3, -1.05, 0.01)
-        kinds = [classify(float(e)).kind for e in eps_values]
+        kinds = [classify(partner(float(e))).kind for e in eps_values]
         for a, b, ka, kb in zip(eps_values, eps_values[1:], kinds, kinds[1:]):
             if ka is not kb:
                 assert any(a < t <= b for t in (-3.0, -2.0)), (a, b)
@@ -73,17 +78,17 @@ class TestDensityMaxima:
 
 class TestBimodalityRelation:
     def test_degenerate_boundary_is_flat(self):
-        lhs, rhs, _ = check_bimodality_relation(-2.0)
+        lhs, rhs, _ = check_bimodality_relation(partner(-2.0))
         assert rhs == 0.0
         assert abs(lhs) < 1e-6
 
     def test_bimodal_regime(self):
-        lhs, rhs, rel_err = check_bimodality_relation(-1.10)
+        lhs, rhs, rel_err = check_bimodality_relation(partner(-1.10))
         assert rel_err < 1e-5
         assert lhs > 0.0  # central density minimum
 
     def test_central_peak_regime(self):
-        lhs, rhs, rel_err = check_bimodality_relation(-2.25)
+        lhs, rhs, rel_err = check_bimodality_relation(partner(-2.25))
         assert rel_err < 1e-5
         assert lhs < 0.0  # central density maximum
 
@@ -91,7 +96,7 @@ class TestBimodalityRelation:
     def test_sign_law(self, eps):
         if abs(eps + 2.0) <= 1e-3:
             return
-        lhs, _, _ = check_bimodality_relation(eps)
+        lhs, _, _ = check_bimodality_relation(partner(eps))
         # s - eps = eps + 2
         assert np.sign(lhs) == np.sign(eps + 2.0)
 
@@ -100,4 +105,4 @@ class TestBimodalityRelation:
         if abs(eps + 2.0) <= 1e-3:
             return
         expected = 2 if eps > -2.0 else 1
-        assert classify(eps).density_maxima_count == expected
+        assert classify(partner(eps)).density_maxima_count == expected
