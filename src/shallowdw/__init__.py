@@ -6,15 +6,8 @@ verify them, an interval classification of the wells, and the two-level
 inter-well oscillation of the equal-weight superposition.
 """
 
-from .dynamics import (
-    ComplexWave,
-    OscillationSeries,
-    analytic_period,
-    evolve_series,
-    lc_state,
-    left_well_probability,
-)
-from .grids import Grid, GridTooNarrow, RealWave
+from .dynamics import OscillationSeries, analytic_period, evolve_series
+from .grids import ComplexWave, Grid, GridTooNarrow, RealWave
 from .oracle import (
     BoundStateCountMismatch,
     ConvergenceFailure,
@@ -85,8 +78,6 @@ __all__ = [
     "evolve_series",
     "excited_state",
     "ground_state",
-    "lc_state",
-    "left_well_probability",
     "log_derivative_of_seed",
     "lowest_eigenpairs",
     "potential",

@@ -9,8 +9,7 @@ probability in the left half-line oscillate sinusoidally with period
 
 evolve_series uses that closed form: three trapezoid integrals of the
 stationary states over x <= 0, then one cosine per frame, so a series costs
-O(n + frames).  lc_state and left_well_probability build the state itself at
-one time and stay as the frame-by-frame reference.
+O(n + frames).
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ComplexWave, Grid
+from .grids import Grid
 from .transform import EpsilonLike, Partner, _epsilon
-
-SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -36,32 +33,6 @@ class OscillationSeries:
 def analytic_period(eps: EpsilonLike) -> float:
     """Oscillation period 2 pi / |1 + eps| of the two-level beat."""
     return 2.0 * np.pi / abs(1.0 + _epsilon(eps))
-
-
-def lc_state(eps: EpsilonLike, grid: Grid, t: float) -> ComplexWave:
-    """Equal-weight superposition of the two bound states at time t.
-
-    Normalized for every t (orthonormal components, unitary phases).
-    """
-    partner = Partner(eps, grid)
-    eps_val = partner.epsilon
-    psi0 = partner.psi0.samples
-    psi1 = partner.psi1.samples
-    samples = SQRT_HALF * (
-        np.exp(-1j * eps_val * t) * psi0 + np.exp(1j * t) * psi1
-    )
-    return ComplexWave(grid, samples, normalized=True)
-
-
-def left_well_probability(psi: ComplexWave) -> float:
-    """Probability of finding the particle at x <= 0.
-
-    Trapezoid rule over [x_min, 0]; the node at x = 0 naturally carries
-    half weight as the subinterval endpoint.
-    """
-    mid = psi.grid.center_index
-    dens = psi.density()
-    return float(np.trapezoid(dens[: mid + 1], dx=psi.grid.h))
 
 
 def evolve_series(

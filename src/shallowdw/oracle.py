@@ -89,8 +89,8 @@ class BoundStateCountMismatch(RuntimeError):
 class TridiagonalHamiltonian:
     """3-point discretization of -d2/dx2 + V, V even, with Dirichlet walls.
 
-    Holds V itself; the stencil entries 2/h^2 + V and -1/h^2 are derived, so
-    the solver never has to subtract 2/h^2 back out of the diagonal.
+    Holds V itself, so the solver never has to subtract 2/h^2 back out of a
+    diagonal; only ``apply`` writes out the stencil 2/h^2 + V and -1/h^2.
     """
 
     grid: Grid
@@ -108,29 +108,19 @@ class TridiagonalHamiltonian:
         if not (np.all(np.isfinite(values)) and np.array_equal(values, values[::-1])):
             raise ValueError("potential must be finite and even: V(-x) == V(x)")
 
-    @classmethod
-    def from_potential_values(cls, grid: Grid, values) -> "TridiagonalHamiltonian":
-        return cls(grid, values)
-
     @cached_property
     def edge_min(self) -> np.ndarray:
         """min V over x_i .. x_max for each node x_i >= 0; non-decreasing."""
         half = self.potential[self.grid.center_index:]
         return np.minimum.accumulate(half[::-1])[::-1]
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return 2.0 / self.grid.h**2 + self.potential
-
-    @property
-    def off_diagonal(self) -> float:
-        return -1.0 / self.grid.h**2
-
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Matrix-vector product with implicit Dirichlet walls."""
-        out = self.diagonal * samples
-        out[:-1] += self.off_diagonal * samples[1:]
-        out[1:] += self.off_diagonal * samples[:-1]
+        h2 = self.grid.h**2
+        off = 1.0 / h2  # minus the off-diagonal entry
+        out = (2.0 / h2 + self.potential) * samples
+        out[:-1] -= off * samples[1:]
+        out[1:] -= off * samples[:-1]
         return out
 
 

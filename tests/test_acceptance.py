@@ -21,8 +21,6 @@ from shallowdw import (
     curvature_at_origin,
     evolve_series,
     ground_state,
-    lc_state,
-    left_well_probability,
     lowest_eigenpairs,
     potential,
     potential_log_form,
@@ -31,7 +29,7 @@ from shallowdw import (
 )
 from shallowdw.cli import main as cli_main
 
-from conftest import cached_report
+from conftest import cached_report, lc_state, left_well_probability
 from test_dynamics import fit_period
 
 SPECTRUM_EPS = [-1.05, -1.10, -1.25, -1.5, -1.75, -2.0, -2.25, -2.5, -2.75, -2.95]
@@ -159,12 +157,11 @@ def test_criterion_08_dynamics(default_grid):
 
 def test_criterion_09_oracle_self_test(default_grid):
     ho_grid = Grid.symmetric(15.0, 4001)
-    H = TridiagonalHamiltonian.from_potential_values(ho_grid, ho_grid.x**2)
+    H = TridiagonalHamiltonian(ho_grid, ho_grid.x**2)
     energies = [e for e, _ in lowest_eigenpairs(H, 3)]
     ok = all(abs(e - (2 * n + 1)) < 1e-4 for n, e in enumerate(energies))
 
-    base = TridiagonalHamiltonian.from_potential_values(
-        default_grid, -2.0 / np.cosh(default_grid.x) ** 2)
+    base = TridiagonalHamiltonian(default_grid, -2.0 / np.cosh(default_grid.x) ** 2)
     (e0, _), = lowest_eigenpairs(base, 1)
     ok = ok and abs(e0 + 1.0) < 1e-5
     record(9, "harmonic spectrum {1,3,5} within 1e-4; sech^2 well E0=-1 "

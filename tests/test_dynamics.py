@@ -9,9 +9,8 @@ from shallowdw import (
     evolve_series,
     excited_state,
     ground_state,
-    lc_state,
-    left_well_probability,
 )
+from conftest import lc_state, left_well_probability
 
 
 def fit_period(times, values):

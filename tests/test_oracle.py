@@ -26,26 +26,24 @@ from shallowdw import oracle
 from conftest import cached_report
 
 
-def hamiltonian_for(values, grid):
-    return TridiagonalHamiltonian.from_potential_values(grid, values)
-
-
 class TestBuildHamiltonian:
     def test_free_laplacian_stencil(self):
         grid = Grid(-1.0, 1.0, 3)  # h = 1
-        H = hamiltonian_for(np.zeros(3), grid)
-        assert np.array_equal(H.diagonal, np.full(3, 2.0))
-        assert H.off_diagonal == -1.0
+        H = TridiagonalHamiltonian(grid, np.zeros(3))
+        matrix = np.column_stack([H.apply(e) for e in np.eye(3)])
+        assert np.array_equal(matrix, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
 
     def test_center_diagonal_entry(self, default_grid):
         H = build_hamiltonian(potential_curve(-1.5, default_grid))
         h2 = default_grid.h**2
-        assert H.diagonal[default_grid.center_index] == pytest.approx(
-            2.0 / h2 - 1.0, rel=1e-15)
+        mid = default_grid.center_index
+        unit = np.zeros(default_grid.n_points)
+        unit[mid] = 1.0
+        assert H.apply(unit)[mid] == pytest.approx(2.0 / h2 - 1.0, rel=1e-15)
 
     def test_free_particle_box_edge(self, default_grid):
         # V = 0: no bound state; lowest level is the box ground state
-        H = hamiltonian_for(np.zeros(default_grid.n_points), default_grid)
+        H = TridiagonalHamiltonian(default_grid, np.zeros(default_grid.n_points))
         (e0, _), = lowest_eigenpairs(H, 1)
         assert e0 >= 0.0
         box = np.pi**2 / (default_grid.x_max - default_grid.x_min) ** 2
@@ -56,13 +54,13 @@ class TestEigensolverSelfTests:
     def test_harmonic_oscillator(self):
         # hbar = 2m = 1 units: E_n = 2n + 1 for V = x^2
         grid = Grid.symmetric(15.0, 4001)
-        H = hamiltonian_for(grid.x**2, grid)
+        H = TridiagonalHamiltonian(grid, grid.x**2)
         pairs = lowest_eigenpairs(H, 3)
         for n, (energy, _) in enumerate(pairs):
             assert energy == pytest.approx(2 * n + 1, abs=1e-4)
 
     def test_base_sech_well(self, default_grid):
-        H = hamiltonian_for(-2.0 / np.cosh(default_grid.x) ** 2, default_grid)
+        H = TridiagonalHamiltonian(default_grid, -2.0 / np.cosh(default_grid.x) ** 2)
         (e0, psi), = lowest_eigenpairs(H, 1)
         assert e0 == pytest.approx(-1.0, abs=1e-5)
         assert abs(psi.overlap(base_ground_state(default_grid))) > 0.999999
@@ -71,25 +69,25 @@ class TestEigensolverSelfTests:
         # bisection tolerance is relative: an absolute 1e-12 is below
         # ulp(1e4) and stalls
         grid = Grid.symmetric(15.0, 4001)
-        H = hamiltonian_for(grid.x**2 - 1e4, grid)
+        H = TridiagonalHamiltonian(grid, grid.x**2 - 1e4)
         (e0, _), (e1, _) = lowest_eigenpairs(H, 2)
         assert e0 == pytest.approx(-1e4 + 1, abs=1e-4)
         assert e1 == pytest.approx(-1e4 + 3, abs=1e-4)
 
     def test_k_out_of_range(self, default_grid):
-        H = hamiltonian_for(np.zeros(default_grid.n_points), default_grid)
+        H = TridiagonalHamiltonian(default_grid, np.zeros(default_grid.n_points))
         with pytest.raises(ValueError):
             lowest_eigenpairs(H, 7)
 
     def test_k_beyond_tiny_grid(self):
         grid = Grid(-1.0, 1.0, 3)  # three levels in all
         with pytest.raises(ValueError):
-            lowest_eigenpairs(hamiltonian_for(np.zeros(3), grid), 4)
+            lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(3)), 4)
 
     def test_uneven_potential_rejected(self, default_grid):
         # the solver only reads x >= 0
         with pytest.raises(ValueError, match="even"):
-            hamiltonian_for(default_grid.x, default_grid)
+            TridiagonalHamiltonian(default_grid, default_grid.x)
 
     def test_missed_residual_target_raises(self, default_grid, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
@@ -156,13 +154,13 @@ class TestEigenResidual:
     def test_grid_without_interior_nodes_rejected(self, n):
         # edge exclusion leaves no node to measure: raise, do not return NaN
         grid = Grid.symmetric(3.0, n)
-        H = hamiltonian_for(np.zeros(n), grid)
+        H = TridiagonalHamiltonian(grid, np.zeros(n))
         with pytest.raises(ValueError, match="at least 7 points"):
             eigen_residual(H, RealWave(grid, np.ones(n)), 0.0)
 
     def test_smallest_measurable_grid(self):
         grid = Grid.symmetric(3.0, 7)
-        H = hamiltonian_for(np.zeros(7), grid)
+        H = TridiagonalHamiltonian(grid, np.zeros(7))
         assert eigen_residual(H, RealWave(grid, np.ones(7)), 0.0) == 0.0
 
 

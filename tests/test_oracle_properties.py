@@ -20,8 +20,10 @@ def even_hamiltonians(draw, max_half=100):
 
 
 def dense_levels(H):
-    off = np.full(H.grid.n_points - 1, H.off_diagonal)
-    return np.linalg.eigvalsh(np.diag(H.diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    h2 = H.grid.h**2
+    off = np.full(H.grid.n_points - 1, -1.0 / h2)
+    diagonal = 2.0 / h2 + H.potential
+    return np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def norm_bound(H):
