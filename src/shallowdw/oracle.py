@@ -279,6 +279,14 @@ def _unfold(half: np.ndarray, parity: int) -> np.ndarray:
     return np.concatenate((-half[::-1], [0.0], half))
 
 
+def _sum_sq(a: np.ndarray) -> float:
+    """sum(a^2) by numpy's own pairwise reduction.
+
+    A dot product would go to BLAS, whose digits depend on its thread count.
+    """
+    return float(np.add.reduce(a * a))
+
+
 def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
                       index: int) -> Tuple[float, np.ndarray]:
     h2 = H.grid.h**2
@@ -291,10 +299,10 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
         # one step of shifted inverse iteration: (M - sigma) z = gamma_k e_k
         a = _sector_rows(H, sigma, parity)
         v = _unfold(_twisted_vector(a, _first_pivot(float(a[0]), parity), turn), parity)
-        norm2 = float(v @ v)
+        norm2 = _sum_sq(v)
         diffs = np.diff(v, prepend=0.0, append=0.0)
-        energy = (float(diffs @ diffs) / h2 + float(H.potential * v @ v)) / norm2
-        residual = float(np.linalg.norm(H.apply(v) - energy * v)) / np.sqrt(norm2)
+        energy = (_sum_sq(diffs) / h2 + float(np.add.reduce(H.potential * v * v))) / norm2
+        residual = np.sqrt(_sum_sq(H.apply(v) - energy * v) / norm2)
         if residual <= target:
             return energy, v
         sigma = energy
@@ -336,7 +344,7 @@ def eigen_residual(H: TridiagonalHamiltonian, wave: RealWave, energy: float) -> 
     """
     sl = _interior(wave.grid, EDGE_EXCLUDE, "eigen_residual")
     r = H.apply(wave.samples) - energy * wave.samples
-    return float(np.linalg.norm(r[sl]) / np.linalg.norm(wave.samples[sl]))
+    return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(wave.samples[sl])))
 
 
 def check_intertwining(partner: Partner, f: RealWave) -> float:

@@ -1,12 +1,17 @@
 """CLI contract: schemas, determinism, lossless parse-back, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shallowdw
 from shallowdw import oracle, wells
 from shallowdw.cli import main
 
@@ -356,3 +361,20 @@ class TestExitCodeTable:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--epsilon", "-1.5", "--points", "16001"],
+    ["sweep", "--eps-start", "-2.6", "--eps-end", "-1.4", "--steps", "2",
+     "--points", "16001", "--quantities", "e0_error,e1_error"],
+])
+def test_stdout_does_not_depend_on_blas_threads(args):
+    src = str(Path(shallowdw.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "shallowdw.cli", *args],
+                              env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
