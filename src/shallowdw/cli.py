@@ -10,6 +10,8 @@ Subcommands
 
 Commands parse arguments and emit; verdicts come from ``oracle.verify`` and
 ``wells.classify``, and a failing verify names each failed check on stderr.
+A command, or a sweep row, evaluates the closed forms of its eps once, in
+one ``transform.Partner``.
 
 All numbers are written with the shortest round-trip decimal representation,
 so repeated runs are byte-identical and every emitted file parses back

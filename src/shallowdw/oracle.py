@@ -280,10 +280,7 @@ def _unfold(half: np.ndarray, parity: int) -> np.ndarray:
 
 
 def _sum_sq(a: np.ndarray) -> float:
-    """sum(a^2) by numpy's own pairwise reduction.
-
-    A dot product would go to BLAS, whose digits depend on its thread count.
-    """
+    """sum(a^2) by numpy's pairwise sum; a BLAS dot's digits vary with its threads."""
     return float(np.add.reduce(a * a))
 
 

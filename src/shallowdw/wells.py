@@ -9,7 +9,8 @@ The one-parameter family splits at closed-form thresholds:
 with s = V(0) = 2 eps + 2 the barrier-top (separatrix) energy.  The ground
 density obeys rho''(0) = 2 (s - eps) rho(0), so its center flips from
 minimum (bimodal density) to maximum exactly where the ground level crosses
-the barrier top, i.e. at eps = -2.
+the barrier top, i.e. at eps = -2.  Both checks read the ground state of a
+``transform.Partner``.
 """
 
 from __future__ import annotations
