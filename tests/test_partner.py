@@ -9,11 +9,9 @@ from shallowdw import (
     Partner,
     RealWave,
     check_intertwining,
-    excited_state,
-    ground_state,
     log_derivative_of_seed,
     oracle,
-    potential_curve,
+    potential,
     transform,
 )
 from shallowdw.cli import main
@@ -63,15 +61,12 @@ class TestOneSeedEvaluation:
 
 
 class TestLazyFields:
-    def test_fields_are_the_public_functions(self, default_grid):
+    def test_fields_match_the_pointwise_functions(self, default_grid):
         partner = Partner(-1.37, default_grid)
-        curve = potential_curve(-1.37, default_grid)
-        assert partner.curve.epsilon == curve.epsilon
-        assert np.array_equal(partner.curve.values, curve.values)
-        assert np.array_equal(partner.w, log_derivative_of_seed(-1.37, default_grid.x))
-        assert np.array_equal(partner.psi0.samples, ground_state(-1.37, default_grid).samples)
-        assert np.array_equal(partner.psi1.samples, excited_state(-1.37, default_grid).samples)
-        assert np.array_equal(partner.base_well, -2.0 / np.cosh(default_grid.x) ** 2)
+        x = default_grid.x
+        assert np.array_equal(partner.curve.values, potential(-1.37, x))
+        assert np.array_equal(partner.w, log_derivative_of_seed(-1.37, x))
+        assert np.array_equal(partner.base_well, -2.0 / np.cosh(x) ** 2)
 
     def test_invalid_epsilon_rejected_on_construction(self, default_grid):
         with pytest.raises(InvalidEpsilon):
