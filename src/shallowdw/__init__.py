@@ -21,19 +21,14 @@ from .oracle import (
     verify_spectrum,
 )
 from .transform import (
-    FactorizationEnergy,
     InvalidEpsilon,
     Partner,
-    PotentialCurve,
     apply_a,
     apply_a_dagger,
     base_ground_state,
     curvature_at_origin,
-    excited_state,
-    ground_state,
     log_derivative_of_seed,
     potential,
-    potential_curve,
     potential_log_form,
     seed_function,
     separatrix_energy,
@@ -52,13 +47,11 @@ __all__ = [
     "BoundStateCountMismatch",
     "ComplexWave",
     "ConvergenceFailure",
-    "FactorizationEnergy",
     "Grid",
     "GridTooNarrow",
     "InvalidEpsilon",
     "OscillationSeries",
     "Partner",
-    "PotentialCurve",
     "RealWave",
     "SpectrumReport",
     "TridiagonalHamiltonian",
@@ -76,12 +69,9 @@ __all__ = [
     "curvature_at_origin",
     "eigen_residual",
     "evolve_series",
-    "excited_state",
-    "ground_state",
     "log_derivative_of_seed",
     "lowest_eigenpairs",
     "potential",
-    "potential_curve",
     "potential_log_form",
     "seed_function",
     "separatrix_energy",

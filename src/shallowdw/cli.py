@@ -10,8 +10,8 @@ Subcommands
 
 Commands parse arguments and emit; verdicts come from ``oracle.verify`` and
 ``wells.classify``, and a failing verify names each failed check on stderr.
-A command, or a sweep row, evaluates the closed forms of its eps once, in
-one ``transform.Partner``.
+A command, or a sweep row, takes every closed form of its eps from one
+``transform.Partner``, so the seed is evaluated once.
 
 All numbers are written with the shortest round-trip decimal representation,
 so repeated runs are byte-identical and every emitted file parses back
@@ -34,13 +34,7 @@ import numpy as np
 
 from . import dynamics, oracle, wells
 from .grids import Grid, GridTooNarrow
-from .transform import (
-    InvalidEpsilon,
-    Partner,
-    curvature_at_origin,
-    potential_curve,
-    separatrix_energy,
-)
+from .transform import InvalidEpsilon, Partner, curvature_at_origin, separatrix_energy
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -166,18 +160,18 @@ def _epsilon_from(args, config) -> float:
 
 
 def cmd_potential(args, config) -> int:
-    eps = _epsilon_from(args, config)
-    grid = _grid_from(args, config)
-    curve = potential_curve(eps, grid)
-    _emit_table(args, ("x", "V"), (grid.x, curve.values))
+    partner = Partner(_epsilon_from(args, config), _grid_from(args, config))
+    x, v = partner.grid.x, partner.potential
+    del partner  # its seed arrays need not live through the emission
+    _emit_table(args, ("x", "V"), (x, v))
     if args.svg:
-        _write_svg(args.svg, grid.x, curve.values)
+        _write_svg(args.svg, x, v)
     return EXIT_OK
 
 
 def cmd_states(args, config) -> int:
     partner = Partner(_epsilon_from(args, config), _grid_from(args, config))
-    x, v, psi0, psi1 = (partner.grid.x, partner.curve.values,
+    x, v, psi0, psi1 = (partner.grid.x, partner.potential,
                         partner.psi0.samples, partner.psi1.samples)
     del partner  # its seed arrays need not live through the emission
     _emit_table(args, ("x", "V", "psi0", "psi1", "rho0"), (x, v, psi0, psi1, psi0**2))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid
-from .transform import EpsilonLike, Partner, _epsilon
+from .transform import Partner, _epsilon
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,13 @@ class OscillationSeries:
     analytic_period: float
 
 
-def analytic_period(eps: EpsilonLike) -> float:
+def analytic_period(eps: float) -> float:
     """Oscillation period 2 pi / |1 + eps| of the two-level beat."""
     return 2.0 * np.pi / abs(1.0 + _epsilon(eps))
 
 
 def evolve_series(
-    eps: EpsilonLike, grid: Grid, t_max: float, n_frames: int
+    eps: float, grid: Grid, t_max: float, n_frames: int
 ) -> OscillationSeries:
     """Sample the left-well probability at n_frames uniform times in [0, t_max].
 

@@ -26,9 +26,10 @@ last vector, which is also the eigenvalue.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
-between the two is a real check, not a tautology.  ``verify_spectrum`` and
-``check_intertwining`` take a ``transform.Partner``, whose closed forms of
-one eps on one grid are computed once and compared against the solver.
+between the two is a real check, not a tautology.  ``build_hamiltonian``,
+``verify_spectrum`` and ``check_intertwining`` take a ``transform.Partner``,
+whose closed forms of one eps on one grid are computed once;
+``build_hamiltonian`` keeps only its sampled potential.
 
 ``verify`` judges the paper's claim: spectrum, intertwining identity and
 central-curvature law, each against its entry of ``VERIFY_TOLERANCES``.
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import wells
 from .grids import Grid, RealWave, first_derivative, second_derivative
-from .transform import EpsilonLike, Partner, PotentialCurve, separatrix_energy
+from .transform import Partner, separatrix_energy
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
@@ -124,9 +125,9 @@ class TridiagonalHamiltonian:
         return out
 
 
-def build_hamiltonian(pot: PotentialCurve) -> TridiagonalHamiltonian:
+def build_hamiltonian(partner: Partner) -> TridiagonalHamiltonian:
     """3-point stencil Hamiltonian: diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2."""
-    return TridiagonalHamiltonian(pot.grid, pot.values)
+    return TridiagonalHamiltonian(partner.grid, partner.potential)
 
 
 def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarray:
@@ -358,7 +359,7 @@ def check_intertwining(partner: Partner, f: RealWave) -> float:
     # chained stencils contaminate one extra node at each edge
     sl = _interior(f.grid, EDGE_EXCLUDE + 1, "check_intertwining")
     lder = partner.w
-    v_partner = partner.curve.values
+    v_partner = partner.potential
     v_base = partner.base_well
 
     af = -first_derivative(f.samples, h) + lder * f.samples
@@ -397,7 +398,7 @@ def verify_spectrum(partner: Partner) -> SpectrumReport:
     The solver runs before the closed-form states check their tails.
     """
     eps_val = partner.epsilon
-    H = build_hamiltonian(partner.curve)
+    H = build_hamiltonian(partner)
 
     if -3.0 < eps_val < -1.0:
         negatives = _bound_count(H, 0) + _bound_count(H, 1)
@@ -461,7 +462,7 @@ class VerifyReport(SpectrumReport):
         return all(check.passed for check in self.checks)
 
 
-def verify(eps: EpsilonLike, grid: Grid | None = None) -> VerifyReport:
+def verify(eps: float, grid: Grid | None = None) -> VerifyReport:
     """The spectrum, intertwining and curvature-law checks of one eps.
 
     One Partner carries the closed forms through all of them.  The

@@ -20,16 +20,17 @@ and accurate for arbitrarily large |x|; naive sinh/cosh overflow near
 k|x| ~ 710 and lose precision in the subtractive seed well before that.
 
 ``Partner(eps, grid)`` holds the closed forms of one partner on one grid:
-the potential curve, u'/u, the base well and both bound states, each made
-on first use from a single evaluation of the seed.  ``potential_curve``,
-``ground_state`` and ``excited_state`` read one field of a fresh Partner.
+the potential, u'/u, the base well and both bound states, each made on
+first use from a single evaluation of the seed.  It is the package's one
+source of these sampled fields; the functions below evaluate single closed
+forms at arbitrary x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,34 +44,15 @@ class InvalidEpsilon(ValueError):
     """Factorization energy outside the valid range eps < -1."""
 
 
-@dataclass(frozen=True)
-class FactorizationEnergy:
-    """Validated factorization energy eps < -1 of the transform."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        eps = float(self.epsilon)
-        if not np.isfinite(eps) or eps > EPSILON_MAX:
-            raise InvalidEpsilon(
-                f"factorization energy must satisfy eps <= {EPSILON_MAX} "
-                f"(strictly below the base ground level -1), got {eps!r}"
-            )
-        object.__setattr__(self, "epsilon", eps)
-
-    @property
-    def k(self) -> float:
-        """Decay rate sqrt(|eps|) of the transformed ground state."""
-        return float(np.sqrt(-self.epsilon))
-
-
-EpsilonLike = Union[FactorizationEnergy, float]
-
-
-def _epsilon(eps: EpsilonLike) -> float:
-    if isinstance(eps, FactorizationEnergy):
-        return eps.epsilon
-    return FactorizationEnergy(float(eps)).epsilon
+def _epsilon(eps: float) -> float:
+    """eps as a float; InvalidEpsilon unless it is finite and <= EPSILON_MAX."""
+    eps = float(eps)
+    if not np.isfinite(eps) or eps > EPSILON_MAX:
+        raise InvalidEpsilon(
+            f"factorization energy must satisfy eps <= {EPSILON_MAX} "
+            f"(strictly below the base ground level -1), got {eps!r}"
+        )
+    return eps
 
 
 class _SeedParts(NamedTuple):
@@ -109,7 +91,7 @@ def _as_returned(value: np.ndarray, like) -> "float | np.ndarray":
     return value
 
 
-def seed_function(eps: EpsilonLike, x):
+def seed_function(eps: float, x):
     """Seed u(x) = sinh(kx) tanh(x) - k cosh(kx), k = sqrt(|eps|).
 
     Even in x, strictly negative (node-free) for every valid eps; solves the
@@ -121,7 +103,7 @@ def seed_function(eps: EpsilonLike, x):
     return _as_returned(p.u * np.exp(p.growth), x)
 
 
-def log_derivative_of_seed(eps: EpsilonLike, x):
+def log_derivative_of_seed(eps: float, x):
     """Superpotential u'/u in closed form (no numerical differencing).
 
     Odd in x; tends to +-sqrt(|eps|) as x -> +-inf.  Well defined everywhere
@@ -140,7 +122,7 @@ def _potential_values(eps_val: float, p: _SeedParts, x) -> np.ndarray:
     return np.where(np.asarray(x, dtype=float) == 0.0, 2.0 * eps_val + 2.0, v)
 
 
-def potential(eps: EpsilonLike, x):
+def potential(eps: float, x):
     """Partner potential in explicit closed form.
 
     V(x) = 2(1+eps) (-eps + sech^2(x) sinh^2(kx))
@@ -154,7 +136,7 @@ def potential(eps: EpsilonLike, x):
     return _as_returned(_potential_values(eps_val, _seed_parts(eps_val, x), x), x)
 
 
-def potential_log_form(eps: EpsilonLike, x):
+def potential_log_form(eps: float, x):
     """Partner potential from the superpotential: 2(u'/u)^2 - u''/u + eps.
 
     Independent route to the same curve as :func:`potential`; kept as a
@@ -166,34 +148,15 @@ def potential_log_form(eps: EpsilonLike, x):
     return _as_returned(v, x)
 
 
-def separatrix_energy(eps: EpsilonLike) -> float:
+def separatrix_energy(eps: float) -> float:
     """Barrier-top energy s = V(0) = 2 eps + 2 (closed form)."""
     return 2.0 * _epsilon(eps) + 2.0
 
 
-def curvature_at_origin(eps: EpsilonLike) -> float:
+def curvature_at_origin(eps: float) -> float:
     """V''(0) = 4 (3 + 4 eps + eps^2); negative exactly for -3 < eps < -1."""
     eps_val = _epsilon(eps)
     return 4.0 * (3.0 + 4.0 * eps_val + eps_val * eps_val)
-
-
-@dataclass(frozen=True)
-class PotentialCurve:
-    """Partner potential sampled on a grid."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-    epsilon: FactorizationEnergy
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError("value count does not match grid")
-        if np.max(np.abs(values - values[::-1])) > 1e-12:
-            raise ValueError("potential samples are not even in x")
-        if values[self.grid.center_index] != separatrix_energy(self.epsilon):
-            raise ValueError("potential at x=0 must equal 2 eps + 2")
 
 
 def _check_tail(samples: np.ndarray, what: str) -> None:
@@ -213,7 +176,7 @@ class Partner:
 
     Every field is computed on first use, and all of them from one
     evaluation of the seed.  Only ``psi0`` and ``psi1`` check the decay
-    tails, so reading ``curve`` never raises GridTooNarrow.
+    tails, so reading ``potential`` never raises GridTooNarrow.
     """
 
     epsilon: float
@@ -227,10 +190,9 @@ class Partner:
         return _seed_parts(self.epsilon, self.grid.x)
 
     @cached_property
-    def curve(self) -> PotentialCurve:
+    def potential(self) -> np.ndarray:
         """The partner potential, exactly 2 eps + 2 at x = 0."""
-        values = _potential_values(self.epsilon, self._seed, self.grid.x)
-        return PotentialCurve(self.grid, values, FactorizationEnergy(self.epsilon))
+        return _potential_values(self.epsilon, self._seed, self.grid.x)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -273,16 +235,6 @@ class Partner:
         return wave
 
 
-def potential_curve(eps: EpsilonLike, grid: Grid) -> PotentialCurve:
-    """Sample the partner potential on a grid."""
-    return Partner(eps, grid).curve
-
-
-def ground_state(eps: EpsilonLike, grid: Grid) -> RealWave:
-    """Normalized partner ground state; see :attr:`Partner.psi0`."""
-    return Partner(eps, grid).psi0
-
-
 def base_ground_state(grid: Grid) -> RealWave:
     """Ground state sqrt(1/2) sech(x) of the base sech^2 well, energy -1."""
     # analytic L2 norm over R is 1; grid truncation must be negligible
@@ -292,7 +244,7 @@ def base_ground_state(grid: Grid) -> RealWave:
     return RealWave(grid, samples).normalize()
 
 
-def apply_a(eps: EpsilonLike, f: RealWave) -> RealWave:
+def apply_a(eps: float, f: RealWave) -> RealWave:
     """Apply A = -d/dx + u'/u to a sampled wave.
 
     The derivative uses 4th-order central differences (one-sided at the
@@ -304,7 +256,7 @@ def apply_a(eps: EpsilonLike, f: RealWave) -> RealWave:
     return RealWave(f.grid, -df + lder * f.samples)
 
 
-def apply_a_dagger(eps: EpsilonLike, f: RealWave) -> RealWave:
+def apply_a_dagger(eps: float, f: RealWave) -> RealWave:
     """Apply A+ = +d/dx + u'/u to a sampled wave.
 
     A+ annihilates 1/u, which is how the partner ground state inherits
@@ -314,8 +266,3 @@ def apply_a_dagger(eps: EpsilonLike, f: RealWave) -> RealWave:
     df = first_derivative(f.samples, f.grid.h)
     lder = log_derivative_of_seed(eps_val, f.grid.x)
     return RealWave(f.grid, df + lder * f.samples)
-
-
-def excited_state(eps: EpsilonLike, grid: Grid) -> RealWave:
-    """Normalized partner excited state; see :attr:`Partner.psi1`."""
-    return Partner(eps, grid).psi1

@@ -20,7 +20,6 @@ from shallowdw import (
     classify,
     curvature_at_origin,
     evolve_series,
-    ground_state,
     lowest_eigenpairs,
     potential,
     potential_log_form,

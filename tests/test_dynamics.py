@@ -5,10 +5,9 @@ import pytest
 
 from shallowdw import (
     ComplexWave,
+    Partner,
     analytic_period,
     evolve_series,
-    excited_state,
-    ground_state,
 )
 from conftest import lc_state, left_well_probability
 
@@ -31,8 +30,8 @@ class TestLcState:
     def test_initial_state_is_real(self, default_grid):
         psi = lc_state(-1.5, default_grid, 0.0)
         assert np.max(np.abs(psi.samples.imag)) == 0.0
-        expected = (ground_state(-1.5, default_grid).samples
-                    + excited_state(-1.5, default_grid).samples) / np.sqrt(2)
+        partner = Partner(-1.5, default_grid)
+        expected = (partner.psi0.samples + partner.psi1.samples) / np.sqrt(2)
         assert np.max(np.abs(psi.samples.real - expected)) < 1e-14
 
     def test_norm_conserved(self, default_grid):
@@ -50,9 +49,10 @@ class TestLcState:
 
 
 class TestLeftWellProbability:
-    @pytest.mark.parametrize("state_fn", [ground_state, excited_state])
-    def test_stationary_states_sit_at_half(self, state_fn, default_grid):
-        wave = state_fn(-1.5, default_grid)
+    @pytest.mark.parametrize("state", ["psi0", "psi1"],
+                             ids=["ground_state", "excited_state"])
+    def test_stationary_states_sit_at_half(self, state, default_grid):
+        wave = getattr(Partner(-1.5, default_grid), state)
         psi = ComplexWave(default_grid, wave.samples.astype(complex),
                           normalized=True)
         assert left_well_probability(psi) == pytest.approx(0.5, abs=1e-10)
@@ -61,8 +61,8 @@ class TestLeftWellProbability:
         # with psi1 > 0 for x > 0 the t=0 cross term is negative on the left
         p = left_well_probability(lc_state(-1.05, default_grid, 0.0))
         assert p < 0.5
-        psi0 = ground_state(-1.05, default_grid).samples
-        psi1 = excited_state(-1.05, default_grid).samples
+        partner = Partner(-1.05, default_grid)
+        psi0, psi1 = partner.psi0.samples, partner.psi1.samples
         mid = default_grid.center_index
         cross = np.trapezoid((psi0 * psi1)[: mid + 1], dx=default_grid.h)
         assert p == pytest.approx(0.5 + cross, abs=1e-12)
@@ -93,8 +93,8 @@ class TestEvolveSeries:
         assert np.sqrt(np.mean(residual**2)) < 1e-8
 
         # fitted amplitude equals the t=0 left-half cross integral
-        psi0 = ground_state(eps, default_grid).samples
-        psi1 = excited_state(eps, default_grid).samples
+        partner = Partner(eps, default_grid)
+        psi0, psi1 = partner.psi0.samples, partner.psi1.samples
         mid = default_grid.center_index
         cross = np.trapezoid((psi0 * psi1)[: mid + 1], dx=default_grid.h)
         assert coeffs[0] == pytest.approx(cross, abs=1e-6)

@@ -16,9 +16,6 @@ from shallowdw.grids import Grid
 from shallowdw.transform import (
     Partner,
     curvature_at_origin,
-    excited_state,
-    ground_state,
-    potential_curve,
     separatrix_energy,
 )
 
@@ -79,16 +76,16 @@ def fmt(request, monkeypatch):
 class TestTableBytes:
     def test_potential(self, tmp_path, fmt):
         grid = Grid.symmetric(X_MAX, POINTS)
-        rows = zip(grid.x, potential_curve(-1.6, grid).values)
+        rows = zip(grid.x, Partner(-1.6, grid).potential)
         assert (emitted(tmp_path, ["potential", "--epsilon", -1.6, *GRID_ARGS], fmt)
                 == reference(fmt, ("x", "V"), rows))
 
     @pytest.mark.parametrize("eps", [-1.37, -2.2])
     def test_states(self, tmp_path, fmt, eps):
         grid = Grid.symmetric(X_MAX, POINTS)
-        psi0 = ground_state(eps, grid).samples
-        psi1 = excited_state(eps, grid).samples
-        rows = zip(grid.x, potential_curve(eps, grid).values, psi0, psi1, psi0**2)
+        partner = Partner(eps, grid)
+        psi0, psi1 = partner.psi0.samples, partner.psi1.samples
+        rows = zip(grid.x, partner.potential, psi0, psi1, psi0**2)
         assert (emitted(tmp_path, ["states", "--epsilon", eps, *GRID_ARGS], fmt)
                 == reference(fmt, ("x", "V", "psi0", "psi1", "rho0"), rows))
 

@@ -14,10 +14,7 @@ from shallowdw import (
     build_hamiltonian,
     check_intertwining,
     eigen_residual,
-    excited_state,
-    ground_state,
     lowest_eigenpairs,
-    potential_curve,
     sturm_count,
     verify_spectrum,
 )
@@ -34,7 +31,7 @@ class TestBuildHamiltonian:
         assert np.array_equal(matrix, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
 
     def test_center_diagonal_entry(self, default_grid):
-        H = build_hamiltonian(potential_curve(-1.5, default_grid))
+        H = build_hamiltonian(Partner(-1.5, default_grid))
         h2 = default_grid.h**2
         mid = default_grid.center_index
         unit = np.zeros(default_grid.n_points)
@@ -91,12 +88,12 @@ class TestEigensolverSelfTests:
 
     def test_missed_residual_target_raises(self, default_grid, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
-        H = build_hamiltonian(potential_curve(-1.5, default_grid))
+        H = build_hamiltonian(Partner(-1.5, default_grid))
         with pytest.raises(ConvergenceFailure, match="inverse iteration"):
             lowest_eigenpairs(H, 1)
 
     def test_deterministic(self, default_grid):
-        H = build_hamiltonian(potential_curve(-2.25, default_grid))
+        H = build_hamiltonian(Partner(-2.25, default_grid))
         a = lowest_eigenpairs(H, 2)
         b = lowest_eigenpairs(H, 2)
         for (ea, wa), (eb, wb) in zip(a, b):
@@ -107,18 +104,18 @@ class TestEigensolverSelfTests:
 class TestSturmCount:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.25, -2.95])
     def test_two_bound_states(self, eps, default_grid):
-        H = build_hamiltonian(potential_curve(eps, default_grid))
+        H = build_hamiltonian(Partner(eps, default_grid))
         assert sturm_count(H, 0.0) == 2
 
     def test_count_brackets_eigenvalues(self, default_grid):
-        H = build_hamiltonian(potential_curve(-1.5, default_grid))
+        H = build_hamiltonian(Partner(-1.5, default_grid))
         assert sturm_count(H, -1.6) == 0
         assert sturm_count(H, -1.2) == 1
         assert sturm_count(H, -0.5) == 2
 
     def test_sectors_split_the_count(self, default_grid):
         # ground state even, excited state odd
-        H = build_hamiltonian(potential_curve(-1.5, default_grid))
+        H = build_hamiltonian(Partner(-1.5, default_grid))
         assert sturm_count(H, -1.2, parity=0) == 1
         assert sturm_count(H, -1.2, parity=1) == 0
         assert sturm_count(H, -0.5, parity=1) == 1
@@ -141,13 +138,15 @@ class TestSturmCount:
 class TestEigenResidual:
     def test_analytic_states_are_near_eigenvectors(self, default_grid):
         # O(h^2) stencil error of the exact states at h = 0.01
-        H = build_hamiltonian(potential_curve(-1.5, default_grid))
-        assert eigen_residual(H, ground_state(-1.5, default_grid), -1.5) < 5e-5
-        assert eigen_residual(H, excited_state(-1.5, default_grid), -1.0) < 5e-5
+        partner = Partner(-1.5, default_grid)
+        H = build_hamiltonian(partner)
+        assert eigen_residual(H, partner.psi0, -1.5) < 5e-5
+        assert eigen_residual(H, partner.psi1, -1.0) < 5e-5
 
     def test_energy_shift_shows_up_directly(self, default_grid):
-        H = build_hamiltonian(potential_curve(-1.5, default_grid))
-        psi = ground_state(-1.5, default_grid)
+        partner = Partner(-1.5, default_grid)
+        H = build_hamiltonian(partner)
+        psi = partner.psi0
         assert eigen_residual(H, psi, -1.5 + 0.1) == pytest.approx(0.1, rel=1e-3)
 
     @pytest.mark.parametrize("n", [3, 5])

@@ -12,7 +12,7 @@ import pytest
 
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, verify_spectrum
 from shallowdw.oracle import PIVMIN, build_hamiltonian, lowest_eigenpairs, sturm_count
-from shallowdw.transform import potential_curve
+from shallowdw.transform import Partner
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -47,7 +47,7 @@ def assert_counts_match(H, lams):
 
 
 def partner(eps, n=4001):
-    return build_hamiltonian(potential_curve(eps, Grid.symmetric(20.0, n)))
+    return build_hamiltonian(Partner(eps, Grid.symmetric(20.0, n)))
 
 
 def near(levels):

@@ -64,7 +64,7 @@ class TestLazyFields:
     def test_fields_match_the_pointwise_functions(self, default_grid):
         partner = Partner(-1.37, default_grid)
         x = default_grid.x
-        assert np.array_equal(partner.curve.values, potential(-1.37, x))
+        assert np.array_equal(partner.potential, potential(-1.37, x))
         assert np.array_equal(partner.w, log_derivative_of_seed(-1.37, x))
         assert np.array_equal(partner.base_well, -2.0 / np.cosh(x) ** 2)
 
@@ -74,7 +74,7 @@ class TestLazyFields:
 
     def test_curve_runs_no_tail_check(self):
         partner = Partner(-1.05, Grid.symmetric(6.0, 601))
-        assert partner.curve.values[300] == 2.0 * -1.05 + 2.0
+        assert partner.potential[300] == 2.0 * -1.05 + 2.0
         with pytest.raises(transform.GridTooNarrow, match="ground state"):
             partner.psi0
 

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from shallowdw import (
-    FactorizationEnergy,
     Grid,
     GridTooNarrow,
     InvalidEpsilon,
+    Partner,
     RealWave,
     apply_a,
     apply_a_dagger,
     base_ground_state,
     curvature_at_origin,
-    excited_state,
-    ground_state,
     log_derivative_of_seed,
     potential,
-    potential_curve,
     potential_log_form,
     seed_function,
     separatrix_energy,
@@ -30,15 +27,16 @@ SEED_AT_225_15 = -2.948648496052271925
 
 
 class TestEpsilonValidation:
-    def test_accepts_below_threshold(self):
-        assert FactorizationEnergy(-1.0001).epsilon == -1.0001
-        assert FactorizationEnergy(-10.0).k == pytest.approx(np.sqrt(10.0))
+    def test_accepts_below_threshold(self, default_grid):
+        assert Partner(-1.0001, default_grid).epsilon == -1.0001
 
     @pytest.mark.parametrize("bad", [-1.0, -0.5, 0.0, 2.0, -1.0 - 1e-10,
                                      float("nan"), float("inf")])
-    def test_rejects_invalid(self, bad):
+    def test_rejects_invalid(self, bad, default_grid):
         with pytest.raises(InvalidEpsilon):
-            FactorizationEnergy(bad)
+            Partner(bad, default_grid)
+        with pytest.raises(InvalidEpsilon):
+            potential(bad, 0.0)
 
 
 class TestGrid:
@@ -133,8 +131,8 @@ class TestPotential:
         assert np.max(np.abs(explicit - log_form)) < 1e-9
 
     def test_curve_invariants(self, default_grid):
-        curve = potential_curve(-1.5, default_grid)
-        assert curve.values[default_grid.center_index] == -1.0
+        v = Partner(-1.5, default_grid).potential
+        assert v[default_grid.center_index] == -1.0
 
 
 class TestSeparatrixAndCurvature:
@@ -168,7 +166,7 @@ class TestSeparatrixAndCurvature:
 class TestGroundState:
     @pytest.mark.parametrize("eps", [-1.05, -1.10, -2.0, -2.25, -3.5])
     def test_normalized_even_positive(self, eps, default_grid):
-        psi = ground_state(eps, default_grid)
+        psi = Partner(eps, default_grid).psi0
         assert psi.norm_squared() == pytest.approx(1.0, abs=1e-10)
         assert np.all(psi.samples > 0.0)
         assert np.max(np.abs(psi.samples - psi.samples[::-1])) < 1e-12
@@ -177,15 +175,15 @@ class TestGroundState:
         from shallowdw import count_density_maxima
 
         rho_bimodal = RealWave(default_grid,
-                               ground_state(-1.10, default_grid).samples ** 2)
+                               Partner(-1.10, default_grid).psi0.samples ** 2)
         rho_central = RealWave(default_grid,
-                               ground_state(-2.25, default_grid).samples ** 2)
+                               Partner(-2.25, default_grid).psi0.samples ** 2)
         assert count_density_maxima(rho_bimodal) == 2
         assert count_density_maxima(rho_central) == 1
 
     def test_grid_too_narrow(self):
         with pytest.raises(GridTooNarrow):
-            ground_state(-1.05, Grid.symmetric(5.0, 1001))
+            Partner(-1.05, Grid.symmetric(5.0, 1001)).psi0
 
 
 class TestBaseGroundState:
@@ -225,7 +223,7 @@ class TestLadderOperators:
         eps = -1.5
         raw = apply_a(eps, base_ground_state(default_grid))
         wave = raw.normalize()
-        psi1 = excited_state(eps, default_grid)
+        psi1 = Partner(eps, default_grid).psi1
         sign = np.sign(wave.samples[default_grid.center_index + 1])
         assert np.max(np.abs(sign * wave.samples - psi1.samples)) < 1e-8
 
@@ -242,7 +240,7 @@ class TestLadderOperators:
 class TestExcitedState:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.25, -2.95])
     def test_odd_single_node_normalized(self, eps, default_grid):
-        psi = excited_state(eps, default_grid)
+        psi = Partner(eps, default_grid).psi1
         mid = default_grid.center_index
         assert psi.samples[mid] == 0.0
         assert psi.norm_squared() == pytest.approx(1.0, abs=1e-10)
@@ -252,6 +250,5 @@ class TestExcitedState:
         assert psi.samples[mid + 1] > 0.0  # sign convention
 
     def test_orthogonal_to_ground(self, default_grid):
-        psi0 = ground_state(-1.5, default_grid)
-        psi1 = excited_state(-1.5, default_grid)
-        assert abs(psi0.overlap(psi1)) < 1e-10
+        partner = Partner(-1.5, default_grid)
+        assert abs(partner.psi0.overlap(partner.psi1)) < 1e-10
