@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .grids import RealWave
+from .grids import RealWave, second_derivative
 from .transform import Partner, curvature_at_origin, separatrix_energy
 
 PLATEAU_TOL = 1e-13  # first differences below this count as flat
@@ -92,11 +92,7 @@ def check_bimodality_relation(partner: Partner) -> Tuple[float, float, float]:
     eps_val, grid = partner.epsilon, partner.grid
     rho = partner.psi0.samples ** 2
     mid = grid.center_index
-    h2 = grid.h * grid.h
-    lhs = (
-        -rho[mid - 2] + 16 * rho[mid - 1] - 30 * rho[mid]
-        + 16 * rho[mid + 1] - rho[mid + 2]
-    ) / (12 * h2)
+    lhs = second_derivative(rho[mid - 2:mid + 3], grid.h)[2]
     rhs = 2.0 * (separatrix_energy(eps_val) - eps_val) * rho[mid]
     rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     return float(lhs), float(rhs), float(rel_err)
