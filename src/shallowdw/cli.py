@@ -34,7 +34,8 @@ import numpy as np
 
 from . import dynamics, oracle, wells
 from .grids import Grid, GridTooNarrow
-from .transform import InvalidEpsilon, Partner, curvature_at_origin, separatrix_energy
+from .transform import (EPSILON_MAX, InvalidEpsilon, Partner, curvature_at_origin,
+                        separatrix_energy)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -242,7 +243,7 @@ def cmd_sweep(args, config) -> int:
     steps = _resolve(args, config, "steps", int, None)
     if eps_start is None or eps_end is None or steps is None or steps < 1:
         raise ValueError("sweep requires --eps-start, --eps-end and --steps >= 1")
-    if not eps_start < eps_end or eps_end > -1.0 - 1e-9:
+    if not eps_start < eps_end or eps_end > EPSILON_MAX:
         raise ValueError("sweep range must satisfy eps_start < eps_end <= -1 - 1e-9")
     raw = _resolve(args, config, "quantities", str, "separatrix,curvature,gap")
     quantities = [q.strip() for q in raw.split(",") if q.strip()]
