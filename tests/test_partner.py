@@ -1,7 +1,12 @@
-"""One closed-form evaluation per (eps, grid), and the lazy fields' error order."""
+"""Partner as the one source of the closed forms: one evaluation per
+(eps, grid), the lazy fields' error order, and the invariants of its
+potential."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import shallowdw
 
 from shallowdw import (
     Grid,
@@ -104,3 +109,23 @@ def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
     with pytest.raises(ValueError, match="partner's grid"):
         check_intertwining(Partner(-1.5, default_grid),
                            RealWave(grid, np.exp(-grid.x**2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-50.0, -1.0001), st.integers(1, 1000), st.floats(0.5, 800.0))
+def test_potential_is_finite_even_and_exact_at_the_centre(eps, half, x_max):
+    grid = Grid.symmetric(x_max, 2 * half + 1)
+    v = Partner(eps, grid).potential
+    assert np.all(np.isfinite(v))
+    assert np.array_equal(v, v[::-1])
+    assert v[grid.center_index] == 2.0 * eps + 2.0
+
+
+def test_exports_resolve_and_the_wrapper_layer_is_gone():
+    assert len(set(shallowdw.__all__)) == len(shallowdw.__all__)
+    for name in shallowdw.__all__:
+        assert hasattr(shallowdw, name), name
+    for name in ("PotentialCurve", "FactorizationEnergy", "EpsilonLike",
+                 "potential_curve", "ground_state", "excited_state"):
+        assert name not in shallowdw.__all__
+        assert not hasattr(shallowdw, name) and not hasattr(transform, name)
