@@ -64,7 +64,14 @@ class _SeedParts(NamedTuple):
     d2u: np.ndarray     # u'' e^{-k|x|}
     q: np.ndarray       # e^{-2k|x|}
     s: np.ndarray       # sinh(kx) e^{-k|x|}
+    sech: np.ndarray    # sech(x)
     sech2: np.ndarray   # sech^2(x)
+
+
+def _sech(x) -> np.ndarray:
+    """sech(x) via decaying exponentials; 1/cosh overflows past |x| ~ 710."""
+    q1 = np.exp(-np.abs(x))
+    return 2.0 * q1 / (1.0 + q1 * q1)
 
 
 def _seed_parts(eps_val: float, x) -> _SeedParts:
@@ -76,13 +83,12 @@ def _seed_parts(eps_val: float, x) -> _SeedParts:
     s = np.sign(x) * (-np.expm1(-2.0 * k * ax)) / 2.0
     c = (1.0 + q) / 2.0
     t = np.tanh(x)
-    # sech^2 via decaying exponentials; 1/cosh^2 overflows past |x| ~ 355
-    q1 = np.exp(-np.abs(x))
-    sech2 = (2.0 * q1 / (1.0 + q1 * q1)) ** 2
+    sech = _sech(x)
+    sech2 = sech**2
     u = s * t - k * c
     du = k * c * t + s * (sech2 - k * k)
     d2u = k * k * s * t + 2.0 * k * c * sech2 - 2.0 * s * t * sech2 - k**3 * c
-    return _SeedParts(k * ax, u, du, d2u, q, s, sech2)
+    return _SeedParts(k * ax, u, du, d2u, q, s, sech, sech2)
 
 
 def _as_returned(value: np.ndarray, like) -> "float | np.ndarray":
@@ -202,7 +208,7 @@ class Partner:
     @cached_property
     def base_well(self) -> np.ndarray:
         """The base potential -2 sech^2(x)."""
-        return -2.0 / np.cosh(self.grid.x) ** 2
+        return -2.0 * self._seed.sech2
 
     @cached_property
     def psi0(self) -> RealWave:
@@ -227,7 +233,7 @@ class Partner:
         x = 0, sign fixed so psi1 > 0 for x > 0.
         """
         grid = self.grid
-        samples = (np.tanh(grid.x) + self.w) / np.cosh(grid.x)
+        samples = (np.tanh(grid.x) + self.w) * self._seed.sech
         _check_tail(samples, "excited state")
         wave = RealWave(grid, samples).normalize()
         if wave.samples[grid.center_index + 1] < 0.0:
@@ -240,7 +246,7 @@ def base_ground_state(grid: Grid) -> RealWave:
     # analytic L2 norm over R is 1; grid truncation must be negligible
     if 2.0 * (1.0 - np.tanh(grid.x_max)) > 1e-10:
         raise GridTooNarrow("grid too narrow for sech(x) normalization")
-    samples = np.sqrt(0.5) / np.cosh(grid.x)
+    samples = np.sqrt(0.5) * _sech(grid.x)
     return RealWave(grid, samples).normalize()
 
 

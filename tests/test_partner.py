@@ -2,6 +2,8 @@
 (eps, grid), the lazy fields' error order, and the invariants of its
 potential."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from shallowdw import (
     InvalidEpsilon,
     Partner,
     RealWave,
+    base_ground_state,
     check_intertwining,
     log_derivative_of_seed,
     oracle,
@@ -71,7 +74,11 @@ class TestLazyFields:
         x = default_grid.x
         assert np.array_equal(partner.potential, potential(-1.37, x))
         assert np.array_equal(partner.w, log_derivative_of_seed(-1.37, x))
-        assert np.array_equal(partner.base_well, -2.0 / np.cosh(x) ** 2)
+        q1 = np.exp(-np.abs(x))
+        assert np.array_equal(partner.base_well, -2.0 * (2.0 * q1 / (1.0 + q1 * q1)) ** 2)
+        # the scaled sech^2 and 1/cosh^2 differ only by rounding
+        np.testing.assert_allclose(partner.base_well, -2.0 / np.cosh(x) ** 2,
+                                   rtol=2e-15, atol=0.0)
 
     def test_invalid_epsilon_rejected_on_construction(self, default_grid):
         with pytest.raises(InvalidEpsilon):
@@ -82,6 +89,15 @@ class TestLazyFields:
         assert partner.potential[300] == 2.0 * -1.05 + 2.0
         with pytest.raises(transform.GridTooNarrow, match="ground state"):
             partner.psi0
+
+    def test_wide_grid_overflows_nothing(self):
+        grid = Grid.symmetric(800.0, 16001)
+        partner = Partner(-1.5, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert partner.psi1.samples[-1] == 0.0
+            assert partner.base_well[-1] == 0.0
+            assert base_ground_state(grid).samples[-1] == 0.0
 
     def test_narrow_potential_exits_0(self, tmp_path):
         assert run(["potential", "--epsilon", -1.05, "--x-max", 3, "--points", 601,
