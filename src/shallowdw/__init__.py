@@ -7,7 +7,7 @@ inter-well oscillation of the equal-weight superposition.
 """
 
 from .dynamics import OscillationSeries, analytic_period, evolve_series
-from .grids import ComplexWave, Grid, GridTooNarrow, RealWave
+from .grids import Grid, GridTooNarrow, RealWave
 from .oracle import (
     BoundStateCountMismatch,
     ConvergenceFailure,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundStateCountMismatch",
-    "ComplexWave",
     "ConvergenceFailure",
     "Grid",
     "GridTooNarrow",

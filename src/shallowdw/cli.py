@@ -43,8 +43,6 @@ EXIT_BAD_ARGS = 2
 EXIT_GRID = 3
 EXIT_SOLVER = 4
 
-DEFAULT_X_MAX = 20.0
-DEFAULT_POINTS = 4001
 CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk; bounds the text held at once
 
 # sweep column -> value(partner, report); report() is the cached oracle run
@@ -148,9 +146,9 @@ def _resolve(args, config: Dict[str, str], key: str, cast, fallback):
 
 
 def _grid_from(args, config) -> Grid:
-    x_max = _resolve(args, config, "x_max", float, DEFAULT_X_MAX)
-    points = _resolve(args, config, "points", int, DEFAULT_POINTS)
-    return Grid.symmetric(x_max, points)
+    default = Grid.default()
+    return Grid(_resolve(args, config, "x_max", float, default.x_max),
+                _resolve(args, config, "points", int, default.n_points))
 
 
 def _epsilon_from(args, config) -> float:
@@ -277,10 +275,11 @@ def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
     if epsilon:
         parser.add_argument("--epsilon", type=float, default=None,
                             help="factorization energy (must be < -1)")
+    grid = Grid.default()
     parser.add_argument("--x-max", dest="x_max", type=float, default=None,
-                        help="half-width of the symmetric grid (default 20)")
+                        help=f"half-width of the symmetric grid (default {grid.x_max:g})")
     parser.add_argument("--points", type=int, default=None,
-                        help="odd number of grid nodes (default 4001)")
+                        help=f"odd number of grid nodes (default {grid.n_points})")
     parser.add_argument("--out", default=None, help="output path ('-' = stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", default=None,

@@ -1,7 +1,8 @@
-"""Uniform symmetric grids, sampled wavefunctions and finite-difference helpers.
+"""Uniform symmetric grids, sampled real waves and finite-difference helpers.
 
 Everything downstream (closed-form states, the tridiagonal eigensolver, the
-two-level dynamics) works on a single uniform mesh symmetric about x = 0.
+two-level dynamics) works on a single uniform mesh on [-x_max, x_max]: the
+wells are even in x, so a grid is fixed by its half-width and node count.
 Quadrature is composite trapezoid throughout: the integrands decay
 exponentially, so trapezoid converges spectrally on these tails.
 """
@@ -12,9 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-NORM_TOL = 1e-10
-
 
 class GridTooNarrow(ValueError):
     """The grid does not reach far enough into the decay tails."""
@@ -28,29 +26,22 @@ class Grid:
     left/right-well split and the central-curvature checks).
     """
 
-    x_min: float
     x_max: float
     n_points: int
 
     def __post_init__(self):
         if not (np.isfinite(self.x_max) and self.x_max > 0):
             raise ValueError("x_max must be finite and positive")
-        if self.x_min != -self.x_max:
-            raise ValueError("grid must be symmetric: x_min == -x_max")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
 
     @classmethod
     def default(cls) -> "Grid":
-        return cls(-20.0, 20.0, 4001)
-
-    @classmethod
-    def symmetric(cls, x_max: float, n_points: int) -> "Grid":
-        return cls(-float(x_max), float(x_max), int(n_points))
+        return cls(20.0, 4001)
 
     @property
     def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
+        return 2.0 * self.x_max / (self.n_points - 1)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -70,15 +61,12 @@ class RealWave:
 
     grid: Grid
     samples: np.ndarray = field(repr=False)
-    normalized: bool = False
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         if samples.shape != (self.grid.n_points,):
             raise ValueError("sample count does not match grid")
-        if self.normalized and abs(self.norm_squared() - 1.0) > NORM_TOL:
-            raise ValueError("wave flagged normalized but trapezoid norm != 1")
 
     def norm_squared(self) -> float:
         return float(np.trapezoid(self.samples**2, dx=self.grid.h))
@@ -87,34 +75,11 @@ class RealWave:
         nrm = np.sqrt(self.norm_squared())
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero wave")
-        return RealWave(self.grid, self.samples / nrm, normalized=True)
+        return RealWave(self.grid, self.samples / nrm)
 
     def overlap(self, other: "RealWave") -> float:
         """Trapezoid inner product <self, other>."""
         return float(np.trapezoid(self.samples * other.samples, dx=self.grid.h))
-
-
-@dataclass(frozen=True)
-class ComplexWave:
-    """Complex wavefunction sampled on a grid."""
-
-    grid: Grid
-    samples: np.ndarray = field(repr=False)
-    normalized: bool = False
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != (self.grid.n_points,):
-            raise ValueError("sample count does not match grid")
-        if self.normalized and abs(self.norm_squared() - 1.0) > NORM_TOL:
-            raise ValueError("wave flagged normalized but trapezoid norm != 1")
-
-    def norm_squared(self) -> float:
-        return float(np.trapezoid(np.abs(self.samples) ** 2, dx=self.grid.h))
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
 
 
 def first_derivative(samples: np.ndarray, h: float) -> np.ndarray:

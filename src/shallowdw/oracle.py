@@ -462,15 +462,13 @@ class VerifyReport(SpectrumReport):
         return all(check.passed for check in self.checks)
 
 
-def verify(eps: float, grid: Grid | None = None) -> VerifyReport:
+def verify(eps: float, grid: Grid) -> VerifyReport:
     """The spectrum, intertwining and curvature-law checks of one eps.
 
     One Partner carries the closed forms through all of them.  The
     intertwining residual is the worst over five Gaussian bumps drawn from
     a fixed-seed generator, so the verdict is reproducible.
     """
-    if grid is None:
-        grid = Grid.default()
     partner = Partner(eps, grid)
     spectrum = verify_spectrum(partner)
     rng = np.random.default_rng(42)

@@ -61,7 +61,6 @@ class _SeedParts(NamedTuple):
     growth: np.ndarray  # k|x|
     u: np.ndarray       # u e^{-k|x|}
     du: np.ndarray      # u' e^{-k|x|}
-    d2u: np.ndarray     # u'' e^{-k|x|}
     q: np.ndarray       # e^{-2k|x|}
     s: np.ndarray       # sinh(kx) e^{-k|x|}
     sech: np.ndarray    # sech(x)
@@ -87,8 +86,7 @@ def _seed_parts(eps_val: float, x) -> _SeedParts:
     sech2 = sech**2
     u = s * t - k * c
     du = k * c * t + s * (sech2 - k * k)
-    d2u = k * k * s * t + 2.0 * k * c * sech2 - 2.0 * s * t * sech2 - k**3 * c
-    return _SeedParts(k * ax, u, du, d2u, q, s, sech, sech2)
+    return _SeedParts(k * ax, u, du, q, s, sech, sech2)
 
 
 def _as_returned(value: np.ndarray, like) -> "float | np.ndarray":
@@ -150,7 +148,10 @@ def potential_log_form(eps: float, x):
     """
     eps_val = _epsilon(eps)
     p = _seed_parts(eps_val, x)
-    v = 2.0 * (p.du / p.u) ** 2 - p.d2u / p.u + eps_val
+    k, c, t = np.sqrt(-eps_val), (1.0 + p.q) / 2.0, np.tanh(x)
+    # u'' e^{-k|x|}
+    d2u = k * k * p.s * t + 2.0 * k * c * p.sech2 - 2.0 * p.s * t * p.sech2 - k**3 * c
+    v = 2.0 * (p.du / p.u) ** 2 - d2u / p.u + eps_val
     return _as_returned(v, x)
 
 
@@ -237,7 +238,7 @@ class Partner:
         _check_tail(samples, "excited state")
         wave = RealWave(grid, samples).normalize()
         if wave.samples[grid.center_index + 1] < 0.0:
-            wave = RealWave(grid, -wave.samples, normalized=True)
+            wave = RealWave(grid, -wave.samples)
         return wave
 
 

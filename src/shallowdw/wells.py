@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .grids import RealWave, second_derivative
+from .grids import second_derivative
 from .transform import Partner, curvature_at_origin, separatrix_energy
 
 PLATEAU_TOL = 1e-13  # first differences below this count as flat
@@ -43,14 +43,14 @@ class WellClassification:
     density_maxima_count: int
 
 
-def count_density_maxima(rho: RealWave) -> int:
+def count_density_maxima(rho: np.ndarray) -> int:
     """Strict local maxima of a sampled density.
 
     Counts +/- sign changes of the discrete first difference, ignoring
     flat steps below PLATEAU_TOL (floating-point plateaus near symmetric
     peaks would otherwise double-count).
     """
-    diffs = np.diff(rho.samples)
+    diffs = np.diff(rho)
     signs = np.sign(diffs)
     signs[np.abs(diffs) <= PLATEAU_TOL] = 0
     signs = signs[signs != 0]
@@ -72,13 +72,12 @@ def classify(partner: Partner) -> WellClassification:
         kind = WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX
     else:
         kind = WellKind.SINGLE_WELL
-    rho = RealWave(partner.grid, partner.psi0.samples**2)
     return WellClassification(
         epsilon=eps_val,
         kind=kind,
         separatrix=separatrix_energy(eps_val),
         curvature_origin=curvature_at_origin(eps_val),
-        density_maxima_count=count_density_maxima(rho),
+        density_maxima_count=count_density_maxima(partner.psi0.samples**2),
     )
 
 

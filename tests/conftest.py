@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from shallowdw import ComplexWave, Grid, Partner, verify_spectrum
+from shallowdw import Grid, Partner, verify_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -14,26 +14,34 @@ def default_grid():
 @functools.lru_cache(maxsize=None)
 def cached_report(eps: float, x_max: float = 20.0, n_points: int = 4001):
     """Share eigensolver runs between test modules."""
-    return verify_spectrum(Partner(eps, Grid.symmetric(x_max, n_points)))
+    return verify_spectrum(Partner(eps, Grid(x_max, n_points)))
 
 
-def lc_state(eps, grid, t) -> ComplexWave:
-    """Equal-weight superposition of the two bound states at time t.
+def norm_squared(psi: np.ndarray, grid: Grid) -> float:
+    """Trapezoid norm of complex samples on grid."""
+    return float(np.trapezoid(np.abs(psi) ** 2, dx=grid.h))
 
-    Normalized for every t (orthonormal components, unitary phases).  With
-    left_well_probability, the frame-by-frame reference for evolve_series.
+
+def lc_state(eps, grid, t) -> np.ndarray:
+    """Complex samples of the equal-weight superposition of the two bound
+    states at time t.
+
+    Normalized for every t (orthonormal components, unitary phases), which
+    is asserted.  With left_well_probability, the frame-by-frame reference
+    for evolve_series.
     """
     partner = Partner(eps, grid)
-    samples = np.sqrt(0.5) * (np.exp(-1j * partner.epsilon * t) * partner.psi0.samples
-                              + np.exp(1j * t) * partner.psi1.samples)
-    return ComplexWave(grid, samples, normalized=True)
+    psi = np.sqrt(0.5) * (np.exp(-1j * partner.epsilon * t) * partner.psi0.samples
+                          + np.exp(1j * t) * partner.psi1.samples)
+    assert abs(norm_squared(psi, grid) - 1.0) <= 1e-10, f"lc_state norm at t={t}"
+    return psi
 
 
-def left_well_probability(psi: ComplexWave) -> float:
+def left_well_probability(psi: np.ndarray, grid: Grid) -> float:
     """Probability of finding the particle at x <= 0.
 
-    Trapezoid rule over [x_min, 0]; the node at x = 0 naturally carries
+    Trapezoid rule over [-x_max, 0]; the node at x = 0 naturally carries
     half weight as the subinterval endpoint.
     """
-    mid = psi.grid.center_index
-    return float(np.trapezoid(psi.density()[: mid + 1], dx=psi.grid.h))
+    mid = grid.center_index
+    return float(np.trapezoid(np.abs(psi[: mid + 1]) ** 2, dx=grid.h))

@@ -28,7 +28,7 @@ from shallowdw import (
 )
 from shallowdw.cli import main as cli_main
 
-from conftest import cached_report, lc_state, left_well_probability
+from conftest import cached_report, lc_state, left_well_probability, norm_squared
 from test_dynamics import fit_period
 
 SPECTRUM_EPS = [-1.05, -1.10, -1.25, -1.5, -1.75, -2.0, -2.25, -2.5, -2.75, -2.95]
@@ -146,16 +146,16 @@ def test_criterion_08_dynamics(default_grid):
     rng = np.random.default_rng(5)
     for t in rng.uniform(0.0, 3 * period, 25):
         psi = lc_state(eps, default_grid, float(t))
-        ok = ok and abs(psi.norm_squared() - 1.0) < 1e-10
+        ok = ok and abs(norm_squared(psi, default_grid) - 1.0) < 1e-10
         mirror = left_well_probability(
-            lc_state(eps, default_grid, float(t) + period / 2))
-        ok = ok and abs(left_well_probability(psi) + mirror - 1.0) < 1e-9
+            lc_state(eps, default_grid, float(t) + period / 2), default_grid)
+        ok = ok and abs(left_well_probability(psi, default_grid) + mirror - 1.0) < 1e-9
     record(8, "fitted period = 2pi/0.05 within 0.1%, norm conserved to 1e-10, "
               "P(t)+P(t+T/2)=1 within 1e-9", ok)
 
 
 def test_criterion_09_oracle_self_test(default_grid):
-    ho_grid = Grid.symmetric(15.0, 4001)
+    ho_grid = Grid(15.0, 4001)
     H = TridiagonalHamiltonian(ho_grid, ho_grid.x**2)
     energies = [e for e, _ in lowest_eigenpairs(H, 3)]
     ok = all(abs(e - (2 * n + 1)) < 1e-4 for n, e in enumerate(energies))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from shallowdw import (
-    ComplexWave,
     Partner,
     analytic_period,
     evolve_series,
 )
-from conftest import lc_state, left_well_probability
+from conftest import lc_state, left_well_probability, norm_squared
 
 
 def fit_period(times, values):
@@ -29,22 +28,22 @@ def fit_period(times, values):
 class TestLcState:
     def test_initial_state_is_real(self, default_grid):
         psi = lc_state(-1.5, default_grid, 0.0)
-        assert np.max(np.abs(psi.samples.imag)) == 0.0
+        assert np.max(np.abs(psi.imag)) == 0.0
         partner = Partner(-1.5, default_grid)
         expected = (partner.psi0.samples + partner.psi1.samples) / np.sqrt(2)
-        assert np.max(np.abs(psi.samples.real - expected)) < 1e-14
+        assert np.max(np.abs(psi.real - expected)) < 1e-14
 
     def test_norm_conserved(self, default_grid):
         rng = np.random.default_rng(3)
         for t in rng.uniform(0.0, 100.0, 20):
             psi = lc_state(-1.5, default_grid, float(t))
-            assert psi.norm_squared() == pytest.approx(1.0, abs=1e-10)
+            assert norm_squared(psi, default_grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_half_period_mirrors_density(self, default_grid):
         eps = -1.5
         half = np.pi / abs(1.0 + eps)
-        d0 = lc_state(eps, default_grid, 0.0).density()
-        dh = lc_state(eps, default_grid, half).density()
+        d0 = np.abs(lc_state(eps, default_grid, 0.0)) ** 2
+        dh = np.abs(lc_state(eps, default_grid, half)) ** 2
         assert np.max(np.abs(dh - d0[::-1])) < 1e-10
 
 
@@ -53,13 +52,13 @@ class TestLeftWellProbability:
                              ids=["ground_state", "excited_state"])
     def test_stationary_states_sit_at_half(self, state, default_grid):
         wave = getattr(Partner(-1.5, default_grid), state)
-        psi = ComplexWave(default_grid, wave.samples.astype(complex),
-                          normalized=True)
-        assert left_well_probability(psi) == pytest.approx(0.5, abs=1e-10)
+        psi = wave.samples.astype(complex)
+        assert norm_squared(psi, default_grid) == pytest.approx(1.0, abs=1e-10)
+        assert left_well_probability(psi, default_grid) == pytest.approx(0.5, abs=1e-10)
 
     def test_initial_superposition_leans_right(self, default_grid):
         # with psi1 > 0 for x > 0 the t=0 cross term is negative on the left
-        p = left_well_probability(lc_state(-1.05, default_grid, 0.0))
+        p = left_well_probability(lc_state(-1.05, default_grid, 0.0), default_grid)
         assert p < 0.5
         partner = Partner(-1.05, default_grid)
         psi0, psi1 = partner.psi0.samples, partner.psi1.samples
@@ -104,8 +103,9 @@ class TestEvolveSeries:
         eps = -1.5
         half = analytic_period(eps) / 2.0
         for t in [0.0, 0.3, 1.7, 4.0]:
-            p1 = left_well_probability(lc_state(eps, default_grid, t))
-            p2 = left_well_probability(lc_state(eps, default_grid, t + half))
+            p1 = left_well_probability(lc_state(eps, default_grid, t), default_grid)
+            p2 = left_well_probability(lc_state(eps, default_grid, t + half),
+                                       default_grid)
             assert p1 + p2 == pytest.approx(1.0, abs=1e-9)
 
     def test_probability_bounds_and_mean(self, default_grid):
@@ -132,7 +132,7 @@ class TestEvolveSeries:
         # over the CLI's default two periods it stays below 1e-14
         series = evolve_series(eps, default_grid, 2 * analytic_period(eps), 401)
         reference = np.array([
-            left_well_probability(lc_state(eps, default_grid, float(t)))
+            left_well_probability(lc_state(eps, default_grid, float(t)), default_grid)
             for t in series.times
         ])
         assert np.max(np.abs(series.left_probability - reference)) <= 1e-14

@@ -75,14 +75,14 @@ def fmt(request, monkeypatch):
 
 class TestTableBytes:
     def test_potential(self, tmp_path, fmt):
-        grid = Grid.symmetric(X_MAX, POINTS)
+        grid = Grid(X_MAX, POINTS)
         rows = zip(grid.x, Partner(-1.6, grid).potential)
         assert (emitted(tmp_path, ["potential", "--epsilon", -1.6, *GRID_ARGS], fmt)
                 == reference(fmt, ("x", "V"), rows))
 
     @pytest.mark.parametrize("eps", [-1.37, -2.2])
     def test_states(self, tmp_path, fmt, eps):
-        grid = Grid.symmetric(X_MAX, POINTS)
+        grid = Grid(X_MAX, POINTS)
         partner = Partner(eps, grid)
         psi0, psi1 = partner.psi0.samples, partner.psi1.samples
         rows = zip(grid.x, partner.potential, psi0, psi1, psi0**2)
@@ -102,7 +102,7 @@ class TestTableBytes:
         monkeypatch.setattr(oracle, "verify_spectrum", flaky)
         quantities = ["separatrix", "curvature", "gap", "maxima_count",
                       "e0_error", "e1_error"]
-        grid = Grid.symmetric(X_MAX, POINTS)
+        grid = Grid(X_MAX, POINTS)
         rows = []
         for eps in map(float, eps_values):
             try:
@@ -122,7 +122,7 @@ class TestTableBytes:
 
     @pytest.mark.parametrize("eps", [-1.4, -2.5])
     def test_evolve_comments_and_footer(self, tmp_path, fmt, eps):
-        grid = Grid.symmetric(X_MAX, POINTS)
+        grid = Grid(X_MAX, POINTS)
         series = dynamics.evolve_series(eps, grid, 10.0, 11)
         comments = []
         if eps == -2.5:

@@ -25,7 +25,7 @@ from conftest import cached_report
 
 class TestBuildHamiltonian:
     def test_free_laplacian_stencil(self):
-        grid = Grid(-1.0, 1.0, 3)  # h = 1
+        grid = Grid(1.0, 3)  # h = 1
         H = TridiagonalHamiltonian(grid, np.zeros(3))
         matrix = np.column_stack([H.apply(e) for e in np.eye(3)])
         assert np.array_equal(matrix, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -43,14 +43,14 @@ class TestBuildHamiltonian:
         H = TridiagonalHamiltonian(default_grid, np.zeros(default_grid.n_points))
         (e0, _), = lowest_eigenpairs(H, 1)
         assert e0 >= 0.0
-        box = np.pi**2 / (default_grid.x_max - default_grid.x_min) ** 2
+        box = np.pi**2 / (2.0 * default_grid.x_max) ** 2
         assert e0 == pytest.approx(box, abs=2e-5)
 
 
 class TestEigensolverSelfTests:
     def test_harmonic_oscillator(self):
         # hbar = 2m = 1 units: E_n = 2n + 1 for V = x^2
-        grid = Grid.symmetric(15.0, 4001)
+        grid = Grid(15.0, 4001)
         H = TridiagonalHamiltonian(grid, grid.x**2)
         pairs = lowest_eigenpairs(H, 3)
         for n, (energy, _) in enumerate(pairs):
@@ -65,7 +65,7 @@ class TestEigensolverSelfTests:
     def test_deep_well(self):
         # bisection tolerance is relative: an absolute 1e-12 is below
         # ulp(1e4) and stalls
-        grid = Grid.symmetric(15.0, 4001)
+        grid = Grid(15.0, 4001)
         H = TridiagonalHamiltonian(grid, grid.x**2 - 1e4)
         (e0, _), (e1, _) = lowest_eigenpairs(H, 2)
         assert e0 == pytest.approx(-1e4 + 1, abs=1e-4)
@@ -77,7 +77,7 @@ class TestEigensolverSelfTests:
             lowest_eigenpairs(H, 7)
 
     def test_k_beyond_tiny_grid(self):
-        grid = Grid(-1.0, 1.0, 3)  # three levels in all
+        grid = Grid(1.0, 3)  # three levels in all
         with pytest.raises(ValueError):
             lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(3)), 4)
 
@@ -152,13 +152,13 @@ class TestEigenResidual:
     @pytest.mark.parametrize("n", [3, 5])
     def test_grid_without_interior_nodes_rejected(self, n):
         # edge exclusion leaves no node to measure: raise, do not return NaN
-        grid = Grid.symmetric(3.0, n)
+        grid = Grid(3.0, n)
         H = TridiagonalHamiltonian(grid, np.zeros(n))
         with pytest.raises(ValueError, match="at least 7 points"):
             eigen_residual(H, RealWave(grid, np.ones(n)), 0.0)
 
     def test_smallest_measurable_grid(self):
-        grid = Grid.symmetric(3.0, 7)
+        grid = Grid(3.0, 7)
         H = TridiagonalHamiltonian(grid, np.zeros(7))
         assert eigen_residual(H, RealWave(grid, np.ones(7)), 0.0) == 0.0
 
@@ -187,12 +187,12 @@ class TestIntertwining:
 
     def test_grid_without_interior_nodes_rejected(self):
         # chained stencils drop four nodes at each edge: none left of 7
-        grid = Grid.symmetric(3.0, 7)
+        grid = Grid(3.0, 7)
         with pytest.raises(ValueError, match="at least 9 points"):
             check_intertwining(Partner(-1.5, grid), RealWave(grid, np.exp(-grid.x**2)))
 
     def test_smallest_measurable_grid(self):
-        grid = Grid.symmetric(3.0, 9)
+        grid = Grid(3.0, 9)
         assert np.isfinite(check_intertwining(Partner(-1.5, grid), RealWave(grid, np.exp(-grid.x**2))))
 
 
@@ -232,7 +232,7 @@ class TestVerifySpectrum:
         # a 3-wide Dirichlet box pushes the upper level into the continuum,
         # so the double-well count check must fire
         with pytest.raises(BoundStateCountMismatch):
-            verify_spectrum(Partner(-1.05, Grid.symmetric(3.0, 601)))
+            verify_spectrum(Partner(-1.05, Grid(3.0, 601)))
 
 
 class TestVerify:

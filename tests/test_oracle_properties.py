@@ -16,7 +16,7 @@ def even_hamiltonians(draw, max_half=100):
     x_max = draw(st.floats(0.5, 20.0))
     half = draw(st.lists(st.floats(-1e3, 1e3), min_size=m + 1, max_size=m + 1))
     values = np.concatenate((half[:0:-1], half))
-    return TridiagonalHamiltonian(Grid.symmetric(x_max, 2 * m + 1), values)
+    return TridiagonalHamiltonian(Grid(x_max, 2 * m + 1), values)
 
 
 def dense_levels(H):

@@ -47,7 +47,7 @@ def assert_counts_match(H, lams):
 
 
 def partner(eps, n=4001):
-    return build_hamiltonian(Partner(eps, Grid.symmetric(20.0, n)))
+    return build_hamiltonian(Partner(eps, Grid(20.0, n)))
 
 
 def near(levels):
@@ -78,7 +78,7 @@ class TestTurningPointCount:
         assert_counts_match(H, near(levels))
 
     def test_deep_well(self):
-        grid = Grid.symmetric(15.0, 4001)
+        grid = Grid(15.0, 4001)
         H = TridiagonalHamiltonian(grid, grid.x**2 - 1e4)
         levels = [e for e, _ in lowest_eigenpairs(H, 2)]
         half = H.potential[grid.center_index:]
@@ -97,7 +97,7 @@ class TestTurningPointCount:
             return count
 
         monkeypatch.setattr(oracle, "_negative_pivots", measuring)
-        verify_spectrum(Partner(-1.5, Grid.symmetric(20.0, 4001)))
+        verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
         full = [f for f in read if f == 1.0]
         assert len(full) == 2  # both sectors at lam = 0, counted once each
         assert np.mean(read) < 0.5
@@ -113,7 +113,7 @@ class TestBoundCounts:
             return counted(H, lam, parity)
 
         monkeypatch.setattr(oracle, "sturm_count", counting)
-        verify_spectrum(Partner(-1.5, Grid.symmetric(20.0, 4001)))
+        verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
         assert sorted(c for c in calls if c[0] == 0.0) == [(0.0, 0), (0.0, 1)]
 
 
@@ -139,7 +139,7 @@ class TestTwistedVector:
         # n = 3: the odd sector is the single node x = h
         a = np.array([0.25])
         assert np.array_equal(oracle._twisted_vector(a, 1.0 + a[0], 0), [1.0])
-        grid = Grid(-1.0, 1.0, 3)
+        grid = Grid(1.0, 3)
         pairs = lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(3)), 3)
         assert [e for e, _ in pairs] == pytest.approx([2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
         odd = pairs[1][1].samples

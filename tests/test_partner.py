@@ -85,13 +85,13 @@ class TestLazyFields:
             Partner(-0.5, default_grid)
 
     def test_curve_runs_no_tail_check(self):
-        partner = Partner(-1.05, Grid.symmetric(6.0, 601))
+        partner = Partner(-1.05, Grid(6.0, 601))
         assert partner.potential[300] == 2.0 * -1.05 + 2.0
         with pytest.raises(transform.GridTooNarrow, match="ground state"):
             partner.psi0
 
     def test_wide_grid_overflows_nothing(self):
-        grid = Grid.symmetric(800.0, 16001)
+        grid = Grid(800.0, 16001)
         partner = Partner(-1.5, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -121,7 +121,7 @@ class TestLazyFields:
 
 
 def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
-    grid = Grid.symmetric(10.0, default_grid.n_points)
+    grid = Grid(10.0, default_grid.n_points)
     with pytest.raises(ValueError, match="partner's grid"):
         check_intertwining(Partner(-1.5, default_grid),
                            RealWave(grid, np.exp(-grid.x**2)))
@@ -130,7 +130,7 @@ def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-50.0, -1.0001), st.integers(1, 1000), st.floats(0.5, 800.0))
 def test_potential_is_finite_even_and_exact_at_the_centre(eps, half, x_max):
-    grid = Grid.symmetric(x_max, 2 * half + 1)
+    grid = Grid(x_max, 2 * half + 1)
     v = Partner(eps, grid).potential
     assert np.all(np.isfinite(v))
     assert np.array_equal(v, v[::-1])
@@ -142,6 +142,6 @@ def test_exports_resolve_and_the_wrapper_layer_is_gone():
     for name in shallowdw.__all__:
         assert hasattr(shallowdw, name), name
     for name in ("PotentialCurve", "FactorizationEnergy", "EpsilonLike",
-                 "potential_curve", "ground_state", "excited_state"):
+                 "potential_curve", "ground_state", "excited_state", "ComplexWave"):
         assert name not in shallowdw.__all__
         assert not hasattr(shallowdw, name) and not hasattr(transform, name)

@@ -45,8 +45,7 @@ class TestGrid:
         assert default_grid.h == pytest.approx(0.01)
         assert default_grid.x[default_grid.center_index] == 0.0
 
-    @pytest.mark.parametrize("args", [(-20.0, 20.0, 4000), (-19.0, 20.0, 4001),
-                                      (-1.0, 1.0, 2)])
+    @pytest.mark.parametrize("args", [(20.0, 4000), (1.0, 2)])
     def test_rejects_bad_meshes(self, args):
         with pytest.raises(ValueError):
             Grid(*args)
@@ -54,7 +53,7 @@ class TestGrid:
     @pytest.mark.parametrize("x_max", [float("inf"), float("nan"), 0.0, -2.0])
     def test_rejects_non_finite_or_non_positive_x_max(self, x_max):
         with pytest.raises(ValueError, match="x_max must be finite and positive"):
-            Grid.symmetric(x_max, 5)
+            Grid(x_max, 5)
 
 
 class TestSeedFunction:
@@ -174,16 +173,14 @@ class TestGroundState:
     def test_maxima_counts(self, default_grid):
         from shallowdw import count_density_maxima
 
-        rho_bimodal = RealWave(default_grid,
-                               Partner(-1.10, default_grid).psi0.samples ** 2)
-        rho_central = RealWave(default_grid,
-                               Partner(-2.25, default_grid).psi0.samples ** 2)
+        rho_bimodal = Partner(-1.10, default_grid).psi0.samples ** 2
+        rho_central = Partner(-2.25, default_grid).psi0.samples ** 2
         assert count_density_maxima(rho_bimodal) == 2
         assert count_density_maxima(rho_central) == 1
 
     def test_grid_too_narrow(self):
         with pytest.raises(GridTooNarrow):
-            Partner(-1.05, Grid.symmetric(5.0, 1001)).psi0
+            Partner(-1.05, Grid(5.0, 1001)).psi0
 
 
 class TestBaseGroundState:
@@ -197,7 +194,7 @@ class TestBaseGroundState:
 
     def test_narrow_grid_rejected(self):
         with pytest.raises(GridTooNarrow):
-            base_ground_state(Grid.symmetric(8.0, 1601))
+            base_ground_state(Grid(8.0, 1601))
 
 
 class TestLadderOperators:

@@ -7,7 +7,6 @@ from shallowdw import (
     Grid,
     InvalidEpsilon,
     Partner,
-    RealWave,
     WellKind,
     base_ground_state,
     check_bimodality_relation,
@@ -63,17 +62,17 @@ class TestClassify:
 class TestDensityMaxima:
     def test_base_well_density_is_unimodal(self, default_grid):
         phi = base_ground_state(default_grid)
-        assert count_density_maxima(RealWave(default_grid, phi.samples**2)) == 1
+        assert count_density_maxima(phi.samples**2) == 1
 
     def test_synthetic_bimodal(self, default_grid):
         x = default_grid.x
         rho = np.exp(-((x - 1.5) ** 2)) + np.exp(-((x + 1.5) ** 2))
-        assert count_density_maxima(RealWave(default_grid, rho)) == 2
+        assert count_density_maxima(rho) == 2
 
     def test_plateau_not_double_counted(self, default_grid):
         # perfectly flat top: one maximum, not two
         rho = np.minimum(np.exp(-default_grid.x**2), 0.5)
-        assert count_density_maxima(RealWave(default_grid, rho)) == 1
+        assert count_density_maxima(rho) == 1
 
 
 class TestBimodalityRelation:
