@@ -166,8 +166,13 @@ def curvature_at_origin(eps: float) -> float:
     return 4.0 * (3.0 + 4.0 * eps_val + eps_val * eps_val)
 
 
-def _check_tail(samples: np.ndarray, what: str) -> None:
+def _check_tail(samples: np.ndarray, what: str, grid: Grid) -> None:
     peak = np.max(np.abs(samples))
+    if peak == 0.0:
+        raise GridTooNarrow(
+            f"{what} is zero on every node of {grid}; the nodes miss the "
+            "state, use more points or a smaller x_max"
+        )
     tail = max(abs(samples[0]), abs(samples[-1]))
     if tail > TAIL_TOL * peak:
         raise GridTooNarrow(
@@ -221,7 +226,7 @@ class Partner:
         p = self._seed
         # u < 0 everywhere, so -1/u is the positive branch
         samples = -np.exp(-p.growth) / p.u
-        _check_tail(samples, "ground state")
+        _check_tail(samples, "ground state", self.grid)
         return RealWave(self.grid, samples).normalize()
 
     @cached_property
@@ -235,7 +240,7 @@ class Partner:
         """
         grid = self.grid
         samples = (np.tanh(grid.x) + self.w) * self._seed.sech
-        _check_tail(samples, "excited state")
+        _check_tail(samples, "excited state", grid)
         wave = RealWave(grid, samples).normalize()
         if wave.samples[grid.center_index + 1] < 0.0:
             wave = RealWave(grid, -wave.samples)

@@ -110,6 +110,18 @@ class TestStatesCommand:
         assert run(["states", "--epsilon", -1.05, "--x-max", 5,
                     "--points", 1001, "--out", out]) == 3
 
+    def test_state_zero_on_every_node_exits_3(self, capsys):
+        # nodes at 0, +-1000 and +-2000: psi1 is 0 at the centre and
+        # underflows to 0 on the others
+        assert run(["states", "--epsilon", -1.5, "--x-max", 2000,
+                    "--points", 5]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: excited state is zero on every node of Grid(x_max=2000.0, "
+            "n_points=5); the nodes miss the state, use more points or a "
+            "smaller x_max\n")
+
 
 class TestVerifyCommand:
     def test_pass_and_report_fields(self, tmp_path):
@@ -229,6 +241,15 @@ class TestEvolveCommand:
              analytic_period(-1.5) / 2, "--frames", 2, "--out", out])
         _, rows, _ = read_csv(out)
         assert rows[0, 1] + rows[1, 1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_state_zero_on_every_node_exits_3(self, capsys):
+        assert run(["evolve", "--epsilon", -1.5, "--x-max", 2000,
+                    "--points", 5]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: excited state is zero on every "
+                                       "node of Grid(x_max=2000.0, n_points=5)")
 
     def test_above_barrier_warning_comment(self, tmp_path):
         out = tmp_path / "evolve.csv"
