@@ -34,6 +34,9 @@ class Grid:
             raise ValueError("x_max must be finite and positive")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
+        if not np.isfinite(self.h * self.h):
+            raise ValueError(f"grid spacing h = {self.h!r} is too large: "
+                             "h^2 overflows")
 
     @classmethod
     def default(cls) -> "Grid":

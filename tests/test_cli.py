@@ -365,6 +365,18 @@ class TestExitCodeTable:
         assert "x_max must be finite and positive" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--epsilon", -1.5],
+        ["sweep", "--eps-start", -2.5, "--eps-end", -1.5, "--steps", 2,
+         "--quantities", "e0_error"],
+    ], ids=["verify", "sweep"])
+    def test_spacing_whose_square_overflows_is_bad_args(self, args, capsys):
+        assert run([*args, "--x-max", "2.7e154", "--points", 5]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: grid spacing h = 1.35e+154 is too large: h^2 overflows\n")
+
     @pytest.mark.parametrize("t_max", ["nan", "inf"])
     def test_non_finite_t_max_is_bad_args(self, t_max, capsys):
         with warnings.catch_warnings():

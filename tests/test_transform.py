@@ -50,6 +50,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(*args)
 
+    def test_rejects_spacing_whose_square_overflows(self):
+        assert Grid(1e154, 5).h == 5e153
+        with pytest.raises(ValueError, match="h\\^2 overflows"):
+            Grid(2.7e154, 5)
+
     @pytest.mark.parametrize("x_max", [float("inf"), float("nan"), 0.0, -2.0])
     def test_rejects_non_finite_or_non_positive_x_max(self, x_max):
         with pytest.raises(ValueError, match="x_max must be finite and positive"):
