@@ -331,9 +331,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    try:
+        return float(token) < 0.0
+    except ValueError:
+        return False
+
+
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """Join '--flag -1e6' into '--flag=-1e6'.
+
+    argparse reads '-1e6' or '-inf' as an option string (only forms like
+    '-2' and '-1.5' look numeric to it), which leaves the flag before it
+    without a value.  Every long option but --help takes one value.
+    """
+    out: List[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and "=" not in flag
+                and not "--help".startswith(flag) and _is_negative_number(token)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         config = _load_config(args.config)
         return args.func(args, config)
