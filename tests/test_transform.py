@@ -45,15 +45,11 @@ class TestGrid:
         assert default_grid.h == pytest.approx(0.01)
         assert default_grid.x[default_grid.center_index] == 0.0
 
-    @pytest.mark.parametrize("args", [(20.0, 4000), (1.0, 2)])
+    # the last spacing, 1.35e154, squares to inf
+    @pytest.mark.parametrize("args", [(20.0, 4000), (1.0, 2), (2.7e154, 5)])
     def test_rejects_bad_meshes(self, args):
         with pytest.raises(ValueError):
             Grid(*args)
-
-    def test_rejects_spacing_whose_square_overflows(self):
-        assert Grid(1e154, 5).h == 5e153
-        with pytest.raises(ValueError, match="h\\^2 overflows"):
-            Grid(2.7e154, 5)
 
     @pytest.mark.parametrize("x_max", [float("inf"), float("nan"), 0.0, -2.0])
     def test_rejects_non_finite_or_non_positive_x_max(self, x_max):
