@@ -15,10 +15,9 @@ A command, or a sweep row, takes every closed form of its eps from one
 
 All numbers are written with the shortest round-trip decimal representation,
 so repeated runs are byte-identical and every emitted file parses back
-losslessly.  Exit codes: 0 ok, 1 verification failed, 2 bad arguments,
-3 grid too narrow or too coarse to hold the bound states, 4 eigensolver
-failure.  A sweep whose every row fails exits 4 if any row's solver failed,
-else 3.
+losslessly.  Exit codes: 0 ok, 1 verification failed, and for each error
+the code of its first row in ``EXIT_CODES``.  A sweep whose every row fails
+exits with the highest code of its rows.
 """
 
 from __future__ import annotations
@@ -43,6 +42,18 @@ EXIT_BAD_ARGS = 2
 EXIT_GRID = 3
 EXIT_SOLVER = 4
 
+# exception -> exit code, first match wins: GridTooNarrow is a ValueError.
+# -3 < eps < -1 always has two bound states, so a count mismatch means the
+# grid cannot hold them.
+EXIT_CODES = (
+    (GridTooNarrow, EXIT_GRID),
+    (oracle.BoundStateCountMismatch, EXIT_GRID),
+    (oracle.ConvergenceFailure, EXIT_SOLVER),
+    (ValueError, EXIT_BAD_ARGS),
+)
+# what fails one sweep row but not the whole sweep
+ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
+
 CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk; bounds the text held at once
 
 # sweep column -> value(partner, report); report() is the cached oracle run
@@ -61,6 +72,10 @@ CLASSIFY_VERDICTS = {
     wells.WellKind.BOUNDARY: "boundary case",
     wells.WellKind.SINGLE_WELL: "not a double well",
 }
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
@@ -135,31 +150,8 @@ def _load_config(path: Optional[str]) -> Dict[str, str]:
     return config
 
 
-def _resolve(args, config: Dict[str, str], key: str, cast, fallback):
-    """Flag wins over config file wins over built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    return fallback
-
-
-def _grid_from(args, config) -> Grid:
-    default = Grid.default()
-    return Grid(_resolve(args, config, "x_max", float, default.x_max),
-                _resolve(args, config, "points", int, default.n_points))
-
-
-def _epsilon_from(args, config) -> float:
-    eps = _resolve(args, config, "epsilon", float, None)
-    if eps is None:
-        raise InvalidEpsilon("--epsilon is required (eps < -1)")
-    return float(eps)
-
-
-def cmd_potential(args, config) -> int:
-    partner = Partner(_epsilon_from(args, config), _grid_from(args, config))
+def cmd_potential(args) -> int:
+    partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     x, v = partner.grid.x, partner.potential
     del partner  # its seed arrays need not live through the emission
     _emit_table(args, ("x", "V"), (x, v))
@@ -168,8 +160,8 @@ def cmd_potential(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_states(args, config) -> int:
-    partner = Partner(_epsilon_from(args, config), _grid_from(args, config))
+def cmd_states(args) -> int:
+    partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     x, v, psi0, psi1 = (partner.grid.x, partner.potential,
                         partner.psi0.samples, partner.psi1.samples)
     del partner  # its seed arrays need not live through the emission
@@ -177,8 +169,8 @@ def cmd_states(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, config) -> int:
-    report = oracle.verify(_epsilon_from(args, config), _grid_from(args, config))
+def cmd_verify(args) -> int:
+    report = oracle.verify(args.epsilon, Grid(args.x_max, args.points))
     payload = {**asdict(report), "passed": report.passed}
     _write_text(args.out, [json.dumps(payload, indent=2) + "\n"])
     for check in report.checks:
@@ -188,8 +180,8 @@ def cmd_verify(args, config) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_classify(args, config) -> int:
-    partner = Partner(_epsilon_from(args, config), _grid_from(args, config))
+def cmd_classify(args) -> int:
+    partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     result = wells.classify(partner)
     if args.format == "json":
         payload = {**asdict(result), "kind": result.kind.value}
@@ -204,14 +196,13 @@ def cmd_classify(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args, config) -> int:
-    eps = _epsilon_from(args, config)
-    grid = _grid_from(args, config)
-    t_max = _resolve(args, config, "t_max", float, None)
-    frames = _resolve(args, config, "frames", int, 201)
+def cmd_evolve(args) -> int:
+    eps = args.epsilon
+    grid = Grid(args.x_max, args.points)
+    t_max = args.t_max
     if t_max is None:
         t_max = 2.0 * dynamics.analytic_period(eps)
-    series = dynamics.evolve_series(eps, grid, t_max, frames)
+    series = dynamics.evolve_series(eps, grid, t_max, args.frames)
     comments = []
     if separatrix_energy(eps) <= eps:
         comments.append(
@@ -235,50 +226,45 @@ def _sweep_row(eps: float, grid: Grid, quantities: List[str]) -> tuple:
     return tuple(values[q] for q in quantities)
 
 
-def cmd_sweep(args, config) -> int:
-    eps_start = _resolve(args, config, "eps_start", float, None)
-    eps_end = _resolve(args, config, "eps_end", float, None)
-    steps = _resolve(args, config, "steps", int, None)
+def cmd_sweep(args) -> int:
+    eps_start, eps_end, steps = args.eps_start, args.eps_end, args.steps
     if eps_start is None or eps_end is None or steps is None or steps < 1:
         raise ValueError("sweep requires --eps-start, --eps-end and --steps >= 1")
     if not eps_start < eps_end or eps_end > EPSILON_MAX:
         raise ValueError("sweep range must satisfy eps_start < eps_end <= -1 - 1e-9")
-    raw = _resolve(args, config, "quantities", str, "separatrix,curvature,gap")
-    quantities = [q.strip() for q in raw.split(",") if q.strip()]
+    quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     bad = [q for q in quantities if q not in SWEEP_QUANTITIES]
     if bad or not quantities:
         raise ValueError(f"unknown sweep quantities: {', '.join(bad) or '(none given)'}; "
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
 
-    grid = _grid_from(args, config)
+    grid = Grid(args.x_max, args.points)
     eps_values = np.linspace(eps_start, eps_end, steps)
     rows = []
-    failures = []
+    codes = []
     for eps in eps_values:
         try:
             rows.append((float(eps),) + _sweep_row(float(eps), grid, quantities))
-        except (GridTooNarrow, oracle.ConvergenceFailure,
-                oracle.BoundStateCountMismatch) as exc:
+        except ROW_FAILURES as exc:
             print(f"warning: eps={eps}: {exc}", file=sys.stderr)
             rows.append((float(eps),) + (float("nan"),) * len(quantities))
-            failures.append(exc)
+            codes.append(_exit_code(exc))
     # object dtype keeps maxima_count's ints as ints next to NaN rows
     _emit_table(args, ("epsilon", *quantities), np.array(rows, dtype=object).T)
-    if len(failures) < len(eps_values):
-        return EXIT_OK
-    if any(isinstance(exc, oracle.ConvergenceFailure) for exc in failures):
-        return EXIT_SOLVER
-    return EXIT_GRID
+    # every row failed: a solver failure outranks a grid error
+    return EXIT_OK if len(codes) < len(eps_values) else max(codes)
 
 
-def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, config: Dict[str, str],
+                epsilon: bool = True) -> None:
     if epsilon:
-        parser.add_argument("--epsilon", type=float, default=None,
+        parser.add_argument("--epsilon", type=float, default=config.get("epsilon"),
                             help="factorization energy (must be < -1)")
     grid = Grid.default()
-    parser.add_argument("--x-max", dest="x_max", type=float, default=None,
+    parser.add_argument("--x-max", dest="x_max", type=float,
+                        default=config.get("x_max", grid.x_max),
                         help=f"half-width of the symmetric grid (default {grid.x_max:g})")
-    parser.add_argument("--points", type=int, default=None,
+    parser.add_argument("--points", type=int, default=config.get("points", grid.n_points),
                         help=f"odd number of grid nodes (default {grid.n_points})")
     parser.add_argument("--out", default=None, help="output path ('-' = stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -286,7 +272,10 @@ def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
                         help="key=value config file; flags take precedence")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
+    # config values become string defaults; argparse applies an option's type
+    # to one only when its flag is absent, so flag beats file beats built-in
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="shallowdw",
         description="Exactly soluble shallow double wells: closed-form states, "
@@ -295,37 +284,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("potential", help="emit x,V samples")
-    _add_common(p)
+    _add_common(p, config)
     p.add_argument("--svg", default=None, help="also write an SVG polyline")
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("states", help="emit x,V,psi0,psi1,rho0 samples")
-    _add_common(p)
+    _add_common(p, config)
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("verify", help="JSON spectrum-verification report")
-    _add_common(p)
+    _add_common(p, config)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="interval taxonomy verdict")
-    _add_common(p)
+    _add_common(p, config)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evolve", help="left-well probability time series")
-    _add_common(p)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None,
+    _add_common(p, config)
+    p.add_argument("--t-max", dest="t_max", type=float, default=config.get("t_max"),
                    help="final time (default: two oscillation periods)")
-    p.add_argument("--frames", type=int, default=None,
+    p.add_argument("--frames", type=int, default=config.get("frames", 201),
                    help="number of uniform time samples (default 201)")
     p.add_argument("--svg", default=None, help="also write an SVG polyline")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("sweep", help="tabulate quantities over an eps range")
-    _add_common(p, epsilon=False)
-    p.add_argument("--eps-start", dest="eps_start", type=float, default=None)
-    p.add_argument("--eps-end", dest="eps_end", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--quantities", default=None,
+    _add_common(p, config, epsilon=False)
+    p.add_argument("--eps-start", dest="eps_start", type=float,
+                   default=config.get("eps_start"))
+    p.add_argument("--eps-end", dest="eps_end", type=float, default=config.get("eps_end"))
+    p.add_argument("--steps", type=int, default=config.get("steps"))
+    p.add_argument("--quantities",
+                   default=config.get("quantities", "separatrix,curvature,gap"),
                    help=f"comma-separated subset of {','.join(SWEEP_QUANTITIES)}")
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -357,24 +348,18 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(
-        sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
-    except (GridTooNarrow, oracle.BoundStateCountMismatch) as exc:
-        # GridTooNarrow subclasses ValueError: caught before the bad-args
-        # handler.  -3 < eps < -1 always has two bound states, so a count
-        # mismatch means the grid cannot hold them.
+        if args.config is not None:
+            # parsed again only now, so a usage error comes before a config error
+            args = build_parser(_load_config(args.config)).parse_args(argv)
+        if getattr(args, "epsilon", 0.0) is None:  # sweep has no --epsilon
+            raise InvalidEpsilon("--epsilon is required (eps < -1)")
+        return args.func(args)
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID
-    except (InvalidEpsilon, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except oracle.ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

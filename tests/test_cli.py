@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shallowdw
-from shallowdw import oracle, wells
+from shallowdw import cli, oracle, wells
 from shallowdw.cli import main
 
 
@@ -350,6 +350,40 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epsilon -2.25\n")
         assert run(["potential", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command, settings", [
+        ("evolve", {"epsilon": "-1.5", "x-max": "25", "points": "501",
+                    "t_max": "4", "frames": "5"}),
+        ("sweep", {"eps-start": "-2.5", "eps_end": "-1.5", "steps": "3",
+                   "quantities": "gap,maxima_count", "points": "201"}),
+    ])
+    def test_every_key_reads_like_its_flag(self, command, settings, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
+                       + "colour = blue  # unknown keys are ignored\n")
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        from_file = run_captured([command, "--config", str(cfg)], capsys)
+        assert from_file[0] == 0 and from_file[1]
+        assert from_file == run_captured([command, *flags], capsys)
+
+    def test_bad_value_is_rejected_by_its_flags_type(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epsilon = -1.5\npoints = abc\n")
+        code, out, err = run_captured(["potential", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --points: invalid int value: 'abc'\n")
+
+    @pytest.mark.parametrize("config, builds", [(False, 1), (True, 2)])
+    def test_parser_built_again_only_for_a_config(self, config, builds, tmp_path,
+                                                   monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = 101\n")
+        calls = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or real(*a))
+        assert run(["classify", "--epsilon", -1.5,
+                    *(["--config", cfg] if config else [])]) == 0
+        assert len(calls) == builds
 
 
 class TestExitCodeTable:
