@@ -50,6 +50,7 @@ EXIT_CODES = (
     (oracle.BoundStateCountMismatch, EXIT_GRID),
     (oracle.ConvergenceFailure, EXIT_SOLVER),
     (ValueError, EXIT_BAD_ARGS),
+    (OSError, EXIT_BAD_ARGS),
 )
 # what fails one sweep row but not the whole sweep
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))

@@ -421,6 +421,16 @@ class TestExitCodeTable:
         assert "t_max must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args", [
+        ["--config", "/nonexistent/run.cfg"],
+        ["--out", "/nonexistent/dir/x.csv"],
+        ["--svg", "/nonexistent/x.svg", "--out", os.devnull],
+    ], ids=["config", "out", "svg"])
+    def test_unusable_file_path_is_bad_args(self, args, capsys):
+        code, out, err = run_captured(["potential", "--epsilon", "-1.5", *args], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_epsilon_is_bad_args(self):
         assert run(["potential"]) == 2
 
