@@ -7,7 +7,7 @@ inter-well oscillation of the equal-weight superposition.
 """
 
 from .dynamics import OscillationSeries, analytic_period, evolve_series
-from .grids import Grid, GridTooNarrow, RealWave
+from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave
 from .oracle import (
     BoundStateCountMismatch,
     ConvergenceFailure,
@@ -47,6 +47,7 @@ __all__ = [
     "BoundStateCountMismatch",
     "ConvergenceFailure",
     "Grid",
+    "GridTooCoarse",
     "GridTooNarrow",
     "InvalidEpsilon",
     "OscillationSeries",

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from . import dynamics, oracle, wells
-from .grids import Grid, GridTooNarrow
+from .grids import Grid, GridTooCoarse, GridTooNarrow
 from .transform import (EPSILON_MAX, InvalidEpsilon, Partner, curvature_at_origin,
                         separatrix_energy)
 
@@ -42,11 +42,12 @@ EXIT_BAD_ARGS = 2
 EXIT_GRID = 3
 EXIT_SOLVER = 4
 
-# exception -> exit code, first match wins: GridTooNarrow is a ValueError.
+# exception -> exit code, first match wins: the grid errors are ValueErrors.
 # -3 < eps < -1 always has two bound states, so a count mismatch means the
 # grid cannot hold them.
 EXIT_CODES = (
     (GridTooNarrow, EXIT_GRID),
+    (GridTooCoarse, EXIT_GRID),
     (oracle.BoundStateCountMismatch, EXIT_GRID),
     (oracle.ConvergenceFailure, EXIT_SOLVER),
     (ValueError, EXIT_BAD_ARGS),

@@ -18,6 +18,10 @@ class GridTooNarrow(ValueError):
     """The grid does not reach far enough into the decay tails."""
 
 
+class GridTooCoarse(ValueError):
+    """The grid spacing is too large to resolve the bound states."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh on [-x_max, x_max] with an odd number of nodes.

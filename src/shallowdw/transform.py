@@ -34,10 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Grid, GridTooNarrow, RealWave, first_derivative
+from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave, first_derivative
 
 EPSILON_MAX = -1.0 - 1e-9  # transform degenerates (V -> 0) as eps -> -1
 TAIL_TOL = 1e-6  # max allowed |psi(x_max)| / max|psi| before GridTooNarrow
+# max allowed h * max(1, k) before GridTooCoarse: below two nodes per decay
+# length 1/k of psi0, or per unit width of the sech^2 well, the samples no
+# longer show the states' shape (a density-maxima count reads 0 or 1 for 2)
+COARSE_KH = 0.5
 
 
 class InvalidEpsilon(ValueError):
@@ -166,7 +170,9 @@ def curvature_at_origin(eps: float) -> float:
     return 4.0 * (3.0 + 4.0 * eps_val + eps_val * eps_val)
 
 
-def _check_tail(samples: np.ndarray, what: str, grid: Grid) -> None:
+def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> None:
+    """GridTooNarrow or GridTooCoarse unless the grid holds the sampled state."""
+    grid = partner.grid
     peak = np.max(np.abs(samples))
     if peak == 0.0:
         raise GridTooNarrow(
@@ -180,6 +186,12 @@ def _check_tail(samples: np.ndarray, what: str, grid: Grid) -> None:
             f"(|psi(x_max)|/peak = {tail / peak:.2e} > {TAIL_TOL:.0e}); "
             "increase x_max"
         )
+    kh = grid.h * max(1.0, np.sqrt(-partner.epsilon))
+    if kh > COARSE_KH:
+        raise GridTooCoarse(
+            f"{grid} is too coarse for the {what}: h * max(1, sqrt(-eps)) = "
+            f"{kh:.3g} > {COARSE_KH}; use more points or a smaller x_max"
+        )
 
 
 @dataclass(frozen=True)
@@ -187,8 +199,9 @@ class Partner:
     """The closed forms of the partner Hamiltonian at one eps on one grid.
 
     Every field is computed on first use, and all of them from one
-    evaluation of the seed.  Only ``psi0`` and ``psi1`` check the decay
-    tails, so reading ``potential`` never raises GridTooNarrow.
+    evaluation of the seed.  Only ``psi0`` and ``psi1`` check the grid
+    against the states, so reading ``potential`` never raises GridTooNarrow
+    or GridTooCoarse.
     """
 
     epsilon: float
@@ -221,12 +234,13 @@ class Partner:
         """Normalized ground state, proportional to 1/u.
 
         Even, strictly positive, energy eps.  Raises GridTooNarrow when the
-        grid does not contain the decay tails.
+        grid does not contain the decay tails, GridTooCoarse when its spacing
+        cannot resolve them.
         """
         p = self._seed
         # u < 0 everywhere, so -1/u is the positive branch
         samples = -np.exp(-p.growth) / p.u
-        _check_tail(samples, "ground state", self.grid)
+        _check_samples(samples, "ground state", self)
         return RealWave(self.grid, samples).normalize()
 
     @cached_property
@@ -240,7 +254,7 @@ class Partner:
         """
         grid = self.grid
         samples = (np.tanh(grid.x) + self.w) * self._seed.sech
-        _check_tail(samples, "excited state", grid)
+        _check_samples(samples, "excited state", self)
         wave = RealWave(grid, samples).normalize()
         if wave.samples[grid.center_index + 1] < 0.0:
             wave = RealWave(grid, -wave.samples)

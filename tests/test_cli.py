@@ -112,15 +112,15 @@ class TestStatesCommand:
 
     def test_state_zero_on_every_node_exits_3(self, capsys):
         # nodes at 0, +-1000 and +-2000: psi1 is 0 at the centre and
-        # underflows to 0 on the others
+        # underflows to 0 on the others; psi0, read first, is too coarse
         assert run(["states", "--epsilon", -1.5, "--x-max", 2000,
                     "--points", 5]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: excited state is zero on every node of Grid(x_max=2000.0, "
-            "n_points=5); the nodes miss the state, use more points or a "
-            "smaller x_max\n")
+            "error: Grid(x_max=2000.0, n_points=5) is too coarse for the ground "
+            "state: h * max(1, sqrt(-eps)) = 1.22e+03 > 0.5; use more points "
+            "or a smaller x_max\n")
 
 
 class TestVerifyCommand:
@@ -248,8 +248,8 @@ class TestEvolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: excited state is zero on every "
-                                       "node of Grid(x_max=2000.0, n_points=5)")
+        assert captured.err.startswith("error: Grid(x_max=2000.0, n_points=5) is "
+                                       "too coarse for the ground state")
 
     def test_above_barrier_warning_comment(self, tmp_path):
         out = tmp_path / "evolve.csv"
@@ -316,6 +316,12 @@ class TestSweepCommand:
                     "--steps", 4, "--x-max", 3, "--points", 601,
                     "--quantities", quantities]) == 3
         assert capsys.readouterr().err.count("warning: eps=") == 4
+
+    def test_every_row_too_coarse_exits_3(self, capsys):
+        assert run(["sweep", "--eps-start", -2.5, "--eps-end", -1.5, "--steps", 2,
+                    "--x-max", 1000, "--points", 101,
+                    "--quantities", "maxima_count"]) == 3
+        assert capsys.readouterr().err.count("is too coarse for the ground state") == 2
 
     def test_every_row_failing_with_a_solver_failure_exits_4(self, monkeypatch):
         # the first rows' solver fails; the last row's bound-state count
@@ -411,6 +417,17 @@ class TestExitCodeTable:
         assert captured.err == (
             "error: grid spacing h = 1.35e+154 is too large: h^2 overflows\n")
 
+    @pytest.mark.parametrize("args", [
+        ["classify", "--epsilon", "-1.5", "--x-max", "2000", "--points", "5"],
+        ["classify", "--epsilon", "-1.5", "--x-max", "1e150", "--points", "5"],
+        ["verify", "--epsilon=-1e4"],
+    ], ids=["classify-2000", "classify-1e150", "verify-1e4"])
+    def test_grid_too_coarse_for_the_ground_state_is_a_grid_error(self, args, capsys):
+        code, out, err = run_captured(args, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: Grid(") and err.count("\n") == 1
+        assert "is too coarse for the ground state" in err
+
     @pytest.mark.parametrize("t_max", ["nan", "inf"])
     def test_non_finite_t_max_is_bad_args(self, t_max, capsys):
         with warnings.catch_warnings():
@@ -451,7 +468,7 @@ def run_captured(args, capsys):
 
 
 @pytest.mark.parametrize("args, code", [
-    (["classify", "--epsilon", "-1e6"], 0),
+    (["classify", "--epsilon", "-1e6"], 3),  # k h = 10: the grid is too coarse
     (["potential", "--epsilon", "-1e20", "--points", "11"], 0),
     (["evolve", "--epsilon", "-1.5e0", "--frames", "3"], 0),
     (["classify", "--epsilon", "-1e-3"], 2),

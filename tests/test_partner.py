@@ -90,6 +90,14 @@ class TestLazyFields:
         with pytest.raises(transform.GridTooNarrow, match="ground state"):
             partner.psi0
 
+    @pytest.mark.parametrize("state", ["psi0", "psi1"])
+    def test_spacing_checked_against_the_decay_length(self, state):
+        # eps = -4: k = 2, so h = 0.25 is exactly two nodes per decay length
+        assert getattr(Partner(-4.0, Grid(25.0, 201)), state).norm_squared() == (
+            pytest.approx(1.0, abs=1e-10))
+        with pytest.raises(transform.GridTooCoarse, match="too coarse"):
+            getattr(Partner(-4.0, Grid(25.0, 199)), state)
+
     def test_wide_grid_overflows_nothing(self):
         grid = Grid(800.0, 16001)
         partner = Partner(-1.5, grid)
