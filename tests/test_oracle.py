@@ -236,6 +236,18 @@ class TestVerifySpectrum:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("eps", [-1.5, -2.25])
+    def test_finer_grids_pass_with_falling_errors(self, eps):
+        # a finer grid must never turn a pass into a fail; the errors fall
+        # like h^2 under the 3-point stencil
+        sizes = (4001, 16001, 64001, 256001)
+        reports = [oracle.verify(eps, Grid(20.0, n)) for n in sizes]
+        assert [(n, c.name) for n, report in zip(sizes, reports)
+                for c in report.checks if not c.passed] == []
+        for attr in ("e0_error", "e1_error"):
+            errors = [getattr(report, attr) for report in reports]
+            assert all(a > b for a, b in zip(errors, errors[1:])), (attr, errors)
+
     @pytest.mark.parametrize("eps, failed", [
         (-1.5, []),
         (-2.0, []),
