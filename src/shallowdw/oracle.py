@@ -41,7 +41,7 @@ import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class TridiagonalHamiltonian:
 
     grid: Grid
     potential: np.ndarray = field(repr=False)
-    # sector -> its levels below 0, counted at most once (see _bound_count)
-    _bound_counts: Dict[int, int] = field(default_factory=dict, init=False,
-                                          repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.potential, dtype=float)
@@ -114,6 +111,15 @@ class TridiagonalHamiltonian:
         """min V over x_i .. x_max for each node x_i >= 0; non-decreasing."""
         half = self.potential[self.grid.center_index:]
         return np.minimum.accumulate(half[::-1])[::-1]
+
+    @cached_property
+    def bound_counts(self) -> Tuple[int, int]:
+        """Levels below 0 of the even and of the odd sector.
+
+        V < 0 on the whole grid for the partner well, so these counts cannot
+        stop at a turning point; they are the only full-length passes.
+        """
+        return sturm_count(self, 0.0, 0), sturm_count(self, 0.0, 1)
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Matrix-vector product with implicit Dirichlet walls."""
@@ -198,17 +204,6 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int | None = None
     return sum(_sector_count(H, lam, p) for p in parities)
 
 
-def _bound_count(H: TridiagonalHamiltonian, parity: int) -> int:
-    """Levels of one sector below 0, counted once per Hamiltonian.
-
-    V < 0 on the whole grid for the partner well, so these counts cannot
-    stop at a turning point; they are the only full-length passes.
-    """
-    if parity not in H._bound_counts:
-        H._bound_counts[parity] = sturm_count(H, 0.0, parity)
-    return H._bound_counts[parity]
-
-
 def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
              resolution: float) -> Tuple[float, float]:
     """Sturm-certified [lo, hi] around level `index` of one sector.
@@ -218,7 +213,7 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
     """
     v_min = float(np.min(H.potential))
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
-    if v_min >= 0.0 or _bound_count(H, parity) <= index:
+    if v_min >= 0.0 or H.bound_counts[parity] <= index:
         hi = float(np.max(H.potential)) + 4.0 / H.grid.h**2
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= resolution:
@@ -402,7 +397,7 @@ def verify_spectrum(partner: Partner) -> SpectrumReport:
     H = build_hamiltonian(partner)
 
     if -3.0 < eps_val < -1.0:
-        negatives = _bound_count(H, 0) + _bound_count(H, 1)
+        negatives = sum(H.bound_counts)
         if negatives != 2:
             raise BoundStateCountMismatch(
                 f"expected 2 bound states for eps={eps_val}, found {negatives}"
