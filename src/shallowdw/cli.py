@@ -135,10 +135,8 @@ def _write_svg(path: str, xs: np.ndarray, ys: np.ndarray) -> None:
         fh.write(svg)
 
 
-def _load_config(path: Optional[str]) -> Dict[str, str]:
+def _load_config(path: str) -> Dict[str, str]:
     """key=value config file; '#' comments; dashes and underscores equivalent."""
-    if path is None:
-        return {}
     config: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -229,10 +227,9 @@ def _sweep_row(eps: float, grid: Grid, quantities: List[str]) -> tuple:
 
 
 def cmd_sweep(args) -> int:
-    eps_start, eps_end, steps = args.eps_start, args.eps_end, args.steps
-    if eps_start is None or eps_end is None or steps is None or steps < 1:
+    if args.eps_start is None or args.eps_end is None or args.steps is None or args.steps < 1:
         raise ValueError("sweep requires --eps-start, --eps-end and --steps >= 1")
-    if not eps_start < eps_end or eps_end > EPSILON_MAX:
+    if not args.eps_start < args.eps_end or args.eps_end > EPSILON_MAX:
         raise ValueError("sweep range must satisfy eps_start < eps_end <= -1 - 1e-9")
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     bad = [q for q in quantities if q not in SWEEP_QUANTITIES]
@@ -241,7 +238,7 @@ def cmd_sweep(args) -> int:
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
 
     grid = Grid(args.x_max, args.points)
-    eps_values = np.linspace(eps_start, eps_end, steps)
+    eps_values = np.linspace(args.eps_start, args.eps_end, args.steps)
     rows = []
     codes = []
     for eps in eps_values:
