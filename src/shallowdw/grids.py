@@ -38,9 +38,10 @@ class Grid:
             raise ValueError("x_max must be finite and positive")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
-        if not np.isfinite(self.h * self.h):
-            raise ValueError(f"grid spacing h = {self.h!r} is too large: "
-                             "h^2 overflows")
+        h2 = self.h * self.h
+        if not 0.0 < h2 < np.inf:
+            size = "large: h^2 overflows" if h2 else "small: h^2 underflows"
+            raise ValueError(f"grid spacing h = {self.h!r} is too {size}")
 
     @classmethod
     def default(cls) -> "Grid":

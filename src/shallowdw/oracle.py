@@ -363,10 +363,9 @@ def check_intertwining(partner: Partner, f: RealWave) -> float:
     diff = (-second_derivative(w * samples, h) + partner.potential * af
             + first_derivative(v_base * samples, h) - w * eta_f)
 
-    scale = np.max(np.abs(rhs[sl]))
-    if scale == 0.0:
-        return float(np.max(np.abs(diff[sl])))
-    return float(np.max(np.abs(diff[sl])) / scale)
+    err = float(np.max(np.abs(diff[sl])))
+    scale = float(np.max(np.abs(rhs[sl])))
+    return err / scale if scale else err
 
 
 @dataclass(frozen=True)

@@ -428,6 +428,13 @@ class TestExitCodeTable:
         assert err.startswith("error: Grid(") and err.count("\n") == 1
         assert "is too coarse for the ground state" in err
 
+    def test_spacing_whose_square_underflows_is_bad_args(self, capsys):
+        # h^2 = 0 made the eigensolver divide by zero: a traceback and exit 1
+        code, out, err = run_captured(["verify", "--epsilon", "-3", "--x-max", "1e-308",
+                                       "--points", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: grid spacing h = 1e-308 is too small: h^2 underflows\n"
+
     @pytest.mark.parametrize("t_max", ["nan", "inf"])
     def test_non_finite_t_max_is_bad_args(self, t_max, capsys):
         with warnings.catch_warnings():

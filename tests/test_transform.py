@@ -45,8 +45,8 @@ class TestGrid:
         assert default_grid.h == pytest.approx(0.01)
         assert default_grid.x[default_grid.center_index] == 0.0
 
-    # the last spacing, 1.35e154, squares to inf
-    @pytest.mark.parametrize("args", [(20.0, 4000), (1.0, 2), (2.7e154, 5)])
+    # spacing 1.35e154 squares to inf, 1e-200 to 0
+    @pytest.mark.parametrize("args", [(20.0, 4000), (1.0, 2), (2.7e154, 5), (1e-200, 3)])
     def test_rejects_bad_meshes(self, args):
         with pytest.raises(ValueError):
             Grid(*args)
