@@ -1,5 +1,7 @@
 """CLI contract: schemas, determinism, lossless parse-back, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shallowdw
 from shallowdw import cli, oracle, wells
@@ -493,6 +496,29 @@ def test_negative_value_reads_the_same_after_a_space_or_equals(args, code, capsy
     space = run_captured(args, capsys)
     assert space[0] == code
     assert space == run_captured(equals_form, capsys)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(["classify", "evolve", "verify"]),
+       eps=st.one_of(st.floats(-3.5, -1.0), ANY_FLOAT),
+       x_max=st.one_of(st.floats(1.0, 40.0), ANY_FLOAT),
+       points=st.one_of(st.integers(1, 500).map(lambda k: 2 * k + 1),
+                        st.integers(-2, 1001)),
+       t_max=st.one_of(st.floats(0.0, 100.0), ANY_FLOAT))
+def test_every_run_keeps_the_exit_code_contract(command, eps, x_max, points, t_max):
+    argv = [command, f"--epsilon={eps!r}", f"--x-max={x_max!r}", f"--points={points}"]
+    if command == "evolve":
+        argv.append(f"--t-max={t_max!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if code >= 2:
+        assert out.getvalue() == ""
+        assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize("args", [
