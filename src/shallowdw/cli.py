@@ -10,8 +10,8 @@ Subcommands
 
 Commands parse arguments and emit; verdicts come from ``oracle.verify`` and
 ``wells.classify``, and a failing verify names each failed check on stderr.
-A command, or a sweep row, takes every closed form of its eps from one
-``transform.Partner``, so the seed is evaluated once.
+A command, or a sweep row, builds one ``transform.Partner`` and hands it to
+the library, so the seed is evaluated once.
 
 All numbers are written with the shortest round-trip decimal representation,
 so repeated runs are byte-identical and every emitted file parses back
@@ -170,7 +170,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = oracle.verify(args.epsilon, Grid(args.x_max, args.points))
+    report = oracle.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
     payload = {**asdict(report), "passed": report.passed}
     _write_text(args.out, [json.dumps(payload, indent=2) + "\n"])
     for check in report.checks:
@@ -197,12 +197,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    eps = args.epsilon
-    grid = Grid(args.x_max, args.points)
-    t_max = args.t_max
-    if t_max is None:
-        t_max = 2.0 * dynamics.analytic_period(eps)
-    series = dynamics.evolve_series(eps, grid, t_max, args.frames)
+    partner = Partner(args.epsilon, Grid(args.x_max, args.points))
+    eps = partner.epsilon
+    t_max = 2.0 * dynamics.analytic_period(eps) if args.t_max is None else args.t_max
+    series = dynamics.evolve_series(partner, t_max, args.frames)
     comments = []
     if separatrix_energy(eps) <= eps:
         comments.append(
@@ -217,8 +215,7 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(eps: float, grid: Grid, quantities: List[str]) -> tuple:
-    partner = Partner(eps, grid)
+def _sweep_row(partner: Partner, quantities: List[str]) -> tuple:
     report = functools.cache(lambda: oracle.verify_spectrum(partner))
     # table order: the closed forms and classify run before the oracle
     values = {q: value(partner, report)
@@ -243,7 +240,7 @@ def cmd_sweep(args) -> int:
     codes = []
     for eps in eps_values:
         try:
-            rows.append((float(eps),) + _sweep_row(float(eps), grid, quantities))
+            rows.append((float(eps),) + _sweep_row(Partner(eps, grid), quantities))
         except ROW_FAILURES as exc:
             print(f"warning: eps={eps}: {exc}", file=sys.stderr)
             rows.append((float(eps),) + (float("nan"),) * len(quantities))

@@ -7,9 +7,9 @@ density cross term rotates at the gap frequency |1 + eps|, making the
 probability in the left half-line oscillate sinusoidally with period
 2 pi / |1 + eps|.
 
-evolve_series uses that closed form: three trapezoid integrals of the
-stationary states over x <= 0, then one cosine per frame, so a series costs
-O(n + frames).
+evolve_series uses that closed form on the two states of one
+``transform.Partner``: three trapezoid integrals over x <= 0, then one cosine
+per frame, so a series costs O(n + frames).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid
 from .transform import Partner, _epsilon
 
 
@@ -35,17 +34,14 @@ def analytic_period(eps: float) -> float:
     return 2.0 * np.pi / abs(1.0 + _epsilon(eps))
 
 
-def evolve_series(
-    eps: float, grid: Grid, t_max: float, n_frames: int
-) -> OscillationSeries:
+def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationSeries:
     """Sample the left-well probability at n_frames uniform times in [0, t_max].
 
     The density is (psi0^2 + psi1^2)/2 + psi0 psi1 cos((1 + eps) t), so
     P_left(t) = (L00 + L11)/2 + L01 cos((1 + eps) t) with L_ab the trapezoid
     integral of psi_a psi_b over x <= 0.
     """
-    partner = Partner(eps, grid)
-    eps_val = partner.epsilon
+    grid, eps_val = partner.grid, partner.epsilon
     if n_frames < 2:
         raise ValueError("n_frames must be at least 2")
     if not np.isfinite(t_max):

@@ -27,9 +27,9 @@ last vector, which is also the eigenvalue.
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
 between the two is a real check, not a tautology.  ``build_hamiltonian``,
-``verify_spectrum`` and ``check_intertwining`` take a ``transform.Partner``,
-whose closed forms of one eps on one grid are computed once;
-``build_hamiltonian`` keeps only its sampled potential.
+``verify_spectrum``, ``check_intertwining`` and ``verify`` take a
+``transform.Partner``, whose closed forms of one eps on one grid are
+computed once; ``build_hamiltonian`` keeps only its sampled potential.
 
 ``verify`` judges the paper's claim: spectrum, intertwining identity and
 central-curvature law, each against its entry of ``VERIFY_TOLERANCES``.
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import wells
 from .grids import Grid, RealWave, first_derivative, second_derivative
-from .transform import Partner, separatrix_energy
+from .transform import Partner, apply_a, separatrix_energy
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
@@ -348,16 +348,14 @@ def check_intertwining(partner: Partner, f: RealWave) -> float:
     the default grid) rather than exactly zero.  ``f`` must be sampled on
     the partner's grid.
     """
-    if f.grid != partner.grid:
-        raise ValueError("check_intertwining: f is not on the partner's grid")
+    af = apply_a(partner, f).samples
     h = f.grid.h
     # chained stencils contaminate one extra node at each edge
     sl = _interior(f.grid, EDGE_EXCLUDE + 1, "check_intertwining")
     w, v_base, samples = partner.w, partner.base_well, f.samples
 
-    af = -first_derivative(samples, h) + w * samples
     eta_f = -second_derivative(samples, h) + v_base * samples
-    rhs = -first_derivative(eta_f, h) + w * eta_f
+    rhs = apply_a(partner, RealWave(f.grid, eta_f)).samples
     # lhs - rhs without D2(D1 f) - D1(D2 f): on these nodes both are the same
     # interior convolutions, so that term is 0 but for roundoff ~ eps_mach/h^3
     diff = (-second_derivative(w * samples, h) + partner.potential * af
@@ -457,14 +455,14 @@ class VerifyReport(SpectrumReport):
         return all(check.passed for check in self.checks)
 
 
-def verify(eps: float, grid: Grid) -> VerifyReport:
-    """The spectrum, intertwining and curvature-law checks of one eps.
+def verify(partner: Partner) -> VerifyReport:
+    """The spectrum, intertwining and curvature-law checks of one partner.
 
-    One Partner carries the closed forms through all of them.  The
+    The partner carries the closed forms through all of them.  The
     intertwining residual is the worst over five Gaussian bumps drawn from
     a fixed-seed generator, so the verdict is reproducible.
     """
-    partner = Partner(eps, grid)
+    grid = partner.grid
     spectrum = verify_spectrum(partner)
     rng = np.random.default_rng(42)
     intertwining = 0.0

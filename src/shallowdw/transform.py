@@ -270,25 +270,26 @@ def base_ground_state(grid: Grid) -> RealWave:
     return RealWave(grid, samples).normalize()
 
 
-def apply_a(eps: float, f: RealWave) -> RealWave:
-    """Apply A = -d/dx + u'/u to a sampled wave.
+def _apply(partner: Partner, f: RealWave, sign: float) -> RealWave:
+    if f.grid != partner.grid:
+        raise ValueError("f is not on the partner's grid")
+    return RealWave(f.grid, sign * first_derivative(f.samples, f.grid.h)
+                    + partner.w * f.samples)
+
+
+def apply_a(partner: Partner, f: RealWave) -> RealWave:
+    """Apply A = -d/dx + u'/u to a wave on the partner's grid.
 
     The derivative uses 4th-order central differences (one-sided at the
-    edges); the superpotential term is analytic.
+    edges); the superpotential term is the partner's closed-form u'/u.
     """
-    eps_val = _epsilon(eps)
-    df = first_derivative(f.samples, f.grid.h)
-    lder = log_derivative_of_seed(eps_val, f.grid.x)
-    return RealWave(f.grid, -df + lder * f.samples)
+    return _apply(partner, f, -1.0)
 
 
-def apply_a_dagger(eps: float, f: RealWave) -> RealWave:
-    """Apply A+ = +d/dx + u'/u to a sampled wave.
+def apply_a_dagger(partner: Partner, f: RealWave) -> RealWave:
+    """Apply A+ = +d/dx + u'/u to a wave on the partner's grid.
 
     A+ annihilates 1/u, which is how the partner ground state inherits
     eigenvalue eps from Xi = A A+ + eps.
     """
-    eps_val = _epsilon(eps)
-    df = first_derivative(f.samples, f.grid.h)
-    lder = log_derivative_of_seed(eps_val, f.grid.x)
-    return RealWave(f.grid, df + lder * f.samples)
+    return _apply(partner, f, 1.0)

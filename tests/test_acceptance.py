@@ -90,7 +90,7 @@ def test_criterion_05_annihilation_and_intertwining(default_grid):
     ok = True
     for eps in (-1.10, -1.5, -2.25):
         f = RealWave(default_grid, 1.0 / seed_function(eps, default_grid.x))
-        out = apply_a_dagger(eps, f).samples
+        out = apply_a_dagger(Partner(eps, default_grid), f).samples
         ok = ok and (np.max(np.abs(out[2:-2]))
                      < 1e-8 * np.max(np.abs(f.samples)))
     rng = np.random.default_rng(11)
@@ -139,7 +139,7 @@ def test_criterion_07_figure_regimes(default_grid):
 def test_criterion_08_dynamics(default_grid):
     eps = -1.05
     period = analytic_period(eps)
-    series = evolve_series(eps, default_grid, 3 * period, 601)
+    series = evolve_series(Partner(eps, default_grid), 3 * period, 601)
     fitted = fit_period(series.times, series.left_probability)
     ok = abs(fitted - 2 * np.pi / 0.05) / (2 * np.pi / 0.05) < 1e-3
 
@@ -188,7 +188,7 @@ def test_criterion_10_cli_contract(tmp_path):
                           "--frames", "21", "--out", str(ev)]) == 0
     rows = [l for l in ev.read_text().splitlines() if not l.startswith("#")]
     reparsed = [[float(v) for v in l.split(",")] for l in rows[1:]]
-    series = evolve_series(-1.5, grid, 10.0, 21)
+    series = evolve_series(Partner(-1.5, grid), 10.0, 21)
     ok = ok and np.array_equal(np.array(reparsed)[:, 1], series.left_probability)
 
     # exit-code table

@@ -72,7 +72,7 @@ class TestEvolveSeries:
         eps = -1.05
         period = analytic_period(eps)
         assert period == pytest.approx(2 * np.pi / 0.05, rel=1e-12)
-        series = evolve_series(eps, default_grid, 3 * period, 600)
+        series = evolve_series(Partner(eps, default_grid), 3 * period, 600)
         fitted = fit_period(series.times, series.left_probability)
         assert abs(fitted - period) / period < 1e-3
 
@@ -80,7 +80,7 @@ class TestEvolveSeries:
         # exact two-level dynamics admits no other harmonic
         eps = -1.5
         period = analytic_period(eps)
-        series = evolve_series(eps, default_grid, 3 * period, 400)
+        series = evolve_series(Partner(eps, default_grid), 3 * period, 400)
         w = abs(1.0 + eps)
         basis = np.column_stack([
             np.cos(w * series.times),
@@ -111,7 +111,7 @@ class TestEvolveSeries:
     def test_probability_bounds_and_mean(self, default_grid):
         eps = -1.25
         period = analytic_period(eps)
-        series = evolve_series(eps, default_grid, 2 * period, 401)
+        series = evolve_series(Partner(eps, default_grid), 2 * period, 401)
         assert np.all(series.left_probability >= 0.0)
         assert np.all(series.left_probability <= 1.0)
         # mean over an integer number of periods (drop duplicated endpoint)
@@ -119,18 +119,18 @@ class TestEvolveSeries:
 
     def test_frame_validation(self, default_grid):
         with pytest.raises(ValueError):
-            evolve_series(-1.5, default_grid, 1.0, 1)
+            evolve_series(Partner(-1.5, default_grid), 1.0, 1)
 
     @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_t_max_rejected(self, default_grid, t_max):
         with pytest.raises(ValueError, match="t_max must be finite"):
-            evolve_series(-1.5, default_grid, t_max, 3)
+            evolve_series(Partner(-1.5, default_grid), t_max, 3)
 
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.5])
     def test_closed_form_matches_frame_by_frame_state(self, default_grid, eps):
         # the reference rounds the phase eps*t, an error that grows with t;
         # over the CLI's default two periods it stays below 1e-14
-        series = evolve_series(eps, default_grid, 2 * analytic_period(eps), 401)
+        series = evolve_series(Partner(eps, default_grid), 2 * analytic_period(eps), 401)
         reference = np.array([
             left_well_probability(lc_state(eps, default_grid, float(t)), default_grid)
             for t in series.times

@@ -123,7 +123,7 @@ class TestTableBytes:
     @pytest.mark.parametrize("eps", [-1.4, -2.5])
     def test_evolve_comments_and_footer(self, tmp_path, fmt, eps):
         grid = Grid(X_MAX, POINTS)
-        series = dynamics.evolve_series(eps, grid, 10.0, 11)
+        series = dynamics.evolve_series(Partner(eps, grid), 10.0, 11)
         comments = []
         if eps == -2.5:
             comments.append("warning: ground level at or above the central "

@@ -241,7 +241,7 @@ class TestVerify:
         # a finer grid must never turn a pass into a fail; the errors fall
         # like h^2 under the 3-point stencil
         sizes = (4001, 16001, 64001, 256001)
-        reports = [oracle.verify(eps, Grid(20.0, n)) for n in sizes]
+        reports = [oracle.verify(Partner(eps, Grid(20.0, n))) for n in sizes]
         assert [(n, c.name) for n, report in zip(sizes, reports)
                 for c in report.checks if not c.passed] == []
         for attr in ("e0_error", "e1_error"):
@@ -255,7 +255,7 @@ class TestVerify:
         (-3.5, ["psi0_residual", "psi1_residual"]),
     ])
     def test_check_records(self, eps, failed, default_grid):
-        report = oracle.verify(eps, default_grid)
+        report = oracle.verify(Partner(eps, default_grid))
         names = list(oracle.VERIFY_TOLERANCES)
         if eps == -2.0:
             # ground level on the barrier top: rho''(0) = 0, check skipped

@@ -135,6 +135,26 @@ def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
                            RealWave(grid, np.exp(-grid.x**2)))
 
 
+@pytest.mark.parametrize("operator", [transform.apply_a, transform.apply_a_dagger])
+def test_ladder_operators_reject_a_wave_on_another_grid(operator, default_grid):
+    grid = Grid(10.0, default_grid.n_points)
+    with pytest.raises(ValueError, match="partner's grid"):
+        operator(Partner(-1.5, default_grid), RealWave(grid, np.exp(-grid.x**2)))
+
+
+def test_intertwining_applies_a_through_transform(monkeypatch, default_grid):
+    calls = []
+
+    def counting(partner, f):
+        calls.append(partner)
+        return transform.apply_a(partner, f)
+
+    monkeypatch.setattr(oracle, "apply_a", counting)
+    partner = Partner(-1.5, default_grid)
+    check_intertwining(partner, RealWave(default_grid, np.exp(-default_grid.x**2)))
+    assert calls == [partner, partner]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-50.0, -1.0001), st.integers(1, 1000), st.floats(0.5, 800.0))
 def test_potential_is_finite_even_and_exact_at_the_centre(eps, half, x_max):

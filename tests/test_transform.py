@@ -201,25 +201,25 @@ class TestBaseGroundState:
 class TestLadderOperators:
     def test_a_dagger_annihilates_inverse_seed(self, default_grid):
         f = RealWave(default_grid, 1.0 / seed_function(-1.5, default_grid.x))
-        out = apply_a_dagger(-1.5, f).samples
+        out = apply_a_dagger(Partner(-1.5, default_grid), f).samples
         interior = slice(2, -2)
         assert np.max(np.abs(out[interior])) < 1e-8 * np.max(np.abs(f.samples))
 
     def test_a_dagger_linearity_zero(self, default_grid):
         zero = RealWave(default_grid, np.zeros(default_grid.n_points))
-        assert np.array_equal(apply_a_dagger(-1.5, zero).samples, zero.samples)
+        assert np.array_equal(apply_a_dagger(Partner(-1.5, default_grid), zero).samples, zero.samples)
 
     def test_factorization_recovers_base_eigenvalue(self, default_grid):
         # (A+ A + eps) phi0 = -phi0 for every eps
         eps = -1.5
         phi = base_ground_state(default_grid)
-        out = apply_a_dagger(eps, apply_a(eps, phi)).samples + eps * phi.samples
+        out = apply_a_dagger(Partner(eps, default_grid), apply_a(Partner(eps, default_grid), phi)).samples + eps * phi.samples
         interior = slice(4, -4)
         assert np.max(np.abs(out[interior] + phi.samples[interior])) < 1e-6
 
     def test_a_phi0_is_excited_state(self, default_grid):
         eps = -1.5
-        raw = apply_a(eps, base_ground_state(default_grid))
+        raw = apply_a(Partner(eps, default_grid), base_ground_state(default_grid))
         wave = raw.normalize()
         psi1 = Partner(eps, default_grid).psi1
         sign = np.sign(wave.samples[default_grid.center_index + 1])
@@ -229,7 +229,7 @@ class TestLadderOperators:
         # odd input -> even output: both -d/dx and u'/u flip parity
         odd = RealWave(default_grid,
                        np.sin(default_grid.x) * np.exp(-default_grid.x**2))
-        out = apply_a(-2.25, odd).samples
+        out = apply_a(Partner(-2.25, default_grid), odd).samples
         interior = slice(3, -3)
         mirrored = out[::-1]
         assert np.max(np.abs(out[interior] - mirrored[interior])) < 1e-9
