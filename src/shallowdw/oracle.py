@@ -386,11 +386,13 @@ class SpectrumReport:
 def verify_spectrum(partner: Partner) -> SpectrumReport:
     """Compare the closed-form bound states against the eigensolver.
 
-    For double-well eps (-3 < eps < -1) exactly two eigenvalues must sit
-    below the continuum threshold 0; otherwise BoundStateCountMismatch.
-    The solver runs before the closed-form states check their tails.
+    The closed-form states check the grid first, so GridTooNarrow and
+    GridTooCoarse come before any solver arithmetic.  For double-well eps
+    (-3 < eps < -1) exactly two eigenvalues must then sit below the
+    continuum threshold 0; otherwise BoundStateCountMismatch.
     """
     eps_val = partner.epsilon
+    psi0, psi1 = partner.psi0, partner.psi1
     H = build_hamiltonian(partner)
 
     if -3.0 < eps_val < -1.0:
@@ -401,8 +403,6 @@ def verify_spectrum(partner: Partner) -> SpectrumReport:
             )
 
     (e0_num, psi0_num), (e1_num, psi1_num) = lowest_eigenpairs(H, 2)
-
-    psi0, psi1 = partner.psi0, partner.psi1
     return SpectrumReport(
         epsilon=eps_val,
         e0_analytic=eps_val,

@@ -185,10 +185,19 @@ class TestVerifyCommand:
         assert run(["verify", "--epsilon", -1.5, "--out", out]) == 4
 
     def test_grid_too_small_for_two_bound_states_exits_3(self, tmp_path, capsys):
-        # -3 < eps < -1 always has two bound states: a short count is the grid's
+        # the closed-form states reject the spacing before the solver runs
         out = tmp_path / "verify.json"
         assert run(["verify", "--epsilon", -1.5, "--points", 3, "--out", out]) == 3
         assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: Grid(x_max=20.0, n_points=3) is too coarse for the ground "
+            "state: h * max(1, sqrt(-eps)) = 24.5 > 0.5; use more points or a "
+            "smaller x_max\n")
+
+    def test_bound_state_count_mismatch_exits_3(self, monkeypatch, capsys):
+        # -3 < eps < -1 always has two bound states: a short count is the grid's
+        monkeypatch.setattr(oracle.TridiagonalHamiltonian, "bound_counts", (1, 0))
+        assert run(["verify", "--epsilon", -1.5]) == 3
         assert capsys.readouterr().err == (
             "error: expected 2 bound states for eps=-1.5, found 1\n")
 
@@ -327,11 +336,11 @@ class TestSweepCommand:
         assert capsys.readouterr().err.count("is too coarse for the ground state") == 2
 
     def test_every_row_failing_with_a_solver_failure_exits_4(self, monkeypatch):
-        # the first rows' solver fails; the last row's bound-state count
+        # the first rows' solver fails; the last row's ground-state tail
         # shows a grid problem: any solver failure makes it exit 4
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
         assert run(["sweep", "--eps-start", -2.9, "--eps-end", -1.01,
-                    "--steps", 4, "--x-max", 3, "--points", 601,
+                    "--steps", 4, "--x-max", 16, "--points", 601,
                     "--quantities", "e0_error"]) == 4
 
     def test_missing_steps_exit_2(self, capsys):

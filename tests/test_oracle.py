@@ -228,11 +228,12 @@ class TestVerifySpectrum:
         for overlap in (report.psi0_overlap, report.psi1_overlap):
             assert 0.0 <= overlap <= 1.0 + 1e-12
 
-    def test_bound_state_count_guard(self):
-        # a 3-wide Dirichlet box pushes the upper level into the continuum,
-        # so the double-well count check must fire
-        with pytest.raises(BoundStateCountMismatch):
-            verify_spectrum(Partner(-1.05, Grid(3.0, 601)))
+    def test_bound_state_count_guard(self, monkeypatch, default_grid):
+        # a grid too narrow for two levels fails its tail check first, so a
+        # wrong count is planted to reach the solver's own consistency check
+        monkeypatch.setattr(oracle.TridiagonalHamiltonian, "bound_counts", (1, 0))
+        with pytest.raises(BoundStateCountMismatch, match="found 1"):
+            verify_spectrum(Partner(-1.05, default_grid))
 
 
 class TestVerify:

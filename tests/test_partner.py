@@ -111,10 +111,12 @@ class TestLazyFields:
         assert run(["potential", "--epsilon", -1.05, "--x-max", 3, "--points", 601,
                     "--out", tmp_path / "pot.csv"]) == 0
 
-    def test_narrow_verify_counts_bound_states_first(self, capsys):
+    def test_narrow_verify_reports_the_tail_before_the_count(self, capsys):
+        # the box holds one bound state, but the tail check comes first
         assert run(["verify", "--epsilon", -1.05, "--x-max", 3, "--points", 601]) == 3
         assert capsys.readouterr().err == (
-            "error: expected 2 bound states for eps=-1.05, found 1\n")
+            "error: ground state has not decayed at the grid edge "
+            "(|psi(x_max)|/peak = 8.83e-01 > 1e-06); increase x_max\n")
 
     def test_narrow_verify_reports_the_ground_state_tail(self, capsys):
         assert run(["verify", "--epsilon", -1.05, "--x-max", 6, "--points", 601]) == 3
@@ -122,10 +124,18 @@ class TestLazyFields:
             "error: ground state has not decayed at the grid edge "
             "(|psi(x_max)|/peak = 5.61e-02 > 1e-06); increase x_max\n")
 
-    def test_solver_runs_before_the_tail_checks(self, monkeypatch, capsys):
+    def test_tail_checks_run_before_the_solver(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
-        assert run(["verify", "--epsilon", -1.05, "--x-max", 6, "--points", 601]) == 4
-        assert "inverse iteration" in capsys.readouterr().err
+        assert run(["verify", "--epsilon", -1.05, "--x-max", 6, "--points", 601]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: ground state has not decayed at the grid edge")
+
+    def test_tiny_grid_fails_before_any_solver_arithmetic(self, capsys):
+        # 2/h^2 ~ 1e158 overflowed the solver's residual sums when it ran first
+        assert run(["verify", "--epsilon", -3, "--x-max", 4.47e-79, "--points", 39]) == 3
+        assert capsys.readouterr().err == (
+            "error: ground state has not decayed at the grid edge "
+            "(|psi(x_max)|/peak = 1.00e+00 > 1e-06); increase x_max\n")
 
 
 def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
