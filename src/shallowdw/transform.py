@@ -49,13 +49,15 @@ class InvalidEpsilon(ValueError):
 
 
 def _epsilon(eps: float) -> float:
-    """eps as a float; InvalidEpsilon unless it is finite and <= EPSILON_MAX."""
+    """eps as a float; InvalidEpsilon unless eps <= EPSILON_MAX and 2 eps + 2 is finite."""
     eps = float(eps)
     if not np.isfinite(eps) or eps > EPSILON_MAX:
         raise InvalidEpsilon(
             f"factorization energy must satisfy eps <= {EPSILON_MAX} "
             f"(strictly below the base ground level -1), got {eps!r}"
         )
+    if not np.isfinite(2.0 * eps + 2.0):
+        raise InvalidEpsilon(f"barrier top 2 eps + 2 overflows at eps = {eps!r}")
     return eps
 
 
@@ -126,7 +128,8 @@ def _log_derivative(p: _SeedParts) -> np.ndarray:
 
 
 def _potential_values(eps_val: float, p: _SeedParts, x) -> np.ndarray:
-    v = 2.0 * (1.0 + eps_val) * (-eps_val * p.q + p.sech2 * p.s**2) / p.u**2
+    # one division by u per factor: no intermediate exceeds |V| |u|
+    v = (2.0 * (1.0 + eps_val) / p.u) * ((-eps_val * p.q + p.sech2 * p.s**2) / p.u)
     return np.where(np.asarray(x, dtype=float) == 0.0, 2.0 * eps_val + 2.0, v)
 
 

@@ -175,6 +175,24 @@ def test_potential_is_finite_even_and_exact_at_the_centre(eps, half, x_max):
     assert v[grid.center_index] == 2.0 * eps + 2.0
 
 
+@pytest.mark.parametrize("eps, x_max", [(-1e300, 1e-150), (-1e154, 1.0), (-8.98e307, 1.0)])
+def test_potential_of_a_huge_eps_overflows_nothing(eps, x_max):
+    grid = Grid(x_max, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = Partner(eps, grid).potential
+    assert np.all(np.isfinite(v)) and np.all(v < 0.0)
+    assert v[grid.center_index] == 2.0 * eps + 2.0
+
+
+def test_eps_whose_barrier_top_overflows_is_invalid(capsys):
+    with pytest.raises(InvalidEpsilon, match="overflows"):
+        Partner(-9e307, Grid(1.0, 5))
+    assert run(["potential", "--epsilon=-9e307", "--x-max", 1, "--points", 3]) == 2
+    assert capsys.readouterr().err == (
+        "error: barrier top 2 eps + 2 overflows at eps = -9e+307\n")
+
+
 def test_exports_resolve_and_the_wrapper_layer_is_gone():
     assert len(set(shallowdw.__all__)) == len(shallowdw.__all__)
     for name in shallowdw.__all__:
