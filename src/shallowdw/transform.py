@@ -253,15 +253,12 @@ class Partner:
 
         Evaluated in closed form: A [sech(x)] = sech(x) (tanh(x) + u'/u), so
         the state carries no finite-difference error.  Odd, single node at
-        x = 0, sign fixed so psi1 > 0 for x > 0.
+        x = 0, and psi1 > 0 for x > 0: near 0, tanh(x) + u'/u = (-1 - eps) x
+        + O(x^3), and -1 - eps > 0.
         """
-        grid = self.grid
-        samples = (np.tanh(grid.x) + self.w) * self._seed.sech
+        samples = (np.tanh(self.grid.x) + self.w) * self._seed.sech
         _check_samples(samples, "excited state", self)
-        wave = RealWave(grid, samples).normalize()
-        if wave.samples[grid.center_index + 1] < 0.0:
-            wave = RealWave(grid, -wave.samples)
-        return wave
+        return RealWave(self.grid, samples).normalize()
 
 
 def base_ground_state(grid: Grid) -> RealWave:

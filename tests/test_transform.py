@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shallowdw import (
     Grid,
+    GridTooCoarse,
     GridTooNarrow,
     InvalidEpsilon,
     Partner,
@@ -246,6 +248,18 @@ class TestExcitedState:
         sign_changes = np.sum(np.diff(np.sign(psi.samples[np.abs(psi.samples) > 0])) != 0)
         assert sign_changes == 1
         assert psi.samples[mid + 1] > 0.0  # sign convention
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-50.0, -1.0001), st.floats(20.0, 60.0), st.integers(2000, 8000))
+    def test_positive_on_the_right_half_line(self, eps, x_max, half):
+        # the closed form itself has this sign; nothing flips it
+        grid = Grid(x_max, 2 * half + 1)
+        try:
+            psi = Partner(eps, grid).psi1.samples
+        except (GridTooNarrow, GridTooCoarse):
+            assume(False)
+        right = psi[grid.center_index + 1:]
+        assert np.all(right[right != 0.0] > 0.0)
 
     def test_orthogonal_to_ground(self, default_grid):
         partner = Partner(-1.5, default_grid)
