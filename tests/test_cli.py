@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import shallowdw
 from shallowdw import cli, oracle, wells
@@ -511,12 +511,17 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
 @settings(max_examples=50, deadline=None)
-@given(command=st.sampled_from(["classify", "evolve", "verify"]),
+@given(command=st.sampled_from(["classify", "evolve", "potential", "verify"]),
        eps=st.one_of(st.floats(-3.5, -1.0), ANY_FLOAT),
        x_max=st.one_of(st.floats(1.0, 40.0), ANY_FLOAT),
        points=st.one_of(st.integers(1, 500).map(lambda k: 2 * k + 1),
                         st.integers(-2, 1001)),
        t_max=st.one_of(st.floats(0.0, 100.0), ANY_FLOAT))
+# grids and eps whose numbers overflowed before the error line, or after exit 0
+@example(command="verify", eps=-3.0, x_max=4.47e-79, points=39, t_max=1.0)
+@example(command="potential", eps=-1e300, x_max=1e-150, points=5, t_max=1.0)
+@example(command="potential", eps=-1e154, x_max=1.0, points=3, t_max=1.0)
+@example(command="verify", eps=-1e300, x_max=1e-149, points=41, t_max=1.0)
 def test_every_run_keeps_the_exit_code_contract(command, eps, x_max, points, t_max):
     argv = [command, f"--epsilon={eps!r}", f"--x-max={x_max!r}", f"--points={points}"]
     if command == "evolve":
@@ -527,7 +532,8 @@ def test_every_run_keeps_the_exit_code_contract(command, eps, x_max, points, t_m
     assert code in (0, 1, 2, 3, 4)
     if code >= 2:
         assert out.getvalue() == ""
-        assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("args", [
