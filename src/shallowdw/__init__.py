@@ -14,7 +14,6 @@ from .oracle import (
     SpectrumReport,
     TridiagonalHamiltonian,
     build_hamiltonian,
-    check_intertwining,
     eigen_residual,
     lowest_eigenpairs,
     sturm_count,
@@ -27,10 +26,8 @@ from .transform import (
     apply_a_dagger,
     base_ground_state,
     curvature_at_origin,
-    log_derivative_of_seed,
     potential,
     potential_log_form,
-    seed_function,
     separatrix_energy,
 )
 from .wells import (
@@ -63,17 +60,14 @@ __all__ = [
     "base_ground_state",
     "build_hamiltonian",
     "check_bimodality_relation",
-    "check_intertwining",
     "classify",
     "count_density_maxima",
     "curvature_at_origin",
     "eigen_residual",
     "evolve_series",
-    "log_derivative_of_seed",
     "lowest_eigenpairs",
     "potential",
     "potential_log_form",
-    "seed_function",
     "separatrix_energy",
     "sturm_count",
     "verify_spectrum",

@@ -27,12 +27,15 @@ last vector, which is also the eigenvalue.
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
 between the two is a real check, not a tautology.  ``build_hamiltonian``,
-``verify_spectrum``, ``check_intertwining`` and ``verify`` take a
-``transform.Partner``, whose closed forms of one eps on one grid are
-computed once; ``build_hamiltonian`` keeps only its sampled potential.
+``verify_spectrum`` and ``verify`` take a ``transform.Partner``, whose
+closed forms of one eps on one grid are computed once;
+``build_hamiltonian`` keeps only its sampled potential.
 
 ``verify`` judges the paper's claim: spectrum, intertwining identity and
 central-curvature law, each against its entry of ``VERIFY_TOLERANCES``.
+The intertwining identity Xi A = A eta is checked as the two pointwise
+Darboux identities it is built from, V + V0 = 2 (u'/u)^2 + 2 eps and
+V - V0 = -2 (u'/u)', on every node of the grid.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from typing import Iterable, Iterator, List, NamedTuple, Tuple
 import numpy as np
 
 from . import wells
-from .grids import Grid, RealWave, first_derivative, second_derivative
-from .transform import Partner, apply_a, separatrix_energy
+from .grids import Grid, RealWave, first_derivative
+from .transform import Partner, separatrix_energy
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
@@ -340,30 +343,28 @@ def eigen_residual(H: TridiagonalHamiltonian, wave: RealWave, energy: float) -> 
     return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(wave.samples[sl])))
 
 
-def check_intertwining(partner: Partner, f: RealWave) -> float:
-    """Relative max-norm residual of (Xi A - A eta) f over interior nodes.
+def _intertwining_residual(partner: Partner) -> float:
+    """Relative max-norm residual of the Darboux identities behind Xi A = A eta.
 
-    Both sides are built from sampled differential operators, so the result
-    is discretization-limited (~1e-8 for smooth decaying test functions on
-    the default grid) rather than exactly zero.  ``f`` must be sampled on
-    the partner's grid.
+    With w = u'/u the factorizations eta = A+ A + eps and Xi = A A+ + eps
+    read V0 = w^2 + w' + eps and V = w^2 - w' + eps, and (Xi A - A eta) f
+    vanishes for every f exactly when both hold.  They are checked on every
+    node as their sum, V + V0 = 2 w^2 + 2 eps, which takes no derivative,
+    and their difference, V - V0 = -2 w', with w' from ``first_derivative``;
+    the result is the larger of the two.  Four nodes at each edge are left
+    out, which covers that stencil's two lower-order rows there.
     """
-    af = apply_a(partner, f).samples
-    h = f.grid.h
-    # chained stencils contaminate one extra node at each edge
-    sl = _interior(f.grid, EDGE_EXCLUDE + 1, "check_intertwining")
-    w, v_base, samples = partner.w, partner.base_well, f.samples
+    sl = _interior(partner.grid, EDGE_EXCLUDE + 1, "the intertwining check")
+    v, v0, w = partner.potential, partner.base_well, partner.w
+    dw = first_derivative(w, partner.grid.h)
+    return max(_relative_max(v + v0 - 2.0 * w * w - 2.0 * partner.epsilon, v + v0, sl),
+               _relative_max(v - v0 + 2.0 * dw, v - v0, sl))
 
-    eta_f = -second_derivative(samples, h) + v_base * samples
-    rhs = apply_a(partner, RealWave(f.grid, eta_f)).samples
-    # lhs - rhs without D2(D1 f) - D1(D2 f): on these nodes both are the same
-    # interior convolutions, so that term is 0 but for roundoff ~ eps_mach/h^3
-    diff = (-second_derivative(w * samples, h) + partner.potential * af
-            + first_derivative(v_base * samples, h) - w * eta_f)
 
-    err = float(np.max(np.abs(diff[sl])))
-    scale = float(np.max(np.abs(rhs[sl])))
-    return err / scale if scale else err
+def _relative_max(error: np.ndarray, scale: np.ndarray, sl: slice) -> float:
+    """max |error| / max |scale| over the nodes in ``sl``; max |error| if scale is 0."""
+    err, top = float(np.max(np.abs(error[sl]))), float(np.max(np.abs(scale[sl])))
+    return err / top if top else err
 
 
 @dataclass(frozen=True)
@@ -458,19 +459,12 @@ class VerifyReport(SpectrumReport):
 def verify(partner: Partner) -> VerifyReport:
     """The spectrum, intertwining and curvature-law checks of one partner.
 
-    The partner carries the closed forms through all of them.  The
-    intertwining residual is the worst over five Gaussian bumps drawn from
-    a fixed-seed generator, so the verdict is reproducible.
+    The partner carries the closed forms through all of them; the
+    intertwining residual is that of the two pointwise Darboux identities,
+    so it needs no test function.
     """
-    grid = partner.grid
     spectrum = verify_spectrum(partner)
-    rng = np.random.default_rng(42)
-    intertwining = 0.0
-    for _ in range(5):
-        center = rng.uniform(-3.0, 3.0)
-        width = rng.uniform(0.5, 2.0)
-        bump = RealWave(grid, np.exp(-((grid.x - center) / width) ** 2))
-        intertwining = max(intertwining, check_intertwining(partner, bump))
+    intertwining = _intertwining_residual(partner)
     lhs, rhs, rel_err = wells.check_bimodality_relation(partner)
     return VerifyReport(**asdict(spectrum),
                         gap_numeric=spectrum.e1_numeric - spectrum.e0_numeric,

@@ -37,6 +37,8 @@ import numpy as np
 from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave, first_derivative
 
 EPSILON_MAX = -1.0 - 1e-9  # transform degenerates (V -> 0) as eps -> -1
+# below this 4 eps^2, and so V''(0) = 4 (3 + 4 eps + eps^2), overflows
+EPSILON_MIN = -float(np.sqrt(np.finfo(float).max / 4.0))
 TAIL_TOL = 1e-6  # max allowed |psi(x_max)| / max|psi| before GridTooNarrow
 # max allowed h * max(1, k) before GridTooCoarse: below two nodes per decay
 # length 1/k of psi0, or per unit width of the sech^2 well, the samples no
@@ -49,15 +51,18 @@ class InvalidEpsilon(ValueError):
 
 
 def _epsilon(eps: float) -> float:
-    """eps as a float; InvalidEpsilon unless eps <= EPSILON_MAX and 2 eps + 2 is finite."""
+    """eps as a float; InvalidEpsilon unless EPSILON_MIN <= eps <= EPSILON_MAX."""
     eps = float(eps)
     if not np.isfinite(eps) or eps > EPSILON_MAX:
         raise InvalidEpsilon(
             f"factorization energy must satisfy eps <= {EPSILON_MAX} "
             f"(strictly below the base ground level -1), got {eps!r}"
         )
-    if not np.isfinite(2.0 * eps + 2.0):
-        raise InvalidEpsilon(f"barrier top 2 eps + 2 overflows at eps = {eps!r}")
+    if eps < EPSILON_MIN:
+        raise InvalidEpsilon(
+            f"factorization energy must satisfy eps >= {EPSILON_MIN!r}, where "
+            f"the curvature 4 (3 + 4 eps + eps^2) is still finite, got {eps!r}"
+        )
     return eps
 
 
@@ -99,32 +104,6 @@ def _as_returned(value: np.ndarray, like) -> "float | np.ndarray":
     if np.isscalar(like) or np.ndim(like) == 0:
         return float(value)
     return value
-
-
-def seed_function(eps: float, x):
-    """Seed u(x) = sinh(kx) tanh(x) - k cosh(kx), k = sqrt(|eps|).
-
-    Even in x, strictly negative (node-free) for every valid eps; solves the
-    base eigenvalue problem at energy eps without being normalizable.
-    Accepts scalars or arrays.
-    """
-    eps_val = _epsilon(eps)
-    p = _seed_parts(eps_val, x)
-    return _as_returned(p.u * np.exp(p.growth), x)
-
-
-def log_derivative_of_seed(eps: float, x):
-    """Superpotential u'/u in closed form (no numerical differencing).
-
-    Odd in x; tends to +-sqrt(|eps|) as x -> +-inf.  Well defined everywhere
-    because the seed is node-free.
-    """
-    eps_val = _epsilon(eps)
-    return _as_returned(_log_derivative(_seed_parts(eps_val, x)), x)
-
-
-def _log_derivative(p: _SeedParts) -> np.ndarray:
-    return p.du / p.u
 
 
 def _potential_values(eps_val: float, p: _SeedParts, x) -> np.ndarray:
@@ -225,7 +204,7 @@ class Partner:
     @cached_property
     def w(self) -> np.ndarray:
         """The superpotential u'/u."""
-        return _log_derivative(self._seed)
+        return self._seed.du / self._seed.u
 
     @cached_property
     def base_well(self) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import shallowdw
-from shallowdw import cli, oracle, wells
+from shallowdw import cli, oracle, transform, wells
 from shallowdw.cli import main
 
 
@@ -156,6 +156,24 @@ class TestVerifyCommand:
             f"check failed: psi1_residual={payload['psi1_residual']!r}, "
             "tolerance 5e-05\n")
 
+    def test_planted_base_well_defect_fails_intertwining(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # only the intertwining check reads V0: a 0.1% error in it fails that alone
+        monkeypatch.setattr(transform.Partner, "base_well", property(
+            lambda self: -2.0 * self._seed.sech2 * (1.0 + 1e-3)))
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--epsilon", -1.5, "--out", out]) == 1
+        payload = json.loads(out.read_text())
+        assert capsys.readouterr().err == (
+            f"check failed: intertwining_residual="
+            f"{payload['intertwining_residual']!r}, tolerance 0.0001\n")
+
+    def test_intertwining_holds_where_the_grid_resolves_no_state(self, capsys):
+        # eps = -50 fails on truncation of the states, not on the identities
+        assert run(["verify", "--epsilon", -50]) == 1
+        failed = [line.split("=")[0] for line in capsys.readouterr().err.splitlines()]
+        assert failed and "check failed: intertwining_residual" not in failed
+
     def test_pass_writes_nothing_to_stderr(self, capsys):
         assert run(["verify", "--epsilon", -1.5]) == 0
         assert capsys.readouterr().err == ""
@@ -172,12 +190,10 @@ class TestVerifyCommand:
             return wrapper
 
         for module, name in [(oracle, "verify_spectrum"),
-                             (oracle, "check_intertwining"),
                              (wells, "check_bimodality_relation")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert run(["verify", "--epsilon", -1.5]) == 0
-        assert calls == {"verify_spectrum": 1, "check_intertwining": 5,
-                         "check_bimodality_relation": 1}
+        assert calls == {"verify_spectrum": 1, "check_bimodality_relation": 1}
 
     def test_solver_failure_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)

@@ -1,5 +1,7 @@
 """Finite-difference eigensolver checks, including its own self-tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,13 @@ from shallowdw import (
     TridiagonalHamiltonian,
     base_ground_state,
     build_hamiltonian,
-    check_intertwining,
     eigen_residual,
     lowest_eigenpairs,
     sturm_count,
     verify_spectrum,
 )
 
-from shallowdw import oracle
+from shallowdw import oracle, transform
 from conftest import cached_report
 
 
@@ -164,36 +165,32 @@ class TestEigenResidual:
 
 
 class TestIntertwining:
-    def test_gaussian(self, default_grid):
-        bump = RealWave(default_grid, np.exp(-default_grid.x**2))
-        assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
-
-    def test_random_bump_family(self, default_grid):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            center = rng.uniform(-3.0, 3.0)
-            width = rng.uniform(0.5, 2.0)
-            bump = RealWave(default_grid,
-                            np.exp(-((default_grid.x - center) / width) ** 2))
-            assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
-
-    def test_base_ground_state_input(self, default_grid):
-        # eta phi0 = -phi0, so both sides equal -(unnormalized psi1)
-        assert check_intertwining(Partner(-1.5, default_grid), base_ground_state(default_grid)) < 1e-4
-
-    def test_zero_input(self, default_grid):
-        zero = RealWave(default_grid, np.zeros(default_grid.n_points))
-        assert check_intertwining(Partner(-1.5, default_grid), zero) == 0.0
+    """The two Darboux identities V + V0 = 2 w^2 + 2 eps and V - V0 = -2 w'."""
 
     def test_grid_without_interior_nodes_rejected(self):
-        # chained stencils drop four nodes at each edge: none left of 7
+        # four nodes are dropped at each edge: none left of 7
         grid = Grid(3.0, 7)
         with pytest.raises(ValueError, match="at least 9 points"):
-            check_intertwining(Partner(-1.5, grid), RealWave(grid, np.exp(-grid.x**2)))
+            oracle._intertwining_residual(Partner(-1.5, grid))
 
     def test_smallest_measurable_grid(self):
-        grid = Grid(3.0, 9)
-        assert np.isfinite(check_intertwining(Partner(-1.5, grid), RealWave(grid, np.exp(-grid.x**2))))
+        assert np.isfinite(oracle._intertwining_residual(Partner(-1.5, Grid(3.0, 9))))
+
+    @pytest.mark.parametrize("eps", [-5.0, -50.0])
+    def test_falls_at_fourth_order(self, eps):
+        # the algebraic identity sits at rounding level; w' is 4th-order
+        values = [oracle._intertwining_residual(Partner(eps, Grid(20.0, n)))
+                  for n in (4001, 8001, 16001)]
+        for coarse, fine in zip(values, values[1:]):
+            assert 12.0 <= coarse / fine <= 20.0
+
+    def test_finite_and_quiet_at_the_most_negative_eps(self):
+        # w^2 <= |eps| <= sqrt(DBL_MAX) / 2: the algebraic identity cannot overflow
+        eps = transform.EPSILON_MIN
+        grid = Grid(15.0 / np.sqrt(-eps), 1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle._intertwining_residual(Partner(eps, grid)) < 1e-4
 
 
 class TestVerifySpectrum:

@@ -16,10 +16,9 @@ from shallowdw import (
     Partner,
     RealWave,
     base_ground_state,
-    check_intertwining,
-    log_derivative_of_seed,
     oracle,
     potential,
+    potential_log_form,
     transform,
 )
 from shallowdw.cli import main
@@ -73,7 +72,8 @@ class TestLazyFields:
         partner = Partner(-1.37, default_grid)
         x = default_grid.x
         assert np.array_equal(partner.potential, potential(-1.37, x))
-        assert np.array_equal(partner.w, log_derivative_of_seed(-1.37, x))
+        seed = transform._seed_parts(-1.37, x)
+        assert np.array_equal(partner.w, seed.du / seed.u)
         q1 = np.exp(-np.abs(x))
         assert np.array_equal(partner.base_well, -2.0 * (2.0 * q1 / (1.0 + q1 * q1)) ** 2)
         # the scaled sech^2 and 1/cosh^2 differ only by rounding
@@ -138,31 +138,11 @@ class TestLazyFields:
             "(|psi(x_max)|/peak = 1.00e+00 > 1e-06); increase x_max\n")
 
 
-def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
-    grid = Grid(10.0, default_grid.n_points)
-    with pytest.raises(ValueError, match="partner's grid"):
-        check_intertwining(Partner(-1.5, default_grid),
-                           RealWave(grid, np.exp(-grid.x**2)))
-
-
 @pytest.mark.parametrize("operator", [transform.apply_a, transform.apply_a_dagger])
 def test_ladder_operators_reject_a_wave_on_another_grid(operator, default_grid):
     grid = Grid(10.0, default_grid.n_points)
     with pytest.raises(ValueError, match="partner's grid"):
         operator(Partner(-1.5, default_grid), RealWave(grid, np.exp(-grid.x**2)))
-
-
-def test_intertwining_applies_a_through_transform(monkeypatch, default_grid):
-    calls = []
-
-    def counting(partner, f):
-        calls.append(partner)
-        return transform.apply_a(partner, f)
-
-    monkeypatch.setattr(oracle, "apply_a", counting)
-    partner = Partner(-1.5, default_grid)
-    check_intertwining(partner, RealWave(default_grid, np.exp(-default_grid.x**2)))
-    assert calls == [partner, partner]
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,22 +155,61 @@ def test_potential_is_finite_even_and_exact_at_the_centre(eps, half, x_max):
     assert v[grid.center_index] == 2.0 * eps + 2.0
 
 
-@pytest.mark.parametrize("eps, x_max", [(-1e300, 1e-150), (-1e154, 1.0), (-8.98e307, 1.0)])
+# x_max 15/k holds the ground state of the most negative eps
+@pytest.mark.parametrize("eps, x_max", [
+    (transform.EPSILON_MIN, 15.0 / np.sqrt(-transform.EPSILON_MIN)),
+    (transform.EPSILON_MIN, 1.0),
+    (-1e150, 1.0),
+], ids=["eps_min-15_over_k", "eps_min-1.0", "-1e150-1.0"])
 def test_potential_of_a_huge_eps_overflows_nothing(eps, x_max):
     grid = Grid(x_max, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = Partner(eps, grid).potential
+        # the cross-check formula's k**3 stays finite inside the domain too
+        assert np.all(np.isfinite(potential_log_form(eps, grid.x)))
     assert np.all(np.isfinite(v)) and np.all(v < 0.0)
     assert v[grid.center_index] == 2.0 * eps + 2.0
 
 
+def test_curvature_is_finite_at_the_most_negative_eps():
+    # eps^2 rounds near DBL_MAX / 4 here, so this pins the last valid float
+    assert np.isfinite(transform.curvature_at_origin(transform.EPSILON_MIN))
+    below = np.nextafter(transform.EPSILON_MIN, -np.inf)
+    with pytest.raises(InvalidEpsilon, match="curvature"):
+        Partner(below, Grid(1.0, 5))
+
+
+def test_classify_at_the_most_negative_eps_prints_finite_numbers(capsys):
+    eps = transform.EPSILON_MIN
+    assert run(["classify", f"--epsilon={eps!r}", "--x-max", 15.0 / np.sqrt(-eps),
+                "--points", 1001]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "inf" not in captured.out
+    assert "curvature=1.79" in captured.out
+
+
 def test_eps_whose_barrier_top_overflows_is_invalid(capsys):
-    with pytest.raises(InvalidEpsilon, match="overflows"):
+    with pytest.raises(InvalidEpsilon, match="eps >= -6.70"):
         Partner(-9e307, Grid(1.0, 5))
     assert run(["potential", "--epsilon=-9e307", "--x-max", 1, "--points", 3]) == 2
     assert capsys.readouterr().err == (
-        "error: barrier top 2 eps + 2 overflows at eps = -9e+307\n")
+        "error: factorization energy must satisfy eps >= -6.703903964971298e+153, "
+        "where the curvature 4 (3 + 4 eps + eps^2) is still finite, got -9e+307\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--epsilon=-1e160", "--x-max", 2e-79, "--points", 1001],
+    ["classify", "--epsilon=-1e300", "--x-max", 2e-149, "--points", 1001],
+    ["sweep", "--eps-start=-1e200", "--eps-end=-1e199", "--steps", 2,
+     "--quantities", "curvature"],
+], ids=["classify-1e160", "classify-1e300", "sweep-1e200"])
+def test_eps_below_the_domain_exits_2(args, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: factorization energy must satisfy eps >= ")
+    assert captured.err.count("\n") == 1
 
 
 def test_exports_resolve_and_the_wrapper_layer_is_gone():
@@ -198,6 +217,12 @@ def test_exports_resolve_and_the_wrapper_layer_is_gone():
     for name in shallowdw.__all__:
         assert hasattr(shallowdw, name), name
     for name in ("PotentialCurve", "FactorizationEnergy", "EpsilonLike",
-                 "potential_curve", "ground_state", "excited_state", "ComplexWave"):
+                 "potential_curve", "ground_state", "excited_state", "ComplexWave",
+                 "seed_function", "log_derivative_of_seed"):
         assert name not in shallowdw.__all__
         assert not hasattr(shallowdw, name) and not hasattr(transform, name)
+    # verify checks the Darboux identities; the operator-level check is a test
+    assert "check_intertwining" not in shallowdw.__all__
+    assert not hasattr(shallowdw, "check_intertwining")
+    assert not hasattr(oracle, "check_intertwining")
+    assert len(shallowdw.__all__) == 30

@@ -15,17 +15,28 @@ from shallowdw import (
     apply_a_dagger,
     base_ground_state,
     curvature_at_origin,
-    log_derivative_of_seed,
     potential,
     potential_log_form,
-    seed_function,
     separatrix_energy,
+    transform,
 )
 
 EPS_SWEEP = [-1.05, -1.5, -2.0, -2.25, -2.95, -3.7, -6.0, -10.0]
 
 # extended-precision evaluation of the seed (mpmath, 50 digits), frozen
 SEED_AT_225_15 = -2.948648496052271925
+
+
+def seed_function(eps, x):
+    """The seed u(x) at arbitrary x, from the package's scaled seed parts."""
+    p = transform._seed_parts(eps, x)
+    return p.u * np.exp(p.growth)
+
+
+def log_derivative_of_seed(eps, x):
+    """u'/u at arbitrary x, as ``Partner.w`` samples it on a grid."""
+    p = transform._seed_parts(eps, x)
+    return p.du / p.u
 
 
 class TestEpsilonValidation:
@@ -81,8 +92,8 @@ class TestSeedFunction:
 
     def test_no_overflow_far_out(self):
         # scaled exponentials keep the ratio forms finite well past x ~ 700
-        val = log_derivative_of_seed(-9.0, 500.0)
-        assert np.isfinite(val)
+        w = Partner(-9.0, Grid(500.0, 3)).w
+        assert np.all(np.isfinite(w)) and w[-1] == pytest.approx(3.0, abs=1e-12)
 
 
 class TestLogDerivative:
@@ -102,7 +113,7 @@ class TestLogDerivative:
         assert log_derivative_of_seed(-2.25, -20.0) == pytest.approx(-1.5, abs=1e-6)
 
     def test_odd_parity(self, default_grid):
-        v = log_derivative_of_seed(-1.7, default_grid.x)
+        v = Partner(-1.7, default_grid).w
         assert np.max(np.abs(v + v[::-1])) < 1e-12 * np.max(np.abs(v))
 
 
@@ -202,8 +213,9 @@ class TestBaseGroundState:
 
 class TestLadderOperators:
     def test_a_dagger_annihilates_inverse_seed(self, default_grid):
-        f = RealWave(default_grid, 1.0 / seed_function(-1.5, default_grid.x))
-        out = apply_a_dagger(Partner(-1.5, default_grid), f).samples
+        partner = Partner(-1.5, default_grid)
+        f = partner.psi0  # proportional to 1/u
+        out = apply_a_dagger(partner, f).samples
         interior = slice(2, -2)
         assert np.max(np.abs(out[interior])) < 1e-8 * np.max(np.abs(f.samples))
 

@@ -13,7 +13,7 @@ import pytest
 
 from shallowdw import oracle, wells
 from shallowdw.cli import main
-from shallowdw.grids import Grid, RealWave
+from shallowdw.grids import Grid, first_derivative
 from shallowdw.transform import Partner, separatrix_energy
 
 REF_TOLERANCES = {
@@ -26,21 +26,21 @@ REF_TOLERANCES = {
 }
 
 
-def ref_intertwining_family_residual(eps, grid):
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(5):
-        center = rng.uniform(-3.0, 3.0)
-        width = rng.uniform(0.5, 2.0)
-        bump = RealWave(grid, np.exp(-((grid.x - center) / width) ** 2))
-        worst = max(worst, oracle.check_intertwining(Partner(eps, grid), bump))
-    return worst
+def ref_intertwining_residual(eps, grid):
+    """The larger relative residual of V + V0 = 2 w^2 + 2 eps and V - V0 = -2 w'."""
+    partner = Partner(eps, grid)
+    v, v0, w = partner.potential, partner.base_well, partner.w
+    sl = slice(4, -4)
+    algebraic = v + v0 - 2.0 * w * w - 2.0 * eps
+    derivative = v - v0 + 2.0 * first_derivative(w, grid.h)
+    return max(float(np.max(np.abs(algebraic[sl]))) / float(np.max(np.abs((v + v0)[sl]))),
+               float(np.max(np.abs(derivative[sl]))) / float(np.max(np.abs((v - v0)[sl]))))
 
 
 def ref_verify(eps, grid):
     """(stdout, exit code) of `verify` as the CLI computed them inline."""
     report = oracle.verify_spectrum(Partner(eps, grid))
-    intertwining = ref_intertwining_family_residual(eps, grid)
+    intertwining = ref_intertwining_residual(eps, grid)
     lhs, rhs, rel_err = wells.check_bimodality_relation(Partner(eps, grid))
 
     tol = REF_TOLERANCES
