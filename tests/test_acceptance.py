@@ -14,7 +14,6 @@ from shallowdw import (
     RealWave,
     TridiagonalHamiltonian,
     analytic_period,
-    apply_a,
     apply_a_dagger,
     base_ground_state,
     check_bimodality_relation,
@@ -27,38 +26,17 @@ from shallowdw import (
     separatrix_energy,
 )
 from shallowdw.cli import main as cli_main
-from shallowdw.grids import first_derivative, second_derivative
 
-from conftest import cached_report, lc_state, left_well_probability, norm_squared
+from conftest import (
+    cached_report,
+    check_intertwining,
+    lc_state,
+    left_well_probability,
+    norm_squared,
+)
 from test_dynamics import fit_period
 
 SPECTRUM_EPS = [-1.05, -1.10, -1.25, -1.5, -1.75, -2.0, -2.25, -2.5, -2.75, -2.95]
-
-
-def check_intertwining(partner: Partner, f: RealWave) -> float:
-    """Relative max-norm residual of (Xi A - A eta) f over interior nodes.
-
-    Applies the operators themselves to a test function: an independent
-    cross-check of the two pointwise Darboux identities that ``verify``
-    tests.  Both sides come from sampled stencils, so the result is
-    discretization-limited (~1e-8 for smooth decaying f on the default
-    grid).  ``f`` must be sampled on the partner's grid.
-    """
-    af = apply_a(partner, f).samples
-    h = f.grid.h
-    sl = slice(4, -4)  # chained stencils spoil one more node than eigen_residual drops
-    w, v_base, samples = partner.w, partner.base_well, f.samples
-
-    eta_f = -second_derivative(samples, h) + v_base * samples
-    rhs = apply_a(partner, RealWave(f.grid, eta_f)).samples
-    # lhs - rhs without D2(D1 f) - D1(D2 f): on these nodes both are the same
-    # interior convolutions, so that term is 0 but for roundoff ~ eps_mach/h^3
-    diff = (-second_derivative(w * samples, h) + partner.potential * af
-            + first_derivative(v_base * samples, h) - w * eta_f)
-
-    err = float(np.max(np.abs(diff[sl])))
-    scale = float(np.max(np.abs(rhs[sl])))
-    return err / scale if scale else err
 
 
 def record(number: int, description: str, ok: bool) -> None:

@@ -21,7 +21,7 @@ from shallowdw import (
 )
 
 from shallowdw import oracle, transform
-from conftest import cached_report
+from conftest import cached_report, check_intertwining
 
 
 class TestBuildHamiltonian:
@@ -166,6 +166,28 @@ class TestEigenResidual:
 
 class TestIntertwining:
     """The two Darboux identities V + V0 = 2 w^2 + 2 eps and V - V0 = -2 w'."""
+
+    # the operator-level cross-check (Xi A - A eta) f of the same identities
+    def test_gaussian(self, default_grid):
+        bump = RealWave(default_grid, np.exp(-default_grid.x**2))
+        assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
+
+    def test_random_bump_family(self, default_grid):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            center = rng.uniform(-3.0, 3.0)
+            width = rng.uniform(0.5, 2.0)
+            bump = RealWave(default_grid,
+                            np.exp(-((default_grid.x - center) / width) ** 2))
+            assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
+
+    def test_base_ground_state_input(self, default_grid):
+        # eta phi0 = -phi0, so both sides equal -(unnormalized psi1)
+        assert check_intertwining(Partner(-1.5, default_grid), base_ground_state(default_grid)) < 1e-4
+
+    def test_zero_input(self, default_grid):
+        zero = RealWave(default_grid, np.zeros(default_grid.n_points))
+        assert check_intertwining(Partner(-1.5, default_grid), zero) == 0.0
 
     def test_grid_without_interior_nodes_rejected(self):
         # four nodes are dropped at each edge: none left of 7

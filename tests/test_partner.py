@@ -23,6 +23,8 @@ from shallowdw import (
 )
 from shallowdw.cli import main
 
+from conftest import check_intertwining
+
 SWEEP_ALL = "separatrix,curvature,gap,maxima_count,e0_error,e1_error"
 
 
@@ -136,6 +138,13 @@ class TestLazyFields:
         assert capsys.readouterr().err == (
             "error: ground state has not decayed at the grid edge "
             "(|psi(x_max)|/peak = 1.00e+00 > 1e-06); increase x_max\n")
+
+
+def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
+    grid = Grid(10.0, default_grid.n_points)
+    with pytest.raises(ValueError, match="partner's grid"):
+        check_intertwining(Partner(-1.5, default_grid),
+                           RealWave(grid, np.exp(-grid.x**2)))
 
 
 @pytest.mark.parametrize("operator", [transform.apply_a, transform.apply_a_dagger])
