@@ -15,9 +15,11 @@ the library, so the seed is evaluated once.
 
 All numbers are written with the shortest round-trip decimal representation,
 so repeated runs are byte-identical and every emitted file parses back
-losslessly.  Exit codes: 0 ok, 1 verification failed, and for each error
-the code of its first row in ``EXIT_CODES``.  A sweep whose every row fails
-exits with the highest code of its rows.
+losslessly.  A column that is bitwise even or odd about its centre row is
+formatted once on x >= 0 and mirrored for x < 0; the bytes are the same as
+formatting every value.  Exit codes: 0 ok, 1 verification failed, and for
+each error the code of its first row in ``EXIT_CODES``.  A sweep whose every
+row fails exits with the highest code of its rows.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ EXIT_CODES = (
 # what fails one sweep row but not the whole sweep
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
 
-CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk; bounds the text held at once
+CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk
+SIGN_BIT = np.uint64(1 << 63)  # float64 sign, on a uint64 view
 
 # sweep column -> value(partner, report); report() is the cached oracle run
 SWEEP_QUANTITIES = {
@@ -88,22 +91,56 @@ def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
             fh.writelines(chunks)
 
 
-def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
-         comments: Sequence[str] = (), footer: Sequence[str] = ()) -> Iterator[str]:
-    """CSV text in chunks of CSV_BLOCK_ROWS rows.
+def _format_column(col: np.ndarray) -> List[str]:
+    """str() of every value of col, in order.
 
     .tolist() yields Python scalars, whose str() is the shortest round-trip
-    repr for floats and plain digits for ints.
+    repr for floats and plain digits for ints.  An odd-length float64 column
+    that is bitwise even (col[i] == col[n-1-i]) or odd (col[i] == -col[n-1-i],
+    and no NaN, whose str() has no sign) about its centre row is formatted
+    on the centre row and after only; the rows before it reuse that text,
+    reversed, with the leading "-" toggled if odd.  The bits are compared, so
+    0.0 and -0.0 are never swapped.  Any other column is formatted in full.
     """
+    n = len(col)
+    if col.dtype == np.float64 and n % 2:
+        bits = col.view(np.uint64)
+        before, after = bits[:n // 2], bits[:n // 2:-1]  # row i and row n-1-i
+        even = np.array_equal(before, after)
+        odd = not even and np.array_equal(before, after ^ SIGN_BIT) and not np.isnan(col).any()
+        if even or odd:
+            text = list(map(str, col[n // 2:].tolist()))
+            mirror = text[:0:-1]
+            if odd:
+                mirror = [s[1:] if s[0] == "-" else "-" + s for s in mirror]
+            return mirror + text
+    return list(map(str, col.tolist()))
+
+
+def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
+         comments: Sequence[str] = (), footer: Sequence[str] = ()) -> Iterator[str]:
+    """CSV text in chunks of CSV_BLOCK_ROWS rows."""
     yield "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+    text = [_format_column(col) for col in columns]
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [map(str, col[start:start + CSV_BLOCK_ROWS].tolist()) for col in columns]
+        block = [col[start:start + CSV_BLOCK_ROWS] for col in text]
         yield "\n".join(map(",".join, zip(*block))) + "\n"
     yield "".join(f"# {c}\n" for c in footer)
 
 
 def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    return json.dumps({name: col.tolist() for name, col in zip(header, columns)}) + "\n"
+    """json.dumps({name: col.tolist(), ...}) + "\\n", byte for byte.
+
+    The columns hold floats and ints, whose JSON text is their str() but
+    for the non-finite floats: no other str() of one contains "nan" or
+    "inf", so replacing those maps nan, inf and -inf to NaN, Infinity and
+    -Infinity.
+    """
+    fields = []
+    for name, col in zip(header, columns):
+        values = ", ".join(_format_column(col)).replace("nan", "NaN").replace("inf", "Infinity")
+        fields.append(f"{json.dumps(name)}: [{values}]")
+    return "{" + ", ".join(fields) + "}\n"
 
 
 def _emit_table(args, header, columns, comments=(), footer=()) -> None:

@@ -2,18 +2,21 @@
 
 The reference below formats one value at a time (`repr(float(v))` for
 floats, `str` otherwise) from row tuples.  The CLI formats whole columns
-from `.tolist()`; both must give the same bytes.
+from `.tolist()`, and an even or odd column from its x >= 0 half only; both
+must give the same bytes.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shallowdw import cli, dynamics, oracle, wells
 from shallowdw.cli import main
 from shallowdw.grids import Grid
 from shallowdw.transform import (
+    EPSILON_MAX,
     Partner,
     curvature_at_origin,
     separatrix_energy,
@@ -41,7 +44,7 @@ def ref_columns_json(header, rows) -> str:
     cols = {name: [] for name in header}
     for row in rows:
         for name, value in zip(header, row):
-            cols[name].append(float(value) if isinstance(value, np.floating) else value)
+            cols[name].append(value.item() if isinstance(value, np.generic) else value)
     return json.dumps(cols) + "\n"
 
 
@@ -142,3 +145,138 @@ def test_stdout_matches_file(tmp_path, capsys, monkeypatch):
     out = tmp_path / "states.csv"
     assert main(args + ["--out", str(out)]) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def emit(fmt, header, columns) -> bytes:
+    if fmt == "json":
+        return cli._columns_json(header, columns).encode("utf-8")
+    return "".join(cli._csv(header, columns)).encode("utf-8")
+
+
+def even(half):
+    """The even column whose centre row and the rows after it are half."""
+    half = np.asarray(half, dtype=float)
+    return np.concatenate((half[:0:-1], half))
+
+
+def odd(half):
+    """The odd column whose centre row and the rows after it are half."""
+    half = np.asarray(half, dtype=float)
+    return np.concatenate((-half[:0:-1], half))
+
+
+def one_ulp_off(col, row):
+    col = col.copy()
+    col[row] = np.nextafter(col[row], np.inf)
+    return col
+
+
+class CountingArray(np.ndarray):
+    """Records the length of each .tolist() call: how many values get formatted."""
+
+    def __array_finalize__(self, obj):
+        self.formatted = getattr(obj, "formatted", None)
+
+    def tolist(self):
+        self.formatted.append(len(self))
+        return super().tolist()
+
+
+# name -> (column, whether only its centre row and the rows after it are formatted)
+EDGE_COLUMNS = {
+    "even": (even([1.0, 0.1, -2.5e-300]), True),
+    "odd": (odd([0.0, -0.1, 1e300]), True),
+    "even-one-ulp-off": (one_ulp_off(even([1.0, 0.1, 3.0]), 0), False),
+    "odd-one-ulp-off": (one_ulp_off(odd([0.0, 0.1, 3.0]), 4), False),
+    # 0.0 == -(-0.0) bitwise: odd, and the text must keep the sign
+    "mirrored-signed-zeros": (np.array([0.0, 1.0, -0.0]), True),
+    # the same pair next to an even pair: neither even nor odd
+    "signed-zeros-in-even": (np.array([-0.0, 2.0, 1.0, 2.0, 0.0]), False),
+    "negative-zero-centre": (odd([-0.0, 2.0, 3.0]), True),
+    "inf-odd": (odd([0.0, 1.0, np.inf]), True),
+    "inf-even": (even([1.0, -np.inf]), True),
+    "nan-even": (even([np.nan, 1.0, np.nan]), True),
+    # NaN's str() has no sign to toggle: never "-nan"
+    "nan-odd": (odd([0.0, 1.0, np.nan]), False),
+    "length-1": (np.array([-0.0]), True),
+    "length-3": (np.array([0.5, -2.0, 0.5]), True),
+    "even-length": (np.array([1.0, 2.0, 2.0, 1.0]), False),
+    "int": (np.array([3, 1, 3]), False),
+    "object": (np.array([1.5, 2, float("nan"), 2, 1.5], dtype=object), False),
+}
+
+
+class TestEdgeColumns:
+    @pytest.mark.parametrize("name", EDGE_COLUMNS)
+    def test_formats_half_only_when_mirrored(self, name):
+        col, mirrored = EDGE_COLUMNS[name]
+        counting = col.view(CountingArray)
+        counting.formatted = []
+        assert cli._format_column(counting) == [ref_fmt(v) for v in col]
+        n = len(col)
+        assert counting.formatted == [n // 2 + 1 if mirrored else n]
+
+    @pytest.mark.parametrize("name", EDGE_COLUMNS)
+    def test_table_bytes(self, fmt, name):
+        col = EDGE_COLUMNS[name][0]
+        columns = (np.arange(len(col)), col)
+        got = emit(fmt, ("i", "c"), columns)
+        assert got == reference(fmt, ("i", "c"), zip(*columns))
+        assert b"-nan" not in got.lower()
+
+    def test_json_spells_non_finite_values(self):
+        text = cli._columns_json(("a", "b"), (odd([0.0, np.inf]), even([np.nan, 1.0])))
+        assert text == '{"a": [-Infinity, 0.0, Infinity], "b": [1.0, NaN, 1.0]}\n'
+
+    def test_block_boundary_on_the_centre_row(self, fmt):
+        # the centre row opens the second block
+        half = np.linspace(0.0, 3.0, cli.CSV_BLOCK_ROWS + 1)
+        columns = (odd(half), even(np.exp(-half)), odd(np.sin(half)))
+        assert (emit(fmt, ("x", "e", "o"), columns)
+                == reference(fmt, ("x", "e", "o"), zip(*columns)))
+
+
+def grid_for(eps, width, extra):
+    """Odd grid that holds both states of eps, plus 2 * extra nodes.
+
+    As eps -> -1 the wells move out to |x| ~ -ln(-1 - eps) / 2, so the
+    half-width grows by -ln(-1 - eps) beyond width.
+    """
+    x_max = width + max(0.0, -np.log(-1.0 - eps))
+    scale = max(1.0, np.sqrt(-eps))
+    return Grid(x_max, 2 * int(np.ceil(x_max * scale / 0.45)) + 1 + 2 * extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.floats(-3.0, EPSILON_MAX, exclude_min=True),
+                 st.sampled_from([-50.0, -1e4])),
+       st.floats(20.0, 40.0), st.integers(0, 1000))
+def test_emitted_columns_are_bitwise_even_or_odd(eps, width, extra):
+    # the emission formats these columns from x >= 0 only; if a change to
+    # the closed forms broke their symmetry the bytes would stay right but
+    # that saving would go
+    grid = grid_for(eps, width, extra)
+    partner = Partner(eps, grid)
+    psi0 = partner.psi0.samples
+    c = grid.center_index
+    for col, parity in ((grid.x, "odd"), (partner.potential, "even"), (psi0, "even"),
+                        (partner.psi1.samples, "odd"), (psi0**2, "even")):
+        bits = col.view(np.uint64)
+        before, after = bits[:c], bits[:c:-1]
+        if parity == "odd":
+            after = after ^ cli.SIGN_BIT
+        assert np.array_equal(before, after), parity
+
+
+@pytest.mark.parametrize("command, header, fmt", [
+    ("states", ("x", "V", "psi0", "psi1", "rho0"), "csv"),
+    ("potential", ("x", "V"), "json"),
+])
+def test_bytes_at_16001_points(tmp_path, command, header, fmt):
+    grid = Grid(X_MAX, 16001)
+    partner = Partner(-2.2, grid)
+    psi0 = partner.psi0.samples
+    columns = (grid.x, partner.potential, psi0, partner.psi1.samples, psi0**2)
+    got = emitted(tmp_path, [command, "--epsilon", -2.2, "--x-max", X_MAX,
+                             "--points", 16001], fmt)
+    assert got == reference(fmt, header, zip(*columns[:len(header)]))

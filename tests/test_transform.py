@@ -143,6 +143,14 @@ class TestPotential:
         log_form = potential_log_form(eps, default_grid.x)
         assert np.max(np.abs(explicit - log_form)) < 1e-9
 
+    @pytest.mark.parametrize("eps", [-2.0, -50.0, -1e4, -1e8, -1e20, transform.EPSILON_MIN])
+    def test_log_form_error_scales_with_eps(self, eps):
+        # the log form cancels terms of size |eps|, so its absolute error
+        # grows with |eps|; at EPSILON_MIN it keeps no digit of V
+        grid = Grid(1.0, 5)
+        err = np.max(np.abs(potential(eps, grid.x) - potential_log_form(eps, grid.x)))
+        assert err <= 16.0 * np.finfo(float).eps * max(1.0, abs(eps))
+
     def test_curve_invariants(self, default_grid):
         v = Partner(-1.5, default_grid).potential
         assert v[default_grid.center_index] == -1.0
