@@ -45,8 +45,8 @@ EXIT_GRID = 3
 EXIT_SOLVER = 4
 
 # exception -> exit code, first match wins: the grid errors are ValueErrors.
-# -3 < eps < -1 always has two bound states, so a count mismatch means the
-# grid cannot hold them.
+# every eps < -1 has two bound states, so a count mismatch means the grid
+# cannot hold them.
 EXIT_CODES = (
     (GridTooNarrow, EXIT_GRID),
     (GridTooCoarse, EXIT_GRID),
@@ -288,27 +288,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if len(codes) < len(eps_values) else max(codes)
 
 
-def _add_common(parser: argparse.ArgumentParser, config: Dict[str, str],
-                epsilon: bool = True) -> None:
-    if epsilon:
-        parser.add_argument("--epsilon", type=float, default=config.get("epsilon"),
-                            help="factorization energy (must be < -1)")
-    grid = Grid.default()
-    parser.add_argument("--x-max", dest="x_max", type=float,
-                        default=config.get("x_max", grid.x_max),
-                        help=f"half-width of the symmetric grid (default {grid.x_max:g})")
-    parser.add_argument("--points", type=int, default=config.get("points", grid.n_points),
-                        help=f"odd number of grid nodes (default {grid.n_points})")
-    parser.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
-
-
 def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
     # config values become string defaults; argparse applies an option's type
     # to one only when its flag is absent, so flag beats file beats built-in
     config = config or {}
+    # the shared options, declared once and inherited by each subcommand
+    epsilon = argparse.ArgumentParser(add_help=False)
+    epsilon.add_argument("--epsilon", type=float, default=config.get("epsilon"),
+                         help="factorization energy (must be < -1)")
+    common = argparse.ArgumentParser(add_help=False)
+    grid = Grid.default()
+    common.add_argument("--x-max", dest="x_max", type=float,
+                        default=config.get("x_max", grid.x_max),
+                        help=f"half-width of the symmetric grid (default {grid.x_max:g})")
+    common.add_argument("--points", type=int, default=config.get("points", grid.n_points),
+                        help=f"odd number of grid nodes (default {grid.n_points})")
+    common.add_argument("--out", default=None, help="output path ('-' = stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--config", default=None,
+                        help="key=value config file; flags take precedence")
+    shared = [epsilon, common]
+
     parser = argparse.ArgumentParser(
         prog="shallowdw",
         description="Exactly soluble shallow double wells: closed-form states, "
@@ -316,25 +316,18 @@ def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentPa
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("potential", help="emit x,V samples")
-    _add_common(p, config)
+    p = sub.add_parser("potential", help="emit x,V samples", parents=shared)
     p.add_argument("--svg", default=None, help="also write an SVG polyline")
     p.set_defaults(func=cmd_potential)
 
-    p = sub.add_parser("states", help="emit x,V,psi0,psi1,rho0 samples")
-    _add_common(p, config)
-    p.set_defaults(func=cmd_states)
+    sub.add_parser("states", help="emit x,V,psi0,psi1,rho0 samples",
+                   parents=shared).set_defaults(func=cmd_states)
+    sub.add_parser("verify", help="JSON spectrum-verification report",
+                   parents=shared).set_defaults(func=cmd_verify)
+    sub.add_parser("classify", help="interval taxonomy verdict",
+                   parents=shared).set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("verify", help="JSON spectrum-verification report")
-    _add_common(p, config)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", help="interval taxonomy verdict")
-    _add_common(p, config)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("evolve", help="left-well probability time series")
-    _add_common(p, config)
+    p = sub.add_parser("evolve", help="left-well probability time series", parents=shared)
     p.add_argument("--t-max", dest="t_max", type=float, default=config.get("t_max"),
                    help="final time (default: two oscillation periods)")
     p.add_argument("--frames", type=int, default=config.get("frames", 201),
@@ -342,8 +335,8 @@ def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentPa
     p.add_argument("--svg", default=None, help="also write an SVG polyline")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("sweep", help="tabulate quantities over an eps range")
-    _add_common(p, config, epsilon=False)
+    p = sub.add_parser("sweep", help="tabulate quantities over an eps range",
+                       parents=[common])
     p.add_argument("--eps-start", dest="eps_start", type=float,
                    default=config.get("eps_start"))
     p.add_argument("--eps-end", dest="eps_end", type=float, default=config.get("eps_end"))

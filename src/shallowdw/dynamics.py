@@ -44,8 +44,9 @@ def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationS
     grid, eps_val = partner.grid, partner.epsilon
     if n_frames < 2:
         raise ValueError("n_frames must be at least 2")
-    if not np.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
+    # the phase (1 + eps) t must stay finite too, or cos() turns it into NaN
+    if not np.isfinite((1.0 + eps_val) * float(t_max)):
+        raise ValueError(f"t_max must be finite, as must (1 + eps) t_max; got {t_max}")
     times = np.linspace(0.0, float(t_max), int(n_frames))
     mid = grid.center_index
     psi0 = partner.psi0.samples[: mid + 1]

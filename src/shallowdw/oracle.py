@@ -10,10 +10,10 @@ j // 2 of the sector with parity j % 2.
 Each sector level is bracketed by bisection on a Sturm count of scaled
 pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}) with a_i = h^2 (V_i - lam), a
 form that never builds the 2/h^2 diagonal and so loses nothing to
-cancellation against it.  A count stops at the outer turning point: beyond
-it V >= lam, so a_i >= 0, and once r >= 0 no later pivot can be negative.
-Only the counts at lam = 0 read every row; each sector's is made once per
-Hamiltonian.
+cancellation against it.  A count runs to the outer turning row, then on
+only until r leaves (-1, 0): beyond the turn V >= lam, so a_i >= 0, and no
+pivot after that can be negative.  Only the counts at lam = 0 read every
+row; each sector's is made once per Hamiltonian.
 
 Eigenvectors come from twisted factorizations (Fernando; Parlett and
 Dhillon) in the same r-form: forward pivots from x = 0 to the turning
@@ -44,7 +44,7 @@ import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -162,40 +162,36 @@ def _first_pivot(a0: float, parity: int) -> float:
     return 0.5 * a0 if parity == 0 else 1.0 + a0
 
 
-def _negative_pivots(r: float, rows: Iterator[float], turn: int) -> int:
-    """Sturm count: negative pivots 1 + r_i of the scaled recurrence.
-
-    ``rows`` holds the a_i after r.  Past row ``turn`` every a_i >= 0, so
-    once r >= 0 there the recurrence keeps r >= 0 and no later pivot is
-    negative: the pass stops, with exactly the count of a full pass.
-    """
-    count = 0
-    for a in islice(rows, turn):
-        q = 1.0 + r
-        if q <= 0.0:
-            count += 1
-            if q == 0.0:
-                q = -PIVMIN
-        r = a + r / q
-    for a in rows:
-        if r >= 0.0:
-            return count
-        q = 1.0 + r
-        if q <= 0.0:
-            count += 1
-            if q == 0.0:
-                q = -PIVMIN
-        r = a + r / q
-    return count + (r <= -1.0)
-
-
 def _sector_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
+    """Sturm count of one sector: negative pivots 1 + r_i of the scaled recurrence.
+
+    Rows 1 .. turn are counted in full, an exact-zero pivot as a negative
+    one.  Past the turning row every a_i >= 0, which makes the rest of the
+    pass exact without a counter.  After a negative pivot (r <= -1) the
+    next r = a_i + r / (1 + r) is >= 0, and an r >= 0 stays >= 0, so no
+    later pivot is negative: the pass stops as soon as r leaves (-1, 0),
+    counting that one pivot if r <= -1.  While -1 < r < 0 the divisor 1 + r
+    is positive, so the tail needs no PIVMIN either.
+    """
     a = _sector_rows(H, lam, parity)
     # converted ROW_BLOCK rows at a time: a pass usually stops well short
     rows = chain.from_iterable(a[i:i + ROW_BLOCK].tolist()
                                for i in range(1, len(a), ROW_BLOCK))
-    return _negative_pivots(_first_pivot(float(a[0]), parity), rows,
-                            _turning_row(H, lam, parity))
+    r = _first_pivot(float(a[0]), parity)
+    count = 0
+    # inline rather than through _pivot_run: this loop leads the profile
+    for a_i in islice(rows, _turning_row(H, lam, parity)):
+        q = 1.0 + r
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -PIVMIN
+        r = a_i + r / q
+    for a_i in rows:
+        if not -1.0 < r < 0.0:
+            break
+        r = a_i + r / (1.0 + r)
+    return count + (r <= -1.0)
 
 
 def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int | None = None) -> int:
@@ -388,20 +384,19 @@ def verify_spectrum(partner: Partner) -> SpectrumReport:
     """Compare the closed-form bound states against the eigensolver.
 
     The closed-form states check the grid first, so GridTooNarrow and
-    GridTooCoarse come before any solver arithmetic.  For double-well eps
-    (-3 < eps < -1) exactly two eigenvalues must then sit below the
-    continuum threshold 0; otherwise BoundStateCountMismatch.
+    GridTooCoarse come before any solver arithmetic.  The partner of every
+    eps < -1 has exactly two bound states, at eps and -1, so exactly two
+    eigenvalues must then sit below the continuum threshold 0; otherwise
+    BoundStateCountMismatch.
     """
     eps_val = partner.epsilon
     psi0, psi1 = partner.psi0, partner.psi1
     H = build_hamiltonian(partner)
 
-    if -3.0 < eps_val < -1.0:
-        negatives = sum(H.bound_counts)
-        if negatives != 2:
-            raise BoundStateCountMismatch(
-                f"expected 2 bound states for eps={eps_val}, found {negatives}"
-            )
+    negatives = sum(H.bound_counts)
+    if negatives != 2:
+        raise BoundStateCountMismatch(
+            f"expected 2 bound states for eps={eps_val}, found {negatives}")
 
     (e0_num, psi0_num), (e1_num, psi1_num) = lowest_eigenpairs(H, 2)
     return SpectrumReport(

@@ -72,3 +72,21 @@ def check_intertwining(partner: Partner, f: RealWave) -> float:
     err = float(np.max(np.abs(diff[sl])))
     scale = float(np.max(np.abs(rhs[sl])))
     return err / scale if scale else err
+
+
+class CountingArray(np.ndarray):
+    """Records the length of each .tolist() call, on the array or a slice of it."""
+
+    def __array_finalize__(self, obj):
+        self.lengths = getattr(obj, "lengths", None)
+
+    def tolist(self):
+        self.lengths.append(len(self))
+        return super().tolist()
+
+
+def counting_view(values: np.ndarray) -> CountingArray:
+    """A view of values whose .tolist() lengths go to its ``lengths`` list."""
+    view = values.view(CountingArray)
+    view.lengths = []
+    return view

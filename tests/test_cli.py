@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 import shallowdw
 from shallowdw import cli, oracle, transform, wells
 from shallowdw.cli import main
+
+
+COMMANDS = ["potential", "states", "verify", "classify", "evolve", "sweep"]
 
 
 def run(args):
@@ -211,11 +215,18 @@ class TestVerifyCommand:
             "smaller x_max\n")
 
     def test_bound_state_count_mismatch_exits_3(self, monkeypatch, capsys):
-        # -3 < eps < -1 always has two bound states: a short count is the grid's
+        # every eps < -1 has two bound states: a short count is the grid's
         monkeypatch.setattr(oracle.TridiagonalHamiltonian, "bound_counts", (1, 0))
         assert run(["verify", "--epsilon", -1.5]) == 3
         assert capsys.readouterr().err == (
             "error: expected 2 bound states for eps=-1.5, found 1\n")
+
+    def test_bound_states_counted_below_the_double_well_range(self, monkeypatch, capsys):
+        # eps = -5 is a single well, with the same two bound states
+        monkeypatch.setattr(oracle.TridiagonalHamiltonian, "bound_counts", (1, 0))
+        code, out, err = run_captured(["verify", "--epsilon", "-5"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: expected 2 bound states for eps=-5.0, found 1\n"
 
 
 class TestClassifyCommand:
@@ -278,6 +289,12 @@ class TestEvolveCommand:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: Grid(x_max=2000.0, n_points=5) is "
                                        "too coarse for the ground state")
+
+    def test_svg_emission(self, tmp_path):
+        out, svg = tmp_path / "p.csv", tmp_path / "p.svg"
+        assert run(["evolve", "--epsilon", -1.5, "--svg", svg, "--out", out]) == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and "polyline" in text
 
     def test_above_barrier_warning_comment(self, tmp_path):
         out = tmp_path / "evolve.csv"
@@ -379,6 +396,21 @@ class TestConfigFile:
                     "--out", out2]) == 0
         _, rows2, _ = read_csv(out2)
         assert rows2[2000, 1] == -1.0
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# figure-2 regime\n\n   \nepsilon = -2.25\n# points = abc\n")
+        out = tmp_path / "a.csv"
+        assert run(["potential", "--config", cfg, "--out", out]) == 0
+        _, rows, _ = read_csv(out)
+        assert rows.shape == (4001, 2) and rows[2000, 1] == -2.5
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_reaches_the_shared_options(self, command):
+        config = {"epsilon": "-2.25", "x_max": "10", "points": "101"}
+        args = vars(cli.build_parser(config).parse_args([command]))
+        assert (args["x_max"], args["points"]) == (10.0, 101)
+        assert args.get("epsilon") == (None if command == "sweep" else -2.25)
 
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -492,6 +524,26 @@ class TestExitCodeTable:
         assert exc.value.code == 2
 
 
+class TestParserSurface:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_the_shared_options_first(self, command, capsys):
+        code, out, _ = run_captured([command, "--help"], capsys)
+        assert code == 0
+        shared = ["--x-max", "--points", "--out", "--format", "--config"]
+        if command != "sweep":
+            shared.insert(0, "--epsilon")
+        own = {"potential": ["--svg"], "evolve": ["--t-max", "--frames", "--svg"],
+               "sweep": ["--eps-start", "--eps-end", "--steps", "--quantities"]}
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.MULTILINE)
+        assert listed == ["--help", *shared, *own.get(command, [])]
+
+    def test_sweep_takes_no_epsilon(self, capsys):
+        code, out, err = run_captured(["sweep", "--epsilon", "-1.5", "--eps-start", "-2",
+                                       "--eps-end", "-1.5", "--steps", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --epsilon=-1.5\n")
+
+
 def run_captured(args, capsys):
     """(exit code, stdout, stderr) of one in-process run, argparse exits included."""
     try:
@@ -538,6 +590,7 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 @example(command="potential", eps=-1e300, x_max=1e-150, points=5, t_max=1.0)
 @example(command="potential", eps=-1e154, x_max=1.0, points=3, t_max=1.0)
 @example(command="verify", eps=-1e300, x_max=1e-149, points=41, t_max=1.0)
+@example(command="evolve", eps=-3.0, x_max=16.0, points=113, t_max=8.98846567431158e307)
 def test_every_run_keeps_the_exit_code_contract(command, eps, x_max, points, t_max):
     argv = [command, f"--epsilon={eps!r}", f"--x-max={x_max!r}", f"--points={points}"]
     if command == "evolve":

@@ -126,6 +126,11 @@ class TestEvolveSeries:
         with pytest.raises(ValueError, match="t_max must be finite"):
             evolve_series(Partner(-1.5, default_grid), t_max, 3)
 
+    def test_t_max_whose_phase_overflows_rejected(self, default_grid):
+        # (1 + eps) t_max = -2 * 9e307 overflows; cos(inf) would be a NaN frame
+        with pytest.raises(ValueError, match=r"as must \(1 \+ eps\) t_max"):
+            evolve_series(Partner(-3.0, default_grid), 8.98846567431158e307, 3)
+
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.5])
     def test_closed_form_matches_frame_by_frame_state(self, default_grid, eps):
         # the reference rounds the phase eps*t, an error that grows with t;

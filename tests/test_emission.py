@@ -22,6 +22,8 @@ from shallowdw.transform import (
     separatrix_energy,
 )
 
+from conftest import counting_view
+
 X_MAX, POINTS = 20.0, 401
 
 
@@ -171,17 +173,6 @@ def one_ulp_off(col, row):
     return col
 
 
-class CountingArray(np.ndarray):
-    """Records the length of each .tolist() call: how many values get formatted."""
-
-    def __array_finalize__(self, obj):
-        self.formatted = getattr(obj, "formatted", None)
-
-    def tolist(self):
-        self.formatted.append(len(self))
-        return super().tolist()
-
-
 # name -> (column, whether only its centre row and the rows after it are formatted)
 EDGE_COLUMNS = {
     "even": (even([1.0, 0.1, -2.5e-300]), True),
@@ -210,11 +201,10 @@ class TestEdgeColumns:
     @pytest.mark.parametrize("name", EDGE_COLUMNS)
     def test_formats_half_only_when_mirrored(self, name):
         col, mirrored = EDGE_COLUMNS[name]
-        counting = col.view(CountingArray)
-        counting.formatted = []
+        counting = counting_view(col)
         assert cli._format_column(counting) == [ref_fmt(v) for v in col]
         n = len(col)
-        assert counting.formatted == [n // 2 + 1 if mirrored else n]
+        assert counting.lengths == [n // 2 + 1 if mirrored else n]
 
     @pytest.mark.parametrize("name", EDGE_COLUMNS)
     def test_table_bytes(self, fmt, name):

@@ -1,9 +1,9 @@
 """Turning-point Sturm passes and twisted eigenvectors against what they replaced.
 
 The reference count below is the full-length scaled Sturm loop the oracle
-ran before its passes stopped at the outer turning point.  The early exit is
-exact: past the turning point every a_i >= 0, so once r >= 0 the remaining
-pivots are all positive.  The counts must therefore agree at every lam,
+ran before its passes stopped past the outer turning point.  The early exit
+is exact: past the turning point every a_i >= 0, so once r leaves (-1, 0)
+no later pivot is negative.  The counts must therefore agree at every lam,
 rounding included.
 """
 
@@ -13,6 +13,8 @@ import pytest
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, verify_spectrum
 from shallowdw.oracle import PIVMIN, build_hamiltonian, lowest_eigenpairs, sturm_count
 from shallowdw.transform import Partner
+
+from conftest import counting_view
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -38,6 +40,17 @@ def ref_negative_pivots(r, rest):
 
 def ref_count(H, lam, parity):
     return ref_negative_pivots(*ref_scaled_sector(H, lam, parity))
+
+
+def dense_sector_counts(H, lam):
+    """Levels below lam of the even and of the odd sector, from the dense matrix."""
+    h2 = H.grid.h**2
+    off = np.full(H.grid.n_points - 1, -1.0 / h2)
+    levels, vectors = np.linalg.eigh(np.diag(2.0 / h2 + H.potential)
+                                     + np.diag(off, 1) + np.diag(off, -1))
+    odd = np.sum(vectors * vectors[::-1], axis=0) < 0.0
+    below = levels < lam
+    return int(np.sum(below & ~odd)), int(np.sum(below & odd))
 
 
 def assert_counts_match(H, lams):
@@ -85,22 +98,40 @@ class TestTurningPointCount:
         assert_counts_match(H, near(levels) + [0.0, -1e4, float(half[1000])])
 
     def test_passes_stop_short_of_the_edge(self, monkeypatch):
-        # rows each count reads: only the counts at lam = 0 run the full sector
-        read = []
-        original = oracle._negative_pivots
+        # rows each count converts to floats: only the counts at lam = 0
+        # convert the whole sector
+        read, made = [], []
+        rows, count = oracle._sector_rows, oracle._sector_count
 
-        def measuring(r, rows, turn):
-            rows = list(rows)
-            rest = iter(rows)
-            count = original(r, rest, turn)
-            read.append((len(rows) - len(list(rest))) / len(rows))
-            return count
+        def recording_rows(H, lam, parity):
+            made.append(counting_view(rows(H, lam, parity)))
+            return made[-1]
 
-        monkeypatch.setattr(oracle, "_negative_pivots", measuring)
+        def measuring(H, lam, parity):
+            made.clear()
+            result = count(H, lam, parity)
+            (a,) = made
+            read.append(sum(a.lengths) / (len(a) - 1))  # row 0 is never converted
+            return result
+
+        monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
+        monkeypatch.setattr(oracle, "_sector_count", measuring)
         verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
         full = [f for f in read if f == 1.0]
         assert len(full) == 2  # both sectors at lam = 0, counted once each
         assert np.mean(read) < 0.5
+
+    def test_exact_zero_pivot_past_the_turning_row(self):
+        # h = 1 and lam = 0: the even sector's rows are a = -1, 0, 1, 2 with
+        # its turn at row 1, so r_0 = -0.5 and r_1 = -1.0 exactly, a zero
+        # pivot 1 + r_1 on the first row past the turn
+        H = TridiagonalHamiltonian(Grid(3.0, 7), [2, 1, 0, -1, 0, 1, 2])
+        assert oracle._turning_row(H, 0.0, 0) == 1
+        dense = dense_sector_counts(H, 0.0)
+        assert dense == (1, 0)
+        for parity in (0, 1):
+            assert sturm_count(H, 0.0, parity) == ref_count(H, 0.0, parity) == dense[parity]
+        assert sturm_count(H, 0.0) == 1
 
 
 class TestBoundCounts:

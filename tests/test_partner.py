@@ -92,6 +92,13 @@ class TestLazyFields:
         with pytest.raises(transform.GridTooNarrow, match="ground state"):
             partner.psi0
 
+    def test_excited_state_zero_on_every_node(self):
+        # nodes at 0 and +-1000: psi1 is 0 at the centre and underflows at
+        # the edges; the CLI never gets here, since it reads psi0 first
+        with pytest.raises(transform.GridTooNarrow,
+                           match="excited state is zero on every node"):
+            Partner(-1.5, Grid(1000.0, 3)).psi1
+
     @pytest.mark.parametrize("state", ["psi0", "psi1"])
     def test_spacing_checked_against_the_decay_length(self, state):
         # eps = -4: k = 2, so h = 0.25 is exactly two nodes per decay length
