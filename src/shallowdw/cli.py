@@ -18,8 +18,10 @@ so repeated runs are byte-identical and every emitted file parses back
 losslessly.  A column that is bitwise even or odd about its centre row is
 formatted once on x >= 0 and mirrored for x < 0; the bytes are the same as
 formatting every value.  Exit codes: 0 ok, 1 verification failed, and for
-each error the code of its first row in ``EXIT_CODES``.  A sweep whose every
-row fails exits with the highest code of its rows.
+each error the code of its first row in ``EXIT_CODES``, so an eps outside
+the family (at either end of a sweep range too) and a request too large to
+allocate are 2.  A sweep whose every row fails exits with the highest code
+of its rows.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import dynamics, oracle, wells
 from .grids import Grid, GridTooCoarse, GridTooNarrow
-from .transform import (EPSILON_MAX, InvalidEpsilon, Partner, curvature_at_origin,
+from .transform import (InvalidEpsilon, Partner, _epsilon, curvature_at_origin,
                         separatrix_energy)
 
 EXIT_OK = 0
@@ -54,6 +56,7 @@ EXIT_CODES = (
     (oracle.ConvergenceFailure, EXIT_SOLVER),
     (ValueError, EXIT_BAD_ARGS),
     (OSError, EXIT_BAD_ARGS),
+    (MemoryError, EXIT_BAD_ARGS),
 )
 # what fails one sweep row but not the whole sweep
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
@@ -252,19 +255,11 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(partner: Partner, quantities: List[str]) -> tuple:
-    report = functools.cache(lambda: oracle.verify_spectrum(partner))
-    # table order: the closed forms and classify run before the oracle
-    values = {q: value(partner, report)
-              for q, value in SWEEP_QUANTITIES.items() if q in quantities}
-    return tuple(values[q] for q in quantities)
-
-
 def cmd_sweep(args) -> int:
     if args.eps_start is None or args.eps_end is None or args.steps is None or args.steps < 1:
         raise ValueError("sweep requires --eps-start, --eps-end and --steps >= 1")
-    if not args.eps_start < args.eps_end or args.eps_end > EPSILON_MAX:
-        raise ValueError("sweep range must satisfy eps_start < eps_end <= -1 - 1e-9")
+    if not _epsilon(args.eps_start) < _epsilon(args.eps_end):
+        raise ValueError("sweep range must satisfy eps_start < eps_end")
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     bad = [q for q in quantities if q not in SWEEP_QUANTITIES]
     if bad or not quantities:
@@ -277,7 +272,10 @@ def cmd_sweep(args) -> int:
     codes = []
     for eps in eps_values:
         try:
-            rows.append((float(eps),) + _sweep_row(Partner(eps, grid), quantities))
+            partner = Partner(eps, grid)
+            report = functools.cache(functools.partial(oracle.verify_spectrum, partner))
+            rows.append((float(eps), *(SWEEP_QUANTITIES[q](partner, report)
+                                       for q in quantities)))
         except ROW_FAILURES as exc:
             print(f"warning: eps={eps}: {exc}", file=sys.stderr)
             rows.append((float(eps),) + (float("nan"),) * len(quantities))

@@ -2,9 +2,15 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shallowdw import Grid, Partner, RealWave, apply_a, verify_spectrum
 from shallowdw.grids import first_derivative, second_derivative
+
+# every run draws the same examples, and none replays a failure that an
+# earlier run stored: the suite's verdict depends on the code alone
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

@@ -351,7 +351,14 @@ class TestSweepCommand:
         assert run(["sweep", "--eps-start", -1.5, "--eps-end", -0.9,
                     "--steps", 3]) == 2
         assert capsys.readouterr().err == (
-            "error: sweep range must satisfy eps_start < eps_end <= -1 - 1e-9\n")
+            "error: factorization energy must satisfy eps <= -1.000000001 "
+            "(strictly below the base ground level -1), got -0.9\n")
+
+    @pytest.mark.parametrize("start, end", [(-1.5, -2.0), (-1.5, -1.5)])
+    def test_empty_range_exit_2(self, start, end, capsys):
+        assert run(["sweep", "--eps-start", start, "--eps-end", end, "--steps", 3]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep range must satisfy eps_start < eps_end\n")
 
     @pytest.mark.parametrize("quantities", ["e0_error", "maxima_count"])
     def test_every_row_failing_on_the_grid_exits_3(self, quantities, capsys):
@@ -505,6 +512,12 @@ class TestExitCodeTable:
         assert "t_max must be finite" in captured.err
         assert captured.out == ""
 
+    def test_stalled_bisection_is_a_solver_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "BISECTION_MAX_ITER", 1)
+        code, out, err = run_captured(["verify", "--epsilon", "-1.5"], capsys)
+        assert (code, out) == (4, "")
+        assert re.fullmatch(r"error: bisection .* stalled .*\n", err)
+
     @pytest.mark.parametrize("args", [
         ["--config", "/nonexistent/run.cfg"],
         ["--out", "/nonexistent/dir/x.csv"],
@@ -514,6 +527,17 @@ class TestExitCodeTable:
         code, out, err = run_captured(["potential", "--epsilon", "-1.5", *args], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["potential", "--epsilon", "-1.5", "--points", "1000000000000001"],
+        ["evolve", "--epsilon", "-1.5", "--frames", "1000000000000000"],
+        ["sweep", "--eps-start", "-2", "--eps-end", "-1.5", "--steps", "1000000000000000"],
+    ], ids=["points", "frames", "steps"])
+    def test_request_too_large_to_allocate_is_bad_args(self, args, capsys):
+        # petabytes: numpy refuses the array at once, before allocating any of it
+        code, out, err = run_captured(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_missing_epsilon_is_bad_args(self):
         assert run(["potential"]) == 2
@@ -600,6 +624,26 @@ def test_every_run_keeps_the_exit_code_contract(command, eps, x_max, points, t_m
         code = main(argv)
     assert code in (0, 1, 2, 3, 4)
     if code >= 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=50, deadline=None)
+@given(eps_start=st.one_of(st.floats(-3.5, -1.0), ANY_FLOAT),
+       eps_end=st.one_of(st.floats(-3.5, -1.0), ANY_FLOAT))
+# np.linspace warned on a non-finite end before the range was validated
+@example(eps_start=-np.inf, eps_end=-1.5)
+@example(eps_start=np.nan, eps_end=-1.5)
+def test_every_sweep_keeps_the_exit_code_contract(eps_start, eps_end):
+    # gap is a closed form: each run is fast and never fails a row
+    argv = ["sweep", f"--eps-start={eps_start!r}", f"--eps-end={eps_end!r}",
+            "--x-max=10", "--points=101", "--steps=2", "--quantities=gap"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

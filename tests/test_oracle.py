@@ -87,6 +87,28 @@ class TestEigensolverSelfTests:
         with pytest.raises(ValueError, match="even"):
             TridiagonalHamiltonian(default_grid, default_grid.x)
 
+    def test_length_mismatch_rejected(self, default_grid):
+        short = np.zeros(default_grid.n_points - 1)
+        with pytest.raises(ValueError, match="potential length"):
+            TridiagonalHamiltonian(default_grid, short)
+        with pytest.raises(ValueError, match="sample count"):
+            RealWave(default_grid, short)
+
+    def test_zero_wave_not_normalized(self, default_grid):
+        with pytest.raises(ValueError, match="zero wave"):
+            RealWave(default_grid, np.zeros(default_grid.n_points)).normalize()
+
+    def test_levels_closer_than_the_residual_target(self):
+        # four identical wells far apart: each sector holds two levels that
+        # no bisection separates, so every bracket ends at the residual target
+        grid = Grid(14.0, 1401)
+        V = sum(-60.0 * np.exp(-((np.abs(grid.x) - c) / 0.4) ** 2) for c in (3.0, 9.0))
+        H = TridiagonalHamiltonian(grid, V)
+        energies = [energy for energy, _ in lowest_eigenpairs(H, 4)]
+        off = np.full(grid.n_points - 1, -1.0 / grid.h**2)
+        dense = np.diag(2.0 / grid.h**2 + V) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(energies, np.linalg.eigvalsh(dense)[:4], rtol=0.0, atol=1e-10)
+
     def test_missed_residual_target_raises(self, default_grid, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
         H = build_hamiltonian(Partner(-1.5, default_grid))
