@@ -13,7 +13,6 @@ from .oracle import (
     ConvergenceFailure,
     SpectrumReport,
     TridiagonalHamiltonian,
-    build_hamiltonian,
     eigen_residual,
     lowest_eigenpairs,
     sturm_count,
@@ -58,7 +57,6 @@ __all__ = [
     "apply_a",
     "apply_a_dagger",
     "base_ground_state",
-    "build_hamiltonian",
     "check_bimodality_relation",
     "classify",
     "count_density_maxima",

@@ -8,8 +8,9 @@ Subcommands
     evolve      left-well probability vs time           -> t,P_left
     sweep       closed-form/oracle quantities over eps  -> one row per eps
 
-Commands parse arguments and emit; verdicts come from ``oracle.verify`` and
-``wells.classify``, and a failing verify names each failed check on stderr.
+Commands parse arguments and emit; verdicts come from ``oracle.verify``,
+``wells.classify`` and, for the evolve warning, ``wells.well_kind``, and a
+failing verify names each failed check on stderr.
 A command, or a sweep row, builds one ``transform.Partner`` and hands it to
 the library, so the seed is evaluated once.
 
@@ -160,11 +161,9 @@ def _write_svg(path: str, xs: np.ndarray, ys: np.ndarray) -> None:
     y0, y1 = float(np.min(ys)), float(np.max(ys))
     xspan = (x1 - x0) or 1.0
     yspan = (y1 - y0) or 1.0
-    pts = []
-    for x, y in zip(xs, ys):
-        px = margin + (x - x0) / xspan * (width - 2 * margin)
-        py = height - margin - (y - y0) / yspan * (height - 2 * margin)
-        pts.append(f"{px:.2f},{py:.2f}")
+    px = margin + (xs - x0) / xspan * (width - 2 * margin)
+    py = height - margin - (ys - y0) / yspan * (height - 2 * margin)
+    pts = [f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist())]
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">\n'
@@ -238,16 +237,16 @@ def cmd_classify(args) -> int:
 
 def cmd_evolve(args) -> int:
     partner = Partner(args.epsilon, Grid(args.x_max, args.points))
-    eps = partner.epsilon
-    t_max = 2.0 * dynamics.analytic_period(eps) if args.t_max is None else args.t_max
+    period = dynamics.analytic_period(partner.epsilon)
+    t_max = 2.0 * period if args.t_max is None else args.t_max
     series = dynamics.evolve_series(partner, t_max, args.frames)
     comments = []
-    if separatrix_energy(eps) <= eps:
+    if wells.well_kind(partner.epsilon) is not wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX:
         comments.append(
             "warning: ground level at or above the central barrier; "
             "no low-lying two-level regime"
         )
-    footer = [f"analytic_period={float(series.analytic_period)!r}"]
+    footer = [f"analytic_period={period!r}"]
     _emit_table(args, ("t", "P_left"), (series.times, series.left_probability),
                 comments=comments, footer=footer)
     if args.svg:

@@ -9,7 +9,8 @@ probability in the left half-line oscillate sinusoidally with period
 
 evolve_series uses that closed form on the two states of one
 ``transform.Partner``: three trapezoid integrals over x <= 0, then one cosine
-per frame, so a series costs O(n + frames).
+per frame, so a series costs O(n + frames).  The series holds the samples
+only; ``analytic_period`` gives the period of any eps.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .transform import Partner, _epsilon
 
 @dataclass(frozen=True)
 class OscillationSeries:
-    epsilon: float
     times: np.ndarray = field(repr=False)
     left_probability: np.ndarray = field(repr=False)
-    analytic_period: float
 
 
 def analytic_period(eps: float) -> float:
@@ -56,9 +55,4 @@ def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationS
         for a, b in ((psi0, psi0), (psi1, psi1), (psi0, psi1))
     )
     left = 0.5 * (l00 + l11) + l01 * np.cos((1.0 + eps_val) * times)
-    return OscillationSeries(
-        epsilon=eps_val,
-        times=times,
-        left_probability=left,
-        analytic_period=analytic_period(eps_val),
-    )
+    return OscillationSeries(times=times, left_probability=left)

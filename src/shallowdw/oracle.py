@@ -26,10 +26,10 @@ last vector, which is also the eigenvalue.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
-between the two is a real check, not a tautology.  ``build_hamiltonian``,
-``verify_spectrum`` and ``verify`` take a ``transform.Partner``, whose
-closed forms of one eps on one grid are computed once;
-``build_hamiltonian`` keeps only its sampled potential.
+between the two is a real check, not a tautology.  ``verify_spectrum`` and
+``verify`` take a ``transform.Partner``, whose closed forms of one eps on one
+grid are computed once; the solver's ``TridiagonalHamiltonian`` is built from
+its grid and sampled potential alone.
 
 ``verify`` judges the paper's claim: spectrum, intertwining identity and
 central-curvature law, each against its entry of ``VERIFY_TOLERANCES``.
@@ -134,11 +134,6 @@ class TridiagonalHamiltonian:
         return out
 
 
-def build_hamiltonian(partner: Partner) -> TridiagonalHamiltonian:
-    """3-point stencil Hamiltonian: diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2."""
-    return TridiagonalHamiltonian(partner.grid, partner.potential)
-
-
 def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarray:
     """a_i = h^2 (V_i - lam) over one sector's rows.
 
@@ -162,8 +157,8 @@ def _first_pivot(a0: float, parity: int) -> float:
     return 0.5 * a0 if parity == 0 else 1.0 + a0
 
 
-def _sector_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
-    """Sturm count of one sector: negative pivots 1 + r_i of the scaled recurrence.
+def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
+    """Levels below lam of one sector (0 even, 1 odd): negative pivots 1 + r_i.
 
     Rows 1 .. turn are counted in full, an exact-zero pivot as a negative
     one.  Past the turning row every a_i >= 0, which makes the rest of the
@@ -192,15 +187,6 @@ def _sector_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
             break
         r = a_i + r / (1.0 + r)
     return count + (r <= -1.0)
-
-
-def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int | None = None) -> int:
-    """Number of eigenvalues strictly below lam.
-
-    Counts one parity sector (0 even, 1 odd) or, when parity is None, both.
-    """
-    parities = (0, 1) if parity is None else (parity,)
-    return sum(_sector_count(H, lam, p) for p in parities)
 
 
 def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
@@ -391,7 +377,7 @@ def verify_spectrum(partner: Partner) -> SpectrumReport:
     """
     eps_val = partner.epsilon
     psi0, psi1 = partner.psi0, partner.psi1
-    H = build_hamiltonian(partner)
+    H = TridiagonalHamiltonian(partner.grid, partner.potential)
 
     negatives = sum(H.bound_counts)
     if negatives != 2:

@@ -53,7 +53,9 @@ class InvalidEpsilon(ValueError):
 def _epsilon(eps: float) -> float:
     """eps as a float; InvalidEpsilon unless EPSILON_MIN <= eps <= EPSILON_MAX."""
     eps = float(eps)
-    if not np.isfinite(eps) or eps > EPSILON_MAX:
+    if not np.isfinite(eps):
+        raise InvalidEpsilon(f"factorization energy must be a finite number, got {eps!r}")
+    if eps > EPSILON_MAX:
         raise InvalidEpsilon(
             f"factorization energy must satisfy eps <= {EPSILON_MAX} "
             f"(strictly below the base ground level -1), got {eps!r}"

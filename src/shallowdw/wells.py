@@ -9,8 +9,9 @@ The one-parameter family splits at closed-form thresholds:
 with s = V(0) = 2 eps + 2 the barrier-top (separatrix) energy.  The ground
 density obeys rho''(0) = 2 (s - eps) rho(0), so its center flips from
 minimum (bimodal density) to maximum exactly where the ground level crosses
-the barrier top, i.e. at eps = -2.  Both checks read the ground state of a
-``transform.Partner``.
+the barrier top, i.e. at eps = -2.  ``well_kind`` places an eps in these
+intervals, for ``classify`` and for the ``evolve`` warning alike; both
+checks read the ground state of a ``transform.Partner``.
 """
 
 from __future__ import annotations
@@ -57,24 +58,27 @@ def count_density_maxima(rho: np.ndarray) -> int:
     return int(np.sum((signs[:-1] > 0) & (signs[1:] < 0)))
 
 
-def classify(partner: Partner) -> WellClassification:
-    """Place eps in the interval taxonomy and count density maxima.
+def well_kind(eps: float) -> WellKind:
+    """Place eps in the interval taxonomy.
 
     The boundary values eps in {-3, -2} are reported as their own kind
     (exact float comparison) rather than forced into either class.
     """
+    if eps in (-3.0, -2.0):
+        return WellKind.BOUNDARY
+    if -2.0 < eps:
+        return WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX
+    if -3.0 < eps:
+        return WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX
+    return WellKind.SINGLE_WELL
+
+
+def classify(partner: Partner) -> WellClassification:
+    """The kind of the partner's eps, its closed forms, and its density maxima."""
     eps_val = partner.epsilon
-    if eps_val in (-3.0, -2.0):
-        kind = WellKind.BOUNDARY
-    elif -2.0 < eps_val:
-        kind = WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX
-    elif -3.0 < eps_val:
-        kind = WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX
-    else:
-        kind = WellKind.SINGLE_WELL
     return WellClassification(
         epsilon=eps_val,
-        kind=kind,
+        kind=well_kind(eps_val),
         separatrix=separatrix_energy(eps_val),
         curvature_origin=curvature_at_origin(eps_val),
         density_maxima_count=count_density_maxima(partner.psi0.samples**2),

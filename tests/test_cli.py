@@ -40,6 +40,29 @@ def read_csv(path):
     return header, np.array(rows), comments
 
 
+def svg_points(xs, ys):
+    """The polyline's points attribute, formatted one point at a time."""
+    width, height, margin = 800, 600, 40
+    x0, x1 = float(np.min(xs)), float(np.max(xs))
+    y0, y1 = float(np.min(ys)), float(np.max(ys))
+    xspan, yspan = (x1 - x0) or 1.0, (y1 - y0) or 1.0
+    pts = []
+    for x, y in zip(xs, ys):
+        px = margin + (x - x0) / xspan * (width - 2 * margin)
+        py = height - margin - (y - y0) / yspan * (height - 2 * margin)
+        pts.append(f"{px:.2f},{py:.2f}")
+    return " ".join(pts)
+
+
+def assert_svg_matches_csv(svg, csv):
+    """The SVG polyline is the CSV's two columns, point for point and byte for byte."""
+    _, rows, _ = read_csv(csv)
+    text = svg.read_text(encoding="utf-8")
+    assert text.startswith("<svg") and "polyline" in text
+    (points,) = re.findall(r' points="([^"]*)"', text)
+    assert points == svg_points(rows[:, 0], rows[:, 1])
+
+
 class TestPotentialCommand:
     def test_csv_schema_and_center_value(self, tmp_path):
         out = tmp_path / "pot.csv"
@@ -83,8 +106,7 @@ class TestPotentialCommand:
         out, svg = tmp_path / "pot.csv", tmp_path / "pot.svg"
         assert run(["potential", "--epsilon", -1.5, "--out", out,
                     "--svg", svg]) == 0
-        text = svg.read_text()
-        assert text.startswith("<svg") and "polyline" in text
+        assert_svg_matches_csv(svg, out)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "pot.json"
@@ -293,16 +315,20 @@ class TestEvolveCommand:
     def test_svg_emission(self, tmp_path):
         out, svg = tmp_path / "p.csv", tmp_path / "p.svg"
         assert run(["evolve", "--epsilon", -1.5, "--svg", svg, "--out", out]) == 0
-        text = svg.read_text()
-        assert text.startswith("<svg") and "polyline" in text
+        assert_svg_matches_csv(svg, out)
 
-    def test_above_barrier_warning_comment(self, tmp_path):
+    # the warning starts exactly at eps = -2, where the ground level meets
+    # the barrier top 2 eps + 2; one ulp above it there is none
+    @pytest.mark.parametrize("eps, warned", [
+        (-1.9999999999999998, False), (-2.0, True), (-2.0000000000000004, True),
+        (-2.5, True), (-3.0, True), (-3.5, True)])
+    def test_above_barrier_warning_comment(self, tmp_path, eps, warned):
         out = tmp_path / "evolve.csv"
-        assert run(["evolve", "--epsilon", -2.5, "--t-max", 10,
+        assert run(["evolve", f"--epsilon={eps!r}", "--t-max", 10,
                     "--frames", 11, "--out", out]) == 0
         _, rows, comments = read_csv(out)
         assert rows.shape == (11, 2)
-        assert any("warning" in c for c in comments)
+        assert sum("warning" in c for c in comments) == warned
 
 
 class TestSweepCommand:
@@ -511,6 +537,16 @@ class TestExitCodeTable:
         captured = capsys.readouterr()
         assert "t_max must be finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "--epsilon=-inf"],
+        ["sweep", "--eps-start=nan", "--eps-end", "-1.5", "--steps", "3"],
+    ], ids=["classify", "sweep"])
+    def test_non_finite_epsilon_is_named_as_such(self, args, capsys):
+        code, out, err = run_captured(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
 
     def test_stalled_bisection_is_a_solver_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "BISECTION_MAX_ITER", 1)

@@ -133,7 +133,7 @@ class TestTableBytes:
         if eps == -2.5:
             comments.append("warning: ground level at or above the central "
                             "barrier; no low-lying two-level regime")
-        footer = [f"analytic_period={ref_fmt(series.analytic_period)}"]
+        footer = [f"analytic_period={ref_fmt(dynamics.analytic_period(eps))}"]
         rows = zip(series.times, series.left_probability)
         got = emitted(tmp_path, ["evolve", "--epsilon", eps, "--t-max", 10.0,
                                  "--frames", 11, *GRID_ARGS], fmt)

@@ -13,7 +13,6 @@ from shallowdw import (
     RealWave,
     TridiagonalHamiltonian,
     base_ground_state,
-    build_hamiltonian,
     eigen_residual,
     lowest_eigenpairs,
     sturm_count,
@@ -32,7 +31,7 @@ class TestBuildHamiltonian:
         assert np.array_equal(matrix, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
 
     def test_center_diagonal_entry(self, default_grid):
-        H = build_hamiltonian(Partner(-1.5, default_grid))
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
         h2 = default_grid.h**2
         mid = default_grid.center_index
         unit = np.zeros(default_grid.n_points)
@@ -111,12 +110,12 @@ class TestEigensolverSelfTests:
 
     def test_missed_residual_target_raises(self, default_grid, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
-        H = build_hamiltonian(Partner(-1.5, default_grid))
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
         with pytest.raises(ConvergenceFailure, match="inverse iteration"):
             lowest_eigenpairs(H, 1)
 
     def test_deterministic(self, default_grid):
-        H = build_hamiltonian(Partner(-2.25, default_grid))
+        H = TridiagonalHamiltonian(default_grid, Partner(-2.25, default_grid).potential)
         a = lowest_eigenpairs(H, 2)
         b = lowest_eigenpairs(H, 2)
         for (ea, wa), (eb, wb) in zip(a, b):
@@ -127,18 +126,18 @@ class TestEigensolverSelfTests:
 class TestSturmCount:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.25, -2.95])
     def test_two_bound_states(self, eps, default_grid):
-        H = build_hamiltonian(Partner(eps, default_grid))
-        assert sturm_count(H, 0.0) == 2
+        H = TridiagonalHamiltonian(default_grid, Partner(eps, default_grid).potential)
+        assert sturm_count(H, 0.0, 0) + sturm_count(H, 0.0, 1) == 2
 
     def test_count_brackets_eigenvalues(self, default_grid):
-        H = build_hamiltonian(Partner(-1.5, default_grid))
-        assert sturm_count(H, -1.6) == 0
-        assert sturm_count(H, -1.2) == 1
-        assert sturm_count(H, -0.5) == 2
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        assert sturm_count(H, -1.6, 0) + sturm_count(H, -1.6, 1) == 0
+        assert sturm_count(H, -1.2, 0) + sturm_count(H, -1.2, 1) == 1
+        assert sturm_count(H, -0.5, 0) + sturm_count(H, -0.5, 1) == 2
 
     def test_sectors_split_the_count(self, default_grid):
         # ground state even, excited state odd
-        H = build_hamiltonian(Partner(-1.5, default_grid))
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
         assert sturm_count(H, -1.2, parity=0) == 1
         assert sturm_count(H, -1.2, parity=1) == 0
         assert sturm_count(H, -0.5, parity=1) == 1
@@ -162,13 +161,13 @@ class TestEigenResidual:
     def test_analytic_states_are_near_eigenvectors(self, default_grid):
         # O(h^2) stencil error of the exact states at h = 0.01
         partner = Partner(-1.5, default_grid)
-        H = build_hamiltonian(partner)
+        H = TridiagonalHamiltonian(partner.grid, partner.potential)
         assert eigen_residual(H, partner.psi0, -1.5) < 5e-5
         assert eigen_residual(H, partner.psi1, -1.0) < 5e-5
 
     def test_energy_shift_shows_up_directly(self, default_grid):
         partner = Partner(-1.5, default_grid)
-        H = build_hamiltonian(partner)
+        H = TridiagonalHamiltonian(partner.grid, partner.potential)
         psi = partner.psi0
         assert eigen_residual(H, psi, -1.5 + 0.1) == pytest.approx(0.1, rel=1e-3)
 

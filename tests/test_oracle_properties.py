@@ -35,7 +35,7 @@ def check_sturm_count(H, where):
     lam = levels[0] - 1.0 + where * (levels[-1] - levels[0] + 2.0)
     # within roundoff of a level the count may go either way
     assume(np.min(np.abs(levels - lam)) > 1e-9 * norm_bound(H))
-    assert sturm_count(H, lam) == np.count_nonzero(levels < lam)
+    assert sturm_count(H, lam, 0) + sturm_count(H, lam, 1) == np.count_nonzero(levels < lam)
 
 
 def check_lowest_eigenpairs(H, k):

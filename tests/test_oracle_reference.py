@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, verify_spectrum
-from shallowdw.oracle import PIVMIN, build_hamiltonian, lowest_eigenpairs, sturm_count
-from shallowdw.transform import Partner
+from shallowdw.oracle import PIVMIN, lowest_eigenpairs, sturm_count
 
 from conftest import counting_view
 
@@ -60,7 +59,8 @@ def assert_counts_match(H, lams):
 
 
 def partner(eps, n=4001):
-    return build_hamiltonian(Partner(eps, Grid(20.0, n)))
+    p = Partner(eps, Grid(20.0, n))
+    return TridiagonalHamiltonian(p.grid, p.potential)
 
 
 def near(levels):
@@ -101,7 +101,7 @@ class TestTurningPointCount:
         # rows each count converts to floats: only the counts at lam = 0
         # convert the whole sector
         read, made = [], []
-        rows, count = oracle._sector_rows, oracle._sector_count
+        rows, count = oracle._sector_rows, oracle.sturm_count
 
         def recording_rows(H, lam, parity):
             made.append(counting_view(rows(H, lam, parity)))
@@ -115,7 +115,7 @@ class TestTurningPointCount:
             return result
 
         monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
-        monkeypatch.setattr(oracle, "_sector_count", measuring)
+        monkeypatch.setattr(oracle, "sturm_count", measuring)
         verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
         full = [f for f in read if f == 1.0]
         assert len(full) == 2  # both sectors at lam = 0, counted once each
@@ -131,7 +131,7 @@ class TestTurningPointCount:
         assert dense == (1, 0)
         for parity in (0, 1):
             assert sturm_count(H, 0.0, parity) == ref_count(H, 0.0, parity) == dense[parity]
-        assert sturm_count(H, 0.0) == 1
+        assert sturm_count(H, 0.0, 0) + sturm_count(H, 0.0, 1) == 1
 
 
 class TestBoundCounts:
@@ -139,7 +139,7 @@ class TestBoundCounts:
         calls = []
         counted = oracle.sturm_count
 
-        def counting(H, lam, parity=None):
+        def counting(H, lam, parity):
             calls.append((lam, parity))
             return counted(H, lam, parity)
 

@@ -241,4 +241,8 @@ def test_exports_resolve_and_the_wrapper_layer_is_gone():
     assert "check_intertwining" not in shallowdw.__all__
     assert not hasattr(shallowdw, "check_intertwining")
     assert not hasattr(oracle, "check_intertwining")
-    assert len(shallowdw.__all__) == 30
+    # the solver is built from a grid and V directly
+    assert "build_hamiltonian" not in shallowdw.__all__
+    assert not hasattr(shallowdw, "build_hamiltonian")
+    assert not hasattr(oracle, "build_hamiltonian")
+    assert len(shallowdw.__all__) == 29

@@ -44,11 +44,13 @@ class TestEpsilonValidation:
         assert Partner(-1.0001, default_grid).epsilon == -1.0001
 
     @pytest.mark.parametrize("bad", [-1.0, -0.5, 0.0, 2.0, -1.0 - 1e-10,
-                                     float("nan"), float("inf")])
+                                     float("nan"), float("inf"), float("-inf")])
     def test_rejects_invalid(self, bad, default_grid):
-        with pytest.raises(InvalidEpsilon):
+        # a non-finite eps is named as such, not as out of range
+        match = None if np.isfinite(bad) else "finite"
+        with pytest.raises(InvalidEpsilon, match=match):
             Partner(bad, default_grid)
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(InvalidEpsilon, match=match):
             potential(bad, 0.0)
 
 

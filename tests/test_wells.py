@@ -13,6 +13,7 @@ from shallowdw import (
     classify,
     count_density_maxima,
 )
+from shallowdw.wells import well_kind
 
 
 def partner(eps):
@@ -35,6 +36,16 @@ class TestClassify:
     @pytest.mark.parametrize("eps", [-3.0, -2.0])
     def test_boundaries_surface_explicitly(self, eps):
         assert classify(partner(eps)).kind is WellKind.BOUNDARY
+
+    # the kinds that meet at each boundary: above it, then below it
+    @pytest.mark.parametrize("edge, above, below", [
+        (-2.0, WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX,
+         WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX),
+        (-3.0, WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX, WellKind.SINGLE_WELL)])
+    def test_well_kind_one_ulp_from_a_boundary(self, edge, above, below):
+        assert well_kind(edge) is WellKind.BOUNDARY
+        assert well_kind(float(np.nextafter(edge, 0.0))) is above
+        assert well_kind(float(np.nextafter(edge, -np.inf))) is below
 
     def test_boundary_curvatures(self):
         assert classify(partner(-3.0)).curvature_origin == 0.0
