@@ -1,28 +1,41 @@
 """Independent finite-difference eigensolver for the partner Hamiltonian.
 
-Discretizes Xi = -d2/dx2 + V(x) with the standard 3-point Laplacian and
-Dirichlet walls one node beyond the grid.  V is even, so the matrix splits
-into two half-line sectors: an even one on x >= 0 with its centre row halved,
-and an odd one on x > 0 with a Dirichlet condition at x = 0.  Levels of a
+Discretizes Xi = -d2/dx2 + V(x) with the Numerov scheme (Numerov 1924) and
+Dirichlet walls one node beyond the grid: y solves -D2 y + B((V - E) y) = 0,
+with D2 the 3-point second difference and B = tridiag(1, 10, 1) / 12, an
+O(h^4) scheme.  With q_i = h^2 (V_i - E) and u_i = (1 - q_i/12) y_i this is
+the 3-point recurrence -u_{i-1} + (2 + a_i) u_i - u_{i+1} = 0 with
+a_i = q_i / (1 - q_i/12), so every pass below runs on a tridiagonal matrix
+M(lam) = tridiag(-1, 2 + a_i, -1).  a_i falls with lam while q_i < 12, so
+``TridiagonalHamiltonian`` rejects h^2 (max V - min V) >= 12, and Sturm
+counts of M(lam) count the levels of the matrix-Numerov operator
+-B^{-1} D2 + diag(V) below lam.  V is even, so the matrix splits into two
+half-line sectors: an even one on x >= 0 with its centre row halved, and an
+odd one on x > 0 with a Dirichlet condition at x = 0.  Levels of a
 persymmetric Jacobi matrix alternate in parity, so level j of H is level
 j // 2 of the sector with parity j % 2.
 
-Each sector level is bracketed by bisection on a Sturm count of scaled
-pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}) with a_i = h^2 (V_i - lam), a
-form that never builds the 2/h^2 diagonal and so loses nothing to
-cancellation against it.  A count runs to the outer turning row, then on
-only until r leaves (-1, 0): beyond the turn V >= lam, so a_i >= 0, and no
-pivot after that can be negative.  Only the counts at lam = 0 read every
-row; each sector's is made once per Hamiltonian.
+Sturm counts use scaled pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}), a form
+that never builds the 2/h^2 diagonal and so loses nothing to cancellation
+against it.  A count runs to the outer turning row, then on only until r
+leaves (-1, 0): beyond the turn V >= lam, so a_i >= 0, and no pivot after
+that can be negative.  Only the counts at lam = 0 read every row; each
+sector's is made once per Hamiltonian.
 
 Eigenvectors come from twisted factorizations (Fernando; Parlett and
 Dhillon) in the same r-form: forward pivots from x = 0 to the turning
 point, backward pivots from the grid edge, a twist where |gamma_k| is least,
-and the vector as running products of reciprocal pivots out from the twist.
-Each vector solves (M - sigma) z = gamma_k e_k, one step of shifted inverse
-iteration.  The first shift is the Sturm-certified lower end of the
-bracket, each later one the Rayleigh quotient, in Dirichlet form, of the
-last vector, which is also the eigenvalue.
+and u as running products of reciprocal pivots out from the twist, so that
+M(sigma) u = gamma_k e_k with u_k = 1.  The eigenvector is y = u / (1 - q/12),
+and the next shift is the Newton step on the Rayleigh quotient of M(sigma),
+E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
+
+Each level is solved coarse to fine (nested iteration, Brandt) where the
+grid allows it: the same sector level on every COARSENING-th node seeds at
+most FINE_STEPS twisted steps on the full grid, and the result stands only
+once it meets the residual target and two Sturm counts at E -+ delta certify
+its index.  Otherwise bisection on Sturm counts brackets the level first,
+and the steps start from the bracket's Sturm-certified lower end.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
@@ -44,7 +57,7 @@ import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,10 +74,19 @@ BISECTION_MAX_ITER = 200
 BISECTION_RTOL = 1e-4
 SEPARATION = 100.0
 INVERSE_ITERATION_MAX_STEPS = 8
-# normwise backward error: ||H v - E v|| <= RESIDUAL_TOL ||H|| ||v||
+# normwise backward error: ||(H - E) y|| <= RESIDUAL_TOL ||H|| ||y||
 RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
 ROW_BLOCK = 256  # rows a Sturm pass converts to Python floats at a time
+NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
+# Coarse to fine: a grid with (n - 1) % (2 COARSENING) == 0 first solves on
+# every COARSENING-th node, x = 0 among them, if that grid keeps at least
+# COARSE_MIN_POINTS nodes and h_c^2 (max V - min V) <= COARSE_Q_MAX, well
+# below the pole; then at most FINE_STEPS twisted steps run on the full grid.
+COARSENING = 8
+COARSE_MIN_POINTS = 251
+COARSE_Q_MAX = 1.0
+FINE_STEPS = 2
 
 # verify criteria, in check order: report field -> (tolerance, strict test)
 VERIFY_TOLERANCES = {
@@ -91,10 +113,10 @@ class BoundStateCountMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
-    """3-point discretization of -d2/dx2 + V, V even, with Dirichlet walls.
+    """Numerov discretization of -d2/dx2 + V, V even, with Dirichlet walls.
 
     Holds V itself, so the solver never has to subtract 2/h^2 back out of a
-    diagonal; only ``apply`` writes out the stencil 2/h^2 + V and -1/h^2.
+    diagonal; only ``apply`` writes out the stencils.
     """
 
     grid: Grid
@@ -108,6 +130,9 @@ class TridiagonalHamiltonian:
         # the solver only looks at x >= 0
         if not (np.all(np.isfinite(values)) and np.array_equal(values, values[::-1])):
             raise ValueError("potential must be finite and even: V(-x) == V(x)")
+        if self.grid.h**2 * (np.max(values) - np.min(values)) >= NUMEROV_POLE:
+            raise ValueError("h^2 (max V - min V) must be below 12, the pole of "
+                             "the Numerov recurrence")
 
     @cached_property
     def edge_min(self) -> np.ndarray:
@@ -124,23 +149,38 @@ class TridiagonalHamiltonian:
         """
         return sturm_count(self, 0.0, 0), sturm_count(self, 0.0, 1)
 
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Matrix-vector product with implicit Dirichlet walls."""
-        h2 = self.grid.h**2
-        off = 1.0 / h2  # minus the off-diagonal entry
-        out = (2.0 / h2 + self.potential) * samples
-        out[:-1] -= off * samples[1:]
-        out[1:] -= off * samples[:-1]
-        return out
+    @cached_property
+    def coarse(self) -> Optional[TridiagonalHamiltonian]:
+        """V on every COARSENING-th node, or None where no coarse solve is made."""
+        n = self.grid.n_points
+        n_coarse = (n - 1) // COARSENING + 1
+        if (n - 1) % (2 * COARSENING) or n_coarse < COARSE_MIN_POINTS:
+            return None
+        values = self.potential[::COARSENING]
+        if (COARSENING * self.grid.h)**2 * (np.max(values) - np.min(values)) > COARSE_Q_MAX:
+            return None
+        return TridiagonalHamiltonian(Grid(self.grid.x_max, n_coarse), values)
+
+    def apply(self, samples: np.ndarray, energy: float) -> np.ndarray:
+        """(H - E) y in Numerov form, -D2 y + B((V - E) y), with Dirichlet walls."""
+        lap = 2.0 * samples
+        lap[:-1] -= samples[1:]
+        lap[1:] -= samples[:-1]
+        f = (self.potential - energy) * samples
+        mass = 10.0 * f
+        mass[:-1] += f[1:]
+        mass[1:] += f[:-1]
+        return lap / self.grid.h**2 + mass / 12.0
 
 
 def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarray:
-    """a_i = h^2 (V_i - lam) over one sector's rows.
+    """a_i = q_i / (1 - q_i/12), q_i = h^2 (V_i - lam), over one sector's rows.
 
     Even sector: nodes x = 0 .. x_max; odd sector: x = h .. x_max behind a
     Dirichlet wall at x = 0.
     """
-    return H.grid.h**2 * (H.potential[H.grid.center_index + parity:] - lam)
+    q = H.grid.h**2 * (H.potential[H.grid.center_index + parity:] - lam)
+    return q / (1.0 - q / NUMEROV_POLE)
 
 
 def _turning_row(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
@@ -159,6 +199,9 @@ def _first_pivot(a0: float, parity: int) -> float:
 
 def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     """Levels below lam of one sector (0 even, 1 odd): negative pivots 1 + r_i.
+
+    Valid while every q_i = h^2 (V_i - lam) < 12, the pole of a_i: for
+    lam >= min V, and so for every lam the solver asks about.
 
     Rows 1 .. turn are counted in full, an exact-zero pivot as a negative
     one.  Past the turning row every a_i >= 0, which makes the rest of the
@@ -199,14 +242,17 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
     v_min = float(np.min(H.potential))
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
     if v_min >= 0.0 or H.bound_counts[parity] <= index:
-        hi = float(np.max(H.potential)) + 4.0 / H.grid.h**2
+        # the Numerov spectrum reaches about 6/h^2: there q_i <= -6, a_i <= -4
+        # and every pivot is negative
+        hi = float(np.max(H.potential)) + 6.0 / H.grid.h**2
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= resolution:
             return lo, hi
         margin = SEPARATION * (hi - lo)
         if (hi - lo <= BISECTION_RTOL * (hi - v_min)
                 and sturm_count(H, hi + margin, parity) == index + 1
-                and (index == 0 or sturm_count(H, lo - margin, parity) == index)):
+                and (index == 0
+                     or sturm_count(H, max(lo - margin, v_min), parity) == index)):
             return lo, hi
         mid = 0.5 * (lo + hi)
         if sturm_count(H, mid, parity) > index:
@@ -218,6 +264,22 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
         f"[{lo!r}, {hi!r}]")
 
 
+def _certified(H: TridiagonalHamiltonian, parity: int, index: int,
+               energy: float) -> bool:
+    """Sturm counts place level `index` of one sector within delta of energy.
+
+    delta = BISECTION_RTOL (energy - min V).  For the ground level of a
+    sector with one level below 0, that count at lam = 0 stands in for the
+    one at energy + delta.
+    """
+    delta = BISECTION_RTOL * (energy - float(np.min(H.potential)))
+    if index == 0 and energy + delta <= 0.0 and H.bound_counts[parity] == 1:
+        above = 1
+    else:
+        above = sturm_count(H, energy + delta, parity)
+    return above == index + 1 and sturm_count(H, energy - delta, parity) == index
+
+
 def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
     """r followed by the scaled pivots r_i it leads to over ``rows``."""
     out = [r]
@@ -227,21 +289,21 @@ def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
     return out
 
 
-def _twisted_vector(a: np.ndarray, r0: float, turn: int) -> np.ndarray:
-    """z with z_k = 1 and (M - sigma) z = gamma_k e_k, twisted at argmin |gamma_k|.
+def _twisted_vector(a: np.ndarray, r0: float, turn: int) -> Tuple[np.ndarray, float]:
+    """(z, gamma_k) with z_k = 1 and (M - sigma) z = gamma_k e_k, k = argmin |gamma|.
 
-    ``a`` holds the sector's a_i = h^2 (V_i - sigma) and r0 its first
-    forward pivot.  Forward pivots r_i run from x = 0 to row ``turn``, past
-    which the eigenvector only decays; backward pivots s_i run in from the
-    grid edge.  gamma_k = r_k + s_k - a_k, or r_0 + s_1 / (1 + s_1) on the
-    first row.  Off the twist, z_i = z_{i+1} / (1 + r_i) inward and
-    z_i = z_{i-1} / (1 + s_i) outward.
+    ``a`` holds the sector's a_i at sigma and r0 its first forward pivot.
+    Forward pivots r_i run from x = 0 to row ``turn``, past which the
+    eigenvector only decays; backward pivots s_i run in from the grid edge.
+    gamma_k = r_k + s_k - a_k, or r_0 + s_1 / (1 + s_1) on the first row.
+    Off the twist, z_i = z_{i+1} / (1 + r_i) inward and z_i = z_{i-1} / (1 + s_i)
+    outward.
     """
     if len(a) == 1:
-        return np.ones(1)
-    rows = a.tolist()
-    r = np.array(_pivot_run(r0, rows[1:turn + 1]))  # rows 0 .. turn
-    s = np.array(_pivot_run(1.0 + rows[-1], rows[-2:0:-1])[::-1])  # rows 1 ..
+        return np.ones(1), 1.0 + r0
+    r = np.array(_pivot_run(r0, a[1:turn + 1].tolist()))  # rows 0 .. turn
+    backward = _pivot_run(1.0 + float(a[-1]), a[-2:0:-1].tolist())
+    s = np.fromiter(reversed(backward), float, len(backward))  # rows 1 ..
     d, e = 1.0 + r, 1.0 + s
     d[d == 0.0] = -PIVMIN
     e[e == 0.0] = -PIVMIN
@@ -250,7 +312,7 @@ def _twisted_vector(a: np.ndarray, r0: float, turn: int) -> np.ndarray:
     z = np.ones(len(a))
     z[:k] = np.cumprod(1.0 / d[:k][::-1])[::-1]
     z[k + 1:] = np.cumprod(1.0 / e[k:])
-    return z
+    return z, float(gamma[k])
 
 
 def _unfold(half: np.ndarray, parity: int) -> np.ndarray:
@@ -265,37 +327,58 @@ def _sum_sq(a: np.ndarray) -> float:
     return float(np.add.reduce(a * a))
 
 
-def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
-                      index: int) -> Tuple[float, np.ndarray]:
-    h2 = H.grid.h**2
-    target = RESIDUAL_TOL * (4.0 / h2 + float(np.max(np.abs(H.potential))))
-    sigma, hi = _bracket(H, parity, index, target)
-    # the eigenvector peaks where V <= level < hi: the twist lies inside this
-    turn = _turning_row(H, hi, parity)
+def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
+                       sigma: float, turn: int, steps: int,
+                       target: float) -> Tuple[float, np.ndarray]:
+    """At most ``steps`` Newton-shifted twisted steps from sigma.
+
+    Returns (E, y), y on the full grid, once ||(H - E) y|| <= target ||y||;
+    the twist lies within sector rows 0 .. turn.
+    """
     residual = np.inf
-    for _ in range(INVERSE_ITERATION_MAX_STEPS):
-        # one step of shifted inverse iteration: (M - sigma) z = gamma_k e_k
+    for _ in range(steps):
         a = _sector_rows(H, sigma, parity)
-        v = _unfold(_twisted_vector(a, _first_pivot(float(a[0]), parity), turn), parity)
+        z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity), turn)
+        v = _unfold(z * (1.0 + a / NUMEROV_POLE), parity)  # y = u / (1 - q/12)
         norm2 = _sum_sq(v)
-        diffs = np.diff(v, prepend=0.0, append=0.0)
-        energy = (_sum_sq(diffs) / h2 + float(np.add.reduce(H.potential * v * v))) / norm2
-        residual = np.sqrt(_sum_sq(H.apply(v) - energy * v) / norm2)
+        # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
+        # sigma-derivative is -h^2 ||y||^2 / ||u||^2
+        energy = sigma + 2.0 * gamma / (H.grid.h**2 * norm2)
+        residual = np.sqrt(_sum_sq(H.apply(v, energy)) / norm2)
         if residual <= target:
             return energy, v
         sigma = energy
     raise ConvergenceFailure(
         f"inverse iteration for sector {parity} level {index} reached residual "
-        f"{residual:.3e} after {INVERSE_ITERATION_MAX_STEPS} steps, "
-        f"target {target:.3e}")
+        f"{residual:.3e} after {steps} steps, target {target:.3e}")
+
+
+def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
+                      index: int) -> Tuple[float, np.ndarray]:
+    target = RESIDUAL_TOL * (4.0 / H.grid.h**2 + float(np.max(np.abs(H.potential))))
+    if H.coarse is not None:
+        try:
+            estimate = _sector_eigenpair(H.coarse, parity, index)[0]
+            energy, v = _inverse_iteration(
+                H, parity, index, estimate, _turning_row(H, estimate, parity),
+                min(FINE_STEPS, INVERSE_ITERATION_MAX_STEPS), target)
+            if _certified(H, parity, index, energy):
+                return energy, v
+        except ConvergenceFailure:
+            pass  # the coarse grid misled the steps: bisect on this grid
+    sigma, hi = _bracket(H, parity, index, target)
+    # the eigenvector peaks where V <= level < hi: the twist lies inside this
+    return _inverse_iteration(H, parity, index, sigma, _turning_row(H, hi, parity),
+                              INVERSE_ITERATION_MAX_STEPS, target)
 
 
 def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:
     """k smallest eigenpairs, ascending; eigenvectors trapezoid-normalized.
 
-    Deterministic: bisection on Sturm counts plus Rayleigh-shifted twisted
-    factorizations, one parity sector per level.  Only low-lying states are
-    meaningful under the Dirichlet truncation, hence k <= 6.
+    Deterministic: coarse-to-fine or bisection-seeded twisted factorizations
+    with Newton shifts, each level certified by Sturm counts, one parity
+    sector per level.  Only low-lying states are meaningful under the
+    Dirichlet truncation, hence k <= 6.
     """
     if not 1 <= k <= min(6, H.grid.n_points):
         raise ValueError("k must be between 1 and min(6, n_points)")
@@ -315,13 +398,13 @@ def _interior(grid: Grid, edge: int, caller: str) -> slice:
 
 
 def eigen_residual(H: TridiagonalHamiltonian, wave: RealWave, energy: float) -> float:
-    """Relative l2 residual ||H psi - E psi|| / ||psi|| over interior nodes.
+    """Relative l2 residual ||-D2 psi + B((V - E) psi)|| / ||psi|| over interior nodes.
 
     Three nodes at each edge are excluded: one-sided stencils and the
     Dirichlet mismatch dominate there, not the PDE error.
     """
     sl = _interior(wave.grid, EDGE_EXCLUDE, "eigen_residual")
-    r = H.apply(wave.samples) - energy * wave.samples
+    r = H.apply(wave.samples, energy)
     return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(wave.samples[sl])))
 
 

@@ -24,6 +24,21 @@ def cached_report(eps: float, x_max: float = 20.0, n_points: int = 4001):
     return verify_spectrum(Partner(eps, Grid(x_max, n_points)))
 
 
+def numerov_matrix(grid: Grid, potential) -> np.ndarray:
+    """The dense matrix-Numerov operator -B^{-1} D2 + diag(V), Dirichlet walls.
+
+    D2 = tridiag(1, -2, 1) / h^2 and B = tridiag(1, 10, 1) / 12 commute, so
+    B^{-1} D2 is symmetric; it is symmetrized against rounding so that
+    ``eigh`` applies (Pillai, Goglio and Walker, Am. J. Phys. 80, 1017 (2012)).
+    """
+    n = grid.n_points
+    unit = np.eye(n)
+    second = (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * unit) / grid.h**2
+    mass = (np.eye(n, k=1) + np.eye(n, k=-1) + 10.0 * unit) / 12.0
+    matrix = -np.linalg.solve(mass, second)
+    return 0.5 * (matrix + matrix.T) + np.diag(potential)
+
+
 def norm_squared(psi: np.ndarray, grid: Grid) -> float:
     """Trapezoid norm of complex samples on grid."""
     return float(np.trapezoid(np.abs(psi) ** 2, dx=grid.h))

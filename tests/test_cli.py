@@ -176,11 +176,12 @@ class TestVerifyCommand:
 
     def test_failed_check_named_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
-        assert run(["verify", "--epsilon", -2.6, "--out", out]) == 1
+        assert run(["verify", "--epsilon", -50, "--out", out]) == 1
         payload = json.loads(out.read_text())
-        assert capsys.readouterr().err == (
-            f"check failed: psi1_residual={payload['psi1_residual']!r}, "
-            "tolerance 5e-05\n")
+        assert capsys.readouterr().err == "".join(
+            f"check failed: {name}={payload[name]!r}, tolerance {tolerance}\n"
+            for name, tolerance in (("psi0_residual", "5e-05"), ("psi1_residual", "5e-05"),
+                                    ("bimodality_rel_err", "1e-05")))
 
     def test_planted_base_well_defect_fails_intertwining(self, tmp_path, monkeypatch,
                                                          capsys):

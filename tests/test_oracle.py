@@ -20,15 +20,21 @@ from shallowdw import (
 )
 
 from shallowdw import oracle, transform
-from conftest import cached_report, check_intertwining
+from conftest import cached_report, check_intertwining, numerov_matrix
+
+# eigenvalue errors of the partner levels stop falling near 1e-14
+ROUNDING_FLOOR = 1e-13
 
 
 class TestBuildHamiltonian:
     def test_free_laplacian_stencil(self):
         grid = Grid(1.0, 3)  # h = 1
         H = TridiagonalHamiltonian(grid, np.zeros(3))
-        matrix = np.column_stack([H.apply(e) for e in np.eye(3)])
+        matrix = np.column_stack([H.apply(e, 0.0) for e in np.eye(3)])
         assert np.array_equal(matrix, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        # V - E enters through the Numerov mass matrix B = tridiag(1, 10, 1) / 12
+        shifted = np.column_stack([H.apply(e, -12.0) for e in np.eye(3)])
+        assert np.array_equal(shifted - matrix, [[10.0, 1.0, 0.0], [1.0, 10.0, 1.0], [0.0, 1.0, 10.0]])
 
     def test_center_diagonal_entry(self, default_grid):
         H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
@@ -36,7 +42,8 @@ class TestBuildHamiltonian:
         mid = default_grid.center_index
         unit = np.zeros(default_grid.n_points)
         unit[mid] = 1.0
-        assert H.apply(unit)[mid] == pytest.approx(2.0 / h2 - 1.0, rel=1e-15)
+        # V(0) = 2 eps + 2 = -1, weighted 10/12 by the Numerov mass matrix
+        assert H.apply(unit, 0.0)[mid] == pytest.approx(2.0 / h2 - 10.0 / 12.0, rel=1e-15)
 
     def test_free_particle_box_edge(self, default_grid):
         # V = 0: no bound state; lowest level is the box ground state
@@ -104,13 +111,14 @@ class TestEigensolverSelfTests:
         V = sum(-60.0 * np.exp(-((np.abs(grid.x) - c) / 0.4) ** 2) for c in (3.0, 9.0))
         H = TridiagonalHamiltonian(grid, V)
         energies = [energy for energy, _ in lowest_eigenpairs(H, 4)]
-        off = np.full(grid.n_points - 1, -1.0 / grid.h**2)
-        dense = np.diag(2.0 / grid.h**2 + V) + np.diag(off, 1) + np.diag(off, -1)
-        assert np.allclose(energies, np.linalg.eigvalsh(dense)[:4], rtol=0.0, atol=1e-10)
+        dense = np.linalg.eigvalsh(numerov_matrix(grid, V))
+        assert np.allclose(energies, dense[:4], rtol=0.0, atol=1e-10)
 
     def test_missed_residual_target_raises(self, default_grid, monkeypatch):
+        # the coarse-to-fine steps count against the same cap
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
         H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        assert H.coarse is not None
         with pytest.raises(ConvergenceFailure, match="inverse iteration"):
             lowest_eigenpairs(H, 1)
 
@@ -121,6 +129,101 @@ class TestEigensolverSelfTests:
         for (ea, wa), (eb, wb) in zip(a, b):
             assert ea == eb
             assert np.array_equal(wa.samples, wb.samples)
+
+
+class TestNumerovSafety:
+    def test_pole_rejected(self):
+        # a_i = q_i / (1 - q_i/12) changes sign through its pole at q_i = 12
+        grid = Grid(1.0, 3)  # h = 1
+        TridiagonalHamiltonian(grid, [11.5, 0.0, 11.5])
+        with pytest.raises(ValueError, match="pole"):
+            TridiagonalHamiltonian(grid, [12.0, 0.0, 12.0])
+
+    def test_unbound_levels_below_the_ceiling(self):
+        # V = 0 binds nothing, so bisection brackets with max V + 6/h^2; the
+        # top Numerov level, 21.67 at h = 0.5, lies above 4/h^2 = 16
+        grid = Grid(1.0, 5)
+        H = TridiagonalHamiltonian(grid, np.zeros(5))
+        ceiling = 6.0 / grid.h**2
+        assert [sturm_count(H, ceiling, parity) for parity in (0, 1)] == [3, 2]
+        dense = np.linalg.eigvalsh(numerov_matrix(grid, np.zeros(5)))
+        assert 4.0 / grid.h**2 < dense[-1] < ceiling
+        energies = [energy for energy, _ in lowest_eigenpairs(H, 5)]
+        assert energies == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [-1e4, -3000.0])
+    def test_deep_well_skips_the_coarse_grid(self, eps):
+        # on every 8th node h_c^2 (max V - min V) is 2.4 or more, too near
+        # the pole for a seed: the level is bisected on the grid itself
+        partner = Partner(eps, Grid(20.0, 16001))
+        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        assert H.coarse is None
+        assert sum(H.bound_counts) == 2
+        report = verify_spectrum(partner)
+        assert report.e0_error < 1.0 and report.e1_error < 1e-2
+
+    def test_coarse_failure_does_not_surface(self, default_grid, monkeypatch):
+        # a ConvergenceFailure on the coarse grid falls back to bisection here
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        expected = bisection_only(H, monkeypatch)
+        solve = oracle._sector_eigenpair
+
+        def failing(H_, parity, index):
+            if H_.grid != H.grid:
+                raise ConvergenceFailure("planted")
+            return solve(H_, parity, index)
+
+        monkeypatch.setattr(oracle, "_sector_eigenpair", failing)
+        assert same_pairs(lowest_eigenpairs(H, 2), expected)
+
+
+def bisection_only(H, monkeypatch):
+    """lowest_eigenpairs(H, 2) with no coarse grid, from a fresh Hamiltonian."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle.TridiagonalHamiltonian, "coarse", None)
+        return lowest_eigenpairs(TridiagonalHamiltonian(H.grid, H.potential), 2)
+
+
+def same_pairs(a, b):
+    return all(ea == eb and np.array_equal(wa.samples, wb.samples)
+               for (ea, wa), (eb, wb) in zip(a, b))
+
+
+class TestCoarseToFine:
+    @pytest.mark.parametrize("n", [4001, 16001, 64001])
+    @pytest.mark.parametrize("eps", [-1.05, -2.0, -2.95])
+    def test_agrees_with_bisection_only(self, eps, n, monkeypatch):
+        partner = Partner(eps, Grid(20.0, n))
+        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        assert H.coarse is not None
+        target = oracle.RESIDUAL_TOL * (4.0 / H.grid.h**2 + np.max(np.abs(H.potential)))
+        for (ea, wa), (eb, wb) in zip(lowest_eigenpairs(H, 2), bisection_only(H, monkeypatch)):
+            assert abs(ea - eb) <= target
+            assert abs(wa.overlap(wb)) > 1.0 - 1e-12
+
+    def test_wrong_coarse_estimate_falls_back(self, monkeypatch):
+        # the coarse grid hands up the next level of the sector (5 for 1 and
+        # 7 for 3 in the harmonic well): the fine steps find that level,
+        # Sturm counts refuse it, and bisection takes over with the answer
+        # it gives alone
+        grid = Grid(15.0, 4001)
+        H = TridiagonalHamiltonian(grid, grid.x**2)
+        assert H.coarse is not None
+        expected = bisection_only(H, monkeypatch)
+        solve, certify = oracle._sector_eigenpair, oracle._certified
+        verdicts = []
+
+        def misleading(H_, parity, index):
+            return solve(H_, parity, index + (H_.grid != H.grid))
+
+        def recording(*args):
+            verdicts.append(certify(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(oracle, "_sector_eigenpair", misleading)
+        monkeypatch.setattr(oracle, "_certified", recording)
+        assert same_pairs(lowest_eigenpairs(H, 2), expected)
+        assert verdicts == [False, False]
 
 
 class TestSturmCount:
@@ -255,13 +358,14 @@ class TestVerifySpectrum:
         assert gap == pytest.approx(1e-4, abs=1e-5)
         assert report.e0_error < 1e-4 and report.e1_error < 1e-4
 
-    def test_convergence_is_second_order(self):
+    def test_convergence_is_fourth_order(self):
+        # Numerov: errors near 1e-10 at n = 4001, well above the rounding floor
         eps = -1.5
         coarse = cached_report(eps)
         fine = cached_report(eps, n_points=8001)
         for attr in ("e0_error", "e1_error"):
             order = np.log2(getattr(coarse, attr) / getattr(fine, attr))
-            assert 1.8 <= order <= 2.2
+            assert 3.8 <= order <= 4.2
 
     def test_overlap_range(self):
         report = cached_report(-1.5)
@@ -280,20 +384,24 @@ class TestVerify:
     @pytest.mark.parametrize("eps", [-1.5, -2.25])
     def test_finer_grids_pass_with_falling_errors(self, eps):
         # a finer grid must never turn a pass into a fail; the errors fall
-        # like h^2 under the 3-point stencil
+        # like h^4 under Numerov, 256x per fourfold refinement, until they
+        # reach the rounding floor of about 1e-14 (below ROUNDING_FLOOR)
         sizes = (4001, 16001, 64001, 256001)
         reports = [oracle.verify(Partner(eps, Grid(20.0, n))) for n in sizes]
         assert [(n, c.name) for n, report in zip(sizes, reports)
                 for c in report.checks if not c.passed] == []
         for attr in ("e0_error", "e1_error"):
             errors = [getattr(report, attr) for report in reports]
-            assert all(a > b for a, b in zip(errors, errors[1:])), (attr, errors)
+            assert all(b < max(a / 200.0, ROUNDING_FLOOR)
+                       for a, b in zip(errors, errors[1:])), (attr, errors)
 
     @pytest.mark.parametrize("eps, failed", [
         (-1.5, []),
         (-2.0, []),
-        (-2.6, ["psi1_residual"]),
-        (-3.5, ["psi0_residual", "psi1_residual"]),
+        (-2.6, []),
+        (-3.5, []),
+        # the default grid under-resolves the deep well: truncation, not a defect
+        (-50.0, ["psi0_residual", "psi1_residual", "bimodality_rel_err"]),
     ])
     def test_check_records(self, eps, failed, default_grid):
         report = oracle.verify(Partner(eps, default_grid))

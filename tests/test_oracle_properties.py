@@ -1,38 +1,46 @@
-"""Property tests: the parity-split eigensolver against dense eigvalsh."""
+"""Property tests: the parity-split eigensolver against dense matrix Numerov."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
-from shallowdw import Grid, TridiagonalHamiltonian, lowest_eigenpairs, sturm_count
+from shallowdw import (Grid, GridTooCoarse, GridTooNarrow, Partner,
+                       TridiagonalHamiltonian, lowest_eigenpairs, oracle, sturm_count)
+from shallowdw.transform import EPSILON_MAX
+
+from conftest import numerov_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
 def even_hamiltonians(draw, max_half=100):
-    """Random even potential on a grid of n = 2 m + 1 <= 201 nodes."""
+    """Random even potential on a grid of n = 2 m + 1 <= 201 nodes.
+
+    |V| <= min(1e3, 5 / h^2), so h^2 (max V - min V) <= 10 stays below the
+    Numerov pole at 12 that ``TridiagonalHamiltonian`` rejects.
+    """
     m = draw(st.integers(1, max_half))
-    x_max = draw(st.floats(0.5, 20.0))
-    half = draw(st.lists(st.floats(-1e3, 1e3), min_size=m + 1, max_size=m + 1))
-    values = np.concatenate((half[:0:-1], half))
-    return TridiagonalHamiltonian(Grid(x_max, 2 * m + 1), values)
+    grid = Grid(draw(st.floats(0.5, 20.0)), 2 * m + 1)
+    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=m + 1, max_size=m + 1))
+    values = min(1e3, 5.0 / grid.h**2) * np.concatenate((half[:0:-1], half))
+    return TridiagonalHamiltonian(grid, values)
 
 
 def dense_levels(H):
-    h2 = H.grid.h**2
-    off = np.full(H.grid.n_points - 1, -1.0 / h2)
-    diagonal = 2.0 / h2 + H.potential
-    return np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return np.linalg.eigvalsh(numerov_matrix(H.grid, H.potential))
 
 
 def norm_bound(H):
-    return 4.0 / H.grid.h**2 + np.max(np.abs(H.potential))
+    # the Numerov kinetic term reaches 6/h^2
+    return 6.0 / H.grid.h**2 + np.max(np.abs(H.potential))
 
 
 def check_sturm_count(H, where):
     levels = dense_levels(H)
-    lam = levels[0] - 1.0 + where * (levels[-1] - levels[0] + 2.0)
+    # from min V up: below max V - 12/h^2 the Numerov a_i pass their pole
+    low = np.min(H.potential)
+    lam = low + where * (levels[-1] + 1.0 - low)
     # within roundoff of a level the count may go either way
     assume(np.min(np.abs(levels - lam)) > 1e-9 * norm_bound(H))
     assert sturm_count(H, lam, 0) + sturm_count(H, lam, 1) == np.count_nonzero(levels < lam)
@@ -47,7 +55,7 @@ def check_lowest_eigenpairs(H, k):
         assert energy == pytest.approx(levels[j], rel=1e-9, abs=1e-12 * scale)
         v = wave.samples
         assert np.array_equal(v[::-1], v if j % 2 == 0 else -v)
-        residual = np.linalg.norm(H.apply(v) - energy * v)
+        residual = np.linalg.norm(H.apply(v, energy))
         assert residual <= 1e-10 * scale * np.linalg.norm(v)
 
 
@@ -69,3 +77,17 @@ def test_tiny_grids(H, where, k):
     # n = 3, 5, 7: sectors of one to four nodes
     check_lowest_eigenpairs(H, k)
     check_sturm_count(H, where)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-3.0, EPSILON_MAX, exclude_min=True), st.integers(250, 2000))
+def test_a_finer_grid_keeps_a_pass(eps, m):
+    # for eps in the paper's double-well range, a verify that passes on n
+    # nodes passes on 2 n - 1, the grid of half the spacing
+    n = 2 * m + 1
+    try:
+        coarse = oracle.verify(Partner(eps, Grid(20.0, n)))
+    except (GridTooNarrow, GridTooCoarse):
+        reject()  # a grid error on n nodes is no pass to keep
+    assume(coarse.passed)
+    assert oracle.verify(Partner(eps, Grid(20.0, 2 * n - 1))).passed

@@ -1,10 +1,10 @@
 """Turning-point Sturm passes and twisted eigenvectors against what they replaced.
 
 The reference count below is the full-length scaled Sturm loop the oracle
-ran before its passes stopped past the outer turning point.  The early exit
-is exact: past the turning point every a_i >= 0, so once r leaves (-1, 0)
-no later pivot is negative.  The counts must therefore agree at every lam,
-rounding included.
+ran before its passes stopped past the outer turning point, on the Numerov
+rows a_i = q_i / (1 - q_i/12).  The early exit is exact: past the turning
+point every a_i >= 0, so once r leaves (-1, 0) no later pivot is negative.
+The counts must therefore agree at every lam, rounding included.
 """
 
 import numpy as np
@@ -13,13 +13,14 @@ import pytest
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, verify_spectrum
 from shallowdw.oracle import PIVMIN, lowest_eigenpairs, sturm_count
 
-from conftest import counting_view
+from conftest import counting_view, numerov_matrix
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
 
 def ref_scaled_sector(H, lam, parity):
-    a = (H.grid.h**2 * (H.potential[H.grid.center_index:] - lam)).tolist()
+    q = H.grid.h**2 * (H.potential[H.grid.center_index:] - lam)
+    a = (q / (1.0 - q / 12.0)).tolist()
     if parity == 0:
         return 0.5 * a[0], a[1:]
     return 1.0 + a[1], a[2:]
@@ -43,10 +44,7 @@ def ref_count(H, lam, parity):
 
 def dense_sector_counts(H, lam):
     """Levels below lam of the even and of the odd sector, from the dense matrix."""
-    h2 = H.grid.h**2
-    off = np.full(H.grid.n_points - 1, -1.0 / h2)
-    levels, vectors = np.linalg.eigh(np.diag(2.0 / h2 + H.potential)
-                                     + np.diag(off, 1) + np.diag(off, -1))
+    levels, vectors = np.linalg.eigh(numerov_matrix(H.grid, H.potential))
     odd = np.sum(vectors * vectors[::-1], axis=0) < 0.0
     below = levels < lam
     return int(np.sum(below & ~odd)), int(np.sum(below & odd))
@@ -82,7 +80,11 @@ class TestTurningPointCount:
     def test_continuum_edge_and_above_max_v(self, eps):
         H = partner(eps)
         top = float(np.max(H.potential))
-        assert_counts_match(H, [0.0, top + 1.0, top + 4.0 / H.grid.h**2])
+        # the bracket's ceiling for an unbound level, where every pivot is negative
+        ceiling = top + 6.0 / H.grid.h**2
+        assert_counts_match(H, [0.0, top + 1.0, ceiling])
+        for parity in (0, 1):
+            assert sturm_count(H, ceiling, parity) == H.grid.center_index + 1 - parity
 
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_within_1e_12_of_both_levels(self, eps):
@@ -99,7 +101,8 @@ class TestTurningPointCount:
 
     def test_passes_stop_short_of_the_edge(self, monkeypatch):
         # rows each count converts to floats: only the counts at lam = 0
-        # convert the whole sector
+        # convert the whole sector.  The coarse grid's 251-row sectors fit in
+        # one ROW_BLOCK, so only the counts on the grid itself are measured
         read, made = [], []
         rows, count = oracle._sector_rows, oracle.sturm_count
 
@@ -111,22 +114,28 @@ class TestTurningPointCount:
             made.clear()
             result = count(H, lam, parity)
             (a,) = made
-            read.append(sum(a.lengths) / (len(a) - 1))  # row 0 is never converted
+            # row 0 is never converted
+            read.append((H.grid.n_points, lam, sum(a.lengths) / (len(a) - 1)))
             return result
 
         monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
         monkeypatch.setattr(oracle, "sturm_count", measuring)
         verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
-        full = [f for f in read if f == 1.0]
-        assert len(full) == 2  # both sectors at lam = 0, counted once each
-        assert np.mean(read) < 0.5
+        fine = [(lam, f) for n, lam, f in read if n == 4001]
+        # both sectors at lam = 0, counted once each; every other count
+        # stops short of the edge
+        assert sorted(lam for lam, f in fine if f == 1.0) == [0.0, 0.0]
+        assert all(f < 0.5 for lam, f in fine if lam != 0.0)
 
     def test_exact_zero_pivot_past_the_turning_row(self):
-        # h = 1 and lam = 0: the even sector's rows are a = -1, 0, 1, 2 with
-        # its turn at row 1, so r_0 = -0.5 and r_1 = -1.0 exactly, a zero
-        # pivot 1 + r_1 on the first row past the turn
-        H = TridiagonalHamiltonian(Grid(3.0, 7), [2, 1, 0, -1, 0, 1, 2])
+        # h = 1 and lam = 0: the even sector's rows are q = -12/11, 0, 1, 2
+        # with its turn at row 1; a_0 = q_0 / (1 - q_0/12) rounds to -1
+        # exactly, so r_0 = -0.5 and r_1 = -1.0, a zero pivot 1 + r_1 on the
+        # first row past the turn
+        H = TridiagonalHamiltonian(Grid(3.0, 7), [2, 1, 0, -12 / 11, 0, 1, 2])
         assert oracle._turning_row(H, 0.0, 0) == 1
+        a = oracle._sector_rows(H, 0.0, 0)
+        assert a[0] == -1.0 and a[1] == 0.0
         dense = dense_sector_counts(H, 0.0)
         assert dense == (1, 0)
         for parity in (0, 1):
@@ -140,39 +149,50 @@ class TestBoundCounts:
         counted = oracle.sturm_count
 
         def counting(H, lam, parity):
-            calls.append((lam, parity))
+            calls.append((H.grid.n_points, lam, parity))
             return counted(H, lam, parity)
 
         monkeypatch.setattr(oracle, "sturm_count", counting)
         verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
-        assert sorted(c for c in calls if c[0] == 0.0) == [(0.0, 0), (0.0, 1)]
+        # once per sector on the grid and once on the coarse grid that seeds it
+        assert sorted(c for c in calls if c[1] == 0.0) == [
+            (501, 0.0, 0), (501, 0.0, 1), (4001, 0.0, 0), (4001, 0.0, 1)]
 
 
 class TestTwistedVector:
     @pytest.mark.parametrize("n", [4001, 16001])
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_at_most_three_steps_per_level(self, eps, n, monkeypatch):
+        # coarse to fine: at most FINE_STEPS on the grid itself.  A coarser
+        # grid takes at most FINE_STEPS seeded by the grid below it and, if
+        # those miss, at most three more from its own bisection
         steps = []
         original = oracle._twisted_vector
 
-        def counting(*args):
-            steps.append(args)
-            return original(*args)
+        def counting(a, r0, turn):
+            steps.append(len(a))
+            return original(a, r0, turn)
 
         monkeypatch.setattr(oracle, "_twisted_vector", counting)
         H = partner(eps, n)
         for parity in (0, 1):
             steps.clear()
             oracle._sector_eigenpair(H, parity, 0)
-            assert 1 <= len(steps) <= 3
+            rows = H.grid.center_index + 1 - parity
+            assert 1 <= steps.count(rows) <= oracle.FINE_STEPS
+            assert all(steps.count(m) <= oracle.FINE_STEPS + 3 for m in steps)
 
     def test_one_row_sector(self):
         # n = 3: the odd sector is the single node x = h
         a = np.array([0.25])
-        assert np.array_equal(oracle._twisted_vector(a, 1.0 + a[0], 0), [1.0])
+        z, gamma = oracle._twisted_vector(a, 1.0 + a[0], 0)
+        assert np.array_equal(z, [1.0]) and gamma == 2.25
         grid = Grid(1.0, 3)
         pairs = lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(3)), 3)
-        assert [e for e, _ in pairs] == pytest.approx([2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
+        # -D2 has levels mu = 2 - sqrt(2), 2, 2 + sqrt(2) at h = 1; Numerov
+        # divides each by its mass-matrix level 1 - mu/12
+        mu = np.array([2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
+        assert [e for e, _ in pairs] == pytest.approx(mu / (1.0 - mu / 12.0))
         odd = pairs[1][1].samples
         assert odd[1] == 0.0 and odd[0] == -odd[2]
 
@@ -189,8 +209,9 @@ class TestTwistedVector:
         r0 = oracle._first_pivot(a[0], parity)
         M = np.diag(np.concatenate(([1.0 + r0], 2.0 + a[1:])))
         M -= np.eye(6, k=1) + np.eye(6, k=-1)
-        z = oracle._twisted_vector(a, r0, 5)
+        z, gamma = oracle._twisted_vector(a, r0, 5)
         w = M @ z
         assert z[0] == 1.0 and np.all(np.abs(z[1:]) < 1.0)
         assert np.allclose(w[1:], 0.0, atol=1e-15)
         assert w[0] == pytest.approx(1e-3, rel=1e-9)
+        assert gamma == pytest.approx(1e-3, rel=1e-9)

@@ -107,9 +107,10 @@ def ref_classify(eps, grid, fmt):
 
 
 # -2.0: bimodality check skipped (ground level at the barrier top);
-# -2.6: psi1_residual fails; -3.5: psi0_residual and psi1_residual fail
+# -50: the default grid under-resolves the well, and psi0_residual,
+# psi1_residual and bimodality_rel_err fail
 @pytest.mark.parametrize("eps, rc", [(-1.05, 0), (-1.5, 0), (-2.0, 0),
-                                     (-2.6, 1), (-3.5, 1)])
+                                     (-2.6, 0), (-3.5, 0), (-50.0, 1)])
 def test_verify_stdout_and_exit_code(eps, rc, capsys):
     expected_out, expected_rc = ref_verify(eps, Grid.default())
     assert expected_rc == rc
