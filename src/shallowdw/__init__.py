@@ -21,9 +21,6 @@ from .oracle import (
 from .transform import (
     InvalidEpsilon,
     Partner,
-    apply_a,
-    apply_a_dagger,
-    base_ground_state,
     curvature_at_origin,
     potential,
     potential_log_form,
@@ -54,9 +51,6 @@ __all__ = [
     "WellClassification",
     "WellKind",
     "analytic_period",
-    "apply_a",
-    "apply_a_dagger",
-    "base_ground_state",
     "check_bimodality_relation",
     "classify",
     "count_density_maxima",

@@ -132,24 +132,28 @@ def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
     yield "".join(f"# {c}\n" for c in footer)
 
 
-def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    """json.dumps({name: col.tolist(), ...}) + "\\n", byte for byte.
+def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
+                  fields: Optional[Dict[str, object]] = None) -> str:
+    """json.dumps({name: col.tolist(), ..., **fields}) + "\\n", byte for byte.
 
     The columns hold floats and ints, whose JSON text is their str() but
     for the non-finite floats: no other str() of one contains "nan" or
     "inf", so replacing those maps nan, inf and -inf to NaN, Infinity and
     -Infinity.
     """
-    fields = []
+    items = []
     for name, col in zip(header, columns):
         values = ", ".join(_format_column(col)).replace("nan", "NaN").replace("inf", "Infinity")
-        fields.append(f"{json.dumps(name)}: [{values}]")
-    return "{" + ", ".join(fields) + "}\n"
+        items.append(f"{json.dumps(name)}: [{values}]")
+    items += [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in (fields or {}).items()]
+    return "{" + ", ".join(items) + "}\n"
 
 
-def _emit_table(args, header, columns, comments=(), footer=()) -> None:
+def _emit_table(args, header, columns, comments=(), footer=(), fields=None) -> None:
+    """CSV with ``comments`` above the header and ``footer`` below the rows,
+    or JSON with the columns followed by each of ``fields`` under its key."""
     if args.format == "json":
-        _write_text(args.out, [_columns_json(header, columns)])
+        _write_text(args.out, [_columns_json(header, columns, fields)])
     else:
         _write_text(args.out, _csv(header, columns, comments, footer))
 
@@ -240,15 +244,14 @@ def cmd_evolve(args) -> int:
     period = dynamics.analytic_period(partner.epsilon)
     t_max = 2.0 * period if args.t_max is None else args.t_max
     series = dynamics.evolve_series(partner, t_max, args.frames)
-    comments = []
+    warning = None
     if wells.well_kind(partner.epsilon) is not wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX:
-        comments.append(
-            "warning: ground level at or above the central barrier; "
-            "no low-lying two-level regime"
-        )
-    footer = [f"analytic_period={period!r}"]
+        warning = ("ground level at or above the central barrier; "
+                   "no low-lying two-level regime")
     _emit_table(args, ("t", "P_left"), (series.times, series.left_probability),
-                comments=comments, footer=footer)
+                comments=[f"warning: {warning}"] if warning else [],
+                footer=[f"analytic_period={period!r}"],
+                fields={"warning": warning, "analytic_period": period})
     if args.svg:
         _write_svg(args.svg, series.times, series.left_probability)
     return EXIT_OK

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave, first_derivative
+from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave
 
 EPSILON_MAX = -1.0 - 1e-9  # transform degenerates (V -> 0) as eps -> -1
 # below this 4 eps^2, and so V''(0) = 4 (3 + 4 eps + eps^2), overflows
@@ -246,36 +246,3 @@ class Partner:
         _check_samples(samples, "excited state", self)
         return RealWave(self.grid, samples).normalize()
 
-
-def base_ground_state(grid: Grid) -> RealWave:
-    """Ground state sqrt(1/2) sech(x) of the base sech^2 well, energy -1."""
-    # analytic L2 norm over R is 1; grid truncation must be negligible
-    if 2.0 * (1.0 - np.tanh(grid.x_max)) > 1e-10:
-        raise GridTooNarrow("grid too narrow for sech(x) normalization")
-    samples = np.sqrt(0.5) * _sech(grid.x)
-    return RealWave(grid, samples).normalize()
-
-
-def _apply(partner: Partner, f: RealWave, sign: float) -> RealWave:
-    if f.grid != partner.grid:
-        raise ValueError("f is not on the partner's grid")
-    return RealWave(f.grid, sign * first_derivative(f.samples, f.grid.h)
-                    + partner.w * f.samples)
-
-
-def apply_a(partner: Partner, f: RealWave) -> RealWave:
-    """Apply A = -d/dx + u'/u to a wave on the partner's grid.
-
-    The derivative uses 4th-order central differences (one-sided at the
-    edges); the superpotential term is the partner's closed-form u'/u.
-    """
-    return _apply(partner, f, -1.0)
-
-
-def apply_a_dagger(partner: Partner, f: RealWave) -> RealWave:
-    """Apply A+ = +d/dx + u'/u to a wave on the partner's grid.
-
-    A+ annihilates 1/u, which is how the partner ground state inherits
-    eigenvalue eps from Xi = A A+ + eps.
-    """
-    return _apply(partner, f, 1.0)

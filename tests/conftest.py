@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from shallowdw import Grid, Partner, RealWave, apply_a, verify_spectrum
+from shallowdw import Grid, GridTooNarrow, Partner, RealWave, verify_spectrum
 from shallowdw.grids import first_derivative, second_derivative
+from shallowdw.transform import _sech
 
 # every run draws the same examples, and none replays a failure that an
 # earlier run stored: the suite's verdict depends on the code alone
@@ -67,6 +68,40 @@ def left_well_probability(psi: np.ndarray, grid: Grid) -> float:
     """
     mid = grid.center_index
     return float(np.trapezoid(np.abs(psi[: mid + 1]) ** 2, dx=grid.h))
+
+
+def base_ground_state(grid: Grid) -> RealWave:
+    """Ground state sqrt(1/2) sech(x) of the base sech^2 well, energy -1."""
+    # analytic L2 norm over R is 1; grid truncation must be negligible
+    if 2.0 * (1.0 - np.tanh(grid.x_max)) > 1e-10:
+        raise GridTooNarrow("grid too narrow for sech(x) normalization")
+    samples = np.sqrt(0.5) * _sech(grid.x)
+    return RealWave(grid, samples).normalize()
+
+
+def _apply(partner: Partner, f: RealWave, sign: float) -> RealWave:
+    if f.grid != partner.grid:
+        raise ValueError("f is not on the partner's grid")
+    return RealWave(f.grid, sign * first_derivative(f.samples, f.grid.h)
+                    + partner.w * f.samples)
+
+
+def apply_a(partner: Partner, f: RealWave) -> RealWave:
+    """Apply A = -d/dx + u'/u to a wave on the partner's grid.
+
+    The derivative uses 4th-order central differences (one-sided at the
+    edges); the superpotential term is the partner's closed-form u'/u.
+    """
+    return _apply(partner, f, -1.0)
+
+
+def apply_a_dagger(partner: Partner, f: RealWave) -> RealWave:
+    """Apply A+ = +d/dx + u'/u to a wave on the partner's grid.
+
+    A+ annihilates 1/u, which is how the partner ground state inherits
+    eigenvalue eps from Xi = A A+ + eps.
+    """
+    return _apply(partner, f, 1.0)
 
 
 def check_intertwining(partner: Partner, f: RealWave) -> float:

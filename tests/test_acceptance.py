@@ -14,8 +14,6 @@ from shallowdw import (
     RealWave,
     TridiagonalHamiltonian,
     analytic_period,
-    apply_a_dagger,
-    base_ground_state,
     check_bimodality_relation,
     classify,
     curvature_at_origin,
@@ -28,6 +26,8 @@ from shallowdw import (
 from shallowdw.cli import main as cli_main
 
 from conftest import (
+    apply_a_dagger,
+    base_ground_state,
     cached_report,
     check_intertwining,
     lc_state,

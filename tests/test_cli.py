@@ -331,6 +331,22 @@ class TestEvolveCommand:
         assert rows.shape == (11, 2)
         assert sum("warning" in c for c in comments) == warned
 
+    @pytest.mark.parametrize("eps", [-1.5, -2.5])
+    def test_json_carries_the_warning_and_the_period(self, tmp_path, eps):
+        # what the CSV writes as comments, JSON writes under its own keys
+        csv_out, json_out = tmp_path / "evolve.csv", tmp_path / "evolve.json"
+        args = ["evolve", "--epsilon", eps, "--t-max", 10, "--frames", 11]
+        assert run(args + ["--out", csv_out]) == 0
+        assert run(args + ["--out", json_out, "--format", "json"]) == 0
+        _, rows, comments = read_csv(csv_out)
+        payload = json.loads(json_out.read_text())
+        assert list(payload) == ["t", "P_left", "warning", "analytic_period"]
+        assert payload["P_left"] == rows[:, 1].tolist()
+        assert comments[-1] == f"# analytic_period={payload['analytic_period']!r}"
+        warnings = [c.removeprefix("# warning: ") for c in comments if "warning" in c]
+        assert warnings == ([payload["warning"]] if payload["warning"] else [])
+        assert (payload["warning"] is None) is (eps == -1.5)
+
 
 class TestSweepCommand:
     def test_curvature_negative_on_double_well_interval(self, tmp_path):

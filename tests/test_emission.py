@@ -42,18 +42,18 @@ def ref_csv(header, rows, comments=(), footer=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ref_columns_json(header, rows) -> str:
+def ref_columns_json(header, rows, fields) -> str:
     cols = {name: [] for name in header}
     for row in rows:
         for name, value in zip(header, row):
             cols[name].append(value.item() if isinstance(value, np.generic) else value)
-    return json.dumps(cols) + "\n"
+    return json.dumps({**cols, **fields}) + "\n"
 
 
-def reference(fmt, header, rows, comments=(), footer=()) -> bytes:
+def reference(fmt, header, rows, comments=(), footer=(), fields=None) -> bytes:
     rows = list(rows)
     if fmt == "json":
-        text = ref_columns_json(header, rows)
+        text = ref_columns_json(header, rows, fields or {})
     else:
         text = ref_csv(header, rows, comments, footer)
     return text.encode("utf-8")
@@ -129,15 +129,19 @@ class TestTableBytes:
     def test_evolve_comments_and_footer(self, tmp_path, fmt, eps):
         grid = Grid(X_MAX, POINTS)
         series = dynamics.evolve_series(Partner(eps, grid), 10.0, 11)
-        comments = []
+        warning = None
         if eps == -2.5:
-            comments.append("warning: ground level at or above the central "
-                            "barrier; no low-lying two-level regime")
-        footer = [f"analytic_period={ref_fmt(dynamics.analytic_period(eps))}"]
+            warning = ("ground level at or above the central barrier; "
+                       "no low-lying two-level regime")
+        period = dynamics.analytic_period(eps)
+        comments = [f"warning: {warning}"] if warning else []
+        footer = [f"analytic_period={ref_fmt(period)}"]
+        # JSON carries the same two facts under their own keys
+        fields = {"warning": warning, "analytic_period": period}
         rows = zip(series.times, series.left_probability)
         got = emitted(tmp_path, ["evolve", "--epsilon", eps, "--t-max", 10.0,
                                  "--frames", 11, *GRID_ARGS], fmt)
-        assert got == reference(fmt, ("t", "P_left"), rows, comments, footer)
+        assert got == reference(fmt, ("t", "P_left"), rows, comments, footer, fields)
 
 
 def test_stdout_matches_file(tmp_path, capsys, monkeypatch):

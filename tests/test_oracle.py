@@ -12,7 +12,6 @@ from shallowdw import (
     Partner,
     RealWave,
     TridiagonalHamiltonian,
-    base_ground_state,
     eigen_residual,
     lowest_eigenpairs,
     sturm_count,
@@ -20,7 +19,7 @@ from shallowdw import (
 )
 
 from shallowdw import oracle, transform
-from conftest import cached_report, check_intertwining, numerov_matrix
+from conftest import base_ground_state, cached_report, check_intertwining, numerov_matrix
 
 # eigenvalue errors of the partner levels stop falling near 1e-14
 ROUNDING_FLOOR = 1e-13

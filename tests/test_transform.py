@@ -11,15 +11,14 @@ from shallowdw import (
     InvalidEpsilon,
     Partner,
     RealWave,
-    apply_a,
-    apply_a_dagger,
-    base_ground_state,
     curvature_at_origin,
     potential,
     potential_log_form,
     separatrix_energy,
     transform,
 )
+
+from conftest import apply_a, apply_a_dagger, base_ground_state
 
 EPS_SWEEP = [-1.05, -1.5, -2.0, -2.25, -2.95, -3.7, -6.0, -10.0]
 

@@ -8,12 +8,13 @@ from shallowdw import (
     InvalidEpsilon,
     Partner,
     WellKind,
-    base_ground_state,
     check_bimodality_relation,
     classify,
     count_density_maxima,
 )
 from shallowdw.wells import well_kind
+
+from conftest import base_ground_state
 
 
 def partner(eps):
