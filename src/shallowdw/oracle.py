@@ -31,11 +31,10 @@ and the next shift is the Newton step on the Rayleigh quotient of M(sigma),
 E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
 
 Each level is solved coarse to fine (nested iteration, Brandt) where the
-grid allows it: the same sector level on every COARSENING-th node seeds at
-most FINE_STEPS twisted steps on the full grid, and the result stands only
-once it meets the residual target and two Sturm counts at E -+ delta certify
-its index.  Otherwise bisection on Sturm counts brackets the level first,
-and the steps start from the bracket's Sturm-certified lower end.
+grid allows it: the same sector level on every COARSENING-th node seeds
+the twisted steps on the full grid.  Otherwise, or if Sturm counts do not
+isolate the result, bisection brackets the level first, and the steps start
+from the bracket's lower end.  Both paths share one step cap.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
@@ -82,11 +81,10 @@ NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
 # Coarse to fine: a grid with (n - 1) % (2 COARSENING) == 0 first solves on
 # every COARSENING-th node, x = 0 among them, if that grid keeps at least
 # COARSE_MIN_POINTS nodes and h_c^2 (max V - min V) <= COARSE_Q_MAX, well
-# below the pole; then at most FINE_STEPS twisted steps run on the full grid.
+# below the pole; its level seeds the twisted steps on the full grid.
 COARSENING = 8
 COARSE_MIN_POINTS = 251
 COARSE_Q_MAX = 1.0
-FINE_STEPS = 2
 
 # verify criteria, in check order: report field -> (tolerance, strict test)
 VERIFY_TOLERANCES = {
@@ -249,10 +247,10 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
         if hi - lo <= resolution:
             return lo, hi
         margin = SEPARATION * (hi - lo)
+        # no level lies below lo, so the ground level needs no count there
         if (hi - lo <= BISECTION_RTOL * (hi - v_min)
-                and sturm_count(H, hi + margin, parity) == index + 1
-                and (index == 0
-                     or sturm_count(H, max(lo - margin, v_min), parity) == index)):
+                and _isolated(H, parity, index, v_min if index == 0 else lo - margin,
+                              hi + margin)):
             return lo, hi
         mid = 0.5 * (lo + hi)
         if sturm_count(H, mid, parity) > index:
@@ -264,20 +262,18 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
         f"[{lo!r}, {hi!r}]")
 
 
-def _certified(H: TridiagonalHamiltonian, parity: int, index: int,
-               energy: float) -> bool:
-    """Sturm counts place level `index` of one sector within delta of energy.
+def _isolated(H: TridiagonalHamiltonian, parity: int, index: int,
+              lo: float, hi: float) -> bool:
+    """Sturm counts show level `index` of one sector, and no other, in [lo, hi].
 
-    delta = BISECTION_RTOL (energy - min V).  For the ground level of a
-    sector with one level below 0, that count at lam = 0 stands in for the
-    one at energy + delta.
+    The caller knows that some level lies in [lo, hi]: a bracket holds one,
+    and so does E -+ delta around a residual-checked E.  So no count is made
+    at hi <= 0 when the sector has index + 1 levels below 0, nor at
+    lo <= min V, below every level.
     """
-    delta = BISECTION_RTOL * (energy - float(np.min(H.potential)))
-    if index == 0 and energy + delta <= 0.0 and H.bound_counts[parity] == 1:
-        above = 1
-    else:
-        above = sturm_count(H, energy + delta, parity)
-    return above == index + 1 and sturm_count(H, energy - delta, parity) == index
+    return ((hi <= 0.0 and H.bound_counts[parity] == index + 1
+             or sturm_count(H, hi, parity) == index + 1)
+            and (sturm_count(H, lo, parity) if lo > np.min(H.potential) else 0) == index)
 
 
 def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
@@ -328,15 +324,14 @@ def _sum_sq(a: np.ndarray) -> float:
 
 
 def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
-                       sigma: float, turn: int, steps: int,
-                       target: float) -> Tuple[float, np.ndarray]:
-    """At most ``steps`` Newton-shifted twisted steps from sigma.
+                       sigma: float, turn: int, target: float) -> Tuple[float, np.ndarray]:
+    """At most INVERSE_ITERATION_MAX_STEPS Newton-shifted twisted steps from sigma.
 
     Returns (E, y), y on the full grid, once ||(H - E) y|| <= target ||y||;
     the twist lies within sector rows 0 .. turn.
     """
     residual = np.inf
-    for _ in range(steps):
+    for _ in range(INVERSE_ITERATION_MAX_STEPS):
         a = _sector_rows(H, sigma, parity)
         z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity), turn)
         v = _unfold(z * (1.0 + a / NUMEROV_POLE), parity)  # y = u / (1 - q/12)
@@ -350,7 +345,7 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
         sigma = energy
     raise ConvergenceFailure(
         f"inverse iteration for sector {parity} level {index} reached residual "
-        f"{residual:.3e} after {steps} steps, target {target:.3e}")
+        f"{residual:.3e} after {INVERSE_ITERATION_MAX_STEPS} steps, target {target:.3e}")
 
 
 def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
@@ -359,17 +354,16 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
     if H.coarse is not None:
         try:
             estimate = _sector_eigenpair(H.coarse, parity, index)[0]
-            energy, v = _inverse_iteration(
-                H, parity, index, estimate, _turning_row(H, estimate, parity),
-                min(FINE_STEPS, INVERSE_ITERATION_MAX_STEPS), target)
-            if _certified(H, parity, index, energy):
+            energy, v = _inverse_iteration(H, parity, index, estimate,
+                                           _turning_row(H, estimate, parity), target)
+            delta = BISECTION_RTOL * (energy - float(np.min(H.potential)))
+            if _isolated(H, parity, index, energy - delta, energy + delta):
                 return energy, v
         except ConvergenceFailure:
             pass  # the coarse grid misled the steps: bisect on this grid
     sigma, hi = _bracket(H, parity, index, target)
     # the eigenvector peaks where V <= level < hi: the twist lies inside this
-    return _inverse_iteration(H, parity, index, sigma, _turning_row(H, hi, parity),
-                              INVERSE_ITERATION_MAX_STEPS, target)
+    return _inverse_iteration(H, parity, index, sigma, _turning_row(H, hi, parity), target)
 
 
 def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:
@@ -400,8 +394,8 @@ def _interior(grid: Grid, edge: int, caller: str) -> slice:
 def eigen_residual(H: TridiagonalHamiltonian, wave: RealWave, energy: float) -> float:
     """Relative l2 residual ||-D2 psi + B((V - E) psi)|| / ||psi|| over interior nodes.
 
-    Three nodes at each edge are excluded: one-sided stencils and the
-    Dirichlet mismatch dominate there, not the PDE error.
+    Three nodes at each edge are excluded: the Dirichlet mismatch dominates
+    there, not the PDE error.
     """
     sl = _interior(wave.grid, EDGE_EXCLUDE, "eigen_residual")
     r = H.apply(wave.samples, energy)

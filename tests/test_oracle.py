@@ -210,20 +210,49 @@ class TestCoarseToFine:
         H = TridiagonalHamiltonian(grid, grid.x**2)
         assert H.coarse is not None
         expected = bisection_only(H, monkeypatch)
-        solve, certify = oracle._sector_eigenpair, oracle._certified
-        verdicts = []
+        solve, isolated, bracket = oracle._sector_eigenpair, oracle._isolated, oracle._bracket
+        verdicts, bisecting = [], []
 
         def misleading(H_, parity, index):
             return solve(H_, parity, index + (H_.grid != H.grid))
 
-        def recording(*args):
-            verdicts.append(certify(*args))
-            return verdicts[-1]
+        def recording(H_, *args):
+            verdict = isolated(H_, *args)
+            if H_.grid == H.grid and not bisecting:  # the seeded path's verdicts
+                verdicts.append(verdict)
+            return verdict
+
+        def marked(*args):
+            bisecting.append(True)
+            bracketed = bracket(*args)
+            bisecting.pop()
+            return bracketed
 
         monkeypatch.setattr(oracle, "_sector_eigenpair", misleading)
-        monkeypatch.setattr(oracle, "_certified", recording)
+        monkeypatch.setattr(oracle, "_isolated", recording)
+        monkeypatch.setattr(oracle, "_bracket", marked)
         assert same_pairs(lowest_eigenpairs(H, 2), expected)
         assert verdicts == [False, False]
+
+    @pytest.mark.parametrize("eps", [-2.95, -2.6])
+    def test_seeded_levels_bisect_only_on_the_coarsest_grid(self, eps, monkeypatch):
+        # n = 16001 solves on 251, 2001 and 16001 nodes.  The 251-node seed of
+        # the odd level is far enough off that the 2001-node grid needs three
+        # steps, which the one step cap allows, so that grid does not bisect
+        partner = Partner(eps, Grid(20.0, 16001))
+        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        bracketed = []
+        bracket = oracle._bracket
+
+        def recording(H_, *args):
+            bracketed.append(H_.grid.n_points)
+            return bracket(H_, *args)
+
+        monkeypatch.setattr(oracle, "_bracket", recording)
+        for parity in (0, 1):
+            bracketed.clear()
+            oracle._sector_eigenpair(H, parity, 0)
+            assert bracketed == [251]
 
 
 class TestSturmCount:

@@ -163,9 +163,8 @@ class TestTwistedVector:
     @pytest.mark.parametrize("n", [4001, 16001])
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_at_most_three_steps_per_level(self, eps, n, monkeypatch):
-        # coarse to fine: at most FINE_STEPS on the grid itself.  A coarser
-        # grid takes at most FINE_STEPS seeded by the grid below it and, if
-        # those miss, at most three more from its own bisection
+        # coarse to fine: at most two steps on the grid itself and at most
+        # three on each coarser grid, seeded or bisected
         steps = []
         original = oracle._twisted_vector
 
@@ -179,8 +178,8 @@ class TestTwistedVector:
             steps.clear()
             oracle._sector_eigenpair(H, parity, 0)
             rows = H.grid.center_index + 1 - parity
-            assert 1 <= steps.count(rows) <= oracle.FINE_STEPS
-            assert all(steps.count(m) <= oracle.FINE_STEPS + 3 for m in steps)
+            assert 1 <= steps.count(rows) <= 2
+            assert all(steps.count(m) <= 3 for m in steps)
 
     def test_one_row_sector(self):
         # n = 3: the odd sector is the single node x = h
