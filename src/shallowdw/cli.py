@@ -9,8 +9,8 @@ Subcommands
     sweep       closed-form/oracle quantities over eps  -> one row per eps
 
 Commands parse arguments and emit; verdicts come from ``oracle.verify``,
-``wells.classify`` and, for the evolve warning, ``wells.well_kind``, and a
-failing verify names each failed check on stderr.
+``wells.classify`` and ``wells.two_level_warning``, and a failing verify
+names each failed check on stderr.
 A command, or a sweep row, builds one ``transform.Partner`` and hands it to
 the library, so the seed is evaluated once.
 
@@ -244,10 +244,7 @@ def cmd_evolve(args) -> int:
     period = dynamics.analytic_period(partner.epsilon)
     t_max = 2.0 * period if args.t_max is None else args.t_max
     series = dynamics.evolve_series(partner, t_max, args.frames)
-    warning = None
-    if wells.well_kind(partner.epsilon) is not wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX:
-        warning = ("ground level at or above the central barrier; "
-                   "no low-lying two-level regime")
+    warning = wells.two_level_warning(partner.epsilon)
     _emit_table(args, ("t", "P_left"), (series.times, series.left_probability),
                 comments=[f"warning: {warning}"] if warning else [],
                 footer=[f"analytic_period={period!r}"],

@@ -31,10 +31,11 @@ and the next shift is the Newton step on the Rayleigh quotient of M(sigma),
 E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
 
 Each level is solved coarse to fine (nested iteration, Brandt) where the
-grid allows it: the same sector level on every COARSENING-th node seeds
-the twisted steps on the full grid.  Otherwise, or if Sturm counts do not
-isolate the result, bisection brackets the level first, and the steps start
-from the bracket's lower end.  Both paths share one step cap.
+grid allows it: the same sector level on every COARSENING-th node out from
+x = 0 seeds the twisted steps on the full grid.  Otherwise, or if Sturm
+counts do not isolate the result, bisection brackets the level first, and
+the steps start from the bracket's lower end.  Both paths share one step
+cap, and each step twists within the turning row of its own shift.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
@@ -78,10 +79,10 @@ RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
 ROW_BLOCK = 256  # rows a Sturm pass converts to Python floats at a time
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
-# Coarse to fine: a grid with (n - 1) % (2 COARSENING) == 0 first solves on
-# every COARSENING-th node, x = 0 among them, if that grid keeps at least
-# COARSE_MIN_POINTS nodes and h_c^2 (max V - min V) <= COARSE_Q_MAX, well
-# below the pole; its level seeds the twisted steps on the full grid.
+# Coarse to fine: a grid first solves on every COARSENING-th node out from
+# x = 0 if that grid keeps at least COARSE_MIN_POINTS nodes and
+# h_c^2 (max V - min V) <= COARSE_Q_MAX, well below the pole; its level
+# seeds the twisted steps on the full grid.
 COARSENING = 8
 COARSE_MIN_POINTS = 251
 COARSE_Q_MAX = 1.0
@@ -149,15 +150,16 @@ class TridiagonalHamiltonian:
 
     @cached_property
     def coarse(self) -> Optional[TridiagonalHamiltonian]:
-        """V on every COARSENING-th node, or None where no coarse solve is made."""
-        n = self.grid.n_points
-        n_coarse = (n - 1) // COARSENING + 1
-        if (n - 1) % (2 * COARSENING) or n_coarse < COARSE_MIN_POINTS:
+        """V on every COARSENING-th node out from x = 0; None if no coarse solve."""
+        center = self.grid.center_index
+        m = center // COARSENING  # the nodes x = 0, +-8h, ..., +-8mh
+        if 2 * m + 1 < COARSE_MIN_POINTS:
             return None
-        values = self.potential[::COARSENING]
+        values = self.potential[center % COARSENING::COARSENING]
         if (COARSENING * self.grid.h)**2 * (np.max(values) - np.min(values)) > COARSE_Q_MAX:
             return None
-        return TridiagonalHamiltonian(Grid(self.grid.x_max, n_coarse), values)
+        x_max = self.grid.x_max * (COARSENING * m / center)
+        return TridiagonalHamiltonian(Grid(x_max, 2 * m + 1), values)
 
     def apply(self, samples: np.ndarray, energy: float) -> np.ndarray:
         """(H - E) y in Numerov form, -D2 y + B((V - E) y), with Dirichlet walls."""
@@ -230,12 +232,11 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     return count + (r <= -1.0)
 
 
-def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
-             resolution: float) -> Tuple[float, float]:
-    """Sturm-certified [lo, hi] around level `index` of one sector.
+def _bracket(H: TridiagonalHamiltonian, parity: int, index: int, resolution: float) -> float:
+    """Lower end of a Sturm-certified bracket around level `index` of one sector.
 
-    A bracket narrower than ``resolution`` is returned even when another
-    level shares it: the residual target cannot tell such levels apart.
+    A bracket narrower than ``resolution`` is taken even when another level
+    shares it: the residual target cannot tell such levels apart.
     """
     v_min = float(np.min(H.potential))
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
@@ -245,13 +246,13 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int,
         hi = float(np.max(H.potential)) + 6.0 / H.grid.h**2
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= resolution:
-            return lo, hi
+            return lo
         margin = SEPARATION * (hi - lo)
         # no level lies below lo, so the ground level needs no count there
         if (hi - lo <= BISECTION_RTOL * (hi - v_min)
                 and _isolated(H, parity, index, v_min if index == 0 else lo - margin,
                               hi + margin)):
-            return lo, hi
+            return lo
         mid = 0.5 * (lo + hi)
         if sturm_count(H, mid, parity) > index:
             hi = mid
@@ -324,16 +325,17 @@ def _sum_sq(a: np.ndarray) -> float:
 
 
 def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
-                       sigma: float, turn: int, target: float) -> Tuple[float, np.ndarray]:
+                       sigma: float, target: float) -> Tuple[float, np.ndarray]:
     """At most INVERSE_ITERATION_MAX_STEPS Newton-shifted twisted steps from sigma.
 
-    Returns (E, y), y on the full grid, once ||(H - E) y|| <= target ||y||;
-    the twist lies within sector rows 0 .. turn.
+    Returns (E, y), y on the full grid, once ||(H - E) y|| <= target ||y||.
+    Each step twists within the rows up to the turning row of its shift.
     """
     residual = np.inf
     for _ in range(INVERSE_ITERATION_MAX_STEPS):
         a = _sector_rows(H, sigma, parity)
-        z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity), turn)
+        z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity),
+                                   _turning_row(H, sigma, parity))
         v = _unfold(z * (1.0 + a / NUMEROV_POLE), parity)  # y = u / (1 - q/12)
         norm2 = _sum_sq(v)
         # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
@@ -354,16 +356,13 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
     if H.coarse is not None:
         try:
             estimate = _sector_eigenpair(H.coarse, parity, index)[0]
-            energy, v = _inverse_iteration(H, parity, index, estimate,
-                                           _turning_row(H, estimate, parity), target)
+            energy, v = _inverse_iteration(H, parity, index, estimate, target)
             delta = BISECTION_RTOL * (energy - float(np.min(H.potential)))
             if _isolated(H, parity, index, energy - delta, energy + delta):
                 return energy, v
         except ConvergenceFailure:
             pass  # the coarse grid misled the steps: bisect on this grid
-    sigma, hi = _bracket(H, parity, index, target)
-    # the eigenvector peaks where V <= level < hi: the twist lies inside this
-    return _inverse_iteration(H, parity, index, sigma, _turning_row(H, hi, parity), target)
+    return _inverse_iteration(H, parity, index, _bracket(H, parity, index, target), target)
 
 
 def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:

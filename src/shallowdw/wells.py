@@ -10,15 +10,16 @@ with s = V(0) = 2 eps + 2 the barrier-top (separatrix) energy.  The ground
 density obeys rho''(0) = 2 (s - eps) rho(0), so its center flips from
 minimum (bimodal density) to maximum exactly where the ground level crosses
 the barrier top, i.e. at eps = -2.  ``well_kind`` places an eps in these
-intervals, for ``classify`` and for the ``evolve`` warning alike; both
-checks read the ground state of a ``transform.Partner``.
+intervals; ``classify`` and ``two_level_warning``, the ``evolve`` verdict,
+both read it, and the density checks read the ground state of a
+``transform.Partner``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +72,16 @@ def well_kind(eps: float) -> WellKind:
     if -3.0 < eps:
         return WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX
     return WellKind.SINGLE_WELL
+
+
+def two_level_warning(eps: float) -> Optional[str]:
+    """Why the two lowest levels of eps make no low-lying two-level system, or None.
+
+    Only a double well whose ground level lies below the barrier top has one.
+    """
+    if well_kind(eps) is WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX:
+        return None
+    return "ground level at or above the central barrier; no low-lying two-level regime"
 
 
 def classify(partner: Partner) -> WellClassification:

@@ -190,7 +190,19 @@ def same_pairs(a, b):
 
 
 class TestCoarseToFine:
-    @pytest.mark.parametrize("n", [4001, 16001, 64001])
+    @pytest.mark.parametrize("n, n_coarse", [(1999, None), (2001, 251), (4001, 501),
+                                             (4003, 501)])
+    def test_coarse_grid_holds_every_eighth_node_out_from_zero(self, n, n_coarse):
+        grid = Grid(20.0, n)
+        H = TridiagonalHamiltonian(grid, Partner(-1.5, grid).potential)
+        if n_coarse is None:  # 1999 nodes leave 249 on every 8th: too few
+            assert H.coarse is None
+            return
+        nodes = grid.center_index + 8 * np.arange(-(n_coarse // 2), n_coarse // 2 + 1)
+        assert np.array_equal(H.coarse.potential, H.potential[nodes])
+        assert np.allclose(H.coarse.grid.x, grid.x[nodes], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4001, 4003, 16001, 16003, 64001])
     @pytest.mark.parametrize("eps", [-1.05, -2.0, -2.95])
     def test_agrees_with_bisection_only(self, eps, n, monkeypatch):
         partner = Partner(eps, Grid(20.0, n))
@@ -236,11 +248,9 @@ class TestCoarseToFine:
 
     @pytest.mark.parametrize("eps", [-2.95, -2.6])
     def test_seeded_levels_bisect_only_on_the_coarsest_grid(self, eps, monkeypatch):
-        # n = 16001 solves on 251, 2001 and 16001 nodes.  The 251-node seed of
-        # the odd level is far enough off that the 2001-node grid needs three
-        # steps, which the one step cap allows, so that grid does not bisect
-        partner = Partner(eps, Grid(20.0, 16001))
-        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        # n = 16001 and 16003 solve on 251, 2001 and n nodes.  The 251-node
+        # seed of the odd level is far enough off that the 2001-node grid needs
+        # three steps, which the one step cap allows, so that grid does not bisect
         bracketed = []
         bracket = oracle._bracket
 
@@ -249,10 +259,13 @@ class TestCoarseToFine:
             return bracket(H_, *args)
 
         monkeypatch.setattr(oracle, "_bracket", recording)
-        for parity in (0, 1):
-            bracketed.clear()
-            oracle._sector_eigenpair(H, parity, 0)
-            assert bracketed == [251]
+        for n in (16001, 16003):
+            partner = Partner(eps, Grid(20.0, n))
+            H = TridiagonalHamiltonian(partner.grid, partner.potential)
+            for parity in (0, 1):
+                bracketed.clear()
+                oracle._sector_eigenpair(H, parity, 0)
+                assert bracketed == [251]
 
 
 class TestSturmCount:

@@ -153,14 +153,16 @@ class TestBoundCounts:
             return counted(H, lam, parity)
 
         monkeypatch.setattr(oracle, "sturm_count", counting)
-        verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
-        # once per sector on the grid and once on the coarse grid that seeds it
-        assert sorted(c for c in calls if c[1] == 0.0) == [
-            (501, 0.0, 0), (501, 0.0, 1), (4001, 0.0, 0), (4001, 0.0, 1)]
+        for n in (4001, 4003):
+            calls.clear()
+            verify_spectrum(Partner(-1.5, Grid(20.0, n)))
+            # once per sector on the grid and once on the coarse grid that seeds it
+            assert sorted(c for c in calls if c[1] == 0.0) == [
+                (501, 0.0, 0), (501, 0.0, 1), (n, 0.0, 0), (n, 0.0, 1)]
 
 
 class TestTwistedVector:
-    @pytest.mark.parametrize("n", [4001, 16001])
+    @pytest.mark.parametrize("n", [4001, 4003, 16001, 16003])
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_at_most_three_steps_per_level(self, eps, n, monkeypatch):
         # coarse to fine: at most two steps on the grid itself and at most
