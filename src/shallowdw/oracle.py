@@ -19,8 +19,10 @@ Sturm counts use scaled pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}), a form
 that never builds the 2/h^2 diagonal and so loses nothing to cancellation
 against it.  A count runs to the outer turning row, then on only until r
 leaves (-1, 0): beyond the turn V >= lam, so a_i >= 0, and no pivot after
-that can be negative.  Only the counts at lam = 0 read every row; each
-sector's is made once per Hamiltonian.
+that can be negative.  The counts at lam = 0 come from one backward pass
+from the grid edge, whose pivots on rows 1 .. edge serve both sectors: the
+odd count is their negatives, and the even one adds the halved centre row.
+That pass, made once per Hamiltonian, is the only count that reads every row.
 
 Eigenvectors come from twisted factorizations (Fernando; Parlett and
 Dhillon) in the same r-form: forward pivots from x = 0 to the turning
@@ -32,10 +34,14 @@ E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
 
 Each level is solved coarse to fine (nested iteration, Brandt) where the
 grid allows it: the same sector level on every COARSENING-th node out from
-x = 0 seeds the twisted steps on the full grid.  Otherwise, or if Sturm
-counts do not isolate the result, bisection brackets the level first, and
-the steps start from the bracket's lower end.  Both paths share one step
-cap, and each step twists within the turning row of its own shift.
+x = 0 seeds the twisted steps on the full grid.  Where that coarse level was
+itself seeded from a coarser grid, the O(h^4) error of the scheme is
+extrapolated out (Richardson): the steps start from
+E_c + (E_c - E_cc) / COARSENING**4, about 1e-11 off at n = 16001, where E_c
+alone is off by up to 7e-9.  Otherwise, or if Sturm counts do not isolate
+the result, bisection brackets the level first, and the steps start from
+the bracket's lower end.  Both paths share one step cap, and each step twists
+within the turning row of its own shift.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
@@ -141,12 +147,18 @@ class TridiagonalHamiltonian:
 
     @cached_property
     def bound_counts(self) -> Tuple[int, int]:
-        """Levels below 0 of the even and of the odd sector.
+        """Levels below 0 of the even and of the odd sector, from one pass.
 
-        V < 0 on the whole grid for the partner well, so these counts cannot
-        stop at a turning point; they are the only full-length passes.
+        Backward pivots 1 + s_i, s_i = a_i + s_{i+1} / (1 + s_{i+1}) at lam = 0,
+        run in from the grid edge to row 1.  Rows 1 .. edge are the odd
+        sector, so its count is their negative pivots; the even count adds
+        the sign of the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  An
+        exact-zero pivot counts as negative.
         """
-        return sturm_count(self, 0.0, 0), sturm_count(self, 0.0, 1)
+        a = _sector_rows(self, 0.0, 0).tolist()
+        count, s = _negative_pivots(1.0 + a[-1], a[-2:0:-1])
+        odd = count + (s <= -1.0)
+        return odd + (0.5 * a[0] + s / (1.0 + s or -PIVMIN) <= 0.0), odd
 
     @cached_property
     def coarse(self) -> Optional[TridiagonalHamiltonian]:
@@ -197,6 +209,23 @@ def _first_pivot(a0: float, parity: int) -> float:
     return 0.5 * a0 if parity == 0 else 1.0 + a0
 
 
+def _negative_pivots(r: float, rows: Iterable[float]) -> Tuple[int, float]:
+    """(pivots 1 + r <= 0, last r) of the scaled run from r over ``rows``.
+
+    The pivot before each row is counted, an exact zero as a negative one;
+    the pivot of the last r is left to the caller.
+    """
+    count = 0
+    for a_i in rows:
+        q = 1.0 + r
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -PIVMIN
+        r = a_i + r / q
+    return count, r
+
+
 def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     """Levels below lam of one sector (0 even, 1 odd): negative pivots 1 + r_i.
 
@@ -215,16 +244,8 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     # converted ROW_BLOCK rows at a time: a pass usually stops well short
     rows = chain.from_iterable(a[i:i + ROW_BLOCK].tolist()
                                for i in range(1, len(a), ROW_BLOCK))
-    r = _first_pivot(float(a[0]), parity)
-    count = 0
-    # inline rather than through _pivot_run: this loop leads the profile
-    for a_i in islice(rows, _turning_row(H, lam, parity)):
-        q = 1.0 + r
-        if q <= 0.0:
-            count += 1
-            if q == 0.0:
-                q = -PIVMIN
-        r = a_i + r / q
+    count, r = _negative_pivots(_first_pivot(float(a[0]), parity),
+                                islice(rows, _turning_row(H, lam, parity)))
     for a_i in rows:
         if not -1.0 < r < 0.0:
             break
@@ -351,18 +372,22 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
 
 
 def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
-                      index: int) -> Tuple[float, np.ndarray]:
+                      index: int) -> Tuple[float, np.ndarray, Optional[float]]:
+    """(E, y, E_c): E_c is the coarse-grid level that seeded E, None if bisected."""
     target = RESIDUAL_TOL * (4.0 / H.grid.h**2 + float(np.max(np.abs(H.potential))))
     if H.coarse is not None:
         try:
-            estimate = _sector_eigenpair(H.coarse, parity, index)[0]
+            coarse, _, coarser = _sector_eigenpair(H.coarse, parity, index)
+            estimate = (coarse if coarser is None
+                        else coarse + (coarse - coarser) / COARSENING**4)
             energy, v = _inverse_iteration(H, parity, index, estimate, target)
             delta = BISECTION_RTOL * (energy - float(np.min(H.potential)))
             if _isolated(H, parity, index, energy - delta, energy + delta):
-                return energy, v
+                return energy, v, coarse
         except ConvergenceFailure:
             pass  # the coarse grid misled the steps: bisect on this grid
-    return _inverse_iteration(H, parity, index, _bracket(H, parity, index, target), target)
+    sigma = _bracket(H, parity, index, target)
+    return (*_inverse_iteration(H, parity, index, sigma, target), None)
 
 
 def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:
@@ -377,7 +402,7 @@ def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, Re
         raise ValueError("k must be between 1 and min(6, n_points)")
     pairs = []
     for level in range(k):
-        energy, v = _sector_eigenpair(H, level % 2, level // 2)
+        energy, v, _ = _sector_eigenpair(H, level % 2, level // 2)
         pairs.append((energy, RealWave(H.grid, v).normalize()))
     return pairs
 

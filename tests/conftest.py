@@ -40,6 +40,23 @@ def numerov_matrix(grid: Grid, potential) -> np.ndarray:
     return 0.5 * (matrix + matrix.T) + np.diag(potential)
 
 
+def dense_sector_levels(H):
+    """Dense matrix-Numerov levels of the even and of the odd sector.
+
+    V is even, so the matrix maps even vectors to even ones and odd to odd:
+    each sector's levels are those of the matrix in an orthonormal basis of
+    its vectors.
+    """
+    n, c = H.grid.n_points, H.grid.center_index
+    even, odd = np.zeros((n, c + 1)), np.zeros((n, c))
+    even[c, 0] = 1.0
+    for j in range(1, c + 1):
+        even[c + j, j] = even[c - j, j] = odd[c + j, j - 1] = np.sqrt(0.5)
+        odd[c - j, j - 1] = -np.sqrt(0.5)
+    matrix = numerov_matrix(H.grid, H.potential)
+    return [np.linalg.eigvalsh(basis.T @ matrix @ basis) for basis in (even, odd)]
+
+
 def norm_squared(psi: np.ndarray, grid: Grid) -> float:
     """Trapezoid norm of complex samples on grid."""
     return float(np.trapezoid(np.abs(psi) ** 2, dx=grid.h))

@@ -246,6 +246,36 @@ class TestCoarseToFine:
         assert same_pairs(lowest_eigenpairs(H, 2), expected)
         assert verdicts == [False, False]
 
+    def test_wrong_extrapolation_falls_back(self, monkeypatch):
+        # n = 16001 solves on 251, 2001 and 16001 nodes in the harmonic well,
+        # whose levels of one sector lie 4 apart.  The 2001-node grid reports
+        # a seed 4 * 8^4 below its level, so the extrapolated seed lands on
+        # the next level of the sector: the fine steps find that level,
+        # Sturm counts refuse it, and bisection takes over with the answer
+        # it gives alone
+        grid = Grid(8.0, 16001)
+        H = TridiagonalHamiltonian(grid, grid.x**2)
+        assert H.coarse.grid.n_points == 2001 and H.coarse.coarse.grid.n_points == 251
+        expected = bisection_only(H, monkeypatch)
+        solve, bracket = oracle._sector_eigenpair, oracle._bracket
+        bracketed = []
+
+        def planted(H_, parity, index):
+            energy, v, seed = solve(H_, parity, index)
+            if H_.grid == H.coarse.grid:
+                assert seed is not None
+                seed = energy - 4.0 * oracle.COARSENING**4
+            return energy, v, seed
+
+        def recording(H_, *args):
+            bracketed.append(H_.grid.n_points)
+            return bracket(H_, *args)
+
+        monkeypatch.setattr(oracle, "_sector_eigenpair", planted)
+        monkeypatch.setattr(oracle, "_bracket", recording)
+        assert same_pairs(lowest_eigenpairs(H, 2), expected)
+        assert bracketed.count(16001) == 2
+
     @pytest.mark.parametrize("eps", [-2.95, -2.6])
     def test_seeded_levels_bisect_only_on_the_coarsest_grid(self, eps, monkeypatch):
         # n = 16001 and 16003 solve on 251, 2001 and n nodes.  The 251-node

@@ -8,7 +8,7 @@ from shallowdw import (Grid, GridTooCoarse, GridTooNarrow, Partner,
                        TridiagonalHamiltonian, lowest_eigenpairs, oracle, sturm_count)
 from shallowdw.transform import EPSILON_MAX
 
-from conftest import numerov_matrix
+from conftest import dense_sector_levels, numerov_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -63,6 +63,17 @@ def check_lowest_eigenpairs(H, k):
 @given(even_hamiltonians(), st.floats(0.0, 1.0))
 def test_sturm_count_matches_dense(H, where):
     check_sturm_count(H, where)
+
+
+@SETTINGS
+@given(even_hamiltonians())
+def test_bound_counts_match_sturm_and_dense(H):
+    # one backward pass counts both sectors below 0 as two Sturm counts do
+    sectors = dense_sector_levels(H)
+    assume(all(np.min(np.abs(levels)) > 1e-9 * norm_bound(H)
+               for levels in sectors))
+    counts = tuple(int(np.count_nonzero(levels < 0.0)) for levels in sectors)
+    assert H.bound_counts == (sturm_count(H, 0.0, 0), sturm_count(H, 0.0, 1)) == counts
 
 
 @SETTINGS
