@@ -65,14 +65,14 @@ ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT
 CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk
 SIGN_BIT = np.uint64(1 << 63)  # float64 sign, on a uint64 view
 
-# sweep column -> value(partner, report); report() is the cached oracle run
+# sweep column -> value(partner, levels); levels() is the cached energies-only solve
 SWEEP_QUANTITIES = {
-    "separatrix": lambda partner, report: separatrix_energy(partner.epsilon),
-    "curvature": lambda partner, report: curvature_at_origin(partner.epsilon),
-    "gap": lambda partner, report: abs(1.0 + partner.epsilon),
-    "maxima_count": lambda partner, report: wells.classify(partner).density_maxima_count,
-    "e0_error": lambda partner, report: report().e0_error,
-    "e1_error": lambda partner, report: report().e1_error,
+    "separatrix": lambda partner, levels: separatrix_energy(partner.epsilon),
+    "curvature": lambda partner, levels: curvature_at_origin(partner.epsilon),
+    "gap": lambda partner, levels: abs(1.0 + partner.epsilon),
+    "maxima_count": lambda partner, levels: wells.classify(partner).density_maxima_count,
+    "e0_error": lambda partner, levels: levels()["e0_error"],
+    "e1_error": lambda partner, levels: levels()["e1_error"],
 }
 
 CLASSIFY_VERDICTS = {
@@ -272,8 +272,8 @@ def cmd_sweep(args) -> int:
     for eps in eps_values:
         try:
             partner = Partner(eps, grid)
-            report = functools.cache(functools.partial(oracle.verify_spectrum, partner))
-            rows.append((float(eps), *(SWEEP_QUANTITIES[q](partner, report)
+            levels = functools.cache(lambda: oracle.bound_levels(partner)[0])
+            rows.append((float(eps), *(SWEEP_QUANTITIES[q](partner, levels)
                                        for q in quantities)))
         except ROW_FAILURES as exc:
             print(f"warning: eps={eps}: {exc}", file=sys.stderr)

@@ -100,16 +100,3 @@ def first_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     g[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
     g[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
     return g
-
-
-def second_derivative(samples: np.ndarray, h: float) -> np.ndarray:
-    """d2/dx2 of sampled data: 4th-order central interior, 2nd-order edges."""
-    f = np.asarray(samples, dtype=float)
-    h2 = h * h
-    g = np.empty_like(f)
-    g[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h2)
-    g[1] = (f[0] - 2 * f[1] + f[2]) / h2
-    g[-2] = (f[-3] - 2 * f[-2] + f[-1]) / h2
-    g[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
-    g[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
-    return g

@@ -33,15 +33,13 @@ and the next shift is the Newton step on the Rayleigh quotient of M(sigma),
 E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
 
 Each level is solved coarse to fine (nested iteration, Brandt) where the
-grid allows it: the same sector level on every COARSENING-th node out from
-x = 0 seeds the twisted steps on the full grid.  Where that coarse level was
-itself seeded from a coarser grid, the O(h^4) error of the scheme is
-extrapolated out (Richardson): the steps start from
-E_c + (E_c - E_cc) / COARSENING**4, about 1e-11 off at n = 16001, where E_c
-alone is off by up to 7e-9.  Otherwise, or if Sturm counts do not isolate
-the result, bisection brackets the level first, and the steps start from
-the bracket's lower end.  Both paths share one step cap, and each step twists
-within the turning row of its own shift.
+grid allows it.  Its coarse grids, every COARSENING-th node out from x = 0
+and so on down, are uncertified seeds: the coarsest takes one twisted step
+from a bisection bracket, each finer one step from the level E_c below it,
+or from E_c + (E_c - E_cc) / COARSENING**4 where E_c had a seed E_cc too
+(Richardson).  The full grid steps from its seed to the residual target;
+unless Sturm counts then isolate the level, it bisects and steps from the
+bracket.  Each step twists within the turning row of its own shift.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
@@ -63,7 +61,7 @@ import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -253,13 +251,13 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     return count + (r <= -1.0)
 
 
-def _bracket(H: TridiagonalHamiltonian, parity: int, index: int, resolution: float) -> float:
+def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
     """Lower end of a Sturm-certified bracket around level `index` of one sector.
 
-    A bracket narrower than ``resolution`` is taken even when another level
-    shares it: the residual target cannot tell such levels apart.
+    A bracket narrower than the residual target is taken even when another
+    level shares it: the target cannot tell such levels apart.
     """
-    v_min = float(np.min(H.potential))
+    resolution, v_min = _residual_target(H), float(np.min(H.potential))
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
     if v_min >= 0.0 or H.bound_counts[parity] <= index:
         # the Numerov spectrum reaches about 6/h^2: there q_i <= -6, a_i <= -4
@@ -345,23 +343,33 @@ def _sum_sq(a: np.ndarray) -> float:
     return float(np.add.reduce(a * a))
 
 
-def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
-                       sigma: float, target: float) -> Tuple[float, np.ndarray]:
-    """At most INVERSE_ITERATION_MAX_STEPS Newton-shifted twisted steps from sigma.
+def _residual_target(H: TridiagonalHamiltonian) -> float:
+    """RESIDUAL_TOL ||H||, with ||H|| <= 4/h^2 + max |V|."""
+    return RESIDUAL_TOL * (4.0 / H.grid.h**2 + float(np.max(np.abs(H.potential))))
 
-    Returns (E, y), y on the full grid, once ||(H - E) y|| <= target ||y||.
-    Each step twists within the rows up to the turning row of its shift.
-    """
-    residual = np.inf
+
+def _twisted_step(H: TridiagonalHamiltonian, parity: int,
+                  sigma: float) -> Tuple[float, np.ndarray, float]:
+    """(E, y, ||y||^2) of one Newton-shifted twisted step from sigma: y on the
+    sector's rows only, ||y|| over the full grid, which mirrors all but x = 0."""
+    a = _sector_rows(H, sigma, parity)
+    z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity),
+                               _turning_row(H, sigma, parity))
+    y = z * (1.0 + a / NUMEROV_POLE)  # y = u / (1 - q/12)
+    norm2 = 2.0 * _sum_sq(y) - (y[0] * y[0] if parity == 0 else 0.0)
+    # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
+    # sigma-derivative is -h^2 ||y||^2 / ||u||^2
+    return sigma + 2.0 * gamma / (H.grid.h**2 * norm2), y, norm2
+
+
+def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
+                       sigma: float) -> Tuple[float, np.ndarray]:
+    """(E, y), y on the full grid, once a twisted step from sigma, or from the
+    last E, meets the residual target; at most INVERSE_ITERATION_MAX_STEPS."""
+    residual, target = np.inf, _residual_target(H)
     for _ in range(INVERSE_ITERATION_MAX_STEPS):
-        a = _sector_rows(H, sigma, parity)
-        z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity),
-                                   _turning_row(H, sigma, parity))
-        v = _unfold(z * (1.0 + a / NUMEROV_POLE), parity)  # y = u / (1 - q/12)
-        norm2 = _sum_sq(v)
-        # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
-        # sigma-derivative is -h^2 ||y||^2 / ||u||^2
-        energy = sigma + 2.0 * gamma / (H.grid.h**2 * norm2)
+        energy, y, norm2 = _twisted_step(H, parity, sigma)
+        v = _unfold(y, parity)
         residual = np.sqrt(_sum_sq(H.apply(v, energy)) / norm2)
         if residual <= target:
             return energy, v
@@ -371,23 +379,33 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
         f"{residual:.3e} after {INVERSE_ITERATION_MAX_STEPS} steps, target {target:.3e}")
 
 
+def _extrapolated(coarse: float, coarser: Optional[float]) -> float:
+    """E_c less its O(h^4) error (Richardson), where it has a coarser level E_cc."""
+    return coarse if coarser is None else coarse + (coarse - coarser) / COARSENING**4
+
+
+def _coarse_level(H: TridiagonalHamiltonian, parity: int,
+                  index: int) -> Tuple[float, Optional[float]]:
+    """(E, E_c): one uncertified twisted step on a coarse grid, from a bracket or E_c."""
+    if H.coarse is None:
+        return _twisted_step(H, parity, _bracket(H, parity, index))[0], None
+    coarse, coarser = _coarse_level(H.coarse, parity, index)
+    return _twisted_step(H, parity, _extrapolated(coarse, coarser))[0], coarse
+
+
 def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
-                      index: int) -> Tuple[float, np.ndarray, Optional[float]]:
-    """(E, y, E_c): E_c is the coarse-grid level that seeded E, None if bisected."""
-    target = RESIDUAL_TOL * (4.0 / H.grid.h**2 + float(np.max(np.abs(H.potential))))
+                      index: int) -> Tuple[float, np.ndarray]:
+    """(E, y) from the coarse grids' seed, or bisected if Sturm counts refuse it."""
     if H.coarse is not None:
         try:
-            coarse, _, coarser = _sector_eigenpair(H.coarse, parity, index)
-            estimate = (coarse if coarser is None
-                        else coarse + (coarse - coarser) / COARSENING**4)
-            energy, v = _inverse_iteration(H, parity, index, estimate, target)
+            seed = _extrapolated(*_coarse_level(H.coarse, parity, index))
+            energy, v = _inverse_iteration(H, parity, index, seed)
             delta = BISECTION_RTOL * (energy - float(np.min(H.potential)))
             if _isolated(H, parity, index, energy - delta, energy + delta):
-                return energy, v, coarse
+                return energy, v
         except ConvergenceFailure:
-            pass  # the coarse grid misled the steps: bisect on this grid
-    sigma = _bracket(H, parity, index, target)
-    return (*_inverse_iteration(H, parity, index, sigma, target), None)
+            pass  # the coarse grids misled the steps: bisect on this grid
+    return _inverse_iteration(H, parity, index, _bracket(H, parity, index))
 
 
 def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:
@@ -400,11 +418,8 @@ def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, Re
     """
     if not 1 <= k <= min(6, H.grid.n_points):
         raise ValueError("k must be between 1 and min(6, n_points)")
-    pairs = []
-    for level in range(k):
-        energy, v, _ = _sector_eigenpair(H, level % 2, level // 2)
-        pairs.append((energy, RealWave(H.grid, v).normalize()))
-    return pairs
+    pairs = (_sector_eigenpair(H, level % 2, level // 2) for level in range(k))
+    return [(energy, RealWave(H.grid, v).normalize()) for energy, v in pairs]
 
 
 def _interior(grid: Grid, edge: int, caller: str) -> slice:
@@ -467,38 +482,36 @@ class SpectrumReport:
     psi1_overlap: float
 
 
-def verify_spectrum(partner: Partner) -> SpectrumReport:
-    """Compare the closed-form bound states against the eigensolver.
+def bound_levels(partner: Partner) -> Tuple[Dict[str, float], TridiagonalHamiltonian,
+                                            Tuple[np.ndarray, np.ndarray]]:
+    """The SpectrumReport fields up to e1_error, H, and both raw eigenvectors.
 
     The closed-form states check the grid first, so GridTooNarrow and
-    GridTooCoarse come before any solver arithmetic.  The partner of every
-    eps < -1 has exactly two bound states, at eps and -1, so exactly two
-    eigenvalues must then sit below the continuum threshold 0; otherwise
-    BoundStateCountMismatch.
+    GridTooCoarse come before any solver arithmetic.  Every eps < -1 has two
+    bound states, at eps and -1, so any other count of levels below the
+    continuum threshold 0 is BoundStateCountMismatch.
     """
     eps_val = partner.epsilon
-    psi0, psi1 = partner.psi0, partner.psi1
+    partner.psi0, partner.psi1  # the grid checks
     H = TridiagonalHamiltonian(partner.grid, partner.potential)
-
     negatives = sum(H.bound_counts)
     if negatives != 2:
         raise BoundStateCountMismatch(
             f"expected 2 bound states for eps={eps_val}, found {negatives}")
+    (e0, y0), (e1, y1) = (_sector_eigenpair(H, parity, 0) for parity in (0, 1))
+    return dict(epsilon=eps_val, e0_analytic=eps_val, e1_analytic=-1.0, e0_numeric=e0,
+                e1_numeric=e1, e0_error=abs(e0 - eps_val), e1_error=abs(e1 + 1.0)), H, (y0, y1)
 
-    (e0_num, psi0_num), (e1_num, psi1_num) = lowest_eigenpairs(H, 2)
-    return SpectrumReport(
-        epsilon=eps_val,
-        e0_analytic=eps_val,
-        e1_analytic=-1.0,
-        e0_numeric=e0_num,
-        e1_numeric=e1_num,
-        e0_error=abs(e0_num - eps_val),
-        e1_error=abs(e1_num + 1.0),
-        psi0_residual=eigen_residual(H, psi0, eps_val),
-        psi1_residual=eigen_residual(H, psi1, -1.0),
-        psi0_overlap=abs(psi0_num.overlap(psi0)),
-        psi1_overlap=abs(psi1_num.overlap(psi1)),
-    )
+
+def verify_spectrum(partner: Partner) -> SpectrumReport:
+    """``bound_levels``, and the closed-form states against the eigensolver's."""
+    levels, H, (y0, y1) = bound_levels(partner)
+    psi0, psi1 = partner.psi0, partner.psi1
+    return SpectrumReport(**levels,
+                          psi0_residual=eigen_residual(H, psi0, levels["e0_analytic"]),
+                          psi1_residual=eigen_residual(H, psi1, levels["e1_analytic"]),
+                          psi0_overlap=abs(RealWave(H.grid, y0).normalize().overlap(psi0)),
+                          psi1_overlap=abs(RealWave(H.grid, y1).normalize().overlap(psi1)))
 
 
 class Check(NamedTuple):

@@ -76,6 +76,7 @@ class _SeedParts(NamedTuple):
     du: np.ndarray      # u' e^{-k|x|}
     q: np.ndarray       # e^{-2k|x|}
     s: np.ndarray       # sinh(kx) e^{-k|x|}
+    tanh: np.ndarray    # tanh(x)
     sech: np.ndarray    # sech(x)
     sech2: np.ndarray   # sech^2(x)
 
@@ -99,7 +100,7 @@ def _seed_parts(eps_val: float, x) -> _SeedParts:
     sech2 = sech**2
     u = s * t - k * c
     du = k * c * t + s * (sech2 - k * k)
-    return _SeedParts(k * ax, u, du, q, s, sech, sech2)
+    return _SeedParts(k * ax, u, du, q, s, t, sech, sech2)
 
 
 def _as_returned(value: np.ndarray, like) -> "float | np.ndarray":
@@ -141,7 +142,7 @@ def potential_log_form(eps: float, x):
     """
     eps_val = _epsilon(eps)
     p = _seed_parts(eps_val, x)
-    k, c, t = np.sqrt(-eps_val), (1.0 + p.q) / 2.0, np.tanh(x)
+    k, c, t = np.sqrt(-eps_val), (1.0 + p.q) / 2.0, p.tanh
     # u'' e^{-k|x|}
     d2u = k * k * p.s * t + 2.0 * k * c * p.sech2 - 2.0 * p.s * t * p.sech2 - k**3 * c
     v = 2.0 * (p.du / p.u) ** 2 - d2u / p.u + eps_val
@@ -242,7 +243,7 @@ class Partner:
         x = 0, and psi1 > 0 for x > 0: near 0, tanh(x) + u'/u = (-1 - eps) x
         + O(x^3), and -1 - eps > 0.
         """
-        samples = (np.tanh(self.grid.x) + self.w) * self._seed.sech
+        samples = (self._seed.tanh + self.w) * self._seed.sech
         _check_samples(samples, "excited state", self)
         return RealWave(self.grid, samples).normalize()
 

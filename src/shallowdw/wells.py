@@ -23,7 +23,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .grids import second_derivative
 from .transform import Partner, curvature_at_origin, separatrix_energy
 
 PLATEAU_TOL = 1e-13  # first differences below this count as flat
@@ -104,9 +103,9 @@ def check_bimodality_relation(partner: Partner) -> Tuple[float, float, float]:
     minimum (bimodal), negative a central maximum.
     """
     eps_val, grid = partner.epsilon, partner.grid
-    rho = partner.psi0.samples ** 2
     mid = grid.center_index
-    lhs = second_derivative(rho[mid - 2:mid + 3], grid.h)[2]
-    rhs = 2.0 * (separatrix_energy(eps_val) - eps_val) * rho[mid]
+    r = partner.psi0.samples[mid - 2:mid + 3] ** 2
+    lhs = (-r[0] + 16 * r[1] - 30 * r[2] + 16 * r[3] - r[4]) / (12 * (grid.h * grid.h))
+    rhs = 2.0 * (separatrix_energy(eps_val) - eps_val) * r[2]
     rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     return float(lhs), float(rhs), float(rel_err)

@@ -383,6 +383,39 @@ class TestSweepCommand:
         assert header == ["epsilon", "e0_error", "e1_error"]
         assert np.all(rows[:, 1:] < 1e-4)
 
+    def test_rows_solve_for_energies_alone(self, tmp_path, monkeypatch):
+        # a row reads e0_error and e1_error only: no closed-form residual
+        # and no verify_spectrum report
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigen_residual", "verify_spectrum"):
+            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5, "--steps", 2,
+                    "--quantities", "e0_error,e1_error", "--out", tmp_path / "s.csv"]) == 0
+        assert calls == Counter()
+        # the same hooks count a verify run's residuals
+        assert run(["verify", "--epsilon", -1.5, "--out", tmp_path / "v.json"]) == 0
+        assert calls == {"verify_spectrum": 1, "eigen_residual": 2}
+
+    @pytest.mark.parametrize("points", [4001, 16003])
+    def test_error_columns_are_verify_values(self, tmp_path, points):
+        # the sweep's energy errors are verify's, bit for bit
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--eps-start", -2.9, "--eps-end", -1.1, "--steps", 4,
+                    "--points", points, "--quantities", "e0_error,e1_error",
+                    "--format", "json", "--out", out]) == 0
+        table = json.loads(out.read_text(encoding="utf-8"))
+        grid = shallowdw.Grid(20.0, points)
+        for eps, e0, e1 in zip(table["epsilon"], table["e0_error"], table["e1_error"]):
+            report = oracle.verify(shallowdw.Partner(eps, grid))
+            assert (e0, e1) == (report.e0_error, report.e1_error)
+
     def test_bad_quantities_exit_2(self, tmp_path, capsys):
         assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5,
                     "--steps", 3, "--quantities", "bogus"]) == 2

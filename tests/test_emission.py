@@ -97,14 +97,15 @@ class TestTableBytes:
     def test_sweep_with_int_column_and_nan_row(self, tmp_path, monkeypatch, fmt):
         eps_values = np.linspace(-2.6, -1.2, 4)
         failing = float(eps_values[1])
-        real = oracle.verify_spectrum
+        real = oracle.bound_levels
 
         def flaky(partner):
             if partner.epsilon == failing:
                 raise oracle.ConvergenceFailure("forced")
             return real(partner)
 
-        monkeypatch.setattr(oracle, "verify_spectrum", flaky)
+        # the sweep's oracle solve, which verify_spectrum builds on too
+        monkeypatch.setattr(oracle, "bound_levels", flaky)
         quantities = ["separatrix", "curvature", "gap", "maxima_count",
                       "e0_error", "e1_error"]
         grid = Grid(X_MAX, POINTS)

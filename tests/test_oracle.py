@@ -166,14 +166,12 @@ class TestNumerovSafety:
         # a ConvergenceFailure on the coarse grid falls back to bisection here
         H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
         expected = bisection_only(H, monkeypatch)
-        solve = oracle._sector_eigenpair
 
         def failing(H_, parity, index):
-            if H_.grid != H.grid:
-                raise ConvergenceFailure("planted")
-            return solve(H_, parity, index)
+            assert H_.grid != H.grid  # only coarse grids are seeded
+            raise ConvergenceFailure("planted")
 
-        monkeypatch.setattr(oracle, "_sector_eigenpair", failing)
+        monkeypatch.setattr(oracle, "_coarse_level", failing)
         assert same_pairs(lowest_eigenpairs(H, 2), expected)
 
 
@@ -222,11 +220,12 @@ class TestCoarseToFine:
         H = TridiagonalHamiltonian(grid, grid.x**2)
         assert H.coarse is not None
         expected = bisection_only(H, monkeypatch)
-        solve, isolated, bracket = oracle._sector_eigenpair, oracle._isolated, oracle._bracket
+        seed, isolated, bracket = oracle._coarse_level, oracle._isolated, oracle._bracket
         verdicts, bisecting = [], []
 
         def misleading(H_, parity, index):
-            return solve(H_, parity, index + (H_.grid != H.grid))
+            assert H_.grid != H.grid  # only coarse grids are seeded
+            return seed(H_, parity, index + 1)
 
         def recording(H_, *args):
             verdict = isolated(H_, *args)
@@ -240,7 +239,7 @@ class TestCoarseToFine:
             bisecting.pop()
             return bracketed
 
-        monkeypatch.setattr(oracle, "_sector_eigenpair", misleading)
+        monkeypatch.setattr(oracle, "_coarse_level", misleading)
         monkeypatch.setattr(oracle, "_isolated", recording)
         monkeypatch.setattr(oracle, "_bracket", marked)
         assert same_pairs(lowest_eigenpairs(H, 2), expected)
@@ -257,30 +256,30 @@ class TestCoarseToFine:
         H = TridiagonalHamiltonian(grid, grid.x**2)
         assert H.coarse.grid.n_points == 2001 and H.coarse.coarse.grid.n_points == 251
         expected = bisection_only(H, monkeypatch)
-        solve, bracket = oracle._sector_eigenpair, oracle._bracket
+        seed, bracket = oracle._coarse_level, oracle._bracket
         bracketed = []
 
         def planted(H_, parity, index):
-            energy, v, seed = solve(H_, parity, index)
+            energy, coarse = seed(H_, parity, index)
             if H_.grid == H.coarse.grid:
-                assert seed is not None
-                seed = energy - 4.0 * oracle.COARSENING**4
-            return energy, v, seed
+                assert coarse is not None
+                coarse = energy - 4.0 * oracle.COARSENING**4
+            return energy, coarse
 
         def recording(H_, *args):
             bracketed.append(H_.grid.n_points)
             return bracket(H_, *args)
 
-        monkeypatch.setattr(oracle, "_sector_eigenpair", planted)
+        monkeypatch.setattr(oracle, "_coarse_level", planted)
         monkeypatch.setattr(oracle, "_bracket", recording)
         assert same_pairs(lowest_eigenpairs(H, 2), expected)
         assert bracketed.count(16001) == 2
 
     @pytest.mark.parametrize("eps", [-2.95, -2.6])
     def test_seeded_levels_bisect_only_on_the_coarsest_grid(self, eps, monkeypatch):
-        # n = 16001 and 16003 solve on 251, 2001 and n nodes.  The 251-node
-        # seed of the odd level is far enough off that the 2001-node grid needs
-        # three steps, which the one step cap allows, so that grid does not bisect
+        # n = 16001 and 16003 solve on 251, 2001 and n nodes.  Only the
+        # 251-node grid brackets; the 2001-node grid takes one uncertified
+        # step from it, however far off its seed, and never bisects
         bracketed = []
         bracket = oracle._bracket
 

@@ -190,11 +190,11 @@ class TestTwistedVector:
     @pytest.mark.parametrize("n", [4001, 4003, 16001, 16003])
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_at_most_three_steps_per_level(self, eps, n, monkeypatch):
-        # coarse to fine: at most three steps on each coarser grid, seeded or
-        # bisected.  n = 16001 and 16003 solve on 251, 2001 and n nodes, so
-        # their seed is extrapolated from two grids and one step on the grid
-        # itself meets the target; the 501-node seed of n = 4001 and 4003
-        # has no coarser grid, and takes at most two
+        # coarse to fine: one uncertified step on each coarser grid, within
+        # the bound of three.  n = 16001 and 16003 solve on 251, 2001 and n
+        # nodes, so their seed is extrapolated from two grids and one step
+        # on the grid itself meets the target; the 501-node seed of n = 4001
+        # and 4003 has no coarser grid, and takes at most two
         steps = []
         original = oracle._twisted_vector
 
@@ -210,6 +210,30 @@ class TestTwistedVector:
             rows = H.grid.center_index + 1 - parity
             assert 1 <= steps.count(rows) <= (1 if n > 16000 else 2)
             assert all(steps.count(m) <= 3 for m in steps)
+
+    def test_deep_well_takes_one_step_per_grid(self, monkeypatch):
+        # eps = -50 at n = 64001 solves on 1001, 8001 and 64001 nodes; the
+        # 1001-node grid is bisected, so the 8001-node one has no extrapolated
+        # seed.  Every grid takes one step per level all the same
+        steps = []
+        original = oracle._twisted_vector
+
+        def counting(a, r0, turn):
+            steps.append(len(a))
+            return original(a, r0, turn)
+
+        monkeypatch.setattr(oracle, "_twisted_vector", counting)
+        H = partner(-50.0, 64001)
+        assert H.coarse.grid.n_points == 8001 and H.coarse.coarse.grid.n_points == 1001
+        for parity in (0, 1):
+            steps.clear()
+            oracle._sector_eigenpair(H, parity, 0)
+            assert sorted(steps) == [501 - parity, 4001 - parity, 32001 - parity]
+
+    @pytest.mark.parametrize("eps", [-50.0, -200.0])
+    def test_deep_well_passes_on_the_fine_grid(self, eps):
+        report = oracle.verify(Partner(eps, Grid(20.0, 64001)))
+        assert report.passed, [check for check in report.checks if not check.passed]
 
     def test_one_row_sector(self):
         # n = 3: the odd sector is the single node x = h
