@@ -139,11 +139,13 @@ def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
     The columns hold floats and ints, whose JSON text is their str() but
     for the non-finite floats: no other str() of one contains "nan" or
     "inf", so replacing those maps nan, inf and -inf to NaN, Infinity and
-    -Infinity.
+    -Infinity, and a column with no "n" in its text needs no replacing.
     """
     items = []
     for name, col in zip(header, columns):
-        values = ", ".join(_format_column(col)).replace("nan", "NaN").replace("inf", "Infinity")
+        values = ", ".join(_format_column(col))
+        if "n" in values:
+            values = values.replace("nan", "NaN").replace("inf", "Infinity")
         items.append(f"{json.dumps(name)}: [{values}]")
     items += [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in (fields or {}).items()]
     return "{" + ", ".join(items) + "}\n"

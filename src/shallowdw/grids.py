@@ -53,10 +53,8 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        # mirror the positive half so x[i] == -x[n-1-i] holds exactly;
-        # plain linspace is symmetric only to rounding
-        half = np.linspace(0.0, self.x_max, self.n_points // 2 + 1)
-        return np.concatenate((-half[:0:-1], half))
+        # mirrored: x[i] == -x[n-1-i] exactly, which plain linspace is not
+        return mirror(np.linspace(0.0, self.x_max, self.n_points // 2 + 1), 1)
 
     @property
     def center_index(self) -> int:
@@ -88,6 +86,11 @@ class RealWave:
     def overlap(self, other: "RealWave") -> float:
         """Trapezoid inner product <self, other>."""
         return float(np.trapezoid(self.samples * other.samples, dx=self.grid.h))
+
+
+def mirror(half: np.ndarray, parity: int) -> np.ndarray:
+    """An even (parity 0) or odd (1) field on the whole grid from its x >= 0 half."""
+    return np.concatenate((-half[:0:-1] if parity else half[:0:-1], half))
 
 
 def first_derivative(samples: np.ndarray, h: float) -> np.ndarray:

@@ -31,6 +31,8 @@ and u as running products of reciprocal pivots out from the twist, so that
 M(sigma) u = gamma_k e_k with u_k = 1.  The eigenvector is y = u / (1 - q/12),
 and the next shift is the Newton step on the Rayleigh quotient of M(sigma),
 E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
+Residuals are taken on the sector's rows, row 0 beside its mirror y_1 (even)
+or the wall (odd), and only the accepted y is mirrored onto the full grid.
 
 Each level is solved coarse to fine (nested iteration, Brandt) where the
 grid allows it.  Its coarse grids, every COARSENING-th node out from x = 0
@@ -66,7 +68,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import wells
-from .grids import Grid, RealWave, first_derivative
+from .grids import Grid, RealWave, first_derivative, mirror
 from .transform import Partner, separatrix_energy
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
@@ -159,6 +161,11 @@ class TridiagonalHamiltonian:
         return odd + (0.5 * a[0] + s / (1.0 + s or -PIVMIN) <= 0.0), odd
 
     @cached_property
+    def residual_target(self) -> float:
+        """RESIDUAL_TOL ||H||, with ||H|| <= 4/h^2 + max |V|."""
+        return RESIDUAL_TOL * (4.0 / self.grid.h**2 + float(np.max(np.abs(self.potential))))
+
+    @cached_property
     def coarse(self) -> Optional[TridiagonalHamiltonian]:
         """V on every COARSENING-th node out from x = 0; None if no coarse solve."""
         center = self.grid.center_index
@@ -173,14 +180,20 @@ class TridiagonalHamiltonian:
 
     def apply(self, samples: np.ndarray, energy: float) -> np.ndarray:
         """(H - E) y in Numerov form, -D2 y + B((V - E) y), with Dirichlet walls."""
-        lap = 2.0 * samples
-        lap[:-1] -= samples[1:]
-        lap[1:] -= samples[:-1]
-        f = (self.potential - energy) * samples
-        mass = 10.0 * f
-        mass[:-1] += f[1:]
-        mass[1:] += f[:-1]
-        return lap / self.grid.h**2 + mass / 12.0
+        return _numerov(samples, self.potential - energy, self.grid.h)
+
+
+def _numerov(y: np.ndarray, v_minus_e: np.ndarray, h: float) -> np.ndarray:
+    """-D2 y / h^2 + B((V - E) y) on a run of nodes, with y = 0 beyond both ends."""
+    f = v_minus_e * y
+    lap, mass = 2.0 * y, 10.0 * f
+    lap[:-1] -= y[1:]
+    lap[1:] -= y[:-1]
+    mass[:-1] += f[1:]
+    mass[1:] += f[:-1]
+    lap /= h**2  # in place, to allocate less per step
+    lap += mass / 12.0
+    return lap
 
 
 def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarray:
@@ -257,7 +270,7 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
     A bracket narrower than the residual target is taken even when another
     level shares it: the target cannot tell such levels apart.
     """
-    resolution, v_min = _residual_target(H), float(np.min(H.potential))
+    resolution, v_min = H.residual_target, float(np.min(H.potential))
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
     if v_min >= 0.0 or H.bound_counts[parity] <= index:
         # the Numerov spectrum reaches about 6/h^2: there q_i <= -6, a_i <= -4
@@ -331,11 +344,12 @@ def _twisted_vector(a: np.ndarray, r0: float, turn: int) -> Tuple[np.ndarray, fl
     return z, float(gamma[k])
 
 
-def _unfold(half: np.ndarray, parity: int) -> np.ndarray:
-    """Full-grid samples from one sector's x >= 0 (even) or x > 0 (odd) part."""
-    if parity == 0:
-        return np.concatenate((half[:0:-1], half))
-    return np.concatenate((-half[::-1], [0.0], half))
+def _sector_residual(H: TridiagonalHamiltonian, y: np.ndarray, parity: int,
+                     energy: float) -> float:
+    """||(H - E) mirror(y, parity)||^2 from y on the nodes x >= 0 alone."""
+    ext = np.concatenate(([-y[1] if parity else y[1]], y))  # from x = -h
+    r = _numerov(ext, H.potential[H.grid.center_index - 1:] - energy, H.grid.h)[1:]
+    return 2.0 * _sum_sq(r) - r[0] * r[0]
 
 
 def _sum_sq(a: np.ndarray) -> float:
@@ -343,20 +357,16 @@ def _sum_sq(a: np.ndarray) -> float:
     return float(np.add.reduce(a * a))
 
 
-def _residual_target(H: TridiagonalHamiltonian) -> float:
-    """RESIDUAL_TOL ||H||, with ||H|| <= 4/h^2 + max |V|."""
-    return RESIDUAL_TOL * (4.0 / H.grid.h**2 + float(np.max(np.abs(H.potential))))
-
-
 def _twisted_step(H: TridiagonalHamiltonian, parity: int,
                   sigma: float) -> Tuple[float, np.ndarray, float]:
-    """(E, y, ||y||^2) of one Newton-shifted twisted step from sigma: y on the
-    sector's rows only, ||y|| over the full grid, which mirrors all but x = 0."""
+    """(E, y, ||y||^2) of one Newton-shifted twisted step from sigma: y on
+    x >= 0, 0 at x = 0 if odd; ||y|| over the full grid, which mirrors y."""
     a = _sector_rows(H, sigma, parity)
     z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity),
                                _turning_row(H, sigma, parity))
     y = z * (1.0 + a / NUMEROV_POLE)  # y = u / (1 - q/12)
     norm2 = 2.0 * _sum_sq(y) - (y[0] * y[0] if parity == 0 else 0.0)
+    y = np.concatenate(([0.0], y)) if parity else y
     # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
     # sigma-derivative is -h^2 ||y||^2 / ||u||^2
     return sigma + 2.0 * gamma / (H.grid.h**2 * norm2), y, norm2
@@ -366,13 +376,12 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
                        sigma: float) -> Tuple[float, np.ndarray]:
     """(E, y), y on the full grid, once a twisted step from sigma, or from the
     last E, meets the residual target; at most INVERSE_ITERATION_MAX_STEPS."""
-    residual, target = np.inf, _residual_target(H)
+    residual, target = np.inf, H.residual_target
     for _ in range(INVERSE_ITERATION_MAX_STEPS):
         energy, y, norm2 = _twisted_step(H, parity, sigma)
-        v = _unfold(y, parity)
-        residual = np.sqrt(_sum_sq(H.apply(v, energy)) / norm2)
+        residual = np.sqrt(_sector_residual(H, y, parity, energy) / norm2)
         if residual <= target:
-            return energy, v
+            return energy, mirror(y, parity)
         sigma = energy
     raise ConvergenceFailure(
         f"inverse iteration for sector {parity} level {index} reached residual "

@@ -21,9 +21,9 @@ k|x| ~ 710 and lose precision in the subtractive seed well before that.
 
 ``Partner(eps, grid)`` holds the closed forms of one partner on one grid:
 the potential, u'/u, the base well and both bound states, each made on
-first use from a single evaluation of the seed.  It is the package's one
-source of these sampled fields; the functions below evaluate single closed
-forms at arbitrary x.
+first use from one evaluation of the seed on x >= 0 and mirrored, even or
+odd, onto x < 0.  It is the package's one source of these sampled fields;
+the functions below evaluate single closed forms at arbitrary x.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave
+from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave, mirror
 
 EPSILON_MAX = -1.0 - 1e-9  # transform degenerates (V -> 0) as eps -> -1
 # below this 4 eps^2, and so V''(0) = 4 (3 + 4 eps + eps^2), overflows
@@ -109,10 +109,10 @@ def _as_returned(value: np.ndarray, like) -> "float | np.ndarray":
     return value
 
 
-def _potential_values(eps_val: float, p: _SeedParts, x) -> np.ndarray:
+def _potential_values(eps_val: float, p: _SeedParts) -> np.ndarray:
     # one division by u per factor: no intermediate exceeds |V| |u|
     v = (2.0 * (1.0 + eps_val) / p.u) * ((-eps_val * p.q + p.sech2 * p.s**2) / p.u)
-    return np.where(np.asarray(x, dtype=float) == 0.0, 2.0 * eps_val + 2.0, v)
+    return np.where(p.growth == 0.0, 2.0 * eps_val + 2.0, v)  # k > 1: k|x| = 0 at x = 0 alone
 
 
 def potential(eps: float, x):
@@ -126,7 +126,7 @@ def potential(eps: float, x):
     which is returned verbatim to keep the barrier-top value free of rounding.
     """
     eps_val = _epsilon(eps)
-    return _as_returned(_potential_values(eps_val, _seed_parts(eps_val, x), x), x)
+    return _as_returned(_potential_values(eps_val, _seed_parts(eps_val, x)), x)
 
 
 def potential_log_form(eps: float, x):
@@ -161,7 +161,7 @@ def curvature_at_origin(eps: float) -> float:
 
 
 def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> None:
-    """GridTooNarrow or GridTooCoarse unless the grid holds the sampled state."""
+    """GridTooNarrow or GridTooCoarse unless the grid holds the state sampled on x >= 0."""
     grid = partner.grid
     peak = np.max(np.abs(samples))
     if peak == 0.0:
@@ -169,7 +169,7 @@ def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> None:
             f"{what} is zero on every node of {grid}; the nodes miss the "
             "state, use more points or a smaller x_max"
         )
-    tail = max(abs(samples[0]), abs(samples[-1]))
+    tail = abs(samples[-1])  # the sample at x = -x_max mirrors it
     if tail > TAIL_TOL * peak:
         raise GridTooNarrow(
             f"{what} has not decayed at the grid edge "
@@ -189,9 +189,10 @@ class Partner:
     """The closed forms of the partner Hamiltonian at one eps on one grid.
 
     Every field is computed on first use, and all of them from one
-    evaluation of the seed.  Only ``psi0`` and ``psi1`` check the grid
-    against the states, so reading ``potential`` never raises GridTooNarrow
-    or GridTooCoarse.
+    evaluation of the seed on x >= 0; each mirrors its half once, even
+    (``potential``, ``base_well``, ``psi0``) or odd (``w``, ``psi1``).  Only
+    ``psi0`` and ``psi1`` check the grid against the states, so reading
+    ``potential`` never raises GridTooNarrow or GridTooCoarse.
     """
 
     epsilon: float
@@ -202,22 +203,22 @@ class Partner:
 
     @cached_property
     def _seed(self) -> _SeedParts:
-        return _seed_parts(self.epsilon, self.grid.x)
+        return _seed_parts(self.epsilon, self.grid.x[self.grid.center_index:])
 
     @cached_property
     def potential(self) -> np.ndarray:
         """The partner potential, exactly 2 eps + 2 at x = 0."""
-        return _potential_values(self.epsilon, self._seed, self.grid.x)
+        return mirror(_potential_values(self.epsilon, self._seed), 0)
 
     @cached_property
     def w(self) -> np.ndarray:
-        """The superpotential u'/u."""
-        return self._seed.du / self._seed.u
+        """The superpotential u'/u; -0.0 at x = 0."""
+        return mirror(self._seed.du / self._seed.u, 1)
 
     @cached_property
     def base_well(self) -> np.ndarray:
         """The base potential -2 sech^2(x)."""
-        return -2.0 * self._seed.sech2
+        return mirror(-2.0 * self._seed.sech2, 0)
 
     @cached_property
     def psi0(self) -> RealWave:
@@ -231,7 +232,7 @@ class Partner:
         # u < 0 everywhere, so -1/u is the positive branch
         samples = -np.exp(-p.growth) / p.u
         _check_samples(samples, "ground state", self)
-        return RealWave(self.grid, samples).normalize()
+        return RealWave(self.grid, mirror(samples, 0)).normalize()
 
     @cached_property
     def psi1(self) -> RealWave:
@@ -243,7 +244,7 @@ class Partner:
         x = 0, and psi1 > 0 for x > 0: near 0, tanh(x) + u'/u = (-1 - eps) x
         + O(x^3), and -1 - eps > 0.
         """
-        samples = (self._seed.tanh + self.w) * self._seed.sech
+        samples = (self._seed.tanh + self._seed.du / self._seed.u) * self._seed.sech
         _check_samples(samples, "excited state", self)
-        return RealWave(self.grid, samples).normalize()
+        return RealWave(self.grid, mirror(samples, 1)).normalize()
 

@@ -223,6 +223,18 @@ class TestEdgeColumns:
         text = cli._columns_json(("a", "b"), (odd([0.0, np.inf]), even([np.nan, 1.0])))
         assert text == '{"a": [-Infinity, 0.0, Infinity], "b": [1.0, NaN, 1.0]}\n'
 
+    @pytest.mark.parametrize("column", [
+        np.array([1.5, np.nan, np.inf, -np.inf, -0.0]),
+        # a sweep column: object dtype, ints beside the NaN of a failed row
+        np.array([(-2.5, 2), (-2.0, np.nan), (-1.75, np.inf), (-1.5, -np.inf), (-1.25, 1)],
+                 dtype=object).T[1],
+    ], ids=["float", "sweep-object"])
+    def test_json_non_finite_values_match_the_encoder(self, column):
+        # the finite column beside it takes the path that skips the replacing
+        finite = np.linspace(-1.0, 1.0, len(column))
+        text = cli._columns_json(("c", "finite"), (column, finite))
+        assert text == json.dumps({"c": column.tolist(), "finite": finite.tolist()}) + "\n"
+
     def test_block_boundary_on_the_centre_row(self, fmt):
         # the centre row opens the second block
         half = np.linspace(0.0, 3.0, cli.CSV_BLOCK_ROWS + 1)

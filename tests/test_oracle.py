@@ -19,6 +19,7 @@ from shallowdw import (
 )
 
 from shallowdw import oracle, transform
+from shallowdw.grids import mirror
 from conftest import base_ground_state, cached_report, check_intertwining, numerov_matrix
 
 # eigenvalue errors of the partner levels stop falling near 1e-14
@@ -357,6 +358,35 @@ class TestEigenResidual:
         grid = Grid(3.0, 7)
         H = TridiagonalHamiltonian(grid, np.zeros(7))
         assert eigen_residual(H, RealWave(grid, np.ones(7)), 0.0) == 0.0
+
+
+class TestSectorResidual:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("n", [3, 5, 2001, 4001, 16001])
+    def test_equals_the_full_grid_residual(self, n, parity):
+        # a rough vector keeps the residual far above the rounding in which
+        # the stencils of the mirrored rows differ from the sector's
+        grid = Grid(20.0 if n > 5 else 1.0, n)
+        H = TridiagonalHamiltonian(grid, Partner(-1.5, grid).potential)
+        y = np.random.default_rng(n).standard_normal(grid.center_index + 1)  # on x >= 0
+        y[0] *= 1 - parity  # an odd vector is 0 at x = 0
+        v = mirror(y, parity)
+        norm2 = oracle._sum_sq(v)
+        sector = np.sqrt(oracle._sector_residual(H, y, parity, -1.25) / norm2)
+        full = np.sqrt(oracle._sum_sq(H.apply(v, -1.25)) / norm2)
+        assert sector == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1999, 4001, 16001])
+    def test_bound_levels_applies_no_full_grid_operator(self, n, monkeypatch):
+        calls = []
+        apply = TridiagonalHamiltonian.apply
+        monkeypatch.setattr(TridiagonalHamiltonian, "apply",
+                            lambda H, *args: calls.append(H) or apply(H, *args))
+        partner = Partner(-2.5, Grid(20.0, n))
+        oracle.bound_levels(partner)
+        assert calls == []
+        verify_spectrum(partner)  # only the closed-form states' residuals
+        assert len(calls) == 2
 
 
 class TestIntertwining:

@@ -68,13 +68,56 @@ class TestOneSeedEvaluation:
         assert seed_calls == []
 
 
+SIGN_BIT = np.uint64(1 << 63)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def holds(samples, grid, eps):
+    """The closed-form states' grid checks, made on the whole grid."""
+    peak = np.max(np.abs(samples))
+    tail = max(abs(samples[0]), abs(samples[-1]))
+    return (peak > 0.0 and tail <= transform.TAIL_TOL * peak
+            and grid.h * max(1.0, np.sqrt(-eps)) <= transform.COARSE_KH)
+
+
 class TestLazyFields:
-    def test_fields_match_the_pointwise_functions(self, default_grid):
-        partner = Partner(-1.37, default_grid)
-        x = default_grid.x
-        assert np.array_equal(partner.potential, potential(-1.37, x))
-        seed = transform._seed_parts(-1.37, x)
-        assert np.array_equal(partner.w, seed.du / seed.u)
+    @pytest.mark.parametrize("eps", [-1.05, -2.95, -50.0])
+    @pytest.mark.parametrize("x_max", [1.0, 20.0])
+    @pytest.mark.parametrize("n", [3, 5, 39, 2001, 4001, 64001])
+    def test_fields_match_the_pointwise_functions(self, n, x_max, eps, monkeypatch):
+        # each field is evaluated on x >= 0 and mirrored, and must equal its
+        # closed form evaluated on the whole grid, bit for bit
+        grid = Grid(x_max, n)
+        x = grid.x
+        seed = transform._seed_parts(eps, x)
+        states = {"psi0": -np.exp(-seed.growth) / seed.u,
+                  "psi1": (seed.tanh + seed.du / seed.u) * seed.sech}
+        for name, samples in states.items():
+            # checked on x >= 0, a grid is judged as on the whole grid
+            if holds(samples, grid, eps):
+                getattr(Partner(eps, grid), name)
+            else:
+                with pytest.raises((transform.GridTooNarrow, transform.GridTooCoarse)):
+                    getattr(Partner(eps, grid), name)
+        # without the grid checks, the states of every grid can be compared
+        monkeypatch.setattr(transform, "_check_samples", lambda *args: None)
+        partner = Partner(eps, grid)
+        expected = {"potential": potential(eps, x), "w": seed.du / seed.u,
+                    "base_well": -2.0 * seed.sech2,
+                    **{name: RealWave(grid, samples).normalize().samples
+                       for name, samples in states.items()}}
+        for name, values in expected.items():
+            got = getattr(partner, name)
+            got = bits(getattr(got, "samples", got))
+            assert np.array_equal(got, bits(values)), name
+            # row i against row n-1-i: w(0) is -0.0, and odd fields keep it
+            before, after = got[:n // 2], got[:n // 2:-1]
+            if name in ("w", "psi1"):
+                after = after ^ SIGN_BIT
+            assert np.array_equal(before, after), name
         q1 = np.exp(-np.abs(x))
         assert np.array_equal(partner.base_well, -2.0 * (2.0 * q1 / (1.0 + q1 * q1)) ** 2)
         # the scaled sech^2 and 1/cosh^2 differ only by rounding
