@@ -15,10 +15,13 @@ A command, or a sweep row, builds one ``transform.Partner`` and hands it to
 the library, so the seed is evaluated once.
 
 All numbers are written with the shortest round-trip decimal representation,
-so repeated runs are byte-identical and every emitted file parses back
-losslessly.  A column that is bitwise even or odd about its centre row is
-formatted once on x >= 0 and mirrored for x < 0; the bytes are the same as
-formatting every value.  Exit codes: 0 ok, 1 verification failed, and for
+their repr, so repeated runs are byte-identical and every emitted file parses
+back losslessly.  Float64 columns are formatted by ``floatfmt``, a block of
+rows at a time with no Python code per value, and written as bytes; only
+object columns (``sweep``'s) go through str().  Of a column that is bitwise
+even or odd about its middle row, only the middle row and the rows after it
+are formatted, and the rows before reuse their text; the bytes are the same
+as formatting every value.  Exit codes: 0 ok, 1 verification failed, and for
 each error the code of its first row in ``EXIT_CODES``, so an eps outside
 the family (at either end of a sweep range too) and a request too large to
 allocate are 2.  A sweep whose every row fails exits with the highest code
@@ -36,7 +39,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from . import dynamics, oracle, wells
+from . import dynamics, floatfmt, oracle, wells
 from .grids import Grid, GridTooCoarse, GridTooNarrow
 from .transform import (InvalidEpsilon, Partner, _epsilon, curvature_at_origin,
                         separatrix_energy)
@@ -62,8 +65,12 @@ EXIT_CODES = (
 # what fails one sweep row but not the whole sweep
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
 
-CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk
+CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk, values per JSON chunk
+JSON_SPELLINGS = ("NaN", "Infinity")
 SIGN_BIT = np.uint64(1 << 63)  # float64 sign, on a uint64 view
+# XOR masks for a row of floatfmt.cells: keep the sign byte, or toggle "-"
+SIGN_TOGGLE = np.zeros((2, floatfmt.WIDTH), np.uint8)
+SIGN_TOGGLE[1, 0] = ord("-")
 
 # sweep column -> value(partner, levels); levels() is the cached energies-only solve
 SWEEP_QUANTITIES = {
@@ -87,77 +94,121 @@ def _exit_code(exc: Exception) -> int:
     return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
-def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
+def _write(path: Optional[str], chunks: Iterable[bytes]) -> None:
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(chunks)
 
 
-def _format_column(col: np.ndarray) -> List[str]:
-    """str() of every value of col, in order.
+def _parity(col: np.ndarray) -> Optional[int]:
+    """0 if col is bitwise even about its middle (col[i] == col[n-1-i]), 1 if
+    odd (col[i] == -col[n-1-i], and no NaN, whose text has no sign), else None.
 
-    .tolist() yields Python scalars, whose str() is the shortest round-trip
-    repr for floats and plain digits for ints.  An odd-length float64 column
-    that is bitwise even (col[i] == col[n-1-i]) or odd (col[i] == -col[n-1-i],
-    and no NaN, whose str() has no sign) about its centre row is formatted
-    on the centre row and after only; the rows before it reuse that text,
-    reversed, with the leading "-" toggled if odd.  The bits are compared, so
-    0.0 and -0.0 are never swapped.  Any other column is formatted in full.
+    Only float64 columns qualify.  The bits are compared, so 0.0 and -0.0
+    are never swapped.
     """
-    n = len(col)
-    if col.dtype == np.float64 and n % 2:
-        bits = col.view(np.uint64)
-        before, after = bits[:n // 2], bits[:n // 2:-1]  # row i and row n-1-i
-        even = np.array_equal(before, after)
-        odd = not even and np.array_equal(before, after ^ SIGN_BIT) and not np.isnan(col).any()
-        if even or odd:
-            text = list(map(str, col[n // 2:].tolist()))
-            mirror = text[:0:-1]
-            if odd:
-                mirror = [s[1:] if s[0] == "-" else "-" + s for s in mirror]
-            return mirror + text
-    return list(map(str, col.tolist()))
+    if col.dtype != np.float64:
+        return None
+    bits = col.view(np.uint64)
+    half = len(col) // 2
+    before, after = bits[:half], bits[:len(col) - half - 1:-1]  # row i and row n-1-i
+    if np.array_equal(before, after):
+        return 0
+    if np.array_equal(before, after ^ SIGN_BIT) and not np.isnan(col).any():
+        return 1
+    return None
+
+
+def _cells(col: np.ndarray, start: int, stop: int, spellings: Sequence[str]) -> np.ndarray:
+    """One zero-padded row of ASCII per value of col[start:stop].
+
+    A float64 value's text is its repr, and NaN and infinity are spelled
+    ``spellings``; any other value's text is its str(), with the same
+    spellings for a float NaN or infinity in an object column.
+    """
+    if col.dtype == np.float64:
+        return floatfmt.cells(col[start:stop], spellings)
+    text = [str(v) for v in col[start:stop].tolist()]
+    if spellings != floatfmt.SPELLINGS:
+        text = [s.replace("nan", spellings[0]).replace("inf", spellings[1]) for s in text]
+    return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
+
+
+def _joined(cells: Sequence[np.ndarray], layout: Sequence) -> bytes:
+    """Rows made of ``layout``'s parts, a column's index into ``cells`` or
+    separator bytes, with the zero bytes dropped."""
+    rows = len(cells[0])
+    mat = np.concatenate([cells[p] if isinstance(p, int)
+                          else np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+                          for p in layout], axis=1)
+    return mat[mat != 0].tobytes()
+
+
+def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence,
+                spellings: Sequence[str]) -> Iterator[bytes]:
+    """The text of every row, in order, in chunks of up to CSV_BLOCK_ROWS rows.
+
+    ``layout`` lists each row's parts: a column's index, or separator bytes.
+    Rows are formatted in pairs i and n-1-i, from the outside in, and the
+    text of rows n-1-i is kept until the rows before them are out.  In a
+    column that is bitwise even or odd about its middle (``_parity``), row
+    i is row n-1-i's text, with the sign byte toggled if odd; the bytes are
+    the same as formatting every value.
+    """
+    n = len(columns[0])
+    half = n // 2
+    parities = [_parity(col) for col in columns]
+    kept = []
+    for start in range(0, half, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, half)
+        upper = [_cells(col, n - stop, n - start, spellings) for col in columns]
+        lower = [_cells(col, start, stop, spellings) if parity is None
+                 else cells[::-1] ^ SIGN_TOGGLE[parity]
+                 for col, cells, parity in zip(columns, upper, parities)]
+        kept.append(_joined(upper, layout))
+        yield _joined(lower, layout)
+    if n % 2:
+        yield _joined([_cells(col, half, half + 1, spellings) for col in columns], layout)
+    yield from reversed(kept)
 
 
 def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
-         comments: Sequence[str] = (), footer: Sequence[str] = ()) -> Iterator[str]:
-    """CSV text in chunks of CSV_BLOCK_ROWS rows."""
-    yield "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
-    text = [_format_column(col) for col in columns]
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [col[start:start + CSV_BLOCK_ROWS] for col in text]
-        yield "\n".join(map(",".join, zip(*block))) + "\n"
-    yield "".join(f"# {c}\n" for c in footer)
+         comments: Sequence[str] = (), footer: Sequence[str] = ()) -> Iterator[bytes]:
+    """CSV bytes in chunks of up to CSV_BLOCK_ROWS rows."""
+    yield ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n").encode()
+    layout = [part for j in range(len(columns)) for part in (j, b",")]
+    layout[-1] = b"\n"
+    yield from _row_chunks(columns, layout, floatfmt.SPELLINGS)
+    yield "".join(f"# {c}\n" for c in footer).encode()
 
 
 def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
-                  fields: Optional[Dict[str, object]] = None) -> str:
-    """json.dumps({name: col.tolist(), ..., **fields}) + "\\n", byte for byte.
+                  fields: Optional[Dict[str, object]] = None) -> Iterator[bytes]:
+    """json.dumps({name: col.tolist(), ..., **fields}) + "\\n", byte for byte,
+    in chunks of up to CSV_BLOCK_ROWS values.
 
-    The columns hold floats and ints, whose JSON text is their str() but
-    for the non-finite floats: no other str() of one contains "nan" or
-    "inf", so replacing those maps nan, inf and -inf to NaN, Infinity and
-    -Infinity, and a column with no "n" in its text needs no replacing.
+    A column's values are its CSV text but for the non-finite floats, which
+    JSON spells NaN, Infinity and -Infinity.
     """
-    items = []
+    opener = "{"
     for name, col in zip(header, columns):
-        values = ", ".join(_format_column(col))
-        if "n" in values:
-            values = values.replace("nan", "NaN").replace("inf", "Infinity")
-        items.append(f"{json.dumps(name)}: [{values}]")
-    items += [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in (fields or {}).items()]
-    return "{" + ", ".join(items) + "}\n"
+        yield f"{opener}{json.dumps(name)}: [".encode()
+        for i, chunk in enumerate(_row_chunks((col,), (b", ", 0), JSON_SPELLINGS)):
+            yield chunk if i else chunk[2:]  # no ", " before the first value
+        opener = "], "
+    items = [f", {json.dumps(name)}: {json.dumps(value)}" for name, value in (fields or {}).items()]
+    yield ("]" + "".join(items) + "}\n").encode()
 
 
 def _emit_table(args, header, columns, comments=(), footer=(), fields=None) -> None:
     """CSV with ``comments`` above the header and ``footer`` below the rows,
     or JSON with the columns followed by each of ``fields`` under its key."""
     if args.format == "json":
-        _write_text(args.out, [_columns_json(header, columns, fields)])
+        _write(args.out, _columns_json(header, columns, fields))
     else:
-        _write_text(args.out, _csv(header, columns, comments, footer))
+        _write(args.out, _csv(header, columns, comments, footer))
 
 
 def _write_svg(path: str, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -217,7 +268,7 @@ def cmd_states(args) -> int:
 def cmd_verify(args) -> int:
     report = oracle.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
     payload = {**asdict(report), "passed": report.passed}
-    _write_text(args.out, [json.dumps(payload, indent=2) + "\n"])
+    _write(args.out, [(json.dumps(payload, indent=2) + "\n").encode()])
     for check in report.checks:
         if not check.passed:
             print(f"check failed: {check.name}={check.value!r}, "
@@ -230,14 +281,14 @@ def cmd_classify(args) -> int:
     result = wells.classify(partner)
     if args.format == "json":
         payload = {**asdict(result), "kind": result.kind.value}
-        _write_text(args.out, [json.dumps(payload) + "\n"])
+        _write(args.out, [(json.dumps(payload) + "\n").encode()])
         return EXIT_OK
     line = (
         f"{CLASSIFY_VERDICTS[result.kind]}; s={result.separatrix:.6g}; "
         f"curvature={result.curvature_origin:.6g}; "
         f"maxima={result.density_maxima_count}\n"
     )
-    _write_text(args.out, [line])
+    _write(args.out, [line.encode()])
     return EXIT_OK
 
 

@@ -501,7 +501,7 @@ def bound_levels(partner: Partner) -> Tuple[Dict[str, float], TridiagonalHamilto
     continuum threshold 0 is BoundStateCountMismatch.
     """
     eps_val = partner.epsilon
-    partner.psi0, partner.psi1  # the grid checks
+    partner.check_grid()
     H = TridiagonalHamiltonian(partner.grid, partner.potential)
     negatives = sum(H.bound_counts)
     if negatives != 2:

@@ -191,8 +191,9 @@ class Partner:
     Every field is computed on first use, and all of them from one
     evaluation of the seed on x >= 0; each mirrors its half once, even
     (``potential``, ``base_well``, ``psi0``) or odd (``w``, ``psi1``).  Only
-    ``psi0`` and ``psi1`` check the grid against the states, so reading
-    ``potential`` never raises GridTooNarrow or GridTooCoarse.
+    ``psi0``, ``psi1`` and ``check_grid`` check the grid against the states,
+    on their x >= 0 samples, so reading ``potential`` never raises
+    GridTooNarrow or GridTooCoarse.
     """
 
     epsilon: float
@@ -221,6 +222,23 @@ class Partner:
         return mirror(-2.0 * self._seed.sech2, 0)
 
     @cached_property
+    def _ground_half(self) -> np.ndarray:
+        p = self._seed
+        # u < 0 everywhere, so -1/u is the positive branch
+        return -np.exp(-p.growth) / p.u
+
+    @cached_property
+    def _excited_half(self) -> np.ndarray:
+        return (self._seed.tanh + self._seed.du / self._seed.u) * self._seed.sech
+
+    def check_grid(self) -> None:
+        """GridTooNarrow or GridTooCoarse unless the grid holds both bound
+        states, the ground state's error first; what ``psi0`` and then
+        ``psi1`` would raise, without mirroring or normalizing either."""
+        _check_samples(self._ground_half, "ground state", self)
+        _check_samples(self._excited_half, "excited state", self)
+
+    @cached_property
     def psi0(self) -> RealWave:
         """Normalized ground state, proportional to 1/u.
 
@@ -228,11 +246,8 @@ class Partner:
         grid does not contain the decay tails, GridTooCoarse when its spacing
         cannot resolve them.
         """
-        p = self._seed
-        # u < 0 everywhere, so -1/u is the positive branch
-        samples = -np.exp(-p.growth) / p.u
-        _check_samples(samples, "ground state", self)
-        return RealWave(self.grid, mirror(samples, 0)).normalize()
+        _check_samples(self._ground_half, "ground state", self)
+        return RealWave(self.grid, mirror(self._ground_half, 0)).normalize()
 
     @cached_property
     def psi1(self) -> RealWave:
@@ -244,7 +259,5 @@ class Partner:
         x = 0, and psi1 > 0 for x > 0: near 0, tanh(x) + u'/u = (-1 - eps) x
         + O(x^3), and -1 - eps > 0.
         """
-        samples = (self._seed.tanh + self._seed.du / self._seed.u) * self._seed.sech
-        _check_samples(samples, "excited state", self)
-        return RealWave(self.grid, mirror(samples, 1)).normalize()
-
+        _check_samples(self._excited_half, "excited state", self)
+        return RealWave(self.grid, mirror(self._excited_half, 1)).normalize()

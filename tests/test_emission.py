@@ -1,9 +1,9 @@
 """Column-wise table emission against the per-value row emitter it replaced.
 
 The reference below formats one value at a time (`repr(float(v))` for
-floats, `str` otherwise) from row tuples.  The CLI formats whole columns
-from `.tolist()`, and an even or odd column from its x >= 0 half only; both
-must give the same bytes.
+floats, `str` otherwise) from row tuples.  The CLI formats blocks of float64
+columns at once through `floatfmt.cells`, and an even or odd column from its
+x >= 0 half only; both must give the same bytes.
 """
 
 import json
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shallowdw import cli, dynamics, oracle, wells
+from shallowdw import cli, dynamics, floatfmt, oracle, wells
 from shallowdw.cli import main
 from shallowdw.grids import Grid
 from shallowdw.transform import (
@@ -22,7 +22,6 @@ from shallowdw.transform import (
     separatrix_energy,
 )
 
-from conftest import counting_view
 
 X_MAX, POINTS = 20.0, 401
 
@@ -156,8 +155,8 @@ def test_stdout_matches_file(tmp_path, capsys, monkeypatch):
 
 def emit(fmt, header, columns) -> bytes:
     if fmt == "json":
-        return cli._columns_json(header, columns).encode("utf-8")
-    return "".join(cli._csv(header, columns)).encode("utf-8")
+        return b"".join(cli._columns_json(header, columns))
+    return b"".join(cli._csv(header, columns))
 
 
 def even(half):
@@ -178,7 +177,7 @@ def one_ulp_off(col, row):
     return col
 
 
-# name -> (column, whether only its centre row and the rows after it are formatted)
+# name -> (column, whether only its middle row and the rows after it are formatted)
 EDGE_COLUMNS = {
     "even": (even([1.0, 0.1, -2.5e-300]), True),
     "odd": (odd([0.0, -0.1, 1e300]), True),
@@ -196,7 +195,8 @@ EDGE_COLUMNS = {
     "nan-odd": (odd([0.0, 1.0, np.nan]), False),
     "length-1": (np.array([-0.0]), True),
     "length-3": (np.array([0.5, -2.0, 0.5]), True),
-    "even-length": (np.array([1.0, 2.0, 2.0, 1.0]), False),
+    "even-length": (np.array([1.0, 2.0, 2.0, 1.0]), True),
+    "odd-even-length": (np.array([-1.0, -0.0, 0.0, 1.0]), True),
     "int": (np.array([3, 1, 3]), False),
     "object": (np.array([1.5, 2, float("nan"), 2, 1.5], dtype=object), False),
 }
@@ -204,12 +204,24 @@ EDGE_COLUMNS = {
 
 class TestEdgeColumns:
     @pytest.mark.parametrize("name", EDGE_COLUMNS)
-    def test_formats_half_only_when_mirrored(self, name):
+    def test_formats_half_only_when_mirrored(self, name, monkeypatch):
         col, mirrored = EDGE_COLUMNS[name]
-        counting = counting_view(col)
-        assert cli._format_column(counting) == [ref_fmt(v) for v in col]
-        n = len(col)
-        assert counting.lengths == [n // 2 + 1 if mirrored else n]
+        handed = []
+        real = floatfmt.cells
+
+        def counting(values, *args):
+            handed.append(len(values))
+            return real(values, *args)
+
+        monkeypatch.setattr(floatfmt, "cells", counting)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)  # a kernel call per row pair
+        for fmt in ("csv", "json"):
+            handed.clear()
+            assert emit(fmt, ("c",), (col,)) == reference(fmt, ("c",), zip(col))
+            n = len(col)
+            # only float64 columns reach the kernel
+            expected = (n - n // 2 if mirrored else n) if col.dtype == np.float64 else 0
+            assert sum(handed) == expected
 
     @pytest.mark.parametrize("name", EDGE_COLUMNS)
     def test_table_bytes(self, fmt, name):
@@ -220,8 +232,8 @@ class TestEdgeColumns:
         assert b"-nan" not in got.lower()
 
     def test_json_spells_non_finite_values(self):
-        text = cli._columns_json(("a", "b"), (odd([0.0, np.inf]), even([np.nan, 1.0])))
-        assert text == '{"a": [-Infinity, 0.0, Infinity], "b": [1.0, NaN, 1.0]}\n'
+        text = emit("json", ("a", "b"), (odd([0.0, np.inf]), even([np.nan, 1.0])))
+        assert text == b'{"a": [-Infinity, 0.0, Infinity], "b": [1.0, NaN, 1.0]}\n'
 
     @pytest.mark.parametrize("column", [
         np.array([1.5, np.nan, np.inf, -np.inf, -0.0]),
@@ -232,8 +244,8 @@ class TestEdgeColumns:
     def test_json_non_finite_values_match_the_encoder(self, column):
         # the finite column beside it takes the path that skips the replacing
         finite = np.linspace(-1.0, 1.0, len(column))
-        text = cli._columns_json(("c", "finite"), (column, finite))
-        assert text == json.dumps({"c": column.tolist(), "finite": finite.tolist()}) + "\n"
+        text = emit("json", ("c", "finite"), (column, finite))
+        assert text == (json.dumps({"c": column.tolist(), "finite": finite.tolist()}) + "\n").encode()
 
     def test_block_boundary_on_the_centre_row(self, fmt):
         # the centre row opens the second block
@@ -275,15 +287,28 @@ def test_emitted_columns_are_bitwise_even_or_odd(eps, width, extra):
         assert np.array_equal(before, after), parity
 
 
-@pytest.mark.parametrize("command, header, fmt", [
+LARGE_GRID_CASES = [
     ("states", ("x", "V", "psi0", "psi1", "rho0"), "csv"),
     ("potential", ("x", "V"), "json"),
-])
-def test_bytes_at_16001_points(tmp_path, command, header, fmt):
-    grid = Grid(X_MAX, 16001)
+]
+
+
+def assert_bytes_at(tmp_path, n, command, header, fmt):
+    grid = Grid(X_MAX, n)
     partner = Partner(-2.2, grid)
     psi0 = partner.psi0.samples
     columns = (grid.x, partner.potential, psi0, partner.psi1.samples, psi0**2)
     got = emitted(tmp_path, [command, "--epsilon", -2.2, "--x-max", X_MAX,
-                             "--points", 16001], fmt)
+                             "--points", n], fmt)
     assert got == reference(fmt, header, zip(*columns[:len(header)]))
+
+
+@pytest.mark.parametrize("command, header, fmt", LARGE_GRID_CASES)
+def test_bytes_at_16001_points(tmp_path, command, header, fmt):
+    assert_bytes_at(tmp_path, 16001, command, header, fmt)
+
+
+@pytest.mark.parametrize("command, header, fmt", LARGE_GRID_CASES)
+def test_bytes_at_64001_points(tmp_path, command, header, fmt):
+    # the grid of the export benchmark
+    assert_bytes_at(tmp_path, 64001, command, header, fmt)

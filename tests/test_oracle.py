@@ -388,6 +388,13 @@ class TestSectorResidual:
         verify_spectrum(partner)  # only the closed-form states' residuals
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("n", [1999, 4001, 16001])
+    def test_bound_levels_builds_no_whole_grid_state(self, n):
+        # the grid checks run on the states' x >= 0 samples
+        partner = Partner(-2.5, Grid(20.0, n))
+        oracle.bound_levels(partner)
+        assert "psi0" not in vars(partner) and "psi1" not in vars(partner)
+
 
 class TestIntertwining:
     """The two Darboux identities V + V0 = 2 w^2 + 2 eps and V - V0 = -2 w'."""

@@ -124,6 +124,20 @@ class TestLazyFields:
         np.testing.assert_allclose(partner.base_well, -2.0 / np.cosh(x) ** 2,
                                    rtol=2e-15, atol=0.0)
 
+    @pytest.mark.parametrize("eps, x_max, n", [
+        (-1.5, 20.0, 4001), (-50.0, 20.0, 4001), (-1.05, 6.0, 601), (-1.05, 3.0, 601),
+        (-1.5, 1000.0, 3), (-4.0, 25.0, 199), (-4.0, 25.0, 201), (-1.5, 800.0, 16001),
+    ])
+    def test_check_grid_raises_what_the_states_raise(self, eps, x_max, n):
+        def outcome(read):
+            try:
+                read(Partner(eps, Grid(x_max, n)))
+            except (transform.GridTooNarrow, transform.GridTooCoarse) as exc:
+                return type(exc), str(exc)
+            return None
+
+        assert outcome(Partner.check_grid) == outcome(lambda p: (p.psi0, p.psi1))
+
     def test_invalid_epsilon_rejected_on_construction(self, default_grid):
         with pytest.raises(InvalidEpsilon):
             Partner(-0.5, default_grid)
