@@ -198,8 +198,9 @@ def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
         for i, chunk in enumerate(_row_chunks((col,), (b", ", 0), JSON_SPELLINGS)):
             yield chunk if i else chunk[2:]  # no ", " before the first value
         opener = "], "
-    items = [f", {json.dumps(name)}: {json.dumps(value)}" for name, value in (fields or {}).items()]
-    yield ("]" + "".join(items) + "}\n").encode()
+    items = "".join(f", {json.dumps(name)}: {json.dumps(value)}"
+                    for name, value in (fields or {}).items())
+    yield ("]" + items + "}\n").encode()
 
 
 def _emit_table(args, header, columns, comments=(), footer=(), fields=None) -> None:

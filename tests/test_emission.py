@@ -245,7 +245,8 @@ class TestEdgeColumns:
         # the finite column beside it takes the path that skips the replacing
         finite = np.linspace(-1.0, 1.0, len(column))
         text = emit("json", ("c", "finite"), (column, finite))
-        assert text == (json.dumps({"c": column.tolist(), "finite": finite.tolist()}) + "\n").encode()
+        expected = json.dumps({"c": column.tolist(), "finite": finite.tolist()}) + "\n"
+        assert text == expected.encode()
 
     def test_block_boundary_on_the_centre_row(self, fmt):
         # the centre row opens the second block
