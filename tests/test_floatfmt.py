@@ -23,7 +23,10 @@ def texts(values, spellings=floatfmt.SPELLINGS):
     """The text of each row of floatfmt.cells(values)."""
     mat = floatfmt.cells(np.asarray(values, dtype=float), spellings)
     assert mat.shape == np.shape(values) + (floatfmt.WIDTH,)
-    return [bytes(row[row != 0]).decode() for row in mat.reshape(-1, floatfmt.WIDTH)]
+    rows = mat.reshape(-1, floatfmt.WIDTH)
+    # "," ends each row's text; no text holds one
+    rows = np.concatenate((rows, np.full((len(rows), 1), ord(","), np.uint8)), axis=1)
+    return bytes(rows[rows != 0]).decode().split(",")[:-1]
 
 
 def references(values):
