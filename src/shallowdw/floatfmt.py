@@ -57,6 +57,7 @@ _K_MAX = _flog10pow2(971)
 # byte columns of the per-value source row that the layout picks from
 _NONE, _MINUS, _POINT, _E, _EXP, _ZERO, _DIGITS = 0, 1, 2, 3, 4, 8, 9
 _SOURCE = 28  # _EXP..+3: exponent sign and 3 digits; _DIGITS..+16: the digits
+# (_EXP and _DIGITS + 1 are multiples of 4 and of 2, for the uint32 and uint16 views)
 _POSITIONAL = range(-3, 17)  # decimal point places printed without exponent
 
 
@@ -193,24 +194,25 @@ def cells(values: np.ndarray, spellings: Sequence[str] = SPELLINGS) -> np.ndarra
     source = np.empty((n, _SOURCE), np.uint8)
     source[:] = tables.source
     source[:, _MINUS] = (bits >> 63).astype(np.uint8) * 45
-    source.view(np.uint32)[:, 1] = tables.exponent.take(decpt + 323)
+    source.view(np.uint32)[:, _EXP // 4] = tables.exponent.take(decpt + 323)
     first = f // 10 ** 16
     source[:, _DIGITS] = first + 48
-    # the other 16 digits as 8 pairs: x // 10^4 and x // 100 by multiplying
-    # and shifting, exact below 2^32 and 43699
+    # the other 16 digits as 8 two-digit numbers: two 8-digit halves, each
+    # split in two 4-digit quarters, each in two pairs; x // 10^4 and
+    # x // 100 by multiplying and shifting, exact below 2^32 and 43699
     rest = f - first * 10 ** 16
-    eights = np.empty((8, n), np.uint64)
-    eights[0] = rest // 10 ** 8
-    eights[4] = rest - eights[0] * 10 ** 8
-    halves, quarters = eights[0::4], eights[2::4]
+    pairs = np.empty((8, n), np.uint64)
+    pairs[0] = rest // 10 ** 8
+    pairs[4] = rest - pairs[0] * 10 ** 8
+    halves, quarters = pairs[0::4], pairs[2::4]
     quotient = (halves * 3518437209) >> 45
     quarters[:] = halves - quotient * 10000
     halves[:] = quotient
-    quotient = (eights[0::2] * 5243) >> 19
-    eights[1::2] = eights[0::2] - quotient * 100
-    eights[0::2] = quotient
-    pairs = tables.pairs.take(eights)
-    source.view(np.uint16)[:, 5:13] = pairs.T
+    quotient = (pairs[0::2] * 5243) >> 19
+    pairs[1::2] = pairs[0::2] - quotient * 100
+    pairs[0::2] = quotient
+    second = (_DIGITS + 1) // 2  # the second digit's uint16 column
+    source.view(np.uint16)[:, second:second + 8] = tables.pairs.take(pairs).T
     # digits printed: up to the last nonzero one
     digits = source[:, _DIGITS:_DIGITS + MAX_DIGITS]
     nd = MAX_DIGITS - np.argmax(digits[:, ::-1] != 48, axis=1)
