@@ -88,7 +88,6 @@ class TestDensityMaxima:
         rho = np.minimum(np.exp(-default_grid.x**2), 0.5)
         assert count_density_maxima(rho) == 1
 
-
     # samples from a few levels, so that runs of equal values and steps
     # below PLATEAU_TOL make plateaus
     @settings(max_examples=300, deadline=None)
