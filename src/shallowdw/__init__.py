@@ -7,16 +7,13 @@ inter-well oscillation of the equal-weight superposition.
 """
 
 from .dynamics import OscillationSeries, analytic_period, evolve_series
-from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave
+from .grids import Grid, GridTooCoarse, GridTooNarrow
 from .oracle import (
     BoundStateCountMismatch,
     ConvergenceFailure,
-    SpectrumReport,
     TridiagonalHamiltonian,
     eigen_residual,
-    lowest_eigenpairs,
     sturm_count,
-    verify_spectrum,
 )
 from .transform import (
     InvalidEpsilon,
@@ -45,8 +42,6 @@ __all__ = [
     "InvalidEpsilon",
     "OscillationSeries",
     "Partner",
-    "RealWave",
-    "SpectrumReport",
     "TridiagonalHamiltonian",
     "WellClassification",
     "WellKind",
@@ -57,10 +52,8 @@ __all__ = [
     "curvature_at_origin",
     "eigen_residual",
     "evolve_series",
-    "lowest_eigenpairs",
     "potential",
     "potential_log_form",
     "separatrix_energy",
     "sturm_count",
-    "verify_spectrum",
 ]

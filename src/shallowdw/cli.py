@@ -78,8 +78,8 @@ SWEEP_QUANTITIES = {
     "curvature": lambda partner, levels: curvature_at_origin(partner.epsilon),
     "gap": lambda partner, levels: abs(1.0 + partner.epsilon),
     "maxima_count": lambda partner, levels: wells.classify(partner).density_maxima_count,
-    "e0_error": lambda partner, levels: levels()["e0_error"],
-    "e1_error": lambda partner, levels: levels()["e1_error"],
+    "e0_error": lambda partner, levels: levels().e0_error,
+    "e1_error": lambda partner, levels: levels().e1_error,
 }
 
 CLASSIFY_VERDICTS = {
@@ -259,8 +259,7 @@ def cmd_potential(args) -> int:
 
 def cmd_states(args) -> int:
     partner = Partner(args.epsilon, Grid(args.x_max, args.points))
-    x, v, psi0, psi1 = (partner.grid.x, partner.potential,
-                        partner.psi0.samples, partner.psi1.samples)
+    x, v, psi0, psi1 = partner.grid.x, partner.potential, partner.psi0, partner.psi1
     del partner  # its seed arrays need not live through the emission
     _emit_table(args, ("x", "V", "psi0", "psi1", "rho0"), (x, v, psi0, psi1, psi0**2))
     return EXIT_OK
@@ -326,7 +325,7 @@ def cmd_sweep(args) -> int:
     for eps in eps_values:
         try:
             partner = Partner(eps, grid)
-            levels = functools.cache(lambda: oracle.bound_levels(partner)[0])
+            levels = functools.cache(lambda: oracle.bound_levels(partner))
             rows.append((float(eps), *(SWEEP_QUANTITIES[q](partner, levels)
                                        for q in quantities)))
         except ROW_FAILURES as exc:

@@ -48,8 +48,8 @@ def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationS
         raise ValueError(f"t_max must be finite, as must (1 + eps) t_max; got {t_max}")
     times = np.linspace(0.0, float(t_max), int(n_frames))
     mid = grid.center_index
-    psi0 = partner.psi0.samples[: mid + 1]
-    psi1 = partner.psi1.samples[: mid + 1]
+    psi0 = partner.psi0[: mid + 1]
+    psi1 = partner.psi1[: mid + 1]
     l00, l11, l01 = (
         np.trapezoid(a * b, dx=grid.h)
         for a, b in ((psi0, psi0), (psi1, psi1), (psi0, psi1))

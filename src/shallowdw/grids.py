@@ -1,4 +1,4 @@
-"""Uniform symmetric grids, sampled real waves and finite-difference helpers.
+"""Uniform symmetric grids, trapezoid normalization and finite-difference helpers.
 
 Everything downstream (closed-form states, the tridiagonal eigensolver, the
 two-level dynamics) works on a single uniform mesh on [-x_max, x_max]: the
@@ -9,7 +9,7 @@ exponentially, so trapezoid converges spectrally on these tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,31 +61,12 @@ class Grid:
         return self.n_points // 2
 
 
-@dataclass(frozen=True)
-class RealWave:
-    """Real wavefunction sampled on a grid."""
-
-    grid: Grid
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != (self.grid.n_points,):
-            raise ValueError("sample count does not match grid")
-
-    def norm_squared(self) -> float:
-        return float(np.trapezoid(self.samples**2, dx=self.grid.h))
-
-    def normalize(self) -> "RealWave":
-        nrm = np.sqrt(self.norm_squared())
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero wave")
-        return RealWave(self.grid, self.samples / nrm)
-
-    def overlap(self, other: "RealWave") -> float:
-        """Trapezoid inner product <self, other>."""
-        return float(np.trapezoid(self.samples * other.samples, dx=self.grid.h))
+def normalized(samples: np.ndarray, h: float) -> np.ndarray:
+    """samples scaled to unit trapezoid norm on a grid of spacing h."""
+    nrm = np.sqrt(float(np.trapezoid(samples**2, dx=h)))
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero wave")
+    return samples / nrm
 
 
 def mirror(half: np.ndarray, parity: int) -> np.ndarray:

@@ -45,13 +45,14 @@ bracket.  Each step twists within the turning row of its own shift.
 
 The solver reads nothing but the sampled V in ``H.potential``, so it stays
 independent of the closed-form machinery in ``transform``, and agreement
-between the two is a real check, not a tautology.  ``verify_spectrum`` and
+between the two is a real check, not a tautology.  ``bound_levels`` and
 ``verify`` take a ``transform.Partner``, whose closed forms of one eps on one
 grid are computed once; the solver's ``TridiagonalHamiltonian`` is built from
-its grid and sampled potential alone.
+its grid and sampled potential alone; ``bound_levels`` is the one solve.
 
-``verify`` judges the paper's claim: spectrum, intertwining identity and
-central-curvature law, each against its entry of ``VERIFY_TOLERANCES``.
+``verify`` judges the paper's claim: spectrum, closed-form states, intertwining
+identity and central-curvature law, each against its entry of
+``VERIFY_TOLERANCES``.
 The intertwining identity Xi A = A eta is checked as the two pointwise
 Darboux identities it is built from, V + V0 = 2 (u'/u)^2 + 2 eps and
 V - V0 = -2 (u'/u)', on every node of the grid.
@@ -60,15 +61,15 @@ V - V0 = -2 (u'/u)', on every node of the grid.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import wells
-from .grids import Grid, RealWave, first_derivative, mirror
+from .grids import Grid, first_derivative, mirror, normalized
 from .transform import Partner, separatrix_energy
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
@@ -417,20 +418,6 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
     return _inverse_iteration(H, parity, index, _bracket(H, parity, index))
 
 
-def lowest_eigenpairs(H: TridiagonalHamiltonian, k: int) -> List[Tuple[float, RealWave]]:
-    """k smallest eigenpairs, ascending; eigenvectors trapezoid-normalized.
-
-    Deterministic: coarse-to-fine or bisection-seeded twisted factorizations
-    with Newton shifts, each level certified by Sturm counts, one parity
-    sector per level.  Only low-lying states are meaningful under the
-    Dirichlet truncation, hence k <= 6.
-    """
-    if not 1 <= k <= min(6, H.grid.n_points):
-        raise ValueError("k must be between 1 and min(6, n_points)")
-    pairs = (_sector_eigenpair(H, level % 2, level // 2) for level in range(k))
-    return [(energy, RealWave(H.grid, v).normalize()) for energy, v in pairs]
-
-
 def _interior(grid: Grid, edge: int, caller: str) -> slice:
     """The nodes left after dropping ``edge`` at each end; raises if none are."""
     if grid.n_points <= 2 * edge:
@@ -439,15 +426,15 @@ def _interior(grid: Grid, edge: int, caller: str) -> slice:
     return slice(edge, -edge)
 
 
-def eigen_residual(H: TridiagonalHamiltonian, wave: RealWave, energy: float) -> float:
+def eigen_residual(H: TridiagonalHamiltonian, psi: np.ndarray, energy: float) -> float:
     """Relative l2 residual ||-D2 psi + B((V - E) psi)|| / ||psi|| over interior nodes.
 
     Three nodes at each edge are excluded: the Dirichlet mismatch dominates
     there, not the PDE error.
     """
-    sl = _interior(wave.grid, EDGE_EXCLUDE, "eigen_residual")
-    r = H.apply(wave.samples, energy)
-    return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(wave.samples[sl])))
+    sl = _interior(H.grid, EDGE_EXCLUDE, "eigen_residual")
+    r = H.apply(psi, energy)
+    return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(psi[sl])))
 
 
 def _intertwining_residual(partner: Partner) -> float:
@@ -474,31 +461,25 @@ def _relative_max(error: np.ndarray, scale: np.ndarray, sl: slice) -> float:
     return err / top if top else err
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Side-by-side record of the analytic spectrum and the oracle's."""
+class BoundLevels(NamedTuple):
+    """Both levels, their errors against eps and -1, H and the raw eigenvectors."""
 
-    epsilon: float
-    e0_analytic: float
-    e1_analytic: float
     e0_numeric: float
     e1_numeric: float
     e0_error: float
     e1_error: float
-    psi0_residual: float
-    psi1_residual: float
-    psi0_overlap: float
-    psi1_overlap: float
+    H: TridiagonalHamiltonian
+    y0: np.ndarray
+    y1: np.ndarray
 
 
-def bound_levels(partner: Partner) -> Tuple[Dict[str, float], TridiagonalHamiltonian,
-                                            Tuple[np.ndarray, np.ndarray]]:
-    """The SpectrumReport fields up to e1_error, H, and both raw eigenvectors.
+def bound_levels(partner: Partner) -> BoundLevels:
+    """The oracle's two bound levels of the partner's sampled potential.
 
-    The closed-form states check the grid first, so GridTooNarrow and
-    GridTooCoarse come before any solver arithmetic.  Every eps < -1 has two
-    bound states, at eps and -1, so any other count of levels below the
-    continuum threshold 0 is BoundStateCountMismatch.
+    ``Partner.check_grid`` checks the closed-form states first, so
+    GridTooNarrow and GridTooCoarse come before any solver arithmetic.  Every
+    eps < -1 has two bound states, at eps and -1, so any other count of levels
+    below the continuum threshold 0 is BoundStateCountMismatch.
     """
     eps_val = partner.epsilon
     partner.check_grid()
@@ -508,19 +489,7 @@ def bound_levels(partner: Partner) -> Tuple[Dict[str, float], TridiagonalHamilto
         raise BoundStateCountMismatch(
             f"expected 2 bound states for eps={eps_val}, found {negatives}")
     (e0, y0), (e1, y1) = (_sector_eigenpair(H, parity, 0) for parity in (0, 1))
-    return dict(epsilon=eps_val, e0_analytic=eps_val, e1_analytic=-1.0, e0_numeric=e0,
-                e1_numeric=e1, e0_error=abs(e0 - eps_val), e1_error=abs(e1 + 1.0)), H, (y0, y1)
-
-
-def verify_spectrum(partner: Partner) -> SpectrumReport:
-    """``bound_levels``, and the closed-form states against the eigensolver's."""
-    levels, H, (y0, y1) = bound_levels(partner)
-    psi0, psi1 = partner.psi0, partner.psi1
-    return SpectrumReport(**levels,
-                          psi0_residual=eigen_residual(H, psi0, levels["e0_analytic"]),
-                          psi1_residual=eigen_residual(H, psi1, levels["e1_analytic"]),
-                          psi0_overlap=abs(RealWave(H.grid, y0).normalize().overlap(psi0)),
-                          psi1_overlap=abs(RealWave(H.grid, y1).normalize().overlap(psi1)))
+    return BoundLevels(e0, e1, abs(e0 - eps_val), abs(e1 + 1.0), H, y0, y1)
 
 
 class Check(NamedTuple):
@@ -533,9 +502,20 @@ class Check(NamedTuple):
 
 
 @dataclass(frozen=True)
-class VerifyReport(SpectrumReport):
+class VerifyReport:
     """Everything ``verify`` measures; ``checks`` and ``passed`` judge it."""
 
+    epsilon: float
+    e0_analytic: float
+    e1_analytic: float
+    e0_numeric: float
+    e1_numeric: float
+    e0_error: float
+    e1_error: float
+    psi0_residual: float
+    psi1_residual: float
+    psi0_overlap: float
+    psi1_overlap: float
     gap_numeric: float
     intertwining_residual: float
     bimodality_lhs: float
@@ -567,10 +547,13 @@ def verify(partner: Partner) -> VerifyReport:
     intertwining residual is that of the two pointwise Darboux identities,
     so it needs no test function.
     """
-    spectrum = verify_spectrum(partner)
-    intertwining = _intertwining_residual(partner)
-    lhs, rhs, rel_err = wells.check_bimodality_relation(partner)
-    return VerifyReport(**asdict(spectrum),
-                        gap_numeric=spectrum.e1_numeric - spectrum.e0_numeric,
-                        intertwining_residual=intertwining, bimodality_lhs=lhs,
-                        bimodality_rhs=rhs, bimodality_rel_err=rel_err)
+    eps_val, h = partner.epsilon, partner.grid.h
+    e0, e1, e0_error, e1_error, H, y0, y1 = bound_levels(partner)
+    psi0, psi1 = partner.psi0, partner.psi1
+    return VerifyReport(  # the fields in order
+        eps_val, eps_val, -1.0, e0, e1, e0_error, e1_error,
+        eigen_residual(H, psi0, eps_val), eigen_residual(H, psi1, -1.0),
+        # overlaps by numpy's pairwise sums: a BLAS dot's digits vary with its threads
+        abs(float(np.trapezoid(normalized(y0, h) * psi0, dx=h))),
+        abs(float(np.trapezoid(normalized(y1, h) * psi1, dx=h))),
+        e1 - e0, _intertwining_residual(partner), *wells.check_bimodality_relation(partner))

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Grid, GridTooCoarse, GridTooNarrow, RealWave, mirror
+from .grids import Grid, GridTooCoarse, GridTooNarrow, mirror, normalized
 
 EPSILON_MAX = -1.0 - 1e-9  # transform degenerates (V -> 0) as eps -> -1
 # below this 4 eps^2, and so V''(0) = 4 (3 + 4 eps + eps^2), overflows
@@ -239,25 +239,25 @@ class Partner:
         _check_samples(self._excited_half, "excited state", self)
 
     @cached_property
-    def psi0(self) -> RealWave:
-        """Normalized ground state, proportional to 1/u.
+    def psi0(self) -> np.ndarray:
+        """Ground state on the grid, proportional to 1/u, trapezoid-normalized.
 
         Even, strictly positive, energy eps.  Raises GridTooNarrow when the
         grid does not contain the decay tails, GridTooCoarse when its spacing
         cannot resolve them.
         """
         _check_samples(self._ground_half, "ground state", self)
-        return RealWave(self.grid, mirror(self._ground_half, 0)).normalize()
+        return normalized(mirror(self._ground_half, 0), self.grid.h)
 
     @cached_property
-    def psi1(self) -> RealWave:
-        """Normalized excited state, proportional to A applied to the base
-        ground state; energy -1.
+    def psi1(self) -> np.ndarray:
+        """Excited state on the grid, proportional to A applied to the base
+        ground state, trapezoid-normalized; energy -1.
 
         Evaluated in closed form: A [sech(x)] = sech(x) (tanh(x) + u'/u), so
         the state carries no finite-difference error.  Odd, single node at
         x = 0, and psi1 > 0 for x > 0: near 0, tanh(x) + u'/u = (-1 - eps) x
-        + O(x^3), and -1 - eps > 0.
+        + O(x^3), and -1 - eps > 0.  Raises as ``psi0`` does.
         """
         _check_samples(self._excited_half, "excited state", self)
-        return RealWave(self.grid, mirror(self._excited_half, 1)).normalize()
+        return normalized(mirror(self._excited_half, 1), self.grid.h)

@@ -110,7 +110,7 @@ def classify(partner: Partner) -> WellClassification:
         separatrix=separatrix_energy(eps_val),
         curvature_origin=curvature_at_origin(eps_val),
         density_maxima_count=count_even_density_maxima(
-            partner.psi0.samples[partner.grid.center_index:] ** 2),
+            partner.psi0[partner.grid.center_index:] ** 2),
     )
 
 
@@ -123,7 +123,7 @@ def check_bimodality_relation(partner: Partner) -> Tuple[float, float, float]:
     """
     eps_val, grid = partner.epsilon, partner.grid
     mid = grid.center_index
-    r = partner.psi0.samples[mid - 2:mid + 3] ** 2
+    r = partner.psi0[mid - 2:mid + 3] ** 2
     lhs = (-r[0] + 16 * r[1] - 30 * r[2] + 16 * r[3] - r[4]) / (12 * (grid.h * grid.h))
     rhs = 2.0 * (separatrix_energy(eps_val) - eps_val) * r[2]
     rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-30)

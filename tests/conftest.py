@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from shallowdw import Grid, GridTooNarrow, Partner, RealWave, verify_spectrum
-from shallowdw.grids import first_derivative
+from shallowdw import Grid, GridTooNarrow, Partner, oracle
+from shallowdw.grids import first_derivative, normalized
 from shallowdw.transform import _sech
 
 # every run draws the same examples, and none replays a failure that an
@@ -22,7 +22,26 @@ def default_grid():
 @functools.lru_cache(maxsize=None)
 def cached_report(eps: float, x_max: float = 20.0, n_points: int = 4001):
     """Share eigensolver runs between test modules."""
-    return verify_spectrum(Partner(eps, Grid(x_max, n_points)))
+    return oracle.verify(Partner(eps, Grid(x_max, n_points)))
+
+
+def lowest_eigenpairs(H, k):
+    """k smallest eigenpairs of H, ascending; eigenvectors trapezoid-normalized.
+
+    Deterministic: coarse-to-fine or bisection-seeded twisted factorizations
+    with Newton shifts, each level certified by Sturm counts, one parity
+    sector per level.  Only low-lying states are meaningful under the
+    Dirichlet truncation, hence k <= 6.
+    """
+    if not 1 <= k <= min(6, H.grid.n_points):
+        raise ValueError("k must be between 1 and min(6, n_points)")
+    pairs = (oracle._sector_eigenpair(H, level % 2, level // 2) for level in range(k))
+    return [(energy, normalized(v, H.grid.h)) for energy, v in pairs]
+
+
+def overlap(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """Trapezoid inner product <a, b> of real samples on grid."""
+    return float(np.trapezoid(a * b, dx=grid.h))
 
 
 def numerov_matrix(grid: Grid, potential) -> np.ndarray:
@@ -71,8 +90,8 @@ def lc_state(eps, grid, t) -> np.ndarray:
     for evolve_series.
     """
     partner = Partner(eps, grid)
-    psi = np.sqrt(0.5) * (np.exp(-1j * partner.epsilon * t) * partner.psi0.samples
-                          + np.exp(1j * t) * partner.psi1.samples)
+    psi = np.sqrt(0.5) * (np.exp(-1j * partner.epsilon * t) * partner.psi0
+                          + np.exp(1j * t) * partner.psi1)
     assert abs(norm_squared(psi, grid) - 1.0) <= 1e-10, f"lc_state norm at t={t}"
     return psi
 
@@ -87,13 +106,12 @@ def left_well_probability(psi: np.ndarray, grid: Grid) -> float:
     return float(np.trapezoid(np.abs(psi[: mid + 1]) ** 2, dx=grid.h))
 
 
-def base_ground_state(grid: Grid) -> RealWave:
+def base_ground_state(grid: Grid) -> np.ndarray:
     """Ground state sqrt(1/2) sech(x) of the base sech^2 well, energy -1."""
     # analytic L2 norm over R is 1; grid truncation must be negligible
     if 2.0 * (1.0 - np.tanh(grid.x_max)) > 1e-10:
         raise GridTooNarrow("grid too narrow for sech(x) normalization")
-    samples = np.sqrt(0.5) * _sech(grid.x)
-    return RealWave(grid, samples).normalize()
+    return normalized(np.sqrt(0.5) * _sech(grid.x), grid.h)
 
 
 def second_derivative(samples: np.ndarray, h: float) -> np.ndarray:
@@ -109,15 +127,14 @@ def second_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def _apply(partner: Partner, f: RealWave, sign: float) -> RealWave:
-    if f.grid != partner.grid:
-        raise ValueError("f is not on the partner's grid")
-    return RealWave(f.grid, sign * first_derivative(f.samples, f.grid.h)
-                    + partner.w * f.samples)
+def _apply(partner: Partner, f: np.ndarray, sign: float) -> np.ndarray:
+    if np.shape(f) != (partner.grid.n_points,):
+        raise ValueError("f is not sampled on the partner's grid")
+    return sign * first_derivative(f, partner.grid.h) + partner.w * f
 
 
-def apply_a(partner: Partner, f: RealWave) -> RealWave:
-    """Apply A = -d/dx + u'/u to a wave on the partner's grid.
+def apply_a(partner: Partner, f: np.ndarray) -> np.ndarray:
+    """Apply A = -d/dx + u'/u to samples on the partner's grid.
 
     The derivative uses 4th-order central differences (one-sided at the
     edges); the superpotential term is the partner's closed-form u'/u.
@@ -125,8 +142,8 @@ def apply_a(partner: Partner, f: RealWave) -> RealWave:
     return _apply(partner, f, -1.0)
 
 
-def apply_a_dagger(partner: Partner, f: RealWave) -> RealWave:
-    """Apply A+ = +d/dx + u'/u to a wave on the partner's grid.
+def apply_a_dagger(partner: Partner, f: np.ndarray) -> np.ndarray:
+    """Apply A+ = +d/dx + u'/u to samples on the partner's grid.
 
     A+ annihilates 1/u, which is how the partner ground state inherits
     eigenvalue eps from Xi = A A+ + eps.
@@ -134,7 +151,7 @@ def apply_a_dagger(partner: Partner, f: RealWave) -> RealWave:
     return _apply(partner, f, 1.0)
 
 
-def check_intertwining(partner: Partner, f: RealWave) -> float:
+def check_intertwining(partner: Partner, f: np.ndarray) -> float:
     """Relative max-norm residual of (Xi A - A eta) f over interior nodes.
 
     Applies the operators themselves to a test function: an independent
@@ -143,13 +160,13 @@ def check_intertwining(partner: Partner, f: RealWave) -> float:
     discretization-limited (~1e-8 for smooth decaying f on the default
     grid).  ``f`` must be sampled on the partner's grid.
     """
-    af = apply_a(partner, f).samples
-    h = f.grid.h
+    af = apply_a(partner, f)
+    h = partner.grid.h
     sl = slice(4, -4)  # chained stencils spoil one more node than eigen_residual drops
-    w, v_base, samples = partner.w, partner.base_well, f.samples
+    w, v_base, samples = partner.w, partner.base_well, f
 
     eta_f = -second_derivative(samples, h) + v_base * samples
-    rhs = apply_a(partner, RealWave(f.grid, eta_f)).samples
+    rhs = apply_a(partner, eta_f)
     # lhs - rhs without D2(D1 f) - D1(D2 f): on these nodes both are the same
     # interior convolutions, so that term is 0 but for roundoff ~ eps_mach/h^3
     diff = (-second_derivative(w * samples, h) + partner.potential * af

@@ -217,11 +217,11 @@ class TestVerifyCommand:
                 return real(*args, **kwargs)
             return wrapper
 
-        for module, name in [(oracle, "verify_spectrum"),
+        for module, name in [(oracle, "bound_levels"),
                              (wells, "check_bimodality_relation")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert run(["verify", "--epsilon", -1.5]) == 0
-        assert calls == {"verify_spectrum": 1, "check_bimodality_relation": 1}
+        assert calls == {"bound_levels": 1, "check_bimodality_relation": 1}
 
     def test_solver_failure_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
@@ -385,8 +385,8 @@ class TestSweepCommand:
         assert np.all(rows[:, 1:] < 1e-4)
 
     def test_rows_solve_for_energies_alone(self, tmp_path, monkeypatch):
-        # a row reads e0_error and e1_error only: no closed-form residual
-        # and no verify_spectrum report
+        # a row reads e0_error and e1_error only: one solve per row and no
+        # closed-form residual
         calls = Counter()
 
         def counting(name, real):
@@ -395,14 +395,15 @@ class TestSweepCommand:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("eigen_residual", "verify_spectrum"):
+        for name in ("eigen_residual", "bound_levels"):
             monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
         assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5, "--steps", 2,
                     "--quantities", "e0_error,e1_error", "--out", tmp_path / "s.csv"]) == 0
-        assert calls == Counter()
+        assert calls == {"bound_levels": 2}
         # the same hooks count a verify run's residuals
+        calls.clear()
         assert run(["verify", "--epsilon", -1.5, "--out", tmp_path / "v.json"]) == 0
-        assert calls == {"verify_spectrum": 1, "eigen_residual": 2}
+        assert calls == {"bound_levels": 1, "eigen_residual": 2}
 
     @pytest.mark.parametrize("points", [4001, 16003])
     def test_error_columns_are_verify_values(self, tmp_path, points):

@@ -30,7 +30,7 @@ class TestLcState:
         psi = lc_state(-1.5, default_grid, 0.0)
         assert np.max(np.abs(psi.imag)) == 0.0
         partner = Partner(-1.5, default_grid)
-        expected = (partner.psi0.samples + partner.psi1.samples) / np.sqrt(2)
+        expected = (partner.psi0 + partner.psi1) / np.sqrt(2)
         assert np.max(np.abs(psi.real - expected)) < 1e-14
 
     def test_norm_conserved(self, default_grid):
@@ -52,7 +52,7 @@ class TestLeftWellProbability:
                              ids=["ground_state", "excited_state"])
     def test_stationary_states_sit_at_half(self, state, default_grid):
         wave = getattr(Partner(-1.5, default_grid), state)
-        psi = wave.samples.astype(complex)
+        psi = wave.astype(complex)
         assert norm_squared(psi, default_grid) == pytest.approx(1.0, abs=1e-10)
         assert left_well_probability(psi, default_grid) == pytest.approx(0.5, abs=1e-10)
 
@@ -61,7 +61,7 @@ class TestLeftWellProbability:
         p = left_well_probability(lc_state(-1.05, default_grid, 0.0), default_grid)
         assert p < 0.5
         partner = Partner(-1.05, default_grid)
-        psi0, psi1 = partner.psi0.samples, partner.psi1.samples
+        psi0, psi1 = partner.psi0, partner.psi1
         mid = default_grid.center_index
         cross = np.trapezoid((psi0 * psi1)[: mid + 1], dx=default_grid.h)
         assert p == pytest.approx(0.5 + cross, abs=1e-12)
@@ -93,7 +93,7 @@ class TestEvolveSeries:
 
         # fitted amplitude equals the t=0 left-half cross integral
         partner = Partner(eps, default_grid)
-        psi0, psi1 = partner.psi0.samples, partner.psi1.samples
+        psi0, psi1 = partner.psi0, partner.psi1
         mid = default_grid.center_index
         cross = np.trapezoid((psi0 * psi1)[: mid + 1], dx=default_grid.h)
         assert coeffs[0] == pytest.approx(cross, abs=1e-6)

@@ -88,7 +88,7 @@ class TestTableBytes:
     def test_states(self, tmp_path, fmt, eps):
         grid = Grid(X_MAX, POINTS)
         partner = Partner(eps, grid)
-        psi0, psi1 = partner.psi0.samples, partner.psi1.samples
+        psi0, psi1 = partner.psi0, partner.psi1
         rows = zip(grid.x, partner.potential, psi0, psi1, psi0**2)
         assert (emitted(tmp_path, ["states", "--epsilon", eps, *GRID_ARGS], fmt)
                 == reference(fmt, ("x", "V", "psi0", "psi1", "rho0"), rows))
@@ -103,7 +103,7 @@ class TestTableBytes:
                 raise oracle.ConvergenceFailure("forced")
             return real(partner)
 
-        # the sweep's oracle solve, which verify_spectrum builds on too
+        # the sweep's oracle solve, which verify builds on too
         monkeypatch.setattr(oracle, "bound_levels", flaky)
         quantities = ["separatrix", "curvature", "gap", "maxima_count",
                       "e0_error", "e1_error"]
@@ -111,7 +111,7 @@ class TestTableBytes:
         rows = []
         for eps in map(float, eps_values):
             try:
-                report = oracle.verify_spectrum(Partner(eps, grid))
+                report = oracle.verify(Partner(eps, grid))
                 rows.append((eps, separatrix_energy(eps), curvature_at_origin(eps),
                              abs(1.0 + eps), wells.classify(Partner(eps, grid)).density_maxima_count,
                              report.e0_error, report.e1_error))
@@ -277,10 +277,10 @@ def test_emitted_columns_are_bitwise_even_or_odd(eps, width, extra):
     # that saving would go
     grid = grid_for(eps, width, extra)
     partner = Partner(eps, grid)
-    psi0 = partner.psi0.samples
+    psi0 = partner.psi0
     c = grid.center_index
     for col, parity in ((grid.x, "odd"), (partner.potential, "even"), (psi0, "even"),
-                        (partner.psi1.samples, "odd"), (psi0**2, "even")):
+                        (partner.psi1, "odd"), (psi0**2, "even")):
         bits = col.view(np.uint64)
         before, after = bits[:c], bits[:c:-1]
         if parity == "odd":
@@ -297,8 +297,8 @@ LARGE_GRID_CASES = [
 def assert_bytes_at(tmp_path, n, command, header, fmt):
     grid = Grid(X_MAX, n)
     partner = Partner(-2.2, grid)
-    psi0 = partner.psi0.samples
-    columns = (grid.x, partner.potential, psi0, partner.psi1.samples, psi0**2)
+    psi0 = partner.psi0
+    columns = (grid.x, partner.potential, psi0, partner.psi1, psi0**2)
     got = emitted(tmp_path, [command, "--epsilon", -2.2, "--x-max", X_MAX,
                              "--points", n], fmt)
     assert got == reference(fmt, header, zip(*columns[:len(header)]))

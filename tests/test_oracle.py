@@ -10,17 +10,15 @@ from shallowdw import (
     ConvergenceFailure,
     Grid,
     Partner,
-    RealWave,
     TridiagonalHamiltonian,
     eigen_residual,
-    lowest_eigenpairs,
     sturm_count,
-    verify_spectrum,
 )
 
 from shallowdw import oracle, transform
-from shallowdw.grids import mirror
-from conftest import base_ground_state, cached_report, check_intertwining, numerov_matrix
+from shallowdw.grids import mirror, normalized
+from conftest import (base_ground_state, cached_report, check_intertwining, lowest_eigenpairs,
+                      numerov_matrix, overlap)
 
 # eigenvalue errors of the partner levels stop falling near 1e-14
 ROUNDING_FLOOR = 1e-13
@@ -67,7 +65,7 @@ class TestEigensolverSelfTests:
         H = TridiagonalHamiltonian(default_grid, -2.0 / np.cosh(default_grid.x) ** 2)
         (e0, psi), = lowest_eigenpairs(H, 1)
         assert e0 == pytest.approx(-1.0, abs=1e-5)
-        assert abs(psi.overlap(base_ground_state(default_grid))) > 0.999999
+        assert abs(overlap(psi, base_ground_state(default_grid), default_grid)) > 0.999999
 
     def test_deep_well(self):
         # bisection tolerance is relative: an absolute 1e-12 is below
@@ -97,12 +95,10 @@ class TestEigensolverSelfTests:
         short = np.zeros(default_grid.n_points - 1)
         with pytest.raises(ValueError, match="potential length"):
             TridiagonalHamiltonian(default_grid, short)
-        with pytest.raises(ValueError, match="sample count"):
-            RealWave(default_grid, short)
 
     def test_zero_wave_not_normalized(self, default_grid):
         with pytest.raises(ValueError, match="zero wave"):
-            RealWave(default_grid, np.zeros(default_grid.n_points)).normalize()
+            normalized(np.zeros(default_grid.n_points), default_grid.h)
 
     def test_levels_closer_than_the_residual_target(self):
         # four identical wells far apart: each sector holds two levels that
@@ -128,7 +124,7 @@ class TestEigensolverSelfTests:
         b = lowest_eigenpairs(H, 2)
         for (ea, wa), (eb, wb) in zip(a, b):
             assert ea == eb
-            assert np.array_equal(wa.samples, wb.samples)
+            assert np.array_equal(wa, wb)
 
 
 class TestNumerovSafety:
@@ -160,8 +156,8 @@ class TestNumerovSafety:
         assert H.coarse is None
         assert sum(H.bound_counts) == 2
         # k h = 0.25 and 0.14 under-resolve psi0: the solve itself is checked
-        report = verify_spectrum(partner)
-        assert report.e0_error < 1.0 and report.e1_error < 1e-2
+        levels = oracle.bound_levels(partner)
+        assert levels.e0_error < 1.0 and levels.e1_error < 1e-2
 
     def test_coarse_failure_does_not_surface(self, default_grid, monkeypatch):
         # a ConvergenceFailure on the coarse grid falls back to bisection here
@@ -184,7 +180,7 @@ def bisection_only(H, monkeypatch):
 
 
 def same_pairs(a, b):
-    return all(ea == eb and np.array_equal(wa.samples, wb.samples)
+    return all(ea == eb and np.array_equal(wa, wb)
                for (ea, wa), (eb, wb) in zip(a, b))
 
 
@@ -210,7 +206,7 @@ class TestCoarseToFine:
         target = oracle.RESIDUAL_TOL * (4.0 / H.grid.h**2 + np.max(np.abs(H.potential)))
         for (ea, wa), (eb, wb) in zip(lowest_eigenpairs(H, 2), bisection_only(H, monkeypatch)):
             assert abs(ea - eb) <= target
-            assert abs(wa.overlap(wb)) > 1.0 - 1e-12
+            assert abs(overlap(wa, wb, H.grid)) > 1.0 - 1e-12
 
     def test_wrong_coarse_estimate_falls_back(self, monkeypatch):
         # the coarse grid hands up the next level of the sector (5 for 1 and
@@ -328,7 +324,7 @@ class TestSturmCount:
             return counted(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "sturm_count", counting)
-        verify_spectrum(Partner(eps, default_grid))
+        oracle.verify(Partner(eps, default_grid))
         assert 0 < len(calls) <= 40
 
 
@@ -352,12 +348,12 @@ class TestEigenResidual:
         grid = Grid(3.0, n)
         H = TridiagonalHamiltonian(grid, np.zeros(n))
         with pytest.raises(ValueError, match="at least 7 points"):
-            eigen_residual(H, RealWave(grid, np.ones(n)), 0.0)
+            eigen_residual(H, np.ones(n), 0.0)
 
     def test_smallest_measurable_grid(self):
         grid = Grid(3.0, 7)
         H = TridiagonalHamiltonian(grid, np.zeros(7))
-        assert eigen_residual(H, RealWave(grid, np.ones(7)), 0.0) == 0.0
+        assert eigen_residual(H, np.ones(7), 0.0) == 0.0
 
 
 class TestSectorResidual:
@@ -385,7 +381,7 @@ class TestSectorResidual:
         partner = Partner(-2.5, Grid(20.0, n))
         oracle.bound_levels(partner)
         assert calls == []
-        verify_spectrum(partner)  # only the closed-form states' residuals
+        oracle.verify(partner)  # only the closed-form states' residuals
         assert len(calls) == 2
 
     @pytest.mark.parametrize("n", [1999, 4001, 16001])
@@ -401,7 +397,7 @@ class TestIntertwining:
 
     # the operator-level cross-check (Xi A - A eta) f of the same identities
     def test_gaussian(self, default_grid):
-        bump = RealWave(default_grid, np.exp(-default_grid.x**2))
+        bump = np.exp(-default_grid.x**2)
         assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
 
     def test_random_bump_family(self, default_grid):
@@ -409,8 +405,7 @@ class TestIntertwining:
         for _ in range(10):
             center = rng.uniform(-3.0, 3.0)
             width = rng.uniform(0.5, 2.0)
-            bump = RealWave(default_grid,
-                            np.exp(-((default_grid.x - center) / width) ** 2))
+            bump = np.exp(-((default_grid.x - center) / width) ** 2)
             assert check_intertwining(Partner(-1.5, default_grid), bump) < 1e-4
 
     def test_base_ground_state_input(self, default_grid):
@@ -418,7 +413,7 @@ class TestIntertwining:
         assert check_intertwining(Partner(-1.5, default_grid), base_ground_state(default_grid)) < 1e-4
 
     def test_zero_input(self, default_grid):
-        zero = RealWave(default_grid, np.zeros(default_grid.n_points))
+        zero = np.zeros(default_grid.n_points)
         assert check_intertwining(Partner(-1.5, default_grid), zero) == 0.0
 
     def test_grid_without_interior_nodes_rejected(self):
@@ -485,7 +480,7 @@ class TestVerifySpectrum:
         # wrong count is planted to reach the solver's own consistency check
         monkeypatch.setattr(oracle.TridiagonalHamiltonian, "bound_counts", (1, 0))
         with pytest.raises(BoundStateCountMismatch, match="found 1"):
-            verify_spectrum(Partner(-1.05, default_grid))
+            oracle.bound_levels(Partner(-1.05, default_grid))
 
 
 class TestVerify:

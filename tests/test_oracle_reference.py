@@ -10,10 +10,10 @@ The counts must therefore agree at every lam, rounding included.
 import numpy as np
 import pytest
 
-from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, verify_spectrum
-from shallowdw.oracle import PIVMIN, lowest_eigenpairs, sturm_count
+from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle
+from shallowdw.oracle import PIVMIN, sturm_count
 
-from conftest import counting_view, dense_sector_levels
+from conftest import counting_view, dense_sector_levels, lowest_eigenpairs
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -117,7 +117,7 @@ class TestTurningPointCount:
 
         monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
         monkeypatch.setattr(oracle, "sturm_count", measuring)
-        verify_spectrum(Partner(-1.5, Grid(20.0, 4001)))
+        oracle.bound_levels(Partner(-1.5, Grid(20.0, 4001)))
         fine = [f for n, lam, f in read if n == 4001]
         # the levels below 0 come from bound_counts, not from a count at
         # lam = 0, so every count stops short of the edge
@@ -162,7 +162,7 @@ class TestBoundCounts:
         for n in (4001, 4003):
             passes.clear()
             lams.clear()
-            verify_spectrum(Partner(-1.5, Grid(20.0, n)))
+            oracle.bound_levels(Partner(-1.5, Grid(20.0, n)))
             assert sorted((m, parity) for m, parity, _ in passes) == [(501, 0), (n, 0)]
             assert all(a.lengths == [len(a)] for _, _, a in passes)
             assert lams and 0.0 not in lams
@@ -246,7 +246,7 @@ class TestTwistedVector:
         # divides each by its mass-matrix level 1 - mu/12
         mu = np.array([2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
         assert [e for e, _ in pairs] == pytest.approx(mu / (1.0 - mu / 12.0))
-        odd = pairs[1][1].samples
+        odd = pairs[1][1]
         assert odd[1] == 0.0 and odd[0] == -odd[2]
 
     @pytest.mark.parametrize("parity", [0, 1])

@@ -14,7 +14,7 @@ from shallowdw import (
     Grid,
     InvalidEpsilon,
     Partner,
-    RealWave,
+    grids,
     oracle,
     potential,
     potential_log_form,
@@ -22,7 +22,8 @@ from shallowdw import (
 )
 from shallowdw.cli import main
 
-from conftest import apply_a, apply_a_dagger, base_ground_state, check_intertwining
+from conftest import (apply_a, apply_a_dagger, base_ground_state, check_intertwining,
+                      norm_squared)
 
 SWEEP_ALL = "separatrix,curvature,gap,maxima_count,e0_error,e1_error"
 
@@ -107,11 +108,10 @@ class TestLazyFields:
         partner = Partner(eps, grid)
         expected = {"potential": potential(eps, x), "w": seed.du / seed.u,
                     "base_well": -2.0 * seed.sech2,
-                    **{name: RealWave(grid, samples).normalize().samples
+                    **{name: samples / np.sqrt(np.trapezoid(samples**2, dx=grid.h))
                        for name, samples in states.items()}}
         for name, values in expected.items():
-            got = getattr(partner, name)
-            got = bits(getattr(got, "samples", got))
+            got = bits(getattr(partner, name))
             assert np.array_equal(got, bits(values)), name
             # row i against row n-1-i: w(0) is -0.0, and odd fields keep it
             before, after = got[:n // 2], got[:n // 2:-1]
@@ -158,7 +158,8 @@ class TestLazyFields:
     @pytest.mark.parametrize("state", ["psi0", "psi1"])
     def test_spacing_checked_against_the_decay_length(self, state):
         # eps = -4: k = 2, so h = 0.25 is exactly two nodes per decay length
-        assert getattr(Partner(-4.0, Grid(25.0, 201)), state).norm_squared() == (
+        grid = Grid(25.0, 201)
+        assert norm_squared(getattr(Partner(-4.0, grid), state), grid) == (
             pytest.approx(1.0, abs=1e-10))
         with pytest.raises(transform.GridTooCoarse, match="too coarse"):
             getattr(Partner(-4.0, Grid(25.0, 199)), state)
@@ -168,9 +169,9 @@ class TestLazyFields:
         partner = Partner(-1.5, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert partner.psi1.samples[-1] == 0.0
+            assert partner.psi1[-1] == 0.0
             assert partner.base_well[-1] == 0.0
-            assert base_ground_state(grid).samples[-1] == 0.0
+            assert base_ground_state(grid)[-1] == 0.0
 
     def test_narrow_potential_exits_0(self, tmp_path):
         assert run(["potential", "--epsilon", -1.05, "--x-max", 3, "--points", 601,
@@ -204,17 +205,17 @@ class TestLazyFields:
 
 
 def test_intertwining_rejects_a_wave_on_another_grid(default_grid):
-    grid = Grid(10.0, default_grid.n_points)
+    # samples carry no grid: one of another node count is what can be caught
+    grid = Grid(10.0, default_grid.n_points + 2)
     with pytest.raises(ValueError, match="partner's grid"):
-        check_intertwining(Partner(-1.5, default_grid),
-                           RealWave(grid, np.exp(-grid.x**2)))
+        check_intertwining(Partner(-1.5, default_grid), np.exp(-grid.x**2))
 
 
 @pytest.mark.parametrize("operator", [apply_a, apply_a_dagger])
 def test_ladder_operators_reject_a_wave_on_another_grid(operator, default_grid):
-    grid = Grid(10.0, default_grid.n_points)
+    grid = Grid(10.0, default_grid.n_points + 2)
     with pytest.raises(ValueError, match="partner's grid"):
-        operator(Partner(-1.5, default_grid), RealWave(grid, np.exp(-grid.x**2)))
+        operator(Partner(-1.5, default_grid), np.exp(-grid.x**2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,4 +305,9 @@ def test_exports_resolve_and_the_wrapper_layer_is_gone():
     # nothing in the package applies the ladder operators: the tests do
     for name in ("apply_a", "apply_a_dagger", "base_ground_state", "_apply"):
         assert name not in shallowdw.__all__ and not hasattr(transform, name)
-    assert len(shallowdw.__all__) == 26
+    # one solve result and one report; states are plain arrays, and only the
+    # tests ask for more than the two bound levels
+    for name in ("RealWave", "SpectrumReport", "verify_spectrum", "lowest_eigenpairs"):
+        assert name not in shallowdw.__all__ and not hasattr(shallowdw, name)
+        assert not hasattr(oracle, name) and not hasattr(grids, name)
+    assert len(shallowdw.__all__) == 22

@@ -10,7 +10,6 @@ from shallowdw import (
     GridTooNarrow,
     InvalidEpsilon,
     Partner,
-    RealWave,
     curvature_at_origin,
     potential,
     potential_log_form,
@@ -18,7 +17,9 @@ from shallowdw import (
     transform,
 )
 
-from conftest import apply_a, apply_a_dagger, base_ground_state
+from shallowdw.grids import normalized
+
+from conftest import apply_a, apply_a_dagger, base_ground_state, norm_squared, overlap
 
 EPS_SWEEP = [-1.05, -1.5, -2.0, -2.25, -2.95, -3.7, -6.0, -10.0]
 
@@ -189,15 +190,15 @@ class TestGroundState:
     @pytest.mark.parametrize("eps", [-1.05, -1.10, -2.0, -2.25, -3.5])
     def test_normalized_even_positive(self, eps, default_grid):
         psi = Partner(eps, default_grid).psi0
-        assert psi.norm_squared() == pytest.approx(1.0, abs=1e-10)
-        assert np.all(psi.samples > 0.0)
-        assert np.max(np.abs(psi.samples - psi.samples[::-1])) < 1e-12
+        assert norm_squared(psi, default_grid) == pytest.approx(1.0, abs=1e-10)
+        assert np.all(psi > 0.0)
+        assert np.max(np.abs(psi - psi[::-1])) < 1e-12
 
     def test_maxima_counts(self, default_grid):
         from shallowdw import count_density_maxima
 
-        rho_bimodal = Partner(-1.10, default_grid).psi0.samples ** 2
-        rho_central = Partner(-2.25, default_grid).psi0.samples ** 2
+        rho_bimodal = Partner(-1.10, default_grid).psi0 ** 2
+        rho_central = Partner(-2.25, default_grid).psi0 ** 2
         assert count_density_maxima(rho_bimodal) == 2
         assert count_density_maxima(rho_central) == 1
 
@@ -209,11 +210,11 @@ class TestGroundState:
 class TestBaseGroundState:
     def test_center_value_and_parity(self, default_grid):
         phi = base_ground_state(default_grid)
-        assert phi.samples[default_grid.center_index] == pytest.approx(
+        assert phi[default_grid.center_index] == pytest.approx(
             np.sqrt(0.5), abs=1e-12)
         # linspace nodes mirror only to rounding, so parity does too
-        assert np.max(np.abs(phi.samples - phi.samples[::-1])) < 1e-15
-        assert phi.norm_squared() == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(phi - phi[::-1])) < 1e-15
+        assert norm_squared(phi, default_grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_narrow_grid_rejected(self):
         with pytest.raises(GridTooNarrow):
@@ -224,35 +225,34 @@ class TestLadderOperators:
     def test_a_dagger_annihilates_inverse_seed(self, default_grid):
         partner = Partner(-1.5, default_grid)
         f = partner.psi0  # proportional to 1/u
-        out = apply_a_dagger(partner, f).samples
+        out = apply_a_dagger(partner, f)
         interior = slice(2, -2)
-        assert np.max(np.abs(out[interior])) < 1e-8 * np.max(np.abs(f.samples))
+        assert np.max(np.abs(out[interior])) < 1e-8 * np.max(np.abs(f))
 
     def test_a_dagger_linearity_zero(self, default_grid):
-        zero = RealWave(default_grid, np.zeros(default_grid.n_points))
-        assert np.array_equal(apply_a_dagger(Partner(-1.5, default_grid), zero).samples, zero.samples)
+        zero = np.zeros(default_grid.n_points)
+        assert np.array_equal(apply_a_dagger(Partner(-1.5, default_grid), zero), zero)
 
     def test_factorization_recovers_base_eigenvalue(self, default_grid):
         # (A+ A + eps) phi0 = -phi0 for every eps
         eps = -1.5
         phi = base_ground_state(default_grid)
-        out = apply_a_dagger(Partner(eps, default_grid), apply_a(Partner(eps, default_grid), phi)).samples + eps * phi.samples
+        out = apply_a_dagger(Partner(eps, default_grid), apply_a(Partner(eps, default_grid), phi)) + eps * phi
         interior = slice(4, -4)
-        assert np.max(np.abs(out[interior] + phi.samples[interior])) < 1e-6
+        assert np.max(np.abs(out[interior] + phi[interior])) < 1e-6
 
     def test_a_phi0_is_excited_state(self, default_grid):
         eps = -1.5
         raw = apply_a(Partner(eps, default_grid), base_ground_state(default_grid))
-        wave = raw.normalize()
+        wave = normalized(raw, default_grid.h)
         psi1 = Partner(eps, default_grid).psi1
-        sign = np.sign(wave.samples[default_grid.center_index + 1])
-        assert np.max(np.abs(sign * wave.samples - psi1.samples)) < 1e-8
+        sign = np.sign(wave[default_grid.center_index + 1])
+        assert np.max(np.abs(sign * wave - psi1)) < 1e-8
 
     def test_parity_flip(self, default_grid):
         # odd input -> even output: both -d/dx and u'/u flip parity
-        odd = RealWave(default_grid,
-                       np.sin(default_grid.x) * np.exp(-default_grid.x**2))
-        out = apply_a(Partner(-2.25, default_grid), odd).samples
+        odd = np.sin(default_grid.x) * np.exp(-default_grid.x**2)
+        out = apply_a(Partner(-2.25, default_grid), odd)
         interior = slice(3, -3)
         mirrored = out[::-1]
         assert np.max(np.abs(out[interior] - mirrored[interior])) < 1e-9
@@ -263,12 +263,12 @@ class TestExcitedState:
     def test_odd_single_node_normalized(self, eps, default_grid):
         psi = Partner(eps, default_grid).psi1
         mid = default_grid.center_index
-        assert psi.samples[mid] == 0.0
-        assert psi.norm_squared() == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(psi.samples + psi.samples[::-1])) < 1e-12
-        sign_changes = np.sum(np.diff(np.sign(psi.samples[np.abs(psi.samples) > 0])) != 0)
+        assert psi[mid] == 0.0
+        assert norm_squared(psi, default_grid) == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(psi + psi[::-1])) < 1e-12
+        sign_changes = np.sum(np.diff(np.sign(psi[np.abs(psi) > 0])) != 0)
         assert sign_changes == 1
-        assert psi.samples[mid + 1] > 0.0  # sign convention
+        assert psi[mid + 1] > 0.0  # sign convention
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-50.0, -1.0001), st.floats(20.0, 60.0), st.integers(2000, 8000))
@@ -276,7 +276,7 @@ class TestExcitedState:
         # the closed form itself has this sign; nothing flips it
         grid = Grid(x_max, 2 * half + 1)
         try:
-            psi = Partner(eps, grid).psi1.samples
+            psi = Partner(eps, grid).psi1
         except (GridTooNarrow, GridTooCoarse):
             assume(False)
         right = psi[grid.center_index + 1:]
@@ -284,4 +284,4 @@ class TestExcitedState:
 
     def test_orthogonal_to_ground(self, default_grid):
         partner = Partner(-1.5, default_grid)
-        assert abs(partner.psi0.overlap(partner.psi1)) < 1e-10
+        assert abs(overlap(partner.psi0, partner.psi1, default_grid)) < 1e-10

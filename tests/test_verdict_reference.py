@@ -37,20 +37,32 @@ def ref_intertwining_residual(eps, grid):
                float(np.max(np.abs(derivative[sl]))) / float(np.max(np.abs((v - v0)[sl]))))
 
 
+def ref_overlap(y, psi, h):
+    """|<y, psi>| with y scaled to unit trapezoid norm, by numpy's sums."""
+    y = y / np.sqrt(np.trapezoid(y**2, dx=h))
+    return abs(float(np.trapezoid(y * psi, dx=h)))
+
+
 def ref_verify(eps, grid):
     """(stdout, exit code) of `verify` as the CLI computed them inline."""
-    report = oracle.verify_spectrum(Partner(eps, grid))
+    partner = Partner(eps, grid)
+    levels = oracle.bound_levels(partner)
+    psi0, psi1 = partner.psi0, partner.psi1
+    psi0_residual = oracle.eigen_residual(levels.H, psi0, eps)
+    psi1_residual = oracle.eigen_residual(levels.H, psi1, -1.0)
+    psi0_overlap = ref_overlap(levels.y0, psi0, grid.h)
+    psi1_overlap = ref_overlap(levels.y1, psi1, grid.h)
     intertwining = ref_intertwining_residual(eps, grid)
     lhs, rhs, rel_err = wells.check_bimodality_relation(Partner(eps, grid))
 
     tol = REF_TOLERANCES
     checks = [
-        report.e0_error < tol["e0_error"],
-        report.e1_error < tol["e1_error"],
-        report.psi0_overlap > tol["overlap_min"],
-        report.psi1_overlap > tol["overlap_min"],
-        report.psi0_residual < tol["residual_max"],
-        report.psi1_residual < tol["residual_max"],
+        levels.e0_error < tol["e0_error"],
+        levels.e1_error < tol["e1_error"],
+        psi0_overlap > tol["overlap_min"],
+        psi1_overlap > tol["overlap_min"],
+        psi0_residual < tol["residual_max"],
+        psi1_residual < tol["residual_max"],
         intertwining < tol["intertwining_max"],
     ]
     if abs(separatrix_energy(eps) - eps) > 1e-3:
@@ -58,18 +70,18 @@ def ref_verify(eps, grid):
     passed = all(checks)
 
     payload = {
-        "epsilon": report.epsilon,
-        "e0_analytic": report.e0_analytic,
-        "e1_analytic": report.e1_analytic,
-        "e0_numeric": report.e0_numeric,
-        "e1_numeric": report.e1_numeric,
-        "e0_error": report.e0_error,
-        "e1_error": report.e1_error,
-        "psi0_residual": report.psi0_residual,
-        "psi1_residual": report.psi1_residual,
-        "psi0_overlap": report.psi0_overlap,
-        "psi1_overlap": report.psi1_overlap,
-        "gap_numeric": report.e1_numeric - report.e0_numeric,
+        "epsilon": eps,
+        "e0_analytic": eps,
+        "e1_analytic": -1.0,
+        "e0_numeric": levels.e0_numeric,
+        "e1_numeric": levels.e1_numeric,
+        "e0_error": levels.e0_error,
+        "e1_error": levels.e1_error,
+        "psi0_residual": psi0_residual,
+        "psi1_residual": psi1_residual,
+        "psi0_overlap": psi0_overlap,
+        "psi1_overlap": psi1_overlap,
+        "gap_numeric": levels.e1_numeric - levels.e0_numeric,
         "intertwining_residual": intertwining,
         "bimodality_lhs": lhs,
         "bimodality_rhs": rhs,

@@ -76,7 +76,7 @@ class TestClassify:
 class TestDensityMaxima:
     def test_base_well_density_is_unimodal(self, default_grid):
         phi = base_ground_state(default_grid)
-        assert count_density_maxima(phi.samples**2) == 1
+        assert count_density_maxima(phi**2) == 1
 
     def test_synthetic_bimodal(self, default_grid):
         x = default_grid.x
@@ -103,7 +103,7 @@ class TestDensityMaxima:
            st.sampled_from([1001, 4001, 16001]))
     def test_even_count_of_real_densities(self, eps, n):
         grid = Grid(20.0, n)
-        rho = Partner(eps, grid).psi0.samples ** 2
+        rho = Partner(eps, grid).psi0 ** 2
         assert (count_even_density_maxima(rho[grid.center_index:])
                 == count_density_maxima(rho))
 
