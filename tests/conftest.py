@@ -163,14 +163,14 @@ def check_intertwining(partner: Partner, f: np.ndarray) -> float:
     af = apply_a(partner, f)
     h = partner.grid.h
     sl = slice(4, -4)  # chained stencils spoil one more node than eigen_residual drops
-    w, v_base, samples = partner.w, partner.base_well, f
+    w, v_base = partner.w, partner.base_well
 
-    eta_f = -second_derivative(samples, h) + v_base * samples
+    eta_f = -second_derivative(f, h) + v_base * f
     rhs = apply_a(partner, eta_f)
     # lhs - rhs without D2(D1 f) - D1(D2 f): on these nodes both are the same
     # interior convolutions, so that term is 0 but for roundoff ~ eps_mach/h^3
-    diff = (-second_derivative(w * samples, h) + partner.potential * af
-            + first_derivative(v_base * samples, h) - w * eta_f)
+    diff = (-second_derivative(w * f, h) + partner.potential * af
+            + first_derivative(v_base * f, h) - w * eta_f)
 
     err = float(np.max(np.abs(diff[sl])))
     scale = float(np.max(np.abs(rhs[sl])))

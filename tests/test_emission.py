@@ -103,7 +103,7 @@ class TestTableBytes:
                 raise oracle.ConvergenceFailure("forced")
             return real(partner)
 
-        # the sweep's oracle solve, which verify builds on too
+        # the sweep's oracle solve
         monkeypatch.setattr(oracle, "bound_levels", flaky)
         quantities = ["separatrix", "curvature", "gap", "maxima_count",
                       "e0_error", "e1_error"]
@@ -111,7 +111,7 @@ class TestTableBytes:
         rows = []
         for eps in map(float, eps_values):
             try:
-                report = oracle.verify(Partner(eps, grid))
+                report = oracle.bound_levels(Partner(eps, grid))
                 rows.append((eps, separatrix_energy(eps), curvature_at_origin(eps),
                              abs(1.0 + eps), wells.classify(Partner(eps, grid)).density_maxima_count,
                              report.e0_error, report.e1_error))
