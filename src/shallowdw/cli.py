@@ -106,11 +106,8 @@ def _parity(col: np.ndarray) -> Optional[int]:
     """0 if col is bitwise even about its middle (col[i] == col[n-1-i]), 1 if
     odd (col[i] == -col[n-1-i], and no NaN, whose text has no sign), else None.
 
-    Only float64 columns qualify.  The bits are compared, so 0.0 and -0.0
-    are never swapped.
+    col is float64; its bits are compared, so 0.0 and -0.0 are never swapped.
     """
-    if col.dtype != np.float64:
-        return None
     bits = col.view(np.uint64)
     half = len(col) // 2
     before, after = bits[:half], bits[:len(col) - half - 1:-1]  # row i and row n-1-i
@@ -121,29 +118,31 @@ def _parity(col: np.ndarray) -> Optional[int]:
     return None
 
 
-def _cells(col: np.ndarray, start: int, stop: int, spellings: Sequence[str]) -> np.ndarray:
-    """One zero-padded row of ASCII per value of col[start:stop].
+def _cells(col: np.ndarray, spellings: Sequence[str]) -> np.ndarray:
+    """One zero-padded row of ASCII per value of col.
 
-    A float64 value's text is its repr, and NaN and infinity are spelled
-    ``spellings``; any other value's text is its str(), with the same
-    spellings for a float NaN or infinity in an object column.
+    A float64 value's text is its repr, formatted CSV_BLOCK_ROWS values at a
+    time, and NaN and infinity are spelled ``spellings``.  Of a column that
+    is bitwise even or odd about its middle (``_parity``), only rows n//2 on
+    are formatted: row i is row n-1-i's text, with the sign byte toggled if
+    odd.  Any other value's text is its str(), with the same spellings for a
+    float NaN or infinity in an object column.
     """
-    if col.dtype == np.float64:
-        return floatfmt.cells(col[start:stop], spellings)
-    text = [str(v) for v in col[start:stop].tolist()]
-    if spellings != floatfmt.SPELLINGS:
-        text = [s.replace("nan", spellings[0]).replace("inf", spellings[1]) for s in text]
-    return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
-
-
-def _joined(cells: Sequence[np.ndarray], layout: Sequence) -> bytes:
-    """Rows made of ``layout``'s parts, a column's index into ``cells`` or
-    separator bytes, with the zero bytes dropped."""
-    rows = len(cells[0])
-    mat = np.concatenate([cells[p] if isinstance(p, int)
-                          else np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
-                          for p in layout], axis=1)
-    return mat[mat != 0].tobytes()
+    if col.dtype != np.float64:
+        text = [str(v) for v in col.tolist()]
+        if spellings != floatfmt.SPELLINGS:
+            text = [s.replace("nan", spellings[0]).replace("inf", spellings[1]) for s in text]
+        return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
+    n = len(col)
+    parity = _parity(col)
+    half = 0 if parity is None else n // 2
+    cells = np.empty((n, floatfmt.WIDTH), np.uint8)
+    for start in range(half, n, CSV_BLOCK_ROWS):
+        cells[start:start + CSV_BLOCK_ROWS] = floatfmt.cells(
+            col[start:start + CSV_BLOCK_ROWS], spellings)
+    if parity is not None:
+        cells[:half] = cells[:n - half - 1:-1] ^ SIGN_TOGGLE[parity]
+    return cells
 
 
 def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence,
@@ -151,27 +150,17 @@ def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence,
     """The text of every row, in order, in chunks of up to CSV_BLOCK_ROWS rows.
 
     ``layout`` lists each row's parts: a column's index, or separator bytes.
-    Rows are formatted in pairs i and n-1-i, from the outside in, and the
-    text of rows n-1-i is kept until the rows before them are out.  In a
-    column that is bitwise even or odd about its middle (``_parity``), row
-    i is row n-1-i's text, with the sign byte toggled if odd; the bytes are
-    the same as formatting every value.
+    Each column is formatted once, whole, and the zero bytes of its cells
+    are dropped as the rows are joined.
     """
-    n = len(columns[0])
-    half = n // 2
-    parities = [_parity(col) for col in columns]
-    kept = []
-    for start in range(0, half, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, half)
-        upper = [_cells(col, n - stop, n - start, spellings) for col in columns]
-        lower = [_cells(col, start, stop, spellings) if parity is None
-                 else cells[::-1] ^ SIGN_TOGGLE[parity]
-                 for col, cells, parity in zip(columns, upper, parities)]
-        kept.append(_joined(upper, layout))
-        yield _joined(lower, layout)
-    if n % 2:
-        yield _joined([_cells(col, half, half + 1, spellings) for col in columns], layout)
-    yield from reversed(kept)
+    cells = [_cells(col, spellings) for col in columns]
+    n = len(cells[0])
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        rows = min(CSV_BLOCK_ROWS, n - start)
+        mat = np.concatenate([cells[p][start:start + rows] if isinstance(p, int)
+                              else np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+                              for p in layout], axis=1)
+        yield mat[mat != 0].tobytes()
 
 
 def _csv(header: Sequence[str], columns: Sequence[np.ndarray],

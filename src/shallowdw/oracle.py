@@ -366,7 +366,7 @@ def _twisted_step(H: TridiagonalHamiltonian, parity: int,
     z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity),
                                _turning_row(H, sigma, parity))
     y = z * (1.0 + a / NUMEROV_POLE)  # y = u / (1 - q/12)
-    norm2 = 2.0 * _sum_sq(y) - (y[0] * y[0] if parity == 0 else 0.0)
+    norm2 = 2.0 * _sum_sq(y) - (float(y[0] * y[0]) if parity == 0 else 0.0)
     y = np.concatenate(([0.0], y)) if parity else y
     # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
     # sigma-derivative is -h^2 ||y||^2 / ||u||^2

@@ -183,6 +183,14 @@ class TestVerifyCommand:
             for name, tolerance in (("psi0_residual", "5e-05"), ("psi1_residual", "5e-05"),
                                     ("bimodality_rel_err", "1e-05")))
 
+    def test_failed_checks_print_plain_floats(self, capsys):
+        # a grid of 101 nodes fails all six checks it runs; no value prints
+        # as a numpy scalar
+        assert run(["verify", "--epsilon", -1.5, "--points", 101]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 6 and not any("np." in line for line in err)
+        assert err[0] == "check failed: e0_error=0.0001960528907589687, tolerance 0.0001"
+
     def test_planted_base_well_defect_fails_intertwining(self, tmp_path, monkeypatch,
                                                          capsys):
         # only the intertwining check reads V0: a 0.1% error in it fails that alone

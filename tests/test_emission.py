@@ -214,7 +214,7 @@ class TestEdgeColumns:
             return real(values, *args)
 
         monkeypatch.setattr(floatfmt, "cells", counting)
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)  # a kernel call per row pair
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)  # a kernel call per row
         for fmt in ("csv", "json"):
             handed.clear()
             assert emit(fmt, ("c",), (col,)) == reference(fmt, ("c",), zip(col))
@@ -291,6 +291,7 @@ def test_emitted_columns_are_bitwise_even_or_odd(eps, width, extra):
 LARGE_GRID_CASES = [
     ("states", ("x", "V", "psi0", "psi1", "rho0"), "csv"),
     ("potential", ("x", "V"), "json"),
+    ("states", ("x", "V", "psi0", "psi1", "rho0"), "json"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Finite-difference eigensolver checks, including its own self-tests."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -519,3 +520,14 @@ class TestVerify:
         for check in report.checks:
             assert check.value == getattr(report, check.name)
             assert check.tolerance == oracle.VERIFY_TOLERANCES[check.name][0]
+
+    @pytest.mark.parametrize("eps, n", [(-1.5, 4001), (-1.5, 101), (-2.9, 4001)])
+    def test_report_holds_python_floats_and_bools(self, eps, n):
+        # a numpy scalar would print as np.float64(...) in a failed check's line
+        partner = Partner(eps, Grid(20.0, n))
+        levels = oracle.bound_levels(partner)
+        assert all(type(v) is float for v in levels[:4])
+        report = oracle.verify(partner)
+        assert all(type(getattr(report, f.name)) is float for f in fields(report))
+        assert all(type(check.passed) is bool for check in report.checks)
+        assert type(report.passed) is bool
