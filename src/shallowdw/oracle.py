@@ -241,8 +241,9 @@ def _negative_pivots(r: float, rows: Iterable[float]) -> Tuple[int, float]:
 def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     """Levels below lam of one sector (0 even, 1 odd): negative pivots 1 + r_i.
 
-    Valid while every q_i = h^2 (V_i - lam) < 12, the pole of a_i: for
-    lam >= min V, and so for every lam the solver asks about.
+    Every level lies above min V, so lam <= min V counts 0 without a pass.
+    Above min V every q_i = h^2 (V_i - lam) stays below 12, the pole of a_i,
+    since h^2 (max V - min V) < 12.
 
     Rows 1 .. turn are counted in full, an exact-zero pivot as a negative
     one.  Past the turning row every a_i >= 0, which makes the rest of the
@@ -252,6 +253,8 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     counting that one pivot if r <= -1.  While -1 < r < 0 the divisor 1 + r
     is positive, so the tail needs no PIVMIN either.
     """
+    if lam <= H.edge_min[0]:  # min V, since V is even
+        return 0
     a = _sector_rows(H, lam, parity)
     # converted ROW_BLOCK rows at a time: a pass usually stops well short
     rows = chain.from_iterable(a[i:i + ROW_BLOCK].tolist()
@@ -302,12 +305,11 @@ def _isolated(H: TridiagonalHamiltonian, parity: int, index: int,
 
     The caller knows that some level lies in [lo, hi]: a bracket holds one,
     and so does E -+ delta around a residual-checked E.  So no count is made
-    at hi <= 0 when the sector has index + 1 levels below 0, nor at
-    lo <= min V, below every level.
+    at hi <= 0 when the sector has index + 1 levels below 0.
     """
     return ((hi <= 0.0 and H.bound_counts[parity] == index + 1
              or sturm_count(H, hi, parity) == index + 1)
-            and (sturm_count(H, lo, parity) if lo > np.min(H.potential) else 0) == index)
+            and sturm_count(H, lo, parity) == index)
 
 
 def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:

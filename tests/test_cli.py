@@ -163,9 +163,14 @@ class TestVerifyCommand:
         assert payload["psi0_overlap"] > 0.99999
         assert payload["intertwining_residual"] < 1e-4
 
-    def test_above_barrier_regime_passes(self, tmp_path):
+    # 1999 nodes bisect both levels at full size, 4003 are seeded from 501,
+    # 16001 from 251 and 2001, and 64001 from 1001 and 8001
+    @pytest.mark.parametrize("eps, points", [(-2.25, 4001), (-2.9, 4001), (-2.9, 1999),
+                                             (-2.9, 4003), (-2.95, 16001),
+                                             (-50, 64001), (-200, 64001)])
+    def test_above_barrier_regime_passes(self, tmp_path, eps, points):
         out = tmp_path / "verify.json"
-        assert run(["verify", "--epsilon", -2.25, "--out", out]) == 0
+        assert run(["verify", "--epsilon", eps, "--points", points, "--out", out]) == 0
 
     def test_near_degenerate_gap(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -340,7 +345,7 @@ class TestEvolveCommand:
         assert rows.shape == (11, 2)
         assert sum("warning" in c for c in comments) == warned
 
-    @pytest.mark.parametrize("eps", [-1.5, -2.5])
+    @pytest.mark.parametrize("eps", [-1.5, -2.0, -2.5])
     def test_json_carries_the_warning_and_the_period(self, tmp_path, eps):
         # what the CSV writes as comments, JSON writes under its own keys
         csv_out, json_out = tmp_path / "evolve.csv", tmp_path / "evolve.json"
@@ -352,6 +357,7 @@ class TestEvolveCommand:
         assert list(payload) == ["t", "P_left", "warning", "analytic_period"]
         assert payload["P_left"] == rows[:, 1].tolist()
         assert comments[-1] == f"# analytic_period={payload['analytic_period']!r}"
+        assert payload["analytic_period"] > 0.0
         warnings = [c.removeprefix("# warning: ") for c in comments if "warning" in c]
         assert warnings == ([payload["warning"]] if payload["warning"] else [])
         assert (payload["warning"] is None) is (eps == -1.5)
@@ -413,14 +419,17 @@ class TestSweepCommand:
         assert run(["verify", "--epsilon", -1.5, "--out", tmp_path / "v.json"]) == 0
         assert calls == {"bound_levels": 1, "eigen_residual": 2}
 
-    @pytest.mark.parametrize("points", [4001, 16003])
+    @pytest.mark.parametrize("points", [4001, 16003, 16001])
     def test_error_columns_are_verify_values(self, tmp_path, points):
-        # the sweep's energy errors are verify's, bit for bit
+        # the sweep's energy errors are verify's, bit for bit, and below 1e-9
         out = tmp_path / "sweep.json"
-        assert run(["sweep", "--eps-start", -2.9, "--eps-end", -1.1, "--steps", 4,
+        assert run(["sweep", "--eps-start", -2.9, "--eps-end", -1.1, "--steps", 5,
                     "--points", points, "--quantities", "e0_error,e1_error",
                     "--format", "json", "--out", out]) == 0
         table = json.loads(out.read_text(encoding="utf-8"))
+        assert list(table) == ["epsilon", "e0_error", "e1_error"]
+        assert len(table["epsilon"]) == 5
+        assert max(table["e0_error"] + table["e1_error"]) < 1e-9
         grid = shallowdw.Grid(20.0, points)
         for eps, e0, e1 in zip(table["epsilon"], table["e0_error"], table["e1_error"]):
             report = oracle.verify(shallowdw.Partner(eps, grid))
@@ -601,7 +610,8 @@ class TestExitCodeTable:
     @pytest.mark.parametrize("args", [
         ["classify", "--epsilon=-inf"],
         ["sweep", "--eps-start=nan", "--eps-end", "-1.5", "--steps", "3"],
-    ], ids=["classify", "sweep"])
+        ["sweep", "--eps-start=-inf", "--eps-end", "-1.5", "--steps", "3"],
+    ], ids=["classify", "sweep", "sweep-inf"])
     def test_non_finite_epsilon_is_named_as_such(self, args, capsys):
         code, out, err = run_captured(args, capsys)
         assert (code, out) == (2, "")
@@ -682,6 +692,7 @@ def run_captured(args, capsys):
     (["classify", "--epsilon", "-inf"], 2),
     (["sweep", "--eps-start", "-2.9e0", "--eps-end", "-1.1e0", "--steps", "3"], 0),
     (["sweep", "--eps-start", "-2.9", "--eps-end", "-5e-1", "--steps", "3"], 2),
+    (["classify", "--epsilon", "-1e6", "--x-max", "0.05"], 0),  # k h = 0.025
 ])
 def test_negative_value_reads_the_same_after_a_space_or_equals(args, code, capsys):
     equals_form = []

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shallowdw import cli, dynamics, floatfmt, oracle, wells
 from shallowdw.cli import main
@@ -271,6 +271,7 @@ def grid_for(eps, width, extra):
 @given(st.one_of(st.floats(-3.0, EPSILON_MAX, exclude_min=True),
                  st.sampled_from([-50.0, -1e4])),
        st.floats(20.0, 40.0), st.integers(0, 1000))
+@example(eps=-2.2, width=20.0, extra=31934)  # Grid(20.0, 64001), as in the bytes test
 def test_emitted_columns_are_bitwise_even_or_odd(eps, width, extra):
     # the emission formats these columns from x >= 0 only; if a change to
     # the closed forms broke their symmetry the bytes would stay right but

@@ -38,8 +38,11 @@ def norm_bound(H):
 
 def check_sturm_count(H, where):
     levels = dense_levels(H)
-    # from min V up: below max V - 12/h^2 the Numerov a_i pass their pole
     low = np.min(H.potential)
+    # no level lies below min V, not even past max V - 12/h^2, where the
+    # Numerov a_i pass their pole
+    below = low - where * 1e3 * norm_bound(H)
+    assert sturm_count(H, below, 0) == sturm_count(H, below, 1) == 0
     lam = low + where * (levels[-1] + 1.0 - low)
     # within roundoff of a level the count may go either way
     assume(np.min(np.abs(levels - lam)) > 1e-9 * norm_bound(H))

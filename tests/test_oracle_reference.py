@@ -110,9 +110,10 @@ class TestTurningPointCount:
         def measuring(H, lam, parity):
             made.clear()
             result = count(H, lam, parity)
-            (a,) = made
-            # row 0 is never converted
-            read.append((H.grid.n_points, lam, sum(a.lengths) / (len(a) - 1)))
+            (a,) = made or [None]
+            # row 0 is never converted; a count at lam <= min V builds no rows
+            read.append((H.grid.n_points, lam,
+                         0.0 if a is None else sum(a.lengths) / (len(a) - 1)))
             return result
 
         monkeypatch.setattr(oracle, "_sector_rows", recording_rows)

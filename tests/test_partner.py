@@ -253,12 +253,15 @@ def test_curvature_is_finite_at_the_most_negative_eps():
         Partner(below, Grid(1.0, 5))
 
 
-def test_classify_at_the_most_negative_eps_prints_finite_numbers(capsys):
-    eps = transform.EPSILON_MIN
-    assert run(["classify", f"--epsilon={eps!r}", "--x-max", 15.0 / np.sqrt(-eps),
-                "--points", 1001]) == 0
+# EPSILON_MIN itself, and -6.7e153 just inside it
+@pytest.mark.parametrize("eps, x_max", [
+    (transform.EPSILON_MIN, 15.0 / np.sqrt(-transform.EPSILON_MIN)),
+    (-6.7e153, 1.8e-76),
+], ids=["eps_min", "-6.7e153"])
+def test_classify_at_the_most_negative_eps_prints_finite_numbers(eps, x_max, capsys):
+    assert run(["classify", f"--epsilon={eps!r}", "--x-max", x_max, "--points", 1001]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "" and "inf" not in captured.out
+    assert captured.err == "" and "inf" not in captured.out.lower()
     assert "curvature=1.79" in captured.out
 
 
@@ -276,7 +279,8 @@ def test_eps_whose_barrier_top_overflows_is_invalid(capsys):
     ["classify", "--epsilon=-1e300", "--x-max", 2e-149, "--points", 1001],
     ["sweep", "--eps-start=-1e200", "--eps-end=-1e199", "--steps", 2,
      "--quantities", "curvature"],
-], ids=["classify-1e160", "classify-1e300", "sweep-1e200"])
+    ["potential", "--epsilon=-1e300", "--x-max", 1e-150, "--points", 5],
+], ids=["classify-1e160", "classify-1e300", "sweep-1e200", "potential-1e300"])
 def test_eps_below_the_domain_exits_2(args, capsys):
     assert run(args) == 2
     captured = capsys.readouterr()
