@@ -66,7 +66,6 @@ EXIT_CODES = (
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
 
 CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk, values per JSON chunk
-JSON_SPELLINGS = ("NaN", "Infinity")
 SIGN_BIT = np.uint64(1 << 63)  # float64 sign, on a uint64 view
 # XOR masks for a row of floatfmt.cells: keep the sign byte, or toggle "-"
 SIGN_TOGGLE = np.zeros((2, floatfmt.WIDTH), np.uint8)
@@ -118,42 +117,37 @@ def _parity(col: np.ndarray) -> Optional[int]:
     return None
 
 
-def _cells(col: np.ndarray, spellings: Sequence[str]) -> np.ndarray:
+def _cells(col: np.ndarray) -> np.ndarray:
     """One zero-padded row of ASCII per value of col.
 
     A float64 value's text is its repr, formatted CSV_BLOCK_ROWS values at a
-    time, and NaN and infinity are spelled ``spellings``.  Of a column that
-    is bitwise even or odd about its middle (``_parity``), only rows n//2 on
-    are formatted: row i is row n-1-i's text, with the sign byte toggled if
-    odd.  Any other value's text is its str(), with the same spellings for a
-    float NaN or infinity in an object column.
+    time.  Of a column that is bitwise even or odd about its middle
+    (``_parity``), only rows n//2 on are formatted: row i is row n-1-i's
+    text, with the sign byte toggled if odd.  Any other value's text is its
+    str(), which for a float is its repr too.
     """
     if col.dtype != np.float64:
         text = [str(v) for v in col.tolist()]
-        if spellings != floatfmt.SPELLINGS:
-            text = [s.replace("nan", spellings[0]).replace("inf", spellings[1]) for s in text]
         return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
     n = len(col)
     parity = _parity(col)
     half = 0 if parity is None else n // 2
     cells = np.empty((n, floatfmt.WIDTH), np.uint8)
     for start in range(half, n, CSV_BLOCK_ROWS):
-        cells[start:start + CSV_BLOCK_ROWS] = floatfmt.cells(
-            col[start:start + CSV_BLOCK_ROWS], spellings)
+        cells[start:start + CSV_BLOCK_ROWS] = floatfmt.cells(col[start:start + CSV_BLOCK_ROWS])
     if parity is not None:
         cells[:half] = cells[:n - half - 1:-1] ^ SIGN_TOGGLE[parity]
     return cells
 
 
-def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence,
-                spellings: Sequence[str]) -> Iterator[bytes]:
+def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence) -> Iterator[bytes]:
     """The text of every row, in order, in chunks of up to CSV_BLOCK_ROWS rows.
 
     ``layout`` lists each row's parts: a column's index, or separator bytes.
     Each column is formatted once, whole, and the zero bytes of its cells
     are dropped as the rows are joined.
     """
-    cells = [_cells(col, spellings) for col in columns]
+    cells = [_cells(col) for col in columns]
     n = len(cells[0])
     for start in range(0, n, CSV_BLOCK_ROWS):
         rows = min(CSV_BLOCK_ROWS, n - start)
@@ -169,7 +163,7 @@ def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
     yield ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n").encode()
     layout = [part for j in range(len(columns)) for part in (j, b",")]
     layout[-1] = b"\n"
-    yield from _row_chunks(columns, layout, floatfmt.SPELLINGS)
+    yield from _row_chunks(columns, layout)
     yield "".join(f"# {c}\n" for c in footer).encode()
 
 
@@ -179,12 +173,15 @@ def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
     in chunks of up to CSV_BLOCK_ROWS values.
 
     A column's values are its CSV text but for the non-finite floats, which
-    JSON spells NaN, Infinity and -Infinity.
+    JSON spells NaN, Infinity and -Infinity, not nan, inf and -inf.  Only a
+    chunk with an "n" holds one: no finite float's text and no int has one.
     """
     opener = "{"
     for name, col in zip(header, columns):
         yield f"{opener}{json.dumps(name)}: [".encode()
-        for i, chunk in enumerate(_row_chunks((col,), (b", ", 0), JSON_SPELLINGS)):
+        for i, chunk in enumerate(_row_chunks((col,), (b", ", 0))):
+            if b"n" in chunk:
+                chunk = chunk.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
             yield chunk if i else chunk[2:]  # no ", " before the first value
         opener = "], "
     items = "".join(f", {json.dumps(name)}: {json.dumps(value)}"

@@ -1,6 +1,6 @@
 """The text of ``repr(float(v))`` for every value of a float64 array, in numpy.
 
-``cells(values, spellings)`` returns a uint8 array with one row of WIDTH
+``cells(values)`` returns a uint8 array with one row of WIDTH
 bytes per value: the ASCII of its shortest round-trip repr, with zero bytes
 where a shorter text leaves room.  Dropping the zeros of a row gives the
 text, so a table of rows and separators joins as ``mat[mat != 0]``.  No
@@ -25,13 +25,12 @@ a warning.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 WIDTH = 24  # the longest repr: "-1.2345678901234567e-308"
 MAX_DIGITS = 17
-SPELLINGS = ("nan", "inf")  # repr's NaN and infinity
 
 _Q_MIN = -1074  # value = c 2^q with c < 2^53
 _C_MIN = 1 << 52
@@ -170,12 +169,12 @@ def shortest_digits(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 _POW10 = np.array([10 ** i for i in range(MAX_DIGITS + 1)], np.uint64)
 
 
-def cells(values: np.ndarray, spellings: Sequence[str] = SPELLINGS) -> np.ndarray:
+def cells(values: np.ndarray) -> np.ndarray:
     """uint8 array of shape values.shape + (WIDTH,): each value's repr bytes.
 
-    ``spellings`` are the texts of NaN and of infinity, which a minus sign
-    precedes for -inf; NaN never has one.  The sign byte is the first of
-    every row, a zero byte when there is no sign.
+    NaN and infinity are repr's ``nan`` and ``inf``, a minus sign before
+    -inf and never before NaN.  The sign byte is the first of every row, a
+    zero byte when there is no sign.
     """
     tables = _tables()
     shape = np.shape(values)
@@ -229,8 +228,8 @@ def cells(values: np.ndarray, spellings: Sequence[str] = SPELLINGS) -> np.ndarra
         original = bits[rows] & _M63
         text[rows] = 0
         for word, where in ((b"0.0", original == 0),
-                            (spellings[1].encode(), original == _EXP_BITS),
-                            (spellings[0].encode(), original > _EXP_BITS)):
+                            (b"inf", original == _EXP_BITS),
+                            (b"nan", original > _EXP_BITS)):
             text[rows[where], 1:1 + len(word)] = np.frombuffer(word, np.uint8)
         text[rows, 0] = np.where((bits[rows] >> 63 == 1) & (original <= _EXP_BITS), 45, 0)
     return text.reshape(shape + (WIDTH,))

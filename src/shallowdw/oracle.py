@@ -251,8 +251,11 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     next r = a_i + r / (1 + r) is >= 0, and an r >= 0 stays >= 0, so no
     later pivot is negative: the pass stops as soon as r leaves (-1, 0),
     counting that one pivot if r <= -1.  While -1 < r < 0 the divisor 1 + r
-    is positive, so the tail needs no PIVMIN either.
+    is positive, so the tail needs no PIVMIN either.  A lam that is not a
+    finite number is a ValueError.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"sturm_count needs a finite lam, got {lam!r}")
     if lam <= H.edge_min[0]:  # min V, since V is even
         return 0
     a = _sector_rows(H, lam, parity)
@@ -274,7 +277,7 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
     A bracket narrower than the residual target is taken even when another
     level shares it: the target cannot tell such levels apart.
     """
-    resolution, v_min = H.residual_target, float(np.min(H.potential))
+    resolution, v_min = H.residual_target, float(H.edge_min[0])
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
     if v_min >= 0.0 or H.bound_counts[parity] <= index:
         # the Numerov spectrum reaches about 6/h^2: there q_i <= -6, a_i <= -4
@@ -412,7 +415,7 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
         try:
             seed = _extrapolated(*_coarse_level(H.coarse, parity, index))
             energy, v = _inverse_iteration(H, parity, index, seed)
-            delta = BISECTION_RTOL * (energy - float(np.min(H.potential)))
+            delta = BISECTION_RTOL * (energy - float(H.edge_min[0]))
             if _isolated(H, parity, index, energy - delta, energy + delta):
                 return energy, v
         except ConvergenceFailure:

@@ -160,8 +160,9 @@ def curvature_at_origin(eps: float) -> float:
     return 4.0 * (3.0 + 4.0 * eps_val + eps_val * eps_val)
 
 
-def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> None:
-    """GridTooNarrow or GridTooCoarse unless the grid holds the state sampled on x >= 0."""
+def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> np.ndarray:
+    """samples, the state on x >= 0; GridTooNarrow or GridTooCoarse unless
+    the grid holds it."""
     grid = partner.grid
     peak = np.max(np.abs(samples))
     if peak == 0.0:
@@ -182,6 +183,7 @@ def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> None:
             f"{grid} is too coarse for the {what}: h * max(1, sqrt(-eps)) = "
             f"{kh:.3g} > {COARSE_KH}; use more points or a smaller x_max"
         )
+    return samples
 
 
 @dataclass(frozen=True)
@@ -190,10 +192,10 @@ class Partner:
 
     Every field is computed on first use, and all of them from one
     evaluation of the seed on x >= 0; each mirrors its half once, even
-    (``potential``, ``base_well``, ``psi0``) or odd (``w``, ``psi1``).  Only
-    ``psi0``, ``psi1`` and ``check_grid`` check the grid against the states,
-    on their x >= 0 samples, so reading ``potential`` never raises
-    GridTooNarrow or GridTooCoarse.
+    (``potential``, ``base_well``, ``psi0``) or odd (``w``, ``psi1``).  Each
+    state checks the grid once, on its x >= 0 samples when they are first
+    made, so only ``psi0``, ``psi1`` and ``check_grid`` raise GridTooNarrow
+    or GridTooCoarse; reading ``potential`` never does.
     """
 
     epsilon: float
@@ -225,18 +227,18 @@ class Partner:
     def _ground_half(self) -> np.ndarray:
         p = self._seed
         # u < 0 everywhere, so -1/u is the positive branch
-        return -np.exp(-p.growth) / p.u
+        return _check_samples(-np.exp(-p.growth) / p.u, "ground state", self)
 
     @cached_property
     def _excited_half(self) -> np.ndarray:
-        return (self._seed.tanh + self._seed.du / self._seed.u) * self._seed.sech
+        p = self._seed
+        return _check_samples((p.tanh + p.du / p.u) * p.sech, "excited state", self)
 
     def check_grid(self) -> None:
         """GridTooNarrow or GridTooCoarse unless the grid holds both bound
         states, the ground state's error first; what ``psi0`` and then
         ``psi1`` would raise, without mirroring or normalizing either."""
-        _check_samples(self._ground_half, "ground state", self)
-        _check_samples(self._excited_half, "excited state", self)
+        self._ground_half, self._excited_half  # each checks itself when made
 
     @cached_property
     def psi0(self) -> np.ndarray:
@@ -246,7 +248,6 @@ class Partner:
         grid does not contain the decay tails, GridTooCoarse when its spacing
         cannot resolve them.
         """
-        _check_samples(self._ground_half, "ground state", self)
         return normalized(mirror(self._ground_half, 0), self.grid.h)
 
     @cached_property
@@ -259,5 +260,4 @@ class Partner:
         x = 0, and psi1 > 0 for x > 0: near 0, tanh(x) + u'/u = (-1 - eps) x
         + O(x^3), and -1 - eps > 0.  Raises as ``psi0`` does.
         """
-        _check_samples(self._excited_half, "excited state", self)
         return normalized(mirror(self._excited_half, 1), self.grid.h)

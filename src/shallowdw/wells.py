@@ -44,16 +44,6 @@ class WellClassification:
     density_maxima_count: int
 
 
-def _maxima_and_first_step(rho: np.ndarray) -> Tuple[int, float]:
-    """Strict local maxima of rho, and the sign of its first non-flat step
-    (0.0 if every step is flat)."""
-    diffs = np.diff(rho)
-    signs = np.sign(diffs)
-    signs[np.abs(diffs) <= PLATEAU_TOL] = 0
-    signs = signs[signs != 0]
-    return int(np.sum((signs[:-1] > 0) & (signs[1:] < 0))), float(signs[0]) if signs.size else 0.0
-
-
 def count_density_maxima(rho: np.ndarray) -> int:
     """Strict local maxima of a sampled density.
 
@@ -61,19 +51,11 @@ def count_density_maxima(rho: np.ndarray) -> int:
     flat steps below PLATEAU_TOL (floating-point plateaus near symmetric
     peaks would otherwise double-count).
     """
-    return _maxima_and_first_step(rho)[0]
-
-
-def count_even_density_maxima(half: np.ndarray) -> int:
-    """``count_density_maxima`` of a bitwise-even density, from its middle
-    sample and the samples after it (x >= 0).
-
-    The steps left of the middle are those right of it, reversed and
-    negated, so they hold as many maxima; and the middle sample is one
-    more exactly when the first non-flat step to its right descends.
-    """
-    count, first = _maxima_and_first_step(half)
-    return 2 * count + (first < 0)
+    diffs = np.diff(rho)
+    signs = np.sign(diffs)
+    signs[np.abs(diffs) <= PLATEAU_TOL] = 0
+    signs = signs[signs != 0]
+    return int(np.sum((signs[:-1] > 0) & (signs[1:] < 0)))
 
 
 def well_kind(eps: float) -> WellKind:
@@ -109,8 +91,7 @@ def classify(partner: Partner) -> WellClassification:
         kind=well_kind(eps_val),
         separatrix=separatrix_energy(eps_val),
         curvature_origin=curvature_at_origin(eps_val),
-        density_maxima_count=count_even_density_maxima(
-            partner.psi0[partner.grid.center_index:] ** 2),
+        density_maxima_count=count_density_maxima(partner.psi0 ** 2),
     )
 
 

@@ -242,7 +242,8 @@ class TestEdgeColumns:
                  dtype=object).T[1],
     ], ids=["float", "sweep-object"])
     def test_json_non_finite_values_match_the_encoder(self, column):
-        # the finite column beside it takes the path that skips the replacing
+        # the finite column beside it takes the path in cli._columns_json
+        # that skips the replacing: none of its chunks holds an "n"
         finite = np.linspace(-1.0, 1.0, len(column))
         text = emit("json", ("c", "finite"), (column, finite))
         expected = json.dumps({"c": column.tolist(), "finite": finite.tolist()}) + "\n"

@@ -314,6 +314,13 @@ class TestSturmCount:
         assert sturm_count(H, -1.2, parity=1) == 0
         assert sturm_count(H, -0.5, parity=1) == 1
 
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+    def test_non_finite_lam_is_rejected(self, lam, default_grid):
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        for parity in (0, 1):
+            with pytest.raises(ValueError, match="finite lam"):
+                sturm_count(H, lam, parity)
+
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95])
     def test_calls_per_verify(self, eps, default_grid, monkeypatch):
         # every Sturm evaluation goes through the module-level name

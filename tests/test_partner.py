@@ -104,7 +104,7 @@ class TestLazyFields:
                 with pytest.raises((transform.GridTooNarrow, transform.GridTooCoarse)):
                     getattr(Partner(eps, grid), name)
         # without the grid checks, the states of every grid can be compared
-        monkeypatch.setattr(transform, "_check_samples", lambda *args: None)
+        monkeypatch.setattr(transform, "_check_samples", lambda samples, *args: samples)
         partner = Partner(eps, grid)
         expected = {"potential": potential(eps, x), "w": seed.du / seed.u,
                     "base_well": -2.0 * seed.sech2,
@@ -138,6 +138,16 @@ class TestLazyFields:
 
         assert outcome(Partner.check_grid) == outcome(lambda p: (p.psi0, p.psi1))
 
+    def test_verify_checks_each_state_once(self, default_grid, monkeypatch):
+        # each state checks the grid when its half is first made, and only then
+        checked = []
+        real = transform._check_samples
+        monkeypatch.setattr(transform, "_check_samples",
+                            lambda samples, what, partner:
+                            checked.append(what) or real(samples, what, partner))
+        oracle.verify(Partner(-1.5, default_grid))
+        assert checked == ["ground state", "excited state"]
+
     def test_invalid_epsilon_rejected_on_construction(self, default_grid):
         with pytest.raises(InvalidEpsilon):
             Partner(-0.5, default_grid)
@@ -145,8 +155,10 @@ class TestLazyFields:
     def test_curve_runs_no_tail_check(self):
         partner = Partner(-1.05, Grid(6.0, 601))
         assert partner.potential[300] == 2.0 * -1.05 + 2.0
-        with pytest.raises(transform.GridTooNarrow, match="ground state"):
-            partner.psi0
+        # a cached_property that raises caches nothing: every read raises
+        for read in (lambda p: p.psi0, Partner.check_grid, lambda p: p.psi0):
+            with pytest.raises(transform.GridTooNarrow, match="ground state"):
+                read(partner)
 
     def test_excited_state_zero_on_every_node(self):
         # nodes at 0 and +-1000: psi1 is 0 at the centre and underflows at

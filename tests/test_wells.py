@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from shallowdw import (
     Grid,
@@ -13,8 +12,7 @@ from shallowdw import (
     classify,
     count_density_maxima,
 )
-from shallowdw.grids import mirror
-from shallowdw.wells import PLATEAU_TOL, count_even_density_maxima, well_kind
+from shallowdw.wells import well_kind
 
 from conftest import base_ground_state
 
@@ -87,25 +85,6 @@ class TestDensityMaxima:
         # perfectly flat top: one maximum, not two
         rho = np.minimum(np.exp(-default_grid.x**2), 0.5)
         assert count_density_maxima(rho) == 1
-
-    # samples from a few levels, so that runs of equal values and steps
-    # below PLATEAU_TOL make plateaus
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from([0.0, 0.5, 0.5 + PLATEAU_TOL / 2, 1.0, 1.0 - PLATEAU_TOL,
-                                     1.0 + 2 * PLATEAU_TOL, 2.0]), min_size=1, max_size=30))
-    def test_even_count_from_x_ge_0_matches_the_whole_grid(self, half):
-        half = np.array(half)
-        assert count_even_density_maxima(half) == count_density_maxima(mirror(half, 0))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(st.floats(-3.0, -1.01),
-                     st.sampled_from([-1.999, -2.001, -2.0, -50.0])),
-           st.sampled_from([1001, 4001, 16001]))
-    def test_even_count_of_real_densities(self, eps, n):
-        grid = Grid(20.0, n)
-        rho = Partner(eps, grid).psi0 ** 2
-        assert (count_even_density_maxima(rho[grid.center_index:])
-                == count_density_maxima(rho))
 
 
 class TestBimodalityRelation:
