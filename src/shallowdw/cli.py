@@ -18,14 +18,15 @@ All numbers are written with the shortest round-trip decimal representation,
 their repr, so repeated runs are byte-identical and every emitted file parses
 back losslessly.  Float64 columns are formatted by ``floatfmt``, a block of
 rows at a time with no Python code per value, and written as bytes; only
-object columns (``sweep``'s) go through str().  Of a column that is bitwise
-even or odd about its middle row, only the middle row and the rows after it
-are formatted, and the rows before reuse their text; the bytes are the same
-as formatting every value.  Exit codes: 0 ok, 1 verification failed, and for
-each error the code of its first row in ``EXIT_CODES``, so an eps outside
-the family (at either end of a sweep range too) and a request too large to
-allocate are 2.  A sweep whose every row fails exits with the highest code
-of its rows.
+object columns (``sweep``'s) go through str().  A value's text is a sign
+byte and the text of its magnitude, so of a column whose magnitudes mirror
+bitwise about its middle row, only the middle row and the rows after it are
+formatted; the rows before reuse their text and write their own sign byte.
+The bytes are the same as formatting every value.  Exit codes: 0 ok, 1
+verification failed, and for each error the code of its first row in
+``EXIT_CODES``, so an eps outside the family (at either end of a sweep range
+too) and a request too large to allocate are 2.  A sweep whose every row
+fails exits with the highest code of its rows.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ EXIT_CODES = (
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
 
 CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk, values per JSON chunk
-SIGN_BIT = np.uint64(1 << 63)  # float64 sign, on a uint64 view
-# XOR masks for a row of floatfmt.cells: keep the sign byte, or toggle "-"
-SIGN_TOGGLE = np.zeros((2, floatfmt.WIDTH), np.uint8)
-SIGN_TOGGLE[1, 0] = ord("-")
 
 # sweep column -> value(partner, levels); levels() is the cached energies-only solve
 SWEEP_QUANTITIES = {
@@ -101,42 +98,28 @@ def _write(path: Optional[str], chunks: Iterable[bytes]) -> None:
             fh.writelines(chunks)
 
 
-def _parity(col: np.ndarray) -> Optional[int]:
-    """0 if col is bitwise even about its middle (col[i] == col[n-1-i]), 1 if
-    odd (col[i] == -col[n-1-i], and no NaN, whose text has no sign), else None.
-
-    col is float64; its bits are compared, so 0.0 and -0.0 are never swapped.
-    """
-    bits = col.view(np.uint64)
-    half = len(col) // 2
-    before, after = bits[:half], bits[:len(col) - half - 1:-1]  # row i and row n-1-i
-    if np.array_equal(before, after):
-        return 0
-    if np.array_equal(before, after ^ SIGN_BIT) and not np.isnan(col).any():
-        return 1
-    return None
-
-
 def _cells(col: np.ndarray) -> np.ndarray:
     """One zero-padded row of ASCII per value of col.
 
     A float64 value's text is its repr, formatted CSV_BLOCK_ROWS values at a
-    time.  Of a column that is bitwise even or odd about its middle
-    (``_parity``), only rows n//2 on are formatted: row i is row n-1-i's
-    text, with the sign byte toggled if odd.  Any other value's text is its
-    str(), which for a float is its repr too.
+    time: a sign byte, then the text of its magnitude.  Of a column whose
+    magnitudes mirror bitwise about its middle, only rows n//2 on are
+    formatted; row i copies row n-1-i and writes its own sign byte, "-" where
+    the sign bit is set and the value is not NaN, as ``floatfmt.cells`` does.
+    Any other value's text is its str(), which for a float is its repr too.
     """
     if col.dtype != np.float64:
         text = [str(v) for v in col.tolist()]
         return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
     n = len(col)
-    parity = _parity(col)
-    half = 0 if parity is None else n // 2
+    magnitude = np.abs(col).view(np.uint64)  # abs clears the sign bit of NaN too
+    mirrored = n // 2 if np.array_equal(magnitude[:n // 2], magnitude[::-1][:n // 2]) else 0
     cells = np.empty((n, floatfmt.WIDTH), np.uint8)
-    for start in range(half, n, CSV_BLOCK_ROWS):
+    for start in range(mirrored, n, CSV_BLOCK_ROWS):
         cells[start:start + CSV_BLOCK_ROWS] = floatfmt.cells(col[start:start + CSV_BLOCK_ROWS])
-    if parity is not None:
-        cells[:half] = cells[:n - half - 1:-1] ^ SIGN_TOGGLE[parity]
+    head = col[:mirrored]
+    cells[:mirrored] = cells[::-1][:mirrored]
+    cells[:mirrored, 0] = np.where(np.signbit(head) & ~np.isnan(head), ord("-"), 0)
     return cells
 
 

@@ -122,7 +122,7 @@ class TridiagonalHamiltonian:
     """Numerov discretization of -d2/dx2 + V, V even, with Dirichlet walls.
 
     Holds V itself, so the solver never has to subtract 2/h^2 back out of a
-    diagonal; only ``apply`` writes out the stencils.
+    diagonal; only ``eigen_residual`` writes out the full-grid stencils.
     """
 
     grid: Grid
@@ -178,10 +178,6 @@ class TridiagonalHamiltonian:
             return None
         x_max = self.grid.x_max * (COARSENING * m / center)
         return TridiagonalHamiltonian(Grid(x_max, 2 * m + 1), values)
-
-    def apply(self, samples: np.ndarray, energy: float) -> np.ndarray:
-        """(H - E) y in Numerov form, -D2 y + B((V - E) y), with Dirichlet walls."""
-        return _numerov(samples, self.potential - energy, self.grid.h)
 
 
 def _numerov(y: np.ndarray, v_minus_e: np.ndarray, h: float) -> np.ndarray:
@@ -438,7 +434,7 @@ def eigen_residual(H: TridiagonalHamiltonian, psi: np.ndarray, energy: float) ->
     there, not the PDE error.
     """
     sl = _interior(H.grid, EDGE_EXCLUDE, "eigen_residual")
-    r = H.apply(psi, energy)
+    r = _numerov(psi, H.potential - energy, H.grid.h)
     return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(psi[sl])))
 
 

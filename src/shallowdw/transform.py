@@ -174,14 +174,14 @@ def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> np.nda
     if tail > TAIL_TOL * peak:
         raise GridTooNarrow(
             f"{what} has not decayed at the grid edge "
-            f"(|psi(x_max)|/peak = {tail / peak:.2e} > {TAIL_TOL:.0e}); "
+            f"(|psi(x_max)|/peak = {float(tail / peak)!r} > {TAIL_TOL:.0e}); "
             "increase x_max"
         )
     kh = grid.h * max(1.0, np.sqrt(-partner.epsilon))
     if kh > COARSE_KH:
         raise GridTooCoarse(
             f"{grid} is too coarse for the {what}: h * max(1, sqrt(-eps)) = "
-            f"{kh:.3g} > {COARSE_KH}; use more points or a smaller x_max"
+            f"{float(kh)!r} > {COARSE_KH}; use more points or a smaller x_max"
         )
     return samples
 

@@ -39,6 +39,11 @@ def lowest_eigenpairs(H, k):
     return [(energy, normalized(v, H.grid.h)) for energy, v in pairs]
 
 
+def apply_h(H, y: np.ndarray, energy: float) -> np.ndarray:
+    """(H - E) y in Numerov form, -D2 y + B((V - E) y), with Dirichlet walls."""
+    return oracle._numerov(y, H.potential - energy, H.grid.h)
+
+
 def overlap(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     """Trapezoid inner product <a, b> of real samples on grid."""
     return float(np.trapezoid(a * b, dx=grid.h))

@@ -148,7 +148,7 @@ class TestStatesCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: Grid(x_max=2000.0, n_points=5) is too coarse for the ground "
-            "state: h * max(1, sqrt(-eps)) = 1.22e+03 > 0.5; use more points "
+            "state: h * max(1, sqrt(-eps)) = 1224.744871391589 > 0.5; use more points "
             "or a smaller x_max\n")
 
 
@@ -248,7 +248,7 @@ class TestVerifyCommand:
         assert not out.exists()
         assert capsys.readouterr().err == (
             "error: Grid(x_max=20.0, n_points=3) is too coarse for the ground "
-            "state: h * max(1, sqrt(-eps)) = 24.5 > 0.5; use more points or a "
+            "state: h * max(1, sqrt(-eps)) = 24.49489742783178 > 0.5; use more points or a "
             "smaller x_max\n")
 
     def test_bound_state_count_mismatch_exits_3(self, monkeypatch, capsys):
@@ -469,6 +469,13 @@ class TestSweepCommand:
                     "--x-max", 1000, "--points", 101,
                     "--quantities", "maxima_count"]) == 3
         assert capsys.readouterr().err.count("is too coarse for the ground state") == 2
+        # a row just past the bound prints its ratio in full, not rounded onto it
+        assert run(["sweep", "--eps-start=-10000", "--eps-end", -1.5, "--steps", 5,
+                    "--quantities", "e0_error"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("is too coarse for the ground state") == 4
+        assert "h * max(1, sqrt(-eps)) = 0.5001124873465969 > 0.5;" in err
+        assert "np." not in err
 
     def test_every_row_failing_with_a_solver_failure_exits_4(self, monkeypatch):
         # the first rows' solver fails; the last row's ground-state tail

@@ -2,8 +2,9 @@
 
 The reference below formats one value at a time (`repr(float(v))` for
 floats, `str` otherwise) from row tuples.  The CLI formats blocks of float64
-columns at once through `floatfmt.cells`, and an even or odd column from its
-x >= 0 half only; both must give the same bytes.
+columns at once through `floatfmt.cells`, and a column whose magnitudes
+mirror about its middle row from its x >= 0 half only; both must give the
+same bytes.
 """
 
 import json
@@ -24,6 +25,7 @@ from shallowdw.transform import (
 
 
 X_MAX, POINTS = 20.0, 401
+SIGN_BIT = np.uint64(1 << 63)  # float64 sign, on a uint64 view
 
 
 def ref_fmt(value) -> str:
@@ -185,14 +187,16 @@ EDGE_COLUMNS = {
     "odd-one-ulp-off": (one_ulp_off(odd([0.0, 0.1, 3.0]), 4), False),
     # 0.0 == -(-0.0) bitwise: odd, and the text must keep the sign
     "mirrored-signed-zeros": (np.array([0.0, 1.0, -0.0]), True),
-    # the same pair next to an even pair: neither even nor odd
-    "signed-zeros-in-even": (np.array([-0.0, 2.0, 1.0, 2.0, 0.0]), False),
+    # the same pair next to an even pair: neither even nor odd, but its
+    # magnitudes mirror and each row writes its own sign
+    "signed-zeros-in-even": (np.array([-0.0, 2.0, 1.0, 2.0, 0.0]), True),
     "negative-zero-centre": (odd([-0.0, 2.0, 3.0]), True),
     "inf-odd": (odd([0.0, 1.0, np.inf]), True),
     "inf-even": (even([1.0, -np.inf]), True),
     "nan-even": (even([np.nan, 1.0, np.nan]), True),
-    # NaN's str() has no sign to toggle: never "-nan"
-    "nan-odd": (odd([0.0, 1.0, np.nan]), False),
+    # the NaN negated by odd() has its sign bit set, but its text no sign:
+    # never "-nan"
+    "nan-odd": (odd([0.0, 1.0, np.nan]), True),
     "length-1": (np.array([-0.0]), True),
     "length-3": (np.array([0.5, -2.0, 0.5]), True),
     "even-length": (np.array([1.0, 2.0, 2.0, 1.0]), True),
@@ -257,6 +261,37 @@ class TestEdgeColumns:
                 == reference(fmt, ("x", "e", "o"), zip(*columns)))
 
 
+# 0, the smallest and largest subnormals, inf and NaN, and any other float
+MAGNITUDES = st.one_of(st.sampled_from([0.0, 5e-324, 2.225073858507201e-308, np.inf, np.nan]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(MAGNITUDES, min_size=n - n // 2, max_size=n - n // 2),
+    st.lists(st.booleans(), min_size=n, max_size=n))))
+@example(([1.0, np.nan], [True, False, True]))  # an odd column with a NaN
+@example(([0.0, 2.0], [True, False, False]))    # signed zeros beside an even row
+def test_mirrored_magnitudes_format_half_with_each_row_sign(halves):
+    # any sign on any row: only the magnitudes have to mirror
+    half, negative = halves
+    n = len(negative)
+    right = np.abs(np.array(half, dtype=float))
+    magnitude = np.concatenate((right[n % 2:][::-1], right))
+    col = np.copysign(magnitude, np.where(negative, -1.0, 1.0))
+    handed = []
+    real = floatfmt.cells
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floatfmt, "cells", lambda values: handed.append(len(values)) or real(values))
+        mp.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        for fmt in ("csv", "json"):
+            handed.clear()
+            got = emit(fmt, ("c",), (col,))
+            assert got == reference(fmt, ("c",), zip(col))
+            assert sum(handed) == n - n // 2
+            assert b"-nan" not in got.lower()
+
+
 def grid_for(eps, width, extra):
     """Odd grid that holds both states of eps, plus 2 * extra nodes.
 
@@ -275,8 +310,8 @@ def grid_for(eps, width, extra):
 @example(eps=-2.2, width=20.0, extra=31934)  # Grid(20.0, 64001), as in the bytes test
 def test_emitted_columns_are_bitwise_even_or_odd(eps, width, extra):
     # the emission formats these columns from x >= 0 only; if a change to
-    # the closed forms broke their symmetry the bytes would stay right but
-    # that saving would go
+    # the closed forms broke the mirror of their magnitudes the bytes would
+    # stay right but that saving would go
     grid = grid_for(eps, width, extra)
     partner = Partner(eps, grid)
     psi0 = partner.psi0
@@ -286,7 +321,7 @@ def test_emitted_columns_are_bitwise_even_or_odd(eps, width, extra):
         bits = col.view(np.uint64)
         before, after = bits[:c], bits[:c:-1]
         if parity == "odd":
-            after = after ^ cli.SIGN_BIT
+            after = after ^ SIGN_BIT
         assert np.array_equal(before, after), parity
 
 
