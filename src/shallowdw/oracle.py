@@ -35,10 +35,12 @@ Residuals are taken on the sector's rows, row 0 beside its mirror y_1 (even)
 or the wall (odd), and only the accepted y is mirrored onto the full grid.
 
 Each level is solved coarse to fine (nested iteration, Brandt) where the
-grid allows it.  Its coarse grids, every COARSENING-th node out from x = 0
-and so on down, are uncertified seeds: the coarsest takes one twisted step
-from a bisection bracket, each finer one step from the level E_c below it,
-or from E_c + (E_c - E_cc) / COARSENING**4 where E_c had a seed E_cc too
+grid allows it.  Its seed grid is every COARSENING-th node out from x = 0,
+or every 2nd node where that one is too small for a coarse grid of its own;
+every grid below takes every COARSENING-th node.  These are uncertified:
+the coarsest takes one twisted step from a bisection bracket, each finer
+one step from the level E_c below it, or from E_c + (E_c - E_cc) (1 - r^-4)
+/ (COARSENING^4 - 1) at the spacing ratio r where E_c had a seed E_cc too
 (Richardson).  The full grid steps from its seed to the residual target;
 unless Sturm counts then isolate the level, it bisects and steps from the
 bracket.  Each step twists within the turning row of its own shift.
@@ -86,10 +88,10 @@ RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
 ROW_BLOCK = 256  # rows a Sturm pass converts to Python floats at a time
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
-# Coarse to fine: a grid first solves on every COARSENING-th node out from
-# x = 0 if that grid keeps at least COARSE_MIN_POINTS nodes and
-# h_c^2 (max V - min V) <= COARSE_Q_MAX, well below the pole; its level
-# seeds the twisted steps on the full grid.
+# Coarse to fine: a grid solves first on every stride-th node out from x = 0
+# (COARSENING, or 2 for the full grid's seed) if that keeps at least
+# COARSE_MIN_POINTS nodes and (stride h)^2 (max V - min V) <= COARSE_Q_MAX,
+# well below the pole; its level seeds the twisted steps on the grid above.
 COARSENING = 8
 COARSE_MIN_POINTS = 251
 COARSE_Q_MAX = 1.0
@@ -168,15 +170,30 @@ class TridiagonalHamiltonian:
 
     @cached_property
     def coarse(self) -> Optional[TridiagonalHamiltonian]:
-        """V on every COARSENING-th node out from x = 0; None if no coarse solve."""
+        """V on every COARSENING-th node; the coarse grids below the full grid."""
+        return self._every(COARSENING)
+
+    @cached_property
+    def seed(self) -> Optional[TridiagonalHamiltonian]:
+        """The full grid's seed: ``coarse``, or every 2nd node where that grid has
+        a coarse grid and ``coarse`` has too few nodes (not too rough a V) for
+        one, so that the seed is extrapolated from two coarser levels."""
+        c = self.coarse
+        if c is None or 2 * (c.grid.center_index // COARSENING) + 1 >= COARSE_MIN_POINTS:
+            return c
+        half = self._every(2)
+        return half if half is not None and half.coarse is not None else c
+
+    def _every(self, stride: int) -> Optional[TridiagonalHamiltonian]:
+        """V on every stride-th node out from x = 0; None if no coarse solve."""
         center = self.grid.center_index
-        m = center // COARSENING  # the nodes x = 0, +-8h, ..., +-8mh
+        m = center // stride  # the nodes x = 0, +-stride h, ..., +-stride m h
         if 2 * m + 1 < COARSE_MIN_POINTS:
             return None
-        values = self.potential[center % COARSENING::COARSENING]
-        if (COARSENING * self.grid.h)**2 * (np.max(values) - np.min(values)) > COARSE_Q_MAX:
+        values = self.potential[center % stride::stride]
+        if (stride * self.grid.h)**2 * (np.max(values) - np.min(values)) > COARSE_Q_MAX:
             return None
-        x_max = self.grid.x_max * (COARSENING * m / center)
+        x_max = self.grid.x_max * (stride * m / center)
         return TridiagonalHamiltonian(Grid(x_max, 2 * m + 1), values)
 
 
@@ -283,10 +300,8 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
         if hi - lo <= resolution:
             return lo
         margin = SEPARATION * (hi - lo)
-        # no level lies below lo, so the ground level needs no count there
         if (hi - lo <= BISECTION_RTOL * (hi - v_min)
-                and _isolated(H, parity, index, v_min if index == 0 else lo - margin,
-                              hi + margin)):
+                and _isolated(H, parity, index, lo - margin, hi + margin)):
             return lo
         mid = 0.5 * (lo + hi)
         if sturm_count(H, mid, parity) > index:
@@ -304,11 +319,13 @@ def _isolated(H: TridiagonalHamiltonian, parity: int, index: int,
 
     The caller knows that some level lies in [lo, hi]: a bracket holds one,
     and so does E -+ delta around a residual-checked E.  So no count is made
-    at hi <= 0 when the sector has index + 1 levels below 0.
+    at hi <= 0 when the sector has index + 1 levels below 0.  Level 0 needs
+    no count at lo: no level lies below min V, so one level in (min V, hi]
+    is the known one, and it is level 0.
     """
     return ((hi <= 0.0 and H.bound_counts[parity] == index + 1
              or sturm_count(H, hi, parity) == index + 1)
-            and sturm_count(H, lo, parity) == index)
+            and (index == 0 or sturm_count(H, lo, parity) == index))
 
 
 def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
@@ -390,14 +407,20 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
         f"{residual:.3e} after {INVERSE_ITERATION_MAX_STEPS} steps, target {target:.3e}")
 
 
-def _extrapolated(coarse: float, coarser: Optional[float]) -> float:
-    """E_c less its O(h^4) error (Richardson), where it has a coarser level E_cc."""
-    return coarse if coarser is None else coarse + (coarse - coarser) / COARSENING**4
+def _extrapolated(coarse: float, coarser: Optional[float], ratio: int = COARSENING) -> float:
+    """E_c at spacing h_c moved to h_c / ratio by the O(h^4) error that its level
+    E_cc at COARSENING h_c shows (Richardson): E_c + (E_c - E_cc) (1 - ratio^-4)
+    / (COARSENING^4 - 1), whose factor is COARSENING^-4 exactly at ratio
+    COARSENING.  E_c alone where it has no E_cc."""
+    if coarser is None:
+        return coarse
+    return coarse + (coarse - coarser) * ((1.0 - ratio**-4) / (COARSENING**4 - 1))
 
 
 def _coarse_level(H: TridiagonalHamiltonian, parity: int,
                   index: int) -> Tuple[float, Optional[float]]:
-    """(E, E_c): one uncertified twisted step on a coarse grid, from a bracket or E_c."""
+    """(E, E_c): one uncertified twisted step on a coarse grid, from a bracket or
+    from E_c extrapolated at the ratio COARSENING, the stride of every grid below."""
     if H.coarse is None:
         return _twisted_step(H, parity, _bracket(H, parity, index))[0], None
     coarse, coarser = _coarse_level(H.coarse, parity, index)
@@ -406,11 +429,12 @@ def _coarse_level(H: TridiagonalHamiltonian, parity: int,
 
 def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
                       index: int) -> Tuple[float, np.ndarray]:
-    """(E, y) from the coarse grids' seed, or bisected if Sturm counts refuse it."""
-    if H.coarse is not None:
+    """(E, y) from the seed grid's level, or bisected if Sturm counts refuse it."""
+    if H.seed is not None:
         try:
-            seed = _extrapolated(*_coarse_level(H.coarse, parity, index))
-            energy, v = _inverse_iteration(H, parity, index, seed)
+            ratio = H.grid.center_index // H.seed.grid.center_index
+            sigma = _extrapolated(*_coarse_level(H.seed, parity, index), ratio)
+            energy, v = _inverse_iteration(H, parity, index, sigma)
             delta = BISECTION_RTOL * (energy - float(H.edge_min[0]))
             if _isolated(H, parity, index, energy - delta, energy + delta):
                 return energy, v

@@ -163,8 +163,9 @@ class TestVerifyCommand:
         assert payload["psi0_overlap"] > 0.99999
         assert payload["intertwining_residual"] < 1e-4
 
-    # 1999 nodes bisect both levels at full size, 4003 are seeded from 501,
-    # 16001 from 251 and 2001, and 64001 from 1001 and 8001
+    # 1999 nodes bisect both levels at full size, 4003 are seeded from 251
+    # and 2001 (every 2nd node), 16001 from 251 and 2001, and 64001 from
+    # 1001 and 8001
     @pytest.mark.parametrize("eps, points", [(-2.25, 4001), (-2.9, 4001), (-2.9, 1999),
                                              (-2.9, 4003), (-2.95, 16001),
                                              (-50, 64001), (-200, 64001)])

@@ -198,6 +198,62 @@ class TestCoarseToFine:
         assert np.array_equal(H.coarse.potential, H.potential[nodes])
         assert np.allclose(H.coarse.grid.x, grid.x[nodes], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n, eps, n_seed, stride", [
+        (1999, -1.5, None, None), (2001, -1.5, 251, 8), (3999, -1.5, 499, 8),
+        # every 8th node leaves too few for a coarser grid: every 2nd node
+        (4001, -1.5, 2001, 2), (4003, -1.5, 2001, 2), (8001, -1.5, 4001, 2),
+        (15999, -1.5, 7999, 2), (16001, -1.5, 2001, 8), (64001, -1.5, 8001, 8),
+        # COARSE_Q_MAX, not size, rules out the coarser grid: every 8th node
+        (4001, -30.0, 501, 8), (32001, -200.0, 4001, 8)])
+    def test_seed_grid_holds_its_nodes_out_from_zero(self, n, eps, n_seed, stride):
+        grid = Grid(20.0, n)
+        H = TridiagonalHamiltonian(grid, Partner(eps, grid).potential)
+        if n_seed is None:
+            assert H.seed is None
+            return
+        nodes = grid.center_index + stride * np.arange(-(n_seed // 2), n_seed // 2 + 1)
+        assert H.seed.grid.n_points == n_seed
+        assert np.array_equal(H.seed.potential, H.potential[nodes])
+        assert np.allclose(H.seed.grid.x, grid.x[nodes], rtol=0.0, atol=1e-12)
+
+    def test_seed_grid_skips_a_rough_every_second_node(self):
+        # a spike on x = +-2h passes every 8th node by, but every 2nd node
+        # holds it: (2h)^2 * 5000 = 2 > COARSE_Q_MAX, so coarse stays the seed
+        grid = Grid(20.0, 4001)
+        v = np.zeros(grid.n_points)
+        v[[grid.center_index - 2, grid.center_index + 2]] = 5000.0
+        H = TridiagonalHamiltonian(grid, v)
+        assert H.seed is H.coarse and H.coarse.grid.n_points == 501
+
+    def test_default_grid_work_counts(self, monkeypatch):
+        # 39 eps in [-2.95, -1.05] at n = 4001, seeded from 2001 and 251
+        # nodes: one full-grid step per level, and the Python pivot rows
+        # (rows handed to _pivot_run and _negative_pivots) pinned from above
+        steps, rows = [], []
+        step, pivot_run, negative_pivots = (oracle._twisted_step, oracle._pivot_run,
+                                            oracle._negative_pivots)
+
+        def stepping(H, *args):
+            steps.append(H.grid.n_points)
+            return step(H, *args)
+
+        def counted(run):
+            def counting(r, rows_in):
+                rows_in = list(rows_in)
+                rows.append(len(rows_in))
+                return run(r, rows_in)
+            return counting
+
+        monkeypatch.setattr(oracle, "_twisted_step", stepping)
+        monkeypatch.setattr(oracle, "_pivot_run", counted(pivot_run))
+        monkeypatch.setattr(oracle, "_negative_pivots", counted(negative_pivots))
+        epsilons = np.linspace(-2.95, -1.05, 39)
+        for eps in epsilons:
+            steps.clear()
+            oracle.bound_levels(Partner(float(eps), Grid(20.0, 4001)))
+            assert steps.count(4001) == 2, eps
+        assert sum(rows) / len(epsilons) <= 9400
+
     @pytest.mark.parametrize("n", [4001, 4003, 16001, 16003, 64001])
     @pytest.mark.parametrize("eps", [-1.05, -2.0, -2.95])
     def test_agrees_with_bisection_only(self, eps, n, monkeypatch):
@@ -324,16 +380,26 @@ class TestSturmCount:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95])
     def test_calls_per_verify(self, eps, default_grid, monkeypatch):
         # every Sturm evaluation goes through the module-level name
-        calls = []
-        counted = oracle.sturm_count
+        calls, built = [], []
+        counted, rows = oracle.sturm_count, oracle._sector_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return counted(*args, **kwargs)
+        def building(H, lam, parity):
+            built.append(H.grid.n_points)
+            return rows(H, lam, parity)
 
+        def counting(H, lam, parity):
+            built.clear()
+            result = counted(H, lam, parity)
+            calls.append((H.grid.n_points, len(built)))
+            return result
+
+        monkeypatch.setattr(oracle, "_sector_rows", building)
         monkeypatch.setattr(oracle, "sturm_count", counting)
         oracle.verify(Partner(eps, default_grid))
         assert 0 < len(calls) <= 40
+        # the full grid's levels are isolated by bound_counts and min V:
+        # no count there builds its rows
+        assert all(n_built == 0 for n, n_built in calls if n == default_grid.n_points)
 
 
 class TestEigenResidual:
