@@ -32,6 +32,7 @@ fails exits with the highest code of its rows.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
@@ -392,7 +393,20 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
+@functools.cache
+def _hold_heap() -> None:
+    """Keep freed heap pages in the process on glibc (see README); elsewhere a no-op."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no libc handle, or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's own 64-bit ceiling
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it; either alone ends glibc's dynamic rule
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _hold_heap()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:

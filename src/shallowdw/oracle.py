@@ -15,14 +15,14 @@ odd one on x > 0 with a Dirichlet condition at x = 0.  Levels of a
 persymmetric Jacobi matrix alternate in parity, so level j of H is level
 j // 2 of the sector with parity j % 2.
 
-Sturm counts use scaled pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}), a form
-that never builds the 2/h^2 diagonal and so loses nothing to cancellation
-against it.  A count runs to the outer turning row, then on only until r
-leaves (-1, 0): beyond the turn V >= lam, so a_i >= 0, and no pivot after
-that can be negative.  The counts at lam = 0 come from one backward pass
-from the grid edge, whose pivots on rows 1 .. edge serve both sectors: the
-odd count is their negatives, and the even one adds the halved centre row.
-That pass, made once per Hamiltonian, is the only count that reads every row.
+Sturm counts use scaled pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}), which
+never build the 2/h^2 diagonal and so lose nothing to cancellation against
+it.  A count walks V as Python floats, converted once per Hamiltonian, to
+the outer turning row, then on only until r leaves (-1, 0): past the turn
+a_i >= 0, so no later pivot can be negative.  The counts at lam = 0 come
+from one pass in from the grid edge, whose pivots on rows 1 .. edge serve
+both sectors: the odd count is their negatives, and the even one adds the
+halved centre row.  That pass is the only count that reads every row.
 
 Eigenvectors come from twisted factorizations (Fernando; Parlett and
 Dhillon) in the same r-form: forward pivots from x = 0 to the turning
@@ -62,11 +62,13 @@ V - V0 = -2 (u'/u)', on every node of the grid.
 
 from __future__ import annotations
 
+import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +88,6 @@ INVERSE_ITERATION_MAX_STEPS = 8
 # normwise backward error: ||(H - E) y|| <= RESIDUAL_TOL ||H|| ||y||
 RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
-ROW_BLOCK = 256  # rows a Sturm pass converts to Python floats at a time
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
 # Coarse to fine: a grid solves first on every stride-th node out from x = 0
 # (COARSENING, or 2 for the full grid's seed) if that keeps at least
@@ -147,6 +148,11 @@ class TridiagonalHamiltonian:
         """min V over x_i .. x_max for each node x_i >= 0; non-decreasing."""
         half = self.potential[self.grid.center_index:]
         return np.minimum.accumulate(half[::-1])[::-1]
+
+    @cached_property
+    def count_floats(self) -> Tuple[List[float], List[float]]:
+        """V on x >= 0 and ``edge_min`` as Python floats, for Sturm counts."""
+        return self.potential[self.grid.center_index:].tolist(), self.edge_min.tolist()
 
     @cached_property
     def bound_counts(self) -> Tuple[int, int]:
@@ -220,13 +226,19 @@ def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarr
     return q / (1.0 - q / NUMEROV_POLE)
 
 
-def _turning_row(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
-    """First sector row from which on every row has V_i >= lam, so a_i >= 0.
+def _turning_row(edge_min: Sequence[float], lam: float, parity: int) -> int:
+    """First sector row from which on every row has V_i >= lam, so a_i >= 0;
+    the sector's last row when V < lam at the grid edge."""
+    turn = bisect_left(edge_min, lam) - parity
+    return min(max(turn, 0), len(edge_min) - 1 - parity)
 
-    Clipped to the sector's last row when V < lam at the grid edge.
-    """
-    turn = int(np.searchsorted(H.edge_min, lam)) - parity
-    return min(max(turn, 0), H.grid.center_index - parity)
+
+def _count_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> Iterator[float]:
+    """``_sector_rows``'s a_i by the same IEEE operations, from ``H.count_floats``."""
+    h2 = H.grid.h**2
+    for v in islice(H.count_floats[0], parity, None):
+        q = h2 * (v - lam)
+        yield q / (1.0 - q / NUMEROV_POLE)
 
 
 def _first_pivot(a0: float, parity: int) -> float:
@@ -265,18 +277,15 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
     later pivot is negative: the pass stops as soon as r leaves (-1, 0),
     counting that one pivot if r <= -1.  While -1 < r < 0 the divisor 1 + r
     is positive, so the tail needs no PIVMIN either.  A lam that is not a
-    finite number is a ValueError.
+    finite number is a ValueError.  The a_i come from ``_count_rows``.
     """
-    if not np.isfinite(lam):
+    if not math.isfinite(lam):
         raise ValueError(f"sturm_count needs a finite lam, got {lam!r}")
-    if lam <= H.edge_min[0]:  # min V, since V is even
+    if lam <= H.count_floats[1][0]:  # min V, since V is even
         return 0
-    a = _sector_rows(H, lam, parity)
-    # converted ROW_BLOCK rows at a time: a pass usually stops well short
-    rows = chain.from_iterable(a[i:i + ROW_BLOCK].tolist()
-                               for i in range(1, len(a), ROW_BLOCK))
-    count, r = _negative_pivots(_first_pivot(float(a[0]), parity),
-                                islice(rows, _turning_row(H, lam, parity)))
+    rows = _count_rows(H, lam, parity)
+    count, r = _negative_pivots(_first_pivot(next(rows), parity),
+                                islice(rows, _turning_row(H.count_floats[1], lam, parity)))
     for a_i in rows:
         if not -1.0 < r < 0.0:
             break
@@ -382,7 +391,7 @@ def _twisted_step(H: TridiagonalHamiltonian, parity: int,
     x >= 0, 0 at x = 0 if odd; ||y|| over the full grid, which mirrors y."""
     a = _sector_rows(H, sigma, parity)
     z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity),
-                               _turning_row(H, sigma, parity))
+                               _turning_row(H.edge_min, sigma, parity))
     y = z * (1.0 + a / NUMEROV_POLE)  # y = u / (1 - q/12)
     norm2 = 2.0 * _sum_sq(y) - (float(y[0] * y[0]) if parity == 0 else 0.0)
     y = np.concatenate(([0.0], y)) if parity else y

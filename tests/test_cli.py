@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -680,6 +681,56 @@ class TestParserSurface:
                                        "--eps-end", "-1.5", "--steps", "2"], capsys)
         assert (code, out) == (2, "")
         assert err.endswith("error: unrecognized arguments: --epsilon=-1.5\n")
+
+
+SWEEP_16001 = ["sweep", "--eps-start", "-2.5", "--eps-end", "-1.3", "--steps", "5",
+               "--points", "16001", "--quantities", "e0_error,e1_error"]
+
+
+# faults of one sweep after a warm-up and a heap trim, in a fresh process: in
+# the test process glibc's dynamic thresholds depend on the tests run before
+FAULTS_OF_ONE_RUN = """
+import contextlib, ctypes, io, resource, sys
+from shallowdw.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+    ctypes.CDLL(None).malloc_trim(0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapHold:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc only")
+    def test_sweep_keeps_its_freed_heap_pages(self):
+        # a 16001-node vector is just under glibc's 128 KiB mmap threshold:
+        # unheld, glibc trims the heap after each solve's temporaries and the
+        # next solve faults them back in, about 2,200 faults per sweep
+        env = {**os.environ, "PYTHONPATH": str(Path(shallowdw.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", FAULTS_OF_ONE_RUN, *SWEEP_16001],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        code, faults = map(int, done.stdout.split())
+        assert code == 0
+        assert faults < 1000, faults
+
+    @pytest.mark.parametrize("libc", [None, object()], ids=["no-handle", "no-mallopt"])
+    def test_no_mallopt_changes_no_byte(self, libc, capsys, monkeypatch, request):
+        # CDLL(None) raises, or returns a C library without mallopt
+        asked = []
+
+        def cdll(name):
+            asked.append(name)
+            if libc is None:
+                raise OSError("no C library handle")
+            return libc
+
+        expected = run_captured(SWEEP_16001, capsys)
+        cli._hold_heap.cache_clear()
+        request.addfinalizer(cli._hold_heap.cache_clear)  # let the next main hold
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert run_captured(SWEEP_16001, capsys) == expected
+        assert expected[0] == 0 and asked == [None]
 
 
 def run_captured(args, capsys):

@@ -19,7 +19,7 @@ from shallowdw import (
 from shallowdw import oracle, transform
 from shallowdw.grids import mirror, normalized
 from conftest import (apply_h, base_ground_state, cached_report, check_intertwining,
-                      lowest_eigenpairs, numerov_matrix, overlap)
+                      drawn_rows, lowest_eigenpairs, numerov_matrix, overlap)
 
 # eigenvalue errors of the partner levels stop falling near 1e-14
 ROUNDING_FLOOR = 1e-13
@@ -380,26 +380,22 @@ class TestSturmCount:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95])
     def test_calls_per_verify(self, eps, default_grid, monkeypatch):
         # every Sturm evaluation goes through the module-level name
-        calls, built = [], []
-        counted, rows = oracle.sturm_count, oracle._sector_rows
-
-        def building(H, lam, parity):
-            built.append(H.grid.n_points)
-            return rows(H, lam, parity)
+        calls, counted = [], oracle.sturm_count
+        drawn = drawn_rows(monkeypatch)
 
         def counting(H, lam, parity):
-            built.clear()
+            drawn.clear()
             result = counted(H, lam, parity)
-            calls.append((H.grid.n_points, len(built)))
+            calls.append((H.grid.n_points, len(drawn), H.grid.center_index + 1 - parity))
             return result
 
-        monkeypatch.setattr(oracle, "_sector_rows", building)
         monkeypatch.setattr(oracle, "sturm_count", counting)
         oracle.verify(Partner(eps, default_grid))
         assert 0 < len(calls) <= 40
-        # the full grid's levels are isolated by bound_counts and min V:
-        # no count there builds its rows
-        assert all(n_built == 0 for n, n_built in calls if n == default_grid.n_points)
+        # the full grid's levels are isolated by bound_counts and min V: no
+        # count there draws a row, and no count walks its whole sector
+        assert all(n_drawn == 0 for n, n_drawn, _ in calls if n == default_grid.n_points)
+        assert all(n_drawn < rows for _, n_drawn, rows in calls)
 
 
 class TestEigenResidual:

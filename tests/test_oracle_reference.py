@@ -13,7 +13,7 @@ import pytest
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle
 from shallowdw.oracle import PIVMIN, sturm_count
 
-from conftest import counting_view, dense_sector_levels, lowest_eigenpairs
+from conftest import counting_view, dense_sector_levels, drawn_rows, lowest_eigenpairs
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -51,6 +51,11 @@ def assert_counts_match(H, lams):
     for lam in lams:
         for parity in (0, 1):
             assert sturm_count(H, lam, parity) == ref_count(H, lam, parity), (lam, parity)
+
+
+def bits(values):
+    """The IEEE bit patterns of float values."""
+    return np.fromiter(values, float).view(np.uint64).tolist()
 
 
 def partner(eps, n=4001):
@@ -97,32 +102,54 @@ class TestTurningPointCount:
         assert_counts_match(H, near(levels) + [0.0, -1e4, float(half[1000])])
 
     def test_passes_stop_short_of_the_edge(self, monkeypatch):
-        # rows each count converts to floats: none converts the whole
-        # sector.  n = 1999 has no coarse grid, so it bisects at full size;
-        # its counts convert one or two ROW_BLOCKs, at most 512 of 999 rows
-        read, made = [], []
-        rows, count = oracle._sector_rows, oracle.sturm_count
-
-        def recording_rows(H, lam, parity):
-            made.append(counting_view(rows(H, lam, parity)))
-            return made[-1]
+        # the a_i each count draws: none walks the whole sector.  n = 1999
+        # has no coarse grid, so it bisects at full size, on 1000 rows (even)
+        # or 999 (odd)
+        read, count = [], oracle.sturm_count
+        drawn = drawn_rows(monkeypatch)
 
         def measuring(H, lam, parity):
-            made.clear()
+            drawn.clear()
             result = count(H, lam, parity)
-            (a,) = made or [None]
-            # row 0 is never converted; a count at lam <= min V builds no rows
-            read.append((H.grid.n_points, lam,
-                         0.0 if a is None else sum(a.lengths) / (len(a) - 1)))
+            # a count at lam <= min V draws no row
+            read.append((H.grid.n_points, len(drawn) / (H.grid.center_index + 1 - parity)))
             return result
 
-        monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
         monkeypatch.setattr(oracle, "sturm_count", measuring)
         oracle.bound_levels(Partner(-1.5, Grid(20.0, 1999)))
-        fine = [f for n, lam, f in read if n == 1999]
+        fine = [f for n, f in read if n == 1999]
         # the levels below 0 come from bound_counts, not from a count at
         # lam = 0, so every count stops short of the edge
         assert fine and all(f < 0.6 for f in fine)
+
+    @pytest.mark.parametrize("make, lams", [
+        # the 251-node grid a default solve bisects on, and two full grids:
+        # lam at min V, below, between and above the levels -1.5 and -1
+        (lambda: partner(-1.5).seed.coarse, (None, -1.8, -1.25, -0.5)),
+        (lambda: partner(-1.5), (None, -1.8, -1.25, -0.5)),
+        (lambda: partner(-1.5, 16001), (None, -1.8, -1.25, -0.5)),
+        # h = 1: even levels -1.37 and 3.76, odd level 2.4, min V = -3
+        (lambda: TridiagonalHamiltonian(Grid(1.0, 3), [0.0, -3.0, 0.0]),
+         (None, -2.0, 0.0, 3.0, 5.0)),
+    ], ids=["251", "4001", "16001", "3"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_drawn_rows_are_the_sector_rows(self, make, lams, parity, monkeypatch):
+        # the a_i a count computes from V's floats are _sector_rows' a_i, bit
+        # for bit; at lam <= min V (None) and at a non-finite lam it draws none
+        H, rows = make(), oracle._count_rows
+        drawn = drawn_rows(monkeypatch)
+        for lam in lams:
+            lam = H.edge_min[0] if lam is None else lam
+            drawn.clear()
+            sturm_count(H, lam, parity)
+            whole = bits(oracle._sector_rows(H, lam, parity).tolist())
+            assert bits(drawn) == whole[:len(drawn)]
+            assert bits(rows(H, lam, parity)) == whole
+            assert (not drawn) == (lam <= H.edge_min[0]), lam
+        drawn.clear()
+        with pytest.raises(ValueError, match="finite lam"):
+            sturm_count(H, float("nan"), parity)
+        assert not drawn
 
     def test_exact_zero_pivot_past_the_turning_row(self):
         # h = 1 and lam = 0: the even sector's rows are q = -12/11, 0, 1, 2
@@ -130,7 +157,7 @@ class TestTurningPointCount:
         # exactly, so r_0 = -0.5 and r_1 = -1.0, a zero pivot 1 + r_1 on the
         # first row past the turn
         H = TridiagonalHamiltonian(Grid(3.0, 7), [2, 1, 0, -12 / 11, 0, 1, 2])
-        assert oracle._turning_row(H, 0.0, 0) == 1
+        assert oracle._turning_row(H.edge_min, 0.0, 0) == 1
         a = oracle._sector_rows(H, 0.0, 0)
         assert a[0] == -1.0 and a[1] == 0.0
         dense = dense_sector_counts(H, 0.0)
