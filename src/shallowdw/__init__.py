@@ -8,13 +8,7 @@ inter-well oscillation of the equal-weight superposition.
 
 from .dynamics import OscillationSeries, analytic_period, evolve_series
 from .grids import Grid, GridTooCoarse, GridTooNarrow
-from .oracle import (
-    BoundStateCountMismatch,
-    ConvergenceFailure,
-    TridiagonalHamiltonian,
-    eigen_residual,
-    sturm_count,
-)
+from .oracle import ConvergenceFailure, TridiagonalHamiltonian, eigen_residual, sturm_count
 from .transform import (
     InvalidEpsilon,
     Partner,
@@ -24,6 +18,7 @@ from .transform import (
     separatrix_energy,
 )
 from .wells import (
+    BoundStateCountMismatch,
     WellClassification,
     WellKind,
     check_bimodality_relation,

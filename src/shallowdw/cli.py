@@ -8,9 +8,9 @@ Subcommands
     evolve      left-well probability vs time           -> t,P_left
     sweep       closed-form/oracle quantities over eps  -> one row per eps
 
-Commands parse arguments and emit; verdicts come from ``oracle.verify``,
-``wells.classify`` and ``wells.two_level_warning``, and a failing verify
-names each failed check on stderr.
+Commands parse arguments and emit; verdicts come from ``wells``: ``verify``,
+``classify`` and ``two_level_warning``, and a failing verify names each
+failed check on stderr.
 A command, or a sweep row, builds one ``transform.Partner`` and hands it to
 the library, so the seed is evaluated once.
 
@@ -58,7 +58,7 @@ EXIT_SOLVER = 4
 EXIT_CODES = (
     (GridTooNarrow, EXIT_GRID),
     (GridTooCoarse, EXIT_GRID),
-    (oracle.BoundStateCountMismatch, EXIT_GRID),
+    (wells.BoundStateCountMismatch, EXIT_GRID),
     (oracle.ConvergenceFailure, EXIT_SOLVER),
     (ValueError, EXIT_BAD_ARGS),
     (OSError, EXIT_BAD_ARGS),
@@ -236,7 +236,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = oracle.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
+    report = wells.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
     payload = {**asdict(report), "passed": report.passed}
     _write(args.out, [(json.dumps(payload, indent=2) + "\n").encode()])
     for check in report.checks:
@@ -295,7 +295,7 @@ def cmd_sweep(args) -> int:
     for eps in eps_values:
         try:
             partner = Partner(eps, grid)
-            levels = functools.cache(lambda: oracle.bound_levels(partner))
+            levels = functools.cache(lambda: wells.bound_levels(partner))
             rows.append((float(eps), *(SWEEP_QUANTITIES[q](partner, levels)
                                        for q in quantities)))
         except ROW_FAILURES as exc:

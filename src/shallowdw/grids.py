@@ -74,6 +74,14 @@ def mirror(half: np.ndarray, parity: int) -> np.ndarray:
     return np.concatenate((-half[:0:-1] if parity else half[:0:-1], half))
 
 
+def interior(grid: Grid, edge: int, caller: str) -> slice:
+    """The nodes left after dropping ``edge`` at each end; raises if none are."""
+    if grid.n_points <= 2 * edge:
+        raise ValueError(f"{caller} needs a grid of at least {2 * edge + 1} "
+                         f"points, got {grid.n_points}")
+    return slice(edge, -edge)
+
+
 def first_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     """d/dx of sampled data: 4th-order central interior, 2nd-order edges."""
     f = np.asarray(samples, dtype=float)

@@ -45,36 +45,24 @@ one step from the level E_c below it, or from E_c + (E_c - E_cc) (1 - r^-4)
 unless Sturm counts then isolate the level, it bisects and steps from the
 bracket.  Each step twists within the turning row of its own shift.
 
-The solver reads nothing but the sampled V in ``H.potential``, so it stays
-independent of the closed-form machinery in ``transform``, and agreement
-between the two is a real check, not a tautology.  ``bound_levels`` and
-``verify`` take a ``transform.Partner``, whose closed forms of one eps on one
-grid are computed once; the solver's ``TridiagonalHamiltonian`` is built from
-its grid and sampled potential alone; ``bound_levels`` is the one solve.
-
-``verify`` judges the paper's claim: spectrum, closed-form states, intertwining
-identity and central-curvature law, each against its entry of
-``VERIFY_TOLERANCES``.
-The intertwining identity Xi A = A eta is checked as the two pointwise
-Darboux identities it is built from, V + V0 = 2 (u'/u)^2 + 2 eps and
-V - V0 = -2 (u'/u)', on every node of the grid.
+The solver reads nothing but the grid and the sampled V in ``H.potential``,
+and this module imports nothing but numpy, the standard library and
+``grids``, so agreement with the closed forms in ``transform`` is a real
+check, not a tautology.  The verdicts built on it live in ``wells``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import wells
-from .grids import Grid, first_derivative, mirror, normalized
-from .transform import Partner, separatrix_energy
+from .grids import Grid, interior, mirror
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
@@ -97,27 +85,9 @@ COARSENING = 8
 COARSE_MIN_POINTS = 251
 COARSE_Q_MAX = 1.0
 
-# verify criteria, in check order: report field -> (tolerance, strict test)
-VERIFY_TOLERANCES = {
-    "e0_error": (1e-4, operator.lt),
-    "e1_error": (1e-4, operator.lt),
-    "psi0_overlap": (0.99999, operator.gt),
-    "psi1_overlap": (0.99999, operator.gt),
-    "psi0_residual": (5e-5, operator.lt),
-    "psi1_residual": (5e-5, operator.lt),
-    "intertwining_residual": (1e-4, operator.lt),
-    "bimodality_rel_err": (1e-5, operator.lt),
-}
-# the bimodality check is singular where the ground level meets the barrier top
-BIMODALITY_SKIP_BAND = 1e-3  # so it is skipped while |s - eps| <= this
-
 
 class ConvergenceFailure(RuntimeError):
     """Bisection or inverse iteration missed its target; grid or solver bug."""
-
-
-class BoundStateCountMismatch(RuntimeError):
-    """Number of negative eigenvalues disagrees with the analytic count."""
 
 
 @dataclass(frozen=True)
@@ -436,9 +406,10 @@ def _coarse_level(H: TridiagonalHamiltonian, parity: int,
     return _twisted_step(H, parity, _extrapolated(coarse, coarser))[0], coarse
 
 
-def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
-                      index: int) -> Tuple[float, np.ndarray]:
-    """(E, y) from the seed grid's level, or bisected if Sturm counts refuse it."""
+def sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
+                     index: int) -> Tuple[float, np.ndarray]:
+    """(E, y) of level ``index`` of one sector, y on the full grid: stepped from
+    the seed grid's level, or bisected if Sturm counts refuse it."""
     if H.seed is not None:
         try:
             ratio = H.grid.center_index // H.seed.grid.center_index
@@ -452,142 +423,12 @@ def _sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
     return _inverse_iteration(H, parity, index, _bracket(H, parity, index))
 
 
-def _interior(grid: Grid, edge: int, caller: str) -> slice:
-    """The nodes left after dropping ``edge`` at each end; raises if none are."""
-    if grid.n_points <= 2 * edge:
-        raise ValueError(f"{caller} needs a grid of at least {2 * edge + 1} "
-                         f"points, got {grid.n_points}")
-    return slice(edge, -edge)
-
-
 def eigen_residual(H: TridiagonalHamiltonian, psi: np.ndarray, energy: float) -> float:
     """Relative l2 residual ||-D2 psi + B((V - E) psi)|| / ||psi|| over interior nodes.
 
     Three nodes at each edge are excluded: the Dirichlet mismatch dominates
     there, not the PDE error.
     """
-    sl = _interior(H.grid, EDGE_EXCLUDE, "eigen_residual")
+    sl = interior(H.grid, EDGE_EXCLUDE, "eigen_residual")
     r = _numerov(psi, H.potential - energy, H.grid.h)
     return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(psi[sl])))
-
-
-def _intertwining_residual(partner: Partner) -> float:
-    """Relative max-norm residual of the Darboux identities behind Xi A = A eta.
-
-    With w = u'/u the factorizations eta = A+ A + eps and Xi = A A+ + eps
-    read V0 = w^2 + w' + eps and V = w^2 - w' + eps, and (Xi A - A eta) f
-    vanishes for every f exactly when both hold.  They are checked on every
-    node as their sum, V + V0 = 2 w^2 + 2 eps, which takes no derivative,
-    and their difference, V - V0 = -2 w', with w' from ``first_derivative``;
-    the result is the larger of the two.  Four nodes at each edge are left
-    out, which covers that stencil's two lower-order rows there.
-    """
-    sl = _interior(partner.grid, EDGE_EXCLUDE + 1, "the intertwining check")
-    v, v0, w = partner.potential, partner.base_well, partner.w
-    dw = first_derivative(w, partner.grid.h)
-    return max(_relative_max(v + v0 - 2.0 * w * w - 2.0 * partner.epsilon, v + v0, sl),
-               _relative_max(v - v0 + 2.0 * dw, v - v0, sl))
-
-
-def _relative_max(error: np.ndarray, scale: np.ndarray, sl: slice) -> float:
-    """max |error| / max |scale| over the nodes in ``sl``; max |error| if scale is 0."""
-    err, top = float(np.max(np.abs(error[sl]))), float(np.max(np.abs(scale[sl])))
-    return err / top if top else err
-
-
-class BoundLevels(NamedTuple):
-    """Both levels, their errors against eps and -1, H and the raw eigenvectors."""
-
-    e0_numeric: float
-    e1_numeric: float
-    e0_error: float
-    e1_error: float
-    H: TridiagonalHamiltonian
-    y0: np.ndarray
-    y1: np.ndarray
-
-
-def bound_levels(partner: Partner) -> BoundLevels:
-    """The oracle's two bound levels of the partner's sampled potential.
-
-    ``Partner.check_grid`` checks the closed-form states first, so
-    GridTooNarrow and GridTooCoarse come before any solver arithmetic.  Every
-    eps < -1 has two bound states, at eps and -1, so any other count of levels
-    below the continuum threshold 0 is BoundStateCountMismatch.
-    """
-    eps_val = partner.epsilon
-    partner.check_grid()
-    H = TridiagonalHamiltonian(partner.grid, partner.potential)
-    negatives = sum(H.bound_counts)
-    if negatives != 2:
-        raise BoundStateCountMismatch(
-            f"expected 2 bound states for eps={eps_val}, found {negatives}")
-    (e0, y0), (e1, y1) = (_sector_eigenpair(H, parity, 0) for parity in (0, 1))
-    return BoundLevels(e0, e1, abs(e0 - eps_val), abs(e1 + 1.0), H, y0, y1)
-
-
-class Check(NamedTuple):
-    """One verify criterion applied to one report field."""
-
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Everything ``verify`` measures; ``checks`` and ``passed`` judge it."""
-
-    epsilon: float
-    e0_analytic: float
-    e1_analytic: float
-    e0_numeric: float
-    e1_numeric: float
-    e0_error: float
-    e1_error: float
-    psi0_residual: float
-    psi1_residual: float
-    psi0_overlap: float
-    psi1_overlap: float
-    gap_numeric: float
-    intertwining_residual: float
-    bimodality_lhs: float
-    bimodality_rhs: float
-    bimodality_rel_err: float
-
-    @property
-    def checks(self) -> Tuple[Check, ...]:
-        """One record per VERIFY_TOLERANCES entry that applies, in order."""
-        skip_bimodality = (abs(separatrix_energy(self.epsilon) - self.epsilon)
-                           <= BIMODALITY_SKIP_BAND)
-        out = []
-        for name, (tolerance, within) in VERIFY_TOLERANCES.items():
-            if name == "bimodality_rel_err" and skip_bimodality:
-                continue
-            value = getattr(self, name)
-            out.append(Check(name, value, tolerance, within(value, tolerance)))
-        return tuple(out)
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-
-def verify(partner: Partner) -> VerifyReport:
-    """The spectrum, intertwining and curvature-law checks of one partner.
-
-    The partner carries the closed forms through all of them; the
-    intertwining residual is that of the two pointwise Darboux identities,
-    so it needs no test function.
-    """
-    eps_val, h = partner.epsilon, partner.grid.h
-    e0, e1, e0_error, e1_error, H, y0, y1 = bound_levels(partner)
-    psi0, psi1 = partner.psi0, partner.psi1
-    return VerifyReport(  # the fields in order
-        eps_val, eps_val, -1.0, e0, e1, e0_error, e1_error,
-        eigen_residual(H, psi0, eps_val), eigen_residual(H, psi1, -1.0),
-        # overlaps by numpy's pairwise sums: a BLAS dot's digits vary with its threads
-        abs(float(np.trapezoid(normalized(y0, h) * psi0, dx=h))),
-        abs(float(np.trapezoid(normalized(y1, h) * psi1, dx=h))),
-        e1 - e0, _intertwining_residual(partner), *wells.check_bimodality_relation(partner))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from shallowdw import Grid, GridTooNarrow, Partner, oracle
+from shallowdw import Grid, GridTooNarrow, Partner, oracle, wells
 from shallowdw.grids import first_derivative, normalized
 from shallowdw.transform import _sech
 
@@ -22,7 +22,7 @@ def default_grid():
 @functools.lru_cache(maxsize=None)
 def cached_report(eps: float, x_max: float = 20.0, n_points: int = 4001):
     """Share eigensolver runs between test modules."""
-    return oracle.verify(Partner(eps, Grid(x_max, n_points)))
+    return wells.verify(Partner(eps, Grid(x_max, n_points)))
 
 
 def lowest_eigenpairs(H, k):
@@ -35,7 +35,7 @@ def lowest_eigenpairs(H, k):
     """
     if not 1 <= k <= min(6, H.grid.n_points):
         raise ValueError("k must be between 1 and min(6, n_points)")
-    pairs = (oracle._sector_eigenpair(H, level % 2, level // 2) for level in range(k))
+    pairs = (oracle.sector_eigenpair(H, level % 2, level // 2) for level in range(k))
     return [(energy, normalized(v, H.grid.h)) for energy, v in pairs]
 
 

@@ -232,11 +232,12 @@ class TestVerifyCommand:
                 return real(*args, **kwargs)
             return wrapper
 
-        for module, name in [(oracle, "bound_levels"),
-                             (wells, "check_bimodality_relation")]:
+        for module, name in [(wells, "bound_levels"), (wells, "check_bimodality_relation"),
+                             (oracle, "eigen_residual"), (oracle, "sturm_count")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert run(["verify", "--epsilon", -1.5]) == 0
-        assert calls == {"bound_levels": 1, "check_bimodality_relation": 1}
+        assert calls == {"bound_levels": 1, "check_bimodality_relation": 1,
+                         "eigen_residual": 2, "sturm_count": 30}
 
     def test_solver_failure_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
@@ -411,8 +412,8 @@ class TestSweepCommand:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("eigen_residual", "bound_levels"):
-            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        for module, name in [(oracle, "eigen_residual"), (wells, "bound_levels")]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5, "--steps", 2,
                     "--quantities", "e0_error,e1_error", "--out", tmp_path / "s.csv"]) == 0
         assert calls == {"bound_levels": 2}
@@ -434,7 +435,7 @@ class TestSweepCommand:
         assert max(table["e0_error"] + table["e1_error"]) < 1e-9
         grid = shallowdw.Grid(20.0, points)
         for eps, e0, e1 in zip(table["epsilon"], table["e0_error"], table["e1_error"]):
-            report = oracle.verify(shallowdw.Partner(eps, grid))
+            report = wells.verify(shallowdw.Partner(eps, grid))
             assert (e0, e1) == (report.e0_error, report.e1_error)
 
     def test_bad_quantities_exit_2(self, tmp_path, capsys):

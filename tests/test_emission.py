@@ -98,7 +98,7 @@ class TestTableBytes:
     def test_sweep_with_int_column_and_nan_row(self, tmp_path, monkeypatch, fmt):
         eps_values = np.linspace(-2.6, -1.2, 4)
         failing = float(eps_values[1])
-        real = oracle.bound_levels
+        real = wells.bound_levels
 
         def flaky(partner):
             if partner.epsilon == failing:
@@ -106,14 +106,14 @@ class TestTableBytes:
             return real(partner)
 
         # the sweep's oracle solve
-        monkeypatch.setattr(oracle, "bound_levels", flaky)
+        monkeypatch.setattr(wells, "bound_levels", flaky)
         quantities = ["separatrix", "curvature", "gap", "maxima_count",
                       "e0_error", "e1_error"]
         grid = Grid(X_MAX, POINTS)
         rows = []
         for eps in map(float, eps_values):
             try:
-                report = oracle.bound_levels(Partner(eps, grid))
+                report = wells.bound_levels(Partner(eps, grid))
                 rows.append((eps, separatrix_energy(eps), curvature_at_origin(eps),
                              abs(1.0 + eps), wells.classify(Partner(eps, grid)).density_maxima_count,
                              report.e0_error, report.e1_error))

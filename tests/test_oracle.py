@@ -16,7 +16,7 @@ from shallowdw import (
     sturm_count,
 )
 
-from shallowdw import oracle, transform
+from shallowdw import oracle, transform, wells
 from shallowdw.grids import mirror, normalized
 from conftest import (apply_h, base_ground_state, cached_report, check_intertwining,
                       drawn_rows, lowest_eigenpairs, numerov_matrix, overlap)
@@ -157,7 +157,7 @@ class TestNumerovSafety:
         assert H.coarse is None
         assert sum(H.bound_counts) == 2
         # k h = 0.25 and 0.14 under-resolve psi0: the solve itself is checked
-        levels = oracle.bound_levels(partner)
+        levels = wells.bound_levels(partner)
         assert levels.e0_error < 1.0 and levels.e1_error < 1e-2
 
     def test_coarse_failure_does_not_surface(self, default_grid, monkeypatch):
@@ -250,7 +250,7 @@ class TestCoarseToFine:
         epsilons = np.linspace(-2.95, -1.05, 39)
         for eps in epsilons:
             steps.clear()
-            oracle.bound_levels(Partner(float(eps), Grid(20.0, 4001)))
+            wells.bound_levels(Partner(float(eps), Grid(20.0, 4001)))
             assert steps.count(4001) == 2, eps
         assert sum(rows) / len(epsilons) <= 9400
 
@@ -347,7 +347,7 @@ class TestCoarseToFine:
             H = TridiagonalHamiltonian(partner.grid, partner.potential)
             for parity in (0, 1):
                 bracketed.clear()
-                oracle._sector_eigenpair(H, parity, 0)
+                oracle.sector_eigenpair(H, parity, 0)
                 assert bracketed == [251]
 
 
@@ -390,7 +390,7 @@ class TestSturmCount:
             return result
 
         monkeypatch.setattr(oracle, "sturm_count", counting)
-        oracle.verify(Partner(eps, default_grid))
+        wells.verify(Partner(eps, default_grid))
         assert 0 < len(calls) <= 40
         # the full grid's levels are isolated by bound_counts and min V: no
         # count there draws a row, and no count walks its whole sector
@@ -449,17 +449,17 @@ class TestSectorResidual:
         monkeypatch.setattr(oracle, "_numerov",
                             lambda y, *args: calls.append(len(y)) or numerov(y, *args))
         partner = Partner(-2.5, Grid(20.0, n))
-        oracle.bound_levels(partner)
+        wells.bound_levels(partner)
         assert calls.count(n) == 0
         calls.clear()
-        oracle.verify(partner)  # only the closed-form states' residuals
+        wells.verify(partner)  # only the closed-form states' residuals
         assert calls.count(n) == 2
 
     @pytest.mark.parametrize("n", [1999, 4001, 16001])
     def test_bound_levels_builds_no_whole_grid_state(self, n):
         # the grid checks run on the states' x >= 0 samples
         partner = Partner(-2.5, Grid(20.0, n))
-        oracle.bound_levels(partner)
+        wells.bound_levels(partner)
         assert "psi0" not in vars(partner) and "psi1" not in vars(partner)
 
 
@@ -491,15 +491,15 @@ class TestIntertwining:
         # four nodes are dropped at each edge: none left of 7
         grid = Grid(3.0, 7)
         with pytest.raises(ValueError, match="at least 9 points"):
-            oracle._intertwining_residual(Partner(-1.5, grid))
+            wells._intertwining_residual(Partner(-1.5, grid))
 
     def test_smallest_measurable_grid(self):
-        assert np.isfinite(oracle._intertwining_residual(Partner(-1.5, Grid(3.0, 9))))
+        assert np.isfinite(wells._intertwining_residual(Partner(-1.5, Grid(3.0, 9))))
 
     @pytest.mark.parametrize("eps", [-5.0, -50.0])
     def test_falls_at_fourth_order(self, eps):
         # the algebraic identity sits at rounding level; w' is 4th-order
-        values = [oracle._intertwining_residual(Partner(eps, Grid(20.0, n)))
+        values = [wells._intertwining_residual(Partner(eps, Grid(20.0, n)))
                   for n in (4001, 8001, 16001)]
         for coarse, fine in zip(values, values[1:]):
             assert 12.0 <= coarse / fine <= 20.0
@@ -510,7 +510,7 @@ class TestIntertwining:
         grid = Grid(15.0 / np.sqrt(-eps), 1001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert oracle._intertwining_residual(Partner(eps, grid)) < 1e-4
+            assert wells._intertwining_residual(Partner(eps, grid)) < 1e-4
 
 
 class TestVerifySpectrum:
@@ -551,7 +551,7 @@ class TestVerifySpectrum:
         # wrong count is planted to reach the solver's own consistency check
         monkeypatch.setattr(oracle.TridiagonalHamiltonian, "bound_counts", (1, 0))
         with pytest.raises(BoundStateCountMismatch, match="found 1"):
-            oracle.bound_levels(Partner(-1.05, default_grid))
+            wells.bound_levels(Partner(-1.05, default_grid))
 
 
 class TestVerify:
@@ -561,7 +561,7 @@ class TestVerify:
         # like h^4 under Numerov, 256x per fourfold refinement, until they
         # reach the rounding floor of about 1e-14 (below ROUNDING_FLOOR)
         sizes = (4001, 16001, 64001, 256001)
-        reports = [oracle.verify(Partner(eps, Grid(20.0, n))) for n in sizes]
+        reports = [wells.verify(Partner(eps, Grid(20.0, n))) for n in sizes]
         assert [(n, c.name) for n, report in zip(sizes, reports)
                 for c in report.checks if not c.passed] == []
         for attr in ("e0_error", "e1_error"):
@@ -578,8 +578,8 @@ class TestVerify:
         (-50.0, ["psi0_residual", "psi1_residual", "bimodality_rel_err"]),
     ])
     def test_check_records(self, eps, failed, default_grid):
-        report = oracle.verify(Partner(eps, default_grid))
-        names = list(oracle.VERIFY_TOLERANCES)
+        report = wells.verify(Partner(eps, default_grid))
+        names = list(wells.VERIFY_TOLERANCES)
         if eps == -2.0:
             # ground level on the barrier top: rho''(0) = 0, check skipped
             assert report.bimodality_rel_err > 1.0
@@ -589,15 +589,15 @@ class TestVerify:
         assert report.passed is (not failed)
         for check in report.checks:
             assert check.value == getattr(report, check.name)
-            assert check.tolerance == oracle.VERIFY_TOLERANCES[check.name][0]
+            assert check.tolerance == wells.VERIFY_TOLERANCES[check.name][0]
 
     @pytest.mark.parametrize("eps, n", [(-1.5, 4001), (-1.5, 101), (-2.9, 4001)])
     def test_report_holds_python_floats_and_bools(self, eps, n):
         # a numpy scalar would print as np.float64(...) in a failed check's line
         partner = Partner(eps, Grid(20.0, n))
-        levels = oracle.bound_levels(partner)
+        levels = wells.bound_levels(partner)
         assert all(type(v) is float for v in levels[:4])
-        report = oracle.verify(partner)
+        report = wells.verify(partner)
         assert all(type(getattr(report, f.name)) is float for f in fields(report))
         assert all(type(check.passed) is bool for check in report.checks)
         assert type(report.passed) is bool

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from shallowdw import (Grid, GridTooCoarse, GridTooNarrow, Partner,
-                       TridiagonalHamiltonian, oracle, sturm_count)
+                       TridiagonalHamiltonian, sturm_count, wells)
 from shallowdw.transform import EPSILON_MAX
 
 from conftest import apply_h, dense_sector_levels, lowest_eigenpairs, numerov_matrix
@@ -99,8 +99,8 @@ def test_a_finer_grid_keeps_a_pass(eps, m):
     # nodes passes on 2 n - 1, the grid of half the spacing
     n = 2 * m + 1
     try:
-        coarse = oracle.verify(Partner(eps, Grid(20.0, n)))
+        coarse = wells.verify(Partner(eps, Grid(20.0, n)))
     except (GridTooNarrow, GridTooCoarse):
         reject()  # a grid error on n nodes is no pass to keep
     assume(coarse.passed)
-    assert oracle.verify(Partner(eps, Grid(20.0, 2 * n - 1))).passed
+    assert wells.verify(Partner(eps, Grid(20.0, 2 * n - 1))).passed

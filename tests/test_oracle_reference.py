@@ -10,7 +10,7 @@ The counts must therefore agree at every lam, rounding included.
 import numpy as np
 import pytest
 
-from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle
+from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
 from shallowdw.oracle import PIVMIN, sturm_count
 
 from conftest import counting_view, dense_sector_levels, drawn_rows, lowest_eigenpairs
@@ -116,7 +116,7 @@ class TestTurningPointCount:
             return result
 
         monkeypatch.setattr(oracle, "sturm_count", measuring)
-        oracle.bound_levels(Partner(-1.5, Grid(20.0, 1999)))
+        wells.bound_levels(Partner(-1.5, Grid(20.0, 1999)))
         fine = [f for n, f in read if n == 1999]
         # the levels below 0 come from bound_counts, not from a count at
         # lam = 0, so every count stops short of the edge
@@ -192,7 +192,7 @@ class TestBoundCounts:
         for n in (4001, 4003):
             passes.clear()
             lams.clear()
-            oracle.bound_levels(Partner(-1.5, Grid(20.0, n)))
+            wells.bound_levels(Partner(-1.5, Grid(20.0, n)))
             assert sorted((m, parity) for m, parity, _ in passes) == [(251, 0), (n, 0)]
             assert all(a.lengths == [len(a)] for _, _, a in passes)
             assert lams and 0.0 not in lams
@@ -236,7 +236,7 @@ class TestTwistedVector:
         H = partner(eps, n)
         for parity in (0, 1):
             steps.clear()
-            oracle._sector_eigenpair(H, parity, 0)
+            oracle.sector_eigenpair(H, parity, 0)
             rows = H.grid.center_index + 1 - parity
             assert steps.count(rows) == 1
             assert all(steps.count(m) <= 3 for m in steps)
@@ -257,12 +257,12 @@ class TestTwistedVector:
         assert H.coarse.grid.n_points == 8001 and H.coarse.coarse.grid.n_points == 1001
         for parity in (0, 1):
             steps.clear()
-            oracle._sector_eigenpair(H, parity, 0)
+            oracle.sector_eigenpair(H, parity, 0)
             assert sorted(steps) == [501 - parity, 4001 - parity, 32001 - parity]
 
     @pytest.mark.parametrize("eps", [-50.0, -200.0])
     def test_deep_well_passes_on_the_fine_grid(self, eps):
-        report = oracle.verify(Partner(eps, Grid(20.0, 64001)))
+        report = wells.verify(Partner(eps, Grid(20.0, 64001)))
         assert report.passed, [check for check in report.checks if not check.passed]
 
     def test_one_row_sector(self):

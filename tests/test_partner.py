@@ -19,6 +19,7 @@ from shallowdw import (
     potential,
     potential_log_form,
     transform,
+    wells,
 )
 from shallowdw.cli import main
 
@@ -145,7 +146,7 @@ class TestLazyFields:
         monkeypatch.setattr(transform, "_check_samples",
                             lambda samples, what, partner:
                             checked.append(what) or real(samples, what, partner))
-        oracle.verify(Partner(-1.5, default_grid))
+        wells.verify(Partner(-1.5, default_grid))
         assert checked == ["ground state", "excited state"]
 
     def test_invalid_epsilon_rejected_on_construction(self, default_grid):

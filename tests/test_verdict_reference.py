@@ -46,7 +46,7 @@ def ref_overlap(y, psi, h):
 def ref_verify(eps, grid):
     """(stdout, exit code) of `verify` as the CLI computed them inline."""
     partner = Partner(eps, grid)
-    levels = oracle.bound_levels(partner)
+    levels = wells.bound_levels(partner)
     psi0, psi1 = partner.psi0, partner.psi1
     psi0_residual = oracle.eigen_residual(levels.H, psi0, eps)
     psi1_residual = oracle.eigen_residual(levels.H, psi1, -1.0)
