@@ -34,16 +34,16 @@ E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
 Residuals are taken on the sector's rows, row 0 beside its mirror y_1 (even)
 or the wall (odd), and only the accepted y is mirrored onto the full grid.
 
-Each level is solved coarse to fine (nested iteration, Brandt) where the
-grid allows it.  Its seed grid is every COARSENING-th node out from x = 0,
-or every 2nd node where that one is too small for a coarse grid of its own;
-every grid below takes every COARSENING-th node.  These are uncertified:
-the coarsest takes one twisted step from a bisection bracket, each finer
-one step from the level E_c below it, or from E_c + (E_c - E_cc) (1 - r^-4)
-/ (COARSENING^4 - 1) at the spacing ratio r where E_c had a seed E_cc too
-(Richardson).  The full grid steps from its seed to the residual target;
-unless Sturm counts then isolate the level, it bisects and steps from the
-bracket.  Each step twists within the turning row of its own shift.
+Each level is stepped from a shift the caller gives, and checked: the
+steps stop once the residual meets RESIDUAL_TOL ||H||, so E lies within
+that residual of a level (Kahan's residual bound), and the level is kept
+only if Sturm counts over E -+ BISECTION_RTOL (E - min V) place level
+``index`` of the sector there, and no other (Sturm's theorem; Parlett,
+*The Symmetric Eigenvalue Problem*, ch. 4 and 7).  Otherwise, or if the
+steps miss the target, the level is bisected from V alone and stepped from
+the bracket.  So a shift changes the work, never the level reported: the
+closer the shift, the fewer the steps.  E is the Newton estimate of the
+last step, so the shift moves it only in its last digits.
 
 The solver reads nothing but the grid and the sampled V in ``H.potential``,
 and this module imports nothing but numpy, the standard library and
@@ -58,7 +58,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,13 +77,6 @@ INVERSE_ITERATION_MAX_STEPS = 8
 RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
-# Coarse to fine: a grid solves first on every stride-th node out from x = 0
-# (COARSENING, or 2 for the full grid's seed) if that keeps at least
-# COARSE_MIN_POINTS nodes and (stride h)^2 (max V - min V) <= COARSE_Q_MAX,
-# well below the pole; its level seeds the twisted steps on the grid above.
-COARSENING = 8
-COARSE_MIN_POINTS = 251
-COARSE_Q_MAX = 1.0
 
 
 class ConvergenceFailure(RuntimeError):
@@ -143,34 +136,6 @@ class TridiagonalHamiltonian:
     def residual_target(self) -> float:
         """RESIDUAL_TOL ||H||, with ||H|| <= 4/h^2 + max |V|."""
         return RESIDUAL_TOL * (4.0 / self.grid.h**2 + float(np.max(np.abs(self.potential))))
-
-    @cached_property
-    def coarse(self) -> Optional[TridiagonalHamiltonian]:
-        """V on every COARSENING-th node; the coarse grids below the full grid."""
-        return self._every(COARSENING)
-
-    @cached_property
-    def seed(self) -> Optional[TridiagonalHamiltonian]:
-        """The full grid's seed: ``coarse``, or every 2nd node where that grid has
-        a coarse grid and ``coarse`` has too few nodes (not too rough a V) for
-        one, so that the seed is extrapolated from two coarser levels."""
-        c = self.coarse
-        if c is None or 2 * (c.grid.center_index // COARSENING) + 1 >= COARSE_MIN_POINTS:
-            return c
-        half = self._every(2)
-        return half if half is not None and half.coarse is not None else c
-
-    def _every(self, stride: int) -> Optional[TridiagonalHamiltonian]:
-        """V on every stride-th node out from x = 0; None if no coarse solve."""
-        center = self.grid.center_index
-        m = center // stride  # the nodes x = 0, +-stride h, ..., +-stride m h
-        if 2 * m + 1 < COARSE_MIN_POINTS:
-            return None
-        values = self.potential[center % stride::stride]
-        if (stride * self.grid.h)**2 * (np.max(values) - np.min(values)) > COARSE_Q_MAX:
-            return None
-        x_max = self.grid.x_max * (stride * m / center)
-        return TridiagonalHamiltonian(Grid(x_max, 2 * m + 1), values)
 
 
 def _numerov(y: np.ndarray, v_minus_e: np.ndarray, h: float) -> np.ndarray:
@@ -386,40 +351,17 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
         f"{residual:.3e} after {INVERSE_ITERATION_MAX_STEPS} steps, target {target:.3e}")
 
 
-def _extrapolated(coarse: float, coarser: Optional[float], ratio: int = COARSENING) -> float:
-    """E_c at spacing h_c moved to h_c / ratio by the O(h^4) error that its level
-    E_cc at COARSENING h_c shows (Richardson): E_c + (E_c - E_cc) (1 - ratio^-4)
-    / (COARSENING^4 - 1), whose factor is COARSENING^-4 exactly at ratio
-    COARSENING.  E_c alone where it has no E_cc."""
-    if coarser is None:
-        return coarse
-    return coarse + (coarse - coarser) * ((1.0 - ratio**-4) / (COARSENING**4 - 1))
-
-
-def _coarse_level(H: TridiagonalHamiltonian, parity: int,
-                  index: int) -> Tuple[float, Optional[float]]:
-    """(E, E_c): one uncertified twisted step on a coarse grid, from a bracket or
-    from E_c extrapolated at the ratio COARSENING, the stride of every grid below."""
-    if H.coarse is None:
-        return _twisted_step(H, parity, _bracket(H, parity, index))[0], None
-    coarse, coarser = _coarse_level(H.coarse, parity, index)
-    return _twisted_step(H, parity, _extrapolated(coarse, coarser))[0], coarse
-
-
-def sector_eigenpair(H: TridiagonalHamiltonian, parity: int,
-                     index: int) -> Tuple[float, np.ndarray]:
+def sector_eigenpair(H: TridiagonalHamiltonian, parity: int, index: int,
+                     sigma: float) -> Tuple[float, np.ndarray]:
     """(E, y) of level ``index`` of one sector, y on the full grid: stepped from
-    the seed grid's level, or bisected if Sturm counts refuse it."""
-    if H.seed is not None:
-        try:
-            ratio = H.grid.center_index // H.seed.grid.center_index
-            sigma = _extrapolated(*_coarse_level(H.seed, parity, index), ratio)
-            energy, v = _inverse_iteration(H, parity, index, sigma)
-            delta = BISECTION_RTOL * (energy - float(H.edge_min[0]))
-            if _isolated(H, parity, index, energy - delta, energy + delta):
-                return energy, v
-        except ConvergenceFailure:
-            pass  # the coarse grids misled the steps: bisect on this grid
+    the shift sigma, or bisected if Sturm counts refuse the level reached."""
+    try:
+        energy, v = _inverse_iteration(H, parity, index, sigma)
+        delta = BISECTION_RTOL * (energy - float(H.edge_min[0]))
+        if _isolated(H, parity, index, energy - delta, energy + delta):
+            return energy, v
+    except ConvergenceFailure:
+        pass  # sigma misled the steps: bisect
     return _inverse_iteration(H, parity, index, _bracket(H, parity, index))
 
 

@@ -183,7 +183,10 @@ def bound_levels(partner: Partner) -> BoundLevels:
     ``Partner.check_grid`` checks the closed-form states first, so
     GridTooNarrow and GridTooCoarse come before any solver arithmetic.  Every
     eps < -1 has two bound states, at eps and -1, so any other count of levels
-    below the continuum threshold 0 is BoundStateCountMismatch.
+    below the continuum threshold 0 is BoundStateCountMismatch.  Each level is
+    stepped from its closed form, eps or -1, which sets only the solver's work.
+    Only ``cli.main`` sets glibc's heap thresholds, so a library caller pays
+    glibc's heap trims between the solver's temporaries (see README).
     """
     eps_val = partner.epsilon
     partner.check_grid()
@@ -192,7 +195,8 @@ def bound_levels(partner: Partner) -> BoundLevels:
     if negatives != 2:
         raise BoundStateCountMismatch(
             f"expected 2 bound states for eps={eps_val}, found {negatives}")
-    (e0, y0), (e1, y1) = (oracle.sector_eigenpair(H, parity, 0) for parity in (0, 1))
+    (e0, y0), (e1, y1) = (oracle.sector_eigenpair(H, parity, 0, sigma)
+                          for parity, sigma in ((0, eps_val), (1, -1.0)))
     return BoundLevels(e0, e1, abs(e0 - eps_val), abs(e1 + 1.0), H, y0, y1)
 
 

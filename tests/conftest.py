@@ -28,14 +28,16 @@ def cached_report(eps: float, x_max: float = 20.0, n_points: int = 4001):
 def lowest_eigenpairs(H, k):
     """k smallest eigenpairs of H, ascending; eigenvectors trapezoid-normalized.
 
-    Deterministic: coarse-to-fine or bisection-seeded twisted factorizations
-    with Newton shifts, each level certified by Sturm counts, one parity
-    sector per level.  Only low-lying states are meaningful under the
-    Dirichlet truncation, hence k <= 6.
+    Deterministic: each level is stepped by twisted factorizations with
+    Newton shifts from min V, a shift every V has, one parity sector per
+    level, and kept only where Sturm counts certify it; otherwise it is
+    bisected.  Only low-lying states are meaningful under the Dirichlet
+    truncation, hence k <= 6.
     """
     if not 1 <= k <= min(6, H.grid.n_points):
         raise ValueError("k must be between 1 and min(6, n_points)")
-    pairs = (oracle.sector_eigenpair(H, level % 2, level // 2) for level in range(k))
+    v_min = float(H.edge_min[0])
+    pairs = (oracle.sector_eigenpair(H, level % 2, level // 2, v_min) for level in range(k))
     return [(energy, normalized(v, H.grid.h)) for energy, v in pairs]
 
 

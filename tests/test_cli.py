@@ -236,8 +236,9 @@ class TestVerifyCommand:
                              (oracle, "eigen_residual"), (oracle, "sturm_count")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert run(["verify", "--epsilon", -1.5]) == 0
+        # bound_counts and min V certify both levels: no Sturm count is made
         assert calls == {"bound_levels": 1, "check_bimodality_relation": 1,
-                         "eigen_residual": 2, "sturm_count": 30}
+                         "eigen_residual": 2}
 
     def test_solver_failure_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
@@ -629,6 +630,8 @@ class TestExitCodeTable:
         assert "finite" in err
 
     def test_stalled_bisection_is_a_solver_failure(self, monkeypatch, capsys):
+        # no step from the shift meets the target, so the level is bisected
+        monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
         monkeypatch.setattr(oracle, "BISECTION_MAX_ITER", 1)
         code, out, err = run_captured(["verify", "--epsilon", "-1.5"], capsys)
         assert (code, out) == (4, "")

@@ -112,10 +112,9 @@ class TestEigensolverSelfTests:
         assert np.allclose(energies, dense[:4], rtol=0.0, atol=1e-10)
 
     def test_missed_residual_target_raises(self, default_grid, monkeypatch):
-        # the coarse-to-fine steps count against the same cap
+        # the steps from the shift and those from the bracket share the cap
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
         H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
-        assert H.coarse is not None
         with pytest.raises(ConvergenceFailure, match="inverse iteration"):
             lowest_eigenpairs(H, 1)
 
@@ -150,34 +149,41 @@ class TestNumerovSafety:
 
     @pytest.mark.parametrize("eps", [-1e4, -3000.0])
     def test_deep_well_skips_the_coarse_grid(self, eps):
-        # on every 8th node h_c^2 (max V - min V) is 2.4 or more, too near
-        # the pole for a seed: the level is bisected on the grid itself
+        # h^2 (max V - min V) = 0.12 and 0.04, far below the pole: both
+        # levels come from the grid itself, stepped from eps and -1
         partner = Partner(eps, Grid(20.0, 16001))
         H = TridiagonalHamiltonian(partner.grid, partner.potential)
-        assert H.coarse is None
         assert sum(H.bound_counts) == 2
         # k h = 0.25 and 0.14 under-resolve psi0: the solve itself is checked
         levels = wells.bound_levels(partner)
         assert levels.e0_error < 1.0 and levels.e1_error < 1e-2
 
     def test_coarse_failure_does_not_surface(self, default_grid, monkeypatch):
-        # a ConvergenceFailure on the coarse grid falls back to bisection here
+        # a ConvergenceFailure in the steps from the shift, the level's coarse
+        # estimate, falls back to bisection, which steps from its bracket
         H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
-        expected = bisection_only(H, monkeypatch)
+        expected = [bisection_only(H, parity, 0) for parity in (0, 1)]
+        steps, bracket = oracle._inverse_iteration, oracle._bracket
+        shifts = []
 
-        def failing(H_, parity, index):
-            assert H_.grid != H.grid  # only coarse grids are seeded
-            raise ConvergenceFailure("planted")
+        def failing(H_, parity, index, sigma):
+            shifts.append(sigma)
+            if len(shifts) % 2:
+                raise ConvergenceFailure("planted")
+            return steps(H_, parity, index, sigma)
 
-        monkeypatch.setattr(oracle, "_coarse_level", failing)
-        assert same_pairs(lowest_eigenpairs(H, 2), expected)
+        monkeypatch.setattr(oracle, "_inverse_iteration", failing)
+        got = [oracle.sector_eigenpair(H, parity, 0, sigma)
+               for parity, sigma in ((0, -1.5), (1, -1.0))]
+        assert same_pairs(got, expected)
+        assert shifts[::2] == [-1.5, -1.0]
+        assert shifts[1::2] == [bracket(H, parity, 0) for parity in (0, 1)]
 
 
-def bisection_only(H, monkeypatch):
-    """lowest_eigenpairs(H, 2) with no coarse grid, from a fresh Hamiltonian."""
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle.TridiagonalHamiltonian, "coarse", None)
-        return lowest_eigenpairs(TridiagonalHamiltonian(H.grid, H.potential), 2)
+def bisection_only(H, parity, index):
+    """(E, y) of one sector's level from its Sturm bracket alone, as the
+    solver's fallback finds it."""
+    return oracle._inverse_iteration(H, parity, index, oracle._bracket(H, parity, index))
 
 
 def same_pairs(a, b):
@@ -185,50 +191,21 @@ def same_pairs(a, b):
                for (ea, wa), (eb, wb) in zip(a, b))
 
 
+def within_rounding(a, b):
+    """Levels equal to 1e-13 max(1, |E|), and eigenvectors of overlap 1 - 1e-12."""
+    return all(abs(ea - eb) <= ROUNDING_FLOOR * max(1.0, abs(eb))
+               and abs(np.dot(wa, wb)) > (1.0 - 1e-12) * np.linalg.norm(wa) * np.linalg.norm(wb)
+               for (ea, wa), (eb, wb) in zip(a, b))
+
+
 class TestCoarseToFine:
-    @pytest.mark.parametrize("n, n_coarse", [(1999, None), (2001, 251), (4001, 501),
-                                             (4003, 501)])
-    def test_coarse_grid_holds_every_eighth_node_out_from_zero(self, n, n_coarse):
-        grid = Grid(20.0, n)
-        H = TridiagonalHamiltonian(grid, Partner(-1.5, grid).potential)
-        if n_coarse is None:  # 1999 nodes leave 249 on every 8th: too few
-            assert H.coarse is None
-            return
-        nodes = grid.center_index + 8 * np.arange(-(n_coarse // 2), n_coarse // 2 + 1)
-        assert np.array_equal(H.coarse.potential, H.potential[nodes])
-        assert np.allclose(H.coarse.grid.x, grid.x[nodes], rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("n, eps, n_seed, stride", [
-        (1999, -1.5, None, None), (2001, -1.5, 251, 8), (3999, -1.5, 499, 8),
-        # every 8th node leaves too few for a coarser grid: every 2nd node
-        (4001, -1.5, 2001, 2), (4003, -1.5, 2001, 2), (8001, -1.5, 4001, 2),
-        (15999, -1.5, 7999, 2), (16001, -1.5, 2001, 8), (64001, -1.5, 8001, 8),
-        # COARSE_Q_MAX, not size, rules out the coarser grid: every 8th node
-        (4001, -30.0, 501, 8), (32001, -200.0, 4001, 8)])
-    def test_seed_grid_holds_its_nodes_out_from_zero(self, n, eps, n_seed, stride):
-        grid = Grid(20.0, n)
-        H = TridiagonalHamiltonian(grid, Partner(eps, grid).potential)
-        if n_seed is None:
-            assert H.seed is None
-            return
-        nodes = grid.center_index + stride * np.arange(-(n_seed // 2), n_seed // 2 + 1)
-        assert H.seed.grid.n_points == n_seed
-        assert np.array_equal(H.seed.potential, H.potential[nodes])
-        assert np.allclose(H.seed.grid.x, grid.x[nodes], rtol=0.0, atol=1e-12)
-
-    def test_seed_grid_skips_a_rough_every_second_node(self):
-        # a spike on x = +-2h passes every 8th node by, but every 2nd node
-        # holds it: (2h)^2 * 5000 = 2 > COARSE_Q_MAX, so coarse stays the seed
-        grid = Grid(20.0, 4001)
-        v = np.zeros(grid.n_points)
-        v[[grid.center_index - 2, grid.center_index + 2]] = 5000.0
-        H = TridiagonalHamiltonian(grid, v)
-        assert H.seed is H.coarse and H.coarse.grid.n_points == 501
+    """From a coarse estimate of each level, the shift, to the level itself."""
 
     def test_default_grid_work_counts(self, monkeypatch):
-        # 39 eps in [-2.95, -1.05] at n = 4001, seeded from 2001 and 251
-        # nodes: one full-grid step per level, and the Python pivot rows
-        # (rows handed to _pivot_run and _negative_pivots) pinned from above
+        # 39 eps in [-2.95, -1.05] at n = 4001, each level stepped from eps
+        # or -1: at most 3 full-grid steps per bound_levels, no other grid,
+        # and the Python pivot rows (rows handed to _pivot_run and
+        # _negative_pivots) pinned from above
         steps, rows = [], []
         step, pivot_run, negative_pivots = (oracle._twisted_step, oracle._pivot_run,
                                             oracle._negative_pivots)
@@ -251,39 +228,35 @@ class TestCoarseToFine:
         for eps in epsilons:
             steps.clear()
             wells.bound_levels(Partner(float(eps), Grid(20.0, 4001)))
-            assert steps.count(4001) == 2, eps
-        assert sum(rows) / len(epsilons) <= 9400
+            assert set(steps) == {4001} and 2 <= len(steps) <= 3, eps
+        assert sum(rows) / len(epsilons) <= 7000
 
     @pytest.mark.parametrize("n", [4001, 4003, 16001, 16003, 64001])
     @pytest.mark.parametrize("eps", [-1.05, -2.0, -2.95])
-    def test_agrees_with_bisection_only(self, eps, n, monkeypatch):
-        partner = Partner(eps, Grid(20.0, n))
-        H = TridiagonalHamiltonian(partner.grid, partner.potential)
-        assert H.coarse is not None
+    def test_agrees_with_bisection_only(self, eps, n):
+        levels = wells.bound_levels(Partner(eps, Grid(20.0, n)))
+        H = levels.H
         target = oracle.RESIDUAL_TOL * (4.0 / H.grid.h**2 + np.max(np.abs(H.potential)))
-        for (ea, wa), (eb, wb) in zip(lowest_eigenpairs(H, 2), bisection_only(H, monkeypatch)):
+        for parity, ea, wa in ((0, levels.e0_numeric, levels.y0),
+                               (1, levels.e1_numeric, levels.y1)):
+            eb, wb = bisection_only(H, parity, 0)
             assert abs(ea - eb) <= target
-            assert abs(overlap(wa, wb, H.grid)) > 1.0 - 1e-12
+            assert abs(overlap(normalized(wa, H.grid.h), normalized(wb, H.grid.h),
+                               H.grid)) > 1.0 - 1e-12
 
     def test_wrong_coarse_estimate_falls_back(self, monkeypatch):
-        # the coarse grid hands up the next level of the sector (5 for 1 and
-        # 7 for 3 in the harmonic well): the fine steps find that level,
-        # Sturm counts refuse it, and bisection takes over with the answer
-        # it gives alone
+        # harmonic well, levels 2m + 1: a shift at level 1 of a sector (5 for
+        # the even, 7 for the odd) leads the steps there, Sturm counts refuse
+        # it, and bisection takes over with the answer it gives alone
         grid = Grid(15.0, 4001)
         H = TridiagonalHamiltonian(grid, grid.x**2)
-        assert H.coarse is not None
-        expected = bisection_only(H, monkeypatch)
-        seed, isolated, bracket = oracle._coarse_level, oracle._isolated, oracle._bracket
+        expected = [bisection_only(H, parity, 0) for parity in (0, 1)]
+        isolated, bracket = oracle._isolated, oracle._bracket
         verdicts, bisecting = [], []
-
-        def misleading(H_, parity, index):
-            assert H_.grid != H.grid  # only coarse grids are seeded
-            return seed(H_, parity, index + 1)
 
         def recording(H_, *args):
             verdict = isolated(H_, *args)
-            if H_.grid == H.grid and not bisecting:  # the seeded path's verdicts
+            if not bisecting:  # the shifted path's verdicts
                 verdicts.append(verdict)
             return verdict
 
@@ -293,62 +266,35 @@ class TestCoarseToFine:
             bisecting.pop()
             return bracketed
 
-        monkeypatch.setattr(oracle, "_coarse_level", misleading)
         monkeypatch.setattr(oracle, "_isolated", recording)
         monkeypatch.setattr(oracle, "_bracket", marked)
-        assert same_pairs(lowest_eigenpairs(H, 2), expected)
+        got = [oracle.sector_eigenpair(H, parity, 0, sigma)
+               for parity, sigma in ((0, 5.0), (1, 7.0))]
+        assert same_pairs(got, expected)
         assert verdicts == [False, False]
 
-    def test_wrong_extrapolation_falls_back(self, monkeypatch):
-        # n = 16001 solves on 251, 2001 and 16001 nodes in the harmonic well,
-        # whose levels of one sector lie 4 apart.  The 2001-node grid reports
-        # a seed 4 * 8^4 below its level, so the extrapolated seed lands on
-        # the next level of the sector: the fine steps find that level,
-        # Sturm counts refuse it, and bisection takes over with the answer
-        # it gives alone
-        grid = Grid(8.0, 16001)
-        H = TridiagonalHamiltonian(grid, grid.x**2)
-        assert H.coarse.grid.n_points == 2001 and H.coarse.coarse.grid.n_points == 251
-        expected = bisection_only(H, monkeypatch)
-        seed, bracket = oracle._coarse_level, oracle._bracket
-        bracketed = []
-
-        def planted(H_, parity, index):
-            energy, coarse = seed(H_, parity, index)
-            if H_.grid == H.coarse.grid:
-                assert coarse is not None
-                coarse = energy - 4.0 * oracle.COARSENING**4
-            return energy, coarse
-
-        def recording(H_, *args):
-            bracketed.append(H_.grid.n_points)
-            return bracket(H_, *args)
-
-        monkeypatch.setattr(oracle, "_coarse_level", planted)
-        monkeypatch.setattr(oracle, "_bracket", recording)
-        assert same_pairs(lowest_eigenpairs(H, 2), expected)
-        assert bracketed.count(16001) == 2
-
-    @pytest.mark.parametrize("eps", [-2.95, -2.6])
-    def test_seeded_levels_bisect_only_on_the_coarsest_grid(self, eps, monkeypatch):
-        # n = 16001 and 16003 solve on 251, 2001 and n nodes.  Only the
-        # 251-node grid brackets; the 2001-node grid takes one uncertified
-        # step from it, however far off its seed, and never bisects
-        bracketed = []
-        bracket = oracle._bracket
-
-        def recording(H_, *args):
-            bracketed.append(H_.grid.n_points)
-            return bracket(H_, *args)
-
-        monkeypatch.setattr(oracle, "_bracket", recording)
-        for n in (16001, 16003):
-            partner = Partner(eps, Grid(20.0, n))
+    def test_wrong_extrapolation_falls_back(self, default_grid):
+        # no shift changes the level: in the partner wells the closed form,
+        # eps + 0.3, min V, 0.5 above the continuum and -1e3 far below min V,
+        # and in the harmonic well the closed form 2m + 1, 0, 3.7, -1e3 and
+        # 500, all give the level that bisection gives alone
+        for eps in (-1.05, -1.5, -2.95):
+            partner = Partner(eps, default_grid)
             H = TridiagonalHamiltonian(partner.grid, partner.potential)
-            for parity in (0, 1):
-                bracketed.clear()
-                oracle.sector_eigenpair(H, parity, 0)
-                assert bracketed == [251]
+            expected = [bisection_only(H, parity, 0) for parity in (0, 1)]
+            v_min = float(H.edge_min[0])
+            for shifts in ((eps, -1.0), (eps + 0.3,) * 2, (v_min,) * 2, (0.5,) * 2,
+                           (-1e3,) * 2):
+                got = [oracle.sector_eigenpair(H, parity, 0, sigma)
+                       for parity, sigma in zip((0, 1), shifts)]
+                assert within_rounding(got, expected), (eps, shifts)
+        grid = Grid(15.0, 4001)
+        H = TridiagonalHamiltonian(grid, grid.x**2)
+        for parity, index in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            expected = [bisection_only(H, parity, index)]
+            for sigma in (4 * index + 2 * parity + 1, 0.0, 3.7, -1e3, 500.0):
+                got = [oracle.sector_eigenpair(H, parity, index, float(sigma))]
+                assert within_rounding(got, expected), (parity, index, sigma)
 
 
 class TestSturmCount:
@@ -379,23 +325,14 @@ class TestSturmCount:
 
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95])
     def test_calls_per_verify(self, eps, default_grid, monkeypatch):
-        # every Sturm evaluation goes through the module-level name
+        # bound_counts and min V isolate both levels stepped from eps and -1,
+        # so a verify makes no Sturm count and draws no row for one
         calls, counted = [], oracle.sturm_count
         drawn = drawn_rows(monkeypatch)
-
-        def counting(H, lam, parity):
-            drawn.clear()
-            result = counted(H, lam, parity)
-            calls.append((H.grid.n_points, len(drawn), H.grid.center_index + 1 - parity))
-            return result
-
-        monkeypatch.setattr(oracle, "sturm_count", counting)
+        monkeypatch.setattr(oracle, "sturm_count",
+                            lambda *args: calls.append(args) or counted(*args))
         wells.verify(Partner(eps, default_grid))
-        assert 0 < len(calls) <= 40
-        # the full grid's levels are isolated by bound_counts and min V: no
-        # count there draws a row, and no count walks its whole sector
-        assert all(n_drawn == 0 for n, n_drawn, _ in calls if n == default_grid.n_points)
-        assert all(n_drawn < rows for _, n_drawn, rows in calls)
+        assert calls == [] and drawn == []
 
 
 class TestEigenResidual:

@@ -102,9 +102,8 @@ class TestTurningPointCount:
         assert_counts_match(H, near(levels) + [0.0, -1e4, float(half[1000])])
 
     def test_passes_stop_short_of_the_edge(self, monkeypatch):
-        # the a_i each count draws: none walks the whole sector.  n = 1999
-        # has no coarse grid, so it bisects at full size, on 1000 rows (even)
-        # or 999 (odd)
+        # the a_i each count draws: none walks the whole sector.  Bisection
+        # of both levels at n = 1999 counts on 1000 rows (even) or 999 (odd)
         read, count = [], oracle.sturm_count
         drawn = drawn_rows(monkeypatch)
 
@@ -112,20 +111,21 @@ class TestTurningPointCount:
             drawn.clear()
             result = count(H, lam, parity)
             # a count at lam <= min V draws no row
-            read.append((H.grid.n_points, len(drawn) / (H.grid.center_index + 1 - parity)))
+            read.append(len(drawn) / (H.grid.center_index + 1 - parity))
             return result
 
         monkeypatch.setattr(oracle, "sturm_count", measuring)
-        wells.bound_levels(Partner(-1.5, Grid(20.0, 1999)))
-        fine = [f for n, f in read if n == 1999]
+        H = partner(-1.5, 1999)
+        for parity in (0, 1):
+            oracle._bracket(H, parity, 0)
         # the levels below 0 come from bound_counts, not from a count at
         # lam = 0, so every count stops short of the edge
-        assert fine and all(f < 0.6 for f in fine)
+        assert read and all(f < 0.6 for f in read)
 
     @pytest.mark.parametrize("make, lams", [
-        # the 251-node grid a default solve bisects on, and two full grids:
-        # lam at min V, below, between and above the levels -1.5 and -1
-        (lambda: partner(-1.5).seed.coarse, (None, -1.8, -1.25, -0.5)),
+        # a 251-node grid and two finer ones: lam at min V, below, between
+        # and above the levels -1.5 and -1
+        (lambda: partner(-1.5, 251), (None, -1.8, -1.25, -0.5)),
         (lambda: partner(-1.5), (None, -1.8, -1.25, -0.5)),
         (lambda: partner(-1.5, 16001), (None, -1.8, -1.25, -0.5)),
         # h = 1: even levels -1.37 and 3.76, odd level 2.4, min V = -3
@@ -169,11 +169,9 @@ class TestTurningPointCount:
 
 class TestBoundCounts:
     def test_zero_counted_once_for_both_sectors(self, monkeypatch):
-        # one pass at lam = 0 per Hamiltonian, on the grid and on the
-        # coarsest grid, which brackets the levels, reads the rows of x >= 0
-        # once and counts both sectors; no Sturm count is made at 0.  The
-        # 2001-node grid between them takes one uncertified step per level
-        # and counts nothing
+        # one pass at lam = 0 reads the rows of x >= 0 once and counts both
+        # sectors; with it and min V, both levels stepped from eps and -1
+        # are isolated without a Sturm count
         passes, lams = [], []
         rows, count = oracle._sector_rows, oracle.sturm_count
 
@@ -193,9 +191,9 @@ class TestBoundCounts:
             passes.clear()
             lams.clear()
             wells.bound_levels(Partner(-1.5, Grid(20.0, n)))
-            assert sorted((m, parity) for m, parity, _ in passes) == [(251, 0), (n, 0)]
+            assert [(m, parity) for m, parity, _ in passes] == [(n, 0)]
             assert all(a.lengths == [len(a)] for _, _, a in passes)
-            assert lams and 0.0 not in lams
+            assert lams == []
 
     @pytest.mark.parametrize("values, counts", [
         # the grid of test_exact_zero_pivot_past_the_turning_row
@@ -220,11 +218,8 @@ class TestTwistedVector:
     @pytest.mark.parametrize("n", [4001, 4003, 16001, 16003])
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_at_most_three_steps_per_level(self, eps, n, monkeypatch):
-        # coarse to fine: one uncertified step on each coarser grid, within
-        # the bound of three.  n = 16001 and 16003 solve on 251, 2001 and n
-        # nodes, and n = 4001 and 4003 on 251, 2001 (every 2nd node) and n,
-        # so every seed is extrapolated from two grids and one step on the
-        # grid itself meets the target
+        # stepped from eps or -1, every step is on the grid itself, and at
+        # most two per level meet the target, within the bound of three
         steps = []
         original = oracle._twisted_vector
 
@@ -234,17 +229,15 @@ class TestTwistedVector:
 
         monkeypatch.setattr(oracle, "_twisted_vector", counting)
         H = partner(eps, n)
-        for parity in (0, 1):
+        for parity, sigma in ((0, eps), (1, -1.0)):
             steps.clear()
-            oracle.sector_eigenpair(H, parity, 0)
+            oracle.sector_eigenpair(H, parity, 0, sigma)
             rows = H.grid.center_index + 1 - parity
-            assert steps.count(rows) == 1
-            assert all(steps.count(m) <= 3 for m in steps)
+            assert steps in ([rows], [rows] * 2)
 
     def test_deep_well_takes_one_step_per_grid(self, monkeypatch):
-        # eps = -50 at n = 64001 solves on 1001, 8001 and 64001 nodes; the
-        # 1001-node grid is bisected, so the 8001-node one has no extrapolated
-        # seed.  Every grid takes one step per level all the same
+        # eps = -50 at n = 64001: one step per level from eps and -1, on the
+        # one grid there is
         steps = []
         original = oracle._twisted_vector
 
@@ -254,11 +247,23 @@ class TestTwistedVector:
 
         monkeypatch.setattr(oracle, "_twisted_vector", counting)
         H = partner(-50.0, 64001)
-        assert H.coarse.grid.n_points == 8001 and H.coarse.coarse.grid.n_points == 1001
-        for parity in (0, 1):
+        for parity, sigma in ((0, -50.0), (1, -1.0)):
             steps.clear()
-            oracle.sector_eigenpair(H, parity, 0)
-            assert sorted(steps) == [501 - parity, 4001 - parity, 32001 - parity]
+            oracle.sector_eigenpair(H, parity, 0, sigma)
+            assert steps == [32001 - parity]
+
+    @pytest.mark.parametrize("eps, n, steps", [
+        (-30.0, 4001, 4), (-50.0, 8001, 4), (-100.0, 16001, 4),
+        (-200.0, 32001, 3), (-200.0, 64001, 2)])
+    def test_deep_well_steps_per_bound_levels(self, eps, n, steps, monkeypatch):
+        # the closed forms are farther from the grid's levels in a deep
+        # well, so a level may take two steps; none is bisected
+        stepped, step = [], oracle._twisted_step
+        monkeypatch.setattr(oracle, "_twisted_step",
+                            lambda H, *args: stepped.append(H.grid.n_points) or step(H, *args))
+        monkeypatch.setattr(oracle, "_bracket", None)
+        wells.bound_levels(Partner(eps, Grid(20.0, n)))
+        assert stepped == [n] * steps
 
     @pytest.mark.parametrize("eps", [-50.0, -200.0])
     def test_deep_well_passes_on_the_fine_grid(self, eps):
