@@ -102,8 +102,9 @@ def _write(path: Optional[str], chunks: Iterable[bytes]) -> None:
 def _cells(col: np.ndarray) -> np.ndarray:
     """One zero-padded row of ASCII per value of col.
 
-    A float64 value's text is its repr, formatted CSV_BLOCK_ROWS values at a
-    time: a sign byte, then the text of its magnitude.  Of a column whose
+    A float64 value's text is its repr, formatted by ``floatfmt.cells``
+    CSV_BLOCK_ROWS values at a time, into rows of floatfmt.WIDTH bytes: a
+    sign byte, then the text of its magnitude.  Of a column whose
     magnitudes mirror bitwise about its middle, only rows n//2 on are
     formatted; row i copies row n-1-i and writes its own sign byte, "-" where
     the sign bit is set and the value is not NaN, as ``floatfmt.cells`` does.
@@ -128,8 +129,9 @@ def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence) -> Iterator[byt
     """The text of every row, in order, in chunks of up to CSV_BLOCK_ROWS rows.
 
     ``layout`` lists each row's parts: a column's index, or separator bytes.
-    Each column is formatted once, whole, and the zero bytes of its cells
-    are dropped as the rows are joined.
+    Each column is formatted once, whole.  A chunk's rows are joined into
+    one uint8 matrix, whose bytes without the zeros, dropped in one pass by
+    ``bytes.translate``, are the text.
     """
     cells = [_cells(col) for col in columns]
     n = len(cells[0])
@@ -138,7 +140,7 @@ def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence) -> Iterator[byt
         mat = np.concatenate([cells[p][start:start + rows] if isinstance(p, int)
                               else np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
                               for p in layout], axis=1)
-        yield mat[mat != 0].tobytes()
+        yield mat.tobytes().translate(None, b"\0")
 
 
 def _csv(header: Sequence[str], columns: Sequence[np.ndarray],

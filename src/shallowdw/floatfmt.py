@@ -3,8 +3,8 @@
 ``cells(values)`` returns a uint8 array with one row of WIDTH
 bytes per value: the ASCII of its shortest round-trip repr, with zero bytes
 where a shorter text leaves room.  Dropping the zeros of a row gives the
-text, so a table of rows and separators joins as ``mat[mat != 0]``.  No
-Python code runs per value.
+text, so a table of rows and separators joins as its bytes without the
+zeros.  No Python code runs per value.
 
 Digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020): with c 2^q the value and [vl, vr] the reals that round to
@@ -13,10 +13,29 @@ that leaves at least one, and also tries 10^(k+1).  The products by 10^-k
 are 126-bit fixed point, built from 32-bit halves on uint64 arrays.  The
 result is the shortest decimal that rounds back to the value, the nearest
 one if there are two, and the one with an even last digit on an exact tie:
-the digits ``repr`` prints.  A table indexed by the notation, the decimal
-point's place, the digit count and the exponent's length then places sign,
-digits, point and exponent, as ``repr`` does: positional for
-1e-4 <= |v| < 1e16, ``d.ddde+XX`` otherwise.
+the digits ``repr`` prints.
+
+The text is laid out as ``repr`` lays it out (positional for
+1e-4 <= |v| < 1e16, ``d.ddde+XX`` otherwise) by arithmetic on the row's
+three little-endian uint64 words (H. S. Warren, *Hacker's Delight*, 2nd
+ed., 2012, ch. 10):
+
+- the 17 digits, the first nonzero, are a first digit and two 8-digit
+  halves.  Each half becomes the 8 ASCII bytes of one word: it is split at
+  10^4 into two 32-bit lanes, each lane at 100 into two 16-bit lanes and
+  each of those at 10 into two bytes, all lanes of a word at once, and each
+  quotient is a multiply and a shift;
+- the digits printed run to the last nonzero one, the highest nonzero byte
+  of the halves before the ASCII offset: the binary exponent of a float
+  that holds them names it, exactly, as no byte exceeds 9;
+- a row holds the sign and the digits from byte 1 on, as they stand before
+  the decimal point, and a second row holds them shifted right, as they
+  stand after it.  Byte masks keep each row on its side of the point, and
+  the point, a ``0.00`` prefix and the exponent are OR-ed in.  The shift,
+  the masks and the point or prefix depend on the point's place and the
+  digit count alone, and so does the multiply and shift that moves the
+  exponent's text to the end of the digits: they come from one table of
+  words, indexed by the two.
 
 Every uint64 step that may wrap runs on arrays, where numpy wraps without
 a warning.
@@ -25,7 +44,7 @@ a warning.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -53,36 +72,57 @@ def _flog10_three_quarters_pow2(q):
 _K_MIN = _flog10_three_quarters_pow2(_Q_MIN + 1)
 _K_MAX = _flog10pow2(971)
 
-# byte columns of the per-value source row that the layout picks from
-_NONE, _MINUS, _POINT, _E, _EXP, _ZERO, _DIGITS = 0, 1, 2, 3, 4, 8, 9
-_SOURCE = 28  # _EXP..+3: exponent sign and 3 digits; _DIGITS..+16: the digits
-# (_EXP and _DIGITS + 1 are multiples of 4 and of 2, for the uint32 and uint16 views)
+_WORDS = WIDTH // 8  # a row as little-endian uint64 words
+_DECPT_MIN, _DECPT_MAX = -323, 309  # a value is 0.d1d2... 10^decpt
 _POSITIONAL = range(-3, 17)  # decimal point places printed without exponent
+# a layout per positional decpt, and the scientific one below and above them
+_LAYOUTS = range(_POSITIONAL.start - 1, _POSITIONAL.stop + 1)
 
 
 class _Tables(NamedTuple):
-    powers: np.ndarray    # (K, 5) uint64: g1, g1 >> 32, g1 & M32, g0 >> 32, g0 & M32
+    powers: np.ndarray    # (K, 5) uint64: g1, g1 >> 32, g1 & M32, g0 >> 32, g0 & M32,
+    #                       stored by column, so that .T takes whole rows
     shift: np.ndarray     # (K,) int64: floor(log2 10^-k) + 2
-    layout: np.ndarray    # (keys, WIDTH) int32: source column of each byte
-    exponent: np.ndarray  # (633,) uint32: "+000".."+308", "-001".."-324"
-    pairs: np.ndarray     # (100,) uint16: "00".."99"
-    source: np.ndarray    # (_SOURCE,) uint8: the constant bytes of a source row
+    exponent: np.ndarray  # (2, decpts) uint64: the exponent's text as a word
+    #                       (0 if positional), and the first key of its layout
+    layout: np.ndarray    # (16, len(_LAYOUTS) * MAX_DIGITS) uint64: _layout(decpt, nd)
 
 
-def _layout_row(scientific: bool, decpt: int, nd: int, exp_len: int) -> list:
-    """Source columns of one repr, for digits d1..d_nd times 10^(decpt - nd)."""
-    digits = list(range(_DIGITS, _DIGITS + nd))
-    if scientific:
-        row = digits[:1] + ([_POINT] + digits[1:] if nd > 1 else [])
-        row += [_E, _EXP] + list(range(_EXP + 4 - exp_len, _EXP + 4))
-    elif decpt <= 0:
-        row = [_ZERO, _POINT] + [_ZERO] * -decpt + digits
-    elif decpt < nd:
-        row = digits[:decpt] + [_POINT] + digits[decpt:]
-    else:
-        row = digits + [_ZERO] * (decpt - nd) + [_POINT, _ZERO]
-    row = [_MINUS] + row
-    return row + [_NONE] * (WIDTH - len(row))
+def _words(row: int) -> List[int]:
+    """The _WORDS words of a row, given as an int with byte i at bits 8i."""
+    return [(row >> 64 * w) & (2**64 - 1) for w in range(_WORDS)]
+
+
+def _bytes(start: int, stop: int) -> int:
+    """A row with bytes start .. stop - 1 set."""
+    return (1 << 8 * stop) - (1 << 8 * start)
+
+
+def _layout(decpt: int, nd: int) -> List[int]:
+    """16 words that place the digits d1 .. d_nd times 10^(decpt - nd) in a
+    row: the shift in bits of the row after the point; per row word, the
+    masks of the rows before and after the point, and the point or "0.00"
+    prefix; and per row word, the multiplier and the right shift that move
+    the exponent's word, at most 5 bytes, to the end of the digits."""
+    exponent_at = WIDTH  # no exponent
+    if decpt not in _POSITIONAL:  # d.ddde+XX, no point if nd = 1
+        point, shift, prefix = 2, 1, b""
+        end = exponent_at = 1 + nd + (nd > 1)
+    elif decpt > 0:  # ddd.ddd, or ddd000.0
+        point, shift, prefix = 1 + decpt, 1, b""
+        end = 2 + max(nd, decpt + 1)
+    else:  # 0.000ddd: every digit after the point
+        point, shift, prefix = 2 - decpt, 2 - decpt, b"0." + b"0" * -decpt
+        end = point + 1 + nd
+    punct = int.from_bytes(prefix, "little") << 8 if prefix else ord(".") << 8 * point
+    multiplier, right = [], []
+    for w in range(_WORDS):
+        at = exponent_at - 8 * w  # from the word's first byte
+        multiplier.append(256**at if 0 <= at < 8 else int(-8 < at < 0))
+        right.append(-8 * at if -8 < at < 0 else 0)
+    return ([8 * shift] + _words(_bytes(0, 1 if prefix else point))
+            + _words(_bytes(point + 1, max(point + 1, end))) + _words(punct & _bytes(0, end))
+            + multiplier + right)
 
 
 @functools.cache
@@ -104,17 +144,15 @@ def _tables() -> _Tables:
         g1, g0 = (beta + 1) >> 63, (beta + 1) & _M63
         g_rows.append((g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32))
         shifts.append(flog2 + 2)
-    layout = [_layout_row(False, decpt, nd, 0)
-              for decpt in _POSITIONAL for nd in range(1, MAX_DIGITS + 1)]
-    layout += [_layout_row(True, 0, nd, exp_len)
-               for nd in range(1, MAX_DIGITS + 1) for exp_len in (2, 3)]
-    exponent = b"".join(b"%c%03d" % (43 if e >= 0 else 45, abs(e)) for e in range(-324, 309))
-    source = np.zeros(_SOURCE, np.uint8)
-    source[[_POINT, _E, _ZERO]] = list(b".e0")
-    return _Tables(np.array(g_rows, np.uint64), np.array(shifts, np.int64),
-                   np.array(layout, np.int32), np.frombuffer(exponent, np.uint32),
-                   np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16),
-                   source)
+    decpts = range(_DECPT_MIN, _DECPT_MAX + 1)
+    exponent = [0 if d in _POSITIONAL else int.from_bytes(b"e%+03d" % (d - 1), "little")
+                for d in decpts]
+    first_key = [MAX_DIGITS * (min(max(d, _LAYOUTS.start), _LAYOUTS[-1]) - _LAYOUTS.start)
+                 for d in decpts]
+    layout = [_layout(decpt, nd) for decpt in _LAYOUTS for nd in range(1, MAX_DIGITS + 1)]
+    return _Tables(np.array(g_rows, np.uint64, order="F"), np.array(shifts, np.int64),
+                   np.array([exponent, first_key], np.uint64),
+                   np.array(layout, np.uint64).T.copy())
 
 
 def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
@@ -142,13 +180,14 @@ def shortest_digits(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     tables = _tables()
     bq = bits >> 52
     frac = bits & (_C_MIN - 1)
-    c = frac | ((bq != 0).astype(np.uint64) << 52)
+    c = frac | (np.minimum(bq, 1) << 52)
     q = np.maximum(bq, 1).astype(np.int64) + (_Q_MIN - 1)
     # the lower neighbour is closer: at a power of two above the subnormals
     irregular = (frac == 0) & (bq > 1)
-    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
+    # _flog10pow2(q), or _flog10_three_quarters_pow2(q) where irregular
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
     row = k - _K_MIN
-    g = np.ascontiguousarray(tables.powers.take(row, axis=0).T)
+    g = tables.powers.T.take(row, axis=1)
     h = (q + tables.shift.take(row)).astype(np.uint64)
     cb = c << 2
     # 4 vl, 4 v and 4 vr, times 2^h
@@ -162,8 +201,11 @@ def shortest_digits(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     uin = vbl + out <= s << 2
     win = (t << 2) + out <= vbr
     mid = (s + t) << 1
-    pick_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & 1) == 0)))
-    return np.where(upin != wpin, np.where(wpin, sp10 + 10, sp10), np.where(pick_s, s, t)), k
+    # s if only s is in, t if only t is, else the nearer, and the even one on a tie
+    pick_s = (uin > win) | ((uin == win) & ((vb < mid) | ((vb == mid) & ((s & 1) == 0))))
+    # a multiple of 10 if only one of sp10 and sp10 + 10 is in
+    pick_10 = upin != wpin
+    return t - pick_s + pick_10 * (sp10 + wpin * np.uint64(10) - t + pick_s), k
 
 
 _POW10 = np.array([10 ** i for i in range(MAX_DIGITS + 1)], np.uint64)
@@ -189,39 +231,38 @@ def cells(values: np.ndarray) -> np.ndarray:
     n = len(f)
     length = np.searchsorted(_POW10, f, side="right")
     f *= _POW10.take(MAX_DIGITS - length)  # MAX_DIGITS digits, the first nonzero
-    decpt = length + k
-    source = np.empty((n, _SOURCE), np.uint8)
-    source[:] = tables.source
-    source[:, _MINUS] = (bits >> 63).astype(np.uint8) * 45
-    source.view(np.uint32)[:, _EXP // 4] = tables.exponent.take(decpt + 323)
     first = f // 10 ** 16
-    source[:, _DIGITS] = first + 48
-    # the other 16 digits as 8 two-digit numbers: two 8-digit halves, each
-    # split in two 4-digit quarters, each in two pairs; x // 10^4 and
-    # x // 100 by multiplying and shifting, exact below 2^32 and 43699
     rest = f - first * 10 ** 16
-    pairs = np.empty((8, n), np.uint64)
-    pairs[0] = rest // 10 ** 8
-    pairs[4] = rest - pairs[0] * 10 ** 8
-    halves, quarters = pairs[0::4], pairs[2::4]
+    high = rest // 10 ** 8
+    halves = np.stack((high, rest - high * 10 ** 8))  # digits 2-9 and 10-17
+    # x // 10^4, y // 100 and z // 10 by a multiply and a shift, exact below
+    # 2^32, 43699 and 179; x 2^32 - q (10^4 2^32 - 1) = q + (x - 10^4 q) 2^32
+    # puts the quotient in the lower lane and the remainder in the upper
     quotient = (halves * 3518437209) >> 45
-    quarters[:] = halves - quotient * 10000
-    halves[:] = quotient
-    quotient = (pairs[0::2] * 5243) >> 19
-    pairs[1::2] = pairs[0::2] - quotient * 100
-    pairs[0::2] = quotient
-    second = (_DIGITS + 1) // 2  # the second digit's uint16 column
-    source.view(np.uint16)[:, second:second + 8] = tables.pairs.take(pairs).T
-    # digits printed: up to the last nonzero one
-    digits = source[:, _DIGITS:_DIGITS + MAX_DIGITS]
-    nd = MAX_DIGITS - np.argmax(digits[:, ::-1] != 48, axis=1)
-    scientific = (decpt < _POSITIONAL.start) | (decpt >= _POSITIONAL.stop)
-    key = np.where(scientific,
-                   len(_POSITIONAL) * MAX_DIGITS + 2 * nd + (np.abs(decpt - 1) >= 100) - 2,
-                   (decpt - _POSITIONAL.start) * MAX_DIGITS + nd - 1)
-    index = tables.layout.take(key, axis=0)
-    index += np.arange(0, n * _SOURCE, _SOURCE, dtype=np.int32)[:, None]
-    text = source.reshape(-1).take(index)
+    halves = (halves << 32) - quotient * (10000 * 2**32 - 1)
+    quotient = ((halves * 5243) >> 19) & 0x0000007F0000007F
+    halves = (halves << 16) - quotient * (100 * 2**16 - 1)
+    quotient = ((halves * 103) >> 10) & 0x000F000F000F000F
+    halves = (halves << 8) - quotient * (10 * 2**8 - 1)
+    # digits printed: up to the last nonzero one, the highest nonzero byte;
+    # the float's rounding cannot reach the next power of 2, as bytes are <= 9
+    top = np.frexp(halves[1] * 2.0**64 + halves[0])[1]
+    digits = ((top + 7) >> 3).astype(np.uint64)  # nd - 1
+    halves += 0x3030303030303030
+    exponent, first_key = tables.exponent.take(length + k - _DECPT_MIN, axis=1)
+    layout = tables.layout.take(first_key + digits, axis=1)
+    # the row before the point: the sign, then the digits from byte 1 on
+    before = np.empty((_WORDS, n), np.uint64)
+    before[0] = ((bits >> 63) * 45) | ((first + 48) << 8) | (halves[0] << 16)
+    before[1:] = halves >> 48
+    before[1] |= halves[1] << 16
+    shift = layout[0]  # and after it: the same, shifted right
+    after = before << shift
+    after[1:] |= before[:2] >> (64 - shift)
+    text = ((before & layout[1:4]) | (after & layout[4:7]) | layout[7:10]
+            | ((exponent * layout[10:13]) >> layout[13:16]))
+    # little-endian on any host, so that byte i of a row is byte i of its text
+    text = np.stack(tuple(text), axis=1).astype("<u8", copy=False).view(np.uint8)
 
     if has_special:
         rows = np.flatnonzero(special)

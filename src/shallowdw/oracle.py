@@ -37,13 +37,16 @@ or the wall (odd), and only the accepted y is mirrored onto the full grid.
 Each level is stepped from a shift the caller gives, and checked: the
 steps stop once the residual meets RESIDUAL_TOL ||H||, so E lies within
 that residual of a level (Kahan's residual bound), and the level is kept
-only if Sturm counts over E -+ BISECTION_RTOL (E - min V) place level
-``index`` of the sector there, and no other (Sturm's theorem; Parlett,
-*The Symmetric Eigenvalue Problem*, ch. 4 and 7).  Otherwise, or if the
-steps miss the target, the level is bisected from V alone and stepped from
-the bracket.  So a shift changes the work, never the level reported: the
-closer the shift, the fewer the steps.  E is the Newton estimate of the
-last step, so the shift moves it only in its last digits.
+only if Sturm counts over E -+ RESIDUAL_TOL ||H|| place level ``index`` of
+the sector there, and no other (Sturm's theorem; Parlett, *The Symmetric
+Eigenvalue Problem*, ch. 4 and 7).  A count's own backward error, about
+eps_mach ||H||, is far below that window, and a window that stays below 0
+in a sector with index + 1 levels below 0 needs no count at all.
+Otherwise, or if the steps miss the target, the level is bisected from V
+alone and stepped from the bracket.  So a shift changes the work, never
+the level reported: the closer the shift, the fewer the steps.  E is the
+Newton estimate of the last step, so the shift moves it only in its last
+digits.
 
 The solver reads nothing but the grid and the sampled V in ``H.potential``,
 and this module imports nothing but numpy, the standard library and
@@ -357,7 +360,7 @@ def sector_eigenpair(H: TridiagonalHamiltonian, parity: int, index: int,
     the shift sigma, or bisected if Sturm counts refuse the level reached."""
     try:
         energy, v = _inverse_iteration(H, parity, index, sigma)
-        delta = BISECTION_RTOL * (energy - float(H.edge_min[0]))
+        delta = H.residual_target  # the residual met, so a level is this close
         if _isolated(H, parity, index, energy - delta, energy + delta):
             return energy, v
     except ConvergenceFailure:

@@ -100,6 +100,59 @@ def test_random_bit_patterns_match_repr():
     assert texts(values) == references(values)
 
 
+def layout_case(text):
+    """The layout of a finite, nonzero value's repr: positional with its
+    point's place and digit count, or scientific with the exponent's sign,
+    its digit count and the mantissa's."""
+    text = text.lstrip("-")
+    if "e" in text:
+        mantissa, exponent = text.split("e")
+        return ("scientific", exponent[0], len(exponent) - 1, len(mantissa.replace(".", "")))
+    whole, fraction = text.split(".")
+    decpt = len(whole) if whole != "0" else len(fraction.lstrip("0")) - len(fraction)
+    return ("positional", decpt, len((whole + fraction).strip("0")))
+
+
+LAYOUT_CASES = (
+    [("positional", decpt, nd) for decpt in range(-3, 17) for nd in range(1, 18)]
+    + [("scientific", sign, width, nd)
+       for sign in "+-" for width in (2, 3) for nd in range(1, 18)])
+# exponents of each sign and width, all of normal values
+EXPONENTS = {("+", 2): (16, 99), ("+", 3): (100, 307), ("-", 2): (-99, -5), ("-", 3): (-300, -100)}
+
+
+def layout_values(seed=0, attempts=200):
+    """A value for each layout case, from decimal strings with the case's
+    digit count: the first such string that repr gives back."""
+    rng = np.random.default_rng(seed)
+    found = {}
+    for case in LAYOUT_CASES:
+        nd = case[-1]
+        for _ in range(attempts):
+            digits = "".join(str(d) for d in rng.integers(0, 10, nd))
+            digits = str(rng.integers(1, 10)) + digits[1:-1] + str(rng.integers(1, 10)) * (nd > 1)
+            if case[0] == "positional":
+                value = float(f"0.{digits}e{case[1]}")
+            else:
+                exponent = rng.integers(*EXPONENTS[case[1:3]], endpoint=True)
+                value = float(f"{digits[0]}.{digits[1:] or 0}e{exponent}")
+            if layout_case(repr(value)) == case:
+                found[case] = value
+                break
+    return found
+
+
+def test_every_layout_matches_repr():
+    # positional for each point place and digit count, and scientific for
+    # each digit count and exponent sign and width, of either sign: random
+    # bit patterns are about 97% scientific
+    found = layout_values()
+    assert sorted(found, key=str) == sorted(LAYOUT_CASES, key=str)
+    values = np.array(list(found.values()))
+    values = np.concatenate((values, -values))
+    assert texts(values) == references(values)
+
+
 def test_non_finite_spellings_and_shape():
     values = np.array([[np.nan, -np.nan, np.inf], [-np.inf, 0.0, -0.0]])
     assert texts(values) == ["nan", "nan", "inf", "-inf", "0.0", "-0.0"]

@@ -254,16 +254,22 @@ class TestTwistedVector:
 
     @pytest.mark.parametrize("eps, n, steps", [
         (-30.0, 4001, 4), (-50.0, 8001, 4), (-100.0, 16001, 4),
-        (-200.0, 32001, 3), (-200.0, 64001, 2)])
+        (-200.0, 32001, 3), (-200.0, 64001, 2), (-1e4, 16001, 6)])
     def test_deep_well_steps_per_bound_levels(self, eps, n, steps, monkeypatch):
         # the closed forms are farther from the grid's levels in a deep
-        # well, so a level may take two steps; none is bisected
-        stepped, step = [], oracle._twisted_step
+        # well, so a level may take two steps; none is bisected, and none
+        # needs a Sturm count, as E -+ the residual target stays below 0.
+        # At eps = -1e4 min V is near -2e4: a window that grew with E - min V
+        # would reach the box states above 0
+        stepped, counted = [], []
+        step, count = oracle._twisted_step, oracle.sturm_count
         monkeypatch.setattr(oracle, "_twisted_step",
                             lambda H, *args: stepped.append(H.grid.n_points) or step(H, *args))
+        monkeypatch.setattr(oracle, "sturm_count",
+                            lambda H, lam, parity: counted.append(lam) or count(H, lam, parity))
         monkeypatch.setattr(oracle, "_bracket", None)
         wells.bound_levels(Partner(eps, Grid(20.0, n)))
-        assert stepped == [n] * steps
+        assert stepped == [n] * steps and counted == []
 
     @pytest.mark.parametrize("eps", [-50.0, -200.0])
     def test_deep_well_passes_on_the_fine_grid(self, eps):
