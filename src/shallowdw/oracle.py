@@ -20,19 +20,31 @@ never build the 2/h^2 diagonal and so lose nothing to cancellation against
 it.  A count walks V as Python floats, converted once per Hamiltonian, to
 the outer turning row, then on only until r leaves (-1, 0): past the turn
 a_i >= 0, so no later pivot can be negative.  The counts at lam = 0 come
-from one pass in from the grid edge, whose pivots on rows 1 .. edge serve
-both sectors: the odd count is their negatives, and the even one adds the
-halved centre row.  That pass is the only count that reads every row.
+from one backward pass, whose pivots on rows 1 .. edge serve both sectors:
+the odd count is their negatives, and the even one adds the halved centre
+row.  That pass starts at the last row with |a_i| > eps_mach/4, short of
+the grid edge where V has decayed: 2 + a_i rounds to 2 on the rows past it,
+and as free rows, a_i = 0, their pivots from the edge are (j + 2) / (j + 1),
+j rows in, all positive.
 
 Eigenvectors come from twisted factorizations (Fernando; Parlett and
 Dhillon) in the same r-form: forward pivots from x = 0 to the turning
-point, backward pivots from the grid edge, a twist where |gamma_k| is least,
-and u as running products of reciprocal pivots out from the twist, so that
-M(sigma) u = gamma_k e_k with u_k = 1.  The eigenvector is y = u / (1 - q/12),
-and the next shift is the Newton step on the Rayleigh quotient of M(sigma),
-E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
-Residuals are taken on the sector's rows, row 0 beside its mirror y_1 (even)
-or the wall (odd), and only the accepted y is mirrored onto the full grid.
+point, backward pivots in from a row T past it, a twist where |gamma_k| is
+least, and u as running products of reciprocal pivots out from the twist,
+so that M(sigma) u = gamma_k e_k with u_k = 1.  Past T the rows are taken
+as free rows equal to the edge row, a_N > 0: with cosh theta = 1 + a_N/2
+their pivots are sinh((j + 2) theta) / sinh((j + 1) theta), j rows in from
+the edge, and u falls off as sinh((j + 1) theta), both in closed form.  T
+is the first row, on blocks of TAIL_BLOCK rows, where a comparison bound on
+|u| past the turn keeps the change of rows within a quarter of the residual
+target and the first-order level shift within a quarter ulp; the bound is
+checked again on the computed u, and a step that fails it is taken again
+on every row.  Where a_N <= 0, or no such T exists, every row is walked.
+The eigenvector is y = u / (1 - q/12), and the next shift is the Newton
+step on the Rayleigh quotient of M(sigma), E = sigma + 2 gamma_k / (h^2 ||y||^2),
+with ||y|| taken over the full grid.  Residuals are taken on the true
+sector's rows, row 0 beside its mirror y_1 (even) or the wall (odd), and
+only the accepted y is mirrored onto the full grid.
 
 Each level is stepped from a shift the caller gives, and checked: the
 steps stop once the residual meets RESIDUAL_TOL ||H||, so E lies within
@@ -80,6 +92,10 @@ INVERSE_ITERATION_MAX_STEPS = 8
 RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
+EPS_MACH = float(np.finfo(float).eps)
+# rows of |a_i| <= this are free at lam = 0: 2 + a_i rounds to 2
+FREE_ROW = 0.25 * EPS_MACH
+TAIL_BLOCK = 64  # rows per block in the search for a twisted step's free tail
 
 
 class ConvergenceFailure(RuntimeError):
@@ -128,12 +144,18 @@ class TridiagonalHamiltonian:
         run in from the grid edge to row 1.  Rows 1 .. edge are the odd
         sector, so its count is their negative pivots; the even count adds
         the sign of the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  An
-        exact-zero pivot counts as negative.
+        exact-zero pivot counts as negative.  The rows past the last row T
+        with |a_T| > FREE_ROW are free rows, a_i = 0, within the count's own
+        backward error: the pass starts on row T from s_{T+1} = 1 / (edge - T).
         """
-        a = _sector_rows(self, 0.0, 0).tolist()
-        count, s = _negative_pivots(1.0 + a[-1], a[-2:0:-1])
+        a = _sector_rows(self, 0.0, 0)
+        edge = len(a) - 1
+        bound = np.flatnonzero(np.abs(a[1:]) > FREE_ROW)
+        top = int(bound[-1]) + 1 if len(bound) else 0  # T
+        start, s = (edge, 1.0 + float(a[-1])) if top == edge else (top + 1, 1.0 / (edge - top))
+        count, s = _negative_pivots(s, a[start - 1:0:-1].tolist())
         odd = count + (s <= -1.0)
-        return odd + (0.5 * a[0] + s / (1.0 + s or -PIVMIN) <= 0.0), odd
+        return odd + (0.5 * float(a[0]) + s / (1.0 + s or -PIVMIN) <= 0.0), odd
 
     @cached_property
     def residual_target(self) -> float:
@@ -284,21 +306,97 @@ def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
     return out
 
 
-def _twisted_vector(a: np.ndarray, r0: float, turn: int) -> Tuple[np.ndarray, float]:
+def _free_theta(a_edge: float) -> float:
+    """theta with cosh theta = 1 + a_edge / 2, from sinh(theta / 2) = sqrt(a_edge) / 2."""
+    return 2.0 * math.asinh(0.5 * math.sqrt(a_edge))
+
+
+def _free_pivot(theta: float, m: int) -> float:
+    """s on the m-th row in from the edge of a run of free rows, a_i = a_N:
+    1 + s = sinh((m + 1) theta) / sinh(m theta), in a form that cannot overflow."""
+    return -math.expm1(theta) * (1.0 + math.exp(-(2 * m + 1) * theta)) / math.expm1(-2 * m * theta)
+
+
+def _free_decay(theta: float, m: int) -> np.ndarray:
+    """z_i / z_{N-m+1} on the m - 1 free rows past row N - m + 1, outward:
+    sinh(j theta) / sinh(m theta) for j = m - 1 .. 1."""
+    j = np.arange(m - 1, 0, -1, dtype=float)
+    return np.exp((j - m) * theta) * np.expm1(-2.0 * theta * j) / math.expm1(-2 * m * theta)
+
+
+def _free_tail(a: np.ndarray, turn: int, rho: float, mu: float) -> int:
+    """First row T = turn + a multiple of TAIL_BLOCK past which the sector's
+    rows may be taken as free rows a_i = a_N; len(a) - 1, no tail, if none.
+
+    Past the turn every a_i >= 0, and each backward pivot 1 + s_j is at
+    least e^theta(m_j), m_j = min_{l >= j} a_l, cosh theta(m) = 1 + m/2: by
+    induction in from the edge, 2 + a_j - e^-theta >= 2 cosh theta - e^-theta.
+    So with |z| <= 1 at the turn, as it is about a twist at the peak,
+    |z_T| <= exp(-sum of theta(m_l) over rows turn + 1 .. T), and the rows
+    past T hold ||z_tail||^2 <= z_T^2 / expm1(2 theta(m_{T+1})).  Free rows
+    in place of rows past T change the rows by at most d = max_{i > T}
+    |a_i - a_N|, which adds at most sqrt(2) d ||z_tail|| to the residual of
+    the mirrored z, and 2 d ||z_tail||^2 to 2 gamma_k to first order: T is
+    the first row where both stay within rho and mu, for ||y|| >= 1.  The
+    bound is taken on blocks of TAIL_BLOCK rows, each at its lowest theta.
+    """
+    last = len(a) - 1
+    a_edge = float(a[-1])
+    if not a_edge > 0.0 or last - turn <= TAIL_BLOCK:
+        return last
+    rows = a[turn + 1:]
+    starts = np.arange(0, len(rows), TAIL_BLOCK)
+    low = np.minimum.accumulate(np.minimum.reduceat(rows, starts)[::-1])[::-1]
+    high = np.maximum.accumulate(np.maximum.reduceat(rows, starts)[::-1])[::-1]
+    spread = np.maximum(high - a_edge, a_edge - low)
+    half = np.arcsinh(0.5 * np.sqrt(low))  # theta / 2
+    # spread z_T^2 and g = expm1(2 theta) >= z_T^2 / ||z_tail||^2, compared
+    # without dividing by g, which is 0 where low is
+    sz2 = spread * np.exp(-4.0 * TAIL_BLOCK * (np.cumsum(half) - half))
+    g = np.expm1(4.0 * half)
+    fits = (sz2 <= 0.5 * mu * g) & (spread * sz2 <= 0.5 * rho * rho * g)
+    j = int(np.argmax(fits))
+    return turn + int(starts[j]) if fits[j] else last
+
+
+def _tail_holds(a: np.ndarray, tail: int, z_free: float, norm2: float,
+                rho: float, mu: float) -> bool:
+    """``_free_tail``'s bound on a computed step: z_free = z_{T+1}, norm2 = ||y||^2.
+
+    The free rows decay by e^-theta or faster, theta from a_N, so
+    ||z_tail||^2 <= z_{T+1}^2 (1 + 1 / expm1(2 theta)).
+    """
+    spread = float(np.max(np.abs(a[tail + 1:] - a[-1])))
+    tail_sq = z_free * z_free * (1.0 + 1.0 / math.expm1(2.0 * _free_theta(float(a[-1]))))
+    return (spread * math.sqrt(2.0 * tail_sq) <= rho * math.sqrt(norm2)
+            and 2.0 * spread * tail_sq <= mu * norm2)
+
+
+def _twisted_vector(a: np.ndarray, r0: float, turn: int,
+                    tail: int) -> Tuple[np.ndarray, float]:
     """(z, gamma_k) with z_k = 1 and (M - sigma) z = gamma_k e_k, k = argmin |gamma|.
 
     ``a`` holds the sector's a_i at sigma and r0 its first forward pivot.
     Forward pivots r_i run from x = 0 to row ``turn``, past which the
-    eigenvector only decays; backward pivots s_i run in from the grid edge.
+    eigenvector only decays; backward pivots s_i run in from row ``tail``.
+    Rows past it are taken as free rows a_i = a_N, whose s_{tail+1} and z
+    have closed forms (``_free_pivot``, ``_free_decay``); tail = len(a) - 1
+    walks in from the grid edge.
     gamma_k = r_k + s_k - a_k, or r_0 + s_1 / (1 + s_1) on the first row.
     Off the twist, z_i = z_{i+1} / (1 + r_i) inward and z_i = z_{i-1} / (1 + s_i)
     outward.
     """
     if len(a) == 1:
         return np.ones(1), 1.0 + r0
+    last = len(a) - 1
     r = np.array(_pivot_run(r0, a[1:turn + 1].tolist()))  # rows 0 .. turn
-    backward = _pivot_run(1.0 + float(a[-1]), a[-2:0:-1].tolist())
-    s = np.fromiter(reversed(backward), float, len(backward))  # rows 1 ..
+    if tail < last:
+        theta = _free_theta(float(a[-1]))
+        top, s_top = tail + 1, _free_pivot(theta, last - tail)
+    else:
+        top, s_top = last, 1.0 + float(a[-1])  # the edge row
+    backward = _pivot_run(s_top, a[top - 1:0:-1].tolist())
+    s = np.fromiter(reversed(backward), float, len(backward))  # rows 1 .. top
     d, e = 1.0 + r, 1.0 + s
     d[d == 0.0] = -PIVMIN
     e[e == 0.0] = -PIVMIN
@@ -306,7 +404,9 @@ def _twisted_vector(a: np.ndarray, r0: float, turn: int) -> Tuple[np.ndarray, fl
     k = int(np.argmin(np.abs(gamma)))
     z = np.ones(len(a))
     z[:k] = np.cumprod(1.0 / d[:k][::-1])[::-1]
-    z[k + 1:] = np.cumprod(1.0 / e[k:])
+    z[k + 1:top + 1] = np.cumprod(1.0 / e[k:])
+    if top < last:
+        z[top + 1:] = z[top] * _free_decay(theta, last - tail)
     return z, float(gamma[k])
 
 
@@ -326,12 +426,23 @@ def _sum_sq(a: np.ndarray) -> float:
 def _twisted_step(H: TridiagonalHamiltonian, parity: int,
                   sigma: float) -> Tuple[float, np.ndarray, float]:
     """(E, y, ||y||^2) of one Newton-shifted twisted step from sigma: y on
-    x >= 0, 0 at x = 0 if odd; ||y|| over the full grid, which mirrors y."""
+    x >= 0, 0 at x = 0 if odd; ||y|| over the full grid, which mirrors y.
+
+    The free tail's budgets, in units of M, are a quarter of the residual
+    target and a quarter ulp of max(1, |sigma|) on the level; a step whose
+    z fails them (``_tail_holds``) is taken again on every row.
+    """
     a = _sector_rows(H, sigma, parity)
-    z, gamma = _twisted_vector(a, _first_pivot(float(a[0]), parity),
-                               _turning_row(H.edge_min, sigma, parity))
-    y = z * (1.0 + a / NUMEROV_POLE)  # y = u / (1 - q/12)
-    norm2 = 2.0 * _sum_sq(y) - (float(y[0] * y[0]) if parity == 0 else 0.0)
+    r0, last = _first_pivot(float(a[0]), parity), len(a) - 1
+    turn = _turning_row(H.edge_min, sigma, parity)
+    budgets = (0.25 * H.residual_target * H.grid.h**2,
+               0.25 * EPS_MACH * max(1.0, abs(sigma)) * H.grid.h**2)
+    for tail in (_free_tail(a, turn, *budgets), last):
+        z, gamma = _twisted_vector(a, r0, turn, tail)
+        y = z * (1.0 + a / NUMEROV_POLE)  # y = u / (1 - q/12)
+        norm2 = 2.0 * _sum_sq(y) - (float(y[0] * y[0]) if parity == 0 else 0.0)
+        if tail == last or _tail_holds(a, tail, float(z[tail + 1]), norm2, *budgets):
+            break
     y = np.concatenate(([0.0], y)) if parity else y
     # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
     # sigma-derivative is -h^2 ||y||^2 / ||u||^2

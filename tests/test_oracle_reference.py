@@ -5,6 +5,11 @@ ran before its passes stopped past the outer turning point, on the Numerov
 rows a_i = q_i / (1 - q_i/12).  The early exit is exact: past the turning
 point every a_i >= 0, so once r leaves (-1, 0) no later pivot is negative.
 The counts must therefore agree at every lam, rounding included.
+
+The full walks below are the zero-energy pass and the twisted steps as they
+ran before they took the rows at the grid edge as free rows in closed form:
+``ref_bound_counts`` runs the backward pass at lam = 0 in from the edge, and
+``full_walk`` makes every twisted step walk in from the edge.
 """
 
 import numpy as np
@@ -13,7 +18,8 @@ import pytest
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
 from shallowdw.oracle import PIVMIN, sturm_count
 
-from conftest import counting_view, dense_sector_levels, drawn_rows, lowest_eigenpairs
+from conftest import (apply_h, counting_view, dense_sector_levels, drawn_rows,
+                      lowest_eigenpairs)
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -40,6 +46,44 @@ def ref_negative_pivots(r, rest):
 
 def ref_count(H, lam, parity):
     return ref_negative_pivots(*ref_scaled_sector(H, lam, parity))
+
+
+def ref_bound_counts(H):
+    """bound_counts by the backward pass at lam = 0 over every row, from the edge."""
+    q = H.grid.h**2 * H.potential[H.grid.center_index:]
+    a = (q / (1.0 - q / 12.0)).tolist()
+    count, s = 0, 1.0 + a[-1]
+    for a_i in a[-2:0:-1]:
+        pivot = 1.0 + s
+        if pivot <= 0.0:
+            count += 1
+            if pivot == 0.0:
+                pivot = -PIVMIN
+        s = a_i + s / pivot
+    odd = count + (s <= -1.0)
+    return odd + (0.5 * a[0] + s / (1.0 + s or -PIVMIN) <= 0.0), odd
+
+
+def full_walk(monkeypatch):
+    """Every twisted step from here on walks in from the grid edge."""
+    monkeypatch.setattr(oracle, "_free_tail", lambda a, turn, rho, mu: len(a) - 1)
+
+
+def spy_tails(monkeypatch):
+    """A list that receives (rows, tail) of every twisted vector."""
+    tails, original = [], oracle._twisted_vector
+
+    def spying(a, r0, turn, tail):
+        tails.append((len(a), tail))
+        return original(a, r0, turn, tail)
+
+    monkeypatch.setattr(oracle, "_twisted_vector", spying)
+    return tails
+
+
+def level_pairs(H, sigmas):
+    """Level 0 of each sector, stepped from the shifts sigmas (even, odd)."""
+    return [oracle.sector_eigenpair(H, parity, 0, sigma) for parity, sigma in enumerate(sigmas)]
 
 
 def dense_sector_counts(H, lam):
@@ -169,9 +213,10 @@ class TestTurningPointCount:
 
 class TestBoundCounts:
     def test_zero_counted_once_for_both_sectors(self, monkeypatch):
-        # one pass at lam = 0 reads the rows of x >= 0 once and counts both
-        # sectors; with it and min V, both levels stepped from eps and -1
-        # are isolated without a Sturm count
+        # one pass at lam = 0 reads the rows of x >= 0 once, short of the
+        # free rows at the edge, and counts both sectors; with it and min V,
+        # both levels stepped from eps and -1 are isolated without a Sturm
+        # count
         passes, lams = [], []
         rows, count = oracle._sector_rows, oracle.sturm_count
 
@@ -192,7 +237,8 @@ class TestBoundCounts:
             lams.clear()
             wells.bound_levels(Partner(-1.5, Grid(20.0, n)))
             assert [(m, parity) for m, parity, _ in passes] == [(n, 0)]
-            assert all(a.lengths == [len(a)] for _, _, a in passes)
+            assert all(len(a.lengths) == 1 and a.lengths[0] < 0.9 * len(a)
+                       for _, _, a in passes)
             assert lams == []
 
     @pytest.mark.parametrize("values, counts", [
@@ -220,37 +266,23 @@ class TestTwistedVector:
     def test_at_most_three_steps_per_level(self, eps, n, monkeypatch):
         # stepped from eps or -1, every step is on the grid itself, and at
         # most two per level meet the target, within the bound of three
-        steps = []
-        original = oracle._twisted_vector
-
-        def counting(a, r0, turn):
-            steps.append(len(a))
-            return original(a, r0, turn)
-
-        monkeypatch.setattr(oracle, "_twisted_vector", counting)
+        tails = spy_tails(monkeypatch)
         H = partner(eps, n)
         for parity, sigma in ((0, eps), (1, -1.0)):
-            steps.clear()
+            tails.clear()
             oracle.sector_eigenpair(H, parity, 0, sigma)
             rows = H.grid.center_index + 1 - parity
-            assert steps in ([rows], [rows] * 2)
+            assert [m for m, _ in tails] in ([rows], [rows] * 2)
 
     def test_deep_well_takes_one_step_per_grid(self, monkeypatch):
         # eps = -50 at n = 64001: one step per level from eps and -1, on the
         # one grid there is
-        steps = []
-        original = oracle._twisted_vector
-
-        def counting(a, r0, turn):
-            steps.append(len(a))
-            return original(a, r0, turn)
-
-        monkeypatch.setattr(oracle, "_twisted_vector", counting)
+        tails = spy_tails(monkeypatch)
         H = partner(-50.0, 64001)
         for parity, sigma in ((0, -50.0), (1, -1.0)):
-            steps.clear()
+            tails.clear()
             oracle.sector_eigenpair(H, parity, 0, sigma)
-            assert steps == [32001 - parity]
+            assert [m for m, _ in tails] == [32001 - parity]
 
     @pytest.mark.parametrize("eps, n, steps", [
         (-30.0, 4001, 4), (-50.0, 8001, 4), (-100.0, 16001, 4),
@@ -279,7 +311,7 @@ class TestTwistedVector:
     def test_one_row_sector(self):
         # n = 3: the odd sector is the single node x = h
         a = np.array([0.25])
-        z, gamma = oracle._twisted_vector(a, 1.0 + a[0], 0)
+        z, gamma = oracle._twisted_vector(a, 1.0 + a[0], 0, 0)
         assert np.array_equal(z, [1.0]) and gamma == 2.25
         grid = Grid(1.0, 3)
         pairs = lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(3)), 3)
@@ -303,9 +335,171 @@ class TestTwistedVector:
         r0 = oracle._first_pivot(a[0], parity)
         M = np.diag(np.concatenate(([1.0 + r0], 2.0 + a[1:])))
         M -= np.eye(6, k=1) + np.eye(6, k=-1)
-        z, gamma = oracle._twisted_vector(a, r0, 5)
+        z, gamma = oracle._twisted_vector(a, r0, 5, 5)
         w = M @ z
         assert z[0] == 1.0 and np.all(np.abs(z[1:]) < 1.0)
         assert np.allclose(w[1:], 0.0, atol=1e-15)
         assert w[0] == pytest.approx(1e-3, rel=1e-9)
         assert gamma == pytest.approx(1e-3, rel=1e-9)
+
+
+def partners(n):
+    """The 39 eps of the default-grid work counts and two deep wells, with
+    each level's shift: its closed form, eps or -1."""
+    for eps in (*np.linspace(-2.95, -1.05, 39).tolist(), -30.0, -50.0):
+        yield partner(eps, n), (eps, -1.0)
+
+
+def random_even_bumps(seed):
+    """Even wells and barriers of a few Gaussian and sech^2 bumps on grids of
+    5 to 1201 nodes; a Gaussian's tail rounds to 0, sech^2's decays like
+    e^-2|x|, so most have free rows at the edge and some levels near 0."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(float(rng.uniform(2.0, 30.0)), 2 * int(rng.integers(2, 601)) + 1)
+    x = np.abs(grid.x)
+    values = np.zeros(grid.n_points)
+    for _ in range(int(rng.integers(1, 4))):
+        depth, centre, width = rng.uniform(-8.0, 2.0), rng.uniform(0.0, 5.0), rng.uniform(0.3, 3.0)
+        shape = np.exp(-((x - centre) / width) ** 2) if rng.random() < 0.5 else \
+            np.cosh((x - centre) / width) ** -2.0
+        values += depth * shape
+    values *= min(1.0, 5.0 / (grid.h**2 * np.ptp(values) or 1.0))
+    return TridiagonalHamiltonian(grid, values)
+
+
+class TestFreeTail:
+    @pytest.mark.parametrize("n", [2001, 4001, 4003, 16001, 64001])
+    def test_bound_counts_match_the_full_pass_on_the_eps_grid(self, n):
+        for H, _ in partners(n):
+            assert H.bound_counts == ref_bound_counts(H) == (1, 1)
+
+    def test_bound_counts_match_the_full_pass_on_random_bumps(self):
+        free, counts = 0, set()
+        for seed in range(300):
+            H = random_even_bumps(seed)
+            assert H.bound_counts == ref_bound_counts(H), seed
+            q = H.grid.h**2 * H.potential[-1]
+            free += abs(q / (1.0 - q / 12.0)) <= oracle.FREE_ROW
+            counts.add(H.bound_counts)
+        # most draws start the pass short of the edge; the counts vary
+        assert free > 60 and len(counts) > 5
+
+    @pytest.mark.parametrize("values", [
+        (2.0, 1.0, 0.0, -12 / 11, 0.0, 1.0, 2.0),
+        (-2.4, 0.0, -3.0, 0.0, -2.4),
+        # the exact-zero pivot of the first grid, behind free rows of V = 0
+        (0.0, 0.0, 2.0, 1.0, 0.0, -12 / 11, 0.0, 1.0, 2.0, 0.0, 0.0),
+        (0.0, -3.0, 0.0), (0.0, 0.0, 0.0), (0.0,) * 9,
+    ])
+    def test_bound_counts_on_the_exact_zero_pivot_grids(self, values):
+        n = len(values)
+        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values)
+        assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0)
+
+    @pytest.mark.parametrize("n", [2001, 4001, 16001, 64001])
+    def test_eigenpairs_match_the_full_walk(self, n, monkeypatch):
+        # bit-identical levels; vectors whose difference has a residual
+        # within the residual target
+        grid = Grid(15.0, n)
+        deep = TridiagonalHamiltonian(grid, grid.x**2 - 1e4)
+        cases = [*partners(n), (deep, (-1e4, -1e4))]
+        tails = spy_tails(monkeypatch)
+        tailed = [level_pairs(H, sigmas) for H, sigmas in cases]
+        # every grid takes a free tail on most steps
+        assert sum(tail < rows - 1 for rows, tail in tails) > 0.9 * len(tails)
+        full_walk(monkeypatch)
+        for (H, sigmas), pairs in zip(cases, tailed):
+            for (e, y), (e_ref, y_ref) in zip(pairs, level_pairs(H, sigmas)):
+                assert bits([e]) == bits([e_ref])
+                gap = np.linalg.norm(apply_h(H, y - y_ref, e)) / np.linalg.norm(y_ref)
+                assert gap <= H.residual_target, gap
+
+    @pytest.mark.parametrize("delta, walked", [(1e-8, False), (1.0, True)])
+    def test_non_free_edge_is_walked(self, delta, walked, monkeypatch):
+        # V += delta on the edge nodes: the rows at lam = 0 are no longer
+        # free, so the zero-energy pass starts at the edge; the twisted
+        # steps take their tail farther out, or at delta = 1 none at all
+        clean, planted = partner(-1.5), partner(-1.5)
+        values = planted.potential.copy()
+        values[[0, -1]] += delta
+        planted = TridiagonalHamiltonian(planted.grid, values)
+        rows, passes = oracle._sector_rows, []
+
+        def recording_rows(H, lam, parity):
+            a = counting_view(rows(H, lam, parity))
+            if lam == 0.0:
+                passes.append(a)
+            return a
+
+        monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
+        assert planted.bound_counts == ref_bound_counts(planted) == (1, 1)
+        assert [a.lengths for a in passes] == [[len(passes[0]) - 2]]
+        tails = spy_tails(monkeypatch)
+        level_pairs(clean, (-1.5, -1.0))
+        clean_tails = list(tails)
+        tails.clear()
+        pairs = level_pairs(planted, (-1.5, -1.0))
+        assert len(tails) == len(clean_tails)
+        edge = [rows_n - 1 for rows_n, _ in tails]
+        moved = [tail for _, tail in tails]
+        if walked:
+            assert moved == edge
+        else:
+            clean = [tail for _, tail in clean_tails]
+            assert all(c <= t < e for c, t, e in zip(clean, moved, edge)) and moved != clean
+        full_walk(monkeypatch)
+        for (e, y), (e_ref, y_ref) in zip(pairs, level_pairs(planted, (-1.5, -1.0))):
+            assert e == e_ref
+            gap = np.linalg.norm(apply_h(planted, y - y_ref, e)) / np.linalg.norm(y_ref)
+            assert gap <= planted.residual_target
+
+    def test_failed_recheck_walks_every_row(self, monkeypatch):
+        # a step whose computed z fails the tail's bound is taken again on
+        # every row, and gives the full walk's pair bit for bit
+        H = partner(-1.5)
+        checked = []
+        monkeypatch.setattr(oracle, "_tail_holds", lambda *args: checked.append(args) and False)
+        tails = spy_tails(monkeypatch)
+        pairs = level_pairs(H, (-1.5, -1.0))
+        assert checked and len(tails) == 2 * len(checked)
+        for (rows_n, tail), (_, again) in zip(tails[::2], tails[1::2]):
+            assert tail < rows_n - 1 and again == rows_n - 1
+        full_walk(monkeypatch)
+        for (e, y), (e_ref, y_ref) in zip(pairs, level_pairs(H, (-1.5, -1.0))):
+            assert e == e_ref and np.array_equal(y, y_ref)
+
+    @pytest.mark.parametrize("a_edge", [1e-7, 1e-4, 0.3, 5.0])
+    @pytest.mark.parametrize("tail", [3, 40, 400])
+    def test_closed_forms_on_free_rows(self, a_edge, tail):
+        # rows past the tail equal the edge row: the closed-form pivot and
+        # decay give the walked z, entry by entry, to rounding (and to the
+        # subnormals far out in the steepest tail)
+        a = np.full(801, a_edge)
+        a[:3] = -0.02  # a well of three rows, its turn at row 3
+        r0 = oracle._first_pivot(a[0], 0)
+        z, gamma = oracle._twisted_vector(a, r0, 3, tail)
+        z_ref, gamma_ref = oracle._twisted_vector(a, r0, 3, 800)
+        assert gamma == pytest.approx(gamma_ref, rel=1e-13)
+        assert np.all(np.abs(z - z_ref) <= 1e-12 * np.abs(z_ref) + PIVMIN)
+
+    def test_zero_energy_pass_starts_on_the_walked_pivot(self, monkeypatch):
+        # V = 0 past |x| = 7, the outer 151 rows: the pass starts on the
+        # last row where V is not, from the pivot the walk over the free
+        # rows reaches
+        grid = Grid(10.0, 1001)
+        values = np.where(np.abs(grid.x) < 7.0, -2.0 / np.cosh(grid.x) ** 2, 0.0)
+        H = TridiagonalHamiltonian(grid, values)
+        starts, negative_pivots = [], oracle._negative_pivots
+
+        def recording(r, rows):
+            rows = list(rows)
+            starts.append((r, len(rows)))
+            return negative_pivots(r, rows)
+
+        monkeypatch.setattr(oracle, "_negative_pivots", recording)
+        assert H.bound_counts == ref_bound_counts(H)
+        [(r, top)] = starts
+        s = 1.0  # s_N = 1 + a_N, a_N = 0
+        for _ in range(499 - top):
+            s = s / (1.0 + s)
+        assert top == 349 and r == pytest.approx(s, rel=1e-13)
