@@ -36,6 +36,9 @@ def analytic_period(eps: float) -> float:
 def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationSeries:
     """Sample the left-well probability at n_frames uniform times in [0, t_max].
 
+    t_max must be finite and positive, and n_frames at least 2, or it is a
+    ValueError.
+
     The density is (psi0^2 + psi1^2)/2 + psi0 psi1 cos((1 + eps) t), so
     P_left(t) = (L00 + L11)/2 + L01 cos((1 + eps) t) with L_ab the trapezoid
     integral of psi_a psi_b over x <= 0.
@@ -43,10 +46,12 @@ def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationS
     grid, eps_val = partner.grid, partner.epsilon
     if n_frames < 2:
         raise ValueError("n_frames must be at least 2")
+    t_max = float(t_max)
     # the phase (1 + eps) t must stay finite too, or cos() turns it into NaN
-    if not np.isfinite((1.0 + eps_val) * float(t_max)):
-        raise ValueError(f"t_max must be finite, as must (1 + eps) t_max; got {t_max}")
-    times = np.linspace(0.0, float(t_max), int(n_frames))
+    if not (t_max > 0.0 and np.isfinite((1.0 + eps_val) * t_max)):
+        raise ValueError(f"t_max must be finite and positive, as must (1 + eps) t_max "
+                         f"be finite; got {t_max}")
+    times = np.linspace(0.0, t_max, int(n_frames))
     mid = grid.center_index
     psi0 = partner.psi0[: mid + 1]
     psi1 = partner.psi1[: mid + 1]

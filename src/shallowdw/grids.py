@@ -53,7 +53,8 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        # mirrored: x[i] == -x[n-1-i] exactly, which plain linspace is not
+        """The nodes, built by ``mirror``: x[i] == -x[n-1-i] exactly, which
+        plain linspace is not."""
         return mirror(np.linspace(0.0, self.x_max, self.n_points // 2 + 1), 1)
 
     @property

@@ -17,34 +17,25 @@ j // 2 of the sector with parity j % 2.
 
 Sturm counts use scaled pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}), which
 never build the 2/h^2 diagonal and so lose nothing to cancellation against
-it.  A count walks V as Python floats, converted once per Hamiltonian, to
-the outer turning row, then on only until r leaves (-1, 0): past the turn
-a_i >= 0, so no later pivot can be negative.  The counts at lam = 0 come
-from one backward pass, whose pivots on rows 1 .. edge serve both sectors:
-the odd count is their negatives, and the even one adds the halved centre
-row.  That pass starts at the last row with |a_i| > eps_mach/4, short of
-the grid edge where V has decayed: 2 + a_i rounds to 2 on the rows past it,
-and as free rows, a_i = 0, their pivots from the edge are (j + 2) / (j + 1),
-j rows in, all positive.
+it.  A count is one pass of them over its sector's rows.  The counts at
+lam = 0 come from one backward pass, whose pivots on rows 1 .. edge serve
+both sectors: the odd count is their negatives, and the even one adds the
+halved centre row.  That pass starts at the last row that is not free at
+lam = 0, short of the grid edge where V has decayed (``bound_counts``).
 
 Eigenvectors come from twisted factorizations (Fernando; Parlett and
 Dhillon) in the same r-form: forward pivots from x = 0 to the turning
 point, backward pivots in from a row T past it, a twist where |gamma_k| is
 least, and u as running products of reciprocal pivots out from the twist,
-so that M(sigma) u = gamma_k e_k with u_k = 1.  Past T the rows are taken
-as free rows equal to the edge row, a_N > 0: with cosh theta = 1 + a_N/2
-their pivots are sinh((j + 2) theta) / sinh((j + 1) theta), j rows in from
-the edge, and u falls off as sinh((j + 1) theta), both in closed form.  T
-is the first row, on blocks of TAIL_BLOCK rows, where a comparison bound on
-|u| past the turn keeps the change of rows within a quarter of the residual
-target and the first-order level shift within a quarter ulp; the bound is
-checked again on the computed u, and a step that fails it is taken again
-on every row.  Where a_N <= 0, or no such T exists, every row is walked.
-The eigenvector is y = u / (1 - q/12), and the next shift is the Newton
-step on the Rayleigh quotient of M(sigma), E = sigma + 2 gamma_k / (h^2 ||y||^2),
-with ||y|| taken over the full grid.  Residuals are taken on the true
-sector's rows, row 0 beside its mirror y_1 (even) or the wall (odd), and
-only the accepted y is mirrored onto the full grid.
+so that M(sigma) u = gamma_k e_k with u_k = 1.  Past T, where V has
+decayed, the rows are taken as free rows in closed form; ``_free_tail``
+picks T and bounds what that changes, and where it finds none every row is
+walked.  The eigenvector is y = u / (1 - q/12), and the next shift is the
+Newton step on the Rayleigh quotient of M(sigma),
+E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
+Residuals are taken on the true sector's rows, row 0 beside its mirror y_1
+(even) or the wall (odd), and only the accepted y is mirrored onto the full
+grid.
 
 Each level is stepped from a shift the caller gives, and checked: the
 steps stop once the residual meets RESIDUAL_TOL ||H||, so E lies within
@@ -69,11 +60,9 @@ check, not a tautology.  The verdicts built on it live in ``wells``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -132,11 +121,6 @@ class TridiagonalHamiltonian:
         return np.minimum.accumulate(half[::-1])[::-1]
 
     @cached_property
-    def count_floats(self) -> Tuple[List[float], List[float]]:
-        """V on x >= 0 and ``edge_min`` as Python floats, for Sturm counts."""
-        return self.potential[self.grid.center_index:].tolist(), self.edge_min.tolist()
-
-    @cached_property
     def bound_counts(self) -> Tuple[int, int]:
         """Levels below 0 of the even and of the odd sector, from one pass.
 
@@ -146,7 +130,9 @@ class TridiagonalHamiltonian:
         the sign of the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  An
         exact-zero pivot counts as negative.  The rows past the last row T
         with |a_T| > FREE_ROW are free rows, a_i = 0, within the count's own
-        backward error: the pass starts on row T from s_{T+1} = 1 / (edge - T).
+        backward error, since 2 + a_i rounds to 2 there.  Their pivots, j rows
+        in from the edge, are (j + 2) / (j + 1), all positive: the pass starts
+        on row T from s_{T+1} = 1 / (edge - T).
         """
         a = _sector_rows(self, 0.0, 0)
         edge = len(a) - 1
@@ -186,19 +172,11 @@ def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarr
     return q / (1.0 - q / NUMEROV_POLE)
 
 
-def _turning_row(edge_min: Sequence[float], lam: float, parity: int) -> int:
+def _turning_row(edge_min: np.ndarray, lam: float, parity: int) -> int:
     """First sector row from which on every row has V_i >= lam, so a_i >= 0;
     the sector's last row when V < lam at the grid edge."""
-    turn = bisect_left(edge_min, lam) - parity
+    turn = int(np.searchsorted(edge_min, lam)) - parity
     return min(max(turn, 0), len(edge_min) - 1 - parity)
-
-
-def _count_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> Iterator[float]:
-    """``_sector_rows``'s a_i by the same IEEE operations, from ``H.count_floats``."""
-    h2 = H.grid.h**2
-    for v in islice(H.count_floats[0], parity, None):
-        q = h2 * (v - lam)
-        yield q / (1.0 - q / NUMEROV_POLE)
 
 
 def _first_pivot(a0: float, parity: int) -> float:
@@ -228,28 +206,16 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
 
     Every level lies above min V, so lam <= min V counts 0 without a pass.
     Above min V every q_i = h^2 (V_i - lam) stays below 12, the pole of a_i,
-    since h^2 (max V - min V) < 12.
-
-    Rows 1 .. turn are counted in full, an exact-zero pivot as a negative
-    one.  Past the turning row every a_i >= 0, which makes the rest of the
-    pass exact without a counter.  After a negative pivot (r <= -1) the
-    next r = a_i + r / (1 + r) is >= 0, and an r >= 0 stays >= 0, so no
-    later pivot is negative: the pass stops as soon as r leaves (-1, 0),
-    counting that one pivot if r <= -1.  While -1 < r < 0 the divisor 1 + r
-    is positive, so the tail needs no PIVMIN either.  A lam that is not a
-    finite number is a ValueError.  The a_i come from ``_count_rows``.
+    since h^2 (max V - min V) < 12, and one pass counts every row's pivot,
+    an exact zero as a negative one.  A lam that is not a finite number is a
+    ValueError.
     """
     if not math.isfinite(lam):
         raise ValueError(f"sturm_count needs a finite lam, got {lam!r}")
-    if lam <= H.count_floats[1][0]:  # min V, since V is even
+    if lam <= H.edge_min[0]:  # min V, since V is even
         return 0
-    rows = _count_rows(H, lam, parity)
-    count, r = _negative_pivots(_first_pivot(next(rows), parity),
-                                islice(rows, _turning_row(H.count_floats[1], lam, parity)))
-    for a_i in rows:
-        if not -1.0 < r < 0.0:
-            break
-        r = a_i + r / (1.0 + r)
+    a = _sector_rows(H, lam, parity).tolist()
+    count, r = _negative_pivots(_first_pivot(a[0], parity), a[1:])
     return count + (r <= -1.0)
 
 
@@ -328,8 +294,10 @@ def _free_tail(a: np.ndarray, turn: int, rho: float, mu: float) -> int:
     """First row T = turn + a multiple of TAIL_BLOCK past which the sector's
     rows may be taken as free rows a_i = a_N; len(a) - 1, no tail, if none.
 
-    Past the turn every a_i >= 0, and each backward pivot 1 + s_j is at
-    least e^theta(m_j), m_j = min_{l >= j} a_l, cosh theta(m) = 1 + m/2: by
+    Free rows need a_N > 0.  With cosh theta = 1 + a_N/2 their pivots and z
+    have closed forms (``_free_pivot``, ``_free_decay``), and z falls off by
+    e^-theta or faster.  Past the turn every a_i >= 0, and each backward
+    pivot 1 + s_j is at least e^theta(m_j), m_j = min_{l >= j} a_l: by
     induction in from the edge, 2 + a_j - e^-theta >= 2 cosh theta - e^-theta.
     So with |z| <= 1 at the turn, as it is about a twist at the peak,
     |z_T| <= exp(-sum of theta(m_l) over rows turn + 1 .. T), and the rows
@@ -339,6 +307,8 @@ def _free_tail(a: np.ndarray, turn: int, rho: float, mu: float) -> int:
     the mirrored z, and 2 d ||z_tail||^2 to 2 gamma_k to first order: T is
     the first row where both stay within rho and mu, for ||y|| >= 1.  The
     bound is taken on blocks of TAIL_BLOCK rows, each at its lowest theta.
+    On a computed step, ``_tail_holds`` checks rho and mu again with
+    ||z_tail||^2 <= z_{T+1}^2 (1 + 1 / expm1(2 theta)), theta from a_N.
     """
     last = len(a) - 1
     a_edge = float(a[-1])
@@ -361,11 +331,7 @@ def _free_tail(a: np.ndarray, turn: int, rho: float, mu: float) -> int:
 
 def _tail_holds(a: np.ndarray, tail: int, z_free: float, norm2: float,
                 rho: float, mu: float) -> bool:
-    """``_free_tail``'s bound on a computed step: z_free = z_{T+1}, norm2 = ||y||^2.
-
-    The free rows decay by e^-theta or faster, theta from a_N, so
-    ||z_tail||^2 <= z_{T+1}^2 (1 + 1 / expm1(2 theta)).
-    """
+    """``_free_tail``'s bound on a computed step: z_free = z_{T+1}, norm2 = ||y||^2."""
     spread = float(np.max(np.abs(a[tail + 1:] - a[-1])))
     tail_sq = z_free * z_free * (1.0 + 1.0 / math.expm1(2.0 * _free_theta(float(a[-1]))))
     return (spread * math.sqrt(2.0 * tail_sq) <= rho * math.sqrt(norm2)
@@ -428,9 +394,9 @@ def _twisted_step(H: TridiagonalHamiltonian, parity: int,
     """(E, y, ||y||^2) of one Newton-shifted twisted step from sigma: y on
     x >= 0, 0 at x = 0 if odd; ||y|| over the full grid, which mirrors y.
 
-    The free tail's budgets, in units of M, are a quarter of the residual
-    target and a quarter ulp of max(1, |sigma|) on the level; a step whose
-    z fails them (``_tail_holds``) is taken again on every row.
+    The free tail's budgets (``_free_tail``), in units of M, are a quarter of
+    the residual target and a quarter ulp of max(1, |sigma|) on the level; a
+    step that fails them on its own z is taken again on every row.
     """
     a = _sector_rows(H, sigma, parity)
     r0, last = _first_pivot(float(a[0]), parity), len(a) - 1

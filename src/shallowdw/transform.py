@@ -124,6 +124,8 @@ def potential(eps: float, x):
     evaluated with the e^{2k|x|} growth cancelled analytically.  Even in x and
     -> 0 as |x| -> inf.  At x = 0 the expression reduces exactly to 2 eps + 2,
     which is returned verbatim to keep the barrier-top value free of rounding.
+    Each of the two factors is divided by u separately, so V is finite for
+    every eps from EPSILON_MIN to EPSILON_MAX.
     """
     eps_val = _epsilon(eps)
     return _as_returned(_potential_values(eps_val, _seed_parts(eps_val, x)), x)
@@ -195,7 +197,8 @@ class Partner:
     (``potential``, ``base_well``, ``psi0``) or odd (``w``, ``psi1``).  Each
     state checks the grid once, on its x >= 0 samples when they are first
     made, so only ``psi0``, ``psi1`` and ``check_grid`` raise GridTooNarrow
-    or GridTooCoarse; reading ``potential`` never does.
+    or GridTooCoarse; reading ``potential`` never does.  Each field equals its
+    closed form evaluated on the whole grid, bit for bit.
     """
 
     epsilon: float
@@ -246,7 +249,8 @@ class Partner:
 
         Even, strictly positive, energy eps.  Raises GridTooNarrow when the
         grid does not contain the decay tails, GridTooCoarse when its spacing
-        cannot resolve them.
+        cannot resolve them: fewer than two nodes per decay length of psi0,
+        or per unit width of the sech^2 well.
         """
         return normalized(mirror(self._ground_half, 0), self.grid.h)
 

@@ -200,16 +200,3 @@ def counting_view(values: np.ndarray) -> CountingArray:
     view = values.view(CountingArray)
     view.lengths = []
     return view
-
-
-def drawn_rows(monkeypatch) -> list:
-    """A list that receives every a_i a Sturm count draws from its cached rows."""
-    drawn, rows = [], oracle._count_rows
-
-    def drawing(H, lam, parity):
-        for a in rows(H, lam, parity):
-            drawn.append(a)
-            yield a
-
-    monkeypatch.setattr(oracle, "_count_rows", drawing)
-    return drawn

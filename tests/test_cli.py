@@ -608,7 +608,7 @@ class TestExitCodeTable:
         assert (code, out) == (2, "")
         assert err == "error: grid spacing h = 1e-308 is too small: h^2 underflows\n"
 
-    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "-1"])
     def test_non_finite_t_max_is_bad_args(self, t_max, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

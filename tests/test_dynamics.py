@@ -121,7 +121,7 @@ class TestEvolveSeries:
         with pytest.raises(ValueError):
             evolve_series(Partner(-1.5, default_grid), 1.0, 1)
 
-    @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -float("inf"), -1.0, 0.0])
     def test_non_finite_t_max_rejected(self, default_grid, t_max):
         with pytest.raises(ValueError, match="t_max must be finite"):
             evolve_series(Partner(-1.5, default_grid), t_max, 3)

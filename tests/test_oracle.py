@@ -19,7 +19,7 @@ from shallowdw import (
 from shallowdw import oracle, transform, wells
 from shallowdw.grids import mirror, normalized
 from conftest import (apply_h, base_ground_state, cached_report, check_intertwining,
-                      drawn_rows, lowest_eigenpairs, numerov_matrix, overlap)
+                      lowest_eigenpairs, numerov_matrix, overlap)
 
 # eigenvalue errors of the partner levels stop falling near 1e-14
 ROUNDING_FLOOR = 1e-13
@@ -330,13 +330,12 @@ class TestSturmCount:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95])
     def test_calls_per_verify(self, eps, default_grid, monkeypatch):
         # bound_counts and min V isolate both levels stepped from eps and -1,
-        # so a verify makes no Sturm count and draws no row for one
+        # so a verify makes no Sturm count
         calls, counted = [], oracle.sturm_count
-        drawn = drawn_rows(monkeypatch)
         monkeypatch.setattr(oracle, "sturm_count",
                             lambda *args: calls.append(args) or counted(*args))
         wells.verify(Partner(eps, default_grid))
-        assert calls == [] and drawn == []
+        assert calls == []
 
 
 class TestEigenResidual:

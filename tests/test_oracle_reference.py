@@ -1,10 +1,9 @@
-"""Turning-point Sturm passes and twisted eigenvectors against what they replaced.
+"""Sturm counts and twisted eigenvectors against reference passes.
 
-The reference count below is the full-length scaled Sturm loop the oracle
-ran before its passes stopped past the outer turning point, on the Numerov
-rows a_i = q_i / (1 - q_i/12).  The early exit is exact: past the turning
-point every a_i >= 0, so once r leaves (-1, 0) no later pivot is negative.
-The counts must therefore agree at every lam, rounding included.
+The reference count below is the full-length scaled Sturm loop on the
+Numerov rows a_i = q_i / (1 - q_i/12), written out from V here rather than
+taken from the oracle's ``_sector_rows``.  The counts must agree at every
+lam, rounding included.
 
 The full walks below are the zero-energy pass and the twisted steps as they
 ran before they took the rows at the grid edge as free rows in closed form:
@@ -18,8 +17,7 @@ import pytest
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
 from shallowdw.oracle import PIVMIN, sturm_count
 
-from conftest import (apply_h, counting_view, dense_sector_levels, drawn_rows,
-                      lowest_eigenpairs)
+from conftest import apply_h, counting_view, dense_sector_levels, lowest_eigenpairs
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -145,27 +143,6 @@ class TestTurningPointCount:
         half = H.potential[grid.center_index:]
         assert_counts_match(H, near(levels) + [0.0, -1e4, float(half[1000])])
 
-    def test_passes_stop_short_of_the_edge(self, monkeypatch):
-        # the a_i each count draws: none walks the whole sector.  Bisection
-        # of both levels at n = 1999 counts on 1000 rows (even) or 999 (odd)
-        read, count = [], oracle.sturm_count
-        drawn = drawn_rows(monkeypatch)
-
-        def measuring(H, lam, parity):
-            drawn.clear()
-            result = count(H, lam, parity)
-            # a count at lam <= min V draws no row
-            read.append(len(drawn) / (H.grid.center_index + 1 - parity))
-            return result
-
-        monkeypatch.setattr(oracle, "sturm_count", measuring)
-        H = partner(-1.5, 1999)
-        for parity in (0, 1):
-            oracle._bracket(H, parity, 0)
-        # the levels below 0 come from bound_counts, not from a count at
-        # lam = 0, so every count stops short of the edge
-        assert read and all(f < 0.6 for f in read)
-
     @pytest.mark.parametrize("make, lams", [
         # a 251-node grid and two finer ones: lam at min V, below, between
         # and above the levels -1.5 and -1
@@ -178,22 +155,22 @@ class TestTurningPointCount:
     ], ids=["251", "4001", "16001", "3"])
     @pytest.mark.parametrize("parity", [0, 1])
     def test_drawn_rows_are_the_sector_rows(self, make, lams, parity, monkeypatch):
-        # the a_i a count computes from V's floats are _sector_rows' a_i, bit
-        # for bit; at lam <= min V (None) and at a non-finite lam it draws none
-        H, rows = make(), oracle._count_rows
-        drawn = drawn_rows(monkeypatch)
+        # a count draws its rows from one _sector_rows pass at (lam, parity);
+        # at lam <= min V (None) and at a non-finite lam it makes none
+        passes, rows = [], oracle._sector_rows
+        monkeypatch.setattr(oracle, "_sector_rows",
+                            lambda *args: passes.append(args[1:]) or rows(*args))
+        H = make()
         for lam in lams:
             lam = H.edge_min[0] if lam is None else lam
-            drawn.clear()
+            passes.clear()
             sturm_count(H, lam, parity)
-            whole = bits(oracle._sector_rows(H, lam, parity).tolist())
-            assert bits(drawn) == whole[:len(drawn)]
-            assert bits(rows(H, lam, parity)) == whole
-            assert (not drawn) == (lam <= H.edge_min[0]), lam
-        drawn.clear()
-        with pytest.raises(ValueError, match="finite lam"):
-            sturm_count(H, float("nan"), parity)
-        assert not drawn
+            assert passes == ([] if lam <= H.edge_min[0] else [(lam, parity)]), lam
+        passes.clear()
+        for lam in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite lam"):
+                sturm_count(H, lam, parity)
+        assert passes == []
 
     def test_exact_zero_pivot_past_the_turning_row(self):
         # h = 1 and lam = 0: the even sector's rows are q = -12/11, 0, 1, 2
