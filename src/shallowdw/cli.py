@@ -16,13 +16,16 @@ the library, so the seed is evaluated once.
 
 All numbers are written with the shortest round-trip decimal representation,
 their repr, so repeated runs are byte-identical and every emitted file parses
-back losslessly.  Float64 columns are formatted by ``floatfmt``, a block of
-rows at a time with no Python code per value, and written as bytes; only
-object columns (``sweep``'s) go through str().  A value's text is a sign
-byte and the text of its magnitude, so of a column whose magnitudes mirror
-bitwise about its middle row, only the middle row and the rows after it are
-formatted; the rows before reuse their text and write their own sign byte.
-The bytes are the same as formatting every value.  Exit codes: 0 ok, 1
+back losslessly.  Each float64 column is formatted by one ``floatfmt.cells``
+call, with no Python code per value (the kernel's block of values is
+``floatfmt.BLOCK``, that module's own); only object columns (``sweep``'s) go
+through str().  A value's text is a sign byte and the text of its
+magnitude, so of a column whose magnitudes mirror bitwise about its middle
+row, only the middle row and the rows after it are formatted; the rows
+before copy their text and write their own sign byte.  The bytes are the
+same as formatting every value.  Rows are written in chunks of
+``CSV_BLOCK_ROWS``, this module's own size, each assembled in one row
+buffer reused for the whole table.  Exit codes: 0 ok, 1
 verification failed, and for each error the code of its first row in
 ``EXIT_CODES``, so an eps outside the family (at either end of a sweep range
 too) and a request too large to allocate are 2.  A sweep whose every row
@@ -37,7 +40,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,48 +102,58 @@ def _write(path: Optional[str], chunks: Iterable[bytes]) -> None:
             fh.writelines(chunks)
 
 
-def _cells(col: np.ndarray) -> np.ndarray:
-    """One zero-padded row of ASCII per value of col.
+def _cells(col: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The text of col's rows, zero-padded to one byte-string width: the
+    rows from len(signs) on, and the sign bytes of the rows before them.
 
-    A float64 value's text is its repr, formatted by ``floatfmt.cells``
-    CSV_BLOCK_ROWS values at a time, into rows of floatfmt.WIDTH bytes: a
-    sign byte, then the text of its magnitude.  Of a column whose
-    magnitudes mirror bitwise about its middle, only rows n//2 on are
-    formatted; row i copies row n-1-i and writes its own sign byte, "-" where
-    the sign bit is set and the value is not NaN, as ``floatfmt.cells`` does.
-    Any other value's text is its str(), which for a float is its repr too.
+    A float64 value's text is its repr, formatted by one ``floatfmt.cells``
+    call per column into floatfmt.WIDTH bytes: a sign byte, then the text of
+    its magnitude.  Of a column whose magnitudes mirror bitwise about its
+    middle, only rows n//2 on are formatted; row i is row n-1-i with its own
+    sign byte, "-" where the sign bit is set and the value is not NaN, as
+    ``floatfmt.cells`` writes it.  Any other value's text is its str(), which
+    for a float is its repr too, and no row is mirrored.
     """
     if col.dtype != np.float64:
-        text = [str(v) for v in col.tolist()]
-        return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
+        return np.array([str(v) for v in col.tolist()], dtype=bytes), np.empty(0, np.uint8)
     n = len(col)
     magnitude = np.abs(col).view(np.uint64)  # abs clears the sign bit of NaN too
     mirrored = n // 2 if np.array_equal(magnitude[:n // 2], magnitude[::-1][:n // 2]) else 0
-    cells = np.empty((n, floatfmt.WIDTH), np.uint8)
-    for start in range(mirrored, n, CSV_BLOCK_ROWS):
-        cells[start:start + CSV_BLOCK_ROWS] = floatfmt.cells(col[start:start + CSV_BLOCK_ROWS])
     head = col[:mirrored]
-    cells[:mirrored] = cells[::-1][:mirrored]
-    cells[:mirrored, 0] = np.where(np.signbit(head) & ~np.isnan(head), ord("-"), 0)
-    return cells
+    return (floatfmt.cells(col[mirrored:]).view(f"S{floatfmt.WIDTH}")[:, 0],
+            np.uint8(ord("-")) * (np.signbit(head) & ~np.isnan(head)))
 
 
 def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence) -> Iterator[bytes]:
     """The text of every row, in order, in chunks of up to CSV_BLOCK_ROWS rows.
 
     ``layout`` lists each row's parts: a column's index, or separator bytes.
-    Each column is formatted once, whole.  A chunk's rows are joined into
-    one uint8 matrix, whose bytes without the zeros, dropped in one pass by
+    Each column is formatted once by ``_cells``.  A chunk's rows are copied
+    into one uint8 matrix, reused for every chunk, whose separator columns
+    are written once; its bytes without the zeros, dropped in one pass by
     ``bytes.translate``, are the text.
     """
     cells = [_cells(col) for col in columns]
-    n = len(cells[0])
+    n = len(columns[0])
+    widths = [cells[p][0].itemsize if isinstance(p, int) else len(p) for p in layout]
+    mat = np.empty((min(CSV_BLOCK_ROWS, n), sum(widths)), np.uint8)
+    parts, at = [], 0
+    for p, width in zip(layout, widths):
+        if isinstance(p, int):
+            # each row's cell as one byte string: numpy copies those faster than bytes
+            parts.append((*cells[p], at, mat[:, at:at + width].view(f"S{width}")[:, 0]))
+        else:
+            mat[:, at:at + width] = np.frombuffer(p, np.uint8)
+        at += width
     for start in range(0, n, CSV_BLOCK_ROWS):
-        rows = min(CSV_BLOCK_ROWS, n - start)
-        mat = np.concatenate([cells[p][start:start + rows] if isinstance(p, int)
-                              else np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
-                              for p in layout], axis=1)
-        yield mat.tobytes().translate(None, b"\0")
+        stop = min(start + CSV_BLOCK_ROWS, n)
+        for text, signs, at, cell in parts:
+            m = len(signs)  # row i < m is text row n-1-i-m with its own sign
+            split = min(max(m, start), stop)
+            cell[:split - start] = text[n - m - split:n - m - start][::-1]
+            mat[:split - start, at] = signs[start:split]
+            cell[split - start:stop - start] = text[split - m:stop - m]
+        yield mat[:stop - start].tobytes().translate(None, b"\0")
 
 
 def _csv(header: Sequence[str], columns: Sequence[np.ndarray],

@@ -1,12 +1,13 @@
 """Column-wise table emission against the per-value row emitter it replaced.
 
 The reference below formats one value at a time (`repr(float(v))` for
-floats, `str` otherwise) from row tuples.  The CLI formats blocks of float64
-columns at once through `floatfmt.cells`, and a column whose magnitudes
-mirror about its middle row from its x >= 0 half only; both must give the
-same bytes.
+floats, `str` otherwise) from row tuples.  The CLI formats each float64
+column in one `floatfmt.cells` call, and a column whose magnitudes mirror
+about its middle row from its x >= 0 half only, then writes the rows in
+chunks; both must give the same bytes.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -218,14 +219,16 @@ class TestEdgeColumns:
             return real(values, *args)
 
         monkeypatch.setattr(floatfmt, "cells", counting)
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)  # a kernel call per row
-        for fmt in ("csv", "json"):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)  # a chunk per row
+        # kernel blocks that end inside the half, and at the centre row
+        for kernel_block, fmt in itertools.product((1, 3), ("csv", "json")):
+            monkeypatch.setattr(floatfmt, "BLOCK", kernel_block)
             handed.clear()
             assert emit(fmt, ("c",), (col,)) == reference(fmt, ("c",), zip(col))
             n = len(col)
-            # only float64 columns reach the kernel
-            expected = (n - n // 2 if mirrored else n) if col.dtype == np.float64 else 0
-            assert sum(handed) == expected
+            # only float64 columns reach the kernel, in one call each
+            expected = [n - n // 2 if mirrored else n] if col.dtype == np.float64 else []
+            assert handed == expected
 
     @pytest.mark.parametrize("name", EDGE_COLUMNS)
     def test_table_bytes(self, fmt, name):
@@ -253,6 +256,20 @@ class TestEdgeColumns:
         expected = json.dumps({"c": column.tolist(), "finite": finite.tolist()}) + "\n"
         assert text == expected.encode()
 
+    def test_chunks_outlive_the_row_buffer(self, monkeypatch):
+        # every chunk is held until the last one is built: a chunk that
+        # shared memory with the row buffer reused for each would change
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        grid = Grid(X_MAX, POINTS)
+        partner = Partner(-1.37, grid)
+        header = ("x", "V", "psi0", "psi1", "rho0")
+        columns = (grid.x, partner.potential, partner.psi0, partner.psi1, partner.psi0**2)
+        for fmt, chunks in (("csv", cli._csv(header, columns)),
+                            ("json", cli._columns_json(header, columns))):
+            chunks = list(chunks)
+            assert len(chunks) > POINTS // 7
+            assert b"".join(chunks) == reference(fmt, header, zip(*columns))
+
     def test_block_boundary_on_the_centre_row(self, fmt):
         # the centre row opens the second block
         half = np.linspace(0.0, 3.0, cli.CSV_BLOCK_ROWS + 1)
@@ -269,10 +286,11 @@ MAGNITUDES = st.one_of(st.sampled_from([0.0, 5e-324, 2.225073858507201e-308, np.
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
     st.lists(MAGNITUDES, min_size=n - n // 2, max_size=n - n // 2),
-    st.lists(st.booleans(), min_size=n, max_size=n))))
-@example(([1.0, np.nan], [True, False, True]))  # an odd column with a NaN
-@example(([0.0, 2.0], [True, False, False]))    # signed zeros beside an even row
-def test_mirrored_magnitudes_format_half_with_each_row_sign(halves):
+    st.lists(st.booleans(), min_size=n, max_size=n))),
+    st.sampled_from([1, 3]))
+@example(([1.0, np.nan], [True, False, True]), 1)  # an odd column with a NaN
+@example(([0.0, 2.0], [True, False, False]), 3)    # signed zeros beside an even row
+def test_mirrored_magnitudes_format_half_with_each_row_sign(halves, kernel_block):
     # any sign on any row: only the magnitudes have to mirror
     half, negative = halves
     n = len(negative)
@@ -284,11 +302,12 @@ def test_mirrored_magnitudes_format_half_with_each_row_sign(halves):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(floatfmt, "cells", lambda values: handed.append(len(values)) or real(values))
         mp.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        mp.setattr(floatfmt, "BLOCK", kernel_block)
         for fmt in ("csv", "json"):
             handed.clear()
             got = emit(fmt, ("c",), (col,))
             assert got == reference(fmt, ("c",), zip(col))
-            assert sum(handed) == n - n // 2
+            assert handed == [n - n // 2]
             assert b"-nan" not in got.lower()
 
 

@@ -158,6 +158,20 @@ def test_non_finite_spellings_and_shape():
     assert texts(values) == ["nan", "nan", "inf", "-inf", "0.0", "-0.0"]
 
 
+def test_one_call_over_several_blocks_matches_repr():
+    # the values on each side of every block edge, and the first and last,
+    # are those with their own text
+    block = floatfmt.BLOCK
+    values = from_bits(np.random.default_rng(11).integers(0, 2**64, 3 * block,
+                                                          dtype=np.uint64))
+    edges = [0, block - 1, block, 2 * block - 1, 2 * block, 3 * block - 1]
+    values[edges] = [np.nan, 0.0, -0.0, 5e-324, np.inf, -np.inf]
+    assert texts(values) == references(values)
+    # texts() checks the shape too: (k, m) values give (k, m, WIDTH) bytes
+    assert texts(values.reshape(3, block)) == references(values)
+    assert texts(values.reshape(block, 3)) == references(values)
+
+
 def test_sign_byte_leads_every_row():
     values = np.array([1.5, -1.5, np.inf, -np.inf, np.nan, 0.0, -0.0, -1e-300])
     mat = floatfmt.cells(values)
