@@ -3,6 +3,7 @@
 Everything downstream (closed-form states, the tridiagonal eigensolver, the
 two-level dynamics) works on a single uniform mesh on [-x_max, x_max]: the
 wells are even in x, so a grid is fixed by its half-width and node count.
+A sampled function is a plain float array on the grid's nodes.
 Quadrature is composite trapezoid throughout: the integrands decay
 exponentially, so trapezoid converges spectrally on these tails.
 """

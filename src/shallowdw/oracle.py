@@ -45,11 +45,11 @@ the sector there, and no other (Sturm's theorem; Parlett, *The Symmetric
 Eigenvalue Problem*, ch. 4 and 7).  A count's own backward error, about
 eps_mach ||H||, is far below that window, and a window that stays below 0
 in a sector with index + 1 levels below 0 needs no count at all.
-Otherwise, or if the steps miss the target, the level is bisected from V
-alone and stepped from the bracket.  So a shift changes the work, never
-the level reported: the closer the shift, the fewer the steps.  E is the
-Newton estimate of the last step, so the shift moves it only in its last
-digits.
+Otherwise, or if the steps miss the target, the level is bisected by Sturm
+counts alone down to the residual target and stepped from the bracket.
+So a shift changes the work, never the level reported: the closer the
+shift, the fewer the steps.  E is the Newton estimate of the last step, so
+the shift moves it only in its last digits.
 
 The solver reads nothing but the grid and the sampled V in ``H.potential``,
 and this module imports nothing but numpy, the standard library and
@@ -70,20 +70,12 @@ from .grids import Grid, interior, mirror
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
-# Bisection stops once the bracket is this small relative to the level's
-# height above min V, and Sturm counts show no other level of the sector
-# within SEPARATION bracket widths of it.  Each inverse-iteration step then
-# gains at least a factor SEPARATION - 1, and usually about 1/BISECTION_RTOL.
-BISECTION_RTOL = 1e-4
-SEPARATION = 100.0
 INVERSE_ITERATION_MAX_STEPS = 8
 # normwise backward error: ||(H - E) y|| <= RESIDUAL_TOL ||H|| ||y||
 RESIDUAL_TOL = 1e-13
 PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
 EPS_MACH = float(np.finfo(float).eps)
-# rows of |a_i| <= this are free at lam = 0: 2 + a_i rounds to 2
-FREE_ROW = 0.25 * EPS_MACH
 TAIL_BLOCK = 64  # rows per block in the search for a twisted step's free tail
 
 
@@ -129,14 +121,14 @@ class TridiagonalHamiltonian:
         sector, so its count is their negative pivots; the even count adds
         the sign of the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  An
         exact-zero pivot counts as negative.  The rows past the last row T
-        with |a_T| > FREE_ROW are free rows, a_i = 0, within the count's own
-        backward error, since 2 + a_i rounds to 2 there.  Their pivots, j rows
-        in from the edge, are (j + 2) / (j + 1), all positive: the pass starts
-        on row T from s_{T+1} = 1 / (edge - T).
+        where 2 + a_T != 2 are free rows: 2 + a_i rounds to 2 there, so they
+        are a_i = 0 within the count's own backward error.  Their pivots,
+        j rows in from the edge, are (j + 2) / (j + 1), all positive: the
+        pass starts on row T from s_{T+1} = 1 / (edge - T).
         """
         a = _sector_rows(self, 0.0, 0)
         edge = len(a) - 1
-        bound = np.flatnonzero(np.abs(a[1:]) > FREE_ROW)
+        bound = np.flatnonzero(2.0 + a[1:] != 2.0)
         top = int(bound[-1]) + 1 if len(bound) else 0  # T
         start, s = (edge, 1.0 + float(a[-1])) if top == edge else (top + 1, 1.0 / (edge - top))
         count, s = _negative_pivots(s, a[start - 1:0:-1].tolist())
@@ -222,8 +214,9 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
 def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
     """Lower end of a Sturm-certified bracket around level `index` of one sector.
 
-    A bracket narrower than the residual target is taken even when another
-    level shares it: the target cannot tell such levels apart.
+    Bisects by Sturm counts alone until the bracket is no wider than the
+    residual target, and takes it even when another level shares it: the
+    target cannot tell such levels apart.
     """
     resolution, v_min = H.residual_target, float(H.edge_min[0])
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
@@ -233,10 +226,6 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
         hi = float(np.max(H.potential)) + 6.0 / H.grid.h**2
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= resolution:
-            return lo
-        margin = SEPARATION * (hi - lo)
-        if (hi - lo <= BISECTION_RTOL * (hi - v_min)
-                and _isolated(H, parity, index, lo - margin, hi + margin)):
             return lo
         mid = 0.5 * (lo + hi)
         if sturm_count(H, mid, parity) > index:
@@ -252,11 +241,11 @@ def _isolated(H: TridiagonalHamiltonian, parity: int, index: int,
               lo: float, hi: float) -> bool:
     """Sturm counts show level `index` of one sector, and no other, in [lo, hi].
 
-    The caller knows that some level lies in [lo, hi]: a bracket holds one,
-    and so does E -+ delta around a residual-checked E.  So no count is made
-    at hi <= 0 when the sector has index + 1 levels below 0.  Level 0 needs
-    no count at lo: no level lies below min V, so one level in (min V, hi]
-    is the known one, and it is level 0.
+    The caller knows that some level lies in [lo, hi], E -+ delta around a
+    residual-checked E.  So no count is made at hi <= 0 when the sector has
+    index + 1 levels below 0.  Level 0 needs no count at lo: no level lies
+    below min V, so one level in (min V, hi] is the known one, and it is
+    level 0.
     """
     return ((hi <= 0.0 and H.bound_counts[parity] == index + 1
              or sturm_count(H, hi, parity) == index + 1)

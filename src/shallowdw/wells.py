@@ -52,6 +52,9 @@ VERIFY_TOLERANCES = {
 }
 # the bimodality check is singular where the ground level meets the barrier top
 BIMODALITY_SKIP_BAND = 1e-3  # so it is skipped while |s - eps| <= this
+# spacing of the rho''(0) stencil's nodes on fine grids: its rounding error
+# grows like eps_mach / spacing^2 and its truncation error like spacing^2
+BIMODALITY_SPACING = 2.5e-3
 
 
 class BoundStateCountMismatch(RuntimeError):
@@ -129,13 +132,17 @@ def check_bimodality_relation(partner: Partner) -> Tuple[float, float, float]:
     """Test rho''(0) = 2 (s - eps) rho(0) on the sampled ground density.
 
     Returns (lhs, rhs, rel_err): lhs is a 5-point second difference of rho
-    at x = 0, rhs the closed form.  A positive lhs means a central density
-    minimum (bimodal), negative a central maximum.
+    on the nodes 0, +-m h and +-2 m h, rhs the closed form.  A positive lhs
+    means a central density minimum (bimodal), negative a central maximum.
+    m = round(BIMODALITY_SPACING / h), at least 1 and at most
+    center_index // 2, so m = 1 while h > 1/600.
     """
     eps_val, grid = partner.epsilon, partner.grid
     mid = grid.center_index
-    r = partner.psi0[mid - 2:mid + 3] ** 2
-    lhs = (-r[0] + 16 * r[1] - 30 * r[2] + 16 * r[3] - r[4]) / (12 * (grid.h * grid.h))
+    m = max(1, min(round(BIMODALITY_SPACING / grid.h), mid // 2))
+    r = partner.psi0[mid - 2 * m:mid + 2 * m + 1:m] ** 2
+    step = m * grid.h
+    lhs = (-r[0] + 16 * r[1] - 30 * r[2] + 16 * r[3] - r[4]) / (12 * (step * step))
     rhs = 2.0 * (separatrix_energy(eps_val) - eps_val) * r[2]
     rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     return float(lhs), float(rhs), float(rel_err)
@@ -186,7 +193,7 @@ def bound_levels(partner: Partner) -> BoundLevels:
     below the continuum threshold 0 is BoundStateCountMismatch.  Each level is
     stepped from its closed form, eps or -1, which sets only the solver's work.
     Only ``cli.main`` sets glibc's heap thresholds, so a library caller pays
-    glibc's heap trims between the solver's temporaries (see README).
+    glibc's heap trims between the solver's temporaries (``cli._hold_heap``).
     """
     eps_val = partner.epsilon
     partner.check_grid()

@@ -1,3 +1,11 @@
+"""Shared fixtures and the references the tests check the package against.
+
+The second derivative, the ladder operators A and A+, the base ground state
+and the operator-level intertwining check that uses them live here, not in
+the package, as does the two-level state built at each frame that the
+dynamics tests take as the reference for ``evolve_series``'s closed form.
+"""
+
 import functools
 
 import numpy as np

@@ -301,6 +301,34 @@ class TestCoarseToFine:
                 assert within_rounding(got, expected), (parity, index, sigma)
 
 
+class TestBracket:
+    """The fallback bisects by Sturm counts alone until its bracket is no
+    wider than the residual target."""
+
+    @staticmethod
+    def assert_brackets(H, parity, index):
+        lo = oracle._bracket(H, parity, index)
+        hi = lo + H.residual_target
+        assert sturm_count(H, lo, parity) <= index < sturm_count(H, hi, parity), (parity, index)
+
+    @pytest.mark.parametrize("n", [2001, 4001])
+    @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95, -30.0])
+    def test_brackets_level_zero(self, eps, n):
+        partner = Partner(eps, Grid(20.0, n))
+        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        for parity in (0, 1):
+            self.assert_brackets(H, parity, 0)
+
+    def test_brackets_levels_above_zero(self):
+        # harmonic well, V >= 0: every bracket starts at [min V, the top of
+        # the spectrum]
+        grid = Grid(8.0, 401)
+        H = TridiagonalHamiltonian(grid, grid.x**2)
+        for parity in (0, 1):
+            for index in (0, 1, 2):
+                self.assert_brackets(H, parity, index)
+
+
 class TestSturmCount:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.25, -2.95])
     def test_two_bound_states(self, eps, default_grid):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
-from shallowdw.oracle import PIVMIN, sturm_count
+from shallowdw.oracle import EPS_MACH, PIVMIN, sturm_count
 
 from conftest import apply_h, counting_view, dense_sector_levels, lowest_eigenpairs
 
@@ -356,7 +356,7 @@ class TestFreeTail:
             H = random_even_bumps(seed)
             assert H.bound_counts == ref_bound_counts(H), seed
             q = H.grid.h**2 * H.potential[-1]
-            free += abs(q / (1.0 - q / 12.0)) <= oracle.FREE_ROW
+            free += 2.0 + q / (1.0 - q / 12.0) == 2.0
             counts.add(H.bound_counts)
         # most draws start the pass short of the edge; the counts vary
         assert free > 60 and len(counts) > 5
@@ -372,6 +372,34 @@ class TestFreeTail:
         n = len(values)
         H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values)
         assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0)
+
+    # 2 + a rounds to 2 at a = eps_mach and -eps_mach / 2, ties to even, and
+    # not at the next float outward of either
+    @pytest.mark.parametrize("edge, free", [
+        (EPS_MACH, True), (-EPS_MACH / 2, True),
+        (np.nextafter(EPS_MACH, np.inf), False), (np.nextafter(-EPS_MACH / 2, -np.inf), False)])
+    @pytest.mark.parametrize("well", [
+        (2.0, 1.0, 0.0, -12 / 11, 0.0, 1.0, 2.0), (-2.4, 0.0, -3.0, 0.0, -2.4), (0.0, -3.0, 0.0)])
+    def test_bound_counts_behind_rows_at_the_rounding_edge(self, well, edge, free,
+                                                           monkeypatch):
+        # h = 1 and |V| tiny, so a_i = V_i exactly on the trailing rows.
+        # Where 2 + a_i rounds to 2 the pass walks rows T .. 1, T the well's
+        # last row, or no row where V = 0 there too; elsewhere every row
+        values = (edge,) * 5 + well + (edge,) * 5
+        n = len(values)
+        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values)
+        assert oracle._sector_rows(H, 0.0, 0)[-1] == edge
+        walked, negative_pivots = [], oracle._negative_pivots
+
+        def recording(r, rows):
+            rows = list(rows)
+            walked.append(len(rows))
+            return negative_pivots(r, rows)
+
+        monkeypatch.setattr(oracle, "_negative_pivots", recording)
+        assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0)
+        top = len(well) // 2 if well[-1] else 0
+        assert walked == [top if free else H.grid.center_index - 1]
 
     @pytest.mark.parametrize("n", [2001, 4001, 16001, 64001])
     def test_eigenpairs_match_the_full_walk(self, n, monkeypatch):

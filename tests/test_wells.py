@@ -12,9 +12,9 @@ from shallowdw import (
     classify,
     count_density_maxima,
 )
-from shallowdw.wells import well_kind
+from shallowdw.wells import verify, well_kind
 
-from conftest import base_ground_state
+from conftest import base_ground_state, cached_report
 
 
 def partner(eps):
@@ -117,3 +117,15 @@ class TestBimodalityRelation:
             return
         expected = 2 if eps > -2.0 else 1
         assert classify(partner(eps)).density_maxima_count == expected
+
+
+class TestFinerGridKeepsThePass:
+    # the rho''(0) stencil keeps its nodes about BIMODALITY_SPACING apart, so
+    # its rounding, eps_mach / spacing^2, stops growing as the grid is refined
+    @pytest.mark.parametrize("eps", [-1.5, -1.9989, -2.0011, -2.002, -2.5])
+    def test_pass_on_the_default_grid_holds_on_finer_grids(self, eps):
+        assert cached_report(eps).passed
+        for n in (16001, 64001, 256001):
+            report = verify(Partner(eps, Grid(20.0, n)))
+            assert report.passed, (n, [check for check in report.checks if not check.passed])
+        assert report.bimodality_rel_err <= 1e-7
