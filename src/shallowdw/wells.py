@@ -52,8 +52,10 @@ VERIFY_TOLERANCES = {
 }
 # the bimodality check is singular where the ground level meets the barrier top
 BIMODALITY_SKIP_BAND = 1e-3  # so it is skipped while |s - eps| <= this
-# spacing of the rho''(0) stencil's nodes on fine grids: its rounding error
-# grows like eps_mach / spacing^2 and its truncation error like spacing^2
+# the rho''(0) stencil's largest node spacing on fine grids, in units of
+# min(1, 1/sqrt|s - eps|), the length of rho's curvature at 0 or the unit
+# width of the well: rounding grows like eps_mach / spacing^2, truncation
+# like spacing^4
 BIMODALITY_SPACING = 2.5e-3
 
 
@@ -134,16 +136,18 @@ def check_bimodality_relation(partner: Partner) -> Tuple[float, float, float]:
     Returns (lhs, rhs, rel_err): lhs is a 5-point second difference of rho
     on the nodes 0, +-m h and +-2 m h, rhs the closed form.  A positive lhs
     means a central density minimum (bimodal), negative a central maximum.
-    m = round(BIMODALITY_SPACING / h), at least 1 and at most
-    center_index // 2, so m = 1 while h > 1/600.
+    m is the largest count with m h max(1, sqrt|s - eps|) <= BIMODALITY_SPACING,
+    at least 1 and at most center_index // 2, so m = 1 while h > 1/800.
     """
     eps_val, grid = partner.epsilon, partner.grid
     mid = grid.center_index
-    m = max(1, min(round(BIMODALITY_SPACING / grid.h), mid // 2))
+    gap = separatrix_energy(eps_val) - eps_val
+    kh = grid.h * max(1.0, np.sqrt(abs(gap)))
+    m = max(1, min(int(BIMODALITY_SPACING / kh), mid // 2))
     r = partner.psi0[mid - 2 * m:mid + 2 * m + 1:m] ** 2
     step = m * grid.h
     lhs = (-r[0] + 16 * r[1] - 30 * r[2] + 16 * r[3] - r[4]) / (12 * (step * step))
-    rhs = 2.0 * (separatrix_energy(eps_val) - eps_val) * r[2]
+    rhs = 2.0 * gap * r[2]
     rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     return float(lhs), float(rhs), float(rel_err)
 

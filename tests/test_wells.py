@@ -120,12 +120,18 @@ class TestBimodalityRelation:
 
 
 class TestFinerGridKeepsThePass:
-    # the rho''(0) stencil keeps its nodes about BIMODALITY_SPACING apart, so
-    # its rounding, eps_mach / spacing^2, stops growing as the grid is refined
-    @pytest.mark.parametrize("eps", [-1.5, -1.9989, -2.0011, -2.002, -2.5])
-    def test_pass_on_the_default_grid_holds_on_finer_grids(self, eps):
-        assert cached_report(eps).passed
-        for n in (16001, 64001, 256001):
+    # the rho''(0) stencil keeps its nodes at most BIMODALITY_SPACING apart in
+    # the units of the well, so its rounding, eps_mach / spacing^2, stops
+    # growing as the grid is refined, and deep wells keep their truncation
+    # error; each eps starts from the coarsest grid it passes on
+    @pytest.mark.parametrize("eps, points", [(-1.5, 4001), (-1.9989, 4001), (-2.0011, 4001),
+                                             (-2.002, 4001), (-2.5, 4001), (-30, 16001),
+                                             (-300, 24001), (-1000, 64001)])
+    def test_pass_holds_on_finer_grids(self, eps, points):
+        assert cached_report(eps, n_points=points).passed
+        for n in (16001, 24001, 64001, 256001):
+            if n <= points:
+                continue
             report = verify(Partner(eps, Grid(20.0, n)))
             assert report.passed, (n, [check for check in report.checks if not check.passed])
         assert report.bimodality_rel_err <= 1e-7
