@@ -66,18 +66,14 @@ _M32 = 0xFFFFFFFF
 _M63 = (1 << 63) - 1
 
 
-def _flog10pow2(q):
-    """floor(q log10 2), exact for |q| <= 5456721."""
-    return (q * 661971961083) >> 41
+def _flog10(q, irregular):
+    """floor(log10(2^q)), or floor(log10(3/4 2^q)) where ``irregular``;
+    exact for |q| <= 5456721, on ints and bools or on int64 and bool arrays."""
+    return (q * 661971961083 - irregular * 274743187321) >> 41
 
 
-def _flog10_three_quarters_pow2(q):
-    """floor(log10(3/4 2^q)), exact for |q| <= 5456721."""
-    return (q * 661971961083 - 274743187321) >> 41
-
-
-_K_MIN = _flog10_three_quarters_pow2(_Q_MIN + 1)
-_K_MAX = _flog10pow2(971)
+_K_MIN = _flog10(_Q_MIN + 1, True)
+_K_MAX = _flog10(971, False)
 
 _WORDS = WIDTH // 8  # a row as little-endian uint64 words
 _DECPT_MIN, _DECPT_MAX = -323, 309  # a value is 0.d1d2... 10^decpt
@@ -191,8 +187,7 @@ def shortest_digits(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     q = np.maximum(bq, 1).astype(np.int64) + (_Q_MIN - 1)
     # the lower neighbour is closer: at a power of two above the subnormals
     irregular = (frac == 0) & (bq > 1)
-    # _flog10pow2(q), or _flog10_three_quarters_pow2(q) where irregular
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    k = _flog10(q, irregular)
     row = k - _K_MIN
     g = tables.powers.T.take(row, axis=1)
     h = (q + tables.shift.take(row)).astype(np.uint64)

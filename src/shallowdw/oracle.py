@@ -6,50 +6,22 @@ with D2 the 3-point second difference and B = tridiag(1, 10, 1) / 12, an
 O(h^4) scheme.  With q_i = h^2 (V_i - E) and u_i = (1 - q_i/12) y_i this is
 the 3-point recurrence -u_{i-1} + (2 + a_i) u_i - u_{i+1} = 0 with
 a_i = q_i / (1 - q_i/12), so every pass below runs on a tridiagonal matrix
-M(lam) = tridiag(-1, 2 + a_i, -1).  a_i falls with lam while q_i < 12, so
-``TridiagonalHamiltonian`` rejects h^2 (max V - min V) >= 12, and Sturm
-counts of M(lam) count the levels of the matrix-Numerov operator
--B^{-1} D2 + diag(V) below lam.  V is even, so the matrix splits into two
-half-line sectors: an even one on x >= 0 with its centre row halved, and an
-odd one on x > 0 with a Dirichlet condition at x = 0.  Levels of a
-persymmetric Jacobi matrix alternate in parity, so level j of H is level
-j // 2 of the sector with parity j % 2.
+M(lam) = tridiag(-1, 2 + a_i, -1).  a_i falls with lam while q_i is below
+its pole at 12, so ``TridiagonalHamiltonian`` rejects h^2 (max V - min V)
+>= 12, and Sturm counts of M(lam) count the levels of the matrix-Numerov
+operator -B^{-1} D2 + diag(V) below lam.  V is even, so the matrix splits
+into two half-line sectors: an even one on x >= 0 with its centre row
+halved, and an odd one on x > 0 with a Dirichlet condition at x = 0.
+Levels of a persymmetric Jacobi matrix alternate in parity, so level j of H
+is level j // 2 of the sector with parity j % 2.
 
-Sturm counts use scaled pivots, r_i = a_i + r_{i-1} / (1 + r_{i-1}), which
-never build the 2/h^2 diagonal and so lose nothing to cancellation against
-it.  A count is one pass of them over its sector's rows.  The counts at
-lam = 0 come from one backward pass, whose pivots on rows 1 .. edge serve
-both sectors: the odd count is their negatives, and the even one adds the
-halved centre row.  That pass starts at the last row that is not free at
-lam = 0, short of the grid edge where V has decayed (``bound_counts``).
-
-Eigenvectors come from twisted factorizations (Fernando; Parlett and
-Dhillon) in the same r-form: forward pivots from x = 0 to the turning
-point, backward pivots in from a row T past it, a twist where |gamma_k| is
-least, and u as running products of reciprocal pivots out from the twist,
-so that M(sigma) u = gamma_k e_k with u_k = 1.  Past T, where V has
-decayed, the rows are taken as free rows in closed form; ``_free_tail``
-picks T and bounds what that changes, and where it finds none every row is
-walked.  The eigenvector is y = u / (1 - q/12), and the next shift is the
-Newton step on the Rayleigh quotient of M(sigma),
-E = sigma + 2 gamma_k / (h^2 ||y||^2), with ||y|| taken over the full grid.
-Residuals are taken on the true sector's rows, row 0 beside its mirror y_1
-(even) or the wall (odd), and only the accepted y is mirrored onto the full
-grid.
-
-Each level is stepped from a shift the caller gives, and checked: the
-steps stop once the residual meets RESIDUAL_TOL ||H||, so E lies within
-that residual of a level (Kahan's residual bound), and the level is kept
-only if Sturm counts over E -+ RESIDUAL_TOL ||H|| place level ``index`` of
-the sector there, and no other (Sturm's theorem; Parlett, *The Symmetric
-Eigenvalue Problem*, ch. 4 and 7).  A count's own backward error, about
-eps_mach ||H||, is far below that window, and a window that stays below 0
-in a sector with index + 1 levels below 0 needs no count at all.
-Otherwise, or if the steps miss the target, the level is bisected by Sturm
-counts alone down to the residual target and stepped from the bracket.
-So a shift changes the work, never the level reported: the closer the
-shift, the fewer the steps.  E is the Newton estimate of the last step, so
-the shift moves it only in its last digits.
+Each pass is argued where it runs.  ``_negative_pivots`` runs the scaled
+pivots of a Sturm count.  ``TridiagonalHamiltonian.bound_counts`` counts
+both sectors' levels below 0 in one pass.  ``_twisted_vector`` solves for an
+eigenvector by a twisted factorization.  ``_free_tail`` picks the rows that
+a twisted step takes in closed form.  ``_twisted_step`` takes the Newton
+shift.  ``sector_eigenpair`` steps a level from the caller's shift and
+certifies it by Sturm counts, or bisects.
 
 The solver reads nothing but the grid and the sampled V in ``H.potential``,
 and this module imports nothing but numpy, the standard library and
@@ -73,7 +45,7 @@ BISECTION_MAX_ITER = 200
 INVERSE_ITERATION_MAX_STEPS = 8
 # normwise backward error: ||(H - E) y|| <= RESIDUAL_TOL ||H|| ||y||
 RESIDUAL_TOL = 1e-13
-PIVMIN = 1e-290  # stands in for an exact-zero pivot, which counts as negative
+PIVMIN = 1e-290  # an exact-zero pivot's stand-in (``_negative_pivots``)
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
 EPS_MACH = float(np.finfo(float).eps)
 TAIL_BLOCK = 64  # rows per block in the search for a twisted step's free tail
@@ -85,11 +57,8 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
-    """Numerov discretization of -d2/dx2 + V, V even, with Dirichlet walls.
-
-    Holds V itself, so the solver never has to subtract 2/h^2 back out of a
-    diagonal; only ``eigen_residual`` writes out the full-grid stencils.
-    """
+    """Numerov discretization of -d2/dx2 + V, V even, with Dirichlet walls;
+    it holds V itself, and only ``eigen_residual`` writes out the stencils."""
 
     grid: Grid
     potential: np.ndarray = field(repr=False)
@@ -116,15 +85,14 @@ class TridiagonalHamiltonian:
     def bound_counts(self) -> Tuple[int, int]:
         """Levels below 0 of the even and of the odd sector, from one pass.
 
-        Backward pivots 1 + s_i, s_i = a_i + s_{i+1} / (1 + s_{i+1}) at lam = 0,
-        run in from the grid edge to row 1.  Rows 1 .. edge are the odd
-        sector, so its count is their negative pivots; the even count adds
-        the sign of the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  An
-        exact-zero pivot counts as negative.  The rows past the last row T
-        where 2 + a_T != 2 are free rows: 2 + a_i rounds to 2 there, so they
-        are a_i = 0 within the count's own backward error.  Their pivots,
-        j rows in from the edge, are (j + 2) / (j + 1), all positive: the
-        pass starts on row T from s_{T+1} = 1 / (edge - T).
+        Scaled pivots 1 + s_i (``_negative_pivots``) at lam = 0, run backward
+        from the grid edge to row 1.  Rows 1 .. edge are the odd sector, so
+        its count is their negative pivots; the even count adds the sign of
+        the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  The rows past the
+        last row T where 2 + a_T != 2 are free rows: 2 + a_i rounds to 2
+        there, so they are a_i = 0 within the count's own backward error.
+        Their pivots, j rows in from the edge, are (j + 2) / (j + 1), all
+        positive: the pass starts on row T from s_{T+1} = 1 / (edge - T).
         """
         a = _sector_rows(self, 0.0, 0)
         edge = len(a) - 1
@@ -155,11 +123,7 @@ def _numerov(y: np.ndarray, v_minus_e: np.ndarray, h: float) -> np.ndarray:
 
 
 def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarray:
-    """a_i = q_i / (1 - q_i/12), q_i = h^2 (V_i - lam), over one sector's rows.
-
-    Even sector: nodes x = 0 .. x_max; odd sector: x = h .. x_max behind a
-    Dirichlet wall at x = 0.
-    """
+    """a_i = q_i / (1 - q_i/12), q_i = h^2 (V_i - lam), over one sector's rows."""
     q = H.grid.h**2 * (H.potential[H.grid.center_index + parity:] - lam)
     return q / (1.0 - q / NUMEROV_POLE)
 
@@ -179,8 +143,11 @@ def _first_pivot(a0: float, parity: int) -> float:
 def _negative_pivots(r: float, rows: Iterable[float]) -> Tuple[int, float]:
     """(pivots 1 + r <= 0, last r) of the scaled run from r over ``rows``.
 
-    The pivot before each row is counted, an exact zero as a negative one;
-    the pivot of the last r is left to the caller.
+    The pivots of M(lam) are d_i = 2 + a_i - 1 / d_{i-1}.  As 1 + r_i, with
+    r_i = a_i + r_{i-1} / (1 + r_{i-1}), they never build the 2/h^2 diagonal
+    and so lose nothing to cancellation against it.  The pivot before each
+    row is counted; an exact zero counts as negative and runs on as -PIVMIN.
+    The pivot of the last r is left to the caller.
     """
     count = 0
     for a_i in rows:
@@ -194,14 +161,9 @@ def _negative_pivots(r: float, rows: Iterable[float]) -> Tuple[int, float]:
 
 
 def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
-    """Levels below lam of one sector (0 even, 1 odd): negative pivots 1 + r_i.
-
-    Every level lies above min V, so lam <= min V counts 0 without a pass.
-    Above min V every q_i = h^2 (V_i - lam) stays below 12, the pole of a_i,
-    since h^2 (max V - min V) < 12, and one pass counts every row's pivot,
-    an exact zero as a negative one.  A lam that is not a finite number is a
-    ValueError.
-    """
+    """Levels below lam of one sector (0 even, 1 odd): one ``_negative_pivots``
+    pass over its rows, or none for lam <= min V, as every level lies above
+    min V.  A lam that is not a finite number is a ValueError."""
     if not math.isfinite(lam):
         raise ValueError(f"sturm_count needs a finite lam, got {lam!r}")
     if lam <= H.edge_min[0]:  # min V, since V is even
@@ -212,12 +174,8 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
 
 
 def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
-    """Lower end of a Sturm-certified bracket around level `index` of one sector.
-
-    Bisects by Sturm counts alone until the bracket is no wider than the
-    residual target, and takes it even when another level shares it: the
-    target cannot tell such levels apart.
-    """
+    """Lower end of the bracket of level `index` of one sector that Sturm
+    counts bisect down to the residual target (``sector_eigenpair``)."""
     resolution, v_min = H.residual_target, float(H.edge_min[0])
     lo, hi = v_min, 0.0  # -d2/dx2 is positive definite, so v_min < every level
     if v_min >= 0.0 or H.bound_counts[parity] <= index:
@@ -239,21 +197,15 @@ def _bracket(H: TridiagonalHamiltonian, parity: int, index: int) -> float:
 
 def _isolated(H: TridiagonalHamiltonian, parity: int, index: int,
               lo: float, hi: float) -> bool:
-    """Sturm counts show level `index` of one sector, and no other, in [lo, hi].
-
-    The caller knows that some level lies in [lo, hi], E -+ delta around a
-    residual-checked E.  So no count is made at hi <= 0 when the sector has
-    index + 1 levels below 0.  Level 0 needs no count at lo: no level lies
-    below min V, so one level in (min V, hi] is the known one, and it is
-    level 0.
-    """
+    """Sturm counts show level `index` of one sector, and no other, in
+    [lo, hi]; the counts it skips are argued in ``sector_eigenpair``."""
     return ((hi <= 0.0 and H.bound_counts[parity] == index + 1
              or sturm_count(H, hi, parity) == index + 1)
             and (index == 0 or sturm_count(H, lo, parity) == index))
 
 
 def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
-    """r followed by the scaled pivots r_i it leads to over ``rows``."""
+    """r followed by the scaled pivots (``_negative_pivots``) it leads to over ``rows``."""
     out = [r]
     for a in rows:
         r = a + r / (1.0 + r or -PIVMIN)
@@ -296,8 +248,11 @@ def _free_tail(a: np.ndarray, turn: int, rho: float, mu: float) -> int:
     the mirrored z, and 2 d ||z_tail||^2 to 2 gamma_k to first order: T is
     the first row where both stay within rho and mu, for ||y|| >= 1.  The
     bound is taken on blocks of TAIL_BLOCK rows, each at its lowest theta.
-    On a computed step, ``_tail_holds`` checks rho and mu again with
-    ||z_tail||^2 <= z_{T+1}^2 (1 + 1 / expm1(2 theta)), theta from a_N.
+    The budgets, in units of M, are a quarter of the residual target for rho
+    and a quarter ulp of max(1, |sigma|) on the level for mu.  On a computed
+    step, ``_tail_holds`` checks them again with ||z_tail||^2 <= z_{T+1}^2
+    (1 + 1 / expm1(2 theta)), theta from a_N; a step that fails is taken
+    again on every row.
     """
     last = len(a) - 1
     a_edge = float(a[-1])
@@ -320,7 +275,7 @@ def _free_tail(a: np.ndarray, turn: int, rho: float, mu: float) -> int:
 
 def _tail_holds(a: np.ndarray, tail: int, z_free: float, norm2: float,
                 rho: float, mu: float) -> bool:
-    """``_free_tail``'s bound on a computed step: z_free = z_{T+1}, norm2 = ||y||^2."""
+    """``_free_tail``'s recheck on a computed step: z_free = z_{T+1}, norm2 = ||y||^2."""
     spread = float(np.max(np.abs(a[tail + 1:] - a[-1])))
     tail_sq = z_free * z_free * (1.0 + 1.0 / math.expm1(2.0 * _free_theta(float(a[-1]))))
     return (spread * math.sqrt(2.0 * tail_sq) <= rho * math.sqrt(norm2)
@@ -329,17 +284,18 @@ def _tail_holds(a: np.ndarray, tail: int, z_free: float, norm2: float,
 
 def _twisted_vector(a: np.ndarray, r0: float, turn: int,
                     tail: int) -> Tuple[np.ndarray, float]:
-    """(z, gamma_k) with z_k = 1 and (M - sigma) z = gamma_k e_k, k = argmin |gamma|.
+    """(z, gamma_k) with z_k = 1 and M(sigma) z = gamma_k e_k, k = argmin |gamma|.
 
-    ``a`` holds the sector's a_i at sigma and r0 its first forward pivot.
-    Forward pivots r_i run from x = 0 to row ``turn``, past which the
-    eigenvector only decays; backward pivots s_i run in from row ``tail``.
-    Rows past it are taken as free rows a_i = a_N, whose s_{tail+1} and z
-    have closed forms (``_free_pivot``, ``_free_decay``); tail = len(a) - 1
-    walks in from the grid edge.
-    gamma_k = r_k + s_k - a_k, or r_0 + s_1 / (1 + s_1) on the first row.
-    Off the twist, z_i = z_{i+1} / (1 + r_i) inward and z_i = z_{i-1} / (1 + s_i)
-    outward.
+    A twisted factorization (Fernando; Parlett and Dhillon) in scaled pivots
+    (``_negative_pivots``), a holding the a_i at sigma and r0 the first
+    forward pivot.  Forward pivots r_i run from x = 0 to row ``turn``, past
+    which the eigenvector only decays; backward pivots s_i run in from row
+    ``tail``, past which the rows are free (``_free_tail``), or from the
+    grid edge if tail = len(a) - 1.  Twisted at row k the last pivot is
+    gamma_k = r_k + s_k - a_k, or r_0 + s_1 / (1 + s_1) on row 0, and
+    1 / gamma_k is the k-th diagonal entry of M(sigma)^-1: the least |gamma_k|
+    marks a row where the eigenvector is large.  Out from it z_i =
+    z_{i+1} / (1 + r_i) inward and z_i = z_{i-1} / (1 + s_i) outward.
     """
     if len(a) == 1:
         return np.ones(1), 1.0 + r0
@@ -367,7 +323,8 @@ def _twisted_vector(a: np.ndarray, r0: float, turn: int,
 
 def _sector_residual(H: TridiagonalHamiltonian, y: np.ndarray, parity: int,
                      energy: float) -> float:
-    """||(H - E) mirror(y, parity)||^2 from y on the nodes x >= 0 alone."""
+    """||(H - E) mirror(y, parity)||^2 from y on the nodes x >= 0 alone: the
+    sector's rows, row 0 beside its mirror y_1 (even) or the wall (odd)."""
     ext = np.concatenate(([-y[1] if parity else y[1]], y))  # from x = -h
     r = _numerov(ext, H.potential[H.grid.center_index - 1:] - energy, H.grid.h)[1:]
     return 2.0 * _sum_sq(r) - r[0] * r[0]
@@ -383,9 +340,10 @@ def _twisted_step(H: TridiagonalHamiltonian, parity: int,
     """(E, y, ||y||^2) of one Newton-shifted twisted step from sigma: y on
     x >= 0, 0 at x = 0 if odd; ||y|| over the full grid, which mirrors y.
 
-    The free tail's budgets (``_free_tail``), in units of M, are a quarter of
-    the residual target and a quarter ulp of max(1, |sigma|) on the level; a
-    step that fails them on its own z is taken again on every row.
+    z comes from ``_twisted_vector`` over the free tail of ``_free_tail``.
+    E is the Newton step on the u-form Rayleigh quotient 2 gamma_k / ||u||^2
+    of M(sigma), whose sigma-derivative is -h^2 ||y||^2 / ||u||^2:
+    E = sigma + 2 gamma_k / (h^2 ||y||^2).
     """
     a = _sector_rows(H, sigma, parity)
     r0, last = _first_pivot(float(a[0]), parity), len(a) - 1
@@ -399,8 +357,6 @@ def _twisted_step(H: TridiagonalHamiltonian, parity: int,
         if tail == last or _tail_holds(a, tail, float(z[tail + 1]), norm2, *budgets):
             break
     y = np.concatenate(([0.0], y)) if parity else y
-    # Newton on the u-form Rayleigh quotient 2 gamma_k / ||u||^2, whose
-    # sigma-derivative is -h^2 ||y||^2 / ||u||^2
     return sigma + 2.0 * gamma / (H.grid.h**2 * norm2), y, norm2
 
 
@@ -423,7 +379,22 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
 def sector_eigenpair(H: TridiagonalHamiltonian, parity: int, index: int,
                      sigma: float) -> Tuple[float, np.ndarray]:
     """(E, y) of level ``index`` of one sector, y on the full grid: stepped from
-    the shift sigma, or bisected if Sturm counts refuse the level reached."""
+    the shift sigma, or bisected if Sturm counts refuse the level reached.
+
+    The steps stop once the residual meets the target RESIDUAL_TOL ||H||, so
+    E lies within that residual of a level (Kahan's residual bound).  The
+    level is kept only if Sturm counts over E -+ the target place level
+    ``index`` there, and no other (Sturm's theorem; Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 4 and 7); a count's own backward error, about
+    eps_mach ||H||, is far below that window.  As a level lies in the
+    window, ``_isolated`` skips the count at hi <= 0 in a sector with
+    index + 1 levels below 0, and the count at lo for level 0.
+    Otherwise, or if the steps miss the target, ``_bracket`` bisects by
+    Sturm counts alone down to the target, even when another level shares
+    the bracket, as the target cannot tell them apart, and the level is
+    stepped from its lower end.  So the shift sets the work, and moves E,
+    the last step's Newton estimate, only in its last digits.
+    """
     try:
         energy, v = _inverse_iteration(H, parity, index, sigma)
         delta = H.residual_target  # the residual met, so a level is this close

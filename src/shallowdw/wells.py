@@ -38,7 +38,7 @@ from . import oracle
 from .grids import first_derivative, interior, normalized
 from .transform import Partner, curvature_at_origin, separatrix_energy
 
-PLATEAU_TOL = 1e-13  # first differences below this count as flat
+PLATEAU_TOL = 1e-13  # first differences within this share of max |rho| count as flat
 # verify criteria, in check order: report field -> (tolerance, strict test)
 VERIFY_TOLERANCES = {
     "e0_error": (1e-4, operator.lt),
@@ -83,12 +83,13 @@ def count_density_maxima(rho: np.ndarray) -> int:
     """Strict local maxima of a sampled density.
 
     Counts +/- sign changes of the discrete first difference, ignoring
-    flat steps below PLATEAU_TOL (floating-point plateaus near symmetric
-    peaks would otherwise double-count).
+    flat steps, those within PLATEAU_TOL max |rho|, so the count does not
+    depend on the density's scale.  Rounding wiggles at a flat peak would
+    otherwise double-count it.
     """
     diffs = np.diff(rho)
     signs = np.sign(diffs)
-    signs[np.abs(diffs) <= PLATEAU_TOL] = 0
+    signs[np.abs(diffs) <= PLATEAU_TOL * np.max(np.abs(rho), initial=0.0)] = 0
     signs = signs[signs != 0]
     return int(np.sum((signs[:-1] > 0) & (signs[1:] < 0)))
 
@@ -163,7 +164,7 @@ def _intertwining_residual(partner: Partner) -> float:
     the result is the larger of the two.  Four nodes at each edge are left
     out, which covers that stencil's two lower-order rows there.
     """
-    sl = interior(partner.grid, oracle.EDGE_EXCLUDE + 1, "the intertwining check")
+    sl = interior(partner.grid, 4, "the intertwining check")
     v, v0, w = partner.potential, partner.base_well, partner.w
     dw = first_derivative(w, partner.grid.h)
     return max(_relative_max(v + v0 - 2.0 * w * w - 2.0 * partner.epsilon, v + v0, sl),

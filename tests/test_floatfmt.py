@@ -206,7 +206,12 @@ def floor_log10(a, b):
 
 
 def test_decimal_exponent_formulas():
-    for q in range(-1074, 972):
+    # on the int64 and bool arrays that shortest_digits passes, both branches
+    qs = np.arange(-1074, 972, dtype=np.int64)
+    regular = floatfmt._flog10(qs, np.zeros(len(qs), bool)).tolist()
+    irregular = floatfmt._flog10(qs, np.ones(len(qs), bool)).tolist()
+    for q, k, k_irregular in zip(qs.tolist(), regular, irregular):
         num, den = (2**q, 1) if q >= 0 else (1, 2**-q)
-        assert floatfmt._flog10pow2(q) == floor_log10(num, den), q
-        assert floatfmt._flog10_three_quarters_pow2(q) == floor_log10(3 * num, 4 * den), q
+        assert k == floatfmt._flog10(q, False) == floor_log10(num, den), q
+        assert k_irregular == floatfmt._flog10(q, True) == floor_log10(3 * num, 4 * den), q
+    assert (floatfmt._K_MIN, floatfmt._K_MAX) == (-324, 292)

@@ -148,7 +148,7 @@ class TestNumerovSafety:
         assert energies == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [-1e4, -3000.0])
-    def test_deep_well_skips_the_coarse_grid(self, eps):
+    def test_deep_well_steps_on_its_own_grid(self, eps):
         # h^2 (max V - min V) = 0.12 and 0.04, far below the pole: both
         # levels come from the grid itself, stepped from eps and -1
         partner = Partner(eps, Grid(20.0, 16001))
@@ -158,7 +158,7 @@ class TestNumerovSafety:
         levels = wells.bound_levels(partner)
         assert levels.e0_error < 1.0 and levels.e1_error < 1e-2
 
-    def test_coarse_failure_does_not_surface(self, default_grid, monkeypatch):
+    def test_failed_steps_fall_back_to_bisection(self, default_grid, monkeypatch):
         # a ConvergenceFailure in the steps from the shift, the level's coarse
         # estimate, falls back to bisection, which steps from its bracket
         H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
@@ -199,7 +199,8 @@ def within_rounding(a, b):
 
 
 class TestCoarseToFine:
-    """From a coarse estimate of each level, the shift, to the level itself."""
+    """Each level stepped from its shift on the one grid, and the fallback
+    that a misleading shift takes."""
 
     def test_default_grid_work_counts(self, monkeypatch):
         # 39 eps in [-2.95, -1.05] at n = 4001 and 16001, each level stepped
@@ -248,7 +249,7 @@ class TestCoarseToFine:
             assert abs(overlap(normalized(wa, H.grid.h), normalized(wb, H.grid.h),
                                H.grid)) > 1.0 - 1e-12
 
-    def test_wrong_coarse_estimate_falls_back(self, monkeypatch):
+    def test_misleading_shift_falls_back(self, monkeypatch):
         # harmonic well, levels 2m + 1: a shift at level 1 of a sector (5 for
         # the even, 7 for the odd) leads the steps there, Sturm counts refuse
         # it, and bisection takes over with the answer it gives alone
@@ -277,7 +278,7 @@ class TestCoarseToFine:
         assert same_pairs(got, expected)
         assert verdicts == [False, False]
 
-    def test_wrong_extrapolation_falls_back(self, default_grid):
+    def test_every_shift_gives_the_bisected_level(self, default_grid):
         # no shift changes the level: in the partner wells the closed form,
         # eps + 0.3, min V, 0.5 above the continuum and -1e3 far below min V,
         # and in the harmonic well the closed form 2m + 1, 0, 3.7, -1e3 and

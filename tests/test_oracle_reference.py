@@ -251,7 +251,7 @@ class TestTwistedVector:
             rows = H.grid.center_index + 1 - parity
             assert [m for m, _ in tails] in ([rows], [rows] * 2)
 
-    def test_deep_well_takes_one_step_per_grid(self, monkeypatch):
+    def test_deep_well_takes_one_step_per_level(self, monkeypatch):
         # eps = -50 at n = 64001: one step per level from eps and -1, on the
         # one grid there is
         tails = spy_tails(monkeypatch)

@@ -57,3 +57,11 @@ def test_solver_imports_only_numpy_the_standard_library_and_grids():
     for name in ("BoundStateCountMismatch", "VERIFY_TOLERANCES", "BIMODALITY_SKIP_BAND",
                  "BoundLevels", "bound_levels", "Check", "VerifyReport", "verify"):
         assert hasattr(wells, name) and not hasattr(oracle, name), name
+    # and they own their constants: wells reads no ALL_CAPS name of oracle,
+    # so a solver setting such as EDGE_EXCLUDE cannot move a verdict
+    with open(wells.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    read = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "oracle" and node.attr.isupper()]
+    assert read == []

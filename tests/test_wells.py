@@ -86,6 +86,12 @@ class TestDensityMaxima:
         rho = np.minimum(np.exp(-default_grid.x**2), 0.5)
         assert count_density_maxima(rho) == 1
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-12, 1e-10, 1.0, 1e20])
+    @pytest.mark.parametrize("eps, maxima", [(-1.5, 2), (-2.5, 1)])
+    def test_count_does_not_depend_on_the_density_scale(self, eps, maxima, scale):
+        rho = partner(eps).psi0 ** 2
+        assert count_density_maxima(scale * rho) == maxima
+
 
 class TestBimodalityRelation:
     def test_degenerate_boundary_is_flat(self):
