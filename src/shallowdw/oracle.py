@@ -17,11 +17,11 @@ is level j // 2 of the sector with parity j % 2.
 
 Each pass is argued where it runs.  ``_negative_pivots`` runs the scaled
 pivots of a Sturm count.  ``TridiagonalHamiltonian.bound_counts`` counts
-both sectors' levels below 0 in one pass.  ``_twisted_vector`` solves for an
-eigenvector by a twisted factorization.  ``_free_tail`` picks the rows that
-a twisted step takes in closed form.  ``_twisted_step`` takes the Newton
-shift.  ``sector_eigenpair`` steps a level from the caller's shift and
-certifies it by Sturm counts, or bisects.
+both sectors' levels below 0 from the two ends of a bracket, or one pass.
+``_twisted_vector`` solves for an eigenvector by a twisted factorization.
+``_free_tail`` picks the rows that a twisted step takes in closed form.
+``_twisted_step`` takes the Newton shift.  ``sector_eigenpair`` steps a
+level from the caller's shift and certifies it by Sturm counts, or bisects.
 
 The solver reads nothing but the grid and the sampled V in ``H.potential``,
 and this module imports nothing but numpy, the standard library and
@@ -32,9 +32,11 @@ check, not a tautology.  The verdicts built on it live in ``wells``.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -83,25 +85,60 @@ class TridiagonalHamiltonian:
 
     @cached_property
     def bound_counts(self) -> Tuple[int, int]:
-        """Levels below 0 of the even and of the odd sector, from one pass.
+        """Levels below 0 of the even and of the odd sector, from backward
+        passes of scaled pivots 1 + s_i (``_negative_pivots``) at lam = 0.
 
-        Scaled pivots 1 + s_i (``_negative_pivots``) at lam = 0, run backward
-        from the grid edge to row 1.  Rows 1 .. edge are the odd sector, so
-        its count is their negative pivots; the even count adds the sign of
+        A pass from s_{J+1} over rows J .. 1 counts the odd sector, rows
+        1 .. edge, by its negative pivots; the even count adds the sign of
         the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  The rows past the
         last row T where 2 + a_T != 2 are free rows: 2 + a_i rounds to 2
         there, so they are a_i = 0 within the count's own backward error.
         Their pivots, j rows in from the edge, are (j + 2) / (j + 1), all
-        positive: the pass starts on row T from s_{T+1} = 1 / (edge - T).
+        positive: the walk from T starts from s_{T+1} = 1 / (edge - T).
+
+        Most rows before T barely move s, so the pass starts closer in,
+        from a bracket.  Free rows alone would give s_{J+1} = f_J =
+        1 / (edge - J).  s -> s / (1 + s) is increasing and 1-Lipschitz for
+        s >= 0, so by induction in from T the walked s_{J+1} lies in
+        [f_J - A-, f_J + A+], A-+ the sums of max(-+a_i, 0) over rows
+        J + 1 .. T, once f_J - A- >= 0, and every pivot on those rows is at
+        least 1.  Each row's rounding moves s by at most about
+        1.5 eps_mach (1 + |a_i|), as s / (1 + s) < 1, so both ends widen by
+        3 eps_mach (T - J + 1)(1 + the sum of |a_i| over rows 1 .. T), which
+        also covers the rounding of f_J and of the sums.  J is the lowest
+        row down to which the lower end stays >= 0.  The pass from s_{J+1}
+        counts the inertia of rows J .. 0 with the Schur complement term
+        -1 / (1 + s_{J+1}) on row J (Parlett, *The Symmetric Eigenvalue
+        Problem*, ch. 7); it rises with s_{J+1}, so the counts fall as
+        s_{J+1} rises, and where both ends give the same counts, so does
+        every start between them.  Otherwise, or with no such J < T, or no
+        free rows, the pass walks from T.
         """
         a = _sector_rows(self, 0.0, 0)
         edge = len(a) - 1
         bound = np.flatnonzero(2.0 + a[1:] != 2.0)
         top = int(bound[-1]) + 1 if len(bound) else 0  # T
-        start, s = (edge, 1.0 + float(a[-1])) if top == edge else (top + 1, 1.0 / (edge - top))
-        count, s = _negative_pivots(s, a[start - 1:0:-1].tolist())
-        odd = count + (s <= -1.0)
-        return odd + (0.5 * float(a[0]) + s / (1.0 + s or -PIVMIN) <= 0.0), odd
+
+        def counts(s: float, start: int) -> Tuple[int, int]:  # from s_start
+            count, s = _negative_pivots(s, _packed(a[start - 1:0:-1]))
+            odd = count + (s <= -1.0)
+            return odd + (0.5 * float(a[0]) + s / (1.0 + s or -PIVMIN) <= 0.0), odd
+
+        if top == edge:
+            return counts(1.0 + float(a[-1]), edge)
+        rows = a[top:1:-1]  # rows T .. 2: rows J + 1 .. T are rows[:T - J]
+        width = np.arange(1, top)  # T - J for J = T - 1 .. 1
+        slack = 3.0 * EPS_MACH * (1.0 + float(np.sum(np.abs(a[1:top + 1]))))
+        low = 1.0 / (edge - top + width) + np.cumsum(np.minimum(rows, 0.0)) - slack * (width + 1)
+        fails = np.flatnonzero(low < 0.0)
+        reach = int(fails[0]) if len(fails) else top - 1  # T - J
+        if reach > 0:
+            high = (1.0 / (edge - top + reach) + float(np.sum(np.maximum(rows[:reach], 0.0)))
+                    + slack * (reach + 1))
+            lo, hi = (counts(s, top - reach + 1) for s in (float(low[reach - 1]), high))
+            if lo == hi:
+                return lo
+        return counts(1.0 / (edge - top), top + 1)
 
     @cached_property
     def residual_target(self) -> float:
@@ -140,6 +177,18 @@ def _first_pivot(a0: float, parity: int) -> float:
     return 0.5 * a0 if parity == 0 else 1.0 + a0
 
 
+def _packed(rows: np.ndarray) -> array:
+    """rows as a packed array of doubles, which a pass reads one float at a
+    time where ``tolist`` would build them all before it starts."""
+    return array("d", rows.tobytes())
+
+
+def _unpacked(run: List[float]) -> np.ndarray:
+    """A pivot run as a float64 array: ``struct`` packs a list of floats
+    faster than ``array`` or ``np.array`` convert it."""
+    return np.frombuffer(struct.pack(f"{len(run)}d", *run))
+
+
 def _negative_pivots(r: float, rows: Iterable[float]) -> Tuple[int, float]:
     """(pivots 1 + r <= 0, last r) of the scaled run from r over ``rows``.
 
@@ -168,8 +217,8 @@ def sturm_count(H: TridiagonalHamiltonian, lam: float, parity: int) -> int:
         raise ValueError(f"sturm_count needs a finite lam, got {lam!r}")
     if lam <= H.edge_min[0]:  # min V, since V is even
         return 0
-    a = _sector_rows(H, lam, parity).tolist()
-    count, r = _negative_pivots(_first_pivot(a[0], parity), a[1:])
+    a = _sector_rows(H, lam, parity)
+    count, r = _negative_pivots(_first_pivot(float(a[0]), parity), _packed(a[1:]))
     return count + (r <= -1.0)
 
 
@@ -204,12 +253,21 @@ def _isolated(H: TridiagonalHamiltonian, parity: int, index: int,
             and (index == 0 or sturm_count(H, lo, parity) == index))
 
 
-def _pivot_run(r: float, rows: Iterable[float]) -> List[float]:
-    """r followed by the scaled pivots (``_negative_pivots``) it leads to over ``rows``."""
+def _pivot_run(r: float, rows: Sequence[float]) -> List[float]:
+    """r followed by the scaled pivots (``_negative_pivots``) it leads to over ``rows``.
+
+    The run divides by each pivot 1 + r unguarded, so only an exact-zero
+    pivot raises; the run is then taken again with that pivot read as
+    -PIVMIN, as ``_negative_pivots`` reads it.
+    """
     out = [r]
-    for a in rows:
-        r = a + r / (1.0 + r or -PIVMIN)
-        out.append(r)
+    try:
+        out += [r := a + r / (1.0 + r) for a in rows]
+    except ZeroDivisionError:
+        r = out[0]
+        for a in rows:
+            r = a + r / (1.0 + r or -PIVMIN)
+            out.append(r)
     return out
 
 
@@ -300,14 +358,13 @@ def _twisted_vector(a: np.ndarray, r0: float, turn: int,
     if len(a) == 1:
         return np.ones(1), 1.0 + r0
     last = len(a) - 1
-    r = np.array(_pivot_run(r0, a[1:turn + 1].tolist()))  # rows 0 .. turn
+    r = _unpacked(_pivot_run(r0, _packed(a[1:turn + 1])))  # rows 0 .. turn
     if tail < last:
         theta = _free_theta(float(a[-1]))
         top, s_top = tail + 1, _free_pivot(theta, last - tail)
     else:
         top, s_top = last, 1.0 + float(a[-1])  # the edge row
-    backward = _pivot_run(s_top, a[top - 1:0:-1].tolist())
-    s = np.fromiter(reversed(backward), float, len(backward))  # rows 1 .. top
+    s = _unpacked(_pivot_run(s_top, _packed(a[top - 1:0:-1])))[::-1]  # rows 1 .. top
     d, e = 1.0 + r, 1.0 + s
     d[d == 0.0] = -PIVMIN
     e[e == 0.0] = -PIVMIN

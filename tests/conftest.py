@@ -192,19 +192,29 @@ def check_intertwining(partner: Partner, f: np.ndarray) -> float:
     return err / scale if scale else err
 
 
-class CountingArray(np.ndarray):
-    """Records the length of each .tolist() call, on the array or a slice of it."""
-
-    def __array_finalize__(self, obj):
-        self.lengths = getattr(obj, "lengths", None)
-
-    def tolist(self):
-        self.lengths.append(len(self))
-        return super().tolist()
+def zero_energy_top(H):
+    """T, the last row where 2 + a_i != 2 at lam = 0; 0 if there is none."""
+    a = oracle._sector_rows(H, 0.0, 0)
+    return max([i for i in range(1, len(a)) if 2.0 + a[i] != 2.0], default=0)
 
 
-def counting_view(values: np.ndarray) -> CountingArray:
-    """A view of values whose .tolist() lengths go to its ``lengths`` list."""
-    view = values.view(CountingArray)
-    view.lengths = []
-    return view
+def walked_pivot(H, row):
+    """s_{row + 1} of the zero-energy pass walked from T over free rows past it."""
+    a = oracle._sector_rows(H, 0.0, 0).tolist()
+    top = zero_energy_top(H)
+    s = 1.0 / (len(a) - 1 - top)
+    for a_i in a[top:row:-1]:
+        s = a_i + s / (1.0 + s)
+    return s
+
+
+def assert_bracketed(H, passes, ends_agree=True):
+    """The zero-energy count ran as two passes over rows J .. 1, J < T, from
+    the ends of a bracket that holds the walked pivot, and then, where
+    ends_agree is False, one walk from T."""
+    top = zero_energy_top(H)
+    (low, rows), (high, rows_high) = passes[:2]
+    assert 1 <= rows == rows_high < top
+    assert 0.0 <= low <= walked_pivot(H, rows) <= high
+    walk = [(1.0 / (H.grid.center_index - top), top)]
+    assert passes[2:] == ([] if ends_agree else walk)

@@ -206,10 +206,13 @@ class TestCoarseToFine:
         # 39 eps in [-2.95, -1.05] at n = 4001 and 16001, each level stepped
         # from eps or -1: at most 3 full-grid steps per bound_levels, no
         # other grid, and the Python pivot rows (rows handed to _pivot_run
-        # and _negative_pivots) pinned from above: measured 4,662 and 17,120
+        # and _negative_pivots) pinned from above: measured 3,683 and 13,756
         # a bound_levels, as the passes stop short of the free rows at the
-        # edge (6,759 and 25,492 walking every row)
-        steps, rows = [], []
+        # edge and the zero-energy count starts from its bracket (6,759 and
+        # 25,492 walking every row).  The zero-energy count's own rows,
+        # those of _negative_pivots, are measured 637 and 2,546 (1,581 and
+        # 5,772 walked from T)
+        steps, rows, counted = [], [], []
         step, pivot_run, negative_pivots = (oracle._twisted_step, oracle._pivot_run,
                                             oracle._negative_pivots)
 
@@ -217,24 +220,27 @@ class TestCoarseToFine:
             steps.append(H.grid.n_points)
             return step(H, *args)
 
-        def counted(run):
-            def counting(r, rows_in):
+        def counting(run, *tallies):
+            def spying(r, rows_in):
                 rows_in = list(rows_in)
-                rows.append(len(rows_in))
+                for tally in tallies:
+                    tally.append(len(rows_in))
                 return run(r, rows_in)
-            return counting
+            return spying
 
         monkeypatch.setattr(oracle, "_twisted_step", stepping)
-        monkeypatch.setattr(oracle, "_pivot_run", counted(pivot_run))
-        monkeypatch.setattr(oracle, "_negative_pivots", counted(negative_pivots))
+        monkeypatch.setattr(oracle, "_pivot_run", counting(pivot_run, rows))
+        monkeypatch.setattr(oracle, "_negative_pivots", counting(negative_pivots, rows, counted))
         epsilons = np.linspace(-2.95, -1.05, 39)
-        for n, mean_rows in ((4001, 4890), (16001, 17800)):
+        for n, mean_rows, mean_counted in ((4001, 3870, 670), (16001, 14450, 2680)):
             rows.clear()
+            counted.clear()
             for eps in epsilons:
                 steps.clear()
                 wells.bound_levels(Partner(float(eps), Grid(20.0, n)))
                 assert set(steps) == {n} and 2 <= len(steps) <= 3, (n, eps)
             assert sum(rows) / len(epsilons) <= mean_rows, n
+            assert sum(counted) / len(epsilons) <= mean_counted, n
 
     @pytest.mark.parametrize("n", [4001, 4003, 16001, 16003, 64001])
     @pytest.mark.parametrize("eps", [-1.05, -2.0, -2.95])

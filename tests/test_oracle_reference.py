@@ -17,7 +17,8 @@ import pytest
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
 from shallowdw.oracle import EPS_MACH, PIVMIN, sturm_count
 
-from conftest import apply_h, counting_view, dense_sector_levels, lowest_eigenpairs
+from conftest import (apply_h, assert_bracketed, dense_sector_levels, lowest_eigenpairs,
+                      walked_pivot, zero_energy_top)
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -60,6 +61,19 @@ def ref_bound_counts(H):
         s = a_i + s / pivot
     odd = count + (s <= -1.0)
     return odd + (0.5 * a[0] + s / (1.0 + s or -PIVMIN) <= 0.0), odd
+
+
+def spy_passes(monkeypatch):
+    """A list that receives (start, rows) of every ``_negative_pivots`` pass."""
+    passes, original = [], oracle._negative_pivots
+
+    def spying(r, rows):
+        rows = list(rows)
+        passes.append((r, len(rows)))
+        return original(r, rows)
+
+    monkeypatch.setattr(oracle, "_negative_pivots", spying)
+    return passes
 
 
 def full_walk(monkeypatch):
@@ -190,18 +204,17 @@ class TestTurningPointCount:
 
 class TestBoundCounts:
     def test_zero_counted_once_for_both_sectors(self, monkeypatch):
-        # one pass at lam = 0 reads the rows of x >= 0 once, short of the
-        # free rows at the edge, and counts both sectors; with it and min V,
-        # both levels stepped from eps and -1 are isolated without a Sturm
-        # count
-        passes, lams = [], []
+        # one count at lam = 0 draws the rows of x >= 0 once and counts both
+        # sectors from two short passes, the ends of its bracket, well short
+        # of the free rows at the edge; with it and min V, both levels
+        # stepped from eps and -1 are isolated without a Sturm count
+        drawn, lams = [], []
         rows, count = oracle._sector_rows, oracle.sturm_count
 
         def recording_rows(H, lam, parity):
-            a = counting_view(rows(H, lam, parity))
             if lam == 0.0:
-                passes.append((H.grid.n_points, parity, a))
-            return a
+                drawn.append((H.grid.n_points, parity))
+            return rows(H, lam, parity)
 
         def recording_count(H, lam, parity):
             lams.append(lam)
@@ -209,14 +222,49 @@ class TestBoundCounts:
 
         monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
         monkeypatch.setattr(oracle, "sturm_count", recording_count)
+        passes = spy_passes(monkeypatch)
         for n in (4001, 4003):
-            passes.clear()
+            drawn.clear()
             lams.clear()
-            wells.bound_levels(Partner(-1.5, Grid(20.0, n)))
-            assert [(m, parity) for m, parity, _ in passes] == [(n, 0)]
-            assert all(len(a.lengths) == 1 and a.lengths[0] < 0.9 * len(a)
-                       for _, _, a in passes)
-            assert lams == []
+            passes.clear()
+            H = wells.bound_levels(Partner(-1.5, Grid(20.0, n))).H
+            assert drawn == [(n, 0)] and lams == []
+            assert H.bound_counts == ref_bound_counts(H) == (1, 1)
+            assert_bracketed(H, passes)
+
+    def test_disagreeing_bracket_ends_walk_from_the_top(self, monkeypatch):
+        # a square well of depth 2.5 on |x| <= 1 and a barrier of 0.05 out
+        # to |x| = 3, which widens the bracket's upper end: from the lower
+        # end rows J .. 1 hold an odd level below 0, from the upper end none
+        # (the grid's odd level is 0.008), so the count walks from T, and
+        # counts as the full pass does
+        grid = Grid(20.0, 801)
+        x = np.abs(grid.x)
+        H = TridiagonalHamiltonian(grid, np.where(x <= 1.0, -2.5, np.where(x <= 3.0, 0.05, 0.0)))
+        passes = spy_passes(monkeypatch)
+        assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0) == (1, 0)
+        assert_bracketed(H, passes, ends_agree=False)
+        (low, rows), (high, _), _ = passes
+        a = oracle._sector_rows(H, 0.0, 0)[rows:0:-1]
+        odd = [count + (s <= -1.0) for count, s in
+               (oracle._negative_pivots(start, a) for start in (low, high))]
+        assert odd == [1, 0]
+
+    @pytest.mark.parametrize("rows, top, a_top", [(1000, 997, 3e-16), (3000, 2997, -1.2e-16)])
+    def test_bracket_holds_the_walked_pivot_to_its_last_ulps(self, rows, top, a_top,
+                                                               monkeypatch):
+        # h = 1, a well on rows 0 and 1, and one row T at the rounding floor
+        # with only a = 0 rows between: the walk from T reaches f_J -+ A-+
+        # but for a few ulps of rounding, on either side of it, so only the
+        # bracket's rounding margin keeps the walked pivot inside
+        half = np.zeros(rows + 1)
+        half[:2] = -1.0, -0.5
+        half[top] = a_top
+        H = TridiagonalHamiltonian(Grid(rows, 2 * rows + 1), np.concatenate((half[:0:-1], half)))
+        assert zero_energy_top(H) == top
+        passes = spy_passes(monkeypatch)
+        assert H.bound_counts == ref_bound_counts(H)
+        assert_bracketed(H, passes)
 
     @pytest.mark.parametrize("values, counts", [
         # the grid of test_exact_zero_pivot_past_the_turning_row
@@ -299,6 +347,19 @@ class TestTwistedVector:
         odd = pairs[1][1]
         assert odd[1] == 0.0 and odd[0] == -odd[2]
 
+    @pytest.mark.parametrize("r, rows", [
+        (0.0, [-1.0, 0.5, 0.3]),  # r_1 = -1: an exact-zero pivot mid-run
+        (-1.0, [0.5, 0.3]),  # on the first pivot
+        (0.25, [0.5, 0.3]),  # none
+    ])
+    def test_pivot_run_reads_an_exact_zero_pivot_as_pivmin(self, r, rows):
+        ref = [r]
+        for a in rows:
+            q = 1.0 + r
+            r = a + r / (q if q != 0.0 else -PIVMIN)
+            ref.append(r)
+        assert bits(oracle._pivot_run(ref[0], rows)) == bits(ref)
+
     @pytest.mark.parametrize("parity", [0, 1])
     def test_first_row_twist(self, parity):
         # rows 1.. have a_i = 1, and a_0 makes gamma_0 = D_0 - 1 / (1 + s_1)
@@ -344,6 +405,10 @@ def random_even_bumps(seed):
     return TridiagonalHamiltonian(grid, values)
 
 
+ROUNDING_EDGE_WELLS = [
+    (2.0, 1.0, 0.0, -12 / 11, 0.0, 1.0, 2.0), (-2.4, 0.0, -3.0, 0.0, -2.4), (0.0, -3.0, 0.0)]
+
+
 class TestFreeTail:
     @pytest.mark.parametrize("n", [2001, 4001, 4003, 16001, 64001])
     def test_bound_counts_match_the_full_pass_on_the_eps_grid(self, n):
@@ -378,28 +443,30 @@ class TestFreeTail:
     @pytest.mark.parametrize("edge, free", [
         (EPS_MACH, True), (-EPS_MACH / 2, True),
         (np.nextafter(EPS_MACH, np.inf), False), (np.nextafter(-EPS_MACH / 2, -np.inf), False)])
-    @pytest.mark.parametrize("well", [
-        (2.0, 1.0, 0.0, -12 / 11, 0.0, 1.0, 2.0), (-2.4, 0.0, -3.0, 0.0, -2.4), (0.0, -3.0, 0.0)])
+    @pytest.mark.parametrize("well", ROUNDING_EDGE_WELLS)
     def test_bound_counts_behind_rows_at_the_rounding_edge(self, well, edge, free,
                                                            monkeypatch):
         # h = 1 and |V| tiny, so a_i = V_i exactly on the trailing rows.
-        # Where 2 + a_i rounds to 2 the pass walks rows T .. 1, T the well's
-        # last row, or no row where V = 0 there too; elsewhere every row
+        # Where 2 + a_i rounds to 2 the pass starts behind T, the well's last
+        # row, or at no row where V = 0 there too; elsewhere it walks every
+        # row.  The first well's rows 1 .. T are a = 0, 1, 2 >= 0, so its
+        # bracket starts on row 1 and its ends agree; the second well's
+        # a = -2 on row T leaves no start row J < T, and it walks from T
         values = (edge,) * 5 + well + (edge,) * 5
         n = len(values)
         H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values)
         assert oracle._sector_rows(H, 0.0, 0)[-1] == edge
-        walked, negative_pivots = [], oracle._negative_pivots
-
-        def recording(r, rows):
-            rows = list(rows)
-            walked.append(len(rows))
-            return negative_pivots(r, rows)
-
-        monkeypatch.setattr(oracle, "_negative_pivots", recording)
+        passes = spy_passes(monkeypatch)
         assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0)
         top = len(well) // 2 if well[-1] else 0
-        assert walked == [top if free else H.grid.center_index - 1]
+        walked = [rows for _, rows in passes]
+        if not free:
+            assert walked == [H.grid.center_index - 1]
+        elif well == ROUNDING_EDGE_WELLS[0]:
+            assert walked == [1, 1]
+            assert_bracketed(H, passes)
+        else:
+            assert walked == [top]
 
     @pytest.mark.parametrize("n", [2001, 4001, 16001, 64001])
     def test_eigenpairs_match_the_full_walk(self, n, monkeypatch):
@@ -422,23 +489,16 @@ class TestFreeTail:
     @pytest.mark.parametrize("delta, walked", [(1e-8, False), (1.0, True)])
     def test_non_free_edge_is_walked(self, delta, walked, monkeypatch):
         # V += delta on the edge nodes: the rows at lam = 0 are no longer
-        # free, so the zero-energy pass starts at the edge; the twisted
-        # steps take their tail farther out, or at delta = 1 none at all
+        # free, so the zero-energy pass walks every row from the edge; the
+        # twisted steps take their tail farther out, or at delta = 1 none
         clean, planted = partner(-1.5), partner(-1.5)
         values = planted.potential.copy()
         values[[0, -1]] += delta
         planted = TridiagonalHamiltonian(planted.grid, values)
-        rows, passes = oracle._sector_rows, []
-
-        def recording_rows(H, lam, parity):
-            a = counting_view(rows(H, lam, parity))
-            if lam == 0.0:
-                passes.append(a)
-            return a
-
-        monkeypatch.setattr(oracle, "_sector_rows", recording_rows)
+        passes = spy_passes(monkeypatch)
         assert planted.bound_counts == ref_bound_counts(planted) == (1, 1)
-        assert [a.lengths for a in passes] == [[len(passes[0]) - 2]]
+        a_edge = float(oracle._sector_rows(planted, 0.0, 0)[-1])
+        assert passes == [(1.0 + a_edge, planted.grid.center_index - 1)]
         tails = spy_tails(monkeypatch)
         level_pairs(clean, (-1.5, -1.0))
         clean_tails = list(tails)
@@ -488,23 +548,18 @@ class TestFreeTail:
         assert np.all(np.abs(z - z_ref) <= 1e-12 * np.abs(z_ref) + PIVMIN)
 
     def test_zero_energy_pass_starts_on_the_walked_pivot(self, monkeypatch):
-        # V = 0 past |x| = 7, the outer 151 rows: the pass starts on the
-        # last row where V is not, from the pivot the walk over the free
-        # rows reaches
+        # V = 0 past |x| = 7, the outer 151 rows: the pass would start on the
+        # last row where V is not, T = 349, from the pivot the walk over the
+        # free rows reaches, and its bracket holds the pivot that the walk
+        # from there reaches on the row where the bracket starts
         grid = Grid(10.0, 1001)
         values = np.where(np.abs(grid.x) < 7.0, -2.0 / np.cosh(grid.x) ** 2, 0.0)
         H = TridiagonalHamiltonian(grid, values)
-        starts, negative_pivots = [], oracle._negative_pivots
-
-        def recording(r, rows):
-            rows = list(rows)
-            starts.append((r, len(rows)))
-            return negative_pivots(r, rows)
-
-        monkeypatch.setattr(oracle, "_negative_pivots", recording)
+        passes = spy_passes(monkeypatch)
         assert H.bound_counts == ref_bound_counts(H)
-        [(r, top)] = starts
         s = 1.0  # s_N = 1 + a_N, a_N = 0
-        for _ in range(499 - top):
+        for _ in range(499 - 349):
             s = s / (1.0 + s)
-        assert top == 349 and r == pytest.approx(s, rel=1e-13)
+        assert zero_energy_top(H) == 349
+        assert walked_pivot(H, 349) == pytest.approx(s, rel=1e-13)
+        assert_bracketed(H, passes)
