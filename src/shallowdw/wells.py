@@ -19,10 +19,13 @@ both read it, and the density checks read the ground state of a
 ``oracle``; solver names are looked up on that module at each call, so a
 name patched there is the one called.
 ``verify`` judges the paper's claim: spectrum, closed-form states,
-intertwining identity and central-curvature law, each against its entry of
-``VERIFY_TOLERANCES``.  Xi A = A eta is checked as the two pointwise Darboux
-identities it is built from, V + V0 = 2 (u'/u)^2 + 2 eps and
-V - V0 = -2 (u'/u)', on every node of the grid.
+intertwining identity and central-curvature law.  ``VERIFY_TOLERANCES`` is
+the one table of its checks: each row names a ``VerifyReport`` field and
+holds its tolerance, its strict comparison and the predicate on eps that
+says where the check applies; only the curvature law's is ever false, within
+``BIMODALITY_SKIP_BAND`` of the barrier top.  Xi A = A eta is checked as the
+two pointwise Darboux identities it is built from, V + V0 = 2 (u'/u)^2 +
+2 eps and V - V0 = -2 (u'/u)', on every node of the grid.
 """
 
 from __future__ import annotations
@@ -35,23 +38,22 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import oracle
-from .grids import first_derivative, interior, normalized
+from .grids import first_derivative, interior
 from .transform import Partner, curvature_at_origin, separatrix_energy
 
 PLATEAU_TOL = 1e-13  # first differences within this share of max |rho| count as flat
-# verify criteria, in check order: report field -> (tolerance, strict test)
-VERIFY_TOLERANCES = {
-    "e0_error": (1e-4, operator.lt),
-    "e1_error": (1e-4, operator.lt),
-    "psi0_overlap": (0.99999, operator.gt),
-    "psi1_overlap": (0.99999, operator.gt),
-    "psi0_residual": (5e-5, operator.lt),
-    "psi1_residual": (5e-5, operator.lt),
-    "intertwining_residual": (1e-4, operator.lt),
-    "bimodality_rel_err": (1e-5, operator.lt),
-}
 # the bimodality check is singular where the ground level meets the barrier top
-BIMODALITY_SKIP_BAND = 1e-3  # so it is skipped while |s - eps| <= this
+BIMODALITY_SKIP_BAND = 1e-3  # so it applies only while |s - eps| > this
+# verify's checks, in order: report field -> (tolerance, strict test, applies(eps))
+VERIFY_TOLERANCES = {
+    "e0_error": (1e-4, operator.lt, lambda eps: True),
+    "e1_error": (1e-4, operator.lt, lambda eps: True),
+    "psi0_residual": (5e-5, operator.lt, lambda eps: True),
+    "psi1_residual": (5e-5, operator.lt, lambda eps: True),
+    "intertwining_residual": (1e-4, operator.lt, lambda eps: True),
+    "bimodality_rel_err": (1e-5, operator.lt, lambda eps: (
+        abs(separatrix_energy(eps) - eps) > BIMODALITY_SKIP_BAND)),
+}
 # the rho''(0) stencil's largest node spacing on fine grids, in units of
 # min(1, 1/sqrt|s - eps|), the length of rho's curvature at 0 or the unit
 # width of the well: rounding grows like eps_mach / spacing^2, truncation
@@ -234,8 +236,6 @@ class VerifyReport:
     e1_error: float
     psi0_residual: float
     psi1_residual: float
-    psi0_overlap: float
-    psi1_overlap: float
     gap_numeric: float
     intertwining_residual: float
     bimodality_lhs: float
@@ -244,15 +244,12 @@ class VerifyReport:
 
     @property
     def checks(self) -> Tuple[Check, ...]:
-        """One record per VERIFY_TOLERANCES entry that applies, in order."""
-        skip_bimodality = (abs(separatrix_energy(self.epsilon) - self.epsilon)
-                           <= BIMODALITY_SKIP_BAND)
+        """One record per VERIFY_TOLERANCES row that applies to epsilon, in order."""
         out = []
-        for name, (tolerance, within) in VERIFY_TOLERANCES.items():
-            if name == "bimodality_rel_err" and skip_bimodality:
-                continue
-            value = getattr(self, name)
-            out.append(Check(name, value, tolerance, within(value, tolerance)))
+        for name, (tolerance, within, applies) in VERIFY_TOLERANCES.items():
+            if applies(self.epsilon):
+                value = getattr(self, name)
+                out.append(Check(name, value, tolerance, within(value, tolerance)))
         return tuple(out)
 
     @property
@@ -267,13 +264,14 @@ def verify(partner: Partner) -> VerifyReport:
     intertwining residual is that of the two pointwise Darboux identities,
     so it needs no test function.
     """
-    eps_val, h = partner.epsilon, partner.grid.h
-    e0, e1, e0_error, e1_error, H, y0, y1 = bound_levels(partner)
-    psi0, psi1 = partner.psi0, partner.psi1
-    return VerifyReport(  # the fields in order
-        eps_val, eps_val, -1.0, e0, e1, e0_error, e1_error,
-        oracle.eigen_residual(H, psi0, eps_val), oracle.eigen_residual(H, psi1, -1.0),
-        # overlaps by numpy's pairwise sums: a BLAS dot's digits vary with its threads
-        abs(float(np.trapezoid(normalized(y0, h) * psi0, dx=h))),
-        abs(float(np.trapezoid(normalized(y1, h) * psi1, dx=h))),
-        e1 - e0, _intertwining_residual(partner), *check_bimodality_relation(partner))
+    eps_val, levels = partner.epsilon, bound_levels(partner)
+    lhs, rhs, rel_err = check_bimodality_relation(partner)
+    return VerifyReport(
+        epsilon=eps_val, e0_analytic=eps_val, e1_analytic=-1.0,
+        e0_numeric=levels.e0_numeric, e1_numeric=levels.e1_numeric,
+        e0_error=levels.e0_error, e1_error=levels.e1_error,
+        psi0_residual=oracle.eigen_residual(levels.H, partner.psi0, eps_val),
+        psi1_residual=oracle.eigen_residual(levels.H, partner.psi1, -1.0),
+        gap_numeric=levels.e1_numeric - levels.e0_numeric,
+        intertwining_residual=_intertwining_residual(partner),
+        bimodality_lhs=lhs, bimodality_rhs=rhs, bimodality_rel_err=rel_err)

@@ -161,7 +161,6 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert payload["e0_error"] < 1e-4
         assert payload["e1_error"] < 1e-4
-        assert payload["psi0_overlap"] > 0.99999
         assert payload["intertwining_residual"] < 1e-4
 
     @pytest.mark.parametrize("eps, points", [(-2.25, 4001), (-2.9, 4001), (-2.9, 1999),

@@ -1,5 +1,6 @@
 """Finite-difference eigensolver checks, including its own self-tests."""
 
+import json
 import warnings
 from dataclasses import fields
 
@@ -17,6 +18,7 @@ from shallowdw import (
 )
 
 from shallowdw import oracle, transform, wells
+from shallowdw.cli import main
 from shallowdw.grids import mirror, normalized
 from conftest import (apply_h, base_ground_state, cached_report, check_intertwining,
                       lowest_eigenpairs, numerov_matrix, overlap)
@@ -494,10 +496,6 @@ class TestVerifySpectrum:
         report = cached_report(eps)
         assert report.e0_error < 1e-4
         assert report.e1_error < 1e-4
-        assert report.psi0_overlap > 0.99999
-        assert report.psi1_overlap > 0.99999
-        assert 1.0 - report.psi0_overlap < 1e-8
-        assert 1.0 - report.psi1_overlap < 1e-8
 
     def test_near_degenerate_gap(self):
         # needs a wider box: the intermediate e^{(2-k)x} growth of psi0
@@ -516,10 +514,14 @@ class TestVerifySpectrum:
             order = np.log2(getattr(coarse, attr) / getattr(fine, attr))
             assert 3.8 <= order <= 4.2
 
-    def test_overlap_range(self):
-        report = cached_report(-1.5)
-        for overlap in (report.psi0_overlap, report.psi1_overlap):
-            assert 0.0 <= overlap <= 1.0 + 1e-12
+    @pytest.mark.parametrize("eps", [-1.10, -1.5, -2.25])
+    def test_eigenvectors_overlap_the_closed_forms(self, eps, default_grid):
+        # the solver's raw vectors, normalized, against the closed-form states
+        partner = Partner(eps, default_grid)
+        levels = wells.bound_levels(partner)
+        for y, psi in ((levels.y0, partner.psi0), (levels.y1, partner.psi1)):
+            value = abs(overlap(normalized(y, default_grid.h), psi, default_grid))
+            assert 1.0 - 1e-8 < value <= 1.0 + 1e-12
 
     def test_bound_state_count_guard(self, monkeypatch, default_grid):
         # a grid too narrow for two levels fails its tail check first, so a
@@ -552,7 +554,7 @@ class TestVerify:
         # the default grid under-resolves the deep well: truncation, not a defect
         (-50.0, ["psi0_residual", "psi1_residual", "bimodality_rel_err"]),
     ])
-    def test_check_records(self, eps, failed, default_grid):
+    def test_check_records(self, eps, failed, default_grid, capsys):
         report = wells.verify(Partner(eps, default_grid))
         names = list(wells.VERIFY_TOLERANCES)
         if eps == -2.0:
@@ -565,6 +567,16 @@ class TestVerify:
         for check in report.checks:
             assert check.value == getattr(report, check.name)
             assert check.tolerance == wells.VERIFY_TOLERANCES[check.name][0]
+        # the table's order is the report's field order, and so the JSON's
+        checked = [f.name for f in fields(wells.VerifyReport)
+                   if f.name in wells.VERIFY_TOLERANCES]
+        assert list(wells.VERIFY_TOLERANCES) == checked
+        assert main(["verify", "--epsilon", str(eps)]) == (1 if failed else 0)
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "epsilon", "e0_analytic", "e1_analytic", "e0_numeric", "e1_numeric",
+            "e0_error", "e1_error", "psi0_residual", "psi1_residual", "gap_numeric",
+            "intertwining_residual", "bimodality_lhs", "bimodality_rhs",
+            "bimodality_rel_err", "passed"]
 
     @pytest.mark.parametrize("eps, n", [(-1.5, 4001), (-1.5, 101), (-2.9, 4001)])
     def test_report_holds_python_floats_and_bools(self, eps, n):

@@ -19,7 +19,6 @@ from shallowdw.transform import Partner, separatrix_energy
 REF_TOLERANCES = {
     "e0_error": 1e-4,
     "e1_error": 1e-4,
-    "overlap_min": 0.99999,
     "residual_max": 5e-5,
     "intertwining_max": 1e-4,
     "bimodality_rel_err": 1e-5,
@@ -37,12 +36,6 @@ def ref_intertwining_residual(eps, grid):
                float(np.max(np.abs(derivative[sl]))) / float(np.max(np.abs((v - v0)[sl]))))
 
 
-def ref_overlap(y, psi, h):
-    """|<y, psi>| with y scaled to unit trapezoid norm, by numpy's sums."""
-    y = y / np.sqrt(np.trapezoid(y**2, dx=h))
-    return abs(float(np.trapezoid(y * psi, dx=h)))
-
-
 def ref_verify(eps, grid):
     """(stdout, exit code) of `verify` as the CLI computed them inline."""
     partner = Partner(eps, grid)
@@ -50,8 +43,6 @@ def ref_verify(eps, grid):
     psi0, psi1 = partner.psi0, partner.psi1
     psi0_residual = oracle.eigen_residual(levels.H, psi0, eps)
     psi1_residual = oracle.eigen_residual(levels.H, psi1, -1.0)
-    psi0_overlap = ref_overlap(levels.y0, psi0, grid.h)
-    psi1_overlap = ref_overlap(levels.y1, psi1, grid.h)
     intertwining = ref_intertwining_residual(eps, grid)
     lhs, rhs, rel_err = wells.check_bimodality_relation(Partner(eps, grid))
 
@@ -59,8 +50,6 @@ def ref_verify(eps, grid):
     checks = [
         levels.e0_error < tol["e0_error"],
         levels.e1_error < tol["e1_error"],
-        psi0_overlap > tol["overlap_min"],
-        psi1_overlap > tol["overlap_min"],
         psi0_residual < tol["residual_max"],
         psi1_residual < tol["residual_max"],
         intertwining < tol["intertwining_max"],
@@ -79,8 +68,6 @@ def ref_verify(eps, grid):
         "e1_error": levels.e1_error,
         "psi0_residual": psi0_residual,
         "psi1_residual": psi1_residual,
-        "psi0_overlap": psi0_overlap,
-        "psi1_overlap": psi1_overlap,
         "gap_numeric": levels.e1_numeric - levels.e0_numeric,
         "intertwining_residual": intertwining,
         "bimodality_lhs": lhs,

@@ -33,6 +33,12 @@ def ground_state_times_gaussian(monkeypatch, d):
         lambda self: real(self) * np.exp(-d * half_x(self) ** 2)))
 
 
+def excited_state_times_quadratic(monkeypatch, d):
+    real = transform.Partner._excited_half.func
+    monkeypatch.setattr(transform.Partner, "_excited_half", property(
+        lambda self: real(self) * (1.0 + d * half_x(self) ** 2)))
+
+
 MUTANTS = {
     "seed at eps (1 + 1e-5)": (seed_at_shifted_eps, 1e-5, {
         -1.5: ["psi0_residual", "psi1_residual", "bimodality_rel_err"],
@@ -40,6 +46,8 @@ MUTANTS = {
         -2.95: ["psi0_residual", "psi1_residual", "bimodality_rel_err"]}),
     "psi0 half times exp(-1e-5 x^2)": (ground_state_times_gaussian, 1e-5, {
         eps: ["bimodality_rel_err"] for eps in EPSILONS}),
+    "psi1 half times (1 + 1e-4 x^2)": (excited_state_times_quadratic, 1e-4, {
+        eps: ["psi1_residual"] for eps in EPSILONS}),
 }
 
 
