@@ -21,9 +21,9 @@ name patched there is the one called.
 ``verify`` judges the paper's claim: spectrum, closed-form states,
 intertwining identity and central-curvature law.  ``VERIFY_TOLERANCES`` is
 the one table of its checks: each row names a ``VerifyReport`` field and
-holds its tolerance, its strict comparison and the predicate on eps that
-says where the check applies; only the curvature law's is ever false, within
-``BIMODALITY_SKIP_BAND`` of the barrier top.  Xi A = A eta is checked as the
+holds its tolerance and its skip band or None.  A check applies unless
+|s - eps| <= its band, and passes when its value < its tolerance (NaN
+fails); only the curvature law has a band.  Xi A = A eta is checked as the
 two pointwise Darboux identities it is built from, V + V0 = 2 (u'/u)^2 +
 2 eps and V - V0 = -2 (u'/u)', on every node of the grid.
 """
@@ -31,7 +31,6 @@ two pointwise Darboux identities it is built from, V + V0 = 2 (u'/u)^2 +
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -44,15 +43,14 @@ from .transform import Partner, curvature_at_origin, separatrix_energy
 PLATEAU_TOL = 1e-13  # first differences within this share of max |rho| count as flat
 # the bimodality check is singular where the ground level meets the barrier top
 BIMODALITY_SKIP_BAND = 1e-3  # so it applies only while |s - eps| > this
-# verify's checks, in order: report field -> (tolerance, strict test, applies(eps))
+# verify's checks, in order: report field -> (tolerance, skip band or None)
 VERIFY_TOLERANCES = {
-    "e0_error": (1e-4, operator.lt, lambda eps: True),
-    "e1_error": (1e-4, operator.lt, lambda eps: True),
-    "psi0_residual": (5e-5, operator.lt, lambda eps: True),
-    "psi1_residual": (5e-5, operator.lt, lambda eps: True),
-    "intertwining_residual": (1e-4, operator.lt, lambda eps: True),
-    "bimodality_rel_err": (1e-5, operator.lt, lambda eps: (
-        abs(separatrix_energy(eps) - eps) > BIMODALITY_SKIP_BAND)),
+    "e0_error": (1e-4, None),
+    "e1_error": (1e-4, None),
+    "psi0_residual": (5e-5, None),
+    "psi1_residual": (5e-5, None),
+    "intertwining_residual": (1e-4, None),
+    "bimodality_rel_err": (1e-5, BIMODALITY_SKIP_BAND),
 }
 # the rho''(0) stencil's largest node spacing on fine grids, in units of
 # min(1, 1/sqrt|s - eps|), the length of rho's curvature at 0 or the unit
@@ -245,12 +243,11 @@ class VerifyReport:
     @property
     def checks(self) -> Tuple[Check, ...]:
         """One record per VERIFY_TOLERANCES row that applies to epsilon, in order."""
-        out = []
-        for name, (tolerance, within, applies) in VERIFY_TOLERANCES.items():
-            if applies(self.epsilon):
-                value = getattr(self, name)
-                out.append(Check(name, value, tolerance, within(value, tolerance)))
-        return tuple(out)
+        gap = abs(separatrix_energy(self.epsilon) - self.epsilon)
+        values = {name: getattr(self, name) for name in VERIFY_TOLERANCES}
+        return tuple(Check(name, values[name], tolerance, values[name] < tolerance)
+                     for name, (tolerance, band) in VERIFY_TOLERANCES.items()
+                     if band is None or gap > band)
 
     @property
     def passed(self) -> bool:

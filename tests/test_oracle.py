@@ -567,6 +567,9 @@ class TestVerify:
         for check in report.checks:
             assert check.value == getattr(report, check.name)
             assert check.tolerance == wells.VERIFY_TOLERANCES[check.name][0]
+        # each row is two numbers, the tolerance and the skip band or None
+        assert all(type(tolerance) is float and (band is None or type(band) is float)
+                   for tolerance, band in wells.VERIFY_TOLERANCES.values())
         # the table's order is the report's field order, and so the JSON's
         checked = [f.name for f in fields(wells.VerifyReport)
                    if f.name in wells.VERIFY_TOLERANCES]
