@@ -17,7 +17,9 @@ this shallow-double-well regime the rest of the package studies.
 All hyperbolics are evaluated in exponentially scaled form (common factor
 e^{k|x|} pulled out) so that ratios like u'/u and the potential stay finite
 and accurate for arbitrarily large |x|; naive sinh/cosh overflow near
-k|x| ~ 710 and lose precision in the subtractive seed well before that.
+k|x| ~ 710.  The seed is summed from terms of one sign, so it keeps its
+relative accuracy as eps -> -1, where s t and k c both tend to 1/2 and
+their difference u to (1 - k)/2.
 
 ``Partner(eps, grid)`` holds the closed forms of one partner on one grid:
 the potential, u'/u, the base well and both bound states, each made on
@@ -96,10 +98,14 @@ def _seed_parts(eps_val: float, x) -> _SeedParts:
     s = np.sign(x) * (-np.expm1(-2.0 * k * ax)) / 2.0
     c = (1.0 + q) / 2.0
     t = np.tanh(x)
+    ta = np.abs(t)
     sech = _sech(x)
     sech2 = sech**2
-    u = s * t - k * c
-    du = k * c * t + s * (sech2 - k * k)
+    # u = s t - k c, even, as a sum of terms <= 0, so that nothing cancels as
+    # eps -> -1: 1 - tanh|x| = sech^2 / (1 + tanh|x|), and k - 1 = d / (1 + k)
+    # with d = -1 - eps, exact for -2 <= eps < -1
+    u = -(sech2 / (1.0 + ta) + q * (1.0 + ta)) / 2.0 - (-1.0 - eps_val) / (1.0 + k) * c
+    du = (1.0 + eps_val) * s - t * u  # tanh u + u' = (1 + eps) s
     return _SeedParts(k * ax, u, du, q, s, t, sech, sech2)
 
 
@@ -135,12 +141,16 @@ def potential_log_form(eps: float, x):
     """Partner potential from the superpotential: 2(u'/u)^2 - u''/u + eps.
 
     Independent route to the same curve as :func:`potential`; kept as a
-    cross-check (two formulas, one truth).  Its terms are of size |eps| and
-    cancel, so its absolute error grows with |eps|: on ``Grid(1.0, 5)`` the
-    largest difference from :func:`potential` stays within a few
-    eps_mach * max(1, |eps|), about 7e-16 * |eps| from eps = -1e4 down to
-    ``EPSILON_MIN``, where it is 1.5e138 at x = 0.5, where V = -1.57.  It is a
-    cross-check only where that bound is small next to |V|.
+    cross-check (two formulas, one truth).  Its terms are of size
+    max(1, |eps|) and cancel, so its absolute error grows with |eps|: on
+    ``Grid(1.0, 5)`` the largest difference from :func:`potential` stays
+    within a few eps_mach * max(1, |eps|), about 7e-16 * |eps| from
+    eps = -1e4 down to ``EPSILON_MIN``, where it is 1.5e138 at x = 0.5, where
+    V = -1.57.  Off the origin that bound holds for eps <= -2 (within
+    16 eps_mach * |eps| on ``Grid(20.0, 4001)``), but not as eps -> -1:
+    between the wells its terms tend to 1 and cancel to V ~ |1 + eps|, and
+    its error grows like eps_mach / |1 + eps|, to 7e-7 at eps = -1 - 1e-9.
+    It is a cross-check only where that bound is small next to |V|.
     """
     eps_val = _epsilon(eps)
     p = _seed_parts(eps_val, x)
@@ -235,7 +245,7 @@ class Partner:
     @cached_property
     def _excited_half(self) -> np.ndarray:
         p = self._seed
-        return _check_samples((p.tanh + p.du / p.u) * p.sech, "excited state", self)
+        return _check_samples((1.0 + self.epsilon) * p.s * p.sech / p.u, "excited state", self)
 
     def check_grid(self) -> None:
         """GridTooNarrow or GridTooCoarse unless the grid holds both bound
@@ -259,9 +269,11 @@ class Partner:
         """Excited state on the grid, proportional to A applied to the base
         ground state, trapezoid-normalized; energy -1.
 
-        Evaluated in closed form: A [sech(x)] = sech(x) (tanh(x) + u'/u), so
-        the state carries no finite-difference error.  Odd, single node at
-        x = 0, and psi1 > 0 for x > 0: near 0, tanh(x) + u'/u = (-1 - eps) x
-        + O(x^3), and -1 - eps > 0.  Raises as ``psi0`` does.
+        Evaluated in closed form: A [sech(x)] = sech(x) (tanh(x) + u'/u)
+        = (1 + eps) sech(x) sinh(kx) / u, as tanh u + u' = (1 + eps) sinh(kx),
+        so the state carries no finite-difference error and, one product,
+        no cancellation.  Odd, single node at x = 0, and psi1 > 0 for x > 0,
+        where 1 + eps and u are negative and sech(x) and sinh(kx) positive.
+        Raises as ``psi0`` does.
         """
         return normalized(mirror(self._excited_half, 1), self.grid.h)

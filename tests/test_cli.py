@@ -192,7 +192,7 @@ class TestVerifyCommand:
         assert run(["verify", "--epsilon", -1.5, "--points", 101]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 6 and not any("np." in line for line in err)
-        assert err[0] == "check failed: e0_error=0.0001960528907589687, tolerance 0.0001"
+        assert err[0] == "check failed: e0_error=0.00019605289075785848, tolerance 0.0001"
 
     def test_planted_base_well_defect_fails_intertwining(self, tmp_path, monkeypatch,
                                                          capsys):

@@ -546,6 +546,22 @@ class TestVerify:
             assert all(b < max(a / 200.0, ROUNDING_FLOOR)
                        for a, b in zip(errors, errors[1:])), (attr, errors)
 
+    @pytest.mark.parametrize("widen", [1, 2])
+    @pytest.mark.parametrize("j", range(3, 10))
+    def test_near_degenerate_pass_holds_on_finer_grids(self, j, widen):
+        # as eps -> -1 the wells move out to x = ln(4 / |1 + eps|) / 2, and both
+        # states decay to TAIL_TOL within 16 more units; the closed forms are
+        # sums of like-signed terms, so a finer grid adds no cancellation
+        eps = -1.0 - 10.0 ** -j
+        x_max = widen * float(np.ceil(np.log(4.0 * 10.0 ** j) / 2.0 + 16.0))
+
+        def passed(intervals):
+            return wells.verify(Partner(eps, Grid(x_max, intervals + 1))).passed
+
+        coarsest = next((m for m in (400, 800, 1600, 3200) if passed(m)), None)
+        assert coarsest is not None
+        assert passed(4 * coarsest) and passed(16 * coarsest)
+
     @pytest.mark.parametrize("eps, failed", [
         (-1.5, []),
         (-2.0, []),

@@ -153,6 +153,18 @@ class TestPotential:
         err = np.max(np.abs(potential(eps, grid.x) - potential_log_form(eps, grid.x)))
         assert err <= 16.0 * np.finfo(float).eps * max(1.0, abs(eps))
 
+    @pytest.mark.parametrize("eps, bound", [
+        (-2.0, 16.0), (-50.0, 16.0), (-1e20, 16.0), (transform.EPSILON_MIN, 16.0),
+        (-1.01, 8.0 / 0.01), (-1.0 - 1e-6, 8.0 / 1e-6), (-1.0 - 1e-9, 8.0 / 1e-9),
+    ])
+    def test_log_form_error_off_the_origin(self, eps, bound):
+        # out to |x| = 20 the log form keeps its eps_mach * |eps| bound for
+        # eps <= -2; as eps -> -1 its terms, of size 1, cancel to V between the
+        # wells, and its error grows like eps_mach / |1 + eps|
+        grid = Grid(20.0, 4001)
+        err = np.max(np.abs(potential(eps, grid.x) - potential_log_form(eps, grid.x)))
+        assert err <= bound * np.finfo(float).eps * abs(eps)
+
     def test_curve_invariants(self, default_grid):
         v = Partner(-1.5, default_grid).potential
         assert v[default_grid.center_index] == -1.0
@@ -281,6 +293,24 @@ class TestExcitedState:
             assume(False)
         right = psi[grid.center_index + 1:]
         assert np.all(right[right != 0.0] > 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e4, -1.5))
+    def test_matches_the_sum_form_within_its_rounding(self, eps):
+        # psi1 = (1 + eps) sech s / u, one product, in place of the sum
+        # sech (tanh + u'/u) with u = s t - k c and u' = k c t + s (sech^2 - k^2);
+        # where |1 + eps| >= 1/2 they differ by at most the first-order rounding
+        # of that sum's terms (measured: 1.19 times it over 1,200 eps)
+        x = np.concatenate([np.linspace(-60.0, 60.0, 1201), np.linspace(-1e-3, 1e-3, 201)])
+        p = transform._seed_parts(eps, x)
+        k, c, s, t = np.sqrt(-eps), (1.0 + p.q) / 2.0, p.s, p.tanh
+        u = s * t - k * c
+        w = (k * c * t + s * (p.sech2 - k * k)) / u
+        rounding = np.finfo(float).eps * p.sech * (
+            np.abs(t) + np.abs(w) + (k * c * np.abs(t) + np.abs(s) * (p.sech2 + k * k)
+                                     + np.abs(w) * (np.abs(s * t) + k * c)) / np.abs(u))
+        product = (1.0 + eps) * s * p.sech / p.u
+        assert np.all(np.abs((t + w) * p.sech - product) <= 2.0 * rounding)
 
     def test_orthogonal_to_ground(self, default_grid):
         partner = Partner(-1.5, default_grid)
