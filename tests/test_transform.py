@@ -148,22 +148,17 @@ class TestPotential:
     @pytest.mark.parametrize("eps", [-2.0, -50.0, -1e4, -1e8, -1e20, transform.EPSILON_MIN])
     def test_log_form_error_scales_with_eps(self, eps):
         # the log form cancels terms of size |eps|, so its absolute error
-        # grows with |eps|; at EPSILON_MIN it keeps no digit of V
-        grid = Grid(1.0, 5)
-        err = np.max(np.abs(potential(eps, grid.x) - potential_log_form(eps, grid.x)))
-        assert err <= 16.0 * np.finfo(float).eps * max(1.0, abs(eps))
+        # grows with |eps|, out to |x| = 20; at EPSILON_MIN it keeps no digit of V
+        for grid in (Grid(1.0, 5), Grid(20.0, 4001)):
+            err = np.max(np.abs(potential(eps, grid.x) - potential_log_form(eps, grid.x)))
+            assert err <= 16.0 * np.finfo(float).eps * max(1.0, abs(eps))
 
-    @pytest.mark.parametrize("eps, bound", [
-        (-2.0, 16.0), (-50.0, 16.0), (-1e20, 16.0), (transform.EPSILON_MIN, 16.0),
-        (-1.01, 8.0 / 0.01), (-1.0 - 1e-6, 8.0 / 1e-6), (-1.0 - 1e-9, 8.0 / 1e-9),
-    ])
-    def test_log_form_error_off_the_origin(self, eps, bound):
-        # out to |x| = 20 the log form keeps its eps_mach * |eps| bound for
-        # eps <= -2; as eps -> -1 its terms, of size 1, cancel to V between the
-        # wells, and its error grows like eps_mach / |1 + eps|
+    @pytest.mark.parametrize("eps", [-1.01, -1.0 - 1e-6, -1.0 - 1e-9])
+    def test_log_form_error_grows_as_eps_nears_minus_one(self, eps):
+        # between the wells its terms, of size 1, cancel to V ~ |1 + eps|
         grid = Grid(20.0, 4001)
         err = np.max(np.abs(potential(eps, grid.x) - potential_log_form(eps, grid.x)))
-        assert err <= bound * np.finfo(float).eps * abs(eps)
+        assert err <= 8.0 * np.finfo(float).eps / abs(1.0 + eps)
 
     def test_curve_invariants(self, default_grid):
         v = Partner(-1.5, default_grid).potential
