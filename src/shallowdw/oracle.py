@@ -17,7 +17,7 @@ is level j // 2 of the sector with parity j % 2.
 
 Each pass is argued where it runs.  ``_negative_pivots`` runs the scaled
 pivots of a Sturm count.  ``TridiagonalHamiltonian.bound_counts`` counts
-both sectors' levels below 0 from the two ends of a bracket, or one pass.
+both sectors' levels below 0 in one backward pass from T.
 ``_twisted_vector`` solves for an eigenvector by a twisted factorization.
 ``_free_tail`` picks the rows that a twisted step takes in closed form.
 ``_twisted_step`` takes the Newton shift.  ``sector_eigenpair`` steps a
@@ -85,60 +85,27 @@ class TridiagonalHamiltonian:
 
     @cached_property
     def bound_counts(self) -> Tuple[int, int]:
-        """Levels below 0 of the even and of the odd sector, from backward
-        passes of scaled pivots 1 + s_i (``_negative_pivots``) at lam = 0.
+        """Levels below 0 of the even and of the odd sector, from one backward
+        pass of scaled pivots 1 + s_i (``_negative_pivots``) at lam = 0.
 
-        A pass from s_{J+1} over rows J .. 1 counts the odd sector, rows
+        The pass from s_{T+1} over rows T .. 1 counts the odd sector, rows
         1 .. edge, by its negative pivots; the even count adds the sign of
-        the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  The rows past the
-        last row T where 2 + a_T != 2 are free rows: 2 + a_i rounds to 2
-        there, so they are a_i = 0 within the count's own backward error.
-        Their pivots, j rows in from the edge, are (j + 2) / (j + 1), all
-        positive: the walk from T starts from s_{T+1} = 1 / (edge - T).
-
-        Most rows before T barely move s, so the pass starts closer in,
-        from a bracket.  Free rows alone would give s_{J+1} = f_J =
-        1 / (edge - J).  s -> s / (1 + s) is increasing and 1-Lipschitz for
-        s >= 0, so by induction in from T the walked s_{J+1} lies in
-        [f_J - A-, f_J + A+], A-+ the sums of max(-+a_i, 0) over rows
-        J + 1 .. T, once f_J - A- >= 0, and every pivot on those rows is at
-        least 1.  Each row's rounding moves s by at most about
-        1.5 eps_mach (1 + |a_i|), as s / (1 + s) < 1, so both ends widen by
-        3 eps_mach (T - J + 1)(1 + the sum of |a_i| over rows 1 .. T), which
-        also covers the rounding of f_J and of the sums.  J is the lowest
-        row down to which the lower end stays >= 0.  The pass from s_{J+1}
-        counts the inertia of rows J .. 0 with the Schur complement term
-        -1 / (1 + s_{J+1}) on row J (Parlett, *The Symmetric Eigenvalue
-        Problem*, ch. 7); it rises with s_{J+1}, so the counts fall as
-        s_{J+1} rises, and where both ends give the same counts, so does
-        every start between them.  Otherwise, or with no such J < T, or no
-        free rows, the pass walks from T.
+        the halved centre row, 0.5 a_0 + s_1 / (1 + s_1).  T is the last row
+        where 2 + a_T != 2, and the rows past it are free rows: 2 + a_i
+        rounds to 2 there, so they are a_i = 0 within the count's own
+        backward error.  Their pivots, j rows in from the edge, are
+        (j + 2) / (j + 1), all positive, so the pass starts from
+        s_{T+1} = 1 / (edge - T).  With no free rows it starts at the wall,
+        from s_edge = 1 + a_edge.
         """
         a = _sector_rows(self, 0.0, 0)
         edge = len(a) - 1
         bound = np.flatnonzero(2.0 + a[1:] != 2.0)
         top = int(bound[-1]) + 1 if len(bound) else 0  # T
-
-        def counts(s: float, start: int) -> Tuple[int, int]:  # from s_start
-            count, s = _negative_pivots(s, _packed(a[start - 1:0:-1]))
-            odd = count + (s <= -1.0)
-            return odd + (0.5 * float(a[0]) + s / (1.0 + s or -PIVMIN) <= 0.0), odd
-
-        if top == edge:
-            return counts(1.0 + float(a[-1]), edge)
-        rows = a[top:1:-1]  # rows T .. 2: rows J + 1 .. T are rows[:T - J]
-        width = np.arange(1, top)  # T - J for J = T - 1 .. 1
-        slack = 3.0 * EPS_MACH * (1.0 + float(np.sum(np.abs(a[1:top + 1]))))
-        low = 1.0 / (edge - top + width) + np.cumsum(np.minimum(rows, 0.0)) - slack * (width + 1)
-        fails = np.flatnonzero(low < 0.0)
-        reach = int(fails[0]) if len(fails) else top - 1  # T - J
-        if reach > 0:
-            high = (1.0 / (edge - top + reach) + float(np.sum(np.maximum(rows[:reach], 0.0)))
-                    + slack * (reach + 1))
-            lo, hi = (counts(s, top - reach + 1) for s in (float(low[reach - 1]), high))
-            if lo == hi:
-                return lo
-        return counts(1.0 / (edge - top), top + 1)
+        s, start = (1.0 / (edge - top), top + 1) if top < edge else (1.0 + float(a[-1]), edge)
+        count, s = _negative_pivots(s, _packed(a[start - 1:0:-1]))
+        odd = count + (s <= -1.0)
+        return odd + (0.5 * float(a[0]) + s / (1.0 + s or -PIVMIN) <= 0.0), odd
 
     @cached_property
     def residual_target(self) -> float:

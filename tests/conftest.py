@@ -196,25 +196,3 @@ def zero_energy_top(H):
     """T, the last row where 2 + a_i != 2 at lam = 0; 0 if there is none."""
     a = oracle._sector_rows(H, 0.0, 0)
     return max([i for i in range(1, len(a)) if 2.0 + a[i] != 2.0], default=0)
-
-
-def walked_pivot(H, row):
-    """s_{row + 1} of the zero-energy pass walked from T over free rows past it."""
-    a = oracle._sector_rows(H, 0.0, 0).tolist()
-    top = zero_energy_top(H)
-    s = 1.0 / (len(a) - 1 - top)
-    for a_i in a[top:row:-1]:
-        s = a_i + s / (1.0 + s)
-    return s
-
-
-def assert_bracketed(H, passes, ends_agree=True):
-    """The zero-energy count ran as two passes over rows J .. 1, J < T, from
-    the ends of a bracket that holds the walked pivot, and then, where
-    ends_agree is False, one walk from T."""
-    top = zero_energy_top(H)
-    (low, rows), (high, rows_high) = passes[:2]
-    assert 1 <= rows == rows_high < top
-    assert 0.0 <= low <= walked_pivot(H, rows) <= high
-    walk = [(1.0 / (H.grid.center_index - top), top)]
-    assert passes[2:] == ([] if ends_agree else walk)

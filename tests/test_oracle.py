@@ -208,12 +208,11 @@ class TestCoarseToFine:
         # 39 eps in [-2.95, -1.05] at n = 4001 and 16001, each level stepped
         # from eps or -1: at most 3 full-grid steps per bound_levels, no
         # other grid, and the Python pivot rows (rows handed to _pivot_run
-        # and _negative_pivots) pinned from above: measured 3,683 and 13,756
+        # and _negative_pivots) pinned from above: measured 4,627 and 16,981
         # a bound_levels, as the passes stop short of the free rows at the
-        # edge and the zero-energy count starts from its bracket (6,759 and
-        # 25,492 walking every row).  The zero-energy count's own rows,
-        # those of _negative_pivots, are measured 637 and 2,546 (1,581 and
-        # 5,772 walked from T)
+        # edge (6,759 and 25,492 walking every row).  The zero-energy
+        # count's own rows, those of its one _negative_pivots pass from T,
+        # are measured 1,581 and 5,772
         steps, rows, counted = [], [], []
         step, pivot_run, negative_pivots = (oracle._twisted_step, oracle._pivot_run,
                                             oracle._negative_pivots)
@@ -234,7 +233,7 @@ class TestCoarseToFine:
         monkeypatch.setattr(oracle, "_pivot_run", counting(pivot_run, rows))
         monkeypatch.setattr(oracle, "_negative_pivots", counting(negative_pivots, rows, counted))
         epsilons = np.linspace(-2.95, -1.05, 39)
-        for n, mean_rows, mean_counted in ((4001, 3870, 670), (16001, 14450, 2680)):
+        for n, mean_rows, mean_counted in ((4001, 4860, 1660), (16001, 17830, 6060)):
             rows.clear()
             counted.clear()
             for eps in epsilons:

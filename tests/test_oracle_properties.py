@@ -1,17 +1,14 @@
 """Property tests: the parity-split eigensolver against dense matrix Numerov."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from shallowdw import (Grid, GridTooCoarse, GridTooNarrow, Partner,
-                       TridiagonalHamiltonian, oracle, sturm_count, wells)
+                       TridiagonalHamiltonian, sturm_count, wells)
 from shallowdw.transform import EPSILON_MAX
 
-from conftest import (apply_h, assert_bracketed, dense_sector_levels, lowest_eigenpairs,
-                      numerov_matrix)
+from conftest import apply_h, dense_sector_levels, lowest_eigenpairs, numerov_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -36,8 +33,8 @@ def tailed_wells(draw):
     nodes: a Gaussian core of height in [-8, -0.1] or [0.1, 2] and width w,
     and c e^(-|x|/l) with 1e-6 <= |c| <= 1e-2 and l a 80th to a 40th of
     x_max >= 8 w.  The tail rounds away (2 + a_i == 2) short of the edge,
-    but long after the core, so the zero-energy count has a stretch of small
-    rows to start its bracket in.  V is scaled down where needed so that
+    but long after the core, so the zero-energy count starts from a row T
+    between the two.  V is scaled down where needed so that
     h^2 (max V - min V) <= 5, below the Numerov pole.
     """
     m, width = draw(st.integers(30, 150)), draw(st.floats(0.3, 3.0))
@@ -104,18 +101,12 @@ def test_bound_counts_match_sturm_and_dense(H):
 
 @SETTINGS
 @given(tailed_wells())
-def test_bracketed_bound_counts_match_sturm_and_dense(H):
-    # the zero-energy count starts from its bracket on rows J .. 1, J < T,
-    # and walks from T only where the bracket's ends disagree
+def test_tailed_bound_counts_match_sturm_and_dense(H):
+    # the zero-energy count starts from T, behind the free rows of the tail
     sectors = dense_sector_levels(H)
     assume(all(np.min(np.abs(levels)) > 1e-9 * norm_bound(H) for levels in sectors))
-    with mock.patch.object(oracle, "_negative_pivots", wraps=oracle._negative_pivots) as spy:
-        counts = H.bound_counts
-    passes = [(call.args[0], len(call.args[1])) for call in spy.call_args_list]
-    assume(len(passes) > 1)  # the count found a start row J < T
-    assert_bracketed(H, passes, ends_agree=len(passes) == 2)
     dense = tuple(int(np.count_nonzero(levels < 0.0)) for levels in sectors)
-    assert counts == (sturm_count(H, 0.0, 0), sturm_count(H, 0.0, 1)) == dense
+    assert H.bound_counts == (sturm_count(H, 0.0, 0), sturm_count(H, 0.0, 1)) == dense
 
 
 @SETTINGS
