@@ -16,11 +16,11 @@ the library, so the seed is evaluated once.
 
 All numbers are written with the shortest round-trip decimal representation,
 their repr, so repeated runs are byte-identical and every emitted file parses
-back losslessly: ``_cells`` formats each column and ``_row_chunks`` writes
-the rows.  Exit codes: 0 ok, 1 verification failed, and for each error the
-code of its first row in ``EXIT_CODES``, so an eps outside the family (at
-either end of a sweep range too) and a request too large to allocate are 2.
-A sweep whose every row fails exits with the highest code of its rows.
+back losslessly; ``floatfmt`` writes the rows.  Exit codes: 0 ok, 1
+verification failed, and for each error the code of its first row in
+``EXIT_CODES``, so an eps outside the family (at either end of a sweep
+range too) and a request too large to allocate are 2.  A sweep whose every
+row fails exits with the highest code of its rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,8 +60,6 @@ EXIT_CODES = (
 )
 # what fails one sweep row but not the whole sweep
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
-
-CSV_BLOCK_ROWS = 4096  # rows per written CSV chunk, values per JSON chunk
 
 # sweep column -> value(partner, levels); levels() is the cached energies-only solve
 SWEEP_QUANTITIES = {
@@ -93,74 +91,20 @@ def _write(path: Optional[str], chunks: Iterable[bytes]) -> None:
             fh.writelines(chunks)
 
 
-def _cells(col: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The text of col's rows, zero-padded to one byte-string width: the
-    rows from len(signs) on, and the sign bytes of the rows before them.
-
-    A float64 value's text is its repr, formatted by one ``floatfmt.cells``
-    call per column into floatfmt.WIDTH bytes: a sign byte, then the text of
-    its magnitude.  Of a column whose magnitudes mirror bitwise about its
-    middle, only rows n//2 on are formatted; row i is row n-1-i with its own
-    sign byte, "-" where the sign bit is set and the value is not NaN, as
-    ``floatfmt.cells`` writes it.  Any other value's text is its str(), which
-    for a float is its repr too, and no row is mirrored.
-    """
-    if col.dtype != np.float64:
-        return np.array([str(v) for v in col.tolist()], dtype=bytes), np.empty(0, np.uint8)
-    n = len(col)
-    magnitude = np.abs(col).view(np.uint64)  # abs clears the sign bit of NaN too
-    mirrored = n // 2 if np.array_equal(magnitude[:n // 2], magnitude[::-1][:n // 2]) else 0
-    head = col[:mirrored]
-    return (floatfmt.cells(col[mirrored:]).view(f"S{floatfmt.WIDTH}")[:, 0],
-            np.uint8(ord("-")) * (np.signbit(head) & ~np.isnan(head)))
-
-
-def _row_chunks(columns: Sequence[np.ndarray], layout: Sequence) -> Iterator[bytes]:
-    """The text of every row, in order, in chunks of up to CSV_BLOCK_ROWS rows.
-
-    ``layout`` lists each row's parts: a column's index, or separator bytes.
-    Each column is formatted once by ``_cells``.  A chunk's rows are copied
-    into one uint8 matrix, reused for every chunk, whose separator columns
-    are written once; its bytes without the zeros, dropped in one pass by
-    ``bytes.translate``, are the text.
-    """
-    cells = [_cells(col) for col in columns]
-    n = len(columns[0])
-    widths = [cells[p][0].itemsize if isinstance(p, int) else len(p) for p in layout]
-    mat = np.empty((min(CSV_BLOCK_ROWS, n), sum(widths)), np.uint8)
-    parts, at = [], 0
-    for p, width in zip(layout, widths):
-        if isinstance(p, int):
-            # each row's cell as one byte string: numpy copies those faster than bytes
-            parts.append((*cells[p], at, mat[:, at:at + width].view(f"S{width}")[:, 0]))
-        else:
-            mat[:, at:at + width] = np.frombuffer(p, np.uint8)
-        at += width
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, n)
-        for text, signs, at, cell in parts:
-            m = len(signs)  # row i < m is text row n-1-i-m with its own sign
-            split = min(max(m, start), stop)
-            cell[:split - start] = text[n - m - split:n - m - start][::-1]
-            mat[:split - start, at] = signs[start:split]
-            cell[split - start:stop - start] = text[split - m:stop - m]
-        yield mat[:stop - start].tobytes().translate(None, b"\0")
-
-
 def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
          comments: Sequence[str] = (), footer: Sequence[str] = ()) -> Iterator[bytes]:
-    """CSV bytes in chunks of up to CSV_BLOCK_ROWS rows."""
+    """CSV bytes, the rows in the chunks of ``floatfmt.row_chunks``."""
     yield ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n").encode()
     layout = [part for j in range(len(columns)) for part in (j, b",")]
     layout[-1] = b"\n"
-    yield from _row_chunks(columns, layout)
+    yield from floatfmt.row_chunks(columns, layout)
     yield "".join(f"# {c}\n" for c in footer).encode()
 
 
 def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
                   fields: Optional[Dict[str, object]] = None) -> Iterator[bytes]:
     """json.dumps({name: col.tolist(), ..., **fields}) + "\\n", byte for byte,
-    in chunks of up to CSV_BLOCK_ROWS values.
+    a column's values in the chunks of ``floatfmt.row_chunks``.
 
     A column's values are its CSV text but for the non-finite floats, which
     JSON spells NaN, Infinity and -Infinity, not nan, inf and -inf.  Only a
@@ -169,7 +113,7 @@ def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
     opener = "{"
     for name, col in zip(header, columns):
         yield f"{opener}{json.dumps(name)}: [".encode()
-        for i, chunk in enumerate(_row_chunks((col,), (b", ", 0))):
+        for i, chunk in enumerate(floatfmt.row_chunks((col,), (b", ", 0))):
             if b"n" in chunk:
                 chunk = chunk.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
             yield chunk if i else chunk[2:]  # no ", " before the first value
@@ -227,9 +171,9 @@ def cmd_potential(args) -> int:
     partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     x, v = partner.grid.x, partner.potential
     del partner  # its seed arrays need not live through the emission
-    _emit_table(args, ("x", "V"), (x, v))
-    if args.svg:
+    if args.svg:  # first, so that a bad path leaves stdout empty
         _write_svg(args.svg, x, v)
+    _emit_table(args, ("x", "V"), (x, v))
     return EXIT_OK
 
 
@@ -274,12 +218,12 @@ def cmd_evolve(args) -> int:
     t_max = 2.0 * period if args.t_max is None else args.t_max
     series = dynamics.evolve_series(partner, t_max, args.frames)
     warning = wells.two_level_warning(partner.epsilon)
+    if args.svg:  # first, so that a bad path leaves stdout empty
+        _write_svg(args.svg, series.times, series.left_probability)
     _emit_table(args, ("t", "P_left"), (series.times, series.left_probability),
                 comments=[f"warning: {warning}"] if warning else [],
                 footer=[f"analytic_period={period!r}"],
                 fields={"warning": warning, "analytic_period": period})
-    if args.svg:
-        _write_svg(args.svg, series.times, series.left_probability)
     return EXIT_OK
 
 
@@ -406,10 +350,11 @@ def _hold_heap() -> None:
     A 16001-node float64 array is 128,008 bytes, just under glibc's initial
     128 KiB mmap threshold, so the solver's whole-grid temporaries live on
     the heap.  Freed at its top, they let glibc trim it, and the next solve
-    step faults the pages back in: a 5-row ``sweep`` at n = 16001 took about
-    2,200 minor page faults, against about 460 with the pages kept.  Set
-    once per process, by ``main`` alone, so the library leaves its host's
-    heap alone.  Output bytes do not depend on it.
+    step faults the pages back in.  Counted with ``ru_minflt`` around
+    ``main``, a 5-row ``sweep`` at n = 16001 takes about 1,500 minor page
+    faults per call without the hold, and about 400 on the first call with
+    it, under 20 after.  Set once per process, by ``main`` alone, so the
+    library leaves its host's heap alone.  Output bytes do not depend on it.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

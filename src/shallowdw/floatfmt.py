@@ -1,12 +1,25 @@
-"""The text of ``repr(float(v))`` for every value of a float64 array, in numpy.
+"""The text of ``repr(float(v))`` for every value of a float64 array, in
+numpy, and the rows of a table of such columns.
 
-``cells(values)`` returns a uint8 array with one row of WIDTH
-bytes per value: the ASCII of its shortest round-trip repr, with zero bytes
-where a shorter text leaves room.  Dropping the zeros of a row gives the
-text, so a table of rows and separators joins as its bytes without the
-zeros.  No Python code runs per value.  The block size is this module's
-own: an array of any length is formatted BLOCK values at a time into one
-result, so a caller formats a whole column in one call.
+``cells(values)`` returns a uint8 array with one row of WIDTH bytes per
+value: a sign byte, "-" where the sign bit is set and the value is not NaN,
+else 0, then the ASCII of the magnitude's shortest round-trip repr, with
+zero bytes where a shorter text leaves room.  Dropping the zeros of a row
+gives the text.  No Python code runs per value.
+
+``row_chunks(columns, layout)`` writes the rows of a table, each row's
+parts, a column's index or separator bytes, as ``layout`` lists them.  A
+float64 column is formatted by one ``cells`` call, any other by the str()
+of each value, which for a float is its repr too.  Of a float64 column
+whose magnitudes mirror bitwise about its middle, as an even or odd
+function on a symmetric grid, only rows n//2 on are formatted: row i is
+row n-1-i with its own sign byte.  The rows are copied into one uint8
+matrix, whose separator columns are written once; its bytes without the
+zeros, dropped by ``bytes.translate``, are the text.
+
+Two block sizes bound the memory in flight: ``cells`` formats BLOCK values
+per pass into one result, so a caller formats a whole column in one call,
+and ``row_chunks`` yields CHUNK_ROWS rows per chunk, in one reused matrix.
 
 Digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020): with c 2^q the value and [vl, vr] the reals that round to
@@ -46,7 +59,7 @@ a warning.
 from __future__ import annotations
 
 import functools
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +69,7 @@ WIDTH = 24  # the longest repr: "-1.2345678901234567e-308"
 # 64001 points 8192 was faster than 4096 or whole columns, and as fast as
 # 16384 with a smaller peak RSS.
 BLOCK = 8192
+CHUNK_ROWS = 4096  # rows per chunk of a table, values per chunk of a JSON column
 MAX_DIGITS = 17
 
 _Q_MIN = -1074  # value = c 2^q with c < 2^53
@@ -214,13 +228,8 @@ _POW10 = np.array([10 ** i for i in range(MAX_DIGITS + 1)], np.uint64)
 
 
 def cells(values: np.ndarray) -> np.ndarray:
-    """uint8 array of shape values.shape + (WIDTH,): each value's repr bytes.
-
-    NaN and infinity are repr's ``nan`` and ``inf``, a minus sign before
-    -inf and never before NaN.  The sign byte is the first of every row, a
-    zero byte when there is no sign.  Any length is formatted BLOCK values
-    at a time into the one result.
-    """
+    """uint8 array of shape values.shape + (WIDTH,): each value's repr bytes,
+    NaN and infinity as repr's ``nan`` and ``inf``."""
     shape = np.shape(values)
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
     text = np.empty((len(bits), WIDTH), np.uint8)
@@ -284,4 +293,47 @@ def _format(bits: np.ndarray, text: np.ndarray) -> None:
                             (b"inf", original == _EXP_BITS),
                             (b"nan", original > _EXP_BITS)):
             text[rows[where], 1:1 + len(word)] = np.frombuffer(word, np.uint8)
-        text[rows, 0] = np.where((bits[rows] >> 63 == 1) & (original <= _EXP_BITS), 45, 0)
+        text[rows, 0] = _sign_bytes(bits[rows].view(np.float64))
+
+
+def _sign_bytes(values: np.ndarray) -> np.ndarray:
+    """The sign byte of each float64 value, as ``cells`` writes it."""
+    return (np.signbit(values) & ~np.isnan(values)) * np.uint8(ord("-"))
+
+
+def _column(col: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The text of col's rows from len(signs) on, zero-padded to one
+    byte-string width, and the sign bytes of the mirrored rows before them."""
+    if col.dtype != np.float64:
+        return np.array([str(v) for v in col.tolist()], dtype=bytes), np.empty(0, np.uint8)
+    n = len(col)
+    magnitude = np.abs(col).view(np.uint64)  # abs clears the sign bit of NaN too
+    mirrored = n // 2 if np.array_equal(magnitude[:n // 2], magnitude[::-1][:n // 2]) else 0
+    return (cells(col[mirrored:]).view(f"S{WIDTH}")[:, 0],
+            _sign_bytes(col[:mirrored]))
+
+
+def row_chunks(columns: Sequence[np.ndarray], layout: Sequence) -> Iterator[bytes]:
+    """The text of every row of ``columns``, in order, in chunks of up to
+    CHUNK_ROWS rows, each row's parts as ``layout`` lists them."""
+    texts = [_column(col) for col in columns]
+    n = len(columns[0])
+    widths = [texts[p][0].itemsize if isinstance(p, int) else len(p) for p in layout]
+    mat = np.empty((min(CHUNK_ROWS, n), sum(widths)), np.uint8)
+    parts, at = [], 0
+    for p, width in zip(layout, widths):
+        if isinstance(p, int):
+            # each row's cell as one byte string: numpy copies those faster than bytes
+            parts.append((*texts[p], at, mat[:, at:at + width].view(f"S{width}")[:, 0]))
+        else:
+            mat[:, at:at + width] = np.frombuffer(p, np.uint8)
+        at += width
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        for text, signs, at, cell in parts:
+            m = len(signs)  # row i < m is text row n-1-i-m with its own sign
+            split = min(max(m, start), stop)
+            cell[:split - start] = text[n - m - split:n - m - start][::-1]
+            mat[:split - start, at] = signs[start:split]
+            cell[split - start:stop - start] = text[split - m:stop - m]
+        yield mat[:stop - start].tobytes().translate(None, b"\0")

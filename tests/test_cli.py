@@ -634,12 +634,14 @@ class TestExitCodeTable:
         assert re.fullmatch(r"error: bisection .* stalled .*\n", err)
 
     @pytest.mark.parametrize("args", [
-        ["--config", "/nonexistent/run.cfg"],
-        ["--out", "/nonexistent/dir/x.csv"],
-        ["--svg", "/nonexistent/x.svg", "--out", os.devnull],
-    ], ids=["config", "out", "svg"])
+        ["potential", "--epsilon", "-1.5", "--config", "/nonexistent/run.cfg"],
+        ["potential", "--epsilon", "-1.5", "--out", "/nonexistent/dir/x.csv"],
+        ["potential", "--epsilon", "-1.5", "--svg", "/nonexistent/x.svg"],
+        ["evolve", "--epsilon", "-1.5", "--svg", "/nonexistent/x.svg"],
+    ], ids=["config", "out", "svg", "svg-evolve"])
     def test_unusable_file_path_is_bad_args(self, args, capsys):
-        code, out, err = run_captured(["potential", "--epsilon", "-1.5", *args], capsys)
+        # each file is opened before the first byte of the table is written
+        code, out, err = run_captured(args, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -706,7 +708,7 @@ class TestHeapHold:
     def test_sweep_keeps_its_freed_heap_pages(self):
         # a 16001-node vector is just under glibc's 128 KiB mmap threshold:
         # unheld, glibc trims the heap after each solve's temporaries and the
-        # next solve faults them back in, about 2,200 faults per sweep
+        # next solve faults them back in; cli._hold_heap gives the counts
         env = {**os.environ, "PYTHONPATH": str(Path(shallowdw.__file__).resolve().parents[1])}
         done = subprocess.run([sys.executable, "-c", FAULTS_OF_ONE_RUN, *SWEEP_16001],
                               env=env, capture_output=True, text=True, timeout=120, check=True)

@@ -70,13 +70,13 @@ def emitted(tmp_path, args, fmt) -> bytes:
 GRID_ARGS = ["--x-max", X_MAX, "--points", POINTS]
 
 
-@pytest.fixture(params=[("csv", 7), ("csv", cli.CSV_BLOCK_ROWS), ("json", None)],
+@pytest.fixture(params=[("csv", 7), ("csv", floatfmt.CHUNK_ROWS), ("json", None)],
                 ids=["csv-block7", "csv", "json"])
 def fmt(request, monkeypatch):
     """Output format; CSV also with blocks that split the rows unevenly."""
     fmt, block_rows = request.param
     if block_rows is not None:
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(floatfmt, "CHUNK_ROWS", block_rows)
     return fmt
 
 
@@ -148,7 +148,7 @@ class TestTableBytes:
 
 
 def test_stdout_matches_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(floatfmt, "CHUNK_ROWS", 7)
     args = ["states", "--epsilon", "-1.5", "--x-max", "20", "--points", "101"]
     assert main(args) == 0
     out = tmp_path / "states.csv"
@@ -219,7 +219,7 @@ class TestEdgeColumns:
             return real(values, *args)
 
         monkeypatch.setattr(floatfmt, "cells", counting)
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1)  # a chunk per row
+        monkeypatch.setattr(floatfmt, "CHUNK_ROWS", 1)  # a chunk per row
         # kernel blocks that end inside the half, and at the centre row
         for kernel_block, fmt in itertools.product((1, 3), ("csv", "json")):
             monkeypatch.setattr(floatfmt, "BLOCK", kernel_block)
@@ -259,7 +259,7 @@ class TestEdgeColumns:
     def test_chunks_outlive_the_row_buffer(self, monkeypatch):
         # every chunk is held until the last one is built: a chunk that
         # shared memory with the row buffer reused for each would change
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(floatfmt, "CHUNK_ROWS", 7)
         grid = Grid(X_MAX, POINTS)
         partner = Partner(-1.37, grid)
         header = ("x", "V", "psi0", "psi1", "rho0")
@@ -272,7 +272,7 @@ class TestEdgeColumns:
 
     def test_block_boundary_on_the_centre_row(self, fmt):
         # the centre row opens the second block
-        half = np.linspace(0.0, 3.0, cli.CSV_BLOCK_ROWS + 1)
+        half = np.linspace(0.0, 3.0, floatfmt.CHUNK_ROWS + 1)
         columns = (odd(half), even(np.exp(-half)), odd(np.sin(half)))
         assert (emit(fmt, ("x", "e", "o"), columns)
                 == reference(fmt, ("x", "e", "o"), zip(*columns)))
@@ -301,7 +301,7 @@ def test_mirrored_magnitudes_format_half_with_each_row_sign(halves, kernel_block
     real = floatfmt.cells
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(floatfmt, "cells", lambda values: handed.append(len(values)) or real(values))
-        mp.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        mp.setattr(floatfmt, "CHUNK_ROWS", 3)
         mp.setattr(floatfmt, "BLOCK", kernel_block)
         for fmt in ("csv", "json"):
             handed.clear()

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import shallowdw
-from shallowdw import oracle, wells
+from shallowdw import cli, oracle, wells
 
 # imports shallowdw.cli, runs one verify, and prints the top-level name of
 # every module loaded since it started; site hooks may have loaded others
@@ -65,3 +65,17 @@ def test_solver_imports_only_numpy_the_standard_library_and_grids():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "oracle" and node.attr.isupper()]
     assert read == []
+
+
+def test_cli_reads_only_row_chunks_of_floatfmt():
+    # the row format has one owner: cli writes CSV and JSON syntax around
+    # floatfmt's rows and reads neither the cell width nor the formatter
+    with open(cli.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "floatfmt"}
+    assert read == {"row_chunks"}
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "floatfmt" for alias in node.names]
+    assert imported == []
