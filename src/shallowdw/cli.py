@@ -26,12 +26,14 @@ row fails exits with the highest code of its rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,12 +85,25 @@ def _exit_code(exc: Exception) -> int:
     return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
-def _write(path: Optional[str], chunks: Iterable[bytes]) -> None:
-    if path is None or path == "-":
-        sys.stdout.writelines(chunk.decode() for chunk in chunks)
-    else:
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
+def _write(*outputs: Tuple[Optional[str], Iterable[bytes]]) -> None:
+    """Each (path, chunks) pair's bytes to its path, or to stdout if the path
+    is None or "-", in order.  Every file is opened before any is written; if
+    one cannot be opened, each file made by the opens before it is removed."""
+    paths = [path for path, _ in outputs if path is not None and path != "-"]
+    made = [path for path in paths if not os.path.lexists(path)]
+    with contextlib.ExitStack() as stack:
+        try:
+            files = {path: stack.enter_context(open(path, "wb")) for path in paths}
+        except OSError:
+            stack.close()
+            for path in filter(os.path.lexists, made):
+                os.remove(path)
+            raise
+        for path, chunks in outputs:
+            if path in files:
+                files[path].writelines(chunks)
+            else:
+                sys.stdout.writelines(chunk.decode() for chunk in chunks)
 
 
 def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
@@ -123,16 +138,18 @@ def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
     yield ("]" + items + "}\n").encode()
 
 
-def _emit_table(args, header, columns, comments=(), footer=(), fields=None) -> None:
+def _emit_table(args, header, columns, comments=(), footer=(), fields=None,
+                svg=None) -> None:
     """CSV with ``comments`` above the header and ``footer`` below the rows,
-    or JSON with the columns followed by each of ``fields`` under its key."""
-    if args.format == "json":
-        _write(args.out, _columns_json(header, columns, fields))
-    else:
-        _write(args.out, _csv(header, columns, comments, footer))
+    or JSON with the columns followed by each of ``fields`` under its key;
+    and the text ``svg``, if given, to ``args.svg`` first."""
+    table = (_columns_json(header, columns, fields) if args.format == "json"
+             else _csv(header, columns, comments, footer))
+    plot = [(args.svg, [svg.encode()])] if svg else []
+    _write(*plot, (args.out, table))
 
 
-def _write_svg(path: str, xs: np.ndarray, ys: np.ndarray) -> None:
+def _svg(xs: np.ndarray, ys: np.ndarray) -> str:
     """Minimal 800x600 polyline rendering with autoscaled axes."""
     width, height, margin = 800, 600, 40
     x0, x1 = float(np.min(xs)), float(np.max(xs))
@@ -142,14 +159,12 @@ def _write_svg(path: str, xs: np.ndarray, ys: np.ndarray) -> None:
     px = margin + (xs - x0) / xspan * (width - 2 * margin)
     py = height - margin - (ys - y0) / yspan * (height - 2 * margin)
     pts = [f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist())]
-    svg = (
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">\n'
         f'<polyline fill="none" stroke="black" stroke-width="1" '
         f'points="{" ".join(pts)}"/>\n</svg>\n'
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
 
 
 def _load_config(path: str) -> Dict[str, str]:
@@ -171,9 +186,7 @@ def cmd_potential(args) -> int:
     partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     x, v = partner.grid.x, partner.potential
     del partner  # its seed arrays need not live through the emission
-    if args.svg:  # first, so that a bad path leaves stdout empty
-        _write_svg(args.svg, x, v)
-    _emit_table(args, ("x", "V"), (x, v))
+    _emit_table(args, ("x", "V"), (x, v), svg=args.svg and _svg(x, v))
     return EXIT_OK
 
 
@@ -188,7 +201,7 @@ def cmd_states(args) -> int:
 def cmd_verify(args) -> int:
     report = wells.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
     payload = {**asdict(report), "passed": report.passed}
-    _write(args.out, [(json.dumps(payload, indent=2) + "\n").encode()])
+    _write((args.out, [(json.dumps(payload, indent=2) + "\n").encode()]))
     for check in report.checks:
         if not check.passed:
             print(f"check failed: {check.name}={check.value!r}, "
@@ -200,15 +213,12 @@ def cmd_classify(args) -> int:
     partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     result = wells.classify(partner)
     if args.format == "json":
-        payload = {**asdict(result), "kind": result.kind.value}
-        _write(args.out, [(json.dumps(payload) + "\n").encode()])
-        return EXIT_OK
-    line = (
-        f"{CLASSIFY_VERDICTS[result.kind]}; s={result.separatrix:.6g}; "
-        f"curvature={result.curvature_origin:.6g}; "
-        f"maxima={result.density_maxima_count}\n"
-    )
-    _write(args.out, [line.encode()])
+        line = json.dumps({**asdict(result), "kind": result.kind.value}) + "\n"
+    else:
+        line = (f"{CLASSIFY_VERDICTS[result.kind]}; s={result.separatrix:.6g}; "
+                f"curvature={result.curvature_origin:.6g}; "
+                f"maxima={result.density_maxima_count}\n")
+    _write((args.out, [line.encode()]))
     return EXIT_OK
 
 
@@ -218,12 +228,12 @@ def cmd_evolve(args) -> int:
     t_max = 2.0 * period if args.t_max is None else args.t_max
     series = dynamics.evolve_series(partner, t_max, args.frames)
     warning = wells.two_level_warning(partner.epsilon)
-    if args.svg:  # first, so that a bad path leaves stdout empty
-        _write_svg(args.svg, series.times, series.left_probability)
-    _emit_table(args, ("t", "P_left"), (series.times, series.left_probability),
+    columns = (series.times, series.left_probability)
+    _emit_table(args, ("t", "P_left"), columns,
                 comments=[f"warning: {warning}"] if warning else [],
                 footer=[f"analytic_period={period!r}"],
-                fields={"warning": warning, "analytic_period": period})
+                fields={"warning": warning, "analytic_period": period},
+                svg=args.svg and _svg(*columns))
     return EXIT_OK
 
 

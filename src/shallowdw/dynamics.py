@@ -5,12 +5,10 @@ in the two-level subspace, so time evolution is an exact phase rotation of
 the two closed-form eigenstates; no PDE time stepping is involved.  The
 density cross term rotates at the gap frequency |1 + eps|, making the
 probability in the left half-line oscillate sinusoidally with period
-2 pi / |1 + eps|.
-
-evolve_series uses that closed form on the two states of one
-``transform.Partner``: three trapezoid integrals over x <= 0, then one cosine
-per frame, so a series costs O(n + frames).  The series holds the samples
-only; ``analytic_period`` gives the period of any eps.
+2 pi / |1 + eps|.  Its weights are closed forms too, so evolve_series costs
+one cosine per frame and reads no sample of the states: the same series on
+every grid that holds them.  The series holds the samples only;
+``analytic_period`` gives the period of any eps.
 """
 
 from __future__ import annotations
@@ -37,13 +35,16 @@ def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationS
     """Sample the left-well probability at n_frames uniform times in [0, t_max].
 
     t_max must be finite and positive, and n_frames at least 2, or it is a
-    ValueError.
+    ValueError; GridTooNarrow or GridTooCoarse, from ``partner.check_grid``,
+    unless the grid holds both states.
 
     The density is (psi0^2 + psi1^2)/2 + psi0 psi1 cos((1 + eps) t), so
-    P_left(t) = (L00 + L11)/2 + L01 cos((1 + eps) t) with L_ab the trapezoid
-    integral of psi_a psi_b over x <= 0.
+    P_left(t) = 1/2 + L01 cos((1 + eps) t): each state is even or odd with
+    unit norm, half of it at x <= 0, and their overlap there is L01 =
+    -|eps|^(-1/4) / 2 (Cooper, Khare and Sukhatme, Phys. Rep. 251, 1995).
+    At most 1/2 + |eps|^(-1/4) / 2 of the probability is ever in one well.
     """
-    grid, eps_val = partner.grid, partner.epsilon
+    eps_val = partner.epsilon
     if n_frames < 2:
         raise ValueError("n_frames must be at least 2")
     t_max = float(t_max)
@@ -51,13 +52,7 @@ def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationS
     if not (t_max > 0.0 and np.isfinite((1.0 + eps_val) * t_max)):
         raise ValueError(f"t_max must be finite and positive, as must (1 + eps) t_max "
                          f"be finite; got {t_max}")
+    partner.check_grid()
     times = np.linspace(0.0, t_max, int(n_frames))
-    mid = grid.center_index
-    psi0 = partner.psi0[: mid + 1]
-    psi1 = partner.psi1[: mid + 1]
-    l00, l11, l01 = (
-        np.trapezoid(a * b, dx=grid.h)
-        for a, b in ((psi0, psi0), (psi1, psi1), (psi0, psi1))
-    )
-    left = 0.5 * (l00 + l11) + l01 * np.cos((1.0 + eps_val) * times)
+    left = 0.5 - np.cos((1.0 + eps_val) * times) / (2.0 * (-eps_val) ** 0.25)
     return OscillationSeries(times=times, left_probability=left)

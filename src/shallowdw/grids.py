@@ -1,11 +1,11 @@
-"""Uniform symmetric grids, trapezoid normalization and finite-difference helpers.
+"""Uniform symmetric grids and finite-difference helpers.
 
 Everything downstream (closed-form states, the tridiagonal eigensolver, the
-two-level dynamics) works on a single uniform mesh on [-x_max, x_max]: the
-wells are even in x, so a grid is fixed by its half-width and node count.
-A sampled function is a plain float array on the grid's nodes.
-Quadrature is composite trapezoid throughout: the integrands decay
-exponentially, so trapezoid converges spectrally on these tails.
+grid checks of the states) works on a single uniform mesh on [-x_max, x_max]:
+the wells are even in x, so a grid is fixed by its half-width and node count.
+A sampled function is a plain float array on the grid's nodes.  The package
+integrates none: the states' norms and half-line overlap are closed forms,
+which a trapezoid sum meets only to O(h^2) at the half-line cut x = 0.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ class Grid:
     @property
     def center_index(self) -> int:
         return self.n_points // 2
-
-
-def normalized(samples: np.ndarray, h: float) -> np.ndarray:
-    """samples scaled to unit trapezoid norm on a grid of spacing h."""
-    nrm = np.sqrt(float(np.trapezoid(samples**2, dx=h)))
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero wave")
-    return samples / nrm
 
 
 def mirror(half: np.ndarray, parity: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Grid, GridTooCoarse, GridTooNarrow, mirror, normalized
+from .grids import Grid, GridTooCoarse, GridTooNarrow, mirror
 
 EPSILON_MAX = -1.0 - 1e-9  # transform degenerates (V -> 0) as eps -> -1
 # below this 4 eps^2, and so V''(0) = 4 (3 + 4 eps + eps^2), overflows
@@ -239,41 +239,42 @@ class Partner:
     @cached_property
     def _ground_half(self) -> np.ndarray:
         p = self._seed
-        # u < 0 everywhere, so -1/u is the positive branch
-        return _check_samples(-np.exp(-p.growth) / p.u, "ground state", self)
+        # u < 0 everywhere, so 1/(-u) is the positive branch
+        return _check_samples(np.exp(-p.growth) / -p.u, "ground state", self)
 
     @cached_property
     def _excited_half(self) -> np.ndarray:
         p = self._seed
-        return _check_samples((1.0 + self.epsilon) * p.s * p.sech / p.u, "excited state", self)
+        return _check_samples(p.s * p.sech / -p.u, "excited state", self)
 
     def check_grid(self) -> None:
         """GridTooNarrow or GridTooCoarse unless the grid holds both bound
         states, the ground state's error first; what ``psi0`` and then
-        ``psi1`` would raise, without mirroring or normalizing either."""
+        ``psi1`` would raise, without mirroring or scaling either."""
         self._ground_half, self._excited_half  # each checks itself when made
 
     @cached_property
     def psi0(self) -> np.ndarray:
-        """Ground state on the grid, proportional to 1/u, trapezoid-normalized.
+        """Ground state on the grid, 1/u at unit norm: sqrt(k d / 2) / |u| with
+        d = -1 - eps, as ||1/u||^2 = 2 / (k d) (Cooper, Khare and Sukhatme,
+        Phys. Rep. 251, 1995); d is exact near eps = -1 and k d <= |eps|^1.5
+        finite.  Even, strictly positive, energy eps.
 
-        Even, strictly positive, energy eps.  Raises GridTooNarrow when the
-        grid does not contain the decay tails, GridTooCoarse when its spacing
-        cannot resolve them: fewer than two nodes per decay length of psi0,
-        or per unit width of the sech^2 well.
+        Raises GridTooNarrow when the grid does not contain the decay tails,
+        GridTooCoarse when its spacing cannot resolve them: fewer than two
+        nodes per decay length of psi0, or per unit width of the sech^2 well.
         """
-        return normalized(mirror(self._ground_half, 0), self.grid.h)
+        d = -1.0 - self.epsilon
+        return mirror(np.sqrt(np.sqrt(-self.epsilon) * d / 2.0) * self._ground_half, 0)
 
     @cached_property
     def psi1(self) -> np.ndarray:
-        """Excited state on the grid, proportional to A applied to the base
-        ground state, trapezoid-normalized; energy -1.
+        """Excited state on the grid, A applied to the base ground state at
+        unit norm: sqrt(d / 2) sech(x) sinh(kx) / (-u), energy -1.
 
-        Evaluated in closed form: A [sech(x)] = sech(x) (tanh(x) + u'/u)
-        = (1 + eps) sech(x) sinh(kx) / u, as tanh u + u' = (1 + eps) sinh(kx),
-        so the state carries no finite-difference error and, one product,
-        no cancellation.  Odd, single node at x = 0, and psi1 > 0 for x > 0,
-        where 1 + eps and u are negative and sech(x) and sinh(kx) positive.
-        Raises as ``psi0`` does.
+        A [sech(x)] = sech(x) (tanh(x) + u'/u) = (1 + eps) sech(x) sinh(kx) / u,
+        as tanh u + u' = (1 + eps) sinh(kx), and ||A sech||^2 = 2 d: one
+        product, with no finite-difference error and no cancellation.  Odd,
+        single node at x = 0, positive for x > 0.  Raises as ``psi0`` does.
         """
-        return normalized(mirror(self._excited_half, 1), self.grid.h)
+        return mirror(np.sqrt((-1.0 - self.epsilon) / 2.0) * self._excited_half, 1)

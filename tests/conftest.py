@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 from shallowdw import Grid, GridTooNarrow, Partner, oracle, wells
-from shallowdw.grids import first_derivative, normalized
+from shallowdw.grids import first_derivative
 from shallowdw.transform import _sech
 
 # every run draws the same examples, and none replays a failure that an
@@ -31,6 +31,11 @@ def default_grid():
 def cached_report(eps: float, x_max: float = 20.0, n_points: int = 4001):
     """Share eigensolver runs between test modules."""
     return wells.verify(Partner(eps, Grid(x_max, n_points)))
+
+
+def normalized(samples: np.ndarray, h: float) -> np.ndarray:
+    """samples scaled to unit trapezoid norm on a grid of spacing h."""
+    return samples / np.sqrt(np.trapezoid(samples**2, dx=h))
 
 
 def lowest_eigenpairs(H, k):

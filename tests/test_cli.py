@@ -332,6 +332,13 @@ class TestEvolveCommand:
         assert run(["evolve", "--epsilon", -1.5, "--svg", svg, "--out", out]) == 0
         assert_svg_matches_csv(svg, out)
 
+    def test_same_bytes_on_every_grid_that_holds_the_states(self, tmp_path):
+        outs = [tmp_path / f"evolve_{n}.csv" for n in (4001, 16001)]
+        for n, out in zip((4001, 16001), outs):
+            assert run(["evolve", "--epsilon", -1.5, "--frames", 2001, "--points", n,
+                        "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     # the warning starts exactly at eps = -2, where the ground level meets
     # the barrier top 2 eps + 2; one ulp above it there is none
     @pytest.mark.parametrize("eps, warned", [
@@ -644,6 +651,31 @@ class TestExitCodeTable:
         code, out, err = run_captured(args, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # both files are opened before either is written, and a file made by the
+    # first open is removed when the second fails
+    @pytest.mark.parametrize("command", ["potential", "evolve"])
+    def test_unusable_out_path_leaves_no_svg(self, command, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        code, out, _ = run_captured([command, "--epsilon", "-1.5", "--svg", str(svg),
+                                     "--out", "/nonexistent/x.csv"], capsys)
+        assert (code, out) == (2, "")
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("command", ["potential", "evolve"])
+    def test_unusable_svg_path_leaves_no_table(self, command, tmp_path, capsys):
+        table = tmp_path / "x.csv"
+        code, out, _ = run_captured([command, "--epsilon", "-1.5", "--out", str(table),
+                                     "--svg", "/nonexistent/x.svg"], capsys)
+        assert (code, out) == (2, "")
+        assert not table.exists()
+
+    def test_unusable_out_path_keeps_a_file_it_did_not_make(self, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        svg.write_text("old")
+        code, _, _ = run_captured(["potential", "--epsilon", "-1.5", "--svg", str(svg),
+                                   "--out", "/nonexistent/x.csv"], capsys)
+        assert code == 2 and svg.exists()
 
     @pytest.mark.parametrize("args", [
         ["potential", "--epsilon", "-1.5", "--points", "1000000000000001"],

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from shallowdw import (
+    Grid,
+    GridTooNarrow,
     Partner,
     analytic_period,
     evolve_series,
 )
+from shallowdw.grids import first_derivative
 from conftest import lc_state, left_well_probability, norm_squared
 
 
@@ -91,13 +94,9 @@ class TestEvolveSeries:
         residual = series.left_probability - basis @ coeffs
         assert np.sqrt(np.mean(residual**2)) < 1e-8
 
-        # fitted amplitude equals the t=0 left-half cross integral
-        partner = Partner(eps, default_grid)
-        psi0, psi1 = partner.psi0, partner.psi1
-        mid = default_grid.center_index
-        cross = np.trapezoid((psi0 * psi1)[: mid + 1], dx=default_grid.h)
-        assert coeffs[0] == pytest.approx(cross, abs=1e-6)
-        assert coeffs[2] == pytest.approx(0.5, abs=1e-9)
+        # fitted amplitude equals the half-line overlap -|eps|^(-1/4) / 2
+        assert coeffs[0] == pytest.approx(-0.5 * abs(eps) ** -0.25, abs=1e-15)
+        assert coeffs[2] == pytest.approx(0.5, abs=1e-15)
 
     def test_mirror_symmetry(self, default_grid):
         eps = -1.5
@@ -131,13 +130,28 @@ class TestEvolveSeries:
         with pytest.raises(ValueError, match=r"as must \(1 \+ eps\) t_max"):
             evolve_series(Partner(-3.0, default_grid), 8.98846567431158e307, 3)
 
-    @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.5])
-    def test_closed_form_matches_frame_by_frame_state(self, default_grid, eps):
-        # the reference rounds the phase eps*t, an error that grows with t;
-        # over the CLI's default two periods it stays below 1e-14
+    # each bound is about twice the gap measured on the default grid
+    @pytest.mark.parametrize("eps, bound", [
+        (-1.05, 3e-12), (-1.5, 1e-11), (-2.5, 6e-11), (-30.0, 3e-8),
+    ], ids=["-1.05", "-1.5", "-2.5", "-30.0"])
+    def test_closed_form_matches_frame_by_frame_state(self, default_grid, eps, bound):
+        # the trapezoid over x <= 0 is only O(h^2) at the cut x = 0, where the
+        # density has a slope; the end term h^2 rho'(0) / 12 takes that out
+        h, mid = default_grid.h, default_grid.center_index
         series = evolve_series(Partner(eps, default_grid), 2 * analytic_period(eps), 401)
-        reference = np.array([
-            left_well_probability(lc_state(eps, default_grid, float(t)), default_grid)
-            for t in series.times
-        ])
-        assert np.max(np.abs(series.left_probability - reference)) <= 1e-14
+        reference = []
+        for t in series.times:
+            psi = lc_state(eps, default_grid, float(t))
+            slope = first_derivative(np.abs(psi) ** 2, h)[mid]
+            reference.append(left_well_probability(psi, default_grid) - h * h * slope / 12)
+        assert np.max(np.abs(series.left_probability - np.array(reference))) <= bound
+
+    @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.5, -30.0])
+    def test_starts_at_the_closed_form_overlap(self, default_grid, eps):
+        expected = 0.5 - 0.5 * abs(eps) ** -0.25
+        first = evolve_series(Partner(eps, default_grid), 1.0, 2).left_probability[0]
+        assert abs(first - expected) <= 2 * np.spacing(expected)
+
+    def test_grid_that_misses_a_state_raises(self):
+        with pytest.raises(GridTooNarrow, match="ground state has not decayed"):
+            evolve_series(Partner(-1.05, Grid(6.0, 601)), 1.0, 3)

@@ -19,9 +19,9 @@ from shallowdw import (
 
 from shallowdw import oracle, transform, wells
 from shallowdw.cli import main
-from shallowdw.grids import mirror, normalized
+from shallowdw.grids import mirror
 from conftest import (apply_h, base_ground_state, cached_report, check_intertwining,
-                      lowest_eigenpairs, numerov_matrix, overlap)
+                      lowest_eigenpairs, normalized, numerov_matrix, overlap)
 
 # eigenvalue errors of the partner levels stop falling near 1e-14
 ROUNDING_FLOOR = 1e-13
@@ -98,10 +98,6 @@ class TestEigensolverSelfTests:
         short = np.zeros(default_grid.n_points - 1)
         with pytest.raises(ValueError, match="potential length"):
             TridiagonalHamiltonian(default_grid, short)
-
-    def test_zero_wave_not_normalized(self, default_grid):
-        with pytest.raises(ValueError, match="zero wave"):
-            normalized(np.zeros(default_grid.n_points), default_grid.h)
 
     def test_levels_closer_than_the_residual_target(self):
         # four identical wells far apart: each sector holds two levels that

@@ -1,5 +1,6 @@
 """README's library example runs, and prints what its comments say; its CLI
-section names the subcommands and exit codes that ``cli`` has."""
+section names the subcommands and exit codes that ``cli`` has, and its
+failing ``verify`` prints the lines it shows."""
 
 import argparse
 import contextlib
@@ -77,3 +78,13 @@ def test_exit_codes_are_those_of_the_cli():
         oracle.ConvergenceFailure: cli.EXIT_SOLVER,
         ValueError: cli.EXIT_BAD_ARGS, OSError: cli.EXIT_BAD_ARGS,
         MemoryError: cli.EXIT_BAD_ARGS}
+
+
+def test_failing_verify_example_prints_what_it_shows(capsys):
+    # the "$ shallowdw verify ..." block: its command, then its stderr lines
+    block = re.search(r"^```\n\$ shallowdw (.*?) > report\.json\n(.*?)^```", cli_section(),
+                      re.MULTILINE | re.DOTALL)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(block.group(1).split())
+    assert code == cli.EXIT_VERIFY_FAIL
+    assert capsys.readouterr().err == block.group(2)

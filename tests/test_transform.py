@@ -17,9 +17,9 @@ from shallowdw import (
     transform,
 )
 
-from shallowdw.grids import normalized
 
-from conftest import apply_a, apply_a_dagger, base_ground_state, norm_squared, overlap
+from conftest import (apply_a, apply_a_dagger, base_ground_state, norm_squared, normalized,
+                      overlap)
 
 EPS_SWEEP = [-1.05, -1.5, -2.0, -2.25, -2.95, -3.7, -6.0, -10.0]
 
