@@ -12,7 +12,9 @@ Commands parse arguments and emit; verdicts come from ``wells``: ``verify``,
 ``classify`` and ``two_level_warning``, and a failing verify names each
 failed check on stderr.
 A command, or a sweep row, builds one ``transform.Partner`` and hands it to
-the library, so the seed is evaluated once.
+the library, so the seed is evaluated once.  ``main`` gives options and -h
+to the invoked subcommand alone: the other five's took a sixth of a verify
+op, and usage, help and errors above a subcommand read only names and helps.
 
 All numbers are written with the shortest round-trip decimal representation,
 their repr, so repeated runs are byte-identical and every emitted file parses
@@ -32,7 +34,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,13 +202,13 @@ def cmd_states(args) -> int:
 
 def cmd_verify(args) -> int:
     report = wells.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
-    payload = {**asdict(report), "passed": report.passed}
+    failed = [check for check in report.checks if not check.passed]
+    payload = {f.name: getattr(report, f.name) for f in fields(report)} | {"passed": not failed}
     _write((args.out, [(json.dumps(payload, indent=2) + "\n").encode()]))
-    for check in report.checks:
-        if not check.passed:
-            print(f"check failed: {check.name}={check.value!r}, "
-                  f"tolerance {check.tolerance!r}", file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    for check in failed:
+        print(f"check failed: {check.name}={check.value!r}, "
+              f"tolerance {check.tolerance!r}", file=sys.stderr)
+    return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -268,63 +270,59 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if len(codes) < len(eps_values) else max(codes)
 
 
-def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
+# subcommand -> (help, function, options in help order after -h); sweep has no --epsilon
+SHARED_OPTIONS = ("--epsilon", "--x-max", "--points", "--out", "--format", "--config")
+COMMANDS = {
+    "potential": ("emit x,V samples", cmd_potential, (*SHARED_OPTIONS, "--svg")),
+    "states": ("emit x,V,psi0,psi1,rho0 samples", cmd_states, SHARED_OPTIONS),
+    "verify": ("JSON spectrum-verification report", cmd_verify, SHARED_OPTIONS),
+    "classify": ("interval taxonomy verdict", cmd_classify, SHARED_OPTIONS),
+    "evolve": ("left-well probability time series", cmd_evolve,
+               (*SHARED_OPTIONS, "--t-max", "--frames", "--svg")),
+    "sweep": ("tabulate quantities over an eps range", cmd_sweep,
+              (*SHARED_OPTIONS[1:], "--eps-start", "--eps-end", "--steps", "--quantities")),
+}
+
+
+def build_parser(config: Optional[Dict[str, str]] = None,
+                 command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand and its help; options and -h for ``command`` alone, or all."""
     # config values become string defaults; argparse applies an option's type
     # to one only when its flag is absent, so flag beats file beats built-in
     config = config or {}
-    # the shared options, declared once and inherited by each subcommand
-    epsilon = argparse.ArgumentParser(add_help=False)
-    epsilon.add_argument("--epsilon", type=float, default=config.get("epsilon"),
-                         help="factorization energy (must be < -1)")
-    common = argparse.ArgumentParser(add_help=False)
     grid = Grid.default()
-    common.add_argument("--x-max", dest="x_max", type=float,
-                        default=config.get("x_max", grid.x_max),
-                        help=f"half-width of the symmetric grid (default {grid.x_max:g})")
-    common.add_argument("--points", type=int, default=config.get("points", grid.n_points),
-                        help=f"odd number of grid nodes (default {grid.n_points})")
-    common.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
-    shared = [epsilon, common]
-
-    parser = argparse.ArgumentParser(
-        prog="shallowdw",
-        description="Exactly soluble shallow double wells: closed-form states, "
-                    "eigensolver verification, classification and dynamics.",
-    )
+    # each option declared once, by its add_argument keywords
+    options = {
+        "--epsilon": dict(type=float, default=config.get("epsilon"),
+                          help="factorization energy (must be < -1)"),
+        "--x-max": dict(type=float, default=config.get("x_max", grid.x_max),
+                        help=f"half-width of the symmetric grid (default {grid.x_max:g})"),
+        "--points": dict(type=int, default=config.get("points", grid.n_points),
+                         help=f"odd number of grid nodes (default {grid.n_points})"),
+        "--out": dict(help="output path ('-' = stdout)"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--config": dict(help="key=value config file; flags take precedence"),
+        "--svg": dict(help="also write an SVG polyline"),
+        "--t-max": dict(type=float, default=config.get("t_max"),
+                        help="final time (default: two oscillation periods)"),
+        "--frames": dict(type=int, default=config.get("frames", 201),
+                         help="number of uniform time samples (default 201)"),
+        "--eps-start": dict(type=float, default=config.get("eps_start")),
+        "--eps-end": dict(type=float, default=config.get("eps_end")),
+        "--steps": dict(type=int, default=config.get("steps")),
+        "--quantities": dict(default=config.get("quantities", "separatrix,curvature,gap"),
+                             help=f"comma-separated subset of {','.join(SWEEP_QUANTITIES)}"),
+    }
+    parser = argparse.ArgumentParser(prog="shallowdw", description=(
+        "Exactly soluble shallow double wells: closed-form states, "
+        "eigensolver verification, classification and dynamics."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("potential", help="emit x,V samples", parents=shared)
-    p.add_argument("--svg", default=None, help="also write an SVG polyline")
-    p.set_defaults(func=cmd_potential)
-
-    sub.add_parser("states", help="emit x,V,psi0,psi1,rho0 samples",
-                   parents=shared).set_defaults(func=cmd_states)
-    sub.add_parser("verify", help="JSON spectrum-verification report",
-                   parents=shared).set_defaults(func=cmd_verify)
-    sub.add_parser("classify", help="interval taxonomy verdict",
-                   parents=shared).set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("evolve", help="left-well probability time series", parents=shared)
-    p.add_argument("--t-max", dest="t_max", type=float, default=config.get("t_max"),
-                   help="final time (default: two oscillation periods)")
-    p.add_argument("--frames", type=int, default=config.get("frames", 201),
-                   help="number of uniform time samples (default 201)")
-    p.add_argument("--svg", default=None, help="also write an SVG polyline")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("sweep", help="tabulate quantities over an eps range",
-                       parents=[common])
-    p.add_argument("--eps-start", dest="eps_start", type=float,
-                   default=config.get("eps_start"))
-    p.add_argument("--eps-end", dest="eps_end", type=float, default=config.get("eps_end"))
-    p.add_argument("--steps", type=int, default=config.get("steps"))
-    p.add_argument("--quantities",
-                   default=config.get("quantities", "separatrix,curvature,gap"),
-                   help=f"comma-separated subset of {','.join(SWEEP_QUANTITIES)}")
-    p.set_defaults(func=cmd_sweep)
+    for name, (summary, func, flags) in COMMANDS.items():
+        built = command in (None, name)
+        p = sub.add_parser(name, help=summary, add_help=built)
+        for flag in flags if built else ():
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -378,11 +376,13 @@ def _hold_heap() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _hold_heap()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    # the command argparse selects: no top-level option takes a value
+    command = next((token for token in argv if token in COMMANDS), None)
+    args = build_parser(None, command).parse_args(argv)
     try:
         if args.config is not None:
             # parsed again only now, so a usage error comes before a config error
-            args = build_parser(_load_config(args.config)).parse_args(argv)
+            args = build_parser(_load_config(args.config), command).parse_args(argv)
         if getattr(args, "epsilon", 0.0) is None:  # sweep has no --epsilon
             raise InvalidEpsilon("--epsilon is required (eps < -1)")
         return args.func(args)

@@ -1,5 +1,6 @@
 """CLI contract: schemas, determinism, lossless parse-back, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -715,6 +716,48 @@ class TestParserSurface:
                                        "--eps-end", "-1.5", "--steps", "2"], capsys)
         assert (code, out) == (2, "")
         assert err.endswith("error: unrecognized arguments: --epsilon=-1.5\n")
+
+
+CFG = "<config>"  # a run.cfg that sets epsilon and points
+SAME_AS_THE_FULL_PARSER = [
+    ["potential", "--epsilon", "-1.5", "--points", "11", "--svg", "-"],
+    ["states", "--epsilon", "-2.5", "--points", "11", "--format", "json"],
+    ["verify", "--epsilon", "-1.5"],
+    ["classify", "--epsilon=-2.5", "--x-max", "10", "--points", "101"],
+    ["evolve", "--epsilon", "-1.5", "--points", "101", "--t-max", "2", "--frames", "3"],
+    ["sweep", "--eps-start", "-2.5", "--eps-end", "-1.5", "--steps", "2", "--points", "101",
+     "--quantities", "gap,maxima_count"],
+    ["--help"], *([command, "--help"] for command in COMMANDS),
+    [], ["frobnicate"], ["bogus", "verify"], ["-h", "verify"], ["--epsilon", "-1.5", "verify"],
+    ["verify", "--epsilon"], ["verify", "--bogus"], ["verify", "potential", "--epsilon=-1.5"],
+    ["sweep", "--epsilon", "-1.5", "--eps-start", "-2", "--eps-end", "-1.5", "--steps", "2"],
+    ["classify", "--config", CFG], ["classify", "--config", CFG, "--bogus"],
+]
+
+
+class TestParserBuiltForItsCommand:
+    @pytest.mark.parametrize("args", SAME_AS_THE_FULL_PARSER, ids=" ".join)
+    def test_same_bytes_and_exit_code_as_the_full_parser(self, args, tmp_path, capsys,
+                                                         monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon = -2.25\npoints = 101\n")
+        args = [str(cfg) if arg == CFG else arg for arg in args]
+        one_command = run_captured(args, capsys)
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda config, command: real(config))
+        assert run_captured(args, capsys) == one_command
+
+    def test_a_verify_run_gives_options_to_one_subparser(self, capsys, monkeypatch):
+        parsers = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda *a: parsers.append(real(*a)) or parsers[-1])
+        assert run_captured(["verify", "--epsilon", "-1.5"], capsys)[0] == 0
+        (parser,) = parsers
+        (commands,) = [action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands) == COMMANDS
+        assert [name for name, sub in commands.items() if sub._actions] == ["verify"]
 
 
 SWEEP_16001 = ["sweep", "--eps-start", "-2.5", "--eps-end", "-1.3", "--steps", "5",
