@@ -12,9 +12,9 @@ Commands parse arguments and emit; verdicts come from ``wells``: ``verify``,
 ``classify`` and ``two_level_warning``, and a failing verify names each
 failed check on stderr.
 A command, or a sweep row, builds one ``transform.Partner`` and hands it to
-the library, so the seed is evaluated once.  ``main`` gives options and -h
-to the invoked subcommand alone: the other five's took a sixth of a verify
-op, and usage, help and errors above a subcommand read only names and helps.
+the library, so the seed is evaluated once.  ``main`` parses with the first
+token's command parser alone, the same as the tree's subparser for it; only
+an argv that ends in top-level help or an error builds the whole tree.
 
 All numbers are written with the shortest round-trip decimal representation,
 their repr, so repeated runs are byte-identical and every emitted file parses
@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dynamics, floatfmt, oracle, wells
-from .grids import Grid, GridTooCoarse, GridTooNarrow
+from .grids import Grid, GridTooCoarse, GridTooNarrow, linspace
 from .transform import (InvalidEpsilon, Partner, _epsilon, curvature_at_origin,
                         separatrix_energy)
 
@@ -251,7 +251,7 @@ def cmd_sweep(args) -> int:
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
 
     grid = Grid(args.x_max, args.points)
-    eps_values = np.linspace(args.eps_start, args.eps_end, args.steps)
+    eps_values = linspace(args.eps_start, args.eps_end, args.steps)
     rows = []
     codes = []
     for eps in eps_values:
@@ -284,14 +284,12 @@ COMMANDS = {
 }
 
 
-def build_parser(config: Optional[Dict[str, str]] = None,
-                 command: Optional[str] = None) -> argparse.ArgumentParser:
-    """Every subcommand and its help; options and -h for ``command`` alone, or all."""
+def _add_command(parser, name, config) -> argparse.ArgumentParser:
+    """``name``'s function and options, each declared once by its add_argument keywords."""
     # config values become string defaults; argparse applies an option's type
     # to one only when its flag is absent, so flag beats file beats built-in
     config = config or {}
     grid = Grid.default()
-    # each option declared once, by its add_argument keywords
     options = {
         "--epsilon": dict(type=float, default=config.get("epsilon"),
                           help="factorization energy (must be < -1)"),
@@ -313,17 +311,31 @@ def build_parser(config: Optional[Dict[str, str]] = None,
         "--quantities": dict(default=config.get("quantities", "separatrix,curvature,gap"),
                              help=f"comma-separated subset of {','.join(SWEEP_QUANTITIES)}"),
     }
+    for flag in COMMANDS[name][2]:
+        parser.add_argument(flag, **options[flag])
+    parser.set_defaults(func=COMMANDS[name][1])
+    return parser
+
+
+def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
+    """The whole tree of parsers, for an argv that no one command's parser takes whole."""
     parser = argparse.ArgumentParser(prog="shallowdw", description=(
         "Exactly soluble shallow double wells: closed-form states, "
         "eigensolver verification, classification and dynamics."))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, flags) in COMMANDS.items():
-        built = command in (None, name)
-        p = sub.add_parser(name, help=summary, add_help=built)
-        for flag in flags if built else ():
-            p.add_argument(flag, **options[flag])
-        p.set_defaults(func=func)
+    for name, (summary, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=summary), name, config)
     return parser
+
+
+def _parse(argv: List[str], config: Optional[Dict[str, str]] = None) -> argparse.Namespace:
+    """By the first token's command parser if it takes every later token, else by the tree."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"shallowdw {argv[0]}")
+        args, rest = _add_command(parser, argv[0], config).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser(config).parse_args(argv)
 
 
 def _is_negative_number(token: str) -> bool:
@@ -376,13 +388,11 @@ def _hold_heap() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _hold_heap()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
-    # the command argparse selects: no top-level option takes a value
-    command = next((token for token in argv if token in COMMANDS), None)
-    args = build_parser(None, command).parse_args(argv)
+    args = _parse(argv)
     try:
         if args.config is not None:
             # parsed again only now, so a usage error comes before a config error
-            args = build_parser(_load_config(args.config), command).parse_args(argv)
+            args = _parse(argv, _load_config(args.config))
         if getattr(args, "epsilon", 0.0) is None:  # sweep has no --epsilon
             raise InvalidEpsilon("--epsilon is required (eps < -1)")
         return args.func(args)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import linspace
 from .transform import Partner, _epsilon
 
 
@@ -34,9 +35,10 @@ def analytic_period(eps: float) -> float:
 def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationSeries:
     """Sample the left-well probability at n_frames uniform times in [0, t_max].
 
-    t_max must be finite and positive, and n_frames at least 2, or it is a
-    ValueError; GridTooNarrow or GridTooCoarse, from ``partner.check_grid``,
-    unless the grid holds both states.
+    t_max must be finite and positive, and n_frames from 2 to
+    ``grids.MAX_SAMPLES``, or it is a ValueError; GridTooNarrow or
+    GridTooCoarse, from ``partner.check_grid``, unless the grid holds both
+    states.
 
     The density is (psi0^2 + psi1^2)/2 + psi0 psi1 cos((1 + eps) t), so
     P_left(t) = 1/2 + L01 cos((1 + eps) t): each state is even or odd with
@@ -53,6 +55,6 @@ def evolve_series(partner: Partner, t_max: float, n_frames: int) -> OscillationS
         raise ValueError(f"t_max must be finite and positive, as must (1 + eps) t_max "
                          f"be finite; got {t_max}")
     partner.check_grid()
-    times = np.linspace(0.0, t_max, int(n_frames))
+    times = linspace(0.0, t_max, int(n_frames))
     left = 0.5 - np.cos((1.0 + eps_val) * times) / (2.0 * (-eps_val) ** 0.25)
     return OscillationSeries(times=times, left_probability=left)

@@ -15,6 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
+# the most samples one float64 array holds: numpy caps its bytes at the largest intp
+MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
 class GridTooNarrow(ValueError):
     """The grid does not reach far enough into the decay tails."""
 
@@ -56,11 +60,20 @@ class Grid:
     def x(self) -> np.ndarray:
         """The nodes, built by ``mirror``: x[i] == -x[n-1-i] exactly, which
         plain linspace is not."""
-        return mirror(np.linspace(0.0, self.x_max, self.n_points // 2 + 1), 1)
+        return mirror(linspace(0.0, self.x_max, self.n_points // 2 + 1), 1)
 
     @property
     def center_index(self) -> int:
         return self.n_points // 2
+
+
+def linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)``; a ``num`` above ``MAX_SAMPLES`` is a
+    ValueError, where numpy 2.4 raises an IndexError for 2**63 - 512 to 2**63 + 1024."""
+    if num > MAX_SAMPLES:
+        raise ValueError(f"cannot allocate {num} samples: a float64 array holds "
+                         f"at most {MAX_SAMPLES}")
+    return np.linspace(start, stop, num)
 
 
 def mirror(half: np.ndarray, parity: int) -> np.ndarray:

@@ -556,17 +556,9 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err.endswith("error: argument --points: invalid int value: 'abc'\n")
 
-    @pytest.mark.parametrize("config, builds", [(False, 1), (True, 2)])
-    def test_parser_built_again_only_for_a_config(self, config, builds, tmp_path,
-                                                   monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("points = 101\n")
-        calls = []
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or real(*a))
-        assert run(["classify", "--epsilon", -1.5,
-                    *(["--config", cfg] if config else [])]) == 0
-        assert len(calls) == builds
+
+# samples of one linspace; --points 2 n - 1 asks for n on the half grid
+TOO_MANY_SAMPLES = {"2**63-512": 2**63 - 512, "2**63-1": 2**63 - 1, "2**63+1024": 2**63 + 1024}
 
 
 class TestExitCodeTable:
@@ -678,16 +670,25 @@ class TestExitCodeTable:
                                    "--out", "/nonexistent/x.csv"], capsys)
         assert code == 2 and svg.exists()
 
-    @pytest.mark.parametrize("args", [
-        ["potential", "--epsilon", "-1.5", "--points", "1000000000000001"],
-        ["evolve", "--epsilon", "-1.5", "--frames", "1000000000000000"],
-        ["sweep", "--eps-start", "-2", "--eps-end", "-1.5", "--steps", "1000000000000000"],
-    ], ids=["points", "frames", "steps"])
-    def test_request_too_large_to_allocate_is_bad_args(self, args, capsys):
+    @pytest.mark.parametrize("args, start", [
         # petabytes: numpy refuses the array at once, before allocating any of it
+        pytest.param(["potential", "--epsilon", "-1.5", "--points", "1000000000000001"],
+                     "error: Unable to allocate", id="points"),
+        pytest.param(["evolve", "--epsilon", "-1.5", "--frames", "1000000000000000"],
+                     "error: Unable to allocate", id="frames"),
+        pytest.param(["sweep", "--eps-start", "-2", "--eps-end", "-1.5",
+                      "--steps", "1000000000000000"], "error: Unable to allocate", id="steps"),
+        # counts numpy 2.4's linspace met with an IndexError traceback (exit 1)
+        *(pytest.param(args, "error: ", id=f"{args[-2][2:]}-{name}")
+          for name, n in TOO_MANY_SAMPLES.items()
+          for args in (["evolve", "--epsilon", "-1.5", "--frames", str(n)],
+                       ["sweep", "--eps-start", "-2", "--eps-end", "-1.5", "--steps", str(n)],
+                       ["potential", "--epsilon", "-1.5", "--points", str(2 * n - 1)])),
+    ])
+    def test_request_too_large_to_allocate_is_bad_args(self, args, start, capsys):
         code, out, err = run_captured(args, capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert err.startswith(start) and err.count("\n") == 1
 
     def test_missing_epsilon_is_bad_args(self):
         assert run(["potential"]) == 2
@@ -722,7 +723,7 @@ CFG = "<config>"  # a run.cfg that sets epsilon and points
 SAME_AS_THE_FULL_PARSER = [
     ["potential", "--epsilon", "-1.5", "--points", "11", "--svg", "-"],
     ["states", "--epsilon", "-2.5", "--points", "11", "--format", "json"],
-    ["verify", "--epsilon", "-1.5"],
+    ["verify", "--epsilon", "-1.5"], ["verify", "--eps", "-1.5"],
     ["classify", "--epsilon=-2.5", "--x-max", "10", "--points", "101"],
     ["evolve", "--epsilon", "-1.5", "--points", "101", "--t-max", "2", "--frames", "3"],
     ["sweep", "--eps-start", "-2.5", "--eps-end", "-1.5", "--steps", "2", "--points", "101",
@@ -730,6 +731,9 @@ SAME_AS_THE_FULL_PARSER = [
     ["--help"], *([command, "--help"] for command in COMMANDS),
     [], ["frobnicate"], ["bogus", "verify"], ["-h", "verify"], ["--epsilon", "-1.5", "verify"],
     ["verify", "--epsilon"], ["verify", "--bogus"], ["verify", "potential", "--epsilon=-1.5"],
+    ["verify", "--points", "abc"], ["states", "--format", "xml"],
+    ["verify", "--", "--epsilon=-1.5"], ["verify", "--epsilon=-1.5", "--"],
+    ["verify", "--bogus", "--points", "abc"],
     ["sweep", "--epsilon", "-1.5", "--eps-start", "-2", "--eps-end", "-1.5", "--steps", "2"],
     ["classify", "--config", CFG], ["classify", "--config", CFG, "--bogus"],
 ]
@@ -743,21 +747,24 @@ class TestParserBuiltForItsCommand:
         cfg.write_text("epsilon = -2.25\npoints = 101\n")
         args = [str(cfg) if arg == CFG else arg for arg in args]
         one_command = run_captured(args, capsys)
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda config, command: real(config))
+        # the reference: every parse, the config's too, by the whole tree
+        monkeypatch.setattr(cli, "_parse", lambda argv, config=None:
+                            cli.build_parser(config).parse_args(argv))
         assert run_captured(args, capsys) == one_command
 
-    def test_a_verify_run_gives_options_to_one_subparser(self, capsys, monkeypatch):
-        parsers = []
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda *a: parsers.append(real(*a)) or parsers[-1])
-        assert run_captured(["verify", "--epsilon", "-1.5"], capsys)[0] == 0
-        (parser,) = parsers
-        (commands,) = [action.choices for action in parser._actions
-                       if isinstance(action, argparse._SubParsersAction)]
-        assert list(commands) == COMMANDS
-        assert [name for name, sub in commands.items() if sub._actions] == ["verify"]
+    @pytest.mark.parametrize("config, parsers", [(False, 1), (True, 2)])
+    def test_a_verify_run_builds_one_parser_per_parse(self, config, parsers, tmp_path,
+                                                      capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon = -1.5\n")
+        built = []
+        for cls in (argparse.ArgumentParser, argparse._SubParsersAction):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k:
+                                built.append(type(self)) or _init(self, *a, **k))
+        argv = ["verify", *(["--config", str(cfg)] if config else ["--epsilon", "-1.5"])]
+        assert run_captured(argv, capsys)[0] == 0
+        assert built == [argparse.ArgumentParser] * parsers
 
 
 SWEEP_16001 = ["sweep", "--eps-start", "-2.5", "--eps-end", "-1.3", "--steps", "5",
