@@ -15,6 +15,11 @@ A command, or a sweep row, builds one ``transform.Partner`` and hands it to
 the library, so the seed is evaluated once.  ``main`` parses with the first
 token's command parser alone, the same as the tree's subparser for it; only
 an argv that ends in top-level help or an error builds the whole tree.
+The module imports only ``grids`` and ``transform``, which every command
+uses; a command imports ``wells``, ``dynamics`` and the table writer's
+``floatfmt`` when it runs them, and ``wells`` imports ``oracle`` only to
+solve, so ``potential`` never loads the solver.  ``EXIT_CODES`` names the
+solve's two failures by their classes in ``grids``.
 
 All numbers are written with the shortest round-trip decimal representation,
 their repr, so repeated runs are byte-identical and every emitted file parses
@@ -39,8 +44,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dynamics, floatfmt, oracle, wells
-from .grids import Grid, GridTooCoarse, GridTooNarrow, linspace
+from .grids import (BoundStateCountMismatch, ConvergenceFailure, Grid, GridTooCoarse,
+                    GridTooNarrow, linspace)
 from .transform import (InvalidEpsilon, Partner, _epsilon, curvature_at_origin,
                         separatrix_energy)
 
@@ -56,8 +61,8 @@ EXIT_SOLVER = 4
 EXIT_CODES = (
     (GridTooNarrow, EXIT_GRID),
     (GridTooCoarse, EXIT_GRID),
-    (wells.BoundStateCountMismatch, EXIT_GRID),
-    (oracle.ConvergenceFailure, EXIT_SOLVER),
+    (BoundStateCountMismatch, EXIT_GRID),
+    (ConvergenceFailure, EXIT_SOLVER),
     (ValueError, EXIT_BAD_ARGS),
     (OSError, EXIT_BAD_ARGS),
     (MemoryError, EXIT_BAD_ARGS),
@@ -65,21 +70,28 @@ EXIT_CODES = (
 # what fails one sweep row but not the whole sweep
 ROW_FAILURES = tuple(cls for cls, code in EXIT_CODES if code in (EXIT_GRID, EXIT_SOLVER))
 
+
+def _maxima_count(partner: Partner) -> int:
+    from . import wells
+    return wells.classify(partner).density_maxima_count
+
+
 # sweep column -> value(partner, levels); levels() is the cached energies-only solve
 SWEEP_QUANTITIES = {
     "separatrix": lambda partner, levels: separatrix_energy(partner.epsilon),
     "curvature": lambda partner, levels: curvature_at_origin(partner.epsilon),
     "gap": lambda partner, levels: abs(1.0 + partner.epsilon),
-    "maxima_count": lambda partner, levels: wells.classify(partner).density_maxima_count,
+    "maxima_count": lambda partner, levels: _maxima_count(partner),
     "e0_error": lambda partner, levels: levels().e0_error,
     "e1_error": lambda partner, levels: levels().e1_error,
 }
 
+# wells.WellKind name -> classify's text verdict
 CLASSIFY_VERDICTS = {
-    wells.WellKind.DOUBLE_WELL_GROUND_BELOW_SEPARATRIX: "double well; ground BELOW separatrix",
-    wells.WellKind.DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX: "double well; ground ABOVE separatrix",
-    wells.WellKind.BOUNDARY: "boundary case",
-    wells.WellKind.SINGLE_WELL: "not a double well",
+    "DOUBLE_WELL_GROUND_BELOW_SEPARATRIX": "double well; ground BELOW separatrix",
+    "DOUBLE_WELL_GROUND_ABOVE_SEPARATRIX": "double well; ground ABOVE separatrix",
+    "BOUNDARY": "boundary case",
+    "SINGLE_WELL": "not a double well",
 }
 
 
@@ -111,6 +123,8 @@ def _write(*outputs: Tuple[Optional[str], Iterable[bytes]]) -> None:
 def _csv(header: Sequence[str], columns: Sequence[np.ndarray],
          comments: Sequence[str] = (), footer: Sequence[str] = ()) -> Iterator[bytes]:
     """CSV bytes, the rows in the chunks of ``floatfmt.row_chunks``."""
+    from . import floatfmt
+
     yield ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n").encode()
     layout = [part for j in range(len(columns)) for part in (j, b",")]
     layout[-1] = b"\n"
@@ -127,6 +141,8 @@ def _columns_json(header: Sequence[str], columns: Sequence[np.ndarray],
     JSON spells NaN, Infinity and -Infinity, not nan, inf and -inf.  Only a
     chunk with an "n" holds one: no finite float's text and no int has one.
     """
+    from . import floatfmt
+
     opener = "{"
     for name, col in zip(header, columns):
         yield f"{opener}{json.dumps(name)}: [".encode()
@@ -201,6 +217,8 @@ def cmd_states(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import wells
+
     report = wells.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
     failed = [check for check in report.checks if not check.passed]
     payload = {f.name: getattr(report, f.name) for f in fields(report)} | {"passed": not failed}
@@ -212,12 +230,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import wells
+
     partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     result = wells.classify(partner)
     if args.format == "json":
         line = json.dumps({**asdict(result), "kind": result.kind.value}) + "\n"
     else:
-        line = (f"{CLASSIFY_VERDICTS[result.kind]}; s={result.separatrix:.6g}; "
+        line = (f"{CLASSIFY_VERDICTS[result.kind.name]}; s={result.separatrix:.6g}; "
                 f"curvature={result.curvature_origin:.6g}; "
                 f"maxima={result.density_maxima_count}\n")
     _write((args.out, [line.encode()]))
@@ -225,6 +245,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from . import dynamics, wells
+
     partner = Partner(args.epsilon, Grid(args.x_max, args.points))
     period = dynamics.analytic_period(partner.epsilon)
     t_max = 2.0 * period if args.t_max is None else args.t_max
@@ -240,6 +262,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import wells
+
     if args.eps_start is None or args.eps_end is None or args.steps is None or args.steps < 1:
         raise ValueError("sweep requires --eps-start, --eps-end and --steps >= 1")
     if not _epsilon(args.eps_start) < _epsilon(args.eps_end):

@@ -59,7 +59,9 @@ a warning.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+import itertools
+import operator
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -102,74 +104,77 @@ class _Tables(NamedTuple):
     shift: np.ndarray     # (K,) int64: floor(log2 10^-k) + 2
     exponent: np.ndarray  # (2, decpts) uint64: the exponent's text as a word
     #                       (0 if positional), and the first key of its layout
-    layout: np.ndarray    # (16, len(_LAYOUTS) * MAX_DIGITS) uint64: _layout(decpt, nd)
+    layout: np.ndarray    # (16, len(_LAYOUTS) * MAX_DIGITS) uint64: _layouts()
 
 
-def _words(row: int) -> List[int]:
-    """The _WORDS words of a row, given as an int with byte i at bits 8i."""
-    return [(row >> 64 * w) & (2**64 - 1) for w in range(_WORDS)]
+def _layouts() -> np.ndarray:
+    """The 16 words of each (decpt, nd), decpt in _LAYOUTS and nd from 1 to
+    MAX_DIGITS, one column each, that place the digits d1 .. d_nd times
+    10^(decpt - nd) in a row: the shift in bits of the row after the point;
+    per row word, the masks of the rows before and after the point, and the
+    point or "0.00" prefix; and per row word, the multiplier and the right
+    shift that move the exponent's word, at most 5 bytes, to the end of the
+    digits."""
+    decpt = np.repeat(np.arange(_LAYOUTS.start, _LAYOUTS.stop), MAX_DIGITS)[:, None]
+    nd = np.tile(np.arange(1, MAX_DIGITS + 1), len(_LAYOUTS))[:, None]
+    scientific = (decpt < _POSITIONAL.start) | (decpt >= _POSITIONAL.stop)
+    prefixed = ~scientific & (decpt <= 0)  # 0.000ddd: every digit after the point
+    # d.ddde+XX, with no point if nd = 1; 0.000ddd; ddd.ddd, or ddd000.0
+    point = np.select((scientific, prefixed), (2, 2 - decpt), 1 + decpt)
+    end = np.select((scientific, prefixed), (1 + nd + (nd > 1), point + 1 + nd),
+                    2 + np.maximum(nd, decpt + 1))
+    byte = np.arange(WIDTH)
+    # the point, or the prefix "0." + "0" * -decpt from byte 1 on
+    punct = np.where(byte == np.where(prefixed, 2, point), ord("."),
+                     ord("0") * (prefixed & (1 <= byte) & (byte <= point)))
+    # per byte of a row: the masks before and after the point, and punct
+    rows = np.stack((0xFF * (byte < np.where(prefixed, 1, point)),
+                     0xFF * ((point < byte) & (byte < end)),
+                     punct * (byte < end)), 1).astype(np.uint8)
+    at = np.where(scientific, end, WIDTH) - 8 * np.arange(_WORDS)  # from each word's first byte
+    below = (-8 < at) & (at < 0)
+    # the shift of the row after the point, then per word the exponent's
+    # multiplier and right shift
+    shifts = np.concatenate((8 * np.where(prefixed, point, 1),
+                             np.where((0 <= at) & (at < 8), 256 ** np.clip(at, 0, 7), below),
+                             np.where(below, -8 * at, 0)), 1).astype(np.uint64)
+    return np.concatenate((shifts[:, :1], rows.view("<u8").reshape(len(at), -1), shifts[:, 1:]),
+                          1).T.copy()
 
 
-def _bytes(start: int, stop: int) -> int:
-    """A row with bytes start .. stop - 1 set."""
-    return (1 << 8 * stop) - (1 << 8 * start)
+def _powers() -> Tuple[np.ndarray, np.ndarray]:
+    """``_Tables.powers`` and ``_Tables.shift``.
 
-
-def _layout(decpt: int, nd: int) -> List[int]:
-    """16 words that place the digits d1 .. d_nd times 10^(decpt - nd) in a
-    row: the shift in bits of the row after the point; per row word, the
-    masks of the rows before and after the point, and the point or "0.00"
-    prefix; and per row word, the multiplier and the right shift that move
-    the exponent's word, at most 5 bytes, to the end of the digits."""
-    exponent_at = WIDTH  # no exponent
-    if decpt not in _POSITIONAL:  # d.ddde+XX, no point if nd = 1
-        point, shift, prefix = 2, 1, b""
-        end = exponent_at = 1 + nd + (nd > 1)
-    elif decpt > 0:  # ddd.ddd, or ddd000.0
-        point, shift, prefix = 1 + decpt, 1, b""
-        end = 2 + max(nd, decpt + 1)
-    else:  # 0.000ddd: every digit after the point
-        point, shift, prefix = 2 - decpt, 2 - decpt, b"0." + b"0" * -decpt
-        end = point + 1 + nd
-    punct = int.from_bytes(prefix, "little") << 8 if prefix else ord(".") << 8 * point
-    multiplier, right = [], []
-    for w in range(_WORDS):
-        at = exponent_at - 8 * w  # from the word's first byte
-        multiplier.append(256**at if 0 <= at < 8 else int(-8 < at < 0))
-        right.append(-8 * at if -8 < at < 0 else 0)
-    return ([8 * shift] + _words(_bytes(0, 1 if prefix else point))
-            + _words(_bytes(point + 1, max(point + 1, end))) + _words(punct & _bytes(0, end))
-            + multiplier + right)
+    g = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1, so 2^125 < g <= 2^126,
+    split as g1 2^63 + g0.  With b the bit length of 10^|k|, floor(log2 10^-k)
+    is b - 1 for k <= 0, and -b for k > 0, as 10^-k is no power of 2 then.
+    """
+    tens = list(itertools.accumulate(itertools.repeat(10, max(-_K_MIN, _K_MAX)),
+                                     operator.mul, initial=1))
+    bits = [p.bit_length() for p in tens]
+    # 10^|k| for k from _K_MIN to 0, and for k from 1 to _K_MAX
+    nonpositive, positive = slice(-_K_MIN, None, -1), slice(1, _K_MAX + 1)
+    g = ([(p << 126 >> b) + 1 for p, b in zip(tens[nonpositive], bits[nonpositive])]
+         + [(1 << 125 + b) // p + 1 for p, b in zip(tens[positive], bits[positive])])
+    g1, g0 = np.array([v >> 63 for v in g], np.uint64), np.array([v & _M63 for v in g], np.uint64)
+    return (np.stack((g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)).T,
+            np.array([b + 1 for b in bits[nonpositive]] + [2 - b for b in bits[positive]],
+                     np.int64))
 
 
 @functools.cache
 def _tables() -> _Tables:
-    """Built on first use, so importing the module costs nothing.
-
-    g = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1, so 2^125 < g <= 2^126,
-    split as g1 2^63 + g0.
-    """
-    g_rows, shifts = [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        p = 10 ** abs(k)
-        if k <= 0:
-            flog2 = p.bit_length() - 1
-            beta = p << (125 - flog2) if flog2 <= 125 else p >> (flog2 - 125)
-        else:  # 10^-k is no power of 2: its floor(log2) is -bit_length(10^k)
-            flog2 = -p.bit_length()
-            beta = (1 << (125 - flog2)) // p
-        g1, g0 = (beta + 1) >> 63, (beta + 1) & _M63
-        g_rows.append((g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32))
-        shifts.append(flog2 + 2)
-    decpts = range(_DECPT_MIN, _DECPT_MAX + 1)
-    exponent = [0 if d in _POSITIONAL else int.from_bytes(b"e%+03d" % (d - 1), "little")
-                for d in decpts]
-    first_key = [MAX_DIGITS * (min(max(d, _LAYOUTS.start), _LAYOUTS[-1]) - _LAYOUTS.start)
-                 for d in decpts]
-    layout = [_layout(decpt, nd) for decpt in _LAYOUTS for nd in range(1, MAX_DIGITS + 1)]
-    return _Tables(np.array(g_rows, np.uint64, order="F"), np.array(shifts, np.int64),
-                   np.array([exponent, first_key], np.uint64),
-                   np.array(layout, np.uint64).T.copy())
+    """Built on first use, so importing the module costs nothing."""
+    powers, shift = _powers()
+    decpt = np.arange(_DECPT_MIN, _DECPT_MAX + 1)
+    # b"e%+03d" % (decpt - 1) as a word: "e", the sign and two or three digits
+    e = np.abs(decpt - 1)
+    two = (48 + e // 10 % 10) | (48 + e % 10) << 8
+    exponent = (ord("e") | np.where(decpt > 0, ord("+"), ord("-")) << 8
+                | np.where(e < 100, two << 16, (48 + e // 100) << 16 | two << 24))
+    exponent[(_POSITIONAL.start <= decpt) & (decpt < _POSITIONAL.stop)] = 0
+    first_key = MAX_DIGITS * (np.clip(decpt, _LAYOUTS.start, _LAYOUTS[-1]) - _LAYOUTS.start)
+    return _Tables(powers, shift, np.stack((exponent, first_key)).astype(np.uint64), _layouts())
 
 
 def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:

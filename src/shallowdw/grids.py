@@ -6,6 +6,10 @@ the wells are even in x, so a grid is fixed by its half-width and node count.
 A sampled function is a plain float array on the grid's nodes.  The package
 integrates none: the states' norms and half-line overlap are closed forms,
 which a trapezoid sum meets only to O(h^2) at the half-line cut x = 0.
+
+The exceptions that ``cli.EXIT_CODES`` maps to grid and solver exit codes
+are defined here, the solver's two beside the grid's two, so a command that
+never solves imports no solver to name them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,16 @@ class GridTooCoarse(ValueError):
     """The grid spacing is too large to resolve the bound states."""
 
 
+class ConvergenceFailure(RuntimeError):
+    """Bisection or inverse iteration missed its target; grid or solver bug.
+    Raised by ``oracle``."""
+
+
+class BoundStateCountMismatch(RuntimeError):
+    """Number of negative eigenvalues disagrees with the analytic count.
+    Raised by ``wells.bound_levels``."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh on [-x_max, x_max] with an odd number of nodes.
@@ -43,6 +57,7 @@ class Grid:
             raise ValueError("x_max must be finite and positive")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
+        _allocatable(self.n_points)
         h2 = self.h * self.h
         if not 0.0 < h2 < np.inf:
             size = "large: h^2 overflows" if h2 else "small: h^2 underflows"
@@ -67,13 +82,18 @@ class Grid:
         return self.n_points // 2
 
 
-def linspace(start: float, stop: float, num: int) -> np.ndarray:
-    """``np.linspace(start, stop, num)``; a ``num`` above ``MAX_SAMPLES`` is a
-    ValueError, where numpy 2.4 raises an IndexError for 2**63 - 512 to 2**63 + 1024."""
+def _allocatable(num: int) -> int:
+    """``num``, or a ValueError naming it if it is above ``MAX_SAMPLES``."""
     if num > MAX_SAMPLES:
         raise ValueError(f"cannot allocate {num} samples: a float64 array holds "
                          f"at most {MAX_SAMPLES}")
-    return np.linspace(start, stop, num)
+    return num
+
+
+def linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)``; a ``num`` above ``MAX_SAMPLES`` is a
+    ValueError, where numpy 2.4 raises an IndexError for 2**63 - 512 to 2**63 + 1024."""
+    return np.linspace(start, stop, _allocatable(num))
 
 
 def mirror(half: np.ndarray, parity: int) -> np.ndarray:

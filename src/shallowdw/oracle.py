@@ -40,7 +40,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .grids import Grid, interior, mirror
+from .grids import ConvergenceFailure, Grid, interior, mirror
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
@@ -51,10 +51,6 @@ PIVMIN = 1e-290  # an exact-zero pivot's stand-in (``_negative_pivots``)
 NUMEROV_POLE = 12.0  # a_i = q_i / (1 - q_i/12) is singular at q_i = 12
 EPS_MACH = float(np.finfo(float).eps)
 TAIL_BLOCK = 64  # rows per block in the search for a twisted step's free tail
-
-
-class ConvergenceFailure(RuntimeError):
-    """Bisection or inverse iteration missed its target; grid or solver bug."""
 
 
 @dataclass(frozen=True)

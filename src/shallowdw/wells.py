@@ -17,7 +17,8 @@ both read it, and the density checks read the ground state of a
 
 ``bound_levels`` is the one solve of a partner by the independent solver in
 ``oracle``; solver names are looked up on that module at each call, so a
-name patched there is the one called.
+name patched there is the one called.  Only ``bound_levels`` and ``verify``
+import it, so ``classify`` loads no solver.
 ``verify`` judges the paper's claim: spectrum, closed-form states,
 intertwining identity and central-curvature law.  ``VERIFY_TOLERANCES`` is
 the one table of its checks: each row names a ``VerifyReport`` field and
@@ -32,13 +33,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import oracle
-from .grids import first_derivative, interior
+from .grids import BoundStateCountMismatch, first_derivative, interior
 from .transform import Partner, curvature_at_origin, separatrix_energy
+
+if TYPE_CHECKING:
+    from . import oracle
 
 PLATEAU_TOL = 1e-13  # first differences within this share of max |rho| count as flat
 # the bimodality check is singular where the ground level meets the barrier top
@@ -57,10 +60,6 @@ VERIFY_TOLERANCES = {
 # width of the well: rounding grows like eps_mach / spacing^2, truncation
 # like spacing^4
 BIMODALITY_SPACING = 2.5e-3
-
-
-class BoundStateCountMismatch(RuntimeError):
-    """Number of negative eigenvalues disagrees with the analytic count."""
 
 
 class WellKind(enum.Enum):
@@ -200,6 +199,8 @@ def bound_levels(partner: Partner) -> BoundLevels:
     Only ``cli.main`` sets glibc's heap thresholds, so a library caller pays
     glibc's heap trims between the solver's temporaries (``cli._hold_heap``).
     """
+    from . import oracle
+
     eps_val = partner.epsilon
     partner.check_grid()
     H = oracle.TridiagonalHamiltonian(partner.grid, partner.potential)
@@ -261,6 +262,8 @@ def verify(partner: Partner) -> VerifyReport:
     intertwining residual is that of the two pointwise Darboux identities,
     so it needs no test function.
     """
+    from . import oracle
+
     eps_val, levels = partner.epsilon, bound_levels(partner)
     lhs, rhs, rel_err = check_bimodality_relation(partner)
     return VerifyReport(

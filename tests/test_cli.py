@@ -690,6 +690,15 @@ class TestExitCodeTable:
         assert (code, out) == (2, "")
         assert err.startswith(start) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("points", ["18446744073709551613", "9223372036854775807"])
+    def test_points_too_large_to_allocate_names_its_own_count(self, points, capsys):
+        # Grid.x asks for n // 2 + 1 nodes; the error names n, as given
+        code, out, err = run_captured(["potential", "--epsilon", "-1.5", "--points", points],
+                                      capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot allocate {points} samples: a float64 array holds "
+                       f"at most {shallowdw.grids.MAX_SAMPLES}\n")
+
     def test_missing_epsilon_is_bad_args(self):
         assert run(["potential"]) == 2
 

@@ -195,6 +195,74 @@ def test_power_of_ten_table_against_python_integers():
         assert g - 1 == beta and 2**125 <= beta < 2**126
 
 
+def reference_layout(decpt, nd):
+    """The 16 layout words of (decpt, nd), one Python integer row at a time:
+    the construction that floatfmt._tables once used."""
+    width, words = floatfmt.WIDTH, floatfmt.WIDTH // 8
+
+    def split(row):
+        return [(row >> 64 * w) & (2**64 - 1) for w in range(words)]
+
+    def span(start, stop):
+        return (1 << 8 * stop) - (1 << 8 * start)
+
+    exponent_at = width
+    if decpt not in floatfmt._POSITIONAL:
+        point, shift, prefix = 2, 1, b""
+        end = exponent_at = 1 + nd + (nd > 1)
+    elif decpt > 0:
+        point, shift, prefix = 1 + decpt, 1, b""
+        end = 2 + max(nd, decpt + 1)
+    else:
+        point, shift, prefix = 2 - decpt, 2 - decpt, b"0." + b"0" * -decpt
+        end = point + 1 + nd
+    punct = int.from_bytes(prefix, "little") << 8 if prefix else ord(".") << 8 * point
+    multiplier, right = [], []
+    for w in range(words):
+        at = exponent_at - 8 * w
+        multiplier.append(256**at if 0 <= at < 8 else int(-8 < at < 0))
+        right.append(-8 * at if -8 < at < 0 else 0)
+    return ([8 * shift] + split(span(0, 1 if prefix else point))
+            + split(span(point + 1, max(point + 1, end))) + split(punct & span(0, end))
+            + multiplier + right)
+
+
+def reference_tables():
+    """floatfmt._tables() as it was once built: a Python loop over every
+    power of ten and every layout, then np.array of the lists."""
+    g_rows, shifts = [], []
+    for k in range(floatfmt._K_MIN, floatfmt._K_MAX + 1):
+        p = 10 ** abs(k)
+        if k <= 0:
+            flog2 = p.bit_length() - 1
+            beta = p << (125 - flog2) if flog2 <= 125 else p >> (flog2 - 125)
+        else:
+            flog2 = -p.bit_length()
+            beta = (1 << (125 - flog2)) // p
+        g1, g0 = (beta + 1) >> 63, (beta + 1) & (2**63 - 1)
+        g_rows.append((g1, g1 >> 32, g1 & (2**32 - 1), g0 >> 32, g0 & (2**32 - 1)))
+        shifts.append(flog2 + 2)
+    decpts = range(floatfmt._DECPT_MIN, floatfmt._DECPT_MAX + 1)
+    layouts = floatfmt._LAYOUTS
+    exponent = [0 if d in floatfmt._POSITIONAL else int.from_bytes(b"e%+03d" % (d - 1), "little")
+                for d in decpts]
+    first_key = [floatfmt.MAX_DIGITS * (min(max(d, layouts.start), layouts[-1]) - layouts.start)
+                 for d in decpts]
+    layout = [reference_layout(decpt, nd) for decpt in layouts
+              for nd in range(1, floatfmt.MAX_DIGITS + 1)]
+    return (np.array(g_rows, np.uint64, order="F"), np.array(shifts, np.int64),
+            np.array([exponent, first_key], np.uint64), np.array(layout, np.uint64).T.copy())
+
+
+def test_tables_equal_the_per_row_construction():
+    # the same dtype, shape, values and memory order as a row-by-row build
+    for built, reference in zip(floatfmt._tables.__wrapped__(), reference_tables()):
+        assert built.dtype == reference.dtype and built.shape == reference.shape
+        assert np.array_equal(built, reference)
+        assert built.flags.c_contiguous == reference.flags.c_contiguous
+        assert built.flags.f_contiguous == reference.flags.f_contiguous
+
+
 def floor_log10(a, b):
     """floor(log10(a / b)) for positive integers a and b."""
     if a >= b:

@@ -346,3 +346,36 @@ def test_exports_resolve_and_the_wrapper_layer_is_gone():
         assert name not in shallowdw.__all__ and not hasattr(shallowdw, name)
         assert not hasattr(oracle, name) and not hasattr(grids, name)
     assert len(shallowdw.__all__) == 22
+
+
+# where each exported name was imported from when the package imported every
+# module at once; it now resolves each on first use, to the same object
+EXPORTED_FROM = {
+    "dynamics": ["OscillationSeries", "analytic_period", "evolve_series"],
+    "grids": ["Grid", "GridTooCoarse", "GridTooNarrow"],
+    "oracle": ["ConvergenceFailure", "TridiagonalHamiltonian", "eigen_residual",
+               "sturm_count"],
+    "transform": ["InvalidEpsilon", "Partner", "curvature_at_origin", "potential",
+                  "potential_log_form", "separatrix_energy"],
+    "wells": ["BoundStateCountMismatch", "WellClassification", "WellKind",
+              "check_bimodality_relation", "classify", "count_density_maxima"],
+}
+
+
+def test_each_export_is_the_object_of_its_module():
+    star = {}
+    exec("from shallowdw import *", star)
+    names = sorted(name for names in EXPORTED_FROM.values() for name in names)
+    assert sorted(shallowdw.__all__) == names == sorted(set(star) - {"__builtins__"})
+    for module, names in EXPORTED_FROM.items():
+        for name in names:
+            value = getattr(getattr(shallowdw, module), name)
+            assert getattr(shallowdw, name) is value and star[name] is value, name
+            assert name in dir(shallowdw)
+    # the solver's failures are defined beside the grid errors, and oracle
+    # does not name the verdict's
+    assert shallowdw.ConvergenceFailure is grids.ConvergenceFailure
+    assert shallowdw.BoundStateCountMismatch is grids.BoundStateCountMismatch
+    assert not hasattr(oracle, "BoundStateCountMismatch")
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        shallowdw.nonesuch

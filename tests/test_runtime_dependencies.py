@@ -1,9 +1,13 @@
-"""numpy is the package's only runtime dependency, and the solver's only one."""
+"""numpy is the package's only runtime dependency, and the solver's only one;
+a process loads only the package modules that its command runs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import shallowdw
 from shallowdw import cli, oracle, wells
@@ -21,14 +25,20 @@ print("\\n".join(sorted({name.partition(".")[0] for name in set(sys.modules) - b
 """
 
 
-def test_verify_loads_only_numpy_shallowdw_and_the_standard_library(tmp_path):
+def run_fresh(script, *args):
+    """``script`` in a fresh interpreter that imports this package; its stdout."""
     src = os.path.dirname(os.path.dirname(shallowdw.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "verify.json")],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", script, *args],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    code, *loaded = result.stdout.splitlines()
+    return result.stdout
+
+
+def test_verify_loads_only_numpy_shallowdw_and_the_standard_library(tmp_path):
+    stdout = run_fresh(SCRIPT, str(tmp_path / "verify.json"))
+    code, *loaded = stdout.splitlines()
     assert code == "0"
     assert "numpy" in loaded and "shallowdw" in loaded
     foreign = [name for name in loaded if name not in ("numpy", "shallowdw")
@@ -37,9 +47,8 @@ def test_verify_loads_only_numpy_shallowdw_and_the_standard_library(tmp_path):
 
 
 def test_solver_imports_only_numpy_the_standard_library_and_grids():
-    # the solver must not see the closed forms it checks; an import test in a
-    # fresh interpreter would see nothing, because shallowdw/__init__.py
-    # imports every module first, so read the source that is installed
+    # the solver must not see the closed forms it checks: read the source
+    # that is installed, for imports that a run might not reach
     with open(oracle.__file__, encoding="utf-8") as source:
         tree = ast.parse(source.read())
     imported = []
@@ -65,6 +74,49 @@ def test_solver_imports_only_numpy_the_standard_library_and_grids():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "oracle" and node.attr.isupper()]
     assert read == []
+
+
+def test_solver_loads_no_other_package_module_but_grids():
+    # and at run time: importing the package imports none of its modules
+    loaded = run_fresh("import shallowdw.oracle, sys; "
+                       "print(*sorted(name for name in sys.modules if 'shallowdw.' in name))")
+    assert loaded.split() == ["shallowdw.grids", "shallowdw.oracle"]
+
+
+# each command's package modules, beyond the cli, grids and transform that
+# every command runs; a sweep solves, and loads oracle, only for e0_error or
+# e1_error, so the one below asks for e0_error
+COMMAND_MODULES = {
+    "potential": ["floatfmt"],
+    "states": ["floatfmt"],
+    "verify": ["oracle", "wells"],
+    "classify": ["wells"],
+    "evolve": ["dynamics", "floatfmt", "wells"],
+    "sweep": ["floatfmt", "oracle", "wells"],
+}
+STAGES = """
+import json, sys
+def loaded():
+    return sorted(name.partition(".")[2] for name in sys.modules
+                  if name.startswith("shallowdw."))
+stages = []
+import shallowdw
+stages.append(loaded())
+import shallowdw.cli
+stages.append(loaded())
+stages.append((shallowdw.cli.main(sys.argv[1:]), loaded()))
+print(json.dumps(stages))
+"""
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_its_modules(command, tmp_path):
+    args = (["--eps-start", "-2.5", "--eps-end", "-1.5", "--steps", "2",
+             "--quantities", "gap,maxima_count,e0_error"] if command == "sweep"
+            else ["--epsilon", "-1.5"])
+    stages = json.loads(run_fresh(STAGES, command, *args, "--out", str(tmp_path / "out")))
+    every = ["cli", "grids", "transform"]
+    assert stages == [[], every, [0, sorted(every + COMMAND_MODULES[command])]]
 
 
 def test_cli_reads_only_row_chunks_of_floatfmt():
