@@ -222,7 +222,8 @@ def cmd_verify(args) -> int:
     report = wells.verify(Partner(args.epsilon, Grid(args.x_max, args.points)))
     failed = [check for check in report.checks if not check.passed]
     payload = {f.name: getattr(report, f.name) for f in fields(report)} | {"passed": not failed}
-    _write((args.out, [(json.dumps(payload, indent=2) + "\n").encode()]))
+    text = json.dumps(payload, separators=(",\n  ", ": "))  # indent=2's bytes, C encoder
+    _write((args.out, [("{\n  " + text[1:-1] + "\n}\n").encode()]))
     for check in failed:
         print(f"check failed: {check.name}={check.value!r}, "
               f"tolerance {check.tolerance!r}", file=sys.stderr)

@@ -102,11 +102,11 @@ def mirror(half: np.ndarray, parity: int) -> np.ndarray:
 
 
 def interior(grid: Grid, edge: int, caller: str) -> slice:
-    """The nodes left after dropping ``edge`` at each end; raises if none are."""
+    """The x >= 0 nodes but the ``edge`` at x_max; raises if the whole grid keeps none."""
     if grid.n_points <= 2 * edge:
         raise ValueError(f"{caller} needs a grid of at least {2 * edge + 1} "
                          f"points, got {grid.n_points}")
-    return slice(edge, -edge)
+    return slice(-edge)
 
 
 def first_derivative(samples: np.ndarray, h: float) -> np.ndarray:

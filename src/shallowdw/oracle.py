@@ -40,7 +40,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .grids import ConvergenceFailure, Grid, interior, mirror
+from .grids import ConvergenceFailure, Grid, interior
 
 EDGE_EXCLUDE = 3  # nodes dropped at each edge when measuring PDE residuals
 BISECTION_MAX_ITER = 200
@@ -55,8 +55,8 @@ TAIL_BLOCK = 64  # rows per block in the search for a twisted step's free tail
 
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
-    """Numerov discretization of -d2/dx2 + V, V even, with Dirichlet walls;
-    it holds V itself, and only ``eigen_residual`` writes out the stencils."""
+    """Numerov discretization of -d2/dx2 + V, V even, with Dirichlet walls; it
+    holds V itself, and only ``_sector_residual`` writes out the stencils."""
 
     grid: Grid
     potential: np.ndarray = field(repr=False)
@@ -342,12 +342,17 @@ def _twisted_vector(a: np.ndarray, r0: float, turn: int,
 
 
 def _sector_residual(H: TridiagonalHamiltonian, y: np.ndarray, parity: int,
-                     energy: float) -> float:
-    """||(H - E) mirror(y, parity)||^2 from y on the nodes x >= 0 alone: the
-    sector's rows, row 0 beside its mirror y_1 (even) or the wall (odd)."""
+                     energy: float, nodes: slice = slice(None)) -> float:
+    """||(H - E) mirror(y, parity)||^2 over the mirror of y's ``nodes``, from y
+    on x >= 0 (y_0 = 0 if odd): row 0 beside its mirror y_1 or -y_1."""
     ext = np.concatenate(([-y[1] if parity else y[1]], y))  # from x = -h
     r = _numerov(ext, H.potential[H.grid.center_index - 1:] - energy, H.grid.h)[1:]
-    return 2.0 * _sum_sq(r) - r[0] * r[0]
+    return _mirrored_sum_sq(r[nodes])
+
+
+def _mirrored_sum_sq(half: np.ndarray) -> float:
+    """sum(a^2) of the even or odd a whose x >= 0 half is ``half``."""
+    return 2.0 * _sum_sq(half) - float(half[0] * half[0])
 
 
 def _sum_sq(a: np.ndarray) -> float:
@@ -373,7 +378,7 @@ def _twisted_step(H: TridiagonalHamiltonian, parity: int,
     for tail in (_free_tail(a, turn, *budgets), last):
         z, gamma = _twisted_vector(a, r0, turn, tail)
         y = z * (1.0 + a / NUMEROV_POLE)  # y = u / (1 - q/12)
-        norm2 = 2.0 * _sum_sq(y) - (float(y[0] * y[0]) if parity == 0 else 0.0)
+        norm2 = _mirrored_sum_sq(y) if parity == 0 else 2.0 * _sum_sq(y)
         if tail == last or _tail_holds(a, tail, float(z[tail + 1]), norm2, *budgets):
             break
     y = np.concatenate(([0.0], y)) if parity else y
@@ -382,14 +387,14 @@ def _twisted_step(H: TridiagonalHamiltonian, parity: int,
 
 def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
                        sigma: float) -> Tuple[float, np.ndarray]:
-    """(E, y), y on the full grid, once a twisted step from sigma, or from the
-    last E, meets the residual target; at most INVERSE_ITERATION_MAX_STEPS."""
+    """(E, y), y on x >= 0, once a twisted step from sigma, or from the last
+    E, meets the residual target; at most INVERSE_ITERATION_MAX_STEPS."""
     residual, target = np.inf, H.residual_target
     for _ in range(INVERSE_ITERATION_MAX_STEPS):
         energy, y, norm2 = _twisted_step(H, parity, sigma)
         residual = np.sqrt(_sector_residual(H, y, parity, energy) / norm2)
         if residual <= target:
-            return energy, mirror(y, parity)
+            return energy, y
         sigma = energy
     raise ConvergenceFailure(
         f"inverse iteration for sector {parity} level {index} reached residual "
@@ -398,8 +403,8 @@ def _inverse_iteration(H: TridiagonalHamiltonian, parity: int, index: int,
 
 def sector_eigenpair(H: TridiagonalHamiltonian, parity: int, index: int,
                      sigma: float) -> Tuple[float, np.ndarray]:
-    """(E, y) of level ``index`` of one sector, y on the full grid: stepped from
-    the shift sigma, or bisected if Sturm counts refuse the level reached.
+    """(E, y) of level ``index`` of one sector, y on x >= 0 (y_0 = 0.0 if odd):
+    stepped from the shift sigma, or bisected if Sturm counts refuse it.
 
     The steps stop once the residual meets the target RESIDUAL_TOL ||H||, so
     E lies within that residual of a level (Kahan's residual bound).  The
@@ -425,12 +430,10 @@ def sector_eigenpair(H: TridiagonalHamiltonian, parity: int, index: int,
     return _inverse_iteration(H, parity, index, _bracket(H, parity, index))
 
 
-def eigen_residual(H: TridiagonalHamiltonian, psi: np.ndarray, energy: float) -> float:
-    """Relative l2 residual ||-D2 psi + B((V - E) psi)|| / ||psi|| over interior nodes.
-
-    Three nodes at each edge are excluded: the Dirichlet mismatch dominates
-    there, not the PDE error.
-    """
+def eigen_residual(H: TridiagonalHamiltonian, y: np.ndarray, parity: int,
+                   energy: float) -> float:
+    """Relative l2 residual ||-D2 psi + B((V - E) psi)|| / ||psi|| of psi =
+    mirror(y, parity), y on x >= 0 (y_0 = 0 if odd), over |x| <= x_max - 3h:
+    at the three nodes by each edge the Dirichlet mismatch dominates, not the PDE error."""
     sl = interior(H.grid, EDGE_EXCLUDE, "eigen_residual")
-    r = _numerov(psi, H.potential - energy, H.grid.h)
-    return float(np.sqrt(_sum_sq(r[sl]) / _sum_sq(psi[sl])))
+    return float(np.sqrt(_sector_residual(H, y, parity, energy, sl) / _mirrored_sum_sq(y[sl])))

@@ -21,11 +21,9 @@ k|x| ~ 710.  The seed is summed from terms of one sign, so it keeps its
 relative accuracy as eps -> -1, where s t and k c both tend to 1/2 and
 their difference u to (1 - k)/2.
 
-``Partner(eps, grid)`` holds the closed forms of one partner on one grid:
-the potential, u'/u, the base well and both bound states, each made on
-first use from one evaluation of the seed on x >= 0 and mirrored, even or
-odd, onto x < 0.  It is the package's one source of these sampled fields;
-the functions below evaluate single closed forms at arbitrary x.
+``Partner(eps, grid)``, the closed forms of one partner on one grid, is the
+package's one source of these sampled fields; the functions below evaluate
+single closed forms at arbitrary x.
 """
 
 from __future__ import annotations
@@ -198,17 +196,23 @@ def _check_samples(samples: np.ndarray, what: str, partner: "Partner") -> np.nda
     return samples
 
 
+def _mirrored(half: str, parity: int, doc: str) -> cached_property:
+    """A cached field on the whole grid: the even (0) or odd (1) mirror of ``half``."""
+    field = cached_property(lambda self: mirror(getattr(self, half), parity))
+    field.__doc__ = doc
+    return field
+
+
 @dataclass(frozen=True)
 class Partner:
     """The closed forms of the partner Hamiltonian at one eps on one grid.
 
-    Every field is computed on first use, and all of them from one
-    evaluation of the seed on x >= 0; each mirrors its half once, even
-    (``potential``, ``base_well``, ``psi0``) or odd (``w``, ``psi1``).  Each
-    state checks the grid once, on its x >= 0 samples when they are first
-    made, so only ``psi0``, ``psi1`` and ``check_grid`` raise GridTooNarrow
-    or GridTooCoarse; reading ``potential`` never does.  Each field equals its
-    closed form evaluated on the whole grid, bit for bit.
+    Every field is made on first use from one evaluation of the seed on
+    x >= 0: a public field mirrors its private half there once, and the
+    checks in ``wells`` read the halves.  Each state checks the grid once,
+    when its half is made, so only the states and ``check_grid`` raise
+    GridTooNarrow or GridTooCoarse.  Each field equals its closed form
+    evaluated on the whole grid, bit for bit.
     """
 
     epsilon: float
@@ -222,59 +226,54 @@ class Partner:
         return _seed_parts(self.epsilon, self.grid.x[self.grid.center_index:])
 
     @cached_property
-    def potential(self) -> np.ndarray:
-        """The partner potential, exactly 2 eps + 2 at x = 0."""
-        return mirror(_potential_values(self.epsilon, self._seed), 0)
+    def _potential_half(self) -> np.ndarray:
+        return _potential_values(self.epsilon, self._seed)
+
+    @property
+    def _w_half(self) -> np.ndarray:
+        return self._seed.du / self._seed.u
+
+    @property
+    def _base_half(self) -> np.ndarray:
+        return -2.0 * self._seed.sech2
 
     @cached_property
-    def w(self) -> np.ndarray:
-        """The superpotential u'/u; -0.0 at x = 0."""
-        return mirror(self._seed.du / self._seed.u, 1)
-
-    @cached_property
-    def base_well(self) -> np.ndarray:
-        """The base potential -2 sech^2(x)."""
-        return mirror(-2.0 * self._seed.sech2, 0)
-
-    @cached_property
-    def _ground_half(self) -> np.ndarray:
-        p = self._seed
-        # u < 0 everywhere, so 1/(-u) is the positive branch
-        return _check_samples(np.exp(-p.growth) / -p.u, "ground state", self)
-
-    @cached_property
-    def _excited_half(self) -> np.ndarray:
-        p = self._seed
-        return _check_samples(p.s * p.sech / -p.u, "excited state", self)
-
-    def check_grid(self) -> None:
-        """GridTooNarrow or GridTooCoarse unless the grid holds both bound
-        states, the ground state's error first; what ``psi0`` and then
-        ``psi1`` would raise, without mirroring or scaling either."""
-        self._ground_half, self._excited_half  # each checks itself when made
-
-    @cached_property
-    def psi0(self) -> np.ndarray:
-        """Ground state on the grid, 1/u at unit norm: sqrt(k d / 2) / |u| with
-        d = -1 - eps, as ||1/u||^2 = 2 / (k d) (Cooper, Khare and Sukhatme,
-        Phys. Rep. 251, 1995); d is exact near eps = -1 and k d <= |eps|^1.5
-        finite.  Even, strictly positive, energy eps.
+    def _psi0_half(self) -> np.ndarray:
+        """Ground state, 1/u at unit norm: sqrt(k d / 2) / |u| with d = -1 - eps,
+        as ||1/u||^2 = 2 / (k d) (Cooper, Khare and Sukhatme, Phys. Rep. 251,
+        1995); d is exact near eps = -1 and k d <= |eps|^1.5 finite.  Even,
+        strictly positive, energy eps.
 
         Raises GridTooNarrow when the grid does not contain the decay tails,
         GridTooCoarse when its spacing cannot resolve them: fewer than two
         nodes per decay length of psi0, or per unit width of the sech^2 well.
         """
-        d = -1.0 - self.epsilon
-        return mirror(np.sqrt(np.sqrt(-self.epsilon) * d / 2.0) * self._ground_half, 0)
+        p, d = self._seed, -1.0 - self.epsilon
+        # u < 0 everywhere, so 1/(-u) is the positive branch
+        ground = _check_samples(np.exp(-p.growth) / -p.u, "ground state", self)
+        return np.sqrt(np.sqrt(-self.epsilon) * d / 2.0) * ground
 
     @cached_property
-    def psi1(self) -> np.ndarray:
-        """Excited state on the grid, A applied to the base ground state at
-        unit norm: sqrt(d / 2) sech(x) sinh(kx) / (-u), energy -1.
+    def _psi1_half(self) -> np.ndarray:
+        """Excited state, A applied to the base ground state at unit norm:
+        sqrt(d / 2) sech(x) sinh(kx) / (-u), energy -1.
 
         A [sech(x)] = sech(x) (tanh(x) + u'/u) = (1 + eps) sech(x) sinh(kx) / u,
         as tanh u + u' = (1 + eps) sinh(kx), and ||A sech||^2 = 2 d: one
         product, with no finite-difference error and no cancellation.  Odd,
-        single node at x = 0, positive for x > 0.  Raises as ``psi0`` does.
+        single node at x = 0, positive for x > 0.  Raises as ``_psi0_half`` does.
         """
-        return mirror(np.sqrt((-1.0 - self.epsilon) / 2.0) * self._excited_half, 1)
+        p = self._seed
+        excited = _check_samples(p.s * p.sech / -p.u, "excited state", self)
+        return np.sqrt((-1.0 - self.epsilon) / 2.0) * excited
+
+    def check_grid(self) -> None:
+        """GridTooNarrow or GridTooCoarse unless the grid holds both bound
+        states, the ground state's error first, as ``psi0`` and ``psi1`` raise."""
+        self._psi0_half, self._psi1_half  # each checks itself when made
+
+    potential = _mirrored("_potential_half", 0, "The partner potential, 2 eps + 2 at x = 0.")
+    w = _mirrored("_w_half", 1, "The superpotential u'/u; -0.0 at x = 0.")
+    base_well = _mirrored("_base_half", 0, "The base potential -2 sech^2(x).")
+    psi0 = _mirrored("_psi0_half", 0, "The ground state on the grid (``_psi0_half``).")
+    psi1 = _mirrored("_psi1_half", 1, "The excited state on the grid (``_psi1_half``).")

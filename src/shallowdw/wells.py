@@ -20,13 +20,11 @@ both read it, and the density checks read the ground state of a
 name patched there is the one called.  Only ``bound_levels`` and ``verify``
 import it, so ``classify`` loads no solver.
 ``verify`` judges the paper's claim: spectrum, closed-form states,
-intertwining identity and central-curvature law.  ``VERIFY_TOLERANCES`` is
-the one table of its checks: each row names a ``VerifyReport`` field and
-holds its tolerance and its skip band or None.  A check applies unless
-|s - eps| <= its band, and passes when its value < its tolerance (NaN
-fails); only the curvature law has a band.  Xi A = A eta is checked as the
-two pointwise Darboux identities it is built from, V + V0 = 2 (u'/u)^2 +
-2 eps and V - V0 = -2 (u'/u)', on every node of the grid.
+intertwining identity and central-curvature law, each on x >= 0.
+``VERIFY_TOLERANCES`` is the one table of its checks: each row names a
+``VerifyReport`` field and holds its tolerance and its skip band or None.
+A check applies unless |s - eps| <= its band, and passes when its value <
+its tolerance (NaN fails); only the curvature law has a band.
 """
 
 from __future__ import annotations
@@ -140,14 +138,13 @@ def check_bimodality_relation(partner: Partner) -> Tuple[float, float, float]:
     at least 1 and at most center_index // 2, so m = 1 while h > 1/800.
     """
     eps_val, grid = partner.epsilon, partner.grid
-    mid = grid.center_index
     gap = separatrix_energy(eps_val) - eps_val
     kh = grid.h * max(1.0, np.sqrt(abs(gap)))
-    m = max(1, min(int(BIMODALITY_SPACING / kh), mid // 2))
-    r = partner.psi0[mid - 2 * m:mid + 2 * m + 1:m] ** 2
+    m = max(1, min(int(BIMODALITY_SPACING / kh), grid.center_index // 2))
+    r = partner._psi0_half[:2 * m + 1:m] ** 2  # at 0, m h, 2 m h; rho is even
     step = m * grid.h
-    lhs = (-r[0] + 16 * r[1] - 30 * r[2] + 16 * r[3] - r[4]) / (12 * (step * step))
-    rhs = 2.0 * gap * r[2]
+    lhs = (-r[2] + 16 * r[1] - 30 * r[0] + 16 * r[1] - r[2]) / (12 * (step * step))
+    rhs = 2.0 * gap * r[0]
     rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     return float(lhs), float(rhs), float(rel_err)
 
@@ -157,15 +154,16 @@ def _intertwining_residual(partner: Partner) -> float:
 
     With w = u'/u the factorizations eta = A+ A + eps and Xi = A A+ + eps
     read V0 = w^2 + w' + eps and V = w^2 - w' + eps, and (Xi A - A eta) f
-    vanishes for every f exactly when both hold.  They are checked on every
-    node as their sum, V + V0 = 2 w^2 + 2 eps, which takes no derivative,
-    and their difference, V - V0 = -2 w', with w' from ``first_derivative``;
-    the result is the larger of the two.  Four nodes at each edge are left
-    out, which covers that stencil's two lower-order rows there.
+    vanishes for every f exactly when both hold.  Both are even, and checked
+    on x >= 0 as their sum, V + V0 = 2 w^2 + 2 eps, which takes no
+    derivative, and their difference, V - V0 = -2 w', w' by
+    ``first_derivative`` with the ghosts w(-h) = -w(h), w(-2h) = -w(2h); the
+    result is the larger.  Four edge nodes are left out, which covers that
+    stencil's two lower-order rows there.
     """
     sl = interior(partner.grid, 4, "the intertwining check")
-    v, v0, w = partner.potential, partner.base_well, partner.w
-    dw = first_derivative(w, partner.grid.h)
+    v, v0, w = partner._potential_half, partner._base_half, partner._w_half
+    dw = first_derivative(np.concatenate((-w[2:0:-1], w)), partner.grid.h)[2:]
     return max(_relative_max(v + v0 - 2.0 * w * w - 2.0 * partner.epsilon, v + v0, sl),
                _relative_max(v - v0 + 2.0 * dw, v - v0, sl))
 
@@ -177,7 +175,7 @@ def _relative_max(error: np.ndarray, scale: np.ndarray, sl: slice) -> float:
 
 
 class BoundLevels(NamedTuple):
-    """Both levels, their errors against eps and -1, H and the raw eigenvectors."""
+    """Both levels, their errors against eps and -1, H and the raw eigenvectors on x >= 0."""
 
     e0_numeric: float
     e1_numeric: float
@@ -258,9 +256,8 @@ class VerifyReport:
 def verify(partner: Partner) -> VerifyReport:
     """The spectrum, intertwining and curvature-law checks of one partner.
 
-    The partner carries the closed forms through all of them; the
-    intertwining residual is that of the two pointwise Darboux identities,
-    so it needs no test function.
+    The partner carries the closed forms through all of them, on x >= 0; the
+    intertwining residual, of two pointwise identities, needs no test function.
     """
     from . import oracle
 
@@ -270,8 +267,8 @@ def verify(partner: Partner) -> VerifyReport:
         epsilon=eps_val, e0_analytic=eps_val, e1_analytic=-1.0,
         e0_numeric=levels.e0_numeric, e1_numeric=levels.e1_numeric,
         e0_error=levels.e0_error, e1_error=levels.e1_error,
-        psi0_residual=oracle.eigen_residual(levels.H, partner.psi0, eps_val),
-        psi1_residual=oracle.eigen_residual(levels.H, partner.psi1, -1.0),
+        psi0_residual=oracle.eigen_residual(levels.H, partner._psi0_half, 0, eps_val),
+        psi1_residual=oracle.eigen_residual(levels.H, partner._psi1_half, 1, -1.0),
         gap_numeric=levels.e1_numeric - levels.e0_numeric,
         intertwining_residual=_intertwining_residual(partner),
         bimodality_lhs=lhs, bimodality_rhs=rhs, bimodality_rel_err=rel_err)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 from shallowdw import Grid, GridTooNarrow, Partner, oracle, wells
-from shallowdw.grids import first_derivative
+from shallowdw.grids import first_derivative, mirror
 from shallowdw.transform import _sech
 
 # every run draws the same examples, and none replays a failure that an
@@ -39,7 +39,8 @@ def normalized(samples: np.ndarray, h: float) -> np.ndarray:
 
 
 def lowest_eigenpairs(H, k):
-    """k smallest eigenpairs of H, ascending; eigenvectors trapezoid-normalized.
+    """k smallest eigenpairs of H, ascending; eigenvectors mirrored onto the
+    whole grid and trapezoid-normalized.
 
     Deterministic: each level is stepped by twisted factorizations with
     Newton shifts from min V, a shift every V has, one parity sector per
@@ -51,7 +52,8 @@ def lowest_eigenpairs(H, k):
         raise ValueError("k must be between 1 and min(6, n_points)")
     v_min = float(H.edge_min[0])
     pairs = (oracle.sector_eigenpair(H, level % 2, level // 2, v_min) for level in range(k))
-    return [(energy, normalized(v, H.grid.h)) for energy, v in pairs]
+    return [(energy, normalized(mirror(y, level % 2), H.grid.h))
+            for level, (energy, y) in enumerate(pairs)]
 
 
 def apply_h(H, y: np.ndarray, energy: float) -> np.ndarray:

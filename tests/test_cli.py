@@ -198,9 +198,9 @@ class TestVerifyCommand:
     def test_planted_base_well_defect_fails_intertwining(self, tmp_path, monkeypatch,
                                                          capsys):
         # only the intertwining check reads V0: a 0.1% error in it fails that alone
-        base_well = transform.Partner.base_well.func  # the full-grid field
-        monkeypatch.setattr(transform.Partner, "base_well", property(
-            lambda self: base_well(self) * (1.0 + 1e-3)))
+        base_half = transform.Partner._base_half.fget  # the field on x >= 0
+        monkeypatch.setattr(transform.Partner, "_base_half", property(
+            lambda self: base_half(self) * (1.0 + 1e-3)))
         out = tmp_path / "verify.json"
         assert run(["verify", "--epsilon", -1.5, "--out", out]) == 1
         payload = json.loads(out.read_text())

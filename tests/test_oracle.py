@@ -180,7 +180,7 @@ class TestNumerovSafety:
 
 def bisection_only(H, parity, index):
     """(E, y) of one sector's level from its Sturm bracket alone, as the
-    solver's fallback finds it."""
+    solver's fallback finds it; y on x >= 0."""
     return oracle._inverse_iteration(H, parity, index, oracle._bracket(H, parity, index))
 
 
@@ -249,6 +249,7 @@ class TestCoarseToFine:
                                (1, levels.e1_numeric, levels.y1)):
             eb, wb = bisection_only(H, parity, 0)
             assert abs(ea - eb) <= target
+            wa, wb = mirror(wa, parity), mirror(wb, parity)
             assert abs(overlap(normalized(wa, H.grid.h), normalized(wb, H.grid.h),
                                H.grid)) > 1.0 - 1e-12
 
@@ -370,32 +371,38 @@ class TestSturmCount:
         assert calls == []
 
 
+def half(samples, grid):
+    """samples on the nodes x >= 0."""
+    return samples[grid.center_index:]
+
+
 class TestEigenResidual:
     def test_analytic_states_are_near_eigenvectors(self, default_grid):
         # O(h^2) stencil error of the exact states at h = 0.01
         partner = Partner(-1.5, default_grid)
         H = TridiagonalHamiltonian(partner.grid, partner.potential)
-        assert eigen_residual(H, partner.psi0, -1.5) < 5e-5
-        assert eigen_residual(H, partner.psi1, -1.0) < 5e-5
+        assert eigen_residual(H, half(partner.psi0, default_grid), 0, -1.5) < 5e-5
+        assert eigen_residual(H, half(partner.psi1, default_grid), 1, -1.0) < 5e-5
 
     def test_energy_shift_shows_up_directly(self, default_grid):
         partner = Partner(-1.5, default_grid)
         H = TridiagonalHamiltonian(partner.grid, partner.potential)
-        psi = partner.psi0
-        assert eigen_residual(H, psi, -1.5 + 0.1) == pytest.approx(0.1, rel=1e-3)
+        y = half(partner.psi0, default_grid)
+        assert eigen_residual(H, y, 0, -1.5 + 0.1) == pytest.approx(0.1, rel=1e-3)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_grid_without_interior_nodes_rejected(self, n):
         # edge exclusion leaves no node to measure: raise, do not return NaN
         grid = Grid(3.0, n)
         H = TridiagonalHamiltonian(grid, np.zeros(n))
-        with pytest.raises(ValueError, match="at least 7 points"):
-            eigen_residual(H, np.ones(n), 0.0)
+        for parity in (0, 1):
+            with pytest.raises(ValueError, match="at least 7 points"):
+                eigen_residual(H, np.ones(grid.center_index + 1), parity, 0.0)
 
     def test_smallest_measurable_grid(self):
         grid = Grid(3.0, 7)
         H = TridiagonalHamiltonian(grid, np.zeros(7))
-        assert eigen_residual(H, np.ones(7), 0.0) == 0.0
+        assert eigen_residual(H, np.ones(4), 0, 0.0) == 0.0
 
 
 class TestSectorResidual:
@@ -423,16 +430,35 @@ class TestSectorResidual:
         partner = Partner(-2.5, Grid(20.0, n))
         wells.bound_levels(partner)
         assert calls.count(n) == 0
+        solves = len(calls)
         calls.clear()
-        wells.verify(partner)  # only the closed-form states' residuals
-        assert calls.count(n) == 2
+        # the closed-form states' residuals, on x >= 0 and one ghost node
+        wells.verify(partner)
+        assert calls.count(n) == 0
+        assert calls == [partner.grid.center_index + 2] * (solves + 2)
 
     @pytest.mark.parametrize("n", [1999, 4001, 16001])
     def test_bound_levels_builds_no_whole_grid_state(self, n):
-        # the grid checks run on the states' x >= 0 samples
+        # the grid checks run on the states' x >= 0 samples, and verify's
+        # checks on the halves of every field but V, which H holds
         partner = Partner(-2.5, Grid(20.0, n))
         wells.bound_levels(partner)
         assert "psi0" not in vars(partner) and "psi1" not in vars(partner)
+        wells.verify(partner)
+        assert not {"psi0", "psi1", "w", "base_well"} & set(vars(partner))
+
+    @pytest.mark.parametrize("n", [3, 1999, 4001, 16001])
+    def test_solver_returns_halves(self, n):
+        # y on x >= 0; the odd half starts with its node at x = 0, exactly +0.0
+        partner = Partner(-2.5, Grid(20.0 if n > 3 else 1.0, n))
+        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        y0, y1 = (oracle.sector_eigenpair(H, parity, 0, sigma)[1]
+                  for parity, sigma in ((0, -2.5), (1, -1.0)))
+        assert len(y0) == len(y1) == partner.grid.center_index + 1
+        assert y1[0] == 0.0 and not np.signbit(y1[0])
+        if n > 3:
+            levels = wells.bound_levels(partner)
+            assert np.array_equal(levels.y0, y0) and np.array_equal(levels.y1, y1)
 
 
 class TestIntertwining:
@@ -511,10 +537,12 @@ class TestVerifySpectrum:
 
     @pytest.mark.parametrize("eps", [-1.10, -1.5, -2.25])
     def test_eigenvectors_overlap_the_closed_forms(self, eps, default_grid):
-        # the solver's raw vectors, normalized, against the closed-form states
+        # the solver's raw vectors, mirrored and normalized, against the
+        # closed-form states
         partner = Partner(eps, default_grid)
         levels = wells.bound_levels(partner)
-        for y, psi in ((levels.y0, partner.psi0), (levels.y1, partner.psi1)):
+        for parity, y, psi in ((0, levels.y0, partner.psi0), (1, levels.y1, partner.psi1)):
+            y = mirror(y, parity)
             value = abs(overlap(normalized(y, default_grid.h), psi, default_grid))
             assert 1.0 - 1e-8 < value <= 1.0 + 1e-12
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from shallowdw import (Grid, GridTooCoarse, GridTooNarrow, Partner,
-                       TridiagonalHamiltonian, sturm_count, wells)
+                       TridiagonalHamiltonian, eigen_residual, sturm_count, wells)
+from shallowdw.oracle import EPS_MACH
 from shallowdw.transform import EPSILON_MAX
 
 from conftest import apply_h, dense_sector_levels, lowest_eigenpairs, numerov_matrix
@@ -135,3 +136,25 @@ def test_a_finer_grid_keeps_a_pass(eps, m):
         reject()  # a grid error on n nodes is no pass to keep
     assume(coarse.passed)
     assert wells.verify(Partner(eps, Grid(20.0, 2 * n - 1))).passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-3.0, EPSILON_MAX, exclude_min=True), st.sampled_from([401, 4001, 16001]))
+def test_eigen_residual_is_that_of_the_mirrored_state(eps, n):
+    # eigen_residual of a closed-form state's x >= 0 half against the
+    # full-grid Numerov stencil on the state, over |x| <= x_max - 3h.  They
+    # differ only where a node x < 0 rounds its stencil in the other order
+    # from its mirror: at most 0.081 eps_mach / h^2 over 4,800 states, eps
+    # uniform in (-3, -1) at n = 401, 4001 and 16001
+    grid = Grid(20.0, n)
+    partner = Partner(eps, grid)
+    try:
+        partner.check_grid()
+    except (GridTooNarrow, GridTooCoarse):
+        reject()  # no state to measure
+    H = TridiagonalHamiltonian(grid, partner.potential)
+    for parity, psi, energy in ((0, partner.psi0, eps), (1, partner.psi1, -1.0)):
+        r = apply_h(H, psi, energy)[3:-3]
+        full = np.sqrt(np.sum(r * r) / np.sum(psi[3:-3] ** 2))
+        got = eigen_residual(H, psi[grid.center_index:], parity, energy)
+        assert abs(got - full) <= 0.25 * EPS_MACH / grid.h**2, (got, full)

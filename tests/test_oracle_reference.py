@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
+from shallowdw.grids import mirror
 from shallowdw.oracle import EPS_MACH, PIVMIN, sturm_count
 
 from conftest import apply_h, dense_sector_levels, lowest_eigenpairs, zero_energy_top
@@ -93,8 +94,10 @@ def spy_tails(monkeypatch):
 
 
 def level_pairs(H, sigmas):
-    """Level 0 of each sector, stepped from the shifts sigmas (even, odd)."""
-    return [oracle.sector_eigenpair(H, parity, 0, sigma) for parity, sigma in enumerate(sigmas)]
+    """Level 0 of each sector, stepped from the shifts sigmas (even, odd), its
+    vector mirrored onto the whole grid."""
+    pairs = (oracle.sector_eigenpair(H, parity, 0, sigma) for parity, sigma in enumerate(sigmas))
+    return [(energy, mirror(y, parity)) for parity, (energy, y) in enumerate(pairs)]
 
 
 def dense_sector_counts(H, lam):

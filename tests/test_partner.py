@@ -331,7 +331,7 @@ def test_exports_resolve_and_the_wrapper_layer_is_gone():
     assert "check_intertwining" not in shallowdw.__all__
     assert not hasattr(shallowdw, "check_intertwining")
     assert not hasattr(oracle, "check_intertwining")
-    # eigen_residual applies the full-grid operator itself; the tests' apply_h
+    # eigen_residual applies the operator itself, on x >= 0; the tests' apply_h
     assert not hasattr(oracle.TridiagonalHamiltonian, "apply")
     # the solver is built from a grid and V directly
     assert "build_hamiltonian" not in shallowdw.__all__

@@ -26,10 +26,11 @@ REF_TOLERANCES = {
 
 
 def ref_intertwining_residual(eps, grid):
-    """The larger relative residual of V + V0 = 2 w^2 + 2 eps and V - V0 = -2 w'."""
+    """The larger relative residual of V + V0 = 2 w^2 + 2 eps and V - V0 = -2 w',
+    over the nodes 0 <= x <= x_max - 4h: both are even."""
     partner = Partner(eps, grid)
     v, v0, w = partner.potential, partner.base_well, partner.w
-    sl = slice(4, -4)
+    sl = slice(grid.center_index, -4)
     algebraic = v + v0 - 2.0 * w * w - 2.0 * eps
     derivative = v - v0 + 2.0 * first_derivative(w, grid.h)
     return max(float(np.max(np.abs(algebraic[sl]))) / float(np.max(np.abs((v + v0)[sl]))),
@@ -40,9 +41,10 @@ def ref_verify(eps, grid):
     """(stdout, exit code) of `verify` as the CLI computed them inline."""
     partner = Partner(eps, grid)
     levels = wells.bound_levels(partner)
-    psi0, psi1 = partner.psi0, partner.psi1
-    psi0_residual = oracle.eigen_residual(levels.H, psi0, eps)
-    psi1_residual = oracle.eigen_residual(levels.H, psi1, -1.0)
+    # each state's residual from its x >= 0 half
+    psi0, psi1 = (psi[grid.center_index:] for psi in (partner.psi0, partner.psi1))
+    psi0_residual = oracle.eigen_residual(levels.H, psi0, 0, eps)
+    psi1_residual = oracle.eigen_residual(levels.H, psi1, 1, -1.0)
     intertwining = ref_intertwining_residual(eps, grid)
     lhs, rhs, rel_err = wells.check_bimodality_relation(Partner(eps, grid))
 

@@ -1,7 +1,7 @@
 """What ``verify`` catches: closed forms planted with small named defects.
 
-Each mutant changes one closed form in ``transform`` before normalization,
-and ``verify`` must fail on it with the checks named here, at each eps on
+Each mutant changes one closed form in ``transform``, the states on their
+normalized x >= 0 halves, and ``verify`` must fail on it with the checks named here, at each eps on
 the default grid.  The clean partner must pass there too, so that a check
 which fails everything cannot pass for a kill.  Defects that ``verify``
 lets through are not listed here; CHANGES.md records them as its baseline
@@ -28,14 +28,14 @@ def seed_at_shifted_eps(monkeypatch, r):
 
 
 def ground_state_times_gaussian(monkeypatch, d):
-    real = transform.Partner._ground_half.func
-    monkeypatch.setattr(transform.Partner, "_ground_half", property(
+    real = transform.Partner._psi0_half.func
+    monkeypatch.setattr(transform.Partner, "_psi0_half", property(
         lambda self: real(self) * np.exp(-d * half_x(self) ** 2)))
 
 
 def excited_state_times_quadratic(monkeypatch, d):
-    real = transform.Partner._excited_half.func
-    monkeypatch.setattr(transform.Partner, "_excited_half", property(
+    real = transform.Partner._psi1_half.func
+    monkeypatch.setattr(transform.Partner, "_psi1_half", property(
         lambda self: real(self) * (1.0 + d * half_x(self) ** 2)))
 
 
