@@ -9,11 +9,11 @@ a_i = q_i / (1 - q_i/12), so every pass below runs on a tridiagonal matrix
 M(lam) = tridiag(-1, 2 + a_i, -1).  a_i falls with lam while q_i is below
 its pole at 12, so ``TridiagonalHamiltonian`` rejects h^2 (max V - min V)
 >= 12, and Sturm counts of M(lam) count the levels of the matrix-Numerov
-operator -B^{-1} D2 + diag(V) below lam.  V is even, so the matrix splits
-into two half-line sectors: an even one on x >= 0 with its centre row
-halved, and an odd one on x > 0 with a Dirichlet condition at x = 0.
-Levels of a persymmetric Jacobi matrix alternate in parity, so level j of H
-is level j // 2 of the sector with parity j % 2.
+operator -B^{-1} D2 + diag(V) below lam.  V is even, so H holds it on x >= 0
+and the matrix splits into two half-line sectors: an even one on x >= 0
+with its centre row halved, and an odd one on x > 0 with a Dirichlet
+condition at x = 0.  Levels of a persymmetric Jacobi matrix alternate in
+parity, so level j of H is level j // 2 of the sector with parity j % 2.
 
 Each pass is argued where it runs.  ``_negative_pivots`` runs the scaled
 pivots of a Sturm count.  ``TridiagonalHamiltonian.bound_counts`` counts
@@ -23,7 +23,7 @@ both sectors' levels below 0 in one backward pass from T.
 ``_twisted_step`` takes the Newton shift.  ``sector_eigenpair`` steps a
 level from the caller's shift and certifies it by Sturm counts, or bisects.
 
-The solver reads nothing but the grid and the sampled V in ``H.potential``,
+The solver reads nothing but the grid and V on x >= 0 in ``H.potential``,
 and this module imports nothing but numpy, the standard library and
 ``grids``, so agreement with the closed forms in ``transform`` is a real
 check, not a tautology.  The verdicts built on it live in ``wells``.
@@ -56,7 +56,7 @@ TAIL_BLOCK = 64  # rows per block in the search for a twisted step's free tail
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
     """Numerov discretization of -d2/dx2 + V, V even, with Dirichlet walls; it
-    holds V itself, and only ``_sector_residual`` writes out the stencils."""
+    holds V on x >= 0, and only ``_sector_residual`` writes out the stencils."""
 
     grid: Grid
     potential: np.ndarray = field(repr=False)
@@ -64,11 +64,10 @@ class TridiagonalHamiltonian:
     def __post_init__(self):
         values = np.asarray(self.potential, dtype=float)
         object.__setattr__(self, "potential", values)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError("potential length does not match grid")
-        # the solver only looks at x >= 0
-        if not (np.all(np.isfinite(values)) and np.array_equal(values, values[::-1])):
-            raise ValueError("potential must be finite and even: V(-x) == V(x)")
+        if values.shape != (self.grid.center_index + 1,):
+            raise ValueError("potential must hold V on the grid's x >= 0 nodes")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("potential must be finite")
         if self.grid.h**2 * (np.max(values) - np.min(values)) >= NUMEROV_POLE:
             raise ValueError("h^2 (max V - min V) must be below 12, the pole of "
                              "the Numerov recurrence")
@@ -76,8 +75,7 @@ class TridiagonalHamiltonian:
     @cached_property
     def edge_min(self) -> np.ndarray:
         """min V over x_i .. x_max for each node x_i >= 0; non-decreasing."""
-        half = self.potential[self.grid.center_index:]
-        return np.minimum.accumulate(half[::-1])[::-1]
+        return np.minimum.accumulate(self.potential[::-1])[::-1]
 
     @cached_property
     def bound_counts(self) -> Tuple[int, int]:
@@ -124,7 +122,7 @@ def _numerov(y: np.ndarray, v_minus_e: np.ndarray, h: float) -> np.ndarray:
 
 def _sector_rows(H: TridiagonalHamiltonian, lam: float, parity: int) -> np.ndarray:
     """a_i = q_i / (1 - q_i/12), q_i = h^2 (V_i - lam), over one sector's rows."""
-    q = H.grid.h**2 * (H.potential[H.grid.center_index + parity:] - lam)
+    q = H.grid.h**2 * (H.potential[parity:] - lam)
     return q / (1.0 - q / NUMEROV_POLE)
 
 
@@ -344,9 +342,10 @@ def _twisted_vector(a: np.ndarray, r0: float, turn: int,
 def _sector_residual(H: TridiagonalHamiltonian, y: np.ndarray, parity: int,
                      energy: float, nodes: slice = slice(None)) -> float:
     """||(H - E) mirror(y, parity)||^2 over the mirror of y's ``nodes``, from y
-    on x >= 0 (y_0 = 0 if odd): row 0 beside its mirror y_1 or -y_1."""
+    on x >= 0 (y_0 = 0 if odd): row 0 beside its mirror y_1 or -y_1, at V_1."""
     ext = np.concatenate(([-y[1] if parity else y[1]], y))  # from x = -h
-    r = _numerov(ext, H.potential[H.grid.center_index - 1:] - energy, H.grid.h)[1:]
+    v = H.potential - energy
+    r = _numerov(ext, np.concatenate((v[1:2], v)), H.grid.h)[1:]
     return _mirrored_sum_sq(r[nodes])
 
 

@@ -77,18 +77,17 @@ class WellClassification:
 
 
 def count_density_maxima(rho: np.ndarray) -> int:
-    """Strict local maxima of a sampled density.
+    """Strict local maxima of an even sampled density, given by its x >= 0 half.
 
-    Counts +/- sign changes of the discrete first difference, ignoring
-    flat steps, those within PLATEAU_TOL max |rho|, so the count does not
-    depend on the density's scale.  Rounding wiggles at a flat peak would
-    otherwise double-count it.
+    Counts each rise followed by a fall among the discrete first
+    differences, ignoring flat steps, those within PLATEAU_TOL max |rho|, so
+    the count does not depend on the density's scale.  Rounding wiggles at a
+    flat peak would otherwise double-count it.  Each maximum in x > 0 counts
+    twice, and x = 0 once if the first step that is not flat falls.
     """
     diffs = np.diff(rho)
-    signs = np.sign(diffs)
-    signs[np.abs(diffs) <= PLATEAU_TOL * np.max(np.abs(rho), initial=0.0)] = 0
-    signs = signs[signs != 0]
-    return int(np.sum((signs[:-1] > 0) & (signs[1:] < 0)))
+    rises = diffs[np.abs(diffs) > PLATEAU_TOL * np.max(np.abs(rho), initial=0.0)] > 0.0
+    return 2 * int(np.count_nonzero(rises[:-1] & ~rises[1:])) + int(not rises[:1].all())
 
 
 def well_kind(eps: float) -> WellKind:
@@ -124,7 +123,7 @@ def classify(partner: Partner) -> WellClassification:
         kind=well_kind(eps_val),
         separatrix=separatrix_energy(eps_val),
         curvature_origin=curvature_at_origin(eps_val),
-        density_maxima_count=count_density_maxima(partner.psi0 ** 2),
+        density_maxima_count=count_density_maxima(partner._psi0_half ** 2),
     )
 
 
@@ -175,7 +174,7 @@ def _relative_max(error: np.ndarray, scale: np.ndarray, sl: slice) -> float:
 
 
 class BoundLevels(NamedTuple):
-    """Both levels, their errors against eps and -1, H and the raw eigenvectors on x >= 0."""
+    """Both levels, their errors against eps and -1, and H and the raw eigenvectors on x >= 0."""
 
     e0_numeric: float
     e1_numeric: float
@@ -201,7 +200,7 @@ def bound_levels(partner: Partner) -> BoundLevels:
 
     eps_val = partner.epsilon
     partner.check_grid()
-    H = oracle.TridiagonalHamiltonian(partner.grid, partner.potential)
+    H = oracle.TridiagonalHamiltonian(partner.grid, partner._potential_half)
     negatives = sum(H.bound_counts)
     if negatives != 2:
         raise BoundStateCountMismatch(

@@ -56,9 +56,15 @@ def lowest_eigenpairs(H, k):
             for level, (energy, y) in enumerate(pairs)]
 
 
+def half(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """samples on the nodes x >= 0, the half that ``TridiagonalHamiltonian`` takes."""
+    return samples[grid.center_index:]
+
+
 def apply_h(H, y: np.ndarray, energy: float) -> np.ndarray:
-    """(H - E) y in Numerov form, -D2 y + B((V - E) y), with Dirichlet walls."""
-    return oracle._numerov(y, H.potential - energy, H.grid.h)
+    """(H - E) y in Numerov form, -D2 y + B((V - E) y), with Dirichlet walls,
+    y on the whole grid and V mirrored from the half that H holds."""
+    return oracle._numerov(y, mirror(H.potential, 0) - energy, H.grid.h)
 
 
 def overlap(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
@@ -94,7 +100,7 @@ def dense_sector_levels(H):
     for j in range(1, c + 1):
         even[c + j, j] = even[c - j, j] = odd[c + j, j - 1] = np.sqrt(0.5)
         odd[c - j, j - 1] = -np.sqrt(0.5)
-    matrix = numerov_matrix(H.grid, H.potential)
+    matrix = numerov_matrix(H.grid, mirror(H.potential, 0))
     return [np.linalg.eigvalsh(basis.T @ matrix @ basis) for basis in (even, odd)]
 
 

@@ -28,6 +28,7 @@ from conftest import (
     base_ground_state,
     cached_report,
     check_intertwining,
+    half,
     lc_state,
     left_well_probability,
     lowest_eigenpairs,
@@ -162,11 +163,12 @@ def test_criterion_08_dynamics(default_grid):
 
 def test_criterion_09_oracle_self_test(default_grid):
     ho_grid = Grid(15.0, 4001)
-    H = TridiagonalHamiltonian(ho_grid, ho_grid.x**2)
+    H = TridiagonalHamiltonian(ho_grid, half(ho_grid.x, ho_grid) ** 2)
     energies = [e for e, _ in lowest_eigenpairs(H, 3)]
     ok = all(abs(e - (2 * n + 1)) < 1e-4 for n, e in enumerate(energies))
 
-    base = TridiagonalHamiltonian(default_grid, -2.0 / np.cosh(default_grid.x) ** 2)
+    x = half(default_grid.x, default_grid)
+    base = TridiagonalHamiltonian(default_grid, -2.0 / np.cosh(x) ** 2)
     (e0, _), = lowest_eigenpairs(base, 1)
     ok = ok and abs(e0 + 1.0) < 1e-5
     record(9, "harmonic spectrum {1,3,5} within 1e-4; sech^2 well E0=-1 "

@@ -427,6 +427,17 @@ class TestSweepCommand:
         assert run(["verify", "--epsilon", -1.5, "--out", tmp_path / "v.json"]) == 0
         assert calls == {"bound_levels": 1, "eigen_residual": 2}
 
+    def test_rows_mirror_no_field(self, tmp_path, monkeypatch):
+        # every column reads the x >= 0 halves: no row, and no classify,
+        # mirrors a field onto the whole grid
+        mirrored = []
+        monkeypatch.setattr(transform, "mirror", lambda *args: mirrored.append(args))
+        assert run(["sweep", "--eps-start", -2.5, "--eps-end", -1.3, "--steps", 5,
+                    "--points", 4001, "--quantities", ",".join(cli.SWEEP_QUANTITIES),
+                    "--out", tmp_path / "s.csv"]) == 0
+        assert run(["classify", "--epsilon", -1.5, "--out", tmp_path / "c.txt"]) == 0
+        assert mirrored == []
+
     @pytest.mark.parametrize("points", [4001, 16003, 16001])
     def test_error_columns_are_verify_values(self, tmp_path, points):
         # the sweep's energy errors are verify's, bit for bit, and below 1e-9

@@ -21,7 +21,7 @@ from shallowdw import oracle, transform, wells
 from shallowdw.cli import main
 from shallowdw.grids import mirror
 from conftest import (apply_h, base_ground_state, cached_report, check_intertwining,
-                      lowest_eigenpairs, normalized, numerov_matrix, overlap)
+                      half, lowest_eigenpairs, normalized, numerov_matrix, overlap)
 
 # eigenvalue errors of the partner levels stop falling near 1e-14
 ROUNDING_FLOOR = 1e-13
@@ -30,7 +30,7 @@ ROUNDING_FLOOR = 1e-13
 class TestBuildHamiltonian:
     def test_free_laplacian_stencil(self):
         grid = Grid(1.0, 3)  # h = 1
-        H = TridiagonalHamiltonian(grid, np.zeros(3))
+        H = TridiagonalHamiltonian(grid, np.zeros(2))
         matrix = np.column_stack([apply_h(H, e, 0.0) for e in np.eye(3)])
         assert np.array_equal(matrix, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         # V - E enters through the Numerov mass matrix B = tridiag(1, 10, 1) / 12
@@ -38,7 +38,7 @@ class TestBuildHamiltonian:
         assert np.array_equal(shifted - matrix, [[10.0, 1.0, 0.0], [1.0, 10.0, 1.0], [0.0, 1.0, 10.0]])
 
     def test_center_diagonal_entry(self, default_grid):
-        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid)._potential_half)
         h2 = default_grid.h**2
         mid = default_grid.center_index
         unit = np.zeros(default_grid.n_points)
@@ -48,7 +48,7 @@ class TestBuildHamiltonian:
 
     def test_free_particle_box_edge(self, default_grid):
         # V = 0: no bound state; lowest level is the box ground state
-        H = TridiagonalHamiltonian(default_grid, np.zeros(default_grid.n_points))
+        H = TridiagonalHamiltonian(default_grid, np.zeros(default_grid.center_index + 1))
         (e0, _), = lowest_eigenpairs(H, 1)
         assert e0 >= 0.0
         box = np.pi**2 / (2.0 * default_grid.x_max) ** 2
@@ -59,13 +59,14 @@ class TestEigensolverSelfTests:
     def test_harmonic_oscillator(self):
         # hbar = 2m = 1 units: E_n = 2n + 1 for V = x^2
         grid = Grid(15.0, 4001)
-        H = TridiagonalHamiltonian(grid, grid.x**2)
+        H = TridiagonalHamiltonian(grid, half(grid.x, grid) ** 2)
         pairs = lowest_eigenpairs(H, 3)
         for n, (energy, _) in enumerate(pairs):
             assert energy == pytest.approx(2 * n + 1, abs=1e-4)
 
     def test_base_sech_well(self, default_grid):
-        H = TridiagonalHamiltonian(default_grid, -2.0 / np.cosh(default_grid.x) ** 2)
+        x = half(default_grid.x, default_grid)
+        H = TridiagonalHamiltonian(default_grid, -2.0 / np.cosh(x) ** 2)
         (e0, psi), = lowest_eigenpairs(H, 1)
         assert e0 == pytest.approx(-1.0, abs=1e-5)
         assert abs(overlap(psi, base_ground_state(default_grid), default_grid)) > 0.999999
@@ -74,37 +75,44 @@ class TestEigensolverSelfTests:
         # bisection tolerance is relative: an absolute 1e-12 is below
         # ulp(1e4) and stalls
         grid = Grid(15.0, 4001)
-        H = TridiagonalHamiltonian(grid, grid.x**2 - 1e4)
+        H = TridiagonalHamiltonian(grid, half(grid.x, grid) ** 2 - 1e4)
         (e0, _), (e1, _) = lowest_eigenpairs(H, 2)
         assert e0 == pytest.approx(-1e4 + 1, abs=1e-4)
         assert e1 == pytest.approx(-1e4 + 3, abs=1e-4)
 
     def test_k_out_of_range(self, default_grid):
-        H = TridiagonalHamiltonian(default_grid, np.zeros(default_grid.n_points))
+        H = TridiagonalHamiltonian(default_grid, np.zeros(default_grid.center_index + 1))
         with pytest.raises(ValueError):
             lowest_eigenpairs(H, 7)
 
     def test_k_beyond_tiny_grid(self):
         grid = Grid(1.0, 3)  # three levels in all
         with pytest.raises(ValueError):
-            lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(3)), 4)
+            lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(2)), 4)
 
-    def test_uneven_potential_rejected(self, default_grid):
-        # the solver only reads x >= 0
-        with pytest.raises(ValueError, match="even"):
-            TridiagonalHamiltonian(default_grid, default_grid.x)
+    @pytest.mark.parametrize("n", [3, 5, 4001])
+    def test_half_of_the_wrong_length_rejected(self, n):
+        # H holds V on x >= 0 alone, so V is even by construction: a whole-grid
+        # V, and a half one node short or long, are refused
+        grid = Grid(20.0, n)
+        TridiagonalHamiltonian(grid, np.zeros(grid.center_index + 1))
+        for length in (n, grid.center_index, grid.center_index + 2):
+            with pytest.raises(ValueError, match="x >= 0 nodes"):
+                TridiagonalHamiltonian(grid, np.zeros(length))
 
-    def test_length_mismatch_rejected(self, default_grid):
-        short = np.zeros(default_grid.n_points - 1)
-        with pytest.raises(ValueError, match="potential length"):
-            TridiagonalHamiltonian(default_grid, short)
+    def test_non_finite_potential_rejected(self, default_grid):
+        values = np.zeros(default_grid.center_index + 1)
+        for bad in (np.nan, np.inf, -np.inf):
+            values[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                TridiagonalHamiltonian(default_grid, values)
 
     def test_levels_closer_than_the_residual_target(self):
         # four identical wells far apart: each sector holds two levels that
         # no bisection separates, so every bracket ends at the residual target
         grid = Grid(14.0, 1401)
         V = sum(-60.0 * np.exp(-((np.abs(grid.x) - c) / 0.4) ** 2) for c in (3.0, 9.0))
-        H = TridiagonalHamiltonian(grid, V)
+        H = TridiagonalHamiltonian(grid, half(V, grid))
         energies = [energy for energy, _ in lowest_eigenpairs(H, 4)]
         dense = np.linalg.eigvalsh(numerov_matrix(grid, V))
         assert np.allclose(energies, dense[:4], rtol=0.0, atol=1e-10)
@@ -112,12 +120,12 @@ class TestEigensolverSelfTests:
     def test_missed_residual_target_raises(self, default_grid, monkeypatch):
         # the steps from the shift and those from the bracket share the cap
         monkeypatch.setattr(oracle, "INVERSE_ITERATION_MAX_STEPS", 0)
-        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid)._potential_half)
         with pytest.raises(ConvergenceFailure, match="inverse iteration"):
             lowest_eigenpairs(H, 1)
 
     def test_deterministic(self, default_grid):
-        H = TridiagonalHamiltonian(default_grid, Partner(-2.25, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(-2.25, default_grid)._potential_half)
         a = lowest_eigenpairs(H, 2)
         b = lowest_eigenpairs(H, 2)
         for (ea, wa), (eb, wb) in zip(a, b):
@@ -129,15 +137,15 @@ class TestNumerovSafety:
     def test_pole_rejected(self):
         # a_i = q_i / (1 - q_i/12) changes sign through its pole at q_i = 12
         grid = Grid(1.0, 3)  # h = 1
-        TridiagonalHamiltonian(grid, [11.5, 0.0, 11.5])
+        TridiagonalHamiltonian(grid, [0.0, 11.5])
         with pytest.raises(ValueError, match="pole"):
-            TridiagonalHamiltonian(grid, [12.0, 0.0, 12.0])
+            TridiagonalHamiltonian(grid, [0.0, 12.0])
 
     def test_unbound_levels_below_the_ceiling(self):
         # V = 0 binds nothing, so bisection brackets with max V + 6/h^2; the
         # top Numerov level, 21.67 at h = 0.5, lies above 4/h^2 = 16
         grid = Grid(1.0, 5)
-        H = TridiagonalHamiltonian(grid, np.zeros(5))
+        H = TridiagonalHamiltonian(grid, np.zeros(3))
         ceiling = 6.0 / grid.h**2
         assert [sturm_count(H, ceiling, parity) for parity in (0, 1)] == [3, 2]
         dense = np.linalg.eigvalsh(numerov_matrix(grid, np.zeros(5)))
@@ -150,7 +158,7 @@ class TestNumerovSafety:
         # h^2 (max V - min V) = 0.12 and 0.04, far below the pole: both
         # levels come from the grid itself, stepped from eps and -1
         partner = Partner(eps, Grid(20.0, 16001))
-        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        H = TridiagonalHamiltonian(partner.grid, partner._potential_half)
         assert sum(H.bound_counts) == 2
         # k h = 0.25 and 0.14 under-resolve psi0: the solve itself is checked
         levels = wells.bound_levels(partner)
@@ -159,7 +167,7 @@ class TestNumerovSafety:
     def test_failed_steps_fall_back_to_bisection(self, default_grid, monkeypatch):
         # a ConvergenceFailure in the steps from the shift, the level's coarse
         # estimate, falls back to bisection, which steps from its bracket
-        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid)._potential_half)
         expected = [bisection_only(H, parity, 0) for parity in (0, 1)]
         steps, bracket = oracle._inverse_iteration, oracle._bracket
         shifts = []
@@ -258,7 +266,7 @@ class TestCoarseToFine:
         # the even, 7 for the odd) leads the steps there, Sturm counts refuse
         # it, and bisection takes over with the answer it gives alone
         grid = Grid(15.0, 4001)
-        H = TridiagonalHamiltonian(grid, grid.x**2)
+        H = TridiagonalHamiltonian(grid, half(grid.x, grid) ** 2)
         expected = [bisection_only(H, parity, 0) for parity in (0, 1)]
         isolated, bracket = oracle._isolated, oracle._bracket
         verdicts, bisecting = [], []
@@ -289,7 +297,7 @@ class TestCoarseToFine:
         # 500, all give the level that bisection gives alone
         for eps in (-1.05, -1.5, -2.95):
             partner = Partner(eps, default_grid)
-            H = TridiagonalHamiltonian(partner.grid, partner.potential)
+            H = TridiagonalHamiltonian(partner.grid, partner._potential_half)
             expected = [bisection_only(H, parity, 0) for parity in (0, 1)]
             v_min = float(H.edge_min[0])
             for shifts in ((eps, -1.0), (eps + 0.3,) * 2, (v_min,) * 2, (0.5,) * 2,
@@ -298,7 +306,7 @@ class TestCoarseToFine:
                        for parity, sigma in zip((0, 1), shifts)]
                 assert within_rounding(got, expected), (eps, shifts)
         grid = Grid(15.0, 4001)
-        H = TridiagonalHamiltonian(grid, grid.x**2)
+        H = TridiagonalHamiltonian(grid, half(grid.x, grid) ** 2)
         for parity, index in ((0, 0), (1, 0), (0, 1), (1, 1)):
             expected = [bisection_only(H, parity, index)]
             for sigma in (4 * index + 2 * parity + 1, 0.0, 3.7, -1e3, 500.0):
@@ -320,7 +328,7 @@ class TestBracket:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.95, -30.0])
     def test_brackets_level_zero(self, eps, n):
         partner = Partner(eps, Grid(20.0, n))
-        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        H = TridiagonalHamiltonian(partner.grid, partner._potential_half)
         for parity in (0, 1):
             self.assert_brackets(H, parity, 0)
 
@@ -328,7 +336,7 @@ class TestBracket:
         # harmonic well, V >= 0: every bracket starts at [min V, the top of
         # the spectrum]
         grid = Grid(8.0, 401)
-        H = TridiagonalHamiltonian(grid, grid.x**2)
+        H = TridiagonalHamiltonian(grid, half(grid.x, grid) ** 2)
         for parity in (0, 1):
             for index in (0, 1, 2):
                 self.assert_brackets(H, parity, index)
@@ -337,25 +345,25 @@ class TestBracket:
 class TestSturmCount:
     @pytest.mark.parametrize("eps", [-1.05, -1.5, -2.25, -2.95])
     def test_two_bound_states(self, eps, default_grid):
-        H = TridiagonalHamiltonian(default_grid, Partner(eps, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(eps, default_grid)._potential_half)
         assert sturm_count(H, 0.0, 0) + sturm_count(H, 0.0, 1) == 2
 
     def test_count_brackets_eigenvalues(self, default_grid):
-        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid)._potential_half)
         assert sturm_count(H, -1.6, 0) + sturm_count(H, -1.6, 1) == 0
         assert sturm_count(H, -1.2, 0) + sturm_count(H, -1.2, 1) == 1
         assert sturm_count(H, -0.5, 0) + sturm_count(H, -0.5, 1) == 2
 
     def test_sectors_split_the_count(self, default_grid):
         # ground state even, excited state odd
-        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid)._potential_half)
         assert sturm_count(H, -1.2, parity=0) == 1
         assert sturm_count(H, -1.2, parity=1) == 0
         assert sturm_count(H, -0.5, parity=1) == 1
 
     @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
     def test_non_finite_lam_is_rejected(self, lam, default_grid):
-        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid).potential)
+        H = TridiagonalHamiltonian(default_grid, Partner(-1.5, default_grid)._potential_half)
         for parity in (0, 1):
             with pytest.raises(ValueError, match="finite lam"):
                 sturm_count(H, lam, parity)
@@ -371,22 +379,17 @@ class TestSturmCount:
         assert calls == []
 
 
-def half(samples, grid):
-    """samples on the nodes x >= 0."""
-    return samples[grid.center_index:]
-
-
 class TestEigenResidual:
     def test_analytic_states_are_near_eigenvectors(self, default_grid):
         # O(h^2) stencil error of the exact states at h = 0.01
         partner = Partner(-1.5, default_grid)
-        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        H = TridiagonalHamiltonian(partner.grid, partner._potential_half)
         assert eigen_residual(H, half(partner.psi0, default_grid), 0, -1.5) < 5e-5
         assert eigen_residual(H, half(partner.psi1, default_grid), 1, -1.0) < 5e-5
 
     def test_energy_shift_shows_up_directly(self, default_grid):
         partner = Partner(-1.5, default_grid)
-        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        H = TridiagonalHamiltonian(partner.grid, partner._potential_half)
         y = half(partner.psi0, default_grid)
         assert eigen_residual(H, y, 0, -1.5 + 0.1) == pytest.approx(0.1, rel=1e-3)
 
@@ -394,14 +397,14 @@ class TestEigenResidual:
     def test_grid_without_interior_nodes_rejected(self, n):
         # edge exclusion leaves no node to measure: raise, do not return NaN
         grid = Grid(3.0, n)
-        H = TridiagonalHamiltonian(grid, np.zeros(n))
+        H = TridiagonalHamiltonian(grid, np.zeros(grid.center_index + 1))
         for parity in (0, 1):
             with pytest.raises(ValueError, match="at least 7 points"):
                 eigen_residual(H, np.ones(grid.center_index + 1), parity, 0.0)
 
     def test_smallest_measurable_grid(self):
         grid = Grid(3.0, 7)
-        H = TridiagonalHamiltonian(grid, np.zeros(7))
+        H = TridiagonalHamiltonian(grid, np.zeros(4))
         assert eigen_residual(H, np.ones(4), 0, 0.0) == 0.0
 
 
@@ -412,7 +415,7 @@ class TestSectorResidual:
         # a rough vector keeps the residual far above the rounding in which
         # the stencils of the mirrored rows differ from the sector's
         grid = Grid(20.0 if n > 5 else 1.0, n)
-        H = TridiagonalHamiltonian(grid, Partner(-1.5, grid).potential)
+        H = TridiagonalHamiltonian(grid, Partner(-1.5, grid)._potential_half)
         y = np.random.default_rng(n).standard_normal(grid.center_index + 1)  # on x >= 0
         y[0] *= 1 - parity  # an odd vector is 0 at x = 0
         v = mirror(y, parity)
@@ -439,19 +442,19 @@ class TestSectorResidual:
 
     @pytest.mark.parametrize("n", [1999, 4001, 16001])
     def test_bound_levels_builds_no_whole_grid_state(self, n):
-        # the grid checks run on the states' x >= 0 samples, and verify's
-        # checks on the halves of every field but V, which H holds
+        # the grid checks run on the states' x >= 0 samples, H holds V's
+        # half, and verify's checks read the halves of every field
         partner = Partner(-2.5, Grid(20.0, n))
         wells.bound_levels(partner)
-        assert "psi0" not in vars(partner) and "psi1" not in vars(partner)
+        assert not {"potential", "psi0", "psi1"} & set(vars(partner))
         wells.verify(partner)
-        assert not {"psi0", "psi1", "w", "base_well"} & set(vars(partner))
+        assert not {"potential", "psi0", "psi1", "w", "base_well"} & set(vars(partner))
 
     @pytest.mark.parametrize("n", [3, 1999, 4001, 16001])
     def test_solver_returns_halves(self, n):
         # y on x >= 0; the odd half starts with its node at x = 0, exactly +0.0
         partner = Partner(-2.5, Grid(20.0 if n > 3 else 1.0, n))
-        H = TridiagonalHamiltonian(partner.grid, partner.potential)
+        H = TridiagonalHamiltonian(partner.grid, partner._potential_half)
         y0, y1 = (oracle.sector_eigenpair(H, parity, 0, sigma)[1]
                   for parity, sigma in ((0, -2.5), (1, -1.0)))
         assert len(y0) == len(y1) == partner.grid.center_index + 1

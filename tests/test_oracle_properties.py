@@ -5,27 +5,28 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from shallowdw import (Grid, GridTooCoarse, GridTooNarrow, Partner,
-                       TridiagonalHamiltonian, eigen_residual, sturm_count, wells)
+                       TridiagonalHamiltonian, eigen_residual, oracle, sturm_count, wells)
+from shallowdw.grids import mirror
 from shallowdw.oracle import EPS_MACH
 from shallowdw.transform import EPSILON_MAX
 
-from conftest import apply_h, dense_sector_levels, lowest_eigenpairs, numerov_matrix
+from conftest import apply_h, dense_sector_levels, half, lowest_eigenpairs, numerov_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
 def even_hamiltonians(draw, max_half=100):
-    """Random even potential on a grid of n = 2 m + 1 <= 201 nodes.
+    """Random even potential on a grid of n = 2 m + 1 <= 201 nodes, given by
+    its x >= 0 half.
 
     |V| <= min(1e3, 5 / h^2), so h^2 (max V - min V) <= 10 stays below the
     Numerov pole at 12 that ``TridiagonalHamiltonian`` rejects.
     """
     m = draw(st.integers(1, max_half))
     grid = Grid(draw(st.floats(0.5, 20.0)), 2 * m + 1)
-    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=m + 1, max_size=m + 1))
-    values = min(1e3, 5.0 / grid.h**2) * np.concatenate((half[:0:-1], half))
-    return TridiagonalHamiltonian(grid, values)
+    drawn = draw(st.lists(st.floats(-1.0, 1.0), min_size=m + 1, max_size=m + 1))
+    return TridiagonalHamiltonian(grid, min(1e3, 5.0 / grid.h**2) * np.array(drawn))
 
 
 @st.composite
@@ -40,7 +41,7 @@ def tailed_wells(draw):
     """
     m, width = draw(st.integers(30, 150)), draw(st.floats(0.3, 3.0))
     grid = Grid(draw(st.floats(8.0 * width, 30.0)), 2 * m + 1)
-    x = np.abs(grid.x)
+    x = half(grid.x, grid)
     decay = grid.x_max * draw(st.floats(1 / 80, 1 / 40))
     height = draw(st.floats(-8.0, -0.1) | st.floats(0.1, 2.0))
     weight = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-6, 1e-2))
@@ -50,7 +51,7 @@ def tailed_wells(draw):
 
 
 def dense_levels(H):
-    return np.linalg.eigvalsh(numerov_matrix(H.grid, H.potential))
+    return np.linalg.eigvalsh(numerov_matrix(H.grid, mirror(H.potential, 0)))
 
 
 def norm_bound(H):
@@ -152,9 +153,48 @@ def test_eigen_residual_is_that_of_the_mirrored_state(eps, n):
         partner.check_grid()
     except (GridTooNarrow, GridTooCoarse):
         reject()  # no state to measure
-    H = TridiagonalHamiltonian(grid, partner.potential)
+    H = TridiagonalHamiltonian(grid, partner._potential_half)
     for parity, psi, energy in ((0, partner.psi0, eps), (1, partner.psi1, -1.0)):
         r = apply_h(H, psi, energy)[3:-3]
         full = np.sqrt(np.sum(r * r) / np.sum(psi[3:-3] ** 2))
         got = eigen_residual(H, psi[grid.center_index:], parity, energy)
         assert abs(got - full) <= 0.25 * EPS_MACH / grid.h**2, (got, full)
+
+
+def dense_numerov_residual(H, psi, energy):
+    """(-D2 / h^2 + B diag(V - E)) psi from dense whole-grid matrices, V the
+    mirror of the half that H holds."""
+    n = H.grid.n_points
+    off = np.eye(n, k=1) + np.eye(n, k=-1)
+    second = (off - 2.0 * np.eye(n)) / H.grid.h**2
+    mass = (off + 10.0 * np.eye(n)) / 12.0
+    return (-second + mass @ np.diag(mirror(H.potential, 0) - energy)) @ psi
+
+
+@SETTINGS
+@pytest.mark.parametrize("max_half", [2, 100])
+@given(data=st.data())
+def test_ghost_node_residual_matches_the_dense_matrix(max_half, data):
+    # the sector residual takes the ghost node at -h from V(h) and y(h);
+    # for random even V and random y it is the residual of mirror(y) under
+    # the dense whole-grid matrices, to rounding in ||H|| ||y||, on every
+    # grid (3 and 5 nodes among them) and, on the nodes |x| <= x_max - 3h,
+    # as eigen_residual from n = 7 on
+    H = data.draw(even_hamiltonians(max_half=max_half))
+    parity = data.draw(st.integers(0, 1))
+    m = H.grid.center_index
+    y = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m + 1, max_size=m + 1)))
+    y[0] *= 1 - parity  # an odd vector is 0 at x = 0
+    energy = data.draw(st.floats(-10.0, 10.0))
+    psi = mirror(y, parity)
+    assume(np.any(psi[3:-3] != 0.0) if H.grid.n_points >= 7 else np.any(psi != 0.0))
+    full = dense_numerov_residual(H, psi, energy)
+    rounding = 1e-12 * (norm_bound(H) + abs(energy))
+    got = np.sqrt(oracle._sector_residual(H, y, parity, energy))
+    assert abs(got - np.linalg.norm(full)) <= rounding * np.linalg.norm(psi)
+    if H.grid.n_points >= 7:
+        want = np.linalg.norm(full[3:-3]) / np.linalg.norm(psi[3:-3])
+        assert abs(eigen_residual(H, y, parity, energy) - want) <= rounding
+    else:
+        with pytest.raises(ValueError, match="at least 7 points"):
+            eigen_residual(H, y, parity, energy)

@@ -18,13 +18,13 @@ from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
 from shallowdw.grids import mirror
 from shallowdw.oracle import EPS_MACH, PIVMIN, sturm_count
 
-from conftest import apply_h, dense_sector_levels, lowest_eigenpairs, zero_energy_top
+from conftest import apply_h, dense_sector_levels, half, lowest_eigenpairs, zero_energy_top
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
 
 def ref_scaled_sector(H, lam, parity):
-    q = H.grid.h**2 * (H.potential[H.grid.center_index:] - lam)
+    q = H.grid.h**2 * (H.potential - lam)
     a = (q / (1.0 - q / 12.0)).tolist()
     if parity == 0:
         return 0.5 * a[0], a[1:]
@@ -49,7 +49,7 @@ def ref_count(H, lam, parity):
 
 def ref_bound_counts(H):
     """bound_counts by the backward pass at lam = 0 over every row, from the edge."""
-    q = H.grid.h**2 * H.potential[H.grid.center_index:]
+    q = H.grid.h**2 * H.potential
     a = (q / (1.0 - q / 12.0)).tolist()
     count, s = 0, 1.0 + a[-1]
     for a_i in a[-2:0:-1]:
@@ -118,7 +118,7 @@ def bits(values):
 
 def partner(eps, n=4001):
     p = Partner(eps, Grid(20.0, n))
-    return TridiagonalHamiltonian(p.grid, p.potential)
+    return TridiagonalHamiltonian(p.grid, p._potential_half)
 
 
 def near(levels):
@@ -132,8 +132,8 @@ class TestTurningPointCount:
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_lam_equal_to_potential_values(self, eps):
         H = partner(eps)
-        half = H.potential[H.grid.center_index:]
-        picks = np.unique(np.concatenate((half[::97], [half.min(), half.max()])))
+        v = H.potential
+        picks = np.unique(np.concatenate((v[::97], [v.min(), v.max()])))
         assert_counts_match(H, picks.tolist())
 
     @pytest.mark.parametrize("eps", EPS_VALUES)
@@ -154,10 +154,9 @@ class TestTurningPointCount:
 
     def test_deep_well(self):
         grid = Grid(15.0, 4001)
-        H = TridiagonalHamiltonian(grid, grid.x**2 - 1e4)
+        H = TridiagonalHamiltonian(grid, half(grid.x, grid) ** 2 - 1e4)
         levels = [e for e, _ in lowest_eigenpairs(H, 2)]
-        half = H.potential[grid.center_index:]
-        assert_counts_match(H, near(levels) + [0.0, -1e4, float(half[1000])])
+        assert_counts_match(H, near(levels) + [0.0, -1e4, float(H.potential[1000])])
 
     @pytest.mark.parametrize("make, lams", [
         # a 251-node grid and two finer ones: lam at min V, below, between
@@ -166,7 +165,7 @@ class TestTurningPointCount:
         (lambda: partner(-1.5), (None, -1.8, -1.25, -0.5)),
         (lambda: partner(-1.5, 16001), (None, -1.8, -1.25, -0.5)),
         # h = 1: even levels -1.37 and 3.76, odd level 2.4, min V = -3
-        (lambda: TridiagonalHamiltonian(Grid(1.0, 3), [0.0, -3.0, 0.0]),
+        (lambda: TridiagonalHamiltonian(Grid(1.0, 3), [-3.0, 0.0]),
          (None, -2.0, 0.0, 3.0, 5.0)),
     ], ids=["251", "4001", "16001", "3"])
     @pytest.mark.parametrize("parity", [0, 1])
@@ -193,7 +192,7 @@ class TestTurningPointCount:
         # with its turn at row 1; a_0 = q_0 / (1 - q_0/12) rounds to -1
         # exactly, so r_0 = -0.5 and r_1 = -1.0, a zero pivot 1 + r_1 on the
         # first row past the turn
-        H = TridiagonalHamiltonian(Grid(3.0, 7), [2, 1, 0, -12 / 11, 0, 1, 2])
+        H = TridiagonalHamiltonian(Grid(3.0, 7), [-12 / 11, 0, 1, 2])
         assert oracle._turning_row(H.edge_min, 0.0, 0) == 1
         a = oracle._sector_rows(H, 0.0, 0)
         assert a[0] == -1.0 and a[1] == 0.0
@@ -249,7 +248,7 @@ class TestBoundCounts:
     ])
     def test_pinned_counts(self, values, counts):
         n = len(values)
-        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values)
+        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values[n // 2:])
         assert H.bound_counts == counts
         assert (sturm_count(H, 0.0, 0), sturm_count(H, 0.0, 1)) == counts
         assert dense_sector_counts(H, 0.0) == counts
@@ -309,7 +308,7 @@ class TestTwistedVector:
         z, gamma = oracle._twisted_vector(a, 1.0 + a[0], 0, 0)
         assert np.array_equal(z, [1.0]) and gamma == 2.25
         grid = Grid(1.0, 3)
-        pairs = lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(3)), 3)
+        pairs = lowest_eigenpairs(TridiagonalHamiltonian(grid, np.zeros(2)), 3)
         # -D2 has levels mu = 2 - sqrt(2), 2, 2 + sqrt(2) at h = 1; Numerov
         # divides each by its mass-matrix level 1 - mu/12
         mu = np.array([2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
@@ -364,8 +363,8 @@ def random_even_bumps(seed):
     e^-2|x|, so most have free rows at the edge and some levels near 0."""
     rng = np.random.default_rng(seed)
     grid = Grid(float(rng.uniform(2.0, 30.0)), 2 * int(rng.integers(2, 601)) + 1)
-    x = np.abs(grid.x)
-    values = np.zeros(grid.n_points)
+    x = half(grid.x, grid)
+    values = np.zeros(len(x))
     for _ in range(int(rng.integers(1, 4))):
         depth, centre, width = rng.uniform(-8.0, 2.0), rng.uniform(0.0, 5.0), rng.uniform(0.3, 3.0)
         shape = np.exp(-((x - centre) / width) ** 2) if rng.random() < 0.5 else \
@@ -405,7 +404,7 @@ class TestFreeTail:
     ])
     def test_bound_counts_on_the_exact_zero_pivot_grids(self, values):
         n = len(values)
-        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values)
+        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values[n // 2:])
         assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0)
 
     @pytest.mark.parametrize("rows, top, a_top", [(1000, 997, 3e-16), (3000, 2997, -1.2e-16)])
@@ -414,10 +413,10 @@ class TestFreeTail:
         # with only a = 0 rows between: the pass from T runs its pivot down
         # thousands of rows of a = 0.  The dense count of n = 6001 takes
         # 20 s and 2 GB on a 2-vCPU host, so it is checked on n = 2001 alone
-        half = np.zeros(rows + 1)
-        half[:2] = -1.0, -0.5
-        half[top] = a_top
-        H = TridiagonalHamiltonian(Grid(rows, 2 * rows + 1), np.concatenate((half[:0:-1], half)))
+        values = np.zeros(rows + 1)
+        values[:2] = -1.0, -0.5
+        values[top] = a_top
+        H = TridiagonalHamiltonian(Grid(rows, 2 * rows + 1), values)
         assert zero_energy_top(H) == top
         assert H.bound_counts == ref_bound_counts(H) == (1, 0)
         if rows <= 1000:
@@ -427,7 +426,7 @@ class TestFreeTail:
         # a square well of depth 2.5 on |x| <= 1 and a barrier of 0.05 out
         # to |x| = 3: the odd level sits just above 0, at 0.008
         grid = Grid(20.0, 801)
-        x = np.abs(grid.x)
+        x = half(grid.x, grid)
         H = TridiagonalHamiltonian(grid, np.where(x <= 1.0, -2.5, np.where(x <= 3.0, 0.05, 0.0)))
         assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0) == (1, 0)
 
@@ -445,7 +444,7 @@ class TestFreeTail:
         # row from the wall
         values = (edge,) * 5 + well + (edge,) * 5
         n = len(values)
-        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values)
+        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values[n // 2:])
         assert oracle._sector_rows(H, 0.0, 0)[-1] == edge
         passes = spy_passes(monkeypatch)
         assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0)
@@ -458,7 +457,7 @@ class TestFreeTail:
         # bit-identical levels; vectors whose difference has a residual
         # within the residual target
         grid = Grid(15.0, n)
-        deep = TridiagonalHamiltonian(grid, grid.x**2 - 1e4)
+        deep = TridiagonalHamiltonian(grid, half(grid.x, grid) ** 2 - 1e4)
         cases = [*partners(n), (deep, (-1e4, -1e4))]
         tails = spy_tails(monkeypatch)
         tailed = [level_pairs(H, sigmas) for H, sigmas in cases]
@@ -473,12 +472,12 @@ class TestFreeTail:
 
     @pytest.mark.parametrize("delta, walked", [(1e-8, False), (1.0, True)])
     def test_non_free_edge_is_walked(self, delta, walked, monkeypatch):
-        # V += delta on the edge nodes: the rows at lam = 0 are no longer
+        # V += delta on the edge node: the rows at lam = 0 are no longer
         # free, so the zero-energy pass walks every row from the edge; the
         # twisted steps take their tail farther out, or at delta = 1 none
         clean, planted = partner(-1.5), partner(-1.5)
         values = planted.potential.copy()
-        values[[0, -1]] += delta
+        values[-1] += delta
         planted = TridiagonalHamiltonian(planted.grid, values)
         passes = spy_passes(monkeypatch)
         assert planted.bound_counts == ref_bound_counts(planted) == (1, 1)
@@ -537,7 +536,8 @@ class TestFreeTail:
         # last row where V is not, T = 349, from the pivot the walk over the
         # free rows reaches
         grid = Grid(10.0, 1001)
-        values = np.where(np.abs(grid.x) < 7.0, -2.0 / np.cosh(grid.x) ** 2, 0.0)
+        x = half(grid.x, grid)
+        values = np.where(x < 7.0, -2.0 / np.cosh(x) ** 2, 0.0)
         H = TridiagonalHamiltonian(grid, values)
         passes = spy_passes(monkeypatch)
         assert H.bound_counts == ref_bound_counts(H)

@@ -204,8 +204,9 @@ class TestGroundState:
     def test_maxima_counts(self, default_grid):
         from shallowdw import count_density_maxima
 
-        rho_bimodal = Partner(-1.10, default_grid).psi0 ** 2
-        rho_central = Partner(-2.25, default_grid).psi0 ** 2
+        # the even densities' x >= 0 halves
+        rho_bimodal = Partner(-1.10, default_grid)._psi0_half ** 2
+        rho_central = Partner(-2.25, default_grid)._psi0_half ** 2
         assert count_density_maxima(rho_bimodal) == 2
         assert count_density_maxima(rho_central) == 1
 

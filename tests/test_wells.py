@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from shallowdw import (
     Grid,
+    GridTooCoarse,
+    GridTooNarrow,
     InvalidEpsilon,
     Partner,
     WellKind,
@@ -12,7 +15,9 @@ from shallowdw import (
     classify,
     count_density_maxima,
 )
-from shallowdw.wells import verify, well_kind
+from shallowdw.grids import mirror
+from shallowdw.transform import EPSILON_MAX
+from shallowdw.wells import PLATEAU_TOL, verify, well_kind
 
 from conftest import base_ground_state, cached_report
 
@@ -71,26 +76,78 @@ class TestClassify:
                 assert any(a < t <= b for t in (-3.0, -2.0)), (a, b)
 
 
+def whole_grid_count(rho: np.ndarray) -> int:
+    """The maxima count over a whole-grid density, as the package counted
+    before it took the x >= 0 half: the reference for the half rule."""
+    diffs = np.diff(rho)
+    signs = np.sign(diffs)
+    signs[np.abs(diffs) <= PLATEAU_TOL * np.max(np.abs(rho), initial=0.0)] = 0
+    signs = signs[signs != 0]
+    return int(np.sum((signs[:-1] > 0) & (signs[1:] < 0)))
+
+
+def assert_half_rule(rho_half: np.ndarray, expected=None):
+    """The half rule's count of the even density with half ``rho_half`` is
+    the whole-grid rule's on its mirror, and ``expected`` unless None."""
+    count = count_density_maxima(rho_half)
+    assert count == whole_grid_count(mirror(rho_half, 0)), rho_half
+    assert expected is None or count == expected
+
+
 class TestDensityMaxima:
     def test_base_well_density_is_unimodal(self, default_grid):
         phi = base_ground_state(default_grid)
-        assert count_density_maxima(phi**2) == 1
+        assert_half_rule(phi[default_grid.center_index:] ** 2, 1)
 
     def test_synthetic_bimodal(self, default_grid):
-        x = default_grid.x
+        x = default_grid.x[default_grid.center_index:]
         rho = np.exp(-((x - 1.5) ** 2)) + np.exp(-((x + 1.5) ** 2))
-        assert count_density_maxima(rho) == 2
+        assert_half_rule(rho, 2)
 
     def test_plateau_not_double_counted(self, default_grid):
         # perfectly flat top: one maximum, not two
-        rho = np.minimum(np.exp(-default_grid.x**2), 0.5)
-        assert count_density_maxima(rho) == 1
+        rho = np.minimum(np.exp(-default_grid.x[default_grid.center_index:] ** 2), 0.5)
+        assert_half_rule(rho, 1)
+
+    @pytest.mark.parametrize("rho, maxima", [
+        ([0.0], 0), ([1.0, 1.0], 0), ([0.0, 0.0, 0.0], 0), ([1.0, 0.5], 1),
+        ([0.5, 1.0], 0), ([0.5, 1.0, 1.0], 0), ([1.0, 1.0, 0.5], 1),
+        ([0.2, 1.0, 0.3, 0.9, 0.1], 4), ([1.0, 0.3, 0.9, 0.1], 3)])
+    def test_short_halves(self, rho, maxima):
+        # the centre is a maximum when the first step that is not flat falls
+        assert_half_rule(np.array(rho), maxima)
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-12, 1e-10, 1.0, 1e20])
     @pytest.mark.parametrize("eps, maxima", [(-1.5, 2), (-2.5, 1)])
     def test_count_does_not_depend_on_the_density_scale(self, eps, maxima, scale):
-        rho = partner(eps).psi0 ** 2
-        assert count_density_maxima(scale * rho) == maxima
+        assert_half_rule(scale * partner(eps)._psi0_half ** 2, maxima)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=40))
+    def test_random_even_densities(self, rho):
+        # ties and flat runs included: the mirrored steps are the half's
+        # negated, so the flat mask and the count agree exactly
+        assert_half_rule(np.array(rho))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.5, EPSILON_MAX, exclude_min=True), st.integers(100, 20000))
+    def test_ground_densities_match_the_whole_grid_rule(self, eps, m):
+        try:
+            rho = Partner(eps, Grid(20.0, 2 * m + 1))._psi0_half ** 2
+        except (GridTooNarrow, GridTooCoarse):
+            reject()  # no state on this grid
+        # the paper's verdict, but just above -2, where the central dip is
+        # too shallow for the coarser grids to resolve
+        assert_half_rule(rho, None if -2.0 < eps < -1.95 else 1 if eps <= -2.0 else 2)
+
+    @pytest.mark.parametrize("n", [201, 4001, 16001, 256001, 1024001])
+    @pytest.mark.parametrize("eps, maxima", [
+        # at eps = -2 the centre is quartic-flat: rounding wiggles there are
+        # within PLATEAU_TOL, so one maximum; so is the dip at -2 + 1e-12
+        (-2.0, 1), (-2.0 - 1e-12, 1), (-2.0 + 1e-12, 1), (-3.0, 1)])
+    def test_rounding_edge_cases_up_to_a_million_nodes(self, eps, maxima, n):
+        assert_half_rule(Partner(eps, Grid(20.0, n))._psi0_half ** 2, maxima)
 
 
 class TestBimodalityRelation:
