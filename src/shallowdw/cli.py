@@ -274,6 +274,10 @@ def cmd_sweep(args) -> int:
     if bad or not quantities:
         raise ValueError(f"unknown sweep quantities: {', '.join(bad) or '(none given)'}; "
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
+    # a repeated column would repeat a JSON key, and json.loads keeps only the last
+    repeated = [q for q in dict.fromkeys(quantities) if quantities.count(q) > 1]
+    if repeated:
+        raise ValueError(f"sweep quantities named more than once: {', '.join(repeated)}")
 
     grid = Grid(args.x_max, args.points)
     eps_values = linspace(args.eps_start, args.eps_end, args.steps)

@@ -4,14 +4,19 @@ The second derivative, the ladder operators A and A+, the base ground state
 and the operator-level intertwining check that uses them live here, not in
 the package, as does the two-level state built at each frame that the
 dynamics tests take as the reference for ``evolve_series``'s closed form.
+``run_fresh`` runs Python in a fresh process, as the console script runs.
 """
 
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import shallowdw
 from shallowdw import Grid, GridTooNarrow, Partner, oracle, wells
 from shallowdw.grids import first_derivative, mirror
 from shallowdw.transform import _sech
@@ -20,6 +25,19 @@ from shallowdw.transform import _sech
 # earlier run stored: the suite's verdict depends on the code alone
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
+
+
+def run_fresh(*args, code=0, **env):
+    """``python *args`` in a fresh interpreter that imports this package, under
+    tier-1's warning policy and with ``env`` set; asserts its exit code and
+    returns its stdout and stderr."""
+    src = os.path.dirname(os.path.dirname(shallowdw.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, **env, "PYTHONPATH": path,
+                               "PYTHONWARNINGS": "error::RuntimeWarning,error::DeprecationWarning"})
+    assert done.returncode == code, done.stderr
+    return done.stdout, done.stderr
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,8 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import platform
 import re
-import subprocess
-import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -20,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 import shallowdw
 from shallowdw import cli, oracle, transform, wells
 from shallowdw.cli import main
+
+from conftest import run_fresh
 
 
 COMMANDS = ["potential", "states", "verify", "classify", "evolve", "sweep"]
@@ -171,17 +170,23 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert run(["verify", "--epsilon", eps, "--points", points, "--out", out]) == 0
 
-    def test_near_degenerate_gap(self, tmp_path):
+    # -1.001 on 16001 nodes starts the zero-energy count farthest out, at
+    # row 7,162 of 8,000; the closed forms near -1 sum terms of one sign,
+    # so a fine grid passes there too
+    @pytest.mark.parametrize("eps, x_max, points", [
+        (-1.0001, 30, 6001), (-1.001, 20, 16001), (-1.000000001, 60, 48001)])
+    def test_near_degenerate_gap(self, tmp_path, eps, x_max, points):
         out = tmp_path / "verify.json"
-        assert run(["verify", "--epsilon", -1.0001, "--x-max", 30,
-                    "--points", 6001, "--out", out]) == 0
+        assert run(["verify", "--epsilon", eps, "--x-max", x_max,
+                    "--points", points, "--out", out]) == 0
         payload = json.loads(out.read_text())
-        assert payload["gap_numeric"] == pytest.approx(1e-4, abs=1e-5)
+        assert payload["gap_numeric"] == pytest.approx(-1.0 - eps, abs=1e-5)
 
     def test_failed_check_named_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         assert run(["verify", "--epsilon", -50, "--out", out]) == 1
         payload = json.loads(out.read_text())
+        assert payload["passed"] is False
         assert capsys.readouterr().err == "".join(
             f"check failed: {name}={payload[name]!r}, tolerance {tolerance}\n"
             for name, tolerance in (("psi0_residual", "5e-05"), ("psi1_residual", "5e-05"),
@@ -284,12 +289,16 @@ class TestClassifyCommand:
         assert run(["classify", "--epsilon", -3.5]) == 0
         assert "not a double well" in capsys.readouterr().out
 
-    def test_json_option(self, tmp_path):
+    # the paper's verdict on each side of eps = -2
+    @pytest.mark.parametrize("eps, side, maxima", [
+        (-2.25, "above", 1), (-2.5, "above", 1), (-1.5, "below", 2)])
+    def test_json_option(self, tmp_path, eps, side, maxima):
         out = tmp_path / "classify.json"
-        run(["classify", "--epsilon", -2.25, "--format", "json", "--out", out])
+        assert run(["classify", "--epsilon", eps, "--format", "json", "--out", out]) == 0
         payload = json.loads(out.read_text())
-        assert payload["density_maxima_count"] == 1
-        assert payload["separatrix"] == -2.5
+        assert payload["kind"] == f"double well, ground {side} separatrix"
+        assert payload["density_maxima_count"] == maxima
+        assert payload["separatrix"] == 2.0 * eps + 2.0
 
     def test_invalid_epsilon(self):
         assert run(["classify", "--epsilon", 0.3]) == 2
@@ -454,12 +463,17 @@ class TestSweepCommand:
             report = wells.verify(shallowdw.Partner(eps, grid))
             assert (e0, e1) == (report.e0_error, report.e1_error)
 
-    def test_bad_quantities_exit_2(self, tmp_path, capsys):
-        assert run(["sweep", "--eps-start", -2.0, "--eps-end", -1.5,
-                    "--steps", 3, "--quantities", "bogus"]) == 2
-        assert capsys.readouterr().err == (
-            "error: unknown sweep quantities: bogus; choose from separatrix, "
-            "curvature, gap, maxima_count, e0_error, e1_error\n")
+    @pytest.mark.parametrize("quantities, err", [
+        ("bogus", "unknown sweep quantities: bogus; choose from separatrix, "
+                  "curvature, gap, maxima_count, e0_error, e1_error"),
+        # JSON would write the key twice, and json.loads keep only the last
+        ("gap,e1_error, gap,e1_error,curvature",
+         "sweep quantities named more than once: gap, e1_error"),
+    ], ids=["unknown", "repeated"])
+    def test_bad_quantities_exit_2(self, quantities, err, capsys):
+        assert run_captured(["sweep", "--eps-start", "-2.0", "--eps-end", "-1.5", "--steps", "3",
+                             "--format", "json", "--quantities", quantities],
+                            capsys) == (2, "", f"error: {err}\n")
 
     def test_bad_range_exit_2(self, capsys):
         assert run(["sweep", "--eps-start", -1.5, "--eps-end", -0.9,
@@ -811,10 +825,8 @@ class TestHeapHold:
         # a 16001-node vector is just under glibc's 128 KiB mmap threshold:
         # unheld, glibc trims the heap after each solve's temporaries and the
         # next solve faults them back in; cli._hold_heap gives the counts
-        env = {**os.environ, "PYTHONPATH": str(Path(shallowdw.__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, "-c", FAULTS_OF_ONE_RUN, *SWEEP_16001],
-                              env=env, capture_output=True, text=True, timeout=120, check=True)
-        code, faults = map(int, done.stdout.split())
+        stdout, _ = run_fresh("-c", FAULTS_OF_ONE_RUN, *SWEEP_16001)
+        code, faults = map(int, stdout.split())
         assert code == 0
         assert faults < 1000, faults
 
@@ -925,12 +937,94 @@ def test_every_sweep_keeps_the_exit_code_contract(eps_start, eps_end):
      "--points", "16001", "--quantities", "e0_error,e1_error"],
 ])
 def test_stdout_does_not_depend_on_blas_threads(args):
-    src = str(Path(shallowdw.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-m", "shallowdw.cli", *args],
-                              env=env, capture_output=True, timeout=120, check=True)
-        outputs.append(done.stdout)
+    outputs = [run_fresh("-m", "shallowdw.cli", *args, OPENBLAS_NUM_THREADS=threads,
+                         OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)[0]
+               for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
+
+
+def round_trips(cells, count):
+    """count cells, each the repr of the float it parses to."""
+    return len(cells) == count and all(repr(float(cell)) == cell for cell in cells)
+
+
+def csv_cells(text):
+    """The cells of an emitted CSV's rows, without its header and comment lines."""
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    return [cell for row in rows for cell in row.split(",")]
+
+
+def json_floats(text):
+    """The text of every float in an emitted JSON document."""
+    floats = []
+    json.loads(text, parse_float=floats.append)
+    return floats
+
+
+SIX = "separatrix,curvature,gap,maxima_count,e0_error,e1_error"
+
+
+def sweep_verdict(out, err):
+    # the object-dtype columns go through every table's row buffer, and the
+    # paper's verdict holds: one density maximum below eps = -2, two above
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    return (header == ["epsilon", *SIX.split(",")] and all(len(row) == 7 for row in rows)
+            and round_trips([cell for row in rows for j, cell in enumerate(row) if j != 4], 30)
+            and [(float(row[0]) > -2.0, row[4]) for row in rows]
+            == [(False, "1")] * 2 + [(True, "2")] * 3)
+
+
+# name -> (argv, exit code, check of stdout and stderr). The subject of each
+# run is the first cli.main of a process: main holds the heap once per
+# process, floatfmt builds its tables on first use, and main builds the
+# parsers that help and usage errors print
+CONSOLE_RUNS = {
+    "sweep": (["sweep", "--eps-start", "-2.5", "--eps-end", "-1.3", "--steps", "5",
+               "--points", "16001", "--quantities", SIX], 0, sweep_verdict),
+    "states": (["states", "--epsilon", "-1.5", "--points", "64001"], 0,
+               lambda out, err: round_trips(csv_cells(out), 5 * 64001)),
+    "potential": (["potential", "--epsilon", "-2.5", "--format", "json", "--points", "64001"],
+                  0, lambda out, err: round_trips(json_floats(out), 2 * 64001)),
+    # P_left(0) = 1/2 - |eps|^(-1/4) / 2, the exact half-line overlap
+    "evolve": (["evolve", "--epsilon", "-1.5", "--frames", "2001"], 0,
+               lambda out, err: round_trips(csv_cells(out), 2 * 2001)
+               and abs(float(csv_cells(out)[1]) - (0.5 - 0.5 * 1.5 ** -0.25)) <= 1e-15),
+    "--help": (["--help"], 0, lambda out, err: all(
+        re.search(rf"^    {command} ", out, re.MULTILINE) for command in COMMANDS)),
+    **{f"{command} --help": ([command, "--help"], 0, lambda out, err, command=command:
+                             out.startswith(f"usage: shallowdw {command} "))
+       for command in COMMANDS},
+    "frobnicate": (["frobnicate"], 2, lambda out, err: out == ""),
+    "verify --bogus": (["verify", "--bogus"], 2,
+                       lambda out, err: err.startswith("usage: shallowdw [-h]")),
+    "verify --epsilon": (["verify", "--epsilon"], 2,
+                         lambda out, err: err.startswith("usage: shallowdw verify ")),
+}
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+@pytest.mark.parametrize("name", CONSOLE_RUNS)
+def test_console_run(name, fresh, capsys):
+    # a fresh run is the console script's: one process, tier-1's warning
+    # policy; in this process the same run follows others
+    argv, code, check = CONSOLE_RUNS[name]
+    if fresh:
+        out, err = run_fresh("-m", "shallowdw.cli", *argv, code=code)
+    else:
+        ran, out, err = run_captured(argv, capsys)
+        assert ran == code, err
+    assert check(out, err), (out[:1000], err)
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def test_workflow_leaves_the_console_script_checks_to_tier_1():
+    # CI runs the entry point once; what its runs must print is checked
+    # above, not in the workflow's shell or inline Python
+    lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()
+             if not line.lstrip().startswith("#")]
+    runs = [line for line in lines if re.search(r"(^|[\s;&|(`])shallowdw(\s|$)", line)]
+    assert len(runs) == 1, runs
+    (inline,) = [line for line in lines if re.search(r"\bpython3? -c\b", line)]
+    assert "shallowdw.__file__" in inline and "GITHUB_WORKSPACE" in inline

@@ -3,14 +3,13 @@ a process loads only the package modules that its command runs."""
 
 import ast
 import json
-import os
-import subprocess
 import sys
 
 import pytest
 
-import shallowdw
 from shallowdw import cli, oracle, wells
+
+from conftest import run_fresh
 
 # imports shallowdw.cli, runs one verify, and prints the top-level name of
 # every module loaded since it started; site hooks may have loaded others
@@ -25,19 +24,8 @@ print("\\n".join(sorted({name.partition(".")[0] for name in set(sys.modules) - b
 """
 
 
-def run_fresh(script, *args):
-    """``script`` in a fresh interpreter that imports this package; its stdout."""
-    src = os.path.dirname(os.path.dirname(shallowdw.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run([sys.executable, "-c", script, *args],
-                            env={**os.environ, "PYTHONPATH": path},
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
 def test_verify_loads_only_numpy_shallowdw_and_the_standard_library(tmp_path):
-    stdout = run_fresh(SCRIPT, str(tmp_path / "verify.json"))
+    stdout, _ = run_fresh("-c", SCRIPT, str(tmp_path / "verify.json"))
     code, *loaded = stdout.splitlines()
     assert code == "0"
     assert "numpy" in loaded and "shallowdw" in loaded
@@ -78,8 +66,8 @@ def test_solver_imports_only_numpy_the_standard_library_and_grids():
 
 def test_solver_loads_no_other_package_module_but_grids():
     # and at run time: importing the package imports none of its modules
-    loaded = run_fresh("import shallowdw.oracle, sys; "
-                       "print(*sorted(name for name in sys.modules if 'shallowdw.' in name))")
+    loaded, _ = run_fresh("-c", "import shallowdw.oracle, sys; "
+                          "print(*sorted(name for name in sys.modules if 'shallowdw.' in name))")
     assert loaded.split() == ["shallowdw.grids", "shallowdw.oracle"]
 
 
@@ -114,7 +102,8 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
     args = (["--eps-start", "-2.5", "--eps-end", "-1.5", "--steps", "2",
              "--quantities", "gap,maxima_count,e0_error"] if command == "sweep"
             else ["--epsilon", "-1.5"])
-    stages = json.loads(run_fresh(STAGES, command, *args, "--out", str(tmp_path / "out")))
+    stdout, _ = run_fresh("-c", STAGES, command, *args, "--out", str(tmp_path / "out"))
+    stages = json.loads(stdout)
     every = ["cli", "grids", "transform"]
     assert stages == [[], every, [0, sorted(every + COMMAND_MODULES[command])]]
 
