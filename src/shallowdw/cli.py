@@ -160,7 +160,13 @@ def _emit_table(args, header, columns, comments=(), footer=(), fields=None,
                 svg=None) -> None:
     """CSV with ``comments`` above the header and ``footer`` below the rows,
     or JSON with the columns followed by each of ``fields`` under its key;
-    and the text ``svg``, if given, to ``args.svg`` first."""
+    and the text ``svg``, if given, to ``args.svg`` first.  The two must name
+    different destinations, or one file would hold both."""
+    if svg:
+        dests = [None if path in (None, "-") else os.path.realpath(path)
+                 for path in (args.svg, args.out)]
+        if dests[0] == dests[1]:
+            raise ValueError("--svg and --out name the same destination")
     table = (_columns_json(header, columns, fields) if args.format == "json"
              else _csv(header, columns, comments, footer))
     plot = [(args.svg, [svg.encode()])] if svg else []

@@ -4,7 +4,8 @@ The second derivative, the ladder operators A and A+, the base ground state
 and the operator-level intertwining check that uses them live here, not in
 the package, as does the two-level state built at each frame that the
 dynamics tests take as the reference for ``evolve_series``'s closed form.
-``run_fresh`` runs Python in a fresh process, as the console script runs.
+``run_fresh`` runs Python in a fresh process, as the console script runs,
+and ``run`` runs the CLI in this one.
 """
 
 import functools
@@ -38,6 +39,17 @@ def run_fresh(*args, code=0, **env):
                                "PYTHONWARNINGS": "error::RuntimeWarning,error::DeprecationWarning"})
     assert done.returncode == code, done.stderr
     return done.stdout, done.stderr
+
+
+def run(args):
+    """Exit code of one in-process CLI run; each argument is passed as its str."""
+    from shallowdw.cli import main
+    return main([str(a) for a in args])
+
+
+def bits(values):
+    """The IEEE bit patterns of float values, as a list."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
 import re
 import warnings
@@ -18,14 +19,10 @@ import shallowdw
 from shallowdw import cli, oracle, transform, wells
 from shallowdw.cli import main
 
-from conftest import run_fresh
+from conftest import run, run_fresh
 
 
 COMMANDS = ["potential", "states", "verify", "classify", "evolve", "sweep"]
-
-
-def run(args):
-    return main([str(a) for a in args])
 
 
 def read_csv(path):
@@ -308,12 +305,12 @@ class TestEvolveCommand:
     def test_two_periods_cross_half_four_times(self, tmp_path):
         from shallowdw import analytic_period
 
+        # by default 201 frames over two periods
         out = tmp_path / "evolve.csv"
-        t_max = 2 * analytic_period(-1.05)
-        assert run(["evolve", "--epsilon", -1.05, "--t-max", t_max,
-                    "--frames", 401, "--out", out]) == 0
+        assert run(["evolve", "--epsilon", -1.05, "--out", out]) == 0
         header, rows, comments = read_csv(out)
         assert header == ["t", "P_left"]
+        assert len(rows) == 201 and rows[-1, 0] == 2 * analytic_period(-1.05)
         assert any(c.startswith("# analytic_period=") for c in comments)
         y = rows[:, 1] - 0.5
         crossings = np.sum(y[:-1] * y[1:] < 0)
@@ -399,11 +396,13 @@ class TestSweepCommand:
         assert np.all(count[eps < -2.0] == 1)
         assert np.all(count[eps > -2.0] == 2)
 
-    def test_gap_is_analytic(self, tmp_path):
+    @pytest.mark.parametrize("steps", [5, 1])
+    def test_gap_is_analytic(self, steps, tmp_path):
         out = tmp_path / "sweep.csv"
-        run(["sweep", "--eps-start", -2.5, "--eps-end", -1.5, "--steps", 5,
-             "--quantities", "gap", "--out", out])
+        assert run(["sweep", "--eps-start", -2.5, "--eps-end", -1.5, "--steps", steps,
+                    "--quantities", "gap", "--out", out]) == 0
         _, rows, _ = read_csv(out)
+        assert len(rows) == steps
         assert np.array_equal(rows[:, 1], np.abs(1.0 + rows[:, 0]))
 
     def test_oracle_error_columns(self, tmp_path):
@@ -568,7 +567,7 @@ class TestConfigFile:
     def test_every_key_reads_like_its_flag(self, command, settings, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
-                       + "colour = blue  # unknown keys are ignored\n")
+                       + "colour = blue=green  # unknown keys are ignored, '=' in values too\n")
         flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
         from_file = run_captured([command, "--config", str(cfg)], capsys)
         assert from_file[0] == 0 and from_file[1]
@@ -670,6 +669,20 @@ class TestExitCodeTable:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # one file, or stdout, would hold the SVG and the table run together
+    @pytest.mark.parametrize("svg, out", [("same.out", "same.out"), ("same.out", "./same.out"),
+                                          ("-", None), ("-", "-")],
+                             ids=["same-path", "same-realpath", "svg-stdout", "both-dashes"])
+    def test_svg_and_out_naming_one_destination_is_bad_args(self, svg, out, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "same.out").write_text("old")
+        args = ["potential", "--epsilon", "-1.5", "--points", "5", "--x-max", "1", "--svg", svg]
+        code, stdout, err = run_captured(args + (["--out", out] if out else []), capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: --svg and --out name the same destination\n"
+        assert (tmp_path / "same.out").read_text() == "old"
+
     # both files are opened before either is written, and a file made by the
     # first open is removed when the second fails
     @pytest.mark.parametrize("command", ["potential", "evolve"])
@@ -755,7 +768,7 @@ class TestParserSurface:
 
 CFG = "<config>"  # a run.cfg that sets epsilon and points
 SAME_AS_THE_FULL_PARSER = [
-    ["potential", "--epsilon", "-1.5", "--points", "11", "--svg", "-"],
+    ["potential", "--epsilon", "-1.5", "--points", "11", "--svg", "-", "--out", os.devnull],
     ["states", "--epsilon", "-2.5", "--points", "11", "--format", "json"],
     ["verify", "--epsilon", "-1.5"], ["verify", "--eps", "-1.5"],
     ["classify", "--epsilon=-2.5", "--x-max", "10", "--points", "101"],

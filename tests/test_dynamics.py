@@ -125,10 +125,16 @@ class TestEvolveSeries:
         with pytest.raises(ValueError, match="t_max must be finite"):
             evolve_series(Partner(-1.5, default_grid), t_max, 3)
 
-    def test_t_max_whose_phase_overflows_rejected(self, default_grid):
-        # (1 + eps) t_max = -2 * 9e307 overflows; cos(inf) would be a NaN frame
-        with pytest.raises(ValueError, match=r"as must \(1 \+ eps\) t_max"):
-            evolve_series(Partner(-3.0, default_grid), 8.98846567431158e307, 3)
+    @pytest.mark.parametrize("t_max, overflows", [(8.98846567431158e307, True), (5e307, False)])
+    def test_t_max_whose_phase_overflows_rejected(self, default_grid, t_max, overflows):
+        # (1 + eps) t_max = -2 * 9e307 overflows; cos(inf) would be a NaN frame.
+        # At 5e307 the phase is finite, though (1 - eps) t_max is not
+        if overflows:
+            with pytest.raises(ValueError, match=r"as must \(1 \+ eps\) t_max"):
+                evolve_series(Partner(-3.0, default_grid), t_max, 3)
+        else:
+            series = evolve_series(Partner(-3.0, default_grid), t_max, 3)
+            assert np.all(np.isfinite(series.left_probability))
 
     # each bound is about twice the gap measured on the default grid
     @pytest.mark.parametrize("eps, bound", [

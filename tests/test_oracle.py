@@ -138,8 +138,10 @@ class TestNumerovSafety:
         # a_i = q_i / (1 - q_i/12) changes sign through its pole at q_i = 12
         grid = Grid(1.0, 3)  # h = 1
         TridiagonalHamiltonian(grid, [0.0, 11.5])
-        with pytest.raises(ValueError, match="pole"):
-            TridiagonalHamiltonian(grid, [0.0, 12.0])
+        # a barrier or a well as high: the pole is met by the spread of V
+        for values in ([0.0, 12.0], [-12.0, 0.0]):
+            with pytest.raises(ValueError, match="pole"):
+                TridiagonalHamiltonian(grid, values)
 
     def test_unbound_levels_below_the_ceiling(self):
         # V = 0 binds nothing, so bisection brackets with max V + 6/h^2; the

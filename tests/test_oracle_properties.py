@@ -10,7 +10,7 @@ from shallowdw.grids import mirror
 from shallowdw.oracle import EPS_MACH
 from shallowdw.transform import EPSILON_MAX
 
-from conftest import apply_h, dense_sector_levels, half, lowest_eigenpairs, numerov_matrix
+from conftest import apply_h, dense_sector_levels, half, lowest_eigenpairs
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -50,31 +50,28 @@ def tailed_wells(draw):
     return TridiagonalHamiltonian(grid, values)
 
 
-def dense_levels(H):
-    return np.linalg.eigvalsh(numerov_matrix(H.grid, mirror(H.potential, 0)))
-
-
 def norm_bound(H):
     # the Numerov kinetic term reaches 6/h^2
     return 6.0 / H.grid.h**2 + np.max(np.abs(H.potential))
 
 
 def check_sturm_count(H, where):
-    levels = dense_levels(H)
+    sectors = dense_sector_levels(H)
+    levels = np.concatenate(sectors)
     low = np.min(H.potential)
     # no level lies below min V, not even past max V - 12/h^2, where the
     # Numerov a_i pass their pole
     below = low - where * 1e3 * norm_bound(H)
     assert sturm_count(H, below, 0) == sturm_count(H, below, 1) == 0
-    lam = low + where * (levels[-1] + 1.0 - low)
+    lam = low + where * (np.max(levels) + 1.0 - low)
     # within roundoff of a level the count may go either way
     assume(np.min(np.abs(levels - lam)) > 1e-9 * norm_bound(H))
-    assert sturm_count(H, lam, 0) + sturm_count(H, lam, 1) == np.count_nonzero(levels < lam)
+    assert [sturm_count(H, lam, p) for p in (0, 1)] == [np.count_nonzero(s < lam) for s in sectors]
 
 
 def check_lowest_eigenpairs(H, k):
     k = min(k, H.grid.n_points)
-    levels = dense_levels(H)
+    levels = np.sort(np.concatenate(dense_sector_levels(H)))
     pairs = lowest_eigenpairs(H, k)
     scale = norm_bound(H)
     for j, (energy, v) in enumerate(pairs):

@@ -18,7 +18,8 @@ from shallowdw import Grid, Partner, TridiagonalHamiltonian, oracle, wells
 from shallowdw.grids import mirror
 from shallowdw.oracle import EPS_MACH, PIVMIN, sturm_count
 
-from conftest import apply_h, dense_sector_levels, half, lowest_eigenpairs, zero_energy_top
+from conftest import (apply_h, bits, dense_sector_levels, half, lowest_eigenpairs,
+                      zero_energy_top)
 
 EPS_VALUES = (-1.05, -1.5, -2.95)
 
@@ -111,11 +112,6 @@ def assert_counts_match(H, lams):
             assert sturm_count(H, lam, parity) == ref_count(H, lam, parity), (lam, parity)
 
 
-def bits(values):
-    """The IEEE bit patterns of float values."""
-    return np.fromiter(values, float).view(np.uint64).tolist()
-
-
 def partner(eps, n=4001):
     p = Partner(eps, Grid(20.0, n))
     return TridiagonalHamiltonian(p.grid, p._potential_half)
@@ -130,13 +126,6 @@ def near(levels):
 
 class TestTurningPointCount:
     @pytest.mark.parametrize("eps", EPS_VALUES)
-    def test_lam_equal_to_potential_values(self, eps):
-        H = partner(eps)
-        v = H.potential
-        picks = np.unique(np.concatenate((v[::97], [v.min(), v.max()])))
-        assert_counts_match(H, picks.tolist())
-
-    @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_continuum_edge_and_above_max_v(self, eps):
         H = partner(eps)
         top = float(np.max(H.potential))
@@ -145,12 +134,6 @@ class TestTurningPointCount:
         assert_counts_match(H, [0.0, top + 1.0, ceiling])
         for parity in (0, 1):
             assert sturm_count(H, ceiling, parity) == H.grid.center_index + 1 - parity
-
-    @pytest.mark.parametrize("eps", EPS_VALUES)
-    def test_within_1e_12_of_both_levels(self, eps):
-        H = partner(eps)
-        levels = [e for e, _ in lowest_eigenpairs(H, 2)]
-        assert_counts_match(H, near(levels))
 
     def test_deep_well(self):
         grid = Grid(15.0, 4001)
@@ -186,6 +169,13 @@ class TestTurningPointCount:
             with pytest.raises(ValueError, match="finite lam"):
                 sturm_count(H, lam, parity)
         assert passes == []
+
+    # edge_min of V = (-3, -1, 0, 2): a sector's first row from which on
+    # V >= lam, 0 below min V, and its last row where V < lam at the edge
+    @pytest.mark.parametrize("lam, rows", [(-5.0, (0, 0)), (-0.5, (2, 1)), (3.0, (3, 2))])
+    def test_turning_row_of_each_sector(self, lam, rows):
+        edge_min = np.array([-3.0, -1.0, 0.0, 2.0])
+        assert tuple(oracle._turning_row(edge_min, lam, parity) for parity in (0, 1)) == rows
 
     def test_exact_zero_pivot_past_the_turning_row(self):
         # h = 1 and lam = 0: the even sector's rows are q = -12/11, 0, 1, 2
@@ -234,24 +224,6 @@ class TestBoundCounts:
             top = zero_energy_top(H)
             assert 0 < top < H.grid.center_index
             assert passes == [(1.0 / (H.grid.center_index - top), top)]
-
-    @pytest.mark.parametrize("values, counts", [
-        # the grid of test_exact_zero_pivot_past_the_turning_row
-        ((2.0, 1.0, 0.0, -12 / 11, 0.0, 1.0, 2.0), (1, 0)),
-        # h = 1: q = -2.4 on the edge row gives a = -2 exactly, so the
-        # backward pass starts on an exact-zero pivot
-        ((-2.4, 0.0, -3.0, 0.0, -2.4), (2, 1)),
-        # n = 3, h = 1: the odd sector is the node x = 1 alone
-        ((0.0, -3.0, 0.0), (1, 0)),
-        ((-3.0, -3.0, -3.0), (1, 1)),
-        ((0.0, 0.0, 0.0), (0, 0)),
-    ])
-    def test_pinned_counts(self, values, counts):
-        n = len(values)
-        H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values[n // 2:])
-        assert H.bound_counts == counts
-        assert (sturm_count(H, 0.0, 0), sturm_count(H, 0.0, 1)) == counts
-        assert dense_sector_counts(H, 0.0) == counts
 
 
 class TestTwistedVector:
@@ -407,6 +379,15 @@ class TestFreeTail:
         H = TridiagonalHamiltonian(Grid((n - 1) / 2, n), values[n // 2:])
         assert H.bound_counts == ref_bound_counts(H) == dense_sector_counts(H, 0.0)
 
+    def test_bound_counts_with_an_exact_zero_last_pivot(self):
+        # h = 1 and V_1 = -12/7 make a_1 = -1.5, so behind the free edge row
+        # s_1 = a_1 + 1/2 = -1: the odd level sits at 0 exactly, and the
+        # backward pass counts it as the forward one does, its zero pivot
+        # read as -PIVMIN
+        H = TridiagonalHamiltonian(Grid(2.0, 5), (0.0, -12 / 7, 0.0))
+        assert H.bound_counts == ref_bound_counts(H) == (1, 1)
+        assert (sturm_count(H, 0.0, 0), sturm_count(H, 0.0, 1)) == (1, 1)
+
     @pytest.mark.parametrize("rows, top, a_top", [(1000, 997, 3e-16), (3000, 2997, -1.2e-16)])
     def test_bound_counts_behind_one_row_at_the_rounding_floor(self, rows, top, a_top):
         # h = 1, a well on rows 0 and 1, and one row T at the rounding floor
@@ -504,13 +485,18 @@ class TestFreeTail:
 
     def test_failed_recheck_walks_every_row(self, monkeypatch):
         # a step whose computed z fails the tail's bound is taken again on
-        # every row, and gives the full walk's pair bit for bit
+        # every row, and gives the full walk's pair bit for bit; the recheck
+        # reads z on the first free row, T + 1
         H = partner(-1.5)
-        checked = []
+        checked, vectors, walk = [], [], oracle._twisted_vector
         monkeypatch.setattr(oracle, "_tail_holds", lambda *args: checked.append(args) and False)
+        monkeypatch.setattr(oracle, "_twisted_vector",
+                            lambda *args: vectors.append(walk(*args)) or vectors[-1])
         tails = spy_tails(monkeypatch)
         pairs = level_pairs(H, (-1.5, -1.0))
         assert checked and len(tails) == 2 * len(checked)
+        assert [z_free for _, _, z_free, *_ in checked] == [
+            z[tail + 1] for (z, _), (_, tail, *_) in zip(vectors[::2], checked)]
         for (rows_n, tail), (_, again) in zip(tails[::2], tails[1::2]):
             assert tail < rows_n - 1 and again == rows_n - 1
         full_walk(monkeypatch)

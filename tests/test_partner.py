@@ -21,16 +21,11 @@ from shallowdw import (
     transform,
     wells,
 )
-from shallowdw.cli import main
 
-from conftest import (apply_a, apply_a_dagger, base_ground_state, check_intertwining,
-                      norm_squared)
+from conftest import (apply_a, apply_a_dagger, base_ground_state, bits, check_intertwining,
+                      norm_squared, run)
 
 SWEEP_ALL = "separatrix,curvature,gap,maxima_count,e0_error,e1_error"
-
-
-def run(args):
-    return main([str(a) for a in args])
 
 
 @pytest.fixture
@@ -73,10 +68,6 @@ class TestOneSeedEvaluation:
 SIGN_BIT = np.uint64(1 << 63)
 
 
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 def holds(samples, grid, eps):
     """The closed-form states' grid checks, made on the whole grid."""
     peak = np.max(np.abs(samples))
@@ -114,8 +105,8 @@ class TestLazyFields:
                     "base_well": -2.0 * seed.sech2,
                     **{name: scales[name] * samples for name, samples in states.items()}}
         for name, values in expected.items():
-            got = bits(getattr(partner, name))
-            assert np.array_equal(got, bits(values)), name
+            got = getattr(partner, name).view(np.uint64)
+            assert got.tolist() == bits(values), name
             # row i against row n-1-i: w(0) is -0.0, and odd fields keep it
             before, after = got[:n // 2], got[:n // 2:-1]
             if name in ("w", "psi1"):

@@ -16,7 +16,7 @@ from shallowdw import (
     separatrix_energy,
     transform,
 )
-
+from shallowdw.grids import first_derivative
 
 from conftest import (apply_a, apply_a_dagger, base_ground_state, norm_squared, normalized,
                       overlap)
@@ -70,6 +70,12 @@ class TestGrid:
     def test_rejects_non_finite_or_non_positive_x_max(self, x_max):
         with pytest.raises(ValueError, match="x_max must be finite and positive"):
             Grid(x_max, 5)
+
+    def test_first_derivative_is_exact_on_a_quadratic_at_every_node(self):
+        # the 4th-order interior stencil, and the 2nd-order rows at each edge
+        grid = Grid(2.0, 9)
+        slope = first_derivative(3.0 * grid.x**2 - grid.x + 1.0, grid.h)
+        assert np.allclose(slope, 6.0 * grid.x - 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestSeedFunction:

@@ -4,8 +4,11 @@ Each mutant changes one closed form in ``transform``, the states on their
 normalized x >= 0 halves, and ``verify`` must fail on it with the checks named here, at each eps on
 the default grid.  The clean partner must pass there too, so that a check
 which fails everything cannot pass for a kill.  Defects that ``verify``
-lets through are not listed here; CHANGES.md records them as its baseline
-mutation score, and one joins this suite when a check kills it.
+lets through are not listed here.  Its baseline is in CHANGES.md: the share
+of ``tools/mutants.py``'s mutants of ``transform`` and ``wells`` that
+``verify`` alone, at eps -1.5, -2.5 and -30 on the default grid, ends with
+exit 1 or 3 where the clean code exits otherwise.  A defect joins this
+suite when a check kills it.
 """
 
 import numpy as np
